@@ -97,9 +97,8 @@ fn main() {
 
     // The flip side of tag overflow: when parallelism cannot move into tags,
     // all traffic multiplexes over one communicator and the receiver's
-    // matching queues go deep. The bucketed and sequence-merged engines keep
-    // deep-queue matching flat where the linear ("Original") scan pays per
-    // queued entry.
+    // matching queues go deep. The sequence-merged engine keeps deep-queue
+    // matching flat where the linear ("Original") scan pays per queued entry.
     let patches = 256i64;
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut engines_json = Vec::new();

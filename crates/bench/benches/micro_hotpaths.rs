@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the library's hot paths (real wall time, not
-//! virtual time): matching-engine scans at varying queue depths under every
-//! engine, resource acquisition, contention-lock round trips, and tag
-//! encoding — plus a simulated-cost ablation of linear vs bucketed vs
-//! sequence-merged matching and a machine-readable
+//! virtual time): matching-engine scans at varying queue depths under both
+//! engines, resource acquisition, contention-lock round trips, and tag
+//! encoding — plus a simulated-cost ablation of linear vs sequence-merged
+//! matching and a machine-readable
 //! `BENCH_micro_hotpaths.json` summary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -66,8 +66,8 @@ fn bench_matching(c: &mut Criterion) {
                         },
                         |mut e| {
                             // Miss: the linear engine scans the whole
-                            // unexpected queue; the bucketed engine answers
-                            // from an empty bin. Return the engine so its
+                            // unexpected queue; the merged engine answers
+                            // from an empty index. Return the engine so its
                             // teardown is not timed.
                             let (m, work) = e.post_recv(recv(1, 0, depth as i64 + 1));
                             black_box((m.is_some(), work.scanned));
@@ -102,8 +102,7 @@ fn bench_engine_ablation(_c: &mut Criterion) {
             let (m, work) = e.post_recv(recv(1, 0, depth as i64 - 1));
             assert!(m.is_some());
             let exact = costs.match_cost_of(&work);
-            // Wildcard receive on a fresh engine of the same depth: the
-            // bucketed engine pays per bin swept.
+            // Wildcard receive on a fresh engine of the same depth.
             let mut e = kind.new_engine();
             for i in 0..depth {
                 e.incoming(pkt(1, 0, i as i64));
@@ -121,51 +120,40 @@ fn bench_engine_ablation(_c: &mut Criterion) {
             ));
             per_kind.push((exact, wild));
         }
-        let (lin, buc, mrg) = (per_kind[0], per_kind[1], per_kind[2]);
+        let (lin, mrg) = (per_kind[0], per_kind[1]);
         if depth >= 64 {
             assert!(
-                buc.0 < lin.0,
-                "bucketed exact match must undercut linear at depth {depth}: {} vs {}",
-                buc.0,
+                mrg.0 < lin.0,
+                "seq_merged exact match must undercut linear at depth {depth}: {} vs {}",
+                mrg.0,
                 lin.0
             );
         }
         // The merged engine's whole claim: wildcard matching costs the same
         // O(1) head comparison as exact matching at any depth (within 4x,
-        // leaving room for tombstone skips), and its exact path stays flat
-        // alongside bucketed instead of inflating to cover wildcards.
+        // leaving room for tombstone skips).
         assert!(
             mrg.1.as_ns() <= 4 * mrg.0.as_ns(),
             "seq_merged wildcard ({}) exceeds 4x its exact cost ({}) at depth {depth}",
             mrg.1,
             mrg.0
         );
-        assert!(
-            mrg.0.as_ns() <= 2 * buc.0.as_ns(),
-            "seq_merged exact ({}) is no longer flat vs bucketed ({}) at depth {depth}",
-            mrg.0,
-            buc.0
-        );
         rows.push(vec![
             depth.to_string(),
             format!("{}", lin.0),
-            format!("{}", buc.0),
             format!("{}", mrg.0),
             format!("{}", lin.1),
-            format!("{}", buc.1),
             format!("{}", mrg.1),
         ]);
         sweep_json.push(Json::Obj(jrow));
     }
     print_table(
-        "Simulated matching cost — linear vs bucketed vs seq_merged (unexpected-depth sweep)",
+        "Simulated matching cost — linear vs seq_merged (unexpected-depth sweep)",
         &[
             "depth",
             "linear exact",
-            "bucketed exact",
             "seq_merged exact",
             "linear wildcard",
-            "bucketed wildcard",
             "seq_merged wildcard",
         ],
         &rows,

@@ -11,7 +11,7 @@
 
 use rankmpi_bench::json::{histogram_json, percentile, percentiles_json, write_bench_json, Json};
 use rankmpi_bench::{print_table, takeaway};
-use rankmpi_core::{EngineKind, LaunchMode};
+use rankmpi_core::LaunchMode;
 use rankmpi_fabric::FaultPlan;
 use rankmpi_vtime::Nanos;
 use rankmpi_workloads::stream::{run_stream, Mechanism, StreamConfig, StreamReport, Topology};
@@ -55,7 +55,6 @@ fn base(topology: Topology, mechanism: Mechanism) -> StreamConfig {
         work: Nanos::us(2),
         work_jitter: 0.3,
         seed: SEED,
-        matching: EngineKind::Bucketed,
         ..StreamConfig::default()
     }
 }

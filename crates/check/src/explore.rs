@@ -37,10 +37,6 @@ pub struct ExploreConfig {
     pub seed: u64,
     /// Per-run yield-point cap (livelock backstop).
     pub step_cap: u64,
-    /// Extra environment assignments the failure report's replay command
-    /// must carry (e.g. `RANKMPI_CHECK_ENGINE=bucketed` when the explored
-    /// task set depends on it) so the printed command is self-contained.
-    pub extra_env: Vec<(&'static str, String)>,
 }
 
 impl Default for ExploreConfig {
@@ -51,7 +47,6 @@ impl Default for ExploreConfig {
             random_samples: 16,
             seed: crate::base_seed(),
             step_cap: 200_000,
-            extra_env: Vec::new(),
         }
     }
 }
@@ -110,36 +105,25 @@ fn run_one(
         .counter("check.decisions", labels! {"layer" => "check"})
         .add(out.decisions.len() as u64);
     if let Some(msg) = &out.panic {
-        report_failure(name, schedule, cfg, &out, msg);
+        report_failure(name, schedule, &out, msg);
     }
     out
 }
 
-fn report_failure(
-    name: &str,
-    schedule: &Schedule,
-    cfg: &ExploreConfig,
-    out: &RunOutcome,
-    panic_msg: &str,
-) -> ! {
+fn report_failure(name: &str, schedule: &Schedule, out: &RunOutcome, panic_msg: &str) -> ! {
     let replay = out.replay(schedule.seed);
-    let env_prefix: String = cfg
-        .extra_env
-        .iter()
-        .map(|(k, v)| format!("{k}='{v}' "))
-        .collect();
     if let Ok(dir) = std::env::var("RANKMPI_CHECK_DIR") {
         let _ = std::fs::create_dir_all(&dir);
         let path = format!("{dir}/FAILING_SCHEDULE_{name}.txt");
         let _ = std::fs::write(
             &path,
-            format!("{env_prefix}RANKMPI_SCHED='{replay}'\n# {name}\n# panic: {panic_msg}\n"),
+            format!("RANKMPI_SCHED='{replay}'\n# {name}\n# panic: {panic_msg}\n"),
         );
     }
     panic!(
         "[rankmpi-check] '{name}' failed under schedule {replay}\n  \
          panic: {panic_msg}\n  \
-         replay: {env_prefix}RANKMPI_SCHED='{replay}' cargo test -p rankmpi-check {name} -- --test-threads=1 --nocapture"
+         replay: RANKMPI_SCHED='{replay}' cargo test -p rankmpi-check {name} -- --test-threads=1 --nocapture"
     );
 }
 

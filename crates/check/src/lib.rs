@@ -17,18 +17,19 @@
 //!   prefixes up to a bounded depth, then seeded-random sampling — with
 //!   failing runs reported as a compact replayable schedule string
 //!   (`RANKMPI_SCHED='s7:1.0.2' …`);
-//! - [`oracle`]: the all-engines differential driver shared by the
+//! - [`oracle`]: the `linear`-vs-`seq_merged` differential driver shared by the
 //!   conformance suite, the workspace's `engine_differential` test, and the
 //!   `engine_fuzz` harness, including a variant that routes arrivals
 //!   through a fault-injecting [`Mailbox`](rankmpi_fabric::Mailbox) (see
 //!   [`rankmpi_fabric::fault`]).
 //!
 //! The conformance tests themselves live in this crate's `tests/`
-//! directory (`conformance_*.rs`) and honor three environment knobs used
-//! by CI's seed matrix: `RANKMPI_CHECK_SEED` (base seed, default 0),
-//! `RANKMPI_CHECK_ENGINE` (an [`EngineKind`] hint name such as `linear`,
-//! `bucketed`, or `seq_merged`; unset runs every engine), and
-//! `RANKMPI_CHECK_LAUNCH` (`threads` or `tasks`; unset runs both).
+//! directory (`conformance_*.rs`) and honor two environment knobs used
+//! by CI's seed matrix: `RANKMPI_CHECK_SEED` (base seed, default 0) and
+//! `RANKMPI_CHECK_LAUNCH` (`threads` or `tasks`; unset runs both). They run
+//! the production matching engine; `linear`, the reference, is covered where
+//! the engine contract itself is tested ([`oracle`] and
+//! `conformance_matching.rs`).
 
 pub mod explore;
 pub mod oracle;
@@ -37,7 +38,6 @@ pub mod sched;
 pub use explore::{explore, Coverage, ExploreConfig};
 pub use sched::{run_tasks, RunOutcome, Schedule, Task};
 
-use rankmpi_core::matching::EngineKind;
 use rankmpi_core::{LaunchMode, TaskLaunch};
 
 /// The base seed of this run: `RANKMPI_CHECK_SEED` if set, else 0. CI runs
@@ -47,17 +47,6 @@ pub fn base_seed() -> u64 {
         .ok()
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or(0)
-}
-
-/// The matching engines under test: restricted to one by
-/// `RANKMPI_CHECK_ENGINE` (any [`EngineKind`] hint name), every engine when
-/// unset or unrecognized — so a new `EngineKind` is covered automatically.
-pub fn engines_under_test() -> Vec<EngineKind> {
-    std::env::var("RANKMPI_CHECK_ENGINE")
-        .ok()
-        .and_then(|s| EngineKind::parse(s.trim()))
-        .map(|k| vec![k])
-        .unwrap_or_else(|| EngineKind::all().to_vec())
 }
 
 /// The launch modes under test: restricted to one by
@@ -79,19 +68,5 @@ pub fn launch_modes_under_test() -> Vec<LaunchMode> {
             _ => both(),
         },
         Err(_) => both(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engines_default_to_all() {
-        // Do not mutate the env here (tests share the process); just check
-        // the unset default shape.
-        if std::env::var("RANKMPI_CHECK_ENGINE").is_err() {
-            assert_eq!(engines_under_test(), EngineKind::all().to_vec());
-        }
     }
 }

@@ -2,14 +2,12 @@
 //! injection path, and their locked fallbacks must be *invisible* to MPI
 //! semantics — same delivery, same order, same exactly-once guarantee as the
 //! mutex mailbox they replaced, under concurrent senders, bursts past ring
-//! capacity, fault plans, every matching engine, and both launch modes.
+//! capacity, fault plans, and both launch modes.
 
 use std::sync::Arc;
 
 use rankmpi_check::Task;
-use rankmpi_check::{
-    base_seed, engines_under_test, explore, launch_modes_under_test, ExploreConfig,
-};
+use rankmpi_check::{base_seed, explore, launch_modes_under_test, ExploreConfig};
 use rankmpi_core::Universe;
 use rankmpi_fabric::{FaultPlan, Header, Mailbox, Notify, Packet};
 use rankmpi_vtime::sched::{yield_point, SchedPoint};
@@ -24,58 +22,52 @@ fn per_sender() -> usize {
 }
 
 /// Four concurrent sender threads burst-write one receiver rank: every
-/// payload arrives exactly once and per-channel FIFO holds, for every
-/// engine and both launch modes; the ring path (not the locked fallback)
-/// must actually carry traffic.
+/// payload arrives exactly once and per-channel FIFO holds, for both launch
+/// modes; the ring path (not the locked fallback) must actually carry
+/// traffic.
 #[test]
 fn concurrent_bursts_past_ring_capacity_deliver_exactly_once_in_order() {
-    for kind in engines_under_test() {
-        for launch in launch_modes_under_test() {
-            let u = Universe::builder()
-                .nodes(2)
-                .threads_per_proc(4)
-                .matching(kind)
-                .launch(launch)
-                .build();
-            u.run(|env| {
-                let world = env.world();
-                if env.rank() == 0 {
-                    env.parallel(|th| {
-                        let tid = th.tid();
-                        for i in 0..per_sender() {
-                            let body = [tid as u8, i as u8, 0x5A];
-                            world.send(th, 1, tid as i64, &body).unwrap();
-                        }
-                    });
-                } else {
-                    env.parallel(|th| {
-                        let tid = th.tid();
-                        for i in 0..per_sender() {
-                            let (_st, data) = world.recv(th, 0, tid as i64).unwrap();
-                            assert_eq!(
-                                data.as_ref(),
-                                [tid as u8, i as u8, 0x5A],
-                                "message {i} on channel {tid} lost, duplicated, or \
-                                 reordered (engine {}, launch {launch:?})",
-                                kind.name()
-                            );
-                        }
-                    });
-                }
-            });
-            let mut ring_pushes = 0;
-            for r in 0..2 {
-                for v in 0..u.shared().proc(r).num_vcis() {
-                    ring_pushes += u.shared().proc(r).vci(v).mailbox().ring_pushes();
-                }
+    for launch in launch_modes_under_test() {
+        let u = Universe::builder()
+            .nodes(2)
+            .threads_per_proc(4)
+            .launch(launch)
+            .build();
+        u.run(|env| {
+            let world = env.world();
+            if env.rank() == 0 {
+                env.parallel(|th| {
+                    let tid = th.tid();
+                    for i in 0..per_sender() {
+                        let body = [tid as u8, i as u8, 0x5A];
+                        world.send(th, 1, tid as i64, &body).unwrap();
+                    }
+                });
+            } else {
+                env.parallel(|th| {
+                    let tid = th.tid();
+                    for i in 0..per_sender() {
+                        let (_st, data) = world.recv(th, 0, tid as i64).unwrap();
+                        assert_eq!(
+                            data.as_ref(),
+                            [tid as u8, i as u8, 0x5A],
+                            "message {i} on channel {tid} lost, duplicated, or \
+                             reordered (launch {launch:?})"
+                        );
+                    }
+                });
             }
-            assert!(
-                ring_pushes > 0,
-                "no push ever took the lock-free ring path (engine {}, \
-                 launch {launch:?})",
-                kind.name()
-            );
+        });
+        let mut ring_pushes = 0;
+        for r in 0..2 {
+            for v in 0..u.shared().proc(r).num_vcis() {
+                ring_pushes += u.shared().proc(r).vci(v).mailbox().ring_pushes();
+            }
         }
+        assert!(
+            ring_pushes > 0,
+            "no push ever took the lock-free ring path (launch {launch:?})"
+        );
     }
 }
 
@@ -200,55 +192,47 @@ fn force_locked_ablation_is_observationally_identical() {
 fn batched_bursts_over_lossy_fabric_stay_exactly_once() {
     const CHUNK: usize = 16;
     const CHUNKS: usize = 4;
-    for kind in engines_under_test() {
-        let mut retransmits = 0u64;
-        for s in 0..4u64 {
-            let plan = FaultPlan::lossy(base_seed() ^ 0xBA7C ^ (s << 7));
-            let u = Universe::builder()
-                .nodes(2)
-                .matching(kind)
-                .fault_plan(plan)
-                .build();
-            u.run(|env| {
-                let world = env.world();
-                let mut th = env.single_thread();
-                if env.rank() == 0 {
-                    for c in 0..CHUNKS {
-                        let bodies: Vec<[u8; 24]> =
-                            (0..CHUNK).map(|i| [(c * CHUNK + i) as u8; 24]).collect();
-                        let msgs: Vec<(usize, i64, &[u8])> =
-                            bodies.iter().map(|b| (1usize, 5i64, &b[..])).collect();
-                        for r in world.isend_multi(&mut th, &msgs).unwrap() {
-                            r.wait(&mut th.clock);
-                        }
-                    }
-                } else {
-                    for i in 0..CHUNK * CHUNKS {
-                        let (_st, data) = world.recv(&mut th, 0, 5).unwrap();
-                        assert_eq!(
-                            data.as_ref(),
-                            [i as u8; 24],
-                            "batched message {i} lost, duplicated, or reordered \
-                             under loss (engine {}, sweep {s})",
-                            kind.name()
-                        );
+    let mut retransmits = 0u64;
+    for s in 0..4u64 {
+        let plan = FaultPlan::lossy(base_seed() ^ 0xBA7C ^ (s << 7));
+        let u = Universe::builder().nodes(2).fault_plan(plan).build();
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            if env.rank() == 0 {
+                for c in 0..CHUNKS {
+                    let bodies: Vec<[u8; 24]> =
+                        (0..CHUNK).map(|i| [(c * CHUNK + i) as u8; 24]).collect();
+                    let msgs: Vec<(usize, i64, &[u8])> =
+                        bodies.iter().map(|b| (1usize, 5i64, &b[..])).collect();
+                    for r in world.isend_multi(&mut th, &msgs).unwrap() {
+                        r.wait(&mut th.clock);
                     }
                 }
-            });
-            for r in 0..2 {
-                let mb = u.shared().proc(r).vci(0).mailbox().clone();
-                let rep = mb.resil().expect("lossy plan must arm resil").report();
-                assert_eq!(rep.exhausted, 0, "retry budget must hold here");
-                retransmits += rep.retransmits;
+            } else {
+                for i in 0..CHUNK * CHUNKS {
+                    let (_st, data) = world.recv(&mut th, 0, 5).unwrap();
+                    assert_eq!(
+                        data.as_ref(),
+                        [i as u8; 24],
+                        "batched message {i} lost, duplicated, or reordered \
+                         under loss (sweep {s})"
+                    );
+                }
             }
+        });
+        for r in 0..2 {
+            let mb = u.shared().proc(r).vci(0).mailbox().clone();
+            let rep = mb.resil().expect("lossy plan must arm resil").report();
+            assert_eq!(rep.exhausted, 0, "retry budget must hold here");
+            retransmits += rep.retransmits;
         }
-        assert!(
-            retransmits > 0,
-            "a 4-seed lossy sweep of batched sends never retransmitted \
-             (engine {}): the batch path is bypassing resil",
-            kind.name()
-        );
     }
+    assert!(
+        retransmits > 0,
+        "a 4-seed lossy sweep of batched sends never retransmitted: \
+         the batch path is bypassing resil"
+    );
 }
 
 /// Schedule-explored ring/drain interleavings straight on the mailbox: two

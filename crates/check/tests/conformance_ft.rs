@@ -4,17 +4,16 @@
 //! every survivor; and after a shrink, the halo and the task farm both
 //! complete with verified results.
 //!
-//! The sweeps cross every matching engine with both launch modes (OS
-//! threads and cooperative rank-tasks): the recovery protocol lives above
-//! the channel layer and must be oblivious to both choices. Failures name
-//! the exact `(engine, launch, seed)` triple so CI can replay one cell of
-//! the matrix via `RANKMPI_CHECK_ENGINE` / `RANKMPI_CHECK_LAUNCH` /
-//! `RANKMPI_CHECK_SEED`.
+//! The sweeps run under both launch modes (OS threads and cooperative
+//! rank-tasks): the recovery protocol lives above the channel layer and
+//! must be oblivious to the choice. Failures name the exact
+//! `(launch, seed)` pair so CI can replay one cell of the matrix via
+//! `RANKMPI_CHECK_LAUNCH` / `RANKMPI_CHECK_SEED`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use rankmpi_check::{base_seed, engines_under_test, launch_modes_under_test};
+use rankmpi_check::{base_seed, launch_modes_under_test};
 use rankmpi_core::{Errhandler, LaunchMode, RankMpiError, Universe};
 use rankmpi_fabric::{FaultPlan, NetworkProfile};
 use rankmpi_stream::ft::{run_farm_ft, FarmFtConfig};
@@ -45,42 +44,35 @@ fn oracle(plan: &FaultPlan, procs: usize) -> Vec<usize> {
 /// victim set is a subset of the plan's oracle.
 #[test]
 fn halo_crash_sweep_no_survivor_hangs() {
-    for kind in engines_under_test() {
-        for launch in launch_modes_under_test() {
-            for s in 0..SWEEP {
-                let seed = base_seed() ^ 0xFA17 ^ (s << 8);
-                let cfg = HaloFtConfig {
-                    seed,
-                    procs: 6,
-                    iters: 10,
-                    crash_prob: 0.8,
-                    matching: kind,
-                    launch,
-                    ..HaloFtConfig::default()
-                };
-                let plan = FaultPlan::new(seed).crashes(
-                    cfg.crash_prob,
-                    cfg.crash_max_sends,
-                    cfg.crash_max_vtime,
-                );
-                let allowed = oracle(&plan, cfg.procs);
-                let rep = run_halo_ft(&cfg);
-                let cell = format!(
-                    "engine {}, launch {}, seed {seed:#x}",
-                    kind.name(),
-                    launch_name(&launch)
-                );
-                assert!(rep.consistent, "survivors disagree ({cell})");
-                assert!(
-                    rep.survivors.iter().any(|(r, _)| *r == 0),
-                    "rank 0 must survive by plan ({cell})"
-                );
-                assert!(
-                    rep.victims.iter().all(|v| allowed.contains(v)),
-                    "victims {:?} outside the plan oracle {allowed:?} ({cell})",
-                    rep.victims
-                );
-            }
+    for launch in launch_modes_under_test() {
+        for s in 0..SWEEP {
+            let seed = base_seed() ^ 0xFA17 ^ (s << 8);
+            let cfg = HaloFtConfig {
+                seed,
+                procs: 6,
+                iters: 10,
+                crash_prob: 0.8,
+                launch,
+                ..HaloFtConfig::default()
+            };
+            let plan = FaultPlan::new(seed).crashes(
+                cfg.crash_prob,
+                cfg.crash_max_sends,
+                cfg.crash_max_vtime,
+            );
+            let allowed = oracle(&plan, cfg.procs);
+            let rep = run_halo_ft(&cfg);
+            let cell = format!("launch {}, seed {seed:#x}", launch_name(&launch));
+            assert!(rep.consistent, "survivors disagree ({cell})");
+            assert!(
+                rep.survivors.iter().any(|(r, _)| *r == 0),
+                "rank 0 must survive by plan ({cell})"
+            );
+            assert!(
+                rep.victims.iter().all(|v| allowed.contains(v)),
+                "victims {:?} outside the plan oracle {allowed:?} ({cell})",
+                rep.victims
+            );
         }
     }
 }
@@ -89,41 +81,34 @@ fn halo_crash_sweep_no_survivor_hangs() {
 /// items and exits only with every item acknowledged and verified.
 #[test]
 fn farm_crash_sweep_redistributes_and_completes() {
-    for kind in engines_under_test() {
-        for launch in launch_modes_under_test() {
-            for s in 0..SWEEP {
-                let seed = base_seed() ^ 0xFA43 ^ (s << 8);
-                let cfg = FarmFtConfig {
-                    seed,
-                    procs: 6,
-                    items: 30,
-                    crash_prob: 0.8,
-                    crash_max_sends: 5,
-                    crash_max_vtime: Nanos::us(60),
-                    matching: kind,
-                    launch,
-                    ..FarmFtConfig::default()
-                };
-                let plan = FaultPlan::new(seed).crashes(
-                    cfg.crash_prob,
-                    cfg.crash_max_sends,
-                    cfg.crash_max_vtime,
-                );
-                let allowed = oracle(&plan, cfg.procs);
-                let rep = run_farm_ft(&cfg);
-                let cell = format!(
-                    "engine {}, launch {}, seed {seed:#x}",
-                    kind.name(),
-                    launch_name(&launch)
-                );
-                assert!(rep.verified, "emitter lost items ({cell})");
-                assert!(rep.consistent, "survivors disagree ({cell})");
-                assert!(
-                    rep.victims.iter().all(|v| allowed.contains(v)),
-                    "victims {:?} outside the plan oracle {allowed:?} ({cell})",
-                    rep.victims
-                );
-            }
+    for launch in launch_modes_under_test() {
+        for s in 0..SWEEP {
+            let seed = base_seed() ^ 0xFA43 ^ (s << 8);
+            let cfg = FarmFtConfig {
+                seed,
+                procs: 6,
+                items: 30,
+                crash_prob: 0.8,
+                crash_max_sends: 5,
+                crash_max_vtime: Nanos::us(60),
+                launch,
+                ..FarmFtConfig::default()
+            };
+            let plan = FaultPlan::new(seed).crashes(
+                cfg.crash_prob,
+                cfg.crash_max_sends,
+                cfg.crash_max_vtime,
+            );
+            let allowed = oracle(&plan, cfg.procs);
+            let rep = run_farm_ft(&cfg);
+            let cell = format!("launch {}, seed {seed:#x}", launch_name(&launch));
+            assert!(rep.verified, "emitter lost items ({cell})");
+            assert!(rep.consistent, "survivors disagree ({cell})");
+            assert!(
+                rep.victims.iter().all(|v| allowed.contains(v)),
+                "victims {:?} outside the plan oracle {allowed:?} ({cell})",
+                rep.victims
+            );
         }
     }
 }
@@ -133,46 +118,36 @@ fn farm_crash_sweep_redistributes_and_completes() {
 /// is a real-time backstop that must not be what fires).
 #[test]
 fn pending_recv_from_the_dead_fails_with_process_failed() {
-    for kind in engines_under_test() {
-        let plan = FaultPlan::new(base_seed() ^ 0xD1E).crashes(1.0, 4, Nanos::us(40));
-        assert!(
-            plan.crash_point(1).is_some(),
-            "probability 1 must draw a crash for rank 1"
-        );
-        let u = Universe::builder()
-            .nodes(2)
-            .matching(kind)
-            .fault_plan(plan)
-            .build();
-        u.run_ft(|env| {
-            let world = env.world();
-            world.set_errhandler(Errhandler::ErrorsReturn);
-            let mut th = env.single_thread();
-            if env.rank() == 0 {
-                // Tag 5 is never sent: this receive can only resolve
-                // through the failure detector.
-                match world.recv_timeout(&mut th, 1, 5, Duration::from_secs(30)) {
-                    Err(RankMpiError::ProcessFailed { rank }) => assert_eq!(rank, 1),
-                    other => panic!(
-                        "expected ProcessFailed {{ rank: 1 }}, got {other:?} \
-                         (engine {})",
-                        kind.name()
-                    ),
-                }
-            } else {
-                // Keep issuing operations until the crash point fires
-                // (sends count toward it; the clock advances toward a
-                // virtual-time trigger).
-                for i in 0..64u32 {
-                    th.clock.advance(Nanos::us(2));
-                    if world.send(&mut th, 0, 9, &i.to_le_bytes()).is_err() {
-                        break;
-                    }
-                }
-                panic!("rank 1 outlived a probability-1 crash plan");
+    let plan = FaultPlan::new(base_seed() ^ 0xD1E).crashes(1.0, 4, Nanos::us(40));
+    assert!(
+        plan.crash_point(1).is_some(),
+        "probability 1 must draw a crash for rank 1"
+    );
+    let u = Universe::builder().nodes(2).fault_plan(plan).build();
+    u.run_ft(|env| {
+        let world = env.world();
+        world.set_errhandler(Errhandler::ErrorsReturn);
+        let mut th = env.single_thread();
+        if env.rank() == 0 {
+            // Tag 5 is never sent: this receive can only resolve
+            // through the failure detector.
+            match world.recv_timeout(&mut th, 1, 5, Duration::from_secs(30)) {
+                Err(RankMpiError::ProcessFailed { rank }) => assert_eq!(rank, 1),
+                other => panic!("expected ProcessFailed {{ rank: 1 }}, got {other:?}"),
             }
-        });
-    }
+        } else {
+            // Keep issuing operations until the crash point fires
+            // (sends count toward it; the clock advances toward a
+            // virtual-time trigger).
+            for i in 0..64u32 {
+                th.clock.advance(Nanos::us(2));
+                if world.send(&mut th, 0, 9, &i.to_le_bytes()).is_err() {
+                    break;
+                }
+            }
+            panic!("rank 1 outlived a probability-1 crash plan");
+        }
+    });
 }
 
 /// The fault-tolerant agreement is a true AND over the contributions and

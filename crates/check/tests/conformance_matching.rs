@@ -8,18 +8,20 @@
 //! to a bounded depth, then across seeded-random schedules. A failing
 //! interleaving panics with a replayable `RANKMPI_SCHED=…` string.
 //!
-//! Runs under every engine (restrict with `RANKMPI_CHECK_ENGINE`).
+//! Runs under both engines: this is where `linear`, the reference, keeps
+//! its schedule-explored and Universe-level coverage.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rankmpi_check::oracle::fixed_packet;
-use rankmpi_check::{base_seed, engines_under_test, explore, ExploreConfig, Task};
+use rankmpi_check::{base_seed, explore, ExploreConfig, Task};
 use rankmpi_core::matching::{
     EngineKind, Incoming, MatchEngine, MatchPattern, PostedRecv, ANY_SOURCE, ANY_TAG,
 };
 use rankmpi_core::request::ReqState;
+use rankmpi_core::{Status, Universe};
 use rankmpi_vtime::sched::{yield_point, SchedPoint};
 use rankmpi_vtime::{Clock, ContentionLock, Nanos};
 
@@ -179,23 +181,14 @@ fn cfg_for(name_salt: u64) -> ExploreConfig {
     }
 }
 
-/// Like [`cfg_for`], but the replay command must pin the engine so a
-/// failure found while sweeping both kinds replays against the right one.
-fn cfg_for_kind(name_salt: u64, kind: EngineKind) -> ExploreConfig {
-    ExploreConfig {
-        extra_env: vec![("RANKMPI_CHECK_ENGINE", kind.name().to_string())],
-        ..cfg_for(name_salt ^ kind as u64)
-    }
-}
-
 /// Two single-channel senders race a receiver posting exact-match receives:
 /// every explored interleaving must preserve per-channel FIFO matching.
 #[test]
 fn exact_receives_never_overtake_within_a_channel() {
-    for kind in engines_under_test() {
+    for kind in EngineKind::all() {
         let cov = explore(
             &format!("exact_non_overtaking_{}", kind.name()),
-            &cfg_for_kind(0xE0, kind),
+            &cfg_for(0xE0 ^ kind as u64),
             move || {
                 let engine: SharedEngine = Arc::new(ContentionLock::new(kind.new_engine()));
                 let obs = Arc::new(Mutex::new(Obs::default()));
@@ -221,10 +214,10 @@ fn exact_receives_never_overtake_within_a_channel() {
 /// still hold on the matched stream.
 #[test]
 fn wildcard_receives_match_in_arrival_order() {
-    for kind in engines_under_test() {
+    for kind in EngineKind::all() {
         explore(
             &format!("wildcard_arrival_order_{}", kind.name()),
-            &cfg_for_kind(0xF0, kind),
+            &cfg_for(0xF0 ^ kind as u64),
             move || {
                 let engine: SharedEngine = Arc::new(ContentionLock::new(kind.new_engine()));
                 let obs = Arc::new(Mutex::new(Obs::default()));
@@ -239,60 +232,6 @@ fn wildcard_receives_match_in_arrival_order() {
             },
         );
     }
-}
-
-/// A live engine-kind migration (drain one engine, replay into the other —
-/// what `Vci::set_engine_kind` does) must be invisible to matching
-/// semantics on every explored interleaving. The migrator cycles through
-/// every engine kind under test, so each consecutive kind pair is crossed.
-#[test]
-fn engine_migration_preserves_matching_fifo() {
-    let kinds = engines_under_test();
-    let from = kinds[0];
-    explore(
-        &format!("migration_{}_x{}", from.name(), kinds.len()),
-        &cfg_for(0xA1),
-        move || {
-            let kinds = kinds.clone();
-            let engine: SharedEngine = Arc::new(ContentionLock::new(from.new_engine()));
-            let obs = Arc::new(Mutex::new(Obs::default()));
-            let posts: Vec<MatchPattern> = (0..PER_SENDER)
-                .flat_map(|_| [exact(0, 0), exact(1, 0)])
-                .collect();
-            let migrator: Task = {
-                let engine = Arc::clone(&engine);
-                Box::new(move || {
-                    let mut clock = Clock::new();
-                    for flip in 0..3usize.max(kinds.len()) {
-                        yield_point(SchedPoint::Custom("pre-migrate"));
-                        let mut g = engine.lock(&mut clock);
-                        let (posted, unexpected) = g.drain();
-                        let mut fresh = kinds[(flip + 1) % kinds.len()].new_engine();
-                        for p in posted {
-                            let (m, _work) = fresh.post_recv(p);
-                            assert!(m.is_none(), "replayed post matched during migration");
-                        }
-                        for pkt in unexpected {
-                            match fresh.incoming(pkt) {
-                                Incoming::Queued { .. } => {}
-                                Incoming::Matched { .. } => {
-                                    panic!("replayed unexpected packet matched during migration")
-                                }
-                            }
-                        }
-                        *g = fresh;
-                        g.release(&mut clock);
-                    }
-                })
-            };
-            vec![
-                sender_task(Arc::clone(&engine), Arc::clone(&obs), 0),
-                sender_task(Arc::clone(&engine), Arc::clone(&obs), 1),
-                receiver_task(engine, obs, posts, 2 * PER_SENDER),
-                migrator,
-            ]
-        },
-    );
 }
 
 /// Every engine kind stays observationally equivalent when the *same*
@@ -349,4 +288,53 @@ fn engines_agree_under_explored_interleavings() {
         }));
         tasks
     });
+}
+
+/// The `lesson9_tag_overflow` deep-queue drain end to end through a
+/// `Universe`: 256 tags sent in order, received in reverse, so every receive
+/// digs its message out of a deep unexpected queue. Both engine kinds must
+/// hand back the same statuses and payloads — `linear`'s one check through
+/// the whole VCI stack rather than the bare engine.
+#[test]
+fn deep_queue_drain_agrees_across_engines_end_to_end() {
+    const TAGS: i64 = 256;
+    let drain = |kind: EngineKind| -> Vec<(Status, Vec<u8>)> {
+        let u = Universe::builder().nodes(2).matching(kind).build();
+        let mut out = u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            assert_eq!(
+                env.proc().vci(world.vci_block()[0]).engine_kind(),
+                kind,
+                "the builder's kind reaches the VCI"
+            );
+            if env.rank() == 0 {
+                for t in 0..TAGS {
+                    world.send(&mut th, 1, t, &[t as u8; 8]).unwrap();
+                }
+                Vec::new()
+            } else {
+                (0..TAGS)
+                    .rev()
+                    .map(|t| {
+                        let (st, data) = world.recv(&mut th, 0, t).unwrap();
+                        (st, data.to_vec())
+                    })
+                    .collect()
+            }
+        });
+        out.swap_remove(1)
+    };
+    let reference = drain(EngineKind::Linear);
+    assert_eq!(reference.len(), TAGS as usize);
+    for (i, (st, data)) in reference.iter().enumerate() {
+        let tag = TAGS - 1 - i as i64;
+        assert_eq!((st.source, st.tag, st.len), (0, tag, 8));
+        assert_eq!(data, &[tag as u8; 8]);
+    }
+    assert_eq!(
+        reference,
+        drain(EngineKind::SeqMerged),
+        "linear and seq_merged disagree"
+    );
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
-use rankmpi_check::{base_seed, engines_under_test};
+use rankmpi_check::base_seed;
 use rankmpi_core::{Info, Universe};
 use rankmpi_fabric::FaultPlan;
 use rankmpi_partitioned::{precv_init, psend_init};
@@ -26,75 +26,71 @@ const PART_BYTES: usize = 16;
 
 #[test]
 fn parrived_never_true_before_pready() {
-    for kind in engines_under_test() {
-        for s in 0..3u64 {
-            let plan = FaultPlan::chaos(base_seed() ^ 0x9A11 ^ (s << 5));
-            let pready_at: Arc<Vec<AtomicU64>> =
-                Arc::new((0..PARTS).map(|_| AtomicU64::new(u64::MAX)).collect());
-            let order: Vec<usize> = {
-                let mut o: Vec<usize> = (0..PARTS).collect();
-                let mut rng = StdRng::seed_from_u64(base_seed() ^ (s << 3) ^ 0x01de);
-                o.shuffle(&mut rng);
-                o
-            };
-            let u = Universe::builder()
-                .nodes(2)
-                .num_vcis(2)
-                .matching(kind)
-                .fault_plan(plan)
-                .build();
-            let pready_at_ref = &pready_at;
-            let order_ref = &order;
-            u.run(|env| {
-                let world = env.world();
-                let mut th = env.single_thread();
-                if env.rank() == 0 {
-                    let sreq =
-                        psend_init(&world, &mut th, 1, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
-                    sreq.start(&mut th).unwrap();
-                    for &p in order_ref.iter() {
-                        // Stamp strictly before pready: the packet cannot be
-                        // visible remotely while the sentinel is in place.
-                        pready_at_ref[p].store(th.clock.now().0, Ordering::SeqCst);
-                        sreq.pready(&mut th, p, &[(p as u8) ^ 0x5A; PART_BYTES])
-                            .unwrap();
-                    }
-                    sreq.wait(&mut th).unwrap();
-                } else {
-                    let rreq =
-                        precv_init(&world, &mut th, 0, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
-                    rreq.start(&mut th).unwrap();
-                    let mut arrived = [false; PARTS];
-                    while arrived.iter().any(|a| !a) {
-                        for p in 0..PARTS {
-                            if arrived[p] || !rreq.parrived(&mut th, p).unwrap() {
-                                continue;
-                            }
-                            let stamp = pready_at_ref[p].load(Ordering::SeqCst);
-                            assert_ne!(
-                                stamp,
-                                u64::MAX,
-                                "parrived({p}) true before pready({p}) was ever called \
-                                 (engine {}, sweep {s})",
-                                kind.name()
-                            );
-                            assert!(
-                                th.clock.now().0 >= stamp,
-                                "parrived({p}) at virtual {} but pready stamped {stamp}",
-                                th.clock.now().0
-                            );
-                            assert_eq!(
-                                rreq.read_partition(p),
-                                vec![(p as u8) ^ 0x5A; PART_BYTES],
-                                "partition {p} payload corrupted"
-                            );
-                            arrived[p] = true;
-                        }
-                    }
-                    rreq.wait(&mut th).unwrap();
+    for s in 0..3u64 {
+        let plan = FaultPlan::chaos(base_seed() ^ 0x9A11 ^ (s << 5));
+        let pready_at: Arc<Vec<AtomicU64>> =
+            Arc::new((0..PARTS).map(|_| AtomicU64::new(u64::MAX)).collect());
+        let order: Vec<usize> = {
+            let mut o: Vec<usize> = (0..PARTS).collect();
+            let mut rng = StdRng::seed_from_u64(base_seed() ^ (s << 3) ^ 0x01de);
+            o.shuffle(&mut rng);
+            o
+        };
+        let u = Universe::builder()
+            .nodes(2)
+            .num_vcis(2)
+            .fault_plan(plan)
+            .build();
+        let pready_at_ref = &pready_at;
+        let order_ref = &order;
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            if env.rank() == 0 {
+                let sreq =
+                    psend_init(&world, &mut th, 1, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
+                sreq.start(&mut th).unwrap();
+                for &p in order_ref.iter() {
+                    // Stamp strictly before pready: the packet cannot be
+                    // visible remotely while the sentinel is in place.
+                    pready_at_ref[p].store(th.clock.now().0, Ordering::SeqCst);
+                    sreq.pready(&mut th, p, &[(p as u8) ^ 0x5A; PART_BYTES])
+                        .unwrap();
                 }
-            });
-        }
+                sreq.wait(&mut th).unwrap();
+            } else {
+                let rreq =
+                    precv_init(&world, &mut th, 0, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
+                rreq.start(&mut th).unwrap();
+                let mut arrived = [false; PARTS];
+                while arrived.iter().any(|a| !a) {
+                    for p in 0..PARTS {
+                        if arrived[p] || !rreq.parrived(&mut th, p).unwrap() {
+                            continue;
+                        }
+                        let stamp = pready_at_ref[p].load(Ordering::SeqCst);
+                        assert_ne!(
+                            stamp,
+                            u64::MAX,
+                            "parrived({p}) true before pready({p}) was ever called \
+                             (sweep {s})"
+                        );
+                        assert!(
+                            th.clock.now().0 >= stamp,
+                            "parrived({p}) at virtual {} but pready stamped {stamp}",
+                            th.clock.now().0
+                        );
+                        assert_eq!(
+                            rreq.read_partition(p),
+                            vec![(p as u8) ^ 0x5A; PART_BYTES],
+                            "partition {p} payload corrupted"
+                        );
+                        arrived[p] = true;
+                    }
+                }
+                rreq.wait(&mut th).unwrap();
+            }
+        });
     }
 }
 
@@ -102,53 +98,49 @@ fn parrived_never_true_before_pready() {
 fn shuffled_pready_order_delivers_every_partition_intact() {
     // pready in a different shuffled order each sweep, under a chaotic
     // fabric; wait() must return every partition's bytes exactly.
-    for kind in engines_under_test() {
-        for s in 0..4u64 {
-            let plan = FaultPlan::chaos(base_seed() ^ 0x9A27 ^ s);
-            let order: Vec<usize> = {
-                let mut o: Vec<usize> = (0..PARTS).collect();
-                let mut rng = StdRng::seed_from_u64(base_seed() ^ (s << 7) ^ 0xFEED);
-                o.shuffle(&mut rng);
-                o
-            };
-            let u = Universe::builder()
-                .nodes(2)
-                .num_vcis(2)
-                .matching(kind)
-                .fault_plan(plan)
-                .build();
-            let order_ref = &order;
-            u.run(|env| {
-                let world = env.world();
-                let mut th = env.single_thread();
-                if env.rank() == 0 {
-                    let sreq =
-                        psend_init(&world, &mut th, 1, 9, PARTS, PART_BYTES, &Info::new()).unwrap();
-                    for round in 0..2u8 {
-                        sreq.start(&mut th).unwrap();
-                        for &p in order_ref.iter() {
-                            sreq.pready(&mut th, p, &[p as u8 + round * 100; PART_BYTES])
-                                .unwrap();
-                        }
-                        sreq.wait(&mut th).unwrap();
+    for s in 0..4u64 {
+        let plan = FaultPlan::chaos(base_seed() ^ 0x9A27 ^ s);
+        let order: Vec<usize> = {
+            let mut o: Vec<usize> = (0..PARTS).collect();
+            let mut rng = StdRng::seed_from_u64(base_seed() ^ (s << 7) ^ 0xFEED);
+            o.shuffle(&mut rng);
+            o
+        };
+        let u = Universe::builder()
+            .nodes(2)
+            .num_vcis(2)
+            .fault_plan(plan)
+            .build();
+        let order_ref = &order;
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            if env.rank() == 0 {
+                let sreq =
+                    psend_init(&world, &mut th, 1, 9, PARTS, PART_BYTES, &Info::new()).unwrap();
+                for round in 0..2u8 {
+                    sreq.start(&mut th).unwrap();
+                    for &p in order_ref.iter() {
+                        sreq.pready(&mut th, p, &[p as u8 + round * 100; PART_BYTES])
+                            .unwrap();
                     }
-                } else {
-                    let rreq =
-                        precv_init(&world, &mut th, 0, 9, PARTS, PART_BYTES, &Info::new()).unwrap();
-                    for round in 0..2u8 {
-                        rreq.start(&mut th).unwrap();
-                        let data = rreq.wait(&mut th).unwrap();
-                        for p in 0..PARTS {
-                            assert_eq!(
-                                data[p * PART_BYTES],
-                                p as u8 + round * 100,
-                                "partition {p} wrong in round {round} (engine {}, sweep {s})",
-                                kind.name()
-                            );
-                        }
+                    sreq.wait(&mut th).unwrap();
+                }
+            } else {
+                let rreq =
+                    precv_init(&world, &mut th, 0, 9, PARTS, PART_BYTES, &Info::new()).unwrap();
+                for round in 0..2u8 {
+                    rreq.start(&mut th).unwrap();
+                    let data = rreq.wait(&mut th).unwrap();
+                    for p in 0..PARTS {
+                        assert_eq!(
+                            data[p * PART_BYTES],
+                            p as u8 + round * 100,
+                            "partition {p} wrong in round {round} (sweep {s})"
+                        );
                     }
                 }
-            });
-        }
+            }
+        });
     }
 }

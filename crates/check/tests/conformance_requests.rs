@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use rankmpi_check::{base_seed, engines_under_test, explore, ExploreConfig, Task};
+use rankmpi_check::{base_seed, explore, ExploreConfig, Task};
 use rankmpi_core::request::ReqState;
 use rankmpi_core::Universe;
 use rankmpi_fabric::FaultPlan;
@@ -78,50 +78,44 @@ fn completion_is_monotone_under_explored_schedules() {
 /// `is_complete` forever after.
 #[test]
 fn test_polls_are_monotone_under_faults() {
-    for kind in engines_under_test() {
-        for s in 0..3u64 {
-            let plan = FaultPlan::chaos(base_seed() ^ 0x7E57 ^ (s << 4));
-            let u = Universe::builder()
-                .nodes(2)
-                .matching(kind)
-                .fault_plan(plan)
-                .build();
-            u.run(|env| {
-                let world = env.world();
-                let mut th = env.single_thread();
-                const N: usize = 12;
-                if env.rank() == 0 {
-                    for i in 0..N {
-                        world.send(&mut th, 1, i as i64, &[i as u8; 8]).unwrap();
-                    }
-                } else {
-                    let reqs: Vec<_> = (0..N)
-                        .map(|i| world.irecv(&mut th, 0, i as i64).unwrap())
-                        .collect();
-                    let mut done = [false; N];
-                    let mut results = vec![None; N];
-                    while done.iter().any(|d| !d) {
-                        for (i, r) in reqs.iter().enumerate() {
-                            if done[i] {
-                                // Monotone: completion never regresses, even
-                                // while other requests still progress.
-                                assert!(r.is_complete(), "request {i} un-completed");
-                                continue;
-                            }
-                            if let Some((st, data)) = r.test(&mut th.clock) {
-                                assert_eq!(st.source, 0);
-                                assert_eq!(st.tag, i as i64);
-                                results[i] = Some(data);
-                                done[i] = true;
-                            }
+    for s in 0..3u64 {
+        let plan = FaultPlan::chaos(base_seed() ^ 0x7E57 ^ (s << 4));
+        let u = Universe::builder().nodes(2).fault_plan(plan).build();
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            const N: usize = 12;
+            if env.rank() == 0 {
+                for i in 0..N {
+                    world.send(&mut th, 1, i as i64, &[i as u8; 8]).unwrap();
+                }
+            } else {
+                let reqs: Vec<_> = (0..N)
+                    .map(|i| world.irecv(&mut th, 0, i as i64).unwrap())
+                    .collect();
+                let mut done = [false; N];
+                let mut results = vec![None; N];
+                while done.iter().any(|d| !d) {
+                    for (i, r) in reqs.iter().enumerate() {
+                        if done[i] {
+                            // Monotone: completion never regresses, even
+                            // while other requests still progress.
+                            assert!(r.is_complete(), "request {i} un-completed");
+                            continue;
+                        }
+                        if let Some((st, data)) = r.test(&mut th.clock) {
+                            assert_eq!(st.source, 0);
+                            assert_eq!(st.tag, i as i64);
+                            results[i] = Some(data);
+                            done[i] = true;
                         }
                     }
-                    for (i, data) in results.into_iter().enumerate() {
-                        assert_eq!(&data.unwrap()[..], &[i as u8; 8]);
-                    }
                 }
-            });
-        }
+                for (i, data) in results.into_iter().enumerate() {
+                    assert_eq!(&data.unwrap()[..], &[i as u8; 8]);
+                }
+            }
+        });
     }
 }
 
@@ -130,34 +124,31 @@ fn test_polls_are_monotone_under_faults() {
 /// one it must follow (send order on one `(src, tag)` stream).
 #[test]
 fn completion_times_follow_channel_order() {
-    for kind in engines_under_test() {
-        let u = Universe::builder()
-            .nodes(2)
-            .matching(kind)
-            .fault_plan(FaultPlan::chaos(base_seed() ^ 0xC10C))
-            .build();
-        u.run(|env| {
-            let world = env.world();
-            let mut th = env.single_thread();
-            const N: usize = 16;
-            if env.rank() == 0 {
-                for i in 0..N {
-                    world.send(&mut th, 1, 5, &[i as u8]).unwrap();
-                }
-            } else {
-                let mut last_finish = Nanos::ZERO;
-                for i in 0..N {
-                    let r = world.irecv(&mut th, 0, 5).unwrap();
-                    let (_st, data) = r.wait(&mut th.clock);
-                    assert_eq!(data[0], i as u8, "channel order broken");
-                    let f = r.state().finish_at();
-                    assert!(
-                        f >= last_finish,
-                        "completion time regressed on one channel: {f:?} after {last_finish:?}"
-                    );
-                    last_finish = f;
-                }
+    let u = Universe::builder()
+        .nodes(2)
+        .fault_plan(FaultPlan::chaos(base_seed() ^ 0xC10C))
+        .build();
+    u.run(|env| {
+        let world = env.world();
+        let mut th = env.single_thread();
+        const N: usize = 16;
+        if env.rank() == 0 {
+            for i in 0..N {
+                world.send(&mut th, 1, 5, &[i as u8]).unwrap();
             }
-        });
-    }
+        } else {
+            let mut last_finish = Nanos::ZERO;
+            for i in 0..N {
+                let r = world.irecv(&mut th, 0, 5).unwrap();
+                let (_st, data) = r.wait(&mut th.clock);
+                assert_eq!(data[0], i as u8, "channel order broken");
+                let f = r.state().finish_at();
+                assert!(
+                    f >= last_finish,
+                    "completion time regressed on one channel: {f:?} after {last_finish:?}"
+                );
+                last_finish = f;
+            }
+        }
+    });
 }

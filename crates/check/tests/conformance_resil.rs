@@ -4,14 +4,14 @@
 //! (never a hang), and a failed hardware context must be remapped live
 //! without dropping traffic.
 //!
-//! Every scenario sweeps both matching engines and several derived seeds,
-//! mirroring the other conformance suites.
+//! Every scenario sweeps several derived seeds, mirroring the other
+//! conformance suites.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rankmpi_check::{base_seed, engines_under_test};
+use rankmpi_check::base_seed;
 use rankmpi_core::{Errhandler, Info, RankMpiError, Universe};
 use rankmpi_fabric::{FaultPlan, ResilConfig};
 use rankmpi_partitioned::{precv_init, psend_init};
@@ -24,57 +24,48 @@ const ROUNDS: u64 = 16;
 /// (otherwise the plan was not exercising the lossy path at all).
 #[test]
 fn pingpong_over_lossy_fabric_is_exactly_once_in_order() {
-    for kind in engines_under_test() {
-        let mut retransmits = 0u64;
-        for s in 0..SWEEP {
-            let plan = FaultPlan::lossy(base_seed() ^ 0xC0DE ^ (s << 9));
-            let u = Universe::builder()
-                .nodes(2)
-                .matching(kind)
-                .fault_plan(plan)
-                .build();
-            u.run(|env| {
-                let world = env.world();
-                let mut th = env.single_thread();
-                if env.rank() == 0 {
-                    for i in 0..ROUNDS {
-                        world.send(&mut th, 1, 7, &[i as u8; 24]).unwrap();
-                        let (_st, data) = world.recv(&mut th, 1, 8).unwrap();
-                        assert_eq!(
-                            data.as_ref(),
-                            [(i as u8) ^ 0xFF; 24],
-                            "reply {i} corrupted or reordered (engine {}, sweep {s})",
-                            kind.name()
-                        );
-                    }
-                } else {
-                    for i in 0..ROUNDS {
-                        let (_st, data) = world.recv(&mut th, 0, 7).unwrap();
-                        assert_eq!(
-                            data.as_ref(),
-                            [i as u8; 24],
-                            "message {i} lost, duplicated, or reordered \
-                             (engine {}, sweep {s})",
-                            kind.name()
-                        );
-                        world.send(&mut th, 0, 8, &[(i as u8) ^ 0xFF; 24]).unwrap();
-                    }
+    let mut retransmits = 0u64;
+    for s in 0..SWEEP {
+        let plan = FaultPlan::lossy(base_seed() ^ 0xC0DE ^ (s << 9));
+        let u = Universe::builder().nodes(2).fault_plan(plan).build();
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            if env.rank() == 0 {
+                for i in 0..ROUNDS {
+                    world.send(&mut th, 1, 7, &[i as u8; 24]).unwrap();
+                    let (_st, data) = world.recv(&mut th, 1, 8).unwrap();
+                    assert_eq!(
+                        data.as_ref(),
+                        [(i as u8) ^ 0xFF; 24],
+                        "reply {i} corrupted or reordered (sweep {s})"
+                    );
                 }
-            });
-            for r in 0..2 {
-                let mb = u.shared().proc(r).vci(0).mailbox().clone();
-                let rep = mb.resil().expect("lossy plan must arm resil").report();
-                assert_eq!(rep.exhausted, 0, "retry budget must not run out here");
-                retransmits += rep.retransmits;
+            } else {
+                for i in 0..ROUNDS {
+                    let (_st, data) = world.recv(&mut th, 0, 7).unwrap();
+                    assert_eq!(
+                        data.as_ref(),
+                        [i as u8; 24],
+                        "message {i} lost, duplicated, or reordered \
+                         (sweep {s})"
+                    );
+                    world.send(&mut th, 0, 8, &[(i as u8) ^ 0xFF; 24]).unwrap();
+                }
             }
+        });
+        for r in 0..2 {
+            let mb = u.shared().proc(r).vci(0).mailbox().clone();
+            let rep = mb.resil().expect("lossy plan must arm resil").report();
+            assert_eq!(rep.exhausted, 0, "retry budget must not run out here");
+            retransmits += rep.retransmits;
         }
-        assert!(
-            retransmits > 0,
-            "a {SWEEP}-seed sweep over a 5% drop fabric never retransmitted \
-             (engine {}): the lossy path is not being exercised",
-            kind.name()
-        );
     }
+    assert!(
+        retransmits > 0,
+        "a {SWEEP}-seed sweep over a 5% drop fabric never retransmitted: \
+         the lossy path is not being exercised"
+    );
 }
 
 /// Partitioned transfers under the lossy plan: `parrived` is never true
@@ -85,62 +76,58 @@ fn pingpong_over_lossy_fabric_is_exactly_once_in_order() {
 fn parrived_never_before_pready_under_lossy_fabric() {
     const PARTS: usize = 8;
     const PART_BYTES: usize = 16;
-    for kind in engines_under_test() {
-        for s in 0..3u64 {
-            let plan = FaultPlan::lossy(base_seed() ^ 0xF1A6 ^ (s << 4));
-            let pready_at: Arc<Vec<AtomicU64>> =
-                Arc::new((0..PARTS).map(|_| AtomicU64::new(u64::MAX)).collect());
-            let u = Universe::builder()
-                .nodes(2)
-                .num_vcis(2)
-                .matching(kind)
-                .fault_plan(plan)
-                .build();
-            let pready_at_ref = &pready_at;
-            u.run(|env| {
-                let world = env.world();
-                let mut th = env.single_thread();
-                if env.rank() == 0 {
-                    let sreq =
-                        psend_init(&world, &mut th, 1, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
-                    sreq.start(&mut th).unwrap();
-                    for p in 0..PARTS {
-                        // Stamp strictly before pready: the packet cannot be
-                        // visible remotely while the sentinel is in place.
-                        pready_at_ref[p].store(th.clock.now().0, Ordering::SeqCst);
-                        sreq.pready(&mut th, p, &[(p as u8) ^ 0x33; PART_BYTES])
-                            .unwrap();
-                    }
-                    sreq.wait(&mut th).unwrap();
-                } else {
-                    let rreq =
-                        precv_init(&world, &mut th, 0, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
-                    rreq.start(&mut th).unwrap();
-                    let mut arrived = [false; PARTS];
-                    while arrived.iter().any(|a| !a) {
-                        for p in 0..PARTS {
-                            if arrived[p] || !rreq.parrived(&mut th, p).unwrap() {
-                                continue;
-                            }
-                            assert_ne!(
-                                pready_at_ref[p].load(Ordering::SeqCst),
-                                u64::MAX,
-                                "parrived({p}) true before pready({p}) under loss \
-                                 (engine {}, sweep {s})",
-                                kind.name()
-                            );
-                            assert_eq!(
-                                rreq.read_partition(p),
-                                vec![(p as u8) ^ 0x33; PART_BYTES],
-                                "partition {p} corrupted by the lossy fabric"
-                            );
-                            arrived[p] = true;
-                        }
-                    }
-                    rreq.wait(&mut th).unwrap();
+    for s in 0..3u64 {
+        let plan = FaultPlan::lossy(base_seed() ^ 0xF1A6 ^ (s << 4));
+        let pready_at: Arc<Vec<AtomicU64>> =
+            Arc::new((0..PARTS).map(|_| AtomicU64::new(u64::MAX)).collect());
+        let u = Universe::builder()
+            .nodes(2)
+            .num_vcis(2)
+            .fault_plan(plan)
+            .build();
+        let pready_at_ref = &pready_at;
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            if env.rank() == 0 {
+                let sreq =
+                    psend_init(&world, &mut th, 1, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
+                sreq.start(&mut th).unwrap();
+                for p in 0..PARTS {
+                    // Stamp strictly before pready: the packet cannot be
+                    // visible remotely while the sentinel is in place.
+                    pready_at_ref[p].store(th.clock.now().0, Ordering::SeqCst);
+                    sreq.pready(&mut th, p, &[(p as u8) ^ 0x33; PART_BYTES])
+                        .unwrap();
                 }
-            });
-        }
+                sreq.wait(&mut th).unwrap();
+            } else {
+                let rreq =
+                    precv_init(&world, &mut th, 0, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
+                rreq.start(&mut th).unwrap();
+                let mut arrived = [false; PARTS];
+                while arrived.iter().any(|a| !a) {
+                    for p in 0..PARTS {
+                        if arrived[p] || !rreq.parrived(&mut th, p).unwrap() {
+                            continue;
+                        }
+                        assert_ne!(
+                            pready_at_ref[p].load(Ordering::SeqCst),
+                            u64::MAX,
+                            "parrived({p}) true before pready({p}) under loss \
+                             (sweep {s})"
+                        );
+                        assert_eq!(
+                            rreq.read_partition(p),
+                            vec![(p as u8) ^ 0x33; PART_BYTES],
+                            "partition {p} corrupted by the lossy fabric"
+                        );
+                        arrived[p] = true;
+                    }
+                }
+                rreq.wait(&mut th).unwrap();
+            }
+        });
     }
 }
 
@@ -150,53 +137,49 @@ fn parrived_never_before_pready_under_lossy_fabric() {
 /// ranks — no panic and no hang.
 #[test]
 fn capped_retries_surface_retries_exhausted_without_hanging() {
-    for kind in engines_under_test() {
-        for s in 0..SWEEP {
-            let plan = FaultPlan::new(base_seed() ^ 0xDEAD ^ s).drops(1.0);
-            let u = Universe::builder()
-                .nodes(2)
-                .matching(kind)
-                .fault_plan(plan)
-                .resil(ResilConfig {
-                    max_retries: 3,
-                    ..ResilConfig::default()
-                })
-                .build();
-            u.run(|env| {
-                let world = env.world();
-                world.set_errhandler(Errhandler::ErrorsReturn);
-                let mut th = env.single_thread();
-                let peer = 1 - env.rank();
-                world.send(&mut th, peer, 5, b"doomed").unwrap();
-                // recv_timeout as a hang backstop: the failure must arrive
-                // as a completed-with-error request long before this expires.
-                let got = world.recv_timeout(&mut th, peer as i64, 5, Duration::from_secs(20));
-                match got {
-                    Err(RankMpiError::RetriesExhausted { src, attempts }) => {
-                        assert_eq!(src as usize, peer);
-                        assert!(attempts > 3, "attempts must count the initial try");
-                    }
-                    other => panic!(
-                        "expected RetriesExhausted from rank {peer}, got {other:?} \
-                         (engine {}, sweep {s})",
-                        kind.name()
-                    ),
+    for s in 0..SWEEP {
+        let plan = FaultPlan::new(base_seed() ^ 0xDEAD ^ s).drops(1.0);
+        let u = Universe::builder()
+            .nodes(2)
+            .fault_plan(plan)
+            .resil(ResilConfig {
+                max_retries: 3,
+                ..ResilConfig::default()
+            })
+            .build();
+        u.run(|env| {
+            let world = env.world();
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            let mut th = env.single_thread();
+            let peer = 1 - env.rank();
+            world.send(&mut th, peer, 5, b"doomed").unwrap();
+            // recv_timeout as a hang backstop: the failure must arrive
+            // as a completed-with-error request long before this expires.
+            let got = world.recv_timeout(&mut th, peer as i64, 5, Duration::from_secs(20));
+            match got {
+                Err(RankMpiError::RetriesExhausted { src, attempts }) => {
+                    assert_eq!(src as usize, peer);
+                    assert!(attempts > 3, "attempts must count the initial try");
                 }
-            });
-            for r in 0..2 {
-                let rep = u
-                    .shared()
-                    .proc(r)
-                    .vci(0)
-                    .mailbox()
-                    .resil()
-                    .expect("drop plan must arm resil")
-                    .report();
-                assert!(
-                    rep.exhausted >= 1,
-                    "exhaustion counter must record the give-up"
-                );
+                other => panic!(
+                    "expected RetriesExhausted from rank {peer}, got {other:?} \
+                     (sweep {s})"
+                ),
             }
+        });
+        for r in 0..2 {
+            let rep = u
+                .shared()
+                .proc(r)
+                .vci(0)
+                .mailbox()
+                .resil()
+                .expect("drop plan must arm resil")
+                .report();
+            assert!(
+                rep.exhausted >= 1,
+                "exhaustion counter must record the give-up"
+            );
         }
     }
 }
@@ -228,54 +211,45 @@ fn recv_timeout_expires_on_a_message_that_never_comes() {
 /// every in-flight and subsequent payload still arrives exactly once.
 #[test]
 fn mid_run_context_failure_remaps_live_without_losing_traffic() {
-    for kind in engines_under_test() {
-        let plan = FaultPlan::lossy(base_seed() ^ 0xFA11);
-        let u = Universe::builder()
-            .nodes(2)
-            .matching(kind)
-            .fault_plan(plan)
-            .build();
-        let shared = Arc::clone(u.shared());
-        let shared_ref = &shared;
-        u.run(|env| {
-            let world = env.world();
-            let mut th = env.single_thread();
-            if env.rank() == 0 {
-                for i in 0..ROUNDS {
-                    if i == ROUNDS / 2 {
-                        // Pull the context out from under our own VCI; the
-                        // very next send must detect and remap.
-                        let ctx = shared_ref.proc(0).vci(0).hw_context();
-                        assert!(
-                            shared_ref.fail_context(0, ctx.id()),
-                            "failed to mark context {} down",
-                            ctx.id()
-                        );
-                    }
-                    world.send(&mut th, 1, 11, &[i as u8; 32]).unwrap();
-                }
-            } else {
-                for i in 0..ROUNDS {
-                    let (_st, data) = world.recv(&mut th, 0, 11).unwrap();
-                    assert_eq!(
-                        data.as_ref(),
-                        [i as u8; 32],
-                        "message {i} lost or reordered across the failover \
-                         (engine {})",
-                        kind.name()
+    let plan = FaultPlan::lossy(base_seed() ^ 0xFA11);
+    let u = Universe::builder().nodes(2).fault_plan(plan).build();
+    let shared = Arc::clone(u.shared());
+    let shared_ref = &shared;
+    u.run(|env| {
+        let world = env.world();
+        let mut th = env.single_thread();
+        if env.rank() == 0 {
+            for i in 0..ROUNDS {
+                if i == ROUNDS / 2 {
+                    // Pull the context out from under our own VCI; the
+                    // very next send must detect and remap.
+                    let ctx = shared_ref.proc(0).vci(0).hw_context();
+                    assert!(
+                        shared_ref.fail_context(0, ctx.id()),
+                        "failed to mark context {} down",
+                        ctx.id()
                     );
                 }
+                world.send(&mut th, 1, 11, &[i as u8; 32]).unwrap();
             }
-        });
-        let vci = shared.proc(0).vci(0);
-        assert!(
-            vci.failovers() >= 1,
-            "context failure never triggered a live remap (engine {})",
-            kind.name()
-        );
-        assert!(
-            !vci.hw_context().is_failed(),
-            "VCI still bound to the failed context after the run"
-        );
-    }
+        } else {
+            for i in 0..ROUNDS {
+                let (_st, data) = world.recv(&mut th, 0, 11).unwrap();
+                assert_eq!(
+                    data.as_ref(),
+                    [i as u8; 32],
+                    "message {i} lost or reordered across the failover"
+                );
+            }
+        }
+    });
+    let vci = shared.proc(0).vci(0);
+    assert!(
+        vci.failovers() >= 1,
+        "context failure never triggered a live remap"
+    );
+    assert!(
+        !vci.hw_context().is_failed(),
+        "VCI still bound to the failed context after the run"
+    );
 }

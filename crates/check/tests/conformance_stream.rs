@@ -5,8 +5,8 @@
 //!
 //! - **Fabric faults**: whole-universe stream runs under chaos and lossy
 //!   fault plans (drops, duplicates, reordering, NACKs, heavy-tail
-//!   stragglers), swept over fault seeds, both matching engines, every
-//!   mechanism, and both launch modes. The collector's internal checks
+//!   stragglers), swept over fault seeds, every mechanism, and both
+//!   launch modes. The collector's internal checks
 //!   panic on any duplicate, gap, out-of-order emission, or corrupted
 //!   provenance, so a clean `verified` report is the conformance claim.
 //! - **Thread schedules**: the reorder buffer's exactly-once/in-order
@@ -16,13 +16,12 @@
 //!   configuration — must still complete under faults (the collector's
 //!   idle-flush of partial credit batches is what makes it deadlock-free).
 //!
-//! Seeds derive from `RANKMPI_CHECK_SEED`; engines honor
-//! `RANKMPI_CHECK_ENGINE`.
+//! Seeds derive from `RANKMPI_CHECK_SEED`.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rankmpi_check::{base_seed, engines_under_test, explore, ExploreConfig, Task};
+use rankmpi_check::{base_seed, explore, ExploreConfig, Task};
 use rankmpi_core::LaunchMode;
 use rankmpi_fabric::FaultPlan;
 use rankmpi_stream::{run_stream, Mechanism, ReorderBuffer, StreamConfig, Topology};
@@ -53,107 +52,89 @@ fn assert_exact(rep: &rankmpi_stream::StreamReport, ctx: &str) {
 
 #[test]
 fn farm_is_exactly_once_under_chaos_every_mechanism() {
-    for kind in engines_under_test() {
-        for s in 0..SWEEP {
-            for mech in Mechanism::ALL {
-                let cfg = StreamConfig {
-                    matching: kind,
-                    fault_plan: Some(FaultPlan::chaos(base_seed() ^ 0x51AE ^ (s << 9))),
-                    ..conf(
-                        Topology::Farm {
-                            workers: 2,
-                            threads: 2,
-                        },
-                        mech,
-                    )
-                };
-                let rep = run_stream(&cfg);
-                assert_exact(
-                    &rep,
-                    &format!("chaos, engine {}, seed {s}, {}", kind.name(), mech.label()),
-                );
-            }
+    for s in 0..SWEEP {
+        for mech in Mechanism::ALL {
+            let cfg = StreamConfig {
+                fault_plan: Some(FaultPlan::chaos(base_seed() ^ 0x51AE ^ (s << 9))),
+                ..conf(
+                    Topology::Farm {
+                        workers: 2,
+                        threads: 2,
+                    },
+                    mech,
+                )
+            };
+            let rep = run_stream(&cfg);
+            assert_exact(&rep, &format!("chaos, seed {s}, {}", mech.label()));
         }
     }
 }
 
 #[test]
 fn pipeline_is_exactly_once_under_loss_and_stragglers_both_launch_modes() {
-    for kind in engines_under_test() {
-        for launch in [LaunchMode::Threads, LaunchMode::Tasks(Default::default())] {
-            for s in 0..SWEEP {
-                let plan = FaultPlan::new(base_seed() ^ 0xF10D ^ s)
-                    .drops(0.05)
-                    .stragglers(0.1, Nanos(30_000), Nanos(2_000_000));
-                let cfg = StreamConfig {
-                    matching: kind,
-                    launch,
-                    fault_plan: Some(plan),
-                    ..conf(
-                        Topology::Pipeline {
-                            stages: 2,
-                            threads: 2,
-                        },
-                        Mechanism::TagsVci,
-                    )
-                };
-                let rep = run_stream(&cfg);
-                assert_exact(
-                    &rep,
-                    &format!("lossy, engine {}, {launch:?}, seed {s}", kind.name()),
-                );
-            }
+    for launch in [LaunchMode::Threads, LaunchMode::Tasks(Default::default())] {
+        for s in 0..SWEEP {
+            let plan = FaultPlan::new(base_seed() ^ 0xF10D ^ s)
+                .drops(0.05)
+                .stragglers(0.1, Nanos(30_000), Nanos(2_000_000));
+            let cfg = StreamConfig {
+                launch,
+                fault_plan: Some(plan),
+                ..conf(
+                    Topology::Pipeline {
+                        stages: 2,
+                        threads: 2,
+                    },
+                    Mechanism::TagsVci,
+                )
+            };
+            let rep = run_stream(&cfg);
+            assert_exact(&rep, &format!("lossy, {launch:?}, seed {s}"));
         }
     }
 }
 
 #[test]
 fn feedback_items_loop_exactly_once_under_chaos() {
-    for kind in engines_under_test() {
-        let topo = Topology::FarmFeedback {
-            workers: 2,
-            threads: 2,
-            feedback_permille: 300,
-        };
-        let cfg = StreamConfig {
-            matching: kind,
-            fault_plan: Some(FaultPlan::chaos(base_seed() ^ 0xFEEDB)),
-            ..conf(topo, Mechanism::Baseline)
-        };
-        let rep = run_stream(&cfg);
-        assert_exact(&rep, &format!("feedback chaos, engine {}", kind.name()));
-        assert_eq!(
-            rep.feedback_items,
-            topo.selected_count(cfg.seed, cfg.items),
-            "every selected item must loop exactly once"
-        );
-    }
+    let topo = Topology::FarmFeedback {
+        workers: 2,
+        threads: 2,
+        feedback_permille: 300,
+    };
+    let cfg = StreamConfig {
+        fault_plan: Some(FaultPlan::chaos(base_seed() ^ 0xFEEDB)),
+        ..conf(topo, Mechanism::Baseline)
+    };
+    let rep = run_stream(&cfg);
+    assert_exact(&rep, "feedback chaos");
+    assert_eq!(
+        rep.feedback_items,
+        topo.selected_count(cfg.seed, cfg.items),
+        "every selected item must loop exactly once"
+    );
 }
 
 #[test]
 fn one_credit_window_is_deadlock_free_under_loss() {
-    for kind in engines_under_test() {
-        let cfg = StreamConfig {
-            matching: kind,
-            credits: 1,
-            credit_batch: 1,
-            items: 12,
-            fault_plan: Some(FaultPlan::new(base_seed() ^ 0x1C4ED).drops(0.05)),
-            ..conf(
-                Topology::Farm {
-                    workers: 2,
-                    threads: 1,
-                },
-                Mechanism::Baseline,
-            )
-        };
-        let rep = run_stream(&cfg);
-        assert_exact(&rep, &format!("one credit, engine {}", kind.name()));
-        assert!(
-            rep.credit_stalls > 0,
-            "a one-credit window must stall the emitter"
-        );
-    }
+    let cfg = StreamConfig {
+        credits: 1,
+        credit_batch: 1,
+        items: 12,
+        fault_plan: Some(FaultPlan::new(base_seed() ^ 0x1C4ED).drops(0.05)),
+        ..conf(
+            Topology::Farm {
+                workers: 2,
+                threads: 1,
+            },
+            Mechanism::Baseline,
+        )
+    };
+    let rep = run_stream(&cfg);
+    assert_exact(&rep, "one credit");
+    assert!(
+        rep.credit_stalls > 0,
+        "a one-credit window must stall the emitter"
+    );
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rankmpi_check::{base_seed, engines_under_test};
+use rankmpi_check::base_seed;
 use rankmpi_core::{Errhandler, RankMpiError, Universe};
 use rankmpi_fabric::{FaultPlan, ResilConfig};
 use rankmpi_vtime::Nanos;
@@ -17,50 +17,44 @@ const ROUNDS: u32 = 8;
 /// Ring exchange over `plan`: every op must resolve without a
 /// fault-tolerance verdict (the fabric is slow or lossy, never dead).
 fn assert_no_ft_verdicts(plan: FaultPlan, what: &str) {
-    for kind in engines_under_test() {
-        let u = Universe::builder()
-            .nodes(3)
-            .matching(kind)
-            .fault_plan(plan.clone())
-            .resil(ResilConfig {
-                // Generous budget: a 20%-loss fabric must exhaust neither
-                // retries nor our patience, and exhaustion is a different
-                // verdict than death anyway.
-                max_retries: 64,
-                ..ResilConfig::default()
-            })
-            .build();
-        u.run(|env| {
-            let world = env.world();
-            world.set_errhandler(Errhandler::ErrorsReturn);
-            let mut th = env.single_thread();
-            let p = world.size();
-            let next = (env.rank() + 1) % p;
-            let prev = (env.rank() + p - 1) % p;
-            for i in 0..ROUNDS {
-                world
-                    .send(&mut th, next, 3, &i.to_le_bytes())
-                    .unwrap_or_else(|e| panic!("send {i} failed over {what}: {e:?}"));
-                // recv_timeout as a real-time hang backstop only; the
-                // assertion is about *which* error, never about time.
-                match world.recv_timeout(&mut th, prev as i64, 3, Duration::from_secs(30)) {
-                    Ok((_st, data)) => {
-                        assert_eq!(data[..4], i.to_le_bytes(), "payload survived {what}");
-                    }
-                    Err(
-                        e @ (RankMpiError::ProcessFailed { .. } | RankMpiError::Revoked { .. }),
-                    ) => {
-                        panic!(
-                            "false positive over {what} (engine {}): {e:?} \
-                             with no crash plan armed",
-                            kind.name()
-                        )
-                    }
-                    Err(e) => panic!("round {i} failed over {what}: {e:?}"),
+    let u = Universe::builder()
+        .nodes(3)
+        .fault_plan(plan.clone())
+        .resil(ResilConfig {
+            // Generous budget: a 20%-loss fabric must exhaust neither
+            // retries nor our patience, and exhaustion is a different
+            // verdict than death anyway.
+            max_retries: 64,
+            ..ResilConfig::default()
+        })
+        .build();
+    u.run(|env| {
+        let world = env.world();
+        world.set_errhandler(Errhandler::ErrorsReturn);
+        let mut th = env.single_thread();
+        let p = world.size();
+        let next = (env.rank() + 1) % p;
+        let prev = (env.rank() + p - 1) % p;
+        for i in 0..ROUNDS {
+            world
+                .send(&mut th, next, 3, &i.to_le_bytes())
+                .unwrap_or_else(|e| panic!("send {i} failed over {what}: {e:?}"));
+            // recv_timeout as a real-time hang backstop only; the
+            // assertion is about *which* error, never about time.
+            match world.recv_timeout(&mut th, prev as i64, 3, Duration::from_secs(30)) {
+                Ok((_st, data)) => {
+                    assert_eq!(data[..4], i.to_le_bytes(), "payload survived {what}");
                 }
+                Err(e @ (RankMpiError::ProcessFailed { .. } | RankMpiError::Revoked { .. })) => {
+                    panic!(
+                        "false positive over {what}: {e:?} \
+                         with no crash plan armed"
+                    )
+                }
+                Err(e) => panic!("round {i} failed over {what}: {e:?}"),
             }
-        });
-    }
+        }
+    });
 }
 
 proptest! {

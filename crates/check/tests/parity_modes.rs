@@ -16,12 +16,11 @@
 //!   runs too, so those scenarios assert virtual times within a tight
 //!   tolerance (0.5%) instead of bit-equality.
 //!
-//! Everything runs under both launch modes and every matching engine under
-//! test (`RANKMPI_CHECK_ENGINE`).
+//! Everything runs under both launch modes.
 
 use std::sync::Arc;
 
-use rankmpi_check::{base_seed, engines_under_test, oracle};
+use rankmpi_check::{base_seed, oracle};
 use rankmpi_core::{EngineKind, Info, LaunchMode, TaskLaunch, Universe};
 use rankmpi_partitioned::{precv_init, psend_init};
 use rankmpi_vtime::{Nanos, VirtualBarrier};
@@ -95,110 +94,82 @@ fn compute_and_barrier_times_are_identical() {
 fn self_messaging_times_are_identical() {
     // One thread drives its entire send→deliver→match→recv pipeline, so
     // there is no drain/post race and virtual times are bit-deterministic.
-    for kind in engines_under_test() {
-        let [threads, tasks] = both_modes(
-            || Universe::builder().nodes(3).matching(kind),
-            |env| {
-                let world = env.world();
-                let me = env.rank();
-                let mut th = env.single_thread();
-                for round in 0..4i64 {
-                    world
-                        .send(&mut th, me, round, &[me as u8, round as u8])
-                        .unwrap();
-                }
-                for round in 0..4i64 {
-                    let (_s, data) = world.recv(&mut th, me as i64, round).unwrap();
-                    assert_eq!(&data[..], &[me as u8, round as u8]);
-                }
-                th.clock.now()
-            },
-        );
-        assert_eq!(
-            threads,
-            tasks,
-            "self-messaging virtual times diverged between launch modes (engine {})",
-            kind.name()
-        );
-    }
+    let [threads, tasks] = both_modes(
+        || Universe::builder().nodes(3),
+        |env| {
+            let world = env.world();
+            let me = env.rank();
+            let mut th = env.single_thread();
+            for round in 0..4i64 {
+                world
+                    .send(&mut th, me, round, &[me as u8, round as u8])
+                    .unwrap();
+            }
+            for round in 0..4i64 {
+                let (_s, data) = world.recv(&mut th, me as i64, round).unwrap();
+                assert_eq!(&data[..], &[me as u8, round as u8]);
+            }
+            th.clock.now()
+        },
+    );
+    assert_eq!(
+        threads, tasks,
+        "self-messaging virtual times diverged between launch modes"
+    );
 }
 
 #[test]
 fn ring_pt2pt_agrees_across_modes() {
-    for kind in engines_under_test() {
-        let [threads, tasks] = both_modes(
-            || Universe::builder().nodes(4).matching(kind),
-            |env| {
-                let world = env.world();
-                let rank = env.rank();
-                let size = env.size();
-                let mut th = env.single_thread();
-                let next = (rank + 1) % size;
-                let prev = (rank + size - 1) % size;
-                let mut seen = Vec::new();
-                for round in 0..3u8 {
-                    let tag = round as i64;
-                    world
-                        .send(&mut th, next, tag, &[rank as u8, round])
-                        .unwrap();
-                    let (st, data) = world.recv(&mut th, prev as i64, tag).unwrap();
-                    seen.push((st.source, data[0], data[1]));
-                }
-                (seen, th.clock.now())
-            },
-        );
-        for (r, (t, k)) in threads.iter().zip(tasks.iter()).enumerate() {
-            assert_eq!(
-                t.0,
-                k.0,
-                "ring results diverged at rank {r} (engine {})",
-                kind.name()
-            );
-            assert_close(
-                t.1,
-                k.1,
-                10,
-                &format!("ring rank {r} (engine {})", kind.name()),
-            );
-        }
+    let [threads, tasks] = both_modes(
+        || Universe::builder().nodes(4),
+        |env| {
+            let world = env.world();
+            let rank = env.rank();
+            let size = env.size();
+            let mut th = env.single_thread();
+            let next = (rank + 1) % size;
+            let prev = (rank + size - 1) % size;
+            let mut seen = Vec::new();
+            for round in 0..3u8 {
+                let tag = round as i64;
+                world
+                    .send(&mut th, next, tag, &[rank as u8, round])
+                    .unwrap();
+                let (st, data) = world.recv(&mut th, prev as i64, tag).unwrap();
+                seen.push((st.source, data[0], data[1]));
+            }
+            (seen, th.clock.now())
+        },
+    );
+    for (r, (t, k)) in threads.iter().zip(tasks.iter()).enumerate() {
+        assert_eq!(t.0, k.0, "ring results diverged at rank {r}");
+        assert_close(t.1, k.1, 10, &format!("ring rank {r}"));
     }
 }
 
 #[test]
 fn collectives_agree_across_modes() {
-    for kind in engines_under_test() {
-        let [threads, tasks] = both_modes(
-            || Universe::builder().nodes(4).matching(kind),
-            |env| {
-                let world = env.world();
-                let mut th = env.single_thread();
-                let mine = [env.rank() as f64 + 1.0];
-                let sum = world
-                    .allreduce(&mut th, &mine, rankmpi_core::ReduceOp::Sum)
-                    .unwrap();
-                world.barrier(&mut th).unwrap();
-                let sub = world
-                    .split(&mut th, (env.rank() % 2) as i64, env.rank() as i64)
-                    .unwrap()
-                    .unwrap();
-                sub.barrier(&mut th).unwrap();
-                ((sum[0] as u64, sub.size()), th.clock.now())
-            },
-        );
-        for (r, (t, k)) in threads.iter().zip(tasks.iter()).enumerate() {
-            assert_eq!(
-                t.0,
-                k.0,
-                "collective results diverged at rank {r} (engine {})",
-                kind.name()
-            );
-            assert_close(
-                t.1,
-                k.1,
-                30,
-                &format!("collectives rank {r} (engine {})", kind.name()),
-            );
-        }
+    let [threads, tasks] = both_modes(
+        || Universe::builder().nodes(4),
+        |env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            let mine = [env.rank() as f64 + 1.0];
+            let sum = world
+                .allreduce(&mut th, &mine, rankmpi_core::ReduceOp::Sum)
+                .unwrap();
+            world.barrier(&mut th).unwrap();
+            let sub = world
+                .split(&mut th, (env.rank() % 2) as i64, env.rank() as i64)
+                .unwrap()
+                .unwrap();
+            sub.barrier(&mut th).unwrap();
+            ((sum[0] as u64, sub.size()), th.clock.now())
+        },
+    );
+    for (r, (t, k)) in threads.iter().zip(tasks.iter()).enumerate() {
+        assert_eq!(t.0, k.0, "collective results diverged at rank {r}");
+        assert_close(t.1, k.1, 30, &format!("collectives rank {r}"));
     }
 }
 
@@ -208,80 +179,63 @@ fn multithreaded_results_are_mode_independent() {
     // claimant overlap, so exact clock equality is not defined even within
     // one mode. What must match is everything MPI-visible: which messages
     // arrive, with which payloads, on which (rank, tid).
-    for kind in engines_under_test() {
-        let [threads, tasks] = both_modes(
-            || {
-                Universe::builder()
-                    .nodes(4)
-                    .threads_per_proc(2)
-                    .num_vcis(2)
-                    .matching(kind)
-            },
-            |env| {
-                let world = env.world();
-                let rank = env.rank();
-                let size = env.size();
-                env.parallel(|th| {
-                    let next = (rank + 1) % size;
-                    let prev = (rank + size - 1) % size;
-                    let mut seen = Vec::new();
-                    for round in 0..3u8 {
-                        let tag = (th.tid() as i64) << 8 | round as i64;
-                        world.send(th, next, tag, &[rank as u8, round]).unwrap();
-                        let (st, data) = world.recv(th, prev as i64, tag).unwrap();
-                        seen.push((st.source, data[0], data[1]));
-                    }
-                    seen
-                })
-            },
-        );
-        assert_eq!(
-            threads,
-            tasks,
-            "multithreaded MPI-visible results diverged between launch modes (engine {})",
-            kind.name()
-        );
-    }
+    let [threads, tasks] = both_modes(
+        || Universe::builder().nodes(4).threads_per_proc(2).num_vcis(2),
+        |env| {
+            let world = env.world();
+            let rank = env.rank();
+            let size = env.size();
+            env.parallel(|th| {
+                let next = (rank + 1) % size;
+                let prev = (rank + size - 1) % size;
+                let mut seen = Vec::new();
+                for round in 0..3u8 {
+                    let tag = (th.tid() as i64) << 8 | round as i64;
+                    world.send(th, next, tag, &[rank as u8, round]).unwrap();
+                    let (st, data) = world.recv(th, prev as i64, tag).unwrap();
+                    seen.push((st.source, data[0], data[1]));
+                }
+                seen
+            })
+        },
+    );
+    assert_eq!(
+        threads, tasks,
+        "multithreaded MPI-visible results diverged between launch modes"
+    );
 }
 
 #[test]
 fn partitioned_times_are_mode_independent() {
     const PARTS: usize = 8;
     const PART_BYTES: usize = 16;
-    for kind in engines_under_test() {
-        let [threads, tasks] = both_modes(
-            || Universe::builder().nodes(2).num_vcis(2).matching(kind),
-            |env| {
-                let world = env.world();
-                let mut th = env.single_thread();
-                if env.rank() == 0 {
-                    let sreq =
-                        psend_init(&world, &mut th, 1, 5, PARTS, PART_BYTES, &Info::new()).unwrap();
-                    sreq.start(&mut th).unwrap();
-                    for p in 0..PARTS {
-                        sreq.pready(&mut th, p, &[p as u8; PART_BYTES]).unwrap();
-                    }
-                    sreq.wait(&mut th).unwrap();
-                } else {
-                    let rreq =
-                        precv_init(&world, &mut th, 0, 5, PARTS, PART_BYTES, &Info::new()).unwrap();
-                    rreq.start(&mut th).unwrap();
-                    let data = rreq.wait(&mut th).unwrap();
-                    for p in 0..PARTS {
-                        assert_eq!(data[p * PART_BYTES], p as u8);
-                    }
+    let [threads, tasks] = both_modes(
+        || Universe::builder().nodes(2).num_vcis(2),
+        |env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            if env.rank() == 0 {
+                let sreq =
+                    psend_init(&world, &mut th, 1, 5, PARTS, PART_BYTES, &Info::new()).unwrap();
+                sreq.start(&mut th).unwrap();
+                for p in 0..PARTS {
+                    sreq.pready(&mut th, p, &[p as u8; PART_BYTES]).unwrap();
                 }
-                th.clock.now()
-            },
-        );
-        for (r, (t, k)) in threads.iter().zip(tasks.iter()).enumerate() {
-            assert_close(
-                *t,
-                *k,
-                10,
-                &format!("partitioned rank {r} (engine {})", kind.name()),
-            );
-        }
+                sreq.wait(&mut th).unwrap();
+            } else {
+                let rreq =
+                    precv_init(&world, &mut th, 0, 5, PARTS, PART_BYTES, &Info::new()).unwrap();
+                rreq.start(&mut th).unwrap();
+                let data = rreq.wait(&mut th).unwrap();
+                for p in 0..PARTS {
+                    assert_eq!(data[p * PART_BYTES], p as u8);
+                }
+            }
+            th.clock.now()
+        },
+    );
+    for (r, (t, k)) in threads.iter().zip(tasks.iter()).enumerate() {
+        assert_close(*t, *k, 10, &format!("partitioned rank {r}"));
     }
 }
 

@@ -190,16 +190,8 @@ impl Communicator {
     /// hints shape the VCI mapping.
     pub fn dup_with_info(&self, th: &mut ThreadCtx, info: Info) -> Result<Communicator> {
         let (policy, want_vcis) = policy_from_info(&info)?;
-        let engine = info.matching_engine()?;
         let idx = self.proc.next_dup_index(self.ctx_id);
         let (ctx_id, block) = self.universe.agree_comm((self.ctx_id, idx, 0), want_vcis);
-        if let Some(kind) = engine {
-            // The hint selects the matching structure on every VCI of the
-            // communicator's block; any pending state migrates.
-            for &v in block.iter() {
-                self.proc.vci(v).set_engine_kind(kind);
-            }
-        }
         // `rankmpi_resil_*` hints reconfigure the reliability protocol on
         // every VCI of the block. On a loss-free fabric there is no resil
         // layer and the hints are inert (hints, not directives) — but the
@@ -433,42 +425,27 @@ mod tests {
     }
 
     #[test]
-    fn matching_hint_switches_block_engines() {
+    fn retired_matching_hint_is_ignored() {
         use crate::matching::EngineKind;
         use crate::universe::Universe;
+        // The engine is fixed at universe build time: the retired engine
+        // hint is an unknown key — stored, never an error, and a dup cannot
+        // swap the engine under its parent communicator.
         let u = Universe::builder().nodes(2).num_vcis(2).build();
         let kinds = u.run(|env| {
             let world = env.world();
             let mut th = env.single_thread();
-            let info = Info::new().set(keys::RANKMPI_MATCHING, "linear");
+            let info = Info::new().set("rankmpi_matching", "linear");
             let c = world.dup_with_info(&mut th, info).unwrap();
-            let block = c.vci_block();
-            let kind = c.proc().vci(block[0]).engine_kind();
-            // Traffic on the switched communicator still flows.
             if env.rank() == 0 {
-                c.send(&mut th, 1, 7, b"via linear").unwrap();
+                c.send(&mut th, 1, 7, b"still merged").unwrap();
             } else {
                 let (_st, data) = c.recv(&mut th, 0, 7).unwrap();
-                assert_eq!(&data[..], b"via linear");
+                assert_eq!(&data[..], b"still merged");
             }
-            kind
+            c.proc().vci(c.vci_block()[0]).engine_kind()
         });
-        assert!(kinds.iter().all(|&k| k == EngineKind::Linear));
-    }
-
-    #[test]
-    fn bad_matching_hint_is_an_error() {
-        use crate::universe::Universe;
-        let u = Universe::builder().nodes(1).build();
-        u.run(|env| {
-            let world = env.world();
-            let mut th = env.single_thread();
-            let info = Info::new().set(keys::RANKMPI_MATCHING, "quantum");
-            assert!(matches!(
-                world.dup_with_info(&mut th, info),
-                Err(Error::BadInfoValue { .. })
-            ));
-        });
+        assert!(kinds.iter().all(|&k| k == EngineKind::default()));
     }
 
     #[test]

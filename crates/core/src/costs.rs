@@ -17,19 +17,14 @@ pub struct CoreCosts {
     pub match_base: Nanos,
     /// Additional matching cost per queue element scanned.
     pub match_per_scan: Nanos,
-    /// Fixed cost of one matching operation on the bucketed engine: the hash
-    /// walk costs a little more up front than touching a flat queue's head,
-    /// which is what buys depth-independent exact matching.
-    pub match_bucket_base: Nanos,
-    /// Per-entry (or per-bin) cost of the wildcard sweep a bucketed engine
-    /// performs for wildcard patterns — dearer than a flat-queue compare
-    /// because each step is a separate bin/sideline probe.
+    /// Cost of skipping one tombstone (a lazily deleted index entry) on the
+    /// sequence-merged engine — dearer than a flat-queue compare because each
+    /// skip is a separate store probe.
     pub match_wildcard_per_scan: Nanos,
     /// Fixed cost of one matching operation on the sequence-merged engine:
-    /// dearer than the bucketed hash walk (up to four index lookups and head
-    /// comparisons instead of one), which is what buys depth-independent
-    /// *wildcard* matching. Tombstone skips are charged
-    /// `match_wildcard_per_scan` each.
+    /// dearer than touching a flat queue's head (up to four index lookups
+    /// and head comparisons), which is what buys depth-independent exact
+    /// *and* wildcard matching.
     pub match_merged_base: Nanos,
     /// Cost to allocate/initialize a request object.
     pub request_setup: Nanos,
@@ -54,7 +49,6 @@ impl Default for CoreCosts {
         CoreCosts {
             match_base: Nanos(40),
             match_per_scan: Nanos(4),
-            match_bucket_base: Nanos(52),
             match_wildcard_per_scan: Nanos(6),
             match_merged_base: Nanos(58),
             request_setup: Nanos(25),
@@ -92,13 +86,12 @@ impl CoreCosts {
 
     /// Matching cost of one engine operation, priced from the work the
     /// engine reported: each structure has its own fixed base (flat-queue
-    /// touch, hash walk, or merged head comparison), plus a per-entry scan
-    /// term and a wildcard-sweep/tombstone-skip term.
+    /// touch or merged head comparison), plus a per-entry scan term and a
+    /// tombstone-skip term.
     pub fn match_cost_of(&self, work: &crate::matching::ScanWork) -> Nanos {
         use crate::matching::EngineKind;
         let base = match work.engine {
             EngineKind::Linear => self.match_base,
-            EngineKind::Bucketed => self.match_bucket_base,
             EngineKind::SeqMerged => self.match_merged_base,
         };
         base + self.match_per_scan * work.scanned as u64
@@ -125,37 +118,19 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_cost_beats_linear_at_depth() {
-        use crate::matching::ScanWork;
-        let c = CoreCosts::default();
-        // Shallow queues: the hash overhead makes bucketing slightly dearer.
-        assert!(c.match_cost_of(&ScanWork::bucketed(1, 0)) > c.match_cost_of(&ScanWork::linear(1)));
-        // At depth 64 the linear scan dwarfs the bucket's single-entry touch.
-        assert!(
-            c.match_cost_of(&ScanWork::bucketed(1, 0)) < c.match_cost_of(&ScanWork::linear(64)) / 4
-        );
-        // Wildcard sweeps are charged their own per-step rate.
-        let wild = c.match_cost_of(&ScanWork::bucketed(1, 10));
-        assert_eq!(
-            wild,
-            c.match_bucket_base + c.match_per_scan + c.match_wildcard_per_scan * 10
-        );
-    }
-
-    #[test]
     fn merged_cost_is_flat_for_exact_and_wildcard() {
         use crate::matching::ScanWork;
         let c = CoreCosts::default();
         // A merged wildcard match compares at most 4 candidate heads — its
-        // cost never carries a queue-depth term, unlike a bucketed sweep over
-        // 1024 bins.
+        // cost never carries a queue-depth term, unlike a linear scan of
+        // 1024 entries.
         let merged_wild = c.match_cost_of(&ScanWork::merged(4, 0));
         assert_eq!(merged_wild, c.match_merged_base + c.match_per_scan * 4);
-        assert!(merged_wild < c.match_cost_of(&ScanWork::bucketed(1, 1024)) / 10);
-        // The merged base is dearer than the bucketed hash walk: four index
-        // consultations instead of one.
-        assert!(c.match_merged_base > c.match_bucket_base);
-        // Tombstone skips are charged like wildcard sweep steps.
+        assert!(merged_wild < c.match_cost_of(&ScanWork::linear(1024)) / 10);
+        // Shallow queues: the index lookups make merging slightly dearer
+        // than touching a flat queue's head.
+        assert!(c.match_cost_of(&ScanWork::merged(1, 0)) > c.match_cost_of(&ScanWork::linear(1)));
+        // Tombstone skips are charged their own per-step rate.
         assert_eq!(
             c.match_cost_of(&ScanWork::merged(1, 3)),
             c.match_merged_base + c.match_per_scan + c.match_wildcard_per_scan * 3

@@ -25,9 +25,6 @@ pub mod keys {
     /// RMA: ordering required between accumulate operations
     /// (`none` relaxes MPI's default same-source-same-target ordering).
     pub const ACCUMULATE_ORDERING: &str = "accumulate_ordering";
-    /// Implementation hint: which matching engine the communicator's VCIs run
-    /// (`linear`, `bucketed`, or `seq_merged`).
-    pub const RANKMPI_MATCHING: &str = "rankmpi_matching";
     /// Reliability hint: retransmissions per packet before the library gives
     /// up and surfaces `RetriesExhausted`/`LinkDown`.
     pub const RESIL_MAX_RETRIES: &str = "rankmpi_resil_max_retries";
@@ -119,20 +116,6 @@ impl Info {
         self.get_bool(keys::ASSERT_NO_ANY_SOURCE)
     }
 
-    /// `rankmpi_matching`: the matching-engine kind requested for the
-    /// communicator's VCIs, if any.
-    pub fn matching_engine(&self) -> Result<Option<crate::matching::EngineKind>> {
-        match self.get(keys::RANKMPI_MATCHING) {
-            None => Ok(None),
-            Some(v) => crate::matching::EngineKind::parse(v)
-                .map(Some)
-                .ok_or_else(|| Error::BadInfoValue {
-                    key: keys::RANKMPI_MATCHING.to_string(),
-                    value: v.to_string(),
-                }),
-        }
-    }
-
     /// Apply the `rankmpi_resil_*` hints on top of `base`, returning the
     /// adjusted reliability config — or `None` when no reliability hint is
     /// set (leave the channel's current config alone).
@@ -191,6 +174,11 @@ mod tests {
     fn unknown_keys_are_stored() {
         let info = Info::new().set("vendor_specific_thing", "whatever");
         assert_eq!(info.get("vendor_specific_thing"), Some("whatever"));
+        // The matching engine is fixed at universe build time; the retired
+        // engine hint is just another unknown key.
+        let info = Info::new().set("rankmpi_matching", "linear");
+        assert_eq!(info.get("rankmpi_matching"), Some("linear"));
+        assert_eq!(info.len(), 1);
     }
 
     #[test]
@@ -203,21 +191,6 @@ mod tests {
     fn bad_int_is_an_error() {
         let info = Info::new().set(keys::NUM_VCIS, "eight");
         assert!(info.get_usize(keys::NUM_VCIS).is_err());
-    }
-
-    #[test]
-    fn matching_hint_parses_or_rejects() {
-        use crate::matching::EngineKind;
-        let info = Info::new().set(keys::RANKMPI_MATCHING, "linear");
-        assert_eq!(info.matching_engine().unwrap(), Some(EngineKind::Linear));
-        let info = Info::new().set(keys::RANKMPI_MATCHING, "bucketed");
-        assert_eq!(info.matching_engine().unwrap(), Some(EngineKind::Bucketed));
-        assert_eq!(Info::new().matching_engine().unwrap(), None);
-        let bad = Info::new().set(keys::RANKMPI_MATCHING, "btree");
-        assert!(matches!(
-            bad.matching_engine(),
-            Err(Error::BadInfoValue { .. })
-        ));
     }
 
     #[test]

@@ -9,23 +9,21 @@
 //! logically parallel communication gets a *distinct matching engine per
 //! channel* and queue depths stay per-thread.
 //!
-//! Three engines implement the [`MatchEngine`] trait:
+//! Two engines implement the [`MatchEngine`] trait:
 //!
 //! - [`LinearEngine`] — flat queues scanned front to back, the classic MPICH
 //!   structure whose cost grows linearly with queue depth (the paper's
-//!   "Original" regime baseline);
-//! - [`BucketedEngine`] — per-context hash bins keyed by the exact
-//!   `(src, tag)` envelope plus a wildcard sideline, giving O(1) exact
-//!   matching at any depth — but wildcard operations sweep the sideline or
-//!   every bin, so they degrade linearly with depth;
-//! - [`SeqMergedEngine`] — a two-level sequence-merged structure: every
+//!   "Original" regime baseline, and the reference every differential test
+//!   compares against);
+//! - [`SeqMergedEngine`] — the production engine, a two-level
+//!   sequence-merged structure: every
 //!   posted receive carries a global posting sequence number, wildcard
 //!   receives are *flattened* into per-key sublists by shape (`(ANY, tag)`,
 //!   `(src, ANY)`, `(ANY, ANY)`), and a match resolves by comparing only the
 //!   head sequence numbers of the ≤ 4 candidate lists — O(1) for exact *and*
 //!   wildcard patterns at any depth.
 //!
-//! All are pure data structures; time accounting (engine occupancy, scan
+//! Both are pure data structures; time accounting (engine occupancy, scan
 //! costs) is done by the caller in [`crate::vci`] from the [`ScanWork`] each
 //! operation reports, so the same code serves blocking, nonblocking, and
 //! probe paths.
@@ -96,21 +94,18 @@ pub struct PostedRecv {
 /// caller can price it ([`crate::costs::CoreCosts::match_cost_of`]).
 ///
 /// `scanned` counts queue entries actually examined — for [`LinearEngine`]
-/// that is the flat-queue walk, for [`BucketedEngine`] the depth of the one
-/// bin consulted, for [`SeqMergedEngine`] the candidate-list heads compared —
-/// so linear depth-dependent pricing stays meaningful across engines.
-/// `wildcard_scanned` counts the extra entries or bins a wildcard forces a
-/// bucketed engine to sweep, or the dead (lazily deleted) index entries a
-/// sequence-merged operation skipped.
+/// that is the flat-queue walk, for [`SeqMergedEngine`] the candidate-list
+/// heads compared — so linear depth-dependent pricing stays meaningful across
+/// engines. `wildcard_scanned` counts the dead (lazily deleted) index entries
+/// a sequence-merged operation skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanWork {
     /// Queue entries examined on the primary path.
     pub scanned: usize,
-    /// Wildcard-sideline entries (or bins) additionally examined, or lazy
-    /// tombstones skipped.
+    /// Lazy tombstones skipped.
     pub wildcard_scanned: usize,
     /// Which engine structure performed the work (selects the fixed base
-    /// cost: flat-queue touch, hash walk, or merged head comparison).
+    /// cost: flat-queue touch or merged head comparison).
     pub engine: EngineKind,
 }
 
@@ -121,16 +116,6 @@ impl ScanWork {
             scanned,
             wildcard_scanned: 0,
             engine: EngineKind::Linear,
-        }
-    }
-
-    /// Work of a bucketed operation: `scanned` entries in the consulted bin,
-    /// `wildcard_scanned` sideline entries or bins swept.
-    pub fn bucketed(scanned: usize, wildcard_scanned: usize) -> Self {
-        ScanWork {
-            scanned,
-            wildcard_scanned,
-            engine: EngineKind::Bucketed,
         }
     }
 
@@ -171,38 +156,24 @@ pub enum Incoming {
 pub enum EngineKind {
     /// Flat queues, linear scans (the paper's "Original" regime baseline).
     Linear,
-    /// Per-context `(src, tag)` hash bins with a wildcard sideline.
-    Bucketed,
     /// Two-level sequence-merged structure with flattened wildcard sublists:
     /// O(1) exact *and* wildcard matching at any queue depth. The default
-    /// engine — fastest across the differential-test matrix in both exact
-    /// and wildcard regimes.
+    /// and only production engine.
     #[default]
     SeqMerged,
 }
 
 impl EngineKind {
-    /// Every engine kind, in ascending sophistication. Engine-sweeping test
-    /// suites and benches iterate this so a new engine is covered everywhere
-    /// the moment it exists.
-    pub fn all() -> [EngineKind; 3] {
-        [
-            EngineKind::Linear,
-            EngineKind::Bucketed,
-            EngineKind::SeqMerged,
-        ]
+    /// Both engine kinds: the reference, then the production engine. The
+    /// engine-contract tests and benches iterate this.
+    pub fn all() -> [EngineKind; 2] {
+        [EngineKind::Linear, EngineKind::SeqMerged]
     }
 
-    /// Parse the value of the `rankmpi_matching` Info hint.
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        Self::all().into_iter().find(|k| k.name() == s)
-    }
-
-    /// The hint spelling of this kind.
+    /// The spelling of this kind in bench tables and test labels.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Linear => "linear",
-            EngineKind::Bucketed => "bucketed",
             EngineKind::SeqMerged => "seq_merged",
         }
     }
@@ -211,7 +182,6 @@ impl EngineKind {
     pub fn new_engine(self) -> Box<dyn MatchEngine> {
         match self {
             EngineKind::Linear => Box::new(LinearEngine::new()),
-            EngineKind::Bucketed => Box::new(BucketedEngine::new()),
             EngineKind::SeqMerged => Box::new(SeqMergedEngine::new()),
         }
     }
@@ -219,13 +189,12 @@ impl EngineKind {
     /// Construct a fresh engine whose internal sequence counters start at
     /// `base` — a test hook for exercising sequence-number wraparound
     /// ([`LinearEngine`] carries no counters, so `base` is ignored there).
-    /// All engines compare sequence numbers with serial-number arithmetic
-    /// ([`seq_lt`]), so ordering survives the `u64` wrap as long as fewer
+    /// [`SeqMergedEngine`] compares sequence numbers with serial-number
+    /// arithmetic ([`seq_lt`]), so ordering survives the `u64` wrap as long as fewer
     /// than 2^63 operations are simultaneously pending.
     pub fn new_engine_with_seq_base(self, base: u64) -> Box<dyn MatchEngine> {
         match self {
             EngineKind::Linear => Box::new(LinearEngine::new()),
-            EngineKind::Bucketed => Box::new(BucketedEngine::with_seq_base(base)),
             EngineKind::SeqMerged => Box::new(SeqMergedEngine::with_seq_base(base)),
         }
     }
@@ -307,8 +276,8 @@ pub trait MatchEngine: Send + std::fmt::Debug {
     fn unexpected_len(&self) -> usize;
 
     /// Remove and return the complete engine state: posted receives in
-    /// posting order, unexpected packets in arrival order. Used to migrate a
-    /// VCI between engine kinds; re-inserting both lists into an empty engine
+    /// posting order, unexpected packets in arrival order. Used by the
+    /// fault-tolerance sweep; re-inserting both lists into an empty engine
     /// (posts first, then arrivals) reconstructs equivalent state, because in
     /// any valid engine no posted receive matches any queued unexpected
     /// packet (each insertion path searches the other queue first).
@@ -421,301 +390,6 @@ impl MatchEngine for LinearEngine {
         (
             std::mem::take(&mut self.posted),
             std::mem::take(&mut self.unexpected),
-        )
-    }
-}
-
-/// One posted receive inside the bucketed engine, stamped with its posting
-/// sequence number so first-posted-wins can be decided across bins.
-#[derive(Debug)]
-struct PostedEntry {
-    recv: PostedRecv,
-    seq: u64,
-}
-
-/// One unexpected packet inside the bucketed engine, stamped with its arrival
-/// sequence number so earliest-arrival-wins ties break in arrival order
-/// across bins, exactly as the linear engine's stable sorted queue does.
-#[derive(Debug)]
-struct UnexpectedEntry {
-    pkt: Packet,
-    seq: u64,
-}
-
-/// Per-context matching state of the bucketed engine.
-#[derive(Debug, Default)]
-struct ContextBins {
-    /// Fully-concrete posted receives, binned by `(src, tag)`; each bin is
-    /// FIFO in posting order.
-    posted_exact: HashMap<(u32, i64), VecDeque<PostedEntry>>,
-    /// Posted receives with any wildcard, in posting order.
-    posted_wild: Vec<PostedEntry>,
-    /// Unexpected packets binned by the envelope's `(src, tag)`; each bin is
-    /// sorted by `(arrive_at, seq)`.
-    unexpected: HashMap<(u32, i64), Vec<UnexpectedEntry>>,
-}
-
-/// The bucketed engine: per-context hash bins keyed by the exact `(src, tag)`
-/// envelope, with wildcard receives on a separate sideline.
-///
-/// Exact-pattern operations touch one bin — O(1) in total queue depth — while
-/// monotone sequence numbers keep both of MPI's ordering rules intact:
-/// posting sequence decides first-posted-wins between a bin front and the
-/// wildcard sideline, and `(arrival time, arrival sequence)` decides
-/// earliest-arrival-wins across unexpected bins. Wildcards pay for what they
-/// force: a sideline or bin sweep, reported as
-/// [`ScanWork::wildcard_scanned`].
-#[derive(Debug, Default)]
-pub struct BucketedEngine {
-    ctxs: HashMap<u32, ContextBins>,
-    post_seq: u64,
-    arrival_seq: u64,
-    posted_count: usize,
-    unexpected_count: usize,
-}
-
-/// An unexpected-bin match candidate: the bin's key and its front entry's
-/// `(arrive_at, arrival seq)` — the earliest-arrival-wins ordering key.
-type UnexpectedHit = ((u32, i64), (Nanos, u64));
-
-impl BucketedEngine {
-    /// An empty engine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty engine whose sequence counters start at `base` (wraparound
-    /// test hook; see [`EngineKind::new_engine_with_seq_base`]).
-    pub fn with_seq_base(base: u64) -> Self {
-        BucketedEngine {
-            post_seq: base,
-            arrival_seq: base,
-            ..Self::default()
-        }
-    }
-
-    /// The earliest unexpected entry matching `pattern` in `bins`:
-    /// `(bin key, (arrive_at, seq))`, plus how many bins were examined.
-    fn earliest_unexpected(
-        bins: &ContextBins,
-        pattern: &MatchPattern,
-    ) -> (Option<UnexpectedHit>, usize) {
-        let ctx = pattern.context_id;
-        if !pattern.has_wildcard() {
-            let key = (pattern.src as u32, pattern.tag);
-            let hit = bins
-                .unexpected
-                .get(&key)
-                .and_then(|bin| bin.first().map(|e| (key, (e.pkt.arrive_at, e.seq))));
-            return (hit, 0);
-        }
-        // Wildcard: sweep every bin of the context, keeping the earliest
-        // matching front. Bin fronts are each bin's earliest arrival, so the
-        // minimum over fronts is the global earliest match.
-        let mut best: Option<UnexpectedHit> = None;
-        let mut swept = 0;
-        for (&key, bin) in &bins.unexpected {
-            swept += 1;
-            if !pattern.matches(ctx, key.0, key.1) {
-                continue;
-            }
-            if let Some(e) = bin.first() {
-                let cand = (key, (e.pkt.arrive_at, e.seq));
-                if best.is_none_or(|(_, b)| arrival_lt(cand.1, b)) {
-                    best = cand.into();
-                }
-            }
-        }
-        (best, swept)
-    }
-
-    /// Remove and return the front of unexpected bin `key`.
-    fn take_unexpected_front(&mut self, ctx: u32, key: (u32, i64)) -> Packet {
-        let bins = self.ctxs.get_mut(&ctx).expect("context exists");
-        let bin = bins.unexpected.get_mut(&key).expect("bin exists");
-        let e = bin.remove(0);
-        if bin.is_empty() {
-            bins.unexpected.remove(&key);
-        }
-        self.unexpected_count -= 1;
-        e.pkt
-    }
-}
-
-impl MatchEngine for BucketedEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Bucketed
-    }
-
-    fn post_recv(&mut self, recv: PostedRecv) -> (Option<Packet>, ScanWork) {
-        let ctx = recv.pattern.context_id;
-        let bins = self.ctxs.entry(ctx).or_default();
-        let (hit, swept) = Self::earliest_unexpected(bins, &recv.pattern);
-        if let Some((key, _)) = hit {
-            let pkt = self.take_unexpected_front(ctx, key);
-            return (Some(pkt), ScanWork::bucketed(1, swept));
-        }
-        let entry = PostedEntry {
-            recv,
-            seq: self.post_seq,
-        };
-        self.post_seq = self.post_seq.wrapping_add(1);
-        self.posted_count += 1;
-        if entry.recv.pattern.has_wildcard() {
-            bins.posted_wild.push(entry);
-        } else {
-            let key = (entry.recv.pattern.src as u32, entry.recv.pattern.tag);
-            bins.posted_exact.entry(key).or_default().push_back(entry);
-        }
-        (None, ScanWork::bucketed(0, swept))
-    }
-
-    fn incoming(&mut self, packet: Packet) -> Incoming {
-        let h = packet.header;
-        let key = (h.src, h.tag);
-        let bins = self.ctxs.entry(h.context_id).or_default();
-
-        // First-posted-wins across the exact bin and the wildcard sideline:
-        // compare the bin front's posting sequence against the first matching
-        // sideline entry (the sideline is in posting order, so the first
-        // match is the earliest-posted wildcard candidate).
-        let exact_seq = bins
-            .posted_exact
-            .get(&key)
-            .and_then(|b| b.front())
-            .map(|e| e.seq);
-        let scanned = exact_seq.is_some() as usize;
-        let mut wild_idx = None;
-        let mut swept = 0;
-        for (i, e) in bins.posted_wild.iter().enumerate() {
-            swept += 1;
-            if e.recv.pattern.matches(h.context_id, h.src, h.tag) {
-                wild_idx = Some((i, e.seq));
-                break;
-            }
-        }
-        let work = ScanWork::bucketed(scanned, swept);
-
-        let winner = match (exact_seq, wild_idx) {
-            (None, None) => None,
-            (Some(_), None) => Some(true),
-            (None, Some(_)) => Some(false),
-            (Some(es), Some((_, ws))) => Some(seq_lt(es, ws)),
-        };
-        if let Some(exact_wins) = winner {
-            let entry = if exact_wins {
-                let bin = bins.posted_exact.get_mut(&key).expect("bin exists");
-                let e = bin.pop_front().expect("front exists");
-                if bin.is_empty() {
-                    bins.posted_exact.remove(&key);
-                }
-                e
-            } else {
-                let (i, _) = wild_idx.expect("wildcard candidate");
-                bins.posted_wild.remove(i)
-            };
-            self.posted_count -= 1;
-            return Incoming::Matched {
-                recv: entry.recv,
-                packet,
-                work,
-            };
-        }
-
-        // No match: queue by envelope, each bin sorted by (arrive_at, seq).
-        // Packets mostly arrive nearly-sorted, so search from the back.
-        let entry = UnexpectedEntry {
-            pkt: packet,
-            seq: self.arrival_seq,
-        };
-        self.arrival_seq = self.arrival_seq.wrapping_add(1);
-        self.unexpected_count += 1;
-        let bin = bins.unexpected.entry(key).or_default();
-        let pos = bin
-            .iter()
-            .rposition(|e| e.pkt.arrive_at <= entry.pkt.arrive_at)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        bin.insert(pos, entry);
-        Incoming::Queued { work }
-    }
-
-    fn probe(&self, pattern: &MatchPattern) -> (Option<Status>, ScanWork) {
-        let Some(bins) = self.ctxs.get(&pattern.context_id) else {
-            return (None, ScanWork::bucketed(0, 0));
-        };
-        let (hit, swept) = Self::earliest_unexpected(bins, pattern);
-        let st = hit.map(|(key, _)| {
-            let e = bins.unexpected[&key].first().expect("front exists");
-            Status {
-                source: e.pkt.header.src as usize,
-                tag: e.pkt.header.tag,
-                len: e.pkt.payload.len(),
-            }
-        });
-        (st, ScanWork::bucketed(hit.is_some() as usize, swept))
-    }
-
-    fn cancel(&mut self, req: &Arc<ReqState>) -> bool {
-        for bins in self.ctxs.values_mut() {
-            if let Some(i) = bins
-                .posted_wild
-                .iter()
-                .position(|e| Arc::ptr_eq(&e.recv.req, req))
-            {
-                bins.posted_wild.remove(i);
-                self.posted_count -= 1;
-                return true;
-            }
-            let hit_key = bins
-                .posted_exact
-                .iter()
-                .find(|(_, bin)| bin.iter().any(|e| Arc::ptr_eq(&e.recv.req, req)))
-                .map(|(&key, _)| key);
-            if let Some(key) = hit_key {
-                let bin = bins.posted_exact.get_mut(&key).expect("bin exists");
-                let i = bin
-                    .iter()
-                    .position(|e| Arc::ptr_eq(&e.recv.req, req))
-                    .expect("entry exists");
-                bin.remove(i);
-                if bin.is_empty() {
-                    bins.posted_exact.remove(&key);
-                }
-                self.posted_count -= 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn posted_len(&self) -> usize {
-        self.posted_count
-    }
-
-    fn unexpected_len(&self) -> usize {
-        self.unexpected_count
-    }
-
-    fn drain(&mut self) -> (Vec<PostedRecv>, Vec<Packet>) {
-        let mut posted: Vec<PostedEntry> = Vec::with_capacity(self.posted_count);
-        let mut unexpected: Vec<UnexpectedEntry> = Vec::with_capacity(self.unexpected_count);
-        for (_, bins) in std::mem::take(&mut self.ctxs) {
-            posted.extend(bins.posted_wild);
-            for (_, bin) in bins.posted_exact {
-                posted.extend(bin);
-            }
-            for (_, bin) in bins.unexpected {
-                unexpected.extend(bin);
-            }
-        }
-        posted.sort_by(|a, b| seq_cmp(a.seq, b.seq));
-        unexpected.sort_by(|a, b| arrival_cmp((a.pkt.arrive_at, a.seq), (b.pkt.arrive_at, b.seq)));
-        self.posted_count = 0;
-        self.unexpected_count = 0;
-        (
-            posted.into_iter().map(|e| e.recv).collect(),
-            unexpected.into_iter().map(|e| e.pkt).collect(),
         )
     }
 }
@@ -1222,8 +896,8 @@ mod tests {
     #[test]
     fn earliest_arrival_wins_across_bins_for_wildcards() {
         for_all(|e| {
-            // Different envelopes (thus different bins in the bucketed
-            // engine), arrivals out of insertion order.
+            // Different envelopes (thus different exact-index lists in the
+            // sequence-merged engine), arrivals out of insertion order.
             e.incoming(pkt(1, 2, 8, 300));
             e.incoming(pkt(1, 0, 5, 100));
             e.incoming(pkt(1, 1, 6, 200));
@@ -1316,24 +990,6 @@ mod tests {
         assert!(m.is_some());
         assert_eq!(work.scanned, 10);
         assert_eq!(work.engine, EngineKind::Linear);
-    }
-
-    #[test]
-    fn bucketed_exact_work_is_depth_independent() {
-        let mut e = BucketedEngine::new();
-        for i in 0..64 {
-            e.incoming(pkt(1, 0, i, 10 + i as u64));
-        }
-        // Matching any tag touches one bin: one entry examined, no sweep.
-        let (m, work) = e.post_recv(recv(1, 0, 63));
-        assert!(m.is_some());
-        assert_eq!(work.scanned, 1);
-        assert_eq!(work.wildcard_scanned, 0);
-        assert_eq!(work.engine, EngineKind::Bucketed);
-        // A wildcard pays the bin sweep instead.
-        let (m, work) = e.post_recv(recv(1, ANY_SOURCE, ANY_TAG));
-        assert!(m.is_some());
-        assert_eq!(work.wildcard_scanned, 63, "swept all remaining bins");
     }
 
     #[test]
@@ -1500,54 +1156,15 @@ mod tests {
     }
 
     #[test]
-    fn migration_between_kinds_preserves_matching() {
-        // Drain each engine kind into each other kind and check the pending
-        // receive and unexpected packet still behave identically.
-        for from in EngineKind::all() {
-            for to in EngineKind::all() {
-                if from == to {
-                    continue;
-                }
-                let mut old = from.new_engine();
-                let r = recv(1, 0, 5);
-                let req = Arc::clone(&r.req);
-                old.post_recv(r);
-                old.incoming(pkt(1, 7, 7, 50));
-                let (posted, unexpected) = old.drain();
-                let mut new = to.new_engine();
-                for p in posted {
-                    let (m, _) = new.post_recv(p);
-                    assert!(m.is_none(), "quiescent state has no cross matches");
-                }
-                for u in unexpected {
-                    assert!(matches!(new.incoming(u), Incoming::Queued { .. }));
-                }
-                // The pending posted recv matches its packet on the new engine.
-                match new.incoming(pkt(1, 0, 5, 60)) {
-                    Incoming::Matched { recv, .. } => assert!(Arc::ptr_eq(&recv.req, &req)),
-                    _ => panic!("expected a match ({from:?} -> {to:?})"),
-                }
-                // The queued unexpected packet is still probe-able.
-                let (st, _) = new.probe(&MatchPattern {
-                    context_id: 1,
-                    src: 7,
-                    tag: 7,
-                });
-                assert_eq!(st.unwrap().source, 7);
-            }
-        }
-    }
-
-    #[test]
-    fn engine_kind_parses_hint_values() {
-        assert_eq!(EngineKind::parse("linear"), Some(EngineKind::Linear));
-        assert_eq!(EngineKind::parse("bucketed"), Some(EngineKind::Bucketed));
-        assert_eq!(EngineKind::parse("seq_merged"), Some(EngineKind::SeqMerged));
-        assert_eq!(EngineKind::parse("fancy"), None);
+    fn engine_kinds_are_reference_and_production() {
+        assert_eq!(
+            EngineKind::all(),
+            [EngineKind::Linear, EngineKind::SeqMerged]
+        );
         assert_eq!(EngineKind::default(), EngineKind::SeqMerged);
         assert_eq!(EngineKind::Linear.name(), "linear");
+        assert_eq!(EngineKind::SeqMerged.name(), "seq_merged");
         for kind in EngineKind::all() {
-            assert_eq!(EngineKind::parse(kind.name()), Some(kind));
             assert_eq!(kind.new_engine().kind(), kind);
         }
     }

@@ -28,8 +28,7 @@ pub struct ProcShared {
     nic: Arc<Nic>,
     shm_nic: Arc<Nic>,
     costs: CoreCosts,
-    /// Default matching-engine kind for newly created VCIs (the
-    /// `rankmpi_matching` Info hint overrides per communicator).
+    /// Matching-engine kind of every VCI this process creates.
     matching: EngineKind,
     direct: Arc<DirectRegistry>,
     /// Fault plan (and retransmit config) armed on every VCI mailbox of

@@ -445,9 +445,9 @@ impl UniverseBuilder {
         self
     }
 
-    /// Default matching-engine kind for every VCI (default
-    /// [`EngineKind::SeqMerged`]; the `rankmpi_matching` Info hint overrides
-    /// per communicator).
+    /// Matching-engine kind of every VCI, fixed for the universe's lifetime
+    /// (default [`EngineKind::SeqMerged`]; [`EngineKind::Linear`] is the
+    /// paper's "Original" baseline and the tests' reference).
     pub fn matching(mut self, kind: EngineKind) -> Self {
         self.matching = kind;
         self

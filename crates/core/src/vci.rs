@@ -158,6 +158,8 @@ pub struct Vci {
     /// Shared-memory channel for intra-node traffic (unbounded pool).
     shm_ctx: Arc<HwContext>,
     mailbox: Arc<Mailbox>,
+    /// Which matching structure `engine` holds, fixed at construction.
+    engine_kind: EngineKind,
     /// The VCI "big lock": serializes software access to the matching engine.
     engine: ContentionLock<Box<dyn MatchEngine>>,
     /// The matching engine's virtual occupancy: every message match/enqueue
@@ -173,8 +175,8 @@ pub struct Vci {
     /// [`ScanWork::scanned`] totals). Flat for O(1) engines, grows with queue
     /// depth on linear scans — the scan-count regression tests pin it down.
     match_scanned: Arc<Counter>,
-    /// Registry series: wildcard-sweep entries/bins examined or lazy
-    /// tombstones skipped ([`ScanWork::wildcard_scanned`] totals).
+    /// Registry series: lazy tombstones skipped
+    /// ([`ScanWork::wildcard_scanned`] totals).
     match_wildcard_scanned: Arc<Counter>,
     /// Registry series: clock-charged engine-lock acquisitions.
     acquires: Arc<Counter>,
@@ -216,8 +218,7 @@ impl Vci {
     /// Create VCI `id` for a process on the node served by `nic`/`shm_nic`,
     /// signaling `notify` on arrivals and dispatching direct packets through
     /// `direct`. `engine_kind` selects the matching structure (see
-    /// [`EngineKind`]); the `rankmpi_matching` Info hint can change it later
-    /// via [`Vci::set_engine_kind`].
+    /// [`EngineKind`]) for the VCI's lifetime.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: usize,
@@ -241,6 +242,7 @@ impl Vci {
             nic: Arc::clone(nic),
             shm_ctx: shm_nic.alloc_context(),
             mailbox: Arc::new(Mailbox::new(notify)),
+            engine_kind,
             engine: ContentionLock::new(engine_kind.new_engine()),
             engine_time: rankmpi_vtime::Resource::new(),
             direct,
@@ -308,36 +310,9 @@ impl Vci {
         guard.release(clock);
     }
 
-    /// The matching-engine kind this VCI currently runs.
+    /// The matching-engine kind this VCI runs.
     pub fn engine_kind(&self) -> EngineKind {
-        self.engine.lock_unmodeled().kind()
-    }
-
-    /// Switch this VCI to a different matching-engine kind, migrating any
-    /// pending state (posted receives in posting order, then unexpected
-    /// packets in arrival order). Returns whether a switch happened.
-    ///
-    /// Safe at any point: in a valid engine no posted receive matches any
-    /// queued unexpected packet (each insertion path searches the other queue
-    /// first), so the replay cannot produce spurious matches and both of
-    /// MPI's ordering rules survive the move.
-    pub fn set_engine_kind(&self, kind: EngineKind) -> bool {
-        let mut eng = self.engine.lock_unmodeled();
-        if eng.kind() == kind {
-            return false;
-        }
-        let (posted, unexpected) = eng.drain();
-        let mut fresh = kind.new_engine();
-        for p in posted {
-            let (m, _) = fresh.post_recv(p);
-            debug_assert!(m.is_none(), "quiescent engine state cannot cross-match");
-        }
-        for u in unexpected {
-            let outcome = fresh.incoming(u);
-            debug_assert!(matches!(outcome, Incoming::Queued { .. }));
-        }
-        *eng = fresh;
-        true
+        self.engine_kind
     }
 
     /// VCI index within its process's pool.
@@ -370,15 +345,12 @@ impl Vci {
     }
 
     /// If the backing hardware context has been marked failed, remap this
-    /// VCI onto a replacement from the NIC — live, between sends. Mirrors
-    /// [`set_engine_kind`]'s drain-and-swap discipline: the write lock
-    /// serializes racing senders; the first one through performs the swap
+    /// VCI onto a replacement from the NIC — live, between sends. The write
+    /// lock serializes racing senders; the first one through performs the swap
     /// (paying one doorbell write to program the new context) and later ones
     /// see a healthy context on the double-check. Falling back onto a shared
     /// context is the Lesson 3 oversubscription event, counted in
     /// `nic.alloc_shared`; the remap itself is counted in `resil.failovers`.
-    ///
-    /// [`set_engine_kind`]: Vci::set_engine_kind
     fn maybe_failover(&self, clock: &mut Clock) {
         if !self.ctx.read().is_failed() {
             return;
@@ -900,8 +872,7 @@ impl Vci {
         self.match_scanned.get()
     }
 
-    /// Total wildcard-sweep entries examined (or tombstones skipped) by this
-    /// VCI's matching operations.
+    /// Total lazy tombstones skipped by this VCI's matching operations.
     pub fn match_wildcard_scanned(&self) -> u64 {
         self.match_wildcard_scanned.get()
     }
@@ -1128,64 +1099,6 @@ mod tests {
         assert_eq!(n, 0);
         assert!(c.now() < Nanos(50));
         assert_eq!(a.polls(), 1);
-    }
-
-    #[test]
-    fn engine_switch_migrates_pending_state() {
-        let (a, _n1, _s1) = test_vci(0);
-        let (b, _n2, _s2) = test_vci(0);
-        assert_eq!(b.engine_kind(), EngineKind::SeqMerged);
-        // Queue an unexpected message and a pending receive, then switch.
-        let mut sc = Clock::new();
-        a.send_packet(
-            &mut sc,
-            &b,
-            false,
-            header(9, 3, 5),
-            Bytes::from_static(b"u"),
-        );
-        let mut rc = Clock::new();
-        b.progress(&mut rc); // queues as unexpected
-        let req = ReqState::detached();
-        b.post_recv(
-            &mut rc,
-            MatchPattern {
-                context_id: 9,
-                src: 0,
-                tag: 7,
-            },
-            Arc::clone(&req),
-        );
-        assert!(b.set_engine_kind(EngineKind::Linear));
-        assert!(
-            !b.set_engine_kind(EngineKind::Linear),
-            "same kind is a no-op"
-        );
-        assert_eq!(b.engine_kind(), EngineKind::Linear);
-        assert_eq!(b.unexpected_depth(), 1);
-        assert_eq!(b.posted_depth(), 1);
-        // The migrated unexpected message still matches a new receive...
-        let req2 = ReqState::detached();
-        b.post_recv(
-            &mut rc,
-            MatchPattern {
-                context_id: 9,
-                src: 3,
-                tag: 5,
-            },
-            Arc::clone(&req2),
-        );
-        assert!(req2.is_complete());
-        // ...and the migrated posted receive matches new traffic.
-        a.send_packet(
-            &mut sc,
-            &b,
-            false,
-            header(9, 0, 7),
-            Bytes::from_static(b"v"),
-        );
-        b.progress(&mut rc);
-        assert!(req.is_complete());
     }
 
     #[test]

@@ -57,18 +57,17 @@ impl EndpointTopology {
 /// contexts degrades gracefully into sharing — the library's responsibility,
 /// not the user's.
 ///
-/// `info` understands `rankmpi_matching`: it selects the matching engine of
-/// every per-endpoint VCI created here (the process default otherwise).
+/// `_info` mirrors the `MPI_Comm_create_endpoints` proposal's signature; no
+/// key is interpreted.
 pub fn comm_create_endpoints(
     parent: &Communicator,
     th: &mut ThreadCtx,
     my_num_ep: usize,
-    info: &Info,
+    _info: &Info,
 ) -> Result<Vec<Endpoint>> {
     if my_num_ep == 0 {
         return Err(Error::InvalidState("my_num_ep must be at least 1"));
     }
-    let engine = info.matching_engine()?;
     let universe = parent.universe().clone();
     let proc = parent.proc().clone();
 
@@ -102,11 +101,6 @@ pub fn comm_create_endpoints(
     // endpoints get consecutive indices because `add_vci` appends under this
     // process's creation lock — one creator per process).
     let my_vcis: Vec<usize> = (0..my_num_ep).map(|_| proc.add_vci()).collect();
-    if let Some(kind) = engine {
-        for &v in &my_vcis {
-            proc.vci(v).set_engine_kind(kind);
-        }
-    }
     let first_vci = my_vcis[0];
     debug_assert!(my_vcis.windows(2).all(|w| w[1] == w[0] + 1));
     let vci_starts: Vec<(i64, i64)> = universe.gather_split(
@@ -198,25 +192,6 @@ mod tests {
             assert_eq!(sorted.len(), 4, "distinct VCIs per endpoint");
         });
         assert_eq!(u.shared().proc(0).num_vcis(), before + 4);
-    }
-
-    #[test]
-    fn matching_hint_selects_endpoint_engine() {
-        use rankmpi_core::info::keys;
-        use rankmpi_core::matching::EngineKind;
-        let u = Universe::builder().nodes(1).build();
-        u.run(|env| {
-            let world = env.world();
-            let mut th = env.single_thread();
-            let info = Info::new().set(keys::RANKMPI_MATCHING, "linear");
-            let eps = comm_create_endpoints(&world, &mut th, 2, &info).unwrap();
-            for e in &eps {
-                assert_eq!(
-                    e.proc().vci(e.vci_index()).engine_kind(),
-                    EngineKind::Linear
-                );
-            }
-        });
     }
 
     #[test]

@@ -36,6 +36,8 @@ pub struct PrecvRequest {
 /// operation happens exactly once, when the sender's first `start` receives
 /// that control message — O(1) matching regardless of partition or thread
 /// count.
+///
+/// `_info` mirrors `MPI_Precv_init`'s signature; no key is interpreted.
 pub fn precv_init(
     comm: &Communicator,
     th: &mut ThreadCtx,
@@ -43,13 +45,10 @@ pub fn precv_init(
     tag: i64,
     partitions: usize,
     part_bytes: usize,
-    info: &Info,
+    _info: &Info,
 ) -> Result<PrecvRequest> {
     if partitions == 0 {
         return Err(Error::InvalidState("partitioned op needs >= 1 partition"));
-    }
-    if let Some(kind) = info.matching_engine()? {
-        comm.proc().vci(comm.vci_block()[0]).set_engine_kind(kind);
     }
     let costs = th.proc().costs();
     let recv_cost = th.universe().profile().recv_overhead + costs.copy_cost(part_bytes);

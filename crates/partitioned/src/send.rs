@@ -40,8 +40,7 @@ pub struct PsendRequest {
 /// `dst` with `tag` on `comm`. A local call; the handshake completes on the
 /// first `start`.
 ///
-/// `info` understands `rankmpi_matching`: it switches the engine of the
-/// control VCI that matches the route handshake.
+/// `_info` mirrors `MPI_Psend_init`'s signature; no key is interpreted.
 pub fn psend_init(
     comm: &Communicator,
     th: &mut ThreadCtx,
@@ -49,13 +48,10 @@ pub fn psend_init(
     tag: i64,
     partitions: usize,
     part_bytes: usize,
-    info: &Info,
+    _info: &Info,
 ) -> Result<PsendRequest> {
     if partitions == 0 {
         return Err(Error::InvalidState("partitioned op needs >= 1 partition"));
-    }
-    if let Some(kind) = info.matching_engine()? {
-        comm.proc().vci(comm.vci_block()[0]).set_engine_kind(kind);
     }
     th.clock.advance(th.proc().costs().request_setup);
     Ok(PsendRequest {
@@ -358,34 +354,6 @@ mod tests {
                 for p in 0..t {
                     assert_eq!(data[p * 8], p as u8);
                 }
-            }
-        });
-    }
-
-    #[test]
-    fn matching_hint_applies_to_control_vci() {
-        use rankmpi_core::info::keys;
-        use rankmpi_core::matching::EngineKind;
-        let u = Universe::builder().nodes(2).num_vcis(2).build();
-        u.run(|env| {
-            let world = env.world();
-            let mut th = env.single_thread();
-            let info = Info::new().set(keys::RANKMPI_MATCHING, "linear");
-            if env.rank() == 0 {
-                let sreq = psend_init(&world, &mut th, 1, 5, 2, 4, &info).unwrap();
-                assert_eq!(
-                    world.proc().vci(world.vci_block()[0]).engine_kind(),
-                    EngineKind::Linear
-                );
-                sreq.start(&mut th).unwrap();
-                for p in 0..2 {
-                    sreq.pready(&mut th, p, &[p as u8; 4]).unwrap();
-                }
-                sreq.wait(&mut th).unwrap();
-            } else {
-                let rreq = precv_init(&world, &mut th, 0, 5, 2, 4, &info).unwrap();
-                rreq.start(&mut th).unwrap();
-                rreq.wait(&mut th).unwrap();
             }
         });
     }

@@ -23,7 +23,7 @@
 //! isolated by construction, and the emitter needs no deduplication
 //! beyond its own acked set.
 
-use rankmpi_core::{Communicator, EngineKind, Errhandler, Error, LaunchMode, ThreadCtx, Universe};
+use rankmpi_core::{Communicator, Errhandler, Error, LaunchMode, ThreadCtx, Universe};
 use rankmpi_fabric::{FaultPlan, NetworkProfile};
 use rankmpi_vtime::Nanos;
 
@@ -59,8 +59,6 @@ pub struct FarmFtConfig {
     pub profile: NetworkProfile,
     /// Launch mode (threads or cooperative rank-tasks).
     pub launch: LaunchMode,
-    /// Matching engine under the farm.
-    pub matching: EngineKind,
 }
 
 impl Default for FarmFtConfig {
@@ -75,7 +73,6 @@ impl Default for FarmFtConfig {
             crash_max_vtime: Nanos::us(150),
             profile: NetworkProfile::omni_path(),
             launch: LaunchMode::Threads,
-            matching: EngineKind::default(),
         }
     }
 }
@@ -241,7 +238,6 @@ pub fn run_farm_ft(cfg: &FarmFtConfig) -> FarmFtReport {
         .procs_per_node(1)
         .threads_per_proc(1)
         .profile(cfg.profile.clone())
-        .matching(cfg.matching)
         .fault_plan(plan)
         .launch(cfg.launch)
         .build();

@@ -101,7 +101,7 @@ impl Default for StreamConfig {
             work: Nanos::us(2),
             work_jitter: 0.0,
             seed: 1,
-            matching: EngineKind::Linear,
+            matching: EngineKind::default(),
             profile: NetworkProfile::omni_path(),
             launch: LaunchMode::Threads,
             fault_plan: None,

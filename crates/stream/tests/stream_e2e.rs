@@ -173,7 +173,6 @@ fn task_mode_matches_thread_mode_delivery() {
     for launch in [LaunchMode::Threads, LaunchMode::Tasks(Default::default())] {
         let cfg = StreamConfig {
             launch,
-            matching: EngineKind::Bucketed,
             ..quick(
                 Topology::Pipeline {
                     stages: 2,
@@ -182,6 +181,11 @@ fn task_mode_matches_thread_mode_delivery() {
                 Mechanism::Baseline,
             )
         };
+        assert_eq!(
+            cfg.matching,
+            EngineKind::default(),
+            "streams run the engine a default universe gets"
+        );
         assert_clean(&run_stream(&cfg));
     }
 }

@@ -16,9 +16,7 @@
 //! Victims are chosen by the [`FaultPlan`]'s crash draw (rank 0 never
 //! crashes), so the survivor set is a schedule-independent oracle.
 
-use rankmpi_core::{
-    Communicator, EngineKind, Errhandler, Error, LaunchMode, ReduceOp, ThreadCtx, Universe,
-};
+use rankmpi_core::{Communicator, Errhandler, Error, LaunchMode, ReduceOp, ThreadCtx, Universe};
 use rankmpi_fabric::{FaultPlan, NetworkProfile};
 use rankmpi_vtime::Nanos;
 
@@ -45,8 +43,6 @@ pub struct HaloFtConfig {
     pub profile: NetworkProfile,
     /// Launch mode (threads or cooperative rank-tasks).
     pub launch: LaunchMode,
-    /// Matching engine under the exchange.
-    pub matching: EngineKind,
 }
 
 impl Default for HaloFtConfig {
@@ -62,7 +58,6 @@ impl Default for HaloFtConfig {
             crash_max_vtime: Nanos::us(120),
             profile: NetworkProfile::omni_path(),
             launch: LaunchMode::Threads,
-            matching: EngineKind::default(),
         }
     }
 }
@@ -169,7 +164,6 @@ pub fn run_halo_ft(cfg: &HaloFtConfig) -> HaloFtReport {
         .procs_per_node(1)
         .threads_per_proc(1)
         .profile(cfg.profile.clone())
-        .matching(cfg.matching)
         .fault_plan(plan)
         .launch(cfg.launch)
         .build();

@@ -1,5 +1,5 @@
-//! Differential test: every matching engine (linear "Original", bucketed,
-//! sequence-merged) is observationally equivalent.
+//! Differential test: the two matching engines (linear "Original" and
+//! sequence-merged) are observationally equivalent.
 //!
 //! The actual oracle — identical seeded-random interleavings of posts,
 //! arrivals, probes, and cancels driven through every engine, with

@@ -4,7 +4,7 @@
 //! traffic: the merged engine compares only class/index heads, so the
 //! `vci.match_scanned` / `vci.match_wildcard_scanned` registry counters
 //! stay a small constant multiple of `vci.matched` at any queue depth.
-//! The bucketed engine, by contrast, sweeps its wildcard sideline on every
+//! The linear engine, by contrast, walks the whole wildcard backlog on every
 //! incoming packet — the counters are how the difference is observable.
 
 use rankmpi_core::matching::EngineKind;
@@ -82,15 +82,15 @@ fn seq_merged_scan_work_is_constant_per_match() {
 }
 
 #[test]
-fn seq_merged_beats_bucketed_sideline_sweep() {
+fn seq_merged_beats_linear_backlog_scan() {
     let (s_matched, s_scanned, s_wild) = deep_wildcard_counters(EngineKind::SeqMerged);
-    let (b_matched, _b_scanned, b_wild) = deep_wildcard_counters(EngineKind::Bucketed);
-    assert_eq!(s_matched, b_matched, "engines disagree on match count");
-    // Bucketed sweeps ~DEPTH sideline entries per exact packet; merged does
-    // a constant amount of work. The gap is the whole point of the engine.
+    let (l_matched, l_scanned, _l_wild) = deep_wildcard_counters(EngineKind::Linear);
+    assert_eq!(s_matched, l_matched, "engines disagree on match count");
+    // Linear walks ~DEPTH pending wildcards per exact packet; merged does a
+    // constant amount of work. The gap is the whole point of the engine.
     assert!(
-        b_wild >= 16 * (s_scanned + s_wild + 1),
-        "expected bucketed sideline sweep ({b_wild}) to dwarf merged's \
+        l_scanned >= 16 * (s_scanned + s_wild + 1),
+        "expected linear's backlog scan ({l_scanned}) to dwarf merged's \
          head-only work ({s_scanned} + {s_wild})"
     );
 }
