@@ -10,13 +10,13 @@ use std::hint::black_box;
 
 use bytes::Bytes;
 use rankmpi_bench::json::{engine_counters, write_bench_json, Json};
-use rankmpi_bench::{print_table, ratio};
+use rankmpi_bench::{mailbox_costs, print_table, ratio};
 use rankmpi_core::costs::CoreCosts;
 use rankmpi_core::matching::{EngineKind, MatchPattern, PostedRecv, ANY_SOURCE, ANY_TAG};
 use rankmpi_core::request::ReqState;
 use rankmpi_core::tag::{default_tag_hash, TagLayout, TagPlacement};
 use rankmpi_core::{LaunchMode, TaskLaunch, Universe};
-use rankmpi_fabric::{Header, Mailbox, Notify, Packet};
+use rankmpi_fabric::{Header, Packet};
 use rankmpi_vtime::{Clock, ContentionLock, Nanos, Resource};
 
 fn pkt(ctx: u32, src: u32, tag: i64) -> Packet {
@@ -189,32 +189,17 @@ fn bench_engine_ablation(_c: &mut Criterion) {
         engines_json.push(snap);
     }
 
-    // Datapath ablation rows: single-thread mailbox push cost and drain rate
-    // for the SPSC-ring path vs the force-locked mutex baseline (the full
-    // concurrent contest lives in the `datapath` bench; these rows keep the
-    // hot-path summary self-contained).
-    let (ring_push_ns, ring_drain_tput) = mailbox_costs(false);
-    let (mutex_push_ns, mutex_drain_tput) = mailbox_costs(true);
+    // Datapath rows: single-thread mailbox push cost and drain rate (the
+    // `datapath` bench has the rest; these keep the hot-path summary
+    // self-contained).
+    let (ring_push_ns, ring_drain_tput) = mailbox_costs(512);
     print_table(
-        "Mailbox datapath ablation — SPSC rings vs mutex baseline (single thread)",
-        &["variant", "ns/push", "drain msgs/s"],
-        &[
-            vec![
-                "rings".to_string(),
-                format!("{ring_push_ns:.0}"),
-                format!("{ring_drain_tput:.3e}"),
-            ],
-            vec![
-                "mutex".to_string(),
-                format!("{mutex_push_ns:.0}"),
-                format!("{mutex_drain_tput:.3e}"),
-            ],
-            vec![
-                "mutex/rings".to_string(),
-                ratio(mutex_push_ns, ring_push_ns),
-                ratio(mutex_drain_tput, ring_drain_tput),
-            ],
-        ],
+        "Mailbox datapath — single thread, 4 channels x 32 pushes per drain",
+        &["ns/push", "drain msgs/s"],
+        &[vec![
+            format!("{ring_push_ns:.0}"),
+            format!("{ring_drain_tput:.3e}"),
+        ]],
     );
 
     write_bench_json(
@@ -227,68 +212,11 @@ fn bench_engine_ablation(_c: &mut Criterion) {
                 "datapath_ablation",
                 Json::obj([
                     ("ring_ns_per_push", Json::Num(ring_push_ns)),
-                    ("mutex_ns_per_push", Json::Num(mutex_push_ns)),
                     ("ring_drain_msgs_per_sec", Json::Num(ring_drain_tput)),
-                    ("mutex_drain_msgs_per_sec", Json::Num(mutex_drain_tput)),
                 ]),
             ),
         ]),
     );
-}
-
-/// Single-thread mailbox cost for one datapath variant: rounds of (32 pushes
-/// x 4 channels, one drain). Returns `(ns per push, drain msgs/sec)`.
-fn mailbox_costs(force_locked: bool) -> (f64, f64) {
-    const ROUNDS: u64 = 512;
-    let mb = Mailbox::new(std::sync::Arc::new(Notify::new()));
-    mb.set_force_locked(force_locked);
-    let mut buf: Vec<Packet> = Vec::new();
-    let one = |mb: &Mailbox, src: u32, seq: u64| {
-        mb.push_quiet(
-            Packet {
-                header: Header {
-                    kind: 1,
-                    context_id: 1,
-                    src,
-                    dst: 0,
-                    tag: 0,
-                    seq,
-                    aux: 0,
-                    aux2: 0,
-                },
-                payload: Bytes::new(),
-                arrive_at: Nanos(seq),
-            },
-            None,
-        );
-    };
-    for _ in 0..64 {
-        for src in 0..4u32 {
-            for seq in 0..32u64 {
-                one(&mb, src, seq);
-            }
-        }
-        buf.clear();
-        mb.drain_into(&mut buf);
-    }
-    let mut push_ns = 0.0f64;
-    let mut drain_ns = 0.0f64;
-    for _ in 0..ROUNDS {
-        let t0 = std::time::Instant::now();
-        for src in 0..4u32 {
-            for seq in 0..32u64 {
-                one(&mb, src, seq);
-            }
-        }
-        push_ns += t0.elapsed().as_nanos() as f64;
-        let t1 = std::time::Instant::now();
-        buf.clear();
-        mb.drain_into(&mut buf);
-        drain_ns += t1.elapsed().as_nanos() as f64;
-        assert_eq!(buf.len(), 128);
-    }
-    let msgs = (ROUNDS * 128) as f64;
-    (push_ns / msgs, msgs * 1e9 / drain_ns)
 }
 
 /// Wall-clock nanoseconds per pingpong iteration (2 ranks, 1 thread each,

@@ -8,6 +8,12 @@
 //! claim. `EXPERIMENTS.md` records the paper-vs-measured comparison.
 
 use std::fmt::Display;
+use std::sync::Arc;
+use std::time::Instant;
+
+use bytes::Bytes;
+use rankmpi_fabric::{Header, Mailbox, Notify, Packet};
+use rankmpi_vtime::Nanos;
 
 pub mod json;
 
@@ -52,6 +58,55 @@ pub fn takeaway(paper: &str, measured: &str) {
 /// Format a ratio to two decimals with an `x` suffix.
 pub fn ratio(num: f64, den: f64) -> String {
     format!("{:.2}x", num / den)
+}
+
+/// A context-1 eager packet from `src` — what the mailbox benches push.
+pub fn packet(src: u32, seq: u64, payload: Bytes) -> Packet {
+    let header = Header {
+        kind: 1,
+        context_id: 1,
+        src,
+        seq,
+        ..Header::zeroed()
+    };
+    Packet {
+        header,
+        payload,
+        arrive_at: Nanos(seq),
+    }
+}
+
+/// Single-thread mailbox cost over `rounds` measured rounds of (32 pushes x
+/// 4 channels, one drain), after a warmup that registers the channel rings
+/// and sizes the drain scratch. Returns `(ns per push, drain msgs/sec)`.
+pub fn mailbox_costs(rounds: u64) -> (f64, f64) {
+    let mb = Mailbox::new(Arc::new(Notify::new()));
+    let mut buf: Vec<Packet> = Vec::new();
+    let burst = || {
+        for src in 0..4u32 {
+            for seq in 0..32u64 {
+                mb.push_quiet(packet(src, seq, Bytes::new()), None);
+            }
+        }
+    };
+    for _ in 0..64 {
+        burst();
+        buf.clear();
+        mb.drain_into(&mut buf);
+    }
+    let (mut push_ns, mut drain_ns) = (0.0f64, 0.0f64);
+    for _ in 0..rounds {
+        let t0 = Instant::now();
+        burst();
+        push_ns += t0.elapsed().as_nanos() as f64;
+        let t1 = Instant::now();
+        buf.clear();
+        mb.drain_into(&mut buf);
+        drain_ns += t1.elapsed().as_nanos() as f64;
+        assert_eq!(buf.len(), 128);
+    }
+    let msgs = (rounds * 128) as f64;
+    (push_ns / msgs, msgs * 1e9 / drain_ns)
 }
 
 #[cfg(test)]

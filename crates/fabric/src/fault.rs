@@ -4,15 +4,18 @@
 //! packets the way a lossy-but-reliable transport would: extra latency,
 //! transient NACK/retransmit rounds, duplicate deliveries (deduplicated
 //! before they reach the matching engine, as a reliable transport must), and
-//! cross-channel reordering of the real delivery queue. The perturbations
-//! stay inside MPI's transport contract:
+//! cross-channel reordering of the real delivery queue. The plan runs as two
+//! halves around the mailbox's one queue: a push-side `FaultStage` that
+//! perturbs and sequences each packet before it is enqueued, and a
+//! drain-side `FaultFilter` that applies the flagged reorders and drops
+//! the copies. The perturbations stay inside MPI's transport contract:
 //!
 //! - **per-channel FIFO survives**: within one `(context_id, src)` channel,
 //!   virtual arrival times remain monotone (delays propagate head-of-line,
 //!   like retransmission on an in-order transport) and real queue order is
 //!   never swapped between packets of the same channel;
 //! - **no loss**: every pushed packet is eventually delivered exactly once —
-//!   duplicates are injected *and* dropped by the mailbox's dedup filter.
+//!   duplicates are injected by the stage *and* dropped by the filter.
 //!
 //! Every per-packet decision derives from `hash(seed, src, seq)`, never from
 //! arrival order or wall-clock state, so a fault plan perturbs a run the
@@ -32,10 +35,14 @@
 //! aggregated into the always-compiled metrics registry under the
 //! `fault.*` prefix, so traces show them and bench JSON can export them.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use rankmpi_obs::trace as obs;
 use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::{Counter, Nanos};
+
+use crate::Packet;
 
 /// Configuration of deterministic fault injection for one mailbox.
 ///
@@ -339,6 +346,167 @@ fn splitmix(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// What the [`FaultStage`] stamped on one queued packet. Packets pushed
+/// while no plan was armed carry no stamp and pass the [`FaultFilter`]
+/// untouched.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stamp {
+    /// Push-order receive sequence on the packet's channel; a copy shares
+    /// its original's.
+    pub rseq: u64,
+    /// A spurious retransmit copy from the `resil` layer (counted apart from
+    /// injected duplicate-fault copies).
+    pub spurious: bool,
+    /// Swap with the predecessor at drain, iff that one is still queued and
+    /// belongs to a different channel.
+    pub reorder: bool,
+}
+
+/// Push half of an armed plan: perturbs each packet's arrival, clamps it to
+/// its channel's head-of-line floor, and assigns its dedup sequence number.
+///
+/// The dedup filter is a *watermark*, not a set: the stage gives each
+/// original a push-order sequence number on its channel, copies share their
+/// original's number, and the [`FaultFilter`] delivers a packet iff its
+/// number equals the channel's `next_deliver` (then advances it). Because
+/// per-channel queue order equals push order (reorder faults only swap
+/// across channels), every original hits its watermark exactly and every
+/// copy lands strictly below it. `next_deliver` is exactly the channel's
+/// cumulative-ack watermark, so dedup memory is O(channels), flat no matter
+/// how many duplicates a run injects — the ack-based GC the reliability
+/// protocol requires.
+#[derive(Debug)]
+pub(crate) struct FaultStage {
+    /// Swappable at any time: sequence numbers and floors do not depend on it.
+    pub plan: FaultPlan,
+    /// Per `(context_id, src)`: the latest faulted arrival (keeps virtual
+    /// arrival monotone within the channel — head-of-line delay
+    /// propagation) and the next receive sequence number to assign.
+    channels: HashMap<(u32, u32), (Nanos, u64)>,
+    counters: Arc<FaultCounters>,
+}
+
+impl FaultStage {
+    /// A fresh stage for `plan` and the drain filter that pairs with it.
+    pub fn arm(plan: FaultPlan) -> (FaultStage, FaultFilter) {
+        let counters = Arc::new(FaultCounters::new());
+        let filter = FaultFilter {
+            next_deliver: HashMap::new(),
+            counters: Arc::clone(&counters),
+        };
+        let stage = FaultStage {
+            plan,
+            channels: HashMap::new(),
+            counters,
+        };
+        (stage, filter)
+    }
+
+    /// Live per-channel dedup records.
+    pub fn dedup_entries(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// Counts of faults injected (and copies dropped) so far.
+    pub fn report(&self) -> FaultReport {
+        self.counters.report()
+    }
+
+    /// Perturb and sequence one packet about to be enqueued. Returns its
+    /// stamp, the packet, and the duplicate copy if one was injected.
+    pub fn admit(&mut self, mut p: Packet) -> (Stamp, Packet, Option<Packet>) {
+        let plan = &self.plan;
+        let (src, seq) = (p.header.src, p.header.seq);
+        // Poisoned packets are synthetic failure notifications: they bypass
+        // fault perturbation (their timing is the protocol's give-up time)
+        // but still take a dedup slot and respect the channel floor.
+        let perturb = !p.header.is_poisoned();
+        let hit = |prob: f64, salt: u64| perturb && prob > 0.0 && plan.unit(src, seq, salt) < prob;
+
+        // Transient NACK: one retransmit round's worth of extra latency.
+        if hit(plan.nack_prob, 1) {
+            let before = p.arrive_at;
+            p.arrive_at += plan.nack_delay;
+            self.counters.bump_nack(plan.nack_delay.as_ns());
+            obs::busy("fault", "nack", before, p.arrive_at, obs::ResId::NONE);
+        }
+        // Plain delay: uniform extra latency in [1, delay_max].
+        if hit(plan.delay_prob, 2) {
+            let span = plan.delay_max.as_ns().max(1);
+            let extra = 1 + (plan.unit(src, seq, 3) * span as f64) as u64;
+            let before = p.arrive_at;
+            p.arrive_at += Nanos(extra.min(span));
+            self.counters
+                .bump_delay(p.arrive_at.as_ns() - before.as_ns());
+            obs::busy("fault", "delay", before, p.arrive_at, obs::ResId::NONE);
+        }
+        // Heavy-tail straggler: Pareto extra latency on a few packets —
+        // applied before the channel clamp so per-channel FIFO survives.
+        if let Some(extra) = plan.straggle_ns(src, seq).filter(|_| perturb) {
+            let before = p.arrive_at;
+            p.arrive_at += Nanos(extra);
+            self.counters.bump_straggle(extra);
+            obs::busy("fault", "straggler", before, p.arrive_at, obs::ResId::NONE);
+        }
+        let chan = (p.header.context_id, src);
+        let (floor, next_push) = self.channels.entry(chan).or_default();
+        // Head-of-line clamp: a channel's arrivals stay monotone in virtual
+        // time even when an earlier packet was delayed past this one.
+        p.arrive_at = p.arrive_at.max(*floor);
+        *floor = p.arrive_at;
+        let rseq = *next_push;
+        *next_push += 1;
+
+        let copy = hit(plan.duplicate_prob, 4).then(|| {
+            self.counters.bump_dup_injected();
+            let at = p.arrive_at;
+            obs::busy("fault", "duplicate", at, at, obs::ResId::NONE);
+            p.clone()
+        });
+        let stamp = Stamp {
+            rseq,
+            spurious: false,
+            reorder: hit(plan.reorder_prob, 5),
+        };
+        (stamp, p, copy)
+    }
+}
+
+/// Drain half of an armed plan: the per-channel delivery watermarks (see
+/// [`FaultStage`]) and the reorder count. Owned by the mailbox's consumer.
+#[derive(Debug)]
+pub(crate) struct FaultFilter {
+    /// Per channel, everything below has been delivered (acked); a queued
+    /// packet stamped below it is a copy and is dropped.
+    next_deliver: HashMap<(u32, u32), u64>,
+    counters: Arc<FaultCounters>,
+}
+
+impl FaultFilter {
+    /// Record one applied cross-channel swap of a packet arriving at `at`.
+    pub fn note_reorder(&self, at: Nanos) {
+        self.counters.bump_reorder();
+        obs::busy("fault", "reorder", at, at, obs::ResId::NONE);
+    }
+
+    /// Whether the packet stamped `stamp` on `chan` is delivered (it is the
+    /// original at its channel's watermark) or dropped as a copy.
+    pub fn deliver(&mut self, chan: (u32, u32), stamp: Stamp) -> bool {
+        let next = self.next_deliver.entry(chan).or_default();
+        if stamp.rseq == *next {
+            *next += 1;
+            return true;
+        }
+        debug_assert!(stamp.rseq < *next, "queued entry above the watermark");
+        if stamp.spurious {
+            self.counters.bump_spurious_dropped();
+        } else {
+            self.counters.bump_dup_dropped();
+        }
+        false
+    }
 }
 
 /// Counts of injected faults on one mailbox (readable snapshot via

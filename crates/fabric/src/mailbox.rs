@@ -1,32 +1,29 @@
 //! Destination-side packet queues and arrival notification.
 //!
-//! The unfaulted datapath is lock-free: each `(context_id, src)` channel owns
-//! a bounded [`SpscRing`] (the sender holds its context gate across
-//! stamp+push, making the channel single-producer; the owning VCI's progress
-//! engine — serialized by the engine lock — is the single consumer), and a
-//! global ticket counter linearizes pushes so the drain-side merge preserves
-//! the mutex mailbox's cross-channel push order exactly. Channels are found
-//! through a fixed open-addressed [`ChannelDir`] whose lookups are pure
-//! atomic loads — the push hot path performs exactly one shared
-//! read-modify-write (the ticket) and otherwise touches only channel-local
-//! state. Drains pop the rings without any lock and visit the fallback mutex
-//! only when the fallback actually holds entries (see [`Mailbox::drain_into`]
-//! for the two-pass ordering argument). A [`FaultPlan`] switches the mailbox
-//! to the locked fallback queue, where the fault pipeline
-//! (delay/reorder/duplicate/dedup watermarks) runs unchanged.
+//! There is one datapath, and it is lock-free: each `(context_id, src)`
+//! channel owns a bounded [`SpscRing`] (the sender holds its context gate
+//! across stamp+push, making the channel single-producer; the owning VCI's
+//! progress engine — serialized by the engine lock — is the single consumer),
+//! and a global ticket counter linearizes pushes so the drain-side merge
+//! delivers in exact cross-channel push order. Channels are found through a
+//! fixed open-addressed [`ChannelDir`] whose lookups are pure atomic loads —
+//! the push hot path performs exactly one shared read-modify-write (the
+//! ticket) and otherwise touches only channel-local state. Drains pop the
+//! rings without any lock and visit the fallback mutex only when the
+//! fallback actually holds entries (see [`Mailbox::drain_into`] for the
+//! two-pass ordering argument). An armed [`FaultPlan`] does not fork that path: packets pass a
+//! `FaultStage` on their way *into* the rings and a `FaultFilter` on
+//! their way *out* of the merge (see [`fault`](crate::fault)).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use rankmpi_obs::trace as obs;
 use rankmpi_vtime::engine;
 use rankmpi_vtime::sched::{self, SchedPoint};
-use rankmpi_vtime::Nanos;
 
-use crate::fault::{FaultCounters, FaultPlan, FaultReport};
+use crate::fault::{FaultFilter, FaultPlan, FaultReport, FaultStage, Stamp};
 use crate::resil::{Resil, ResilConfig};
 use crate::spsc::SpscRing;
 use crate::Packet;
@@ -151,57 +148,33 @@ impl Notify {
     }
 }
 
-/// Per-`(context_id, src)` channel bookkeeping of a faulted mailbox.
-///
-/// The dedup filter is a *watermark*, not a set: the mailbox assigns each
-/// original packet a push-order receive sequence number (`next_push`), copies
-/// share their original's number, and drain delivers a packet iff its number
-/// equals `next_deliver` (then advances it). Because per-channel queue order
-/// equals push order (reorder faults only swap across channels), every
-/// original hits its watermark exactly and every copy lands strictly below
-/// it. `next_deliver` is exactly the channel's cumulative-ack watermark, so
-/// dedup memory is O(channels), flat no matter how many duplicates a run
-/// injects — the ack-based GC the reliability protocol requires.
-#[derive(Debug, Default)]
-struct ChanState {
-    /// Latest faulted arrival: keeps virtual arrival monotone within the
-    /// channel (head-of-line delay propagation).
-    floor: Nanos,
-    /// Next receive sequence number to assign at push.
-    next_push: u64,
-    /// Delivery watermark: everything below has been delivered (acked);
-    /// a queued entry below it is a duplicate copy and is dropped.
-    next_deliver: u64,
-}
-
-/// Fault-injection state of one armed mailbox (see [`FaultPlan`]).
-#[derive(Debug)]
-struct FaultState {
-    plan: FaultPlan,
-    channels: HashMap<(u32, u32), ChanState>,
-    counters: FaultCounters,
-}
-
 /// One queued packet plus the bookkeeping it was pushed with.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
     /// Mailbox-global push ticket: the linearization point of the push. The
-    /// unfaulted drain merges ring and fallback entries by ticket, which
-    /// reconstructs the single-queue push order of the old mutex mailbox.
+    /// drain merges ring and fallback entries by ticket, which reconstructs
+    /// the order the pushes happened in.
     ticket: u64,
-    /// Push-order receive sequence on the packet's channel (0 when no fault
-    /// plan is armed — the watermark filter is bypassed entirely then).
-    rseq: u64,
-    /// Whether this is a spurious retransmit copy from the `resil` layer
-    /// (counted separately from injected duplicate-fault copies).
-    spurious: bool,
+    /// What the fault stage stamped on it (`None` when pushed unarmed — the
+    /// drain filter passes such entries through untouched).
+    stamp: Option<Stamp>,
     p: Packet,
 }
 
-#[derive(Debug)]
-struct Inner {
-    q: Vec<Entry>,
-    faults: Option<FaultState>,
+impl Entry {
+    fn chan(&self) -> (u32, u32) {
+        (self.p.header.context_id, self.p.header.src)
+    }
+}
+
+/// Consumer-side state, all behind the drain serialization lock.
+#[derive(Debug, Default)]
+struct DrainState {
+    /// Reusable merge buffer (no per-drain allocation).
+    batch: Vec<Entry>,
+    /// Drain half of the armed fault plan, present exactly while
+    /// [`Mailbox::stage`] is.
+    filter: Option<FaultFilter>,
 }
 
 /// One channel's lock-free lane: the SPSC ring plus its producer claim and
@@ -383,9 +356,9 @@ impl std::fmt::Debug for ChannelDir {
 /// deliveries (see [`fault`](crate::fault) for the invariants that survive).
 #[derive(Debug)]
 pub struct Mailbox {
-    /// Locked fallback: the faulted pipeline, ring spills, and producer-claim
-    /// losers. Empty on the steady-state unfaulted path.
-    inner: Mutex<Inner>,
+    /// Locked fallback: ring spills, producer-claim losers, and channels
+    /// past the directory cap. Empty on the steady-state path.
+    fallback: Mutex<Vec<Entry>>,
     /// Lazily-registered per-channel ring lanes (a channel appears the first
     /// time a packet is pushed on it).
     dir: ChannelDir,
@@ -397,17 +370,17 @@ pub struct Mailbox {
     /// `drain_into` skip the fallback mutex whenever it is empty — the
     /// steady state.
     fallback_pending: AtomicUsize,
-    /// Whether a fault plan is armed: all pushes take the locked pipeline.
+    /// Whether `stage` is occupied: the one flag an unarmed push reads.
     faulted: AtomicBool,
-    /// Ablation knob: route pushes through the locked queue *without* fault
-    /// perturbation — the in-tree mutex-mailbox baseline for benchmarks.
-    force_locked: AtomicBool,
-    /// Drain serialization + reusable merge scratch. VCIs already serialize
-    /// drains on the engine lock; this keeps `drain_into` safe for arbitrary
-    /// callers and recycles the batch buffer (no per-drain allocation). It is
-    /// also the ring-consumer claim: anything popping rings (drains, the
-    /// `arm_faults` straggler migration) holds it.
-    drain_scratch: Mutex<Vec<Entry>>,
+    /// Push half of an armed fault plan. Armed pushes hold this lock across
+    /// perturb + enqueue, which totally orders them: a channel's sequence
+    /// numbers, tickets and ring/fallback publications all happen in the
+    /// same order even when two producers race on it.
+    stage: Mutex<Option<FaultStage>>,
+    /// Drain serialization (VCIs already serialize drains on the engine
+    /// lock; this keeps `drain_into` safe for arbitrary callers), the
+    /// ring-consumer claim, and everything the consumer owns.
+    drain_scratch: Mutex<DrainState>,
     /// Pushes that wanted a ring but found the directory at capacity
     /// (per-lane spill counters cover the full-ring and lost-claim cases).
     dir_overflow: AtomicU64,
@@ -425,16 +398,13 @@ impl Mailbox {
     /// A mailbox that signals `notify` on every deposit.
     pub fn new(notify: Arc<Notify>) -> Self {
         Mailbox {
-            inner: Mutex::new(Inner {
-                q: Vec::new(),
-                faults: None,
-            }),
+            fallback: Mutex::new(Vec::new()),
             dir: ChannelDir::new(),
             ticket: AtomicU64::new(0),
             fallback_pending: AtomicUsize::new(0),
             faulted: AtomicBool::new(false),
-            force_locked: AtomicBool::new(false),
-            drain_scratch: Mutex::new(Vec::new()),
+            stage: Mutex::new(None),
+            drain_scratch: Mutex::new(DrainState::default()),
             dir_overflow: AtomicU64::new(0),
             notify,
             resil_armed: AtomicBool::new(false),
@@ -446,42 +416,45 @@ impl Mailbox {
     /// fault class enabled disarms instead. A plan with a lossy class (drops
     /// or flaps) also arms the [`Resil`] retransmit layer — without it a
     /// lossy plan would violate MPI's no-loss contract.
+    ///
+    /// Packets already queued are never touched: those pushed unarmed carry
+    /// no sequence number and pass the drain filter as they are, and
+    /// re-arming an armed mailbox only swaps the plan, so sequenced packets
+    /// keep meeting the watermarks they were numbered against. Disarming
+    /// works the same way — the stage keeps sequencing (injecting nothing)
+    /// until a drain leaves the mailbox empty, then retires.
     pub fn arm_faults(&self, plan: FaultPlan) {
         let armed_resil = plan.any_lossy();
         *self.resil.write() = armed_resil.then(|| Resil::new(plan.clone(), ResilConfig::default()));
         self.resil_armed.store(armed_resil, Ordering::Release);
-        let enabled = plan.any_enabled();
-        // The scratch lock is the ring-consumer claim: holding it keeps the
-        // straggler migration below from racing a concurrent drain's pops.
-        let mut scratch = self.drain_scratch.lock();
-        let mut inner = self.inner.lock();
-        // Entries already sitting in rings predate the plan; route them
-        // through the (new) pipeline in push order so arming mid-run cannot
-        // lose or reorder them.
-        scratch.clear();
-        self.dir.pop_all(&mut scratch);
-        scratch.sort_by_key(|e| e.ticket);
-        inner.faults = if enabled {
-            Some(FaultState {
-                plan,
-                channels: HashMap::new(),
-                counters: FaultCounters::new(),
-            })
-        } else {
-            None
-        };
-        for e in scratch.drain(..) {
-            let (_, added) = inner.push_packet(e.p, e.ticket);
-            self.fallback_pending.fetch_add(added, Ordering::Release);
+        // Lock order scratch → stage, as in the drain.
+        let mut st = self.drain_scratch.lock();
+        {
+            let mut stage = self.stage.lock();
+            match stage.as_mut() {
+                Some(s) => s.plan = plan,
+                None if plan.any_enabled() => {
+                    let (s, filter) = FaultStage::arm(plan);
+                    *stage = Some(s);
+                    st.filter = Some(filter);
+                    self.faulted.store(true, Ordering::Release);
+                }
+                None => {}
+            }
         }
-        self.faulted.store(enabled, Ordering::Release);
+        self.retire_if_idle(&mut st);
     }
 
-    /// Force every push through the locked queue without any fault
-    /// perturbation — the pre-ring mutex mailbox, kept as an in-tree
-    /// baseline for the datapath ablation benchmarks.
-    pub fn set_force_locked(&self, on: bool) {
-        self.force_locked.store(on, Ordering::Release);
+    /// Drop a disarmed stage and its filter once nothing they sequenced can
+    /// still be queued. Holding the stage lock excludes armed pushes, so an
+    /// empty mailbox here has no sequenced entry left anywhere.
+    fn retire_if_idle(&self, st: &mut DrainState) {
+        let mut stage = self.stage.lock();
+        if stage.as_ref().is_some_and(|s| !s.plan.any_enabled()) && self.is_empty() {
+            *stage = None;
+            st.filter = None;
+            self.faulted.store(false, Ordering::Release);
+        }
     }
 
     /// The reliability layer, if a lossy plan is armed. One atomic load when
@@ -497,20 +470,12 @@ impl Mailbox {
     /// construction — the regression tests assert it stays flat while
     /// thousands of duplicates flow through.
     pub fn dedup_entries(&self) -> usize {
-        self.inner
-            .lock()
-            .faults
-            .as_ref()
-            .map_or(0, |f| f.channels.len())
+        self.stage.lock().as_ref().map_or(0, |s| s.dedup_entries())
     }
 
     /// Counts of faults injected so far, if a plan is armed.
     pub fn fault_report(&self) -> Option<FaultReport> {
-        self.inner
-            .lock()
-            .faults
-            .as_ref()
-            .map(|f| f.counters.report())
+        self.stage.lock().as_ref().map(|s| s.report())
     }
 
     /// Per-channel ring capacity, for tests that want to construct bursts
@@ -546,12 +511,17 @@ impl Mailbox {
     }
 
     /// Deposit a packet together with an optional spurious retransmit copy
-    /// from the `resil` layer. The pair is pushed under one lock so the copy
-    /// shares the original's dedup sequence number even when other senders
-    /// race onto the same channel — the copy is then guaranteed to land
-    /// below the watermark and be dropped at drain.
+    /// from the `resil` layer. The pair is pushed under one stage lock so the
+    /// copy shares the original's dedup sequence number even when other
+    /// senders race onto the same channel — the copy is then guaranteed to
+    /// land below the watermark and be dropped at drain.
     pub fn push_with_spurious(&self, p: Packet, spurious: Option<Packet>) {
         self.push_quiet(p, spurious);
+        self.wake();
+    }
+
+    /// Wake whoever waits on this mailbox's notifier.
+    pub(crate) fn wake(&self) {
         self.notify.notify();
     }
 
@@ -559,27 +529,42 @@ impl Mailbox {
     /// the batched injection path pushes N packets and notifies once.
     pub fn push_quiet(&self, p: Packet, spurious: Option<Packet>) {
         sched::yield_point(SchedPoint::MailboxPush);
-        let ticket = self.ticket.fetch_add(1, Ordering::Relaxed);
-        if self.faulted.load(Ordering::Acquire) || self.force_locked.load(Ordering::Acquire) {
-            let mut inner = self.inner.lock();
-            let (rseq, mut added) = inner.push_packet(p, ticket);
-            if let Some(sp) = spurious {
-                added += inner.push_spurious(rseq, sp);
+        if self.faulted.load(Ordering::Acquire) {
+            let mut stage = self.stage.lock();
+            if let Some(s) = stage.as_mut() {
+                let (stamp, p, copy) = s.admit(p);
+                self.enqueue(Some(stamp), p);
+                // Copies follow their original with its sequence number (so
+                // the watermark drops them) and never reorder on their own.
+                let copy_stamp = |spurious| Stamp {
+                    spurious,
+                    reorder: false,
+                    ..stamp
+                };
+                if let Some(c) = copy {
+                    self.enqueue(Some(copy_stamp(false)), c);
+                }
+                if let Some(sp) = spurious {
+                    self.enqueue(Some(copy_stamp(true)), sp);
+                }
+                return;
             }
-            self.fallback_pending.fetch_add(added, Ordering::Release);
-            return;
         }
         // A spurious copy only exists when resil is armed, which implies a
-        // lossy (armed) plan — i.e. the locked path above.
+        // lossy (armed) plan — i.e. the staged path above.
         debug_assert!(spurious.is_none(), "spurious copy without an armed plan");
-        let chan = (p.header.context_id, p.header.src);
+        self.enqueue(None, p);
+    }
+
+    /// The one way in: ticket → channel lane → producer claim → ring, with a
+    /// bounded wait on a full ring and the locked fallback behind everything.
+    fn enqueue(&self, stamp: Option<Stamp>, p: Packet) {
         let entry = Entry {
-            ticket,
-            rseq: 0,
-            spurious: false,
+            ticket: self.ticket.fetch_add(1, Ordering::Relaxed),
+            stamp,
             p,
         };
-        let Some(lane) = self.dir.get_or_insert(chan) else {
+        let Some(lane) = self.dir.get_or_insert(entry.chan()) else {
             // Directory at capacity: this channel lives on the fallback.
             self.dir_overflow.fetch_add(1, Ordering::Relaxed);
             self.spill(entry);
@@ -655,8 +640,8 @@ impl Mailbox {
     /// every lock release — a drain that observes it nonzero will find the
     /// entry (or a successor drain will).
     fn spill(&self, entry: Entry) {
-        let mut inner = self.inner.lock();
-        inner.q.push(entry);
+        let mut q = self.fallback.lock();
+        q.push(entry);
         self.fallback_pending.fetch_add(1, Ordering::Release);
     }
 
@@ -665,18 +650,15 @@ impl Mailbox {
     /// copies are dropped here, not delivered).
     pub fn drain_into(&self, out: &mut Vec<Packet>) -> usize {
         sched::yield_point(SchedPoint::MailboxDrain);
-        // The scratch lock serializes concurrent drainers (VCIs already do,
-        // on the engine lock) and recycles the merge buffer across drains.
-        let mut batch = self.drain_scratch.lock();
+        let mut st = self.drain_scratch.lock();
+        let DrainState { batch, filter } = &mut *st;
         batch.clear();
         // Pass 1, no locks: pop whatever each ring has published. On the
-        // steady-state path (no faults, empty fallback) this is the whole
-        // drain — producers and the consumer never share a lock.
-        self.dir.pop_all(&mut batch);
-        if self.faulted.load(Ordering::Acquire)
-            || self.fallback_pending.load(Ordering::Acquire) != 0
-        {
-            let mut inner = self.inner.lock();
+        // steady-state path (empty fallback) this is the whole drain —
+        // producers and the consumer never share a lock.
+        self.dir.pop_all(batch);
+        if self.fallback_pending.load(Ordering::Acquire) != 0 {
+            let mut q = self.fallback.lock();
             // Pass 2, under the fallback lock: any fallback entry we are
             // about to take was spilled *before* we acquired the lock, so
             // its same-channel ring predecessors were published earlier
@@ -684,50 +666,39 @@ impl Mailbox {
             // below restores exact push order. (A spill that lands after
             // our acquisition is simply left for the next drain, together
             // with however much of its channel's ring we did not pop.)
-            self.dir.pop_all(&mut batch);
-            if inner.faults.is_some() {
-                // Ring stragglers from before the plan was armed enter the
-                // fault pipeline in push order; then the locked queue drains
-                // with the watermark dedup, exactly as the pre-ring mailbox
-                // did.
-                batch.sort_by_key(|e| e.ticket);
-                for e in batch.drain(..) {
-                    let (_, added) = inner.push_packet(e.p, e.ticket);
-                    self.fallback_pending.fetch_add(added, Ordering::Release);
-                }
-                let Inner { q, faults } = &mut *inner;
-                let fs = faults.as_mut().expect("checked above");
-                let drained = q.len();
-                let mut n = 0;
-                for e in q.drain(..) {
-                    let chan = (e.p.header.context_id, e.p.header.src);
-                    let st = fs.channels.entry(chan).or_default();
-                    if e.rseq == st.next_deliver {
-                        st.next_deliver += 1;
-                        out.push(e.p);
-                        n += 1;
-                    } else {
-                        debug_assert!(
-                            e.rseq < st.next_deliver,
-                            "queued entry above the channel watermark"
-                        );
-                        if e.spurious {
-                            fs.counters.bump_spurious_dropped();
-                        } else {
-                            fs.counters.bump_dup_dropped();
-                        }
-                    }
-                }
-                self.fallback_pending.fetch_sub(drained, Ordering::Release);
-                return n;
-            }
-            let drained = inner.q.len();
-            batch.extend(inner.q.drain(..));
-            self.fallback_pending.fetch_sub(drained, Ordering::Release);
+            // "Earlier still" needs one producer per channel at a time: the
+            // claim gives unarmed pushes that, and the stage lock gives it
+            // to armed ones, whose watermark could not tolerate a sequence
+            // number delivered ahead of its predecessor.
+            self.dir.pop_all(batch);
+            self.fallback_pending.fetch_sub(q.len(), Ordering::Release);
+            batch.append(&mut q);
         }
         batch.sort_by_key(|e| e.ticket);
-        let n = batch.len();
-        out.extend(batch.drain(..).map(|e| e.p));
+        let Some(f) = filter else {
+            let n = batch.len();
+            out.extend(batch.drain(..).map(|e| e.p));
+            return n;
+        };
+        // Armed: apply the flagged cross-channel swaps left to right — each
+        // flagged entry trades places with whatever now precedes it, iff
+        // that belongs to another channel (same-channel order is the
+        // transport's non-overtaking guarantee and must survive) — then
+        // deliver through the dedup watermark.
+        for i in 1..batch.len() {
+            if batch[i].stamp.is_some_and(|s| s.reorder) && batch[i - 1].chan() != batch[i].chan() {
+                f.note_reorder(batch[i].p.arrive_at);
+                batch.swap(i - 1, i);
+            }
+        }
+        let before = out.len();
+        for e in batch.drain(..) {
+            if e.stamp.is_none_or(|s| f.deliver(e.chan(), s)) {
+                out.push(e.p);
+            }
+        }
+        let n = out.len() - before;
+        self.retire_if_idle(&mut st);
         n
     }
 
@@ -750,147 +721,13 @@ impl Mailbox {
     }
 }
 
-impl Inner {
-    /// Queue a packet, applying armed faults. Returns the push-order dedup
-    /// sequence assigned on the packet's channel (0 when unfaulted) and the
-    /// number of entries queued (2 when a duplicate copy was injected).
-    fn push_packet(&mut self, mut p: Packet, ticket: u64) -> (u64, usize) {
-        let Some(fs) = self.faults.as_mut() else {
-            self.q.push(Entry {
-                ticket,
-                rseq: 0,
-                spurious: false,
-                p,
-            });
-            return (0, 1);
-        };
-        let (src, seq) = (p.header.src, p.header.seq);
-        let chan = (p.header.context_id, src);
-        let orig = p.arrive_at;
-
-        // Poisoned packets are synthetic failure notifications: they bypass
-        // fault perturbation (their timing is the protocol's give-up time)
-        // but still take a dedup slot and respect the channel floor.
-        if p.header.is_poisoned() {
-            let st = fs.channels.entry(chan).or_default();
-            let rseq = st.next_push;
-            st.next_push += 1;
-            p.arrive_at = p.arrive_at.max(st.floor);
-            st.floor = p.arrive_at;
-            self.q.push(Entry {
-                ticket,
-                rseq,
-                spurious: false,
-                p,
-            });
-            return (rseq, 1);
-        }
-
-        // Transient NACK: one retransmit round's worth of extra latency.
-        if fs.plan.nack_prob > 0.0 && fs.plan.unit(src, seq, 1) < fs.plan.nack_prob {
-            p.arrive_at += fs.plan.nack_delay;
-            fs.counters.bump_nack(fs.plan.nack_delay.as_ns());
-            obs::busy("fault", "nack", orig, p.arrive_at, obs::ResId::NONE);
-        }
-        // Plain delay: uniform extra latency in [1, delay_max].
-        if fs.plan.delay_prob > 0.0 && fs.plan.unit(src, seq, 2) < fs.plan.delay_prob {
-            let span = fs.plan.delay_max.as_ns().max(1);
-            let extra = 1 + (fs.plan.unit(src, seq, 3) * span as f64) as u64;
-            let before = p.arrive_at;
-            p.arrive_at += Nanos(extra.min(span));
-            fs.counters.bump_delay(p.arrive_at.as_ns() - before.as_ns());
-            obs::busy("fault", "delay", before, p.arrive_at, obs::ResId::NONE);
-        }
-        // Heavy-tail straggler: Pareto extra latency on a few packets —
-        // applied before the channel clamp so per-channel FIFO survives.
-        if let Some(extra) = fs.plan.straggle_ns(src, seq) {
-            let before = p.arrive_at;
-            p.arrive_at += Nanos(extra);
-            fs.counters.bump_straggle(extra);
-            obs::busy("fault", "straggler", before, p.arrive_at, obs::ResId::NONE);
-        }
-        let st = fs.channels.entry(chan).or_default();
-        // Head-of-line clamp: a channel's arrivals stay monotone in virtual
-        // time even when an earlier packet was delayed past this one.
-        if p.arrive_at < st.floor {
-            p.arrive_at = st.floor;
-        }
-        st.floor = p.arrive_at;
-        let rseq = st.next_push;
-        st.next_push += 1;
-
-        let duplicate =
-            fs.plan.duplicate_prob > 0.0 && fs.plan.unit(src, seq, 4) < fs.plan.duplicate_prob;
-        let reorder =
-            fs.plan.reorder_prob > 0.0 && fs.plan.unit(src, seq, 5) < fs.plan.reorder_prob;
-
-        let copy = duplicate.then(|| p.clone());
-        self.q.push(Entry {
-            ticket,
-            rseq,
-            spurious: false,
-            p,
-        });
-        // Cross-channel reorder: swap with the previously queued packet iff
-        // it belongs to a different channel (same-channel real order is the
-        // transport's non-overtaking guarantee and must survive).
-        if reorder && self.q.len() >= 2 {
-            let i = self.q.len() - 2;
-            let prev = &self.q[i].p.header;
-            if (prev.context_id, prev.src) != chan {
-                self.q.swap(i, i + 1);
-                fs.counters.bump_reorder();
-                obs::busy("fault", "reorder", orig, orig, obs::ResId::NONE);
-            }
-        }
-        let mut added = 1;
-        if let Some(c) = copy {
-            fs.counters.bump_dup_injected();
-            obs::busy(
-                "fault",
-                "duplicate",
-                c.arrive_at,
-                c.arrive_at,
-                obs::ResId::NONE,
-            );
-            // The copy shares the original's dedup sequence: it lands below
-            // the watermark at drain and is dropped.
-            self.q.push(Entry {
-                ticket,
-                rseq,
-                spurious: false,
-                p: c,
-            });
-            added = 2;
-        }
-        (rseq, added)
-    }
-
-    /// Queue a spurious retransmit copy sharing `rseq` with its original
-    /// (dropped at drain, counted separately from duplicate faults). Without
-    /// an armed plan there is no dedup filter, so the copy is discarded
-    /// outright rather than delivered twice. Returns entries queued.
-    fn push_spurious(&mut self, rseq: u64, p: Packet) -> usize {
-        if self.faults.is_some() {
-            self.q.push(Entry {
-                ticket: 0,
-                rseq,
-                spurious: true,
-                p,
-            });
-            1
-        } else {
-            0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::Header;
     use bytes::Bytes;
     use rankmpi_vtime::Nanos;
+    use std::collections::HashMap;
 
     fn pkt(seq: u64) -> Packet {
         Packet {
@@ -953,48 +790,38 @@ mod tests {
     fn ring_wraparound_and_overflow_spill_keep_order() {
         // Push far beyond the ring capacity without draining: overflow spills
         // to the locked queue; a later drain must still see exact push order.
-        let mb = Mailbox::new(Arc::new(Notify::new()));
-        let n = 4 * RING_CAPACITY as u64;
-        for seq in 0..n {
-            mb.push(pkt_on(1, 0, seq, seq));
-        }
-        assert!(mb.ring_spills() > 0, "burst beyond capacity must spill");
-        let mut out = Vec::new();
-        assert_eq!(mb.drain_into(&mut out), n as usize);
-        let seqs: Vec<u64> = out.iter().map(|p| p.header.seq).collect();
-        assert_eq!(seqs, (0..n).collect::<Vec<_>>());
-        // Wraparound: repeated small bursts reuse the ring slots.
-        for round in 0..10 {
-            for seq in 0..8 {
-                mb.push(pkt_on(1, 0, round * 8 + seq, seq));
+        // Second case, with a duplicating plan armed: originals and copies
+        // are split across the ring and the spill queue, and the one drain
+        // still delivers every original exactly once, in push order.
+        for armed in [false, true] {
+            let mb = Mailbox::new(Arc::new(Notify::new()));
+            if armed {
+                mb.arm_faults(FaultPlan::new(17).duplicates(0.5));
             }
-            out.clear();
-            assert_eq!(mb.drain_into(&mut out), 8);
+            let n = 4 * RING_CAPACITY as u64;
+            for seq in 0..n {
+                mb.push(pkt_on(1, 0, seq, seq));
+            }
+            assert!(mb.ring_spills() > 0, "burst beyond capacity must spill");
+            let mut out = Vec::new();
+            assert_eq!(mb.drain_into(&mut out), n as usize);
+            let seqs: Vec<u64> = out.iter().map(|p| p.header.seq).collect();
+            assert_eq!(seqs, (0..n).collect::<Vec<_>>());
+            if armed {
+                let report = mb.fault_report().unwrap();
+                assert!(report.dups_injected > 0);
+                assert_eq!(report.dups_dropped, report.dups_injected);
+            }
+            // Wraparound: repeated small bursts reuse the ring slots.
+            for round in 0..10 {
+                for seq in 0..8 {
+                    mb.push(pkt_on(1, 0, n + round * 8 + seq, seq));
+                }
+                out.clear();
+                assert_eq!(mb.drain_into(&mut out), 8);
+            }
+            assert!(mb.is_empty());
         }
-        assert!(mb.is_empty());
-    }
-
-    #[test]
-    fn force_locked_matches_ring_path_exactly() {
-        let ring = Mailbox::new(Arc::new(Notify::new()));
-        let locked = Mailbox::new(Arc::new(Notify::new()));
-        locked.set_force_locked(true);
-        for i in 0..50u64 {
-            let src = (i % 4) as u32;
-            ring.push(pkt_on(2, src, i, i));
-            locked.push(pkt_on(2, src, i, i));
-        }
-        assert_eq!(ring.ring_pushes(), 50);
-        assert_eq!(locked.ring_pushes(), 0, "forced-locked never takes a ring");
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        ring.drain_into(&mut a);
-        locked.drain_into(&mut b);
-        let key = |v: &[Packet]| {
-            v.iter()
-                .map(|p| (p.header.src, p.header.seq))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&a), key(&b));
     }
 
     #[test]
@@ -1035,27 +862,40 @@ mod tests {
     fn racing_producers_on_one_channel_lose_nothing() {
         // Two threads violating the one-producer-per-channel assumption: the
         // claim CAS must shunt the loser to the locked queue, not corrupt
-        // the ring. Every packet is delivered exactly once.
-        let mb = Arc::new(Mailbox::new(Arc::new(Notify::new())));
-        let n_per = 5_000u64;
-        let producers: Vec<_> = (0..2)
-            .map(|half| {
-                let mb = Arc::clone(&mb);
-                std::thread::spawn(move || {
-                    for seq in 0..n_per {
-                        mb.push(pkt_on(7, 0, half * n_per + seq, seq));
-                    }
+        // the ring. Every packet is delivered exactly once. Second case, with a
+        // duplicating plan armed: the stage lock keeps the racers' sequence
+        // numbers in publication order, so the watermark drops exactly the
+        // injected copies and nothing else.
+        for armed in [false, true] {
+            let mb = Arc::new(Mailbox::new(Arc::new(Notify::new())));
+            if armed {
+                mb.arm_faults(FaultPlan::new(13).duplicates(0.5));
+            }
+            let n_per = 5_000u64;
+            let producers: Vec<_> = (0..2)
+                .map(|half| {
+                    let mb = Arc::clone(&mb);
+                    std::thread::spawn(move || {
+                        for seq in 0..n_per {
+                            mb.push(pkt_on(7, 0, half * n_per + seq, seq));
+                        }
+                    })
                 })
-            })
-            .collect();
-        for t in producers {
-            t.join().unwrap();
+                .collect();
+            for t in producers {
+                t.join().unwrap();
+            }
+            let mut out = Vec::new();
+            assert_eq!(mb.drain_into(&mut out), 2 * n_per as usize);
+            let mut seqs: Vec<u64> = out.iter().map(|p| p.header.seq).collect();
+            seqs.sort_unstable();
+            assert_eq!(seqs, (0..2 * n_per).collect::<Vec<_>>());
+            if armed {
+                let report = mb.fault_report().unwrap();
+                assert!(report.dups_injected > 0);
+                assert_eq!(report.dups_dropped, report.dups_injected);
+            }
         }
-        let mut out = Vec::new();
-        assert_eq!(mb.drain_into(&mut out), 2 * n_per as usize);
-        let mut seqs: Vec<u64> = out.iter().map(|p| p.header.seq).collect();
-        seqs.sort_unstable();
-        assert_eq!(seqs, (0..2 * n_per).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1154,6 +994,84 @@ mod tests {
         let seqs: Vec<u64> = out.iter().map(|p| p.header.seq).collect();
         assert_eq!(seqs, (0..20).collect::<Vec<_>>());
         assert!(mb.is_empty());
+    }
+
+    #[test]
+    fn rearming_keeps_queued_packets_deliverable() {
+        // Regression: re-arming used to reset the per-channel watermarks
+        // while already-sequenced entries were still queued, so they sat
+        // above the new watermark and were dropped as duplicates.
+        let mb = Mailbox::new(Arc::new(Notify::new()));
+        mb.arm_faults(FaultPlan::new(1).duplicates(0.5));
+        for seq in 0..4 {
+            mb.push(pkt_on(1, 0, seq, 10 * seq));
+        }
+        let mut out = Vec::new();
+        assert_eq!(mb.drain_into(&mut out), 4);
+        for seq in 4..6 {
+            mb.push(pkt_on(1, 0, seq, 10 * seq));
+        }
+        mb.arm_faults(FaultPlan::new(2).duplicates(0.5));
+        out.clear();
+        assert_eq!(mb.drain_into(&mut out), 2);
+        let seqs: Vec<u64> = out.iter().map(|p| p.header.seq).collect();
+        assert_eq!(seqs, vec![4, 5]);
+    }
+
+    #[test]
+    fn faulted_traffic_rides_the_rings() {
+        let mb = Mailbox::new(Arc::new(Notify::new()));
+        mb.arm_faults(FaultPlan::chaos(0xA11));
+        let mut out = Vec::new();
+        let mut delivered = 0;
+        for i in 0..200u64 {
+            mb.push(pkt_on(1, (i % 2) as u32, i / 2, 10 * i));
+            if i % 64 == 63 {
+                delivered += mb.drain_into(&mut out);
+            }
+        }
+        delivered += mb.drain_into(&mut out);
+        assert_eq!(delivered, 200);
+        assert!(mb.ring_pushes() > 0, "armed pushes must take the rings");
+        assert_eq!(mb.ring_spills(), 0, "no ring ever filled");
+    }
+
+    #[test]
+    fn reorders_swap_across_channels_only() {
+        // Every packet is flagged for reorder; `arrive_at` carries the global
+        // push index. Each applied swap inverts exactly one pair of push
+        // indices, so the inversions in the output count the swaps.
+        let mb = Mailbox::new(Arc::new(Notify::new()));
+        mb.arm_faults(FaultPlan::new(9).reorders(1.0));
+        let mut out = Vec::new();
+        let mut inversions = 0;
+        let mut next = [0u64; 2];
+        for i in 0..64u64 {
+            mb.push(pkt_on(1, (i % 2) as u32, i / 2, i));
+            if i % 8 == 7 {
+                out.clear();
+                assert_eq!(mb.drain_into(&mut out), 8);
+                for (k, p) in out.iter().enumerate() {
+                    let ch = p.header.src as usize;
+                    assert_eq!(p.header.seq, next[ch], "channel {ch} order broken");
+                    next[ch] += 1;
+                    inversions += out[..k]
+                        .iter()
+                        .filter(|q| q.arrive_at > p.arrive_at)
+                        .count();
+                }
+            }
+        }
+        assert!(inversions > 0, "alternating channels must reorder");
+        assert_eq!(mb.fault_report().unwrap().reorders, inversions as u64);
+        // A same-channel run never swaps, flagged or not.
+        for i in 0..8u64 {
+            mb.push(pkt_on(1, 0, 32 + i, 64 + i));
+        }
+        out.clear();
+        assert_eq!(mb.drain_into(&mut out), 8);
+        assert!(out.windows(2).all(|w| w[0].arrive_at < w[1].arrive_at));
+        assert_eq!(mb.fault_report().unwrap().reorders, inversions as u64);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 use rankmpi_obs::trace as obs;
+use rankmpi_vtime::lock::ContentionGuard;
 use rankmpi_vtime::{Clock, Nanos};
 
 use crate::fault::LossCause;
@@ -61,7 +62,7 @@ pub struct TxInfo {
 /// backed-off virtual timeouts (each re-occupying the source context), and a
 /// send whose retries are exhausted is delivered *poisoned* so the receiver's
 /// matching request fails instead of hanging. Without a lossy plan this path
-/// costs one mutex peek and nothing else — the timing model is unchanged.
+/// costs one atomic load and nothing else — the timing model is unchanged.
 pub fn transmit(
     profile: &NetworkProfile,
     clock: &mut Clock,
@@ -73,11 +74,25 @@ pub fn transmit(
 ) -> TxInfo {
     let entered_at = clock.now();
     clock.advance(profile.send_overhead);
+    let gate = lock_gate(clock, src);
+    clock.advance(profile.doorbell);
 
+    let info = inject(profile, clock, src, dst, dst_mail, header, payload);
+    dst_mail.wake();
+    gate.release(clock);
+
+    obs::busy("fabric", "transmit", entered_at, clock.now(), src.res_id());
+    TxInfo {
+        local_complete: clock.now(),
+        ..info
+    }
+}
+
+/// Take `src`'s software gate, recording anything past the uncontended base
+/// as time spent fighting for the shared context.
+fn lock_gate<'a>(clock: &mut Clock, src: &'a HwContext) -> ContentionGuard<'a, ()> {
     let before_gate = clock.now();
     let gate = src.lock_gate(clock);
-    // Anything past the uncontended base is time spent fighting for the
-    // shared context's software gate.
     obs::wait(
         "fabric",
         "gate_acquire",
@@ -85,8 +100,22 @@ pub fn transmit(
         clock.now(),
         src.res_id(),
     );
-    clock.advance(profile.doorbell);
+    gate
+}
 
+/// Inject one descriptor through `src`, whose gate the caller holds: window
+/// slot → context occupancy → reliability admission → the packet (or, when
+/// the retry budget ran out, its poisoned tombstone) → quiet mailbox push.
+/// The caller notifies and fills in `local_complete`.
+fn inject(
+    profile: &NetworkProfile,
+    clock: &mut Clock,
+    src: &HwContext,
+    dst: &HwContext,
+    dst_mail: &Mailbox,
+    header: Header,
+    payload: Bytes,
+) -> TxInfo {
     let resil = dst_mail.resil();
     let chan = (header.context_id, header.src);
     if let Some(r) = &resil {
@@ -101,78 +130,55 @@ pub fn transmit(
     let first_arrive = injected_at + post_inject;
     dst.note_rx();
 
-    let (packet, spurious, arrive_at, attempts) = match &resil {
-        None => (
-            Packet {
-                header,
-                payload,
-                arrive_at: first_arrive,
-            },
-            None,
+    let mut packet = Packet {
+        header,
+        payload,
+        arrive_at: first_arrive,
+    };
+    let mut spurious = None;
+    let mut attempts = 1;
+    if let Some(r) = &resil {
+        let d = r.admit(
+            src,
+            header.src,
+            header.seq,
+            chan,
+            occupancy,
+            bytes,
+            injected_at,
             first_arrive,
-            1,
-        ),
-        Some(r) => {
-            let d = r.admit(
-                src,
-                header.src,
-                header.seq,
-                chan,
-                occupancy,
-                bytes,
-                injected_at,
-                first_arrive,
-                post_inject,
-                // Ack path: the bare wire back (no payload serialization).
-                profile.wire_latency(),
-            );
-            match d.outcome {
-                Outcome::Delivered => {
-                    let p = Packet {
-                        header,
-                        payload,
-                        arrive_at: d.arrive_at,
-                    };
-                    let spur = d.spurious_arrive_at.map(|at| Packet {
-                        arrive_at: at,
-                        ..p.clone()
-                    });
-                    (p, spur, d.arrive_at, d.attempts)
-                }
-                Outcome::Lost(cause) => {
-                    // Deliver the failure, not silence: a poisoned packet
-                    // matches like the original and fails the receive.
-                    let mut h = header;
-                    h.poison(
-                        match cause {
-                            LossCause::LinkDown => errcode::LINK_DOWN,
-                            LossCause::Drop => errcode::RETRIES_EXHAUSTED,
-                        },
-                        d.attempts,
-                    );
-                    (
-                        Packet {
-                            header: h,
-                            payload: Bytes::new(),
-                            arrive_at: d.arrive_at,
-                        },
-                        None,
-                        d.arrive_at,
-                        d.attempts,
-                    )
-                }
+            post_inject,
+            // Ack path: the bare wire back (no payload serialization).
+            profile.wire_latency(),
+        );
+        packet.arrive_at = d.arrive_at;
+        attempts = d.attempts;
+        match d.outcome {
+            Outcome::Delivered => {
+                spurious = d.spurious_arrive_at.map(|at| Packet {
+                    arrive_at: at,
+                    ..packet.clone()
+                });
+            }
+            Outcome::Lost(cause) => {
+                // Deliver the failure, not silence: a poisoned packet
+                // matches like the original and fails the receive.
+                packet.header.poison(
+                    match cause {
+                        LossCause::LinkDown => errcode::LINK_DOWN,
+                        LossCause::Drop => errcode::RETRIES_EXHAUSTED,
+                    },
+                    d.attempts,
+                );
+                packet.payload = Bytes::new();
             }
         }
-    };
-
-    dst_mail.push_with_spurious(packet, spurious);
-    gate.release(clock);
-
-    obs::busy("fabric", "transmit", entered_at, clock.now(), src.res_id());
+    }
+    let arrive_at = packet.arrive_at;
+    dst_mail.push_quiet(packet, spurious);
     obs::busy("fabric", "wire", injected_at, arrive_at, obs::ResId::NONE);
-
     TxInfo {
-        local_complete: clock.now(),
+        local_complete: Nanos(0),
         injected_at,
         arrive_at,
         attempts,
@@ -199,11 +205,11 @@ pub struct SendDesc<'a> {
 /// when a thread has several sends ready (halo-exchange posts, a stream
 /// lane's flush, a collective fan-out, a retransmit burst), the per-message
 /// software cost collapses to descriptor construction, and the gate+doorbell
-/// cost is paid once per batch. Everything else is per-descriptor and
-/// identical to [`transmit`]: context occupancy, the reliability layer's
-/// admission (including backpressure and poisoning), arrival stamping, and
-/// the mailbox push. Each destination mailbox is notified once per batch
-/// (not once per packet); a batch of one costs exactly a plain [`transmit`].
+/// cost is paid once per batch. Everything else is per-descriptor and shared
+/// with [`transmit`]: context occupancy, the reliability layer's admission
+/// (including backpressure and poisoning), arrival stamping, and the mailbox
+/// push. Each destination mailbox is notified once per batch (not once per
+/// packet); a batch of one costs exactly a plain [`transmit`].
 ///
 /// All descriptors share `src`'s channel FIFO guarantee: they are stamped and
 /// pushed in descriptor order while the gate is held.
@@ -221,119 +227,26 @@ pub fn send_batch(
     // Descriptor construction is per-message CPU work; batching cannot
     // amortize it.
     clock.advance(Nanos(profile.send_overhead.as_ns() * n as u64));
-
-    let before_gate = clock.now();
-    let gate = src.lock_gate(clock);
-    obs::wait(
-        "fabric",
-        "gate_acquire",
-        before_gate + src.gate_acquire_base(),
-        clock.now(),
-        src.res_id(),
-    );
+    let gate = lock_gate(clock, src);
     clock.advance(profile.doorbell_batched(n));
 
     let mut infos = Vec::with_capacity(n);
     let mut to_notify: Vec<&Mailbox> = Vec::new();
-    for desc in &descs {
-        let SendDesc {
-            dst,
-            dst_mail,
-            header,
-            payload,
-        } = desc;
-        let header = *header;
-        let resil = dst_mail.resil();
-        let chan = (header.context_id, header.src);
-        if let Some(r) = &resil {
-            r.acquire_slot(clock, chan);
+    for d in descs {
+        infos.push(inject(
+            profile, clock, src, d.dst, d.dst_mail, d.header, d.payload,
+        ));
+        if !to_notify.iter().any(|m| std::ptr::eq(*m, d.dst_mail)) {
+            to_notify.push(d.dst_mail);
         }
-        let bytes = payload.len();
-        let occupancy = profile.tx_occupancy_on(bytes, src.is_shared());
-        let injected_at = src.occupy_tx(clock.now(), occupancy, bytes);
-        let post_inject = profile.wire_latency() + profile.rx_gap;
-        let first_arrive = injected_at + post_inject;
-        dst.note_rx();
-
-        let (packet, spurious, arrive_at, attempts) = match &resil {
-            None => (
-                Packet {
-                    header,
-                    payload: payload.clone(),
-                    arrive_at: first_arrive,
-                },
-                None,
-                first_arrive,
-                1,
-            ),
-            Some(r) => {
-                let d = r.admit(
-                    src,
-                    header.src,
-                    header.seq,
-                    chan,
-                    occupancy,
-                    bytes,
-                    injected_at,
-                    first_arrive,
-                    post_inject,
-                    profile.wire_latency(),
-                );
-                match d.outcome {
-                    Outcome::Delivered => {
-                        let p = Packet {
-                            header,
-                            payload: payload.clone(),
-                            arrive_at: d.arrive_at,
-                        };
-                        let spur = d.spurious_arrive_at.map(|at| Packet {
-                            arrive_at: at,
-                            ..p.clone()
-                        });
-                        (p, spur, d.arrive_at, d.attempts)
-                    }
-                    Outcome::Lost(cause) => {
-                        let mut h = header;
-                        h.poison(
-                            match cause {
-                                LossCause::LinkDown => errcode::LINK_DOWN,
-                                LossCause::Drop => errcode::RETRIES_EXHAUSTED,
-                            },
-                            d.attempts,
-                        );
-                        (
-                            Packet {
-                                header: h,
-                                payload: Bytes::new(),
-                                arrive_at: d.arrive_at,
-                            },
-                            None,
-                            d.arrive_at,
-                            d.attempts,
-                        )
-                    }
-                }
-            }
-        };
-
-        dst_mail.push_quiet(packet, spurious);
-        if !to_notify.iter().any(|m| std::ptr::eq(*m, *dst_mail)) {
-            to_notify.push(dst_mail);
-        }
-        obs::busy("fabric", "wire", injected_at, arrive_at, obs::ResId::NONE);
-        infos.push(TxInfo {
-            local_complete: Nanos(0), // filled below: the batch completes together
-            injected_at,
-            arrive_at,
-            attempts,
-        });
     }
     // One wakeup per destination per batch, not one per packet.
     for m in to_notify {
-        m.notify_handle().notify();
+        m.wake();
     }
     gate.release(clock);
 
+    // The batch completes together.
     let local_complete = clock.now();
     for info in &mut infos {
         info.local_complete = local_complete;

@@ -1,10 +1,10 @@
-//! Property tests pinning the ring mailbox to the mutex mailbox as oracle.
+//! Property tests pinning the mailbox's merged drain to push order.
 //!
-//! `set_force_locked(true)` routes every push through the pre-ring locked
-//! queue — the exact code the rings replaced. For any script of pushes
+//! The oracle is the pushes themselves, in the order the script made them —
+//! what a single locked queue would hold. For any script of pushes
 //! (arbitrary channels, bursts far past ring capacity, so wraparound and
-//! spill-to-fallback both trigger) interleaved with drains at arbitrary
-//! points, the merged ring drain must deliver the identical packet sequence.
+//! spill both trigger) interleaved with drains at arbitrary points, the
+//! concatenated drains must deliver exactly that sequence.
 
 use std::sync::Arc;
 
@@ -30,11 +30,23 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Run the script, returning the delivered `(context_id, src, seq)` stream.
-fn run(mb: &Mailbox, ops: &[Op]) -> Vec<(u32, u32, u64)> {
+type Stream = Vec<(u32, u32, u64)>;
+
+/// Run the script, returning the delivered `(context_id, src, seq)` stream
+/// and the oracle: the same triples in push order.
+fn run(mb: &Mailbox, ops: &[Op]) -> (Stream, Stream) {
     let mut out: Vec<Packet> = Vec::new();
     let mut delivered = Vec::new();
+    let mut pushed = Vec::new();
     let mut seq = 0u64;
+    let mut drain = |delivered: &mut Stream| {
+        out.clear();
+        mb.drain_into(&mut out);
+        delivered.extend(
+            out.iter()
+                .map(|p| (p.header.context_id, p.header.src, p.header.seq)),
+        );
+    };
     for op in ops {
         match op {
             Op::Push(c, s) => {
@@ -52,65 +64,44 @@ fn run(mb: &Mailbox, ops: &[Op]) -> Vec<(u32, u32, u64)> {
                     payload: bytes::Bytes::new(),
                     arrive_at: Nanos(seq),
                 });
+                pushed.push((*c as u32, *s as u32, seq));
                 seq += 1;
             }
-            Op::Drain => {
-                out.clear();
-                mb.drain_into(&mut out);
-                delivered.extend(
-                    out.iter()
-                        .map(|p| (p.header.context_id, p.header.src, p.header.seq)),
-                );
-            }
+            Op::Drain => drain(&mut delivered),
         }
     }
-    out.clear();
-    mb.drain_into(&mut out);
-    delivered.extend(
-        out.iter()
-            .map(|p| (p.header.context_id, p.header.src, p.header.seq)),
-    );
-    delivered
+    drain(&mut delivered);
+    (delivered, pushed)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Ring mailbox ≡ mutex mailbox on every script.
+    /// Merged ring drain ≡ push order on every script.
     #[test]
-    fn ring_drain_matches_mutex_oracle(ops in vec(op_strategy(), 1..400)) {
-        let ring = Mailbox::new(Arc::new(Notify::new()));
-        let oracle = Mailbox::new(Arc::new(Notify::new()));
-        oracle.set_force_locked(true);
-
-        let got = run(&ring, &ops);
-        let want = run(&oracle, &ops);
-
-        prop_assert_eq!(got, want, "ring drain diverged from the mutex oracle");
-        prop_assert_eq!(oracle.ring_pushes(), 0, "oracle must stay locked");
+    fn ring_drain_matches_push_order(ops in vec(op_strategy(), 1..400)) {
+        let mb = Mailbox::new(Arc::new(Notify::new()));
+        let (got, want) = run(&mb, &ops);
+        prop_assert_eq!(got, want, "drain diverged from push order");
     }
 
-    /// Same oracle equivalence when the script's pushes all hammer one
-    /// channel — the maximal-spill case (everything past ring capacity in
-    /// a burst overflows to the fallback and must merge back in order).
+    /// Same equivalence when the script's pushes all hammer one channel —
+    /// the maximal-spill case (everything past ring capacity in a burst
+    /// overflows to the spill queue and must merge back in order).
     #[test]
-    fn single_channel_bursts_match_oracle(
+    fn single_channel_bursts_match_push_order(
         bursts in vec(1usize..(3 * Mailbox::ring_capacity()), 1..12),
     ) {
-        let ring = Mailbox::new(Arc::new(Notify::new()));
-        let oracle = Mailbox::new(Arc::new(Notify::new()));
-        oracle.set_force_locked(true);
-
+        let mb = Mailbox::new(Arc::new(Notify::new()));
         let mut ops = Vec::new();
         for b in &bursts {
             ops.extend(std::iter::repeat_n(Op::Push(0, 0), *b));
             ops.push(Op::Drain);
         }
-        let got = run(&ring, &ops);
-        let want = run(&oracle, &ops);
+        let (got, want) = run(&mb, &ops);
         prop_assert_eq!(got, want);
         if bursts.iter().any(|b| *b > Mailbox::ring_capacity()) {
-            prop_assert!(ring.ring_spills() > 0, "oversized burst never spilled");
+            prop_assert!(mb.ring_spills() > 0, "oversized burst never spilled");
         }
     }
 }
