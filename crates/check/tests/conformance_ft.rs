@@ -14,8 +14,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rankmpi_check::{base_seed, launch_modes_under_test};
-use rankmpi_core::{Errhandler, LaunchMode, RankMpiError, Universe};
-use rankmpi_fabric::{FaultPlan, NetworkProfile};
+use rankmpi_core::{Errhandler, Info, LaunchMode, RankMpiError, Universe};
+use rankmpi_endpoints::comm_create_endpoints;
+use rankmpi_fabric::{CrashPoint, FaultPlan, NetworkProfile};
 use rankmpi_stream::ft::{run_farm_ft, FarmFtConfig};
 use rankmpi_vtime::Nanos;
 use rankmpi_workloads::ft::{run_halo_ft, HaloFtConfig};
@@ -148,6 +149,57 @@ fn pending_recv_from_the_dead_fails_with_process_failed() {
             panic!("rank 1 outlived a probability-1 crash plan");
         }
     });
+}
+
+/// Endpoint ranks are attributed to their owner process: when rank 1 dies,
+/// a receive from an endpoint rank 0 owns stays pending, a receive from one
+/// of the dead rank's endpoints fails naming world rank 1, and so does a
+/// send to one (through the errhandler inherited from the parent).
+#[test]
+fn endpoint_failures_are_attributed_to_the_owner_process() {
+    for launch in launch_modes_under_test() {
+        let plan = FaultPlan::new(0xD1E).crashes(1.0, 200, Nanos::us(4000));
+        assert_eq!(plan.crash_point(1), Some(CrashPoint::Sends(61)));
+        let u = Universe::builder()
+            .nodes(2)
+            .launch(launch)
+            .fault_plan(plan)
+            .build();
+        u.run_ft(|env| {
+            let world = env.world();
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            let mut th = env.single_thread();
+            // Endpoint ranks 0,1 live on world rank 0; 2,3 on world rank 1.
+            let eps = comm_create_endpoints(&world, &mut th, 2, &Info::new()).unwrap();
+            if env.rank() == 1 {
+                while world.send(&mut th, 0, 9, b"x").is_ok() {}
+                panic!("rank 1 outlived a probability-1 crash plan");
+            }
+            // Tag 5 is never sent: these resolve only through the detector.
+            let from_live = eps[0].irecv(&mut th, 1, 5).unwrap();
+            let from_dead = eps[0].irecv(&mut th, 2, 5).unwrap();
+            let fired = world.recv_timeout(&mut th, 1, 77, Duration::from_secs(20));
+            assert!(
+                matches!(fired, Err(RankMpiError::ProcessFailed { rank: 1 })),
+                "detector must fire, got {fired:?}"
+            );
+            let cell = launch_name(&launch);
+            assert!(
+                from_live.test(&mut th.clock).is_none(),
+                "receive from a live endpoint must stay pending ({cell})"
+            );
+            let got = from_dead.wait_timeout(&mut th.clock, Duration::from_secs(2));
+            assert!(
+                matches!(got, Err(RankMpiError::ProcessFailed { rank: 1 })),
+                "receive from the dead rank's endpoint: {got:?} ({cell})"
+            );
+            let sent = eps[0].send(&mut th, 3, 5, b"to a corpse");
+            assert!(
+                matches!(sent, Err(RankMpiError::ProcessFailed { rank: 1 })),
+                "send to the dead rank's endpoint: {sent:?} ({cell})"
+            );
+        });
+    }
 }
 
 /// The fault-tolerant agreement is a true AND over the contributions and

@@ -18,6 +18,7 @@ use crate::error::{Error, Result};
 use crate::matching::MatchPattern;
 use crate::proc::ThreadCtx;
 use crate::request::Request;
+use crate::vci::VciPolicy;
 
 /// Reduction operators over `f64` data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +66,16 @@ impl Communicator {
         (((guard.seq % ((crate::tag::TAG_UB as u64 + 1) / 16)) * 16) + phase as u64) as i64
     }
 
+    /// Sender-side and receiver-side VCI of collective traffic to `dst`: the
+    /// communicator's first VCI on both sides, or each rank's own under
+    /// [`VciPolicy::PerRank`].
+    fn coll_vcis(&self, dst: usize) -> (usize, usize) {
+        match self.policy() {
+            VciPolicy::PerRank(vcis) => (vcis[self.rank()], vcis[dst]),
+            _ => (self.vci_block()[0], self.vci_block()[0]),
+        }
+    }
+
     fn coll_send(
         &self,
         th: &mut ThreadCtx,
@@ -73,11 +84,11 @@ impl Communicator {
         dst: usize,
         data: &[u8],
     ) -> Result<Request> {
-        let vci = self.vci_block()[0];
+        let (src_vci, dst_vci) = self.coll_vcis(dst);
         self.isend_on_vcis(
             th,
-            vci,
-            vci,
+            src_vci,
+            dst_vci,
             self.context_id() | COLL_CTX_BIT,
             dst,
             Self::coll_tag(guard, phase),
@@ -95,17 +106,19 @@ impl Communicator {
         phase: u32,
         msgs: &[(usize, &[u8])],
     ) -> Result<()> {
-        let vci = self.vci_block()[0];
         let tag = Self::coll_tag(guard, phase);
         let specs: Vec<crate::pt2pt::SendSpec<'_>> = msgs
             .iter()
-            .map(|&(dst, data)| crate::pt2pt::SendSpec {
-                src_vci: vci,
-                dst_vci: vci,
-                ctx_id: self.context_id() | COLL_CTX_BIT,
-                dst,
-                tag,
-                data,
+            .map(|&(dst, data)| {
+                let (src_vci, dst_vci) = self.coll_vcis(dst);
+                crate::pt2pt::SendSpec {
+                    src_vci,
+                    dst_vci,
+                    ctx_id: self.context_id() | COLL_CTX_BIT,
+                    dst,
+                    tag,
+                    data,
+                }
             })
             .collect();
         // Eager sends: the returned requests are already locally complete.
@@ -125,7 +138,7 @@ impl Communicator {
             src: src as i64,
             tag: Self::coll_tag(guard, phase),
         };
-        let req = self.irecv_on_vci(th, self.vci_block()[0], pattern)?;
+        let req = self.irecv_on_vci(th, self.coll_vcis(self.rank()).1, pattern)?;
         // Route fabric/FT failures through the errhandler instead of letting
         // `Request::wait` panic mid-collective: a poisoned or process-failure
         // outcome inside a collective phase must surface as an error the

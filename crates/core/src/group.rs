@@ -33,6 +33,14 @@ impl Group {
         }
     }
 
+    /// A group whose ranks may share an owner process: rank *r* lives on
+    /// world process `owners[r]` (an endpoints communicator).
+    pub fn from_owners(owners: Vec<usize>) -> Self {
+        Group {
+            ranks: Arc::new(owners),
+        }
+    }
+
     /// Number of members.
     pub fn size(&self) -> usize {
         self.ranks.len()

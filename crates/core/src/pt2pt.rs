@@ -13,7 +13,7 @@ use crate::matching::{MatchPattern, Status, ANY_SOURCE, ANY_TAG};
 use crate::proc::ThreadCtx;
 use crate::request::{ReqState, Request};
 use crate::tag::TAG_UB;
-use crate::vci::{select_recv_vci, select_vcis, KIND_PT2PT};
+use crate::vci::{select_recv_vci, select_vcis, BatchSend, Vci, VciPolicy, KIND_PT2PT};
 
 /// One message of an [`isend_multi_on_vcis`] batch: explicit VCI indices and
 /// matching context, as in [`isend_on_vcis`].
@@ -35,6 +35,15 @@ pub struct SendSpec<'a> {
     pub data: &'a [u8],
 }
 
+/// One eager message ready to inject: what [`Communicator::stage_send`]
+/// hands the single and the batched send.
+struct Staged {
+    dvci: Arc<Vci>,
+    intra: bool,
+    header: Header,
+    payload: Bytes,
+}
+
 impl Communicator {
     fn check_rank(&self, rank: usize) -> Result<()> {
         if rank >= self.size() {
@@ -53,12 +62,39 @@ impl Communicator {
         Ok(())
     }
 
+    /// Sender-side and receiver-side VCI indices for a message to `dst`.
+    fn send_vcis(&self, dst: usize, tag: i64) -> Result<(usize, usize)> {
+        match self.policy() {
+            VciPolicy::PerRank(vcis) => Ok((vcis[self.rank()], vcis[dst])),
+            by_tag => select_vcis(by_tag, self.vci_block(), self.context_id(), tag),
+        }
+    }
+
+    /// Validate `(src, tag)` and locate the engine a receive or probe for it
+    /// runs on.
+    fn recv_vci(&self, src: i64, tag: i64) -> Result<(usize, MatchPattern)> {
+        self.check_recv_args(src, tag)?;
+        let pattern = MatchPattern {
+            context_id: self.context_id(),
+            src,
+            tag,
+        };
+        let vci = match self.policy() {
+            VciPolicy::PerRank(vcis) => vcis[self.rank()],
+            by_tag => select_recv_vci(by_tag, self.vci_block(), self.context_id(), &pattern)
+                .ok_or(Error::WildcardUnsupported {
+                    reason: "VCI policy selects the matching engine by tag bits; a wildcard cannot locate it",
+                })?,
+        };
+        Ok((vci, pattern))
+    }
+
     /// Nonblocking send (eager protocol: the returned request is already
     /// locally complete, like a small-message `MPI_Isend`).
     pub fn isend(&self, th: &mut ThreadCtx, dst: usize, tag: i64, data: &[u8]) -> Result<Request> {
         self.check_rank(dst)?;
         self.check_tag(tag)?;
-        let (svci, dvci) = select_vcis(self.policy(), self.vci_block(), self.context_id(), tag)?;
+        let (svci, dvci) = self.send_vcis(dst, tag)?;
         self.isend_on_vcis(th, svci, dvci, self.context_id(), dst, tag, data)
     }
 
@@ -67,6 +103,59 @@ impl Communicator {
         let req = self.isend(th, dst, tag, data)?;
         req.wait(&mut th.clock);
         Ok(())
+    }
+
+    /// The per-message half of every send: refuse what fault tolerance
+    /// forbids, charge the eager copy out of the user buffer, stamp the
+    /// header and copy the payload into `svci`'s pool.
+    fn stage_send(&self, th: &mut ThreadCtx, svci: &Vci, s: &SendSpec<'_>) -> Result<Staged> {
+        let dst_global = self.global_rank(s.dst);
+        // FT fast paths: sends complete locally under the eager protocol, so
+        // a revoked communicator or an already-detected dead destination must
+        // be refused *here* — a completed send to a corpse is a silent lie.
+        let base_ctx = s.ctx_id & !crate::comm::COLL_CTX_BIT;
+        if th.proc().ft().is_revoked(base_ctx) {
+            return self.handle_error(Error::Revoked {
+                context_id: base_ctx,
+            });
+        }
+        if let Some(at) = th.proc().ft().liveness().detect_at(dst_global) {
+            if th.clock.now() >= at {
+                th.proc().ft().liveness().note_detection();
+                return self.handle_error(Error::ProcessFailed {
+                    rank: dst_global as u32,
+                });
+            }
+        }
+        th.clock.advance(th.proc().costs().copy_cost(s.data.len()));
+        let dst_proc = th.universe().proc(dst_global);
+        Ok(Staged {
+            dvci: dst_proc.vci(s.dst_vci),
+            intra: dst_proc.node() == th.proc().node(),
+            header: Header {
+                kind: KIND_PT2PT,
+                context_id: s.ctx_id,
+                src: self.rank() as u32,
+                dst: s.dst as u32,
+                tag: s.tag,
+                seq: th.proc().next_seq(),
+                aux: 0,
+                aux2: 0,
+            },
+            payload: svci.payload_pool().alloc(s.data),
+        })
+    }
+
+    /// The locally complete request of an injected eager send.
+    fn sent(&self, th: &ThreadCtx, tag: i64, len: usize) -> Request {
+        let req = ReqState::new(Arc::clone(th.proc().notify()));
+        let status = Status {
+            source: self.rank(),
+            tag,
+            len,
+        };
+        req.complete(th.clock.now(), status, Bytes::new());
+        Request::ready(req)
     }
 
     /// Nonblocking send with explicit sender-side and receiver-side VCI
@@ -87,60 +176,20 @@ impl Communicator {
         self.check_rank(dst)?;
         let _mpi = th.enter_mpi();
         th.proc().maybe_crash(&th.clock, true);
-        let dst_global = self.global_rank(dst);
-        // FT fast paths: sends complete locally under the eager protocol, so
-        // a revoked communicator or an already-detected dead destination must
-        // be refused *here* — a completed send to a corpse is a silent lie.
-        let base_ctx = ctx_id & !crate::comm::COLL_CTX_BIT;
-        if th.proc().ft().is_revoked(base_ctx) {
-            return self.handle_error(Error::Revoked {
-                context_id: base_ctx,
-            });
-        }
-        if let Some(at) = th.proc().ft().liveness().detect_at(dst_global) {
-            if th.clock.now() >= at {
-                th.proc().ft().liveness().note_detection();
-                return self.handle_error(Error::ProcessFailed {
-                    rank: dst_global as u32,
-                });
-            }
-        }
         let entered_at = th.clock.now();
-        let costs = th.proc().costs().clone();
-        // Eager-protocol copy out of the user buffer.
-        th.clock.advance(costs.copy_cost(data.len()));
-
         let svci = th.proc().vci(src_vci);
-        let dst_proc = Arc::clone(th.universe().proc(dst_global));
-        let dvci = dst_proc.vci(dst_vci);
-        let intra = dst_proc.node() == th.proc().node();
-
-        let header = Header {
-            kind: KIND_PT2PT,
-            context_id: ctx_id,
-            src: self.rank() as u32,
-            dst: dst as u32,
+        let spec = SendSpec {
+            src_vci,
+            dst_vci,
+            ctx_id,
+            dst,
             tag,
-            seq: th.proc().next_seq(),
-            aux: 0,
-            aux2: 0,
+            data,
         };
-        let payload = svci.payload_pool().alloc(data);
-        svci.send_packet(&mut th.clock, &dvci, intra, header, payload);
-
+        let m = self.stage_send(th, &svci, &spec)?;
+        svci.send_packet(&mut th.clock, &m.dvci, m.intra, m.header, m.payload);
         obs::busy("pt2pt", "send", entered_at, th.clock.now(), svci.res_id());
-
-        let req = ReqState::new(Arc::clone(th.proc().notify()));
-        req.complete(
-            th.clock.now(),
-            Status {
-                source: self.rank(),
-                tag,
-                len: data.len(),
-            },
-            Bytes::new(),
-        );
-        Ok(Request::ready(req))
+        Ok(self.sent(th, tag, data.len()))
     }
 
     /// Nonblocking multi-send: inject every message of `msgs` (`(dst, tag,
@@ -166,8 +215,7 @@ impl Communicator {
         let specs = msgs
             .iter()
             .map(|&(dst, tag, data)| {
-                let (src_vci, dst_vci) =
-                    select_vcis(self.policy(), self.vci_block(), self.context_id(), tag)?;
+                let (src_vci, dst_vci) = self.send_vcis(dst, tag)?;
                 Ok(SendSpec {
                     src_vci,
                     dst_vci,
@@ -183,7 +231,7 @@ impl Communicator {
 
     /// [`isend_multi`](Communicator::isend_multi) with explicit per-message
     /// VCI indices and matching contexts — the entry collectives and stream
-    /// transports drive directly.
+    /// transports drive directly. A refused message refuses the whole batch.
     pub fn isend_multi_on_vcis(
         &self,
         th: &mut ThreadCtx,
@@ -197,129 +245,51 @@ impl Communicator {
         }
         let _mpi = th.enter_mpi();
         th.proc().maybe_crash(&th.clock, true);
-        // FT fast paths, as in the single-send: eager completion forbids
-        // silently "sending" to a revoked context or a known-dead peer.
-        for s in specs {
-            let base_ctx = s.ctx_id & !crate::comm::COLL_CTX_BIT;
-            if th.proc().ft().is_revoked(base_ctx) {
-                return self.handle_error(Error::Revoked {
-                    context_id: base_ctx,
-                });
-            }
-            let dst_global = self.global_rank(s.dst);
-            if let Some(at) = th.proc().ft().liveness().detect_at(dst_global) {
-                if th.clock.now() >= at {
-                    th.proc().ft().liveness().note_detection();
-                    return self.handle_error(Error::ProcessFailed {
-                        rank: dst_global as u32,
-                    });
-                }
-            }
-        }
         let entered_at = th.clock.now();
-        let costs = th.proc().costs().clone();
-
-        // Stamp headers and pooled payloads in message order — sequence
-        // numbers must be issued in per-channel push order, and grouping
-        // below never reorders same-channel messages (one channel implies
-        // one source VCI and one intra/inter path).
-        struct Prepared<'v> {
-            src_vci: usize,
-            send: crate::vci::BatchSend<'v>,
-        }
-        let dvcis: Vec<Arc<crate::vci::Vci>> = specs
-            .iter()
-            .map(|s| th.universe().proc(self.global_rank(s.dst)).vci(s.dst_vci))
-            .collect();
-        let mut prepared: Vec<Prepared<'_>> = Vec::with_capacity(specs.len());
-        for (s, dvci) in specs.iter().zip(&dvcis) {
-            th.clock.advance(costs.copy_cost(s.data.len()));
+        // Stage in message order: sequence numbers must be issued in
+        // per-channel push order, and the grouping below never reorders
+        // same-channel messages (one channel implies one source VCI).
+        let mut staged = Vec::with_capacity(specs.len());
+        for s in specs {
             let svci = th.proc().vci(s.src_vci);
-            let payload = svci.payload_pool().alloc(s.data);
-            let intra = th.universe().proc(self.global_rank(s.dst)).node() == th.proc().node();
-            let header = Header {
-                kind: KIND_PT2PT,
-                context_id: s.ctx_id,
-                src: self.rank() as u32,
-                dst: s.dst as u32,
-                tag: s.tag,
-                seq: th.proc().next_seq(),
-                aux: 0,
-                aux2: 0,
-            };
-            prepared.push(Prepared {
-                src_vci: s.src_vci,
-                send: crate::vci::BatchSend {
-                    dst: dvci,
-                    intra_node: intra,
-                    header,
-                    payload,
-                },
-            });
+            staged.push(self.stage_send(th, &svci, s)?);
         }
         // One injection batch per distinct source VCI, in first-appearance
-        // order; message order within each batch is message order (the
-        // stable sort below only moves messages *across* VCIs).
-        let mut groups: Vec<usize> = Vec::new();
-        for p in &prepared {
-            if !groups.contains(&p.src_vci) {
-                groups.push(p.src_vci);
+        // order; message order within each batch is message order.
+        let mut src_vcis: Vec<usize> = Vec::new();
+        for s in specs {
+            if !src_vcis.contains(&s.src_vci) {
+                src_vcis.push(s.src_vci);
             }
         }
-        let mut tagged: Vec<(usize, Prepared<'_>)> = prepared
-            .into_iter()
-            .map(|p| {
-                let ord = groups.iter().position(|&g| g == p.src_vci).unwrap();
-                (ord, p)
-            })
-            .collect();
-        tagged.sort_by_key(|(ord, _)| *ord);
-        let mut last_res = None;
-        let mut iter = tagged.into_iter().peekable();
-        while let Some((ord, first)) = iter.next() {
-            let svci_idx = first.src_vci;
-            let mut batch = vec![first.send];
-            while iter.peek().is_some_and(|(o, _)| *o == ord) {
-                batch.push(iter.next().unwrap().1.send);
-            }
-            let svci = th.proc().vci(svci_idx);
+        let mut last_res = obs::ResId::NONE;
+        for v in src_vcis {
+            let batch = specs
+                .iter()
+                .zip(&mut staged)
+                .filter(|(s, _)| s.src_vci == v)
+                .map(|(_, m)| BatchSend {
+                    dst: &m.dvci,
+                    intra_node: m.intra,
+                    header: m.header,
+                    payload: std::mem::take(&mut m.payload),
+                })
+                .collect();
+            let svci = th.proc().vci(v);
             svci.send_batch(&mut th.clock, batch);
-            last_res = Some(svci.res_id());
+            last_res = svci.res_id();
         }
-        if let Some(res) = last_res {
-            obs::busy("pt2pt", "send_multi", entered_at, th.clock.now(), res);
-        }
+        obs::busy("pt2pt", "send_multi", entered_at, th.clock.now(), last_res);
         Ok(specs
             .iter()
-            .map(|s| {
-                let req = ReqState::new(Arc::clone(th.proc().notify()));
-                req.complete(
-                    th.clock.now(),
-                    Status {
-                        source: self.rank(),
-                        tag: s.tag,
-                        len: s.data.len(),
-                    },
-                    Bytes::new(),
-                );
-                Request::ready(req)
-            })
+            .map(|s| self.sent(th, s.tag, s.data.len()))
             .collect())
     }
 
     /// Nonblocking receive. `src` may be [`ANY_SOURCE`], `tag` may be
     /// [`ANY_TAG`] — subject to the communicator's assertions and VCI policy.
     pub fn irecv(&self, th: &mut ThreadCtx, src: i64, tag: i64) -> Result<Request> {
-        self.check_recv_args(src, tag)?;
-        let pattern = MatchPattern {
-            context_id: self.context_id(),
-            src,
-            tag,
-        };
-        let vci_idx = select_recv_vci(self.policy(), self.vci_block(), self.context_id(), &pattern)
-            .ok_or(Error::WildcardUnsupported {
-                reason: "VCI policy selects the matching engine by tag bits; a wildcard cannot locate it",
-            })?;
+        let (vci_idx, pattern) = self.recv_vci(src, tag)?;
         self.irecv_on_vci(th, vci_idx, pattern)
     }
 
@@ -392,16 +362,7 @@ impl Communicator {
 
     /// Nonblocking probe: is a matching message queued? Does not receive it.
     pub fn iprobe(&self, th: &mut ThreadCtx, src: i64, tag: i64) -> Result<Option<Status>> {
-        self.check_recv_args(src, tag)?;
-        let pattern = MatchPattern {
-            context_id: self.context_id(),
-            src,
-            tag,
-        };
-        let vci_idx = select_recv_vci(self.policy(), self.vci_block(), self.context_id(), &pattern)
-            .ok_or(Error::WildcardUnsupported {
-                reason: "VCI policy selects the matching engine by tag bits; a wildcard cannot locate it",
-            })?;
+        let (vci_idx, pattern) = self.recv_vci(src, tag)?;
         let _mpi = th.enter_mpi();
         let vci = th.proc().vci(vci_idx);
         Ok(vci.iprobe(&mut th.clock, &pattern))
@@ -436,16 +397,7 @@ impl Communicator {
         src: i64,
         tag: i64,
     ) -> Result<Option<(Status, Bytes)>> {
-        self.check_recv_args(src, tag)?;
-        let pattern = MatchPattern {
-            context_id: self.context_id(),
-            src,
-            tag,
-        };
-        let vci_idx = select_recv_vci(self.policy(), self.vci_block(), self.context_id(), &pattern)
-            .ok_or(Error::WildcardUnsupported {
-                reason: "VCI policy selects the matching engine by tag bits; a wildcard cannot locate it",
-            })?;
+        let (vci_idx, pattern) = self.recv_vci(src, tag)?;
         let _mpi = th.enter_mpi();
         let vci = th.proc().vci(vci_idx);
         Ok(vci.mprobe(&mut th.clock, &pattern))
@@ -620,6 +572,35 @@ mod tests {
                 c.irecv(&mut th, 0, ANY_TAG),
                 Err(Error::WildcardUnsupported { .. })
             ));
+        });
+    }
+
+    #[test]
+    fn per_rank_policy_maps_ranks_to_their_own_vcis() {
+        // Four ranks, two per process (an endpoints communicator): rank r
+        // owns pool index vcis[r] on its process.
+        let u = Universe::builder().nodes(2).num_vcis(4).build();
+        u.run(|env| {
+            let world = env.world();
+            let vcis = Arc::new(vec![1, 3, 2, 0]);
+            let me = 2 * env.rank() + 1;
+            let c = Communicator::from_parts(
+                world.universe().clone(),
+                world.proc().clone(),
+                77,
+                crate::group::Group::from_owners(vec![0, 0, 1, 1]),
+                me,
+                VciPolicy::PerRank(Arc::clone(&vcis)),
+                Arc::new(vec![vcis[me]]),
+                Info::new(),
+            );
+            for dst in 0..4 {
+                assert_eq!(c.send_vcis(dst, 9).unwrap(), (vcis[me], vcis[dst]));
+            }
+            // A wildcard receive is always locatable: the caller's own VCI.
+            let (vci, pattern) = c.recv_vci(ANY_SOURCE, ANY_TAG).unwrap();
+            assert_eq!(vci, vcis[me]);
+            assert_eq!((pattern.src, pattern.tag), (ANY_SOURCE, ANY_TAG));
         });
     }
 

@@ -57,9 +57,11 @@ pub enum VciPolicy {
         /// The tag layout carrying thread ids.
         layout: TagLayout,
     },
-    /// The caller supplies explicit VCI indices per operation (the endpoints
-    /// design: each endpoint owns an index).
-    Explicit,
+    /// Rank *r*'s traffic leaves from and lands on pool index `vcis[r]` of
+    /// *r*'s owner process — the endpoints design, where several ranks of one
+    /// communicator live on one process and each owns a VCI. Receives always
+    /// post on the caller's own entry, so wildcards are legal (Lesson 11).
+    PerRank(Arc<Vec<usize>>),
 }
 
 /// A sink for [`KIND_DIRECT`] packets: deliveries that bypass the matching
@@ -925,10 +927,9 @@ impl Vci {
 /// `block` maps policy-relative indices to pool indices; it is identical on
 /// all processes of the communicator (allocated in collective order).
 ///
-/// Errors with [`RankMpiError::InvalidState`] under [`VciPolicy::Explicit`]:
-/// that policy has no implicit mapping — each operation must name its VCIs
-/// (the endpoints API does).
-pub fn select_vcis(
+/// [`VciPolicy::PerRank`] selects by rank, not by tag: the communicator
+/// resolves it before calling here.
+pub(crate) fn select_vcis(
     policy: &VciPolicy,
     block: &[usize],
     context_id: u32,
@@ -944,16 +945,14 @@ pub fn select_vcis(
             block[layout.src_vci(tag, block.len())],
             block[layout.dst_vci(tag, block.len())],
         )),
-        VciPolicy::Explicit => Err(RankMpiError::InvalidState(
-            "explicit policy requires per-op VCI indices (endpoints API)",
-        )),
+        VciPolicy::PerRank(_) => unreachable!("resolved by Communicator::send_vcis"),
     }
 }
 
 /// Receiver-side VCI index for a posted receive, or `None` if the pattern's
 /// wildcards make the VCI undeterminable under this policy (Lesson 7/15: a
 /// wildcard cannot locate a tag-selected engine).
-pub fn select_recv_vci(
+pub(crate) fn select_recv_vci(
     policy: &VciPolicy,
     block: &[usize],
     context_id: u32,
@@ -975,7 +974,7 @@ pub fn select_recv_vci(
                 _ => Some(block[default_tag_hash(context_id, pattern.tag, block.len())]),
             }
         }
-        VciPolicy::Explicit => None,
+        VciPolicy::PerRank(_) => unreachable!("resolved by Communicator::recv_vci"),
     }
 }
 
@@ -1127,14 +1126,6 @@ mod tests {
         );
         assert!(miss.is_none());
         assert_eq!(b.posted_depth(), 1, "the other receive survives the miss");
-    }
-
-    #[test]
-    fn explicit_policy_has_no_implicit_mapping() {
-        assert!(matches!(
-            select_vcis(&VciPolicy::Explicit, &[0, 1], 1, 3),
-            Err(RankMpiError::InvalidState(_))
-        ));
     }
 
     #[test]

@@ -1,82 +1,27 @@
 //! One-step collectives over endpoints (Lessons 18 and 19).
 //!
-//! Every endpoint participates in the collective as a rank of the endpoints
-//! communicator; the library's tree spans *all* endpoints, so the intranode
-//! portion (endpoints on the same process/node, connected by the cheap
-//! shared-memory path) and the internode portion are both handled inside the
-//! call — the user never writes a manual intranode reduction, unlike the
-//! existing-mechanisms design of Fig. 7.
+//! The algorithms are `rankmpi_core`'s own collectives. They are one-step
+//! because every endpoint is a rank of the same communicator: the library's
+//! tree spans *all* endpoints, so the intranode portion (endpoints on the same
+//! process/node, connected by the cheap shared-memory path) and the internode
+//! portion are both handled inside the call — the user never writes a manual
+//! intranode reduction, unlike the existing-mechanisms design of Fig. 7.
 //!
 //! The trade-off the paper calls out in Lesson 19 is visible here: for
 //! rooted/replicated results (allreduce, bcast) every endpoint of a process
 //! receives its own copy of the result buffer, where a process-rank collective
 //! would hold one. [`duplication_report`] quantifies exactly that overhead.
 
-use std::sync::atomic::Ordering;
-
-use rankmpi_core::coll::{bytes_to_f64s, f64s_to_bytes};
-use rankmpi_core::comm::COLL_CTX_BIT;
-use rankmpi_core::tag::TAG_UB;
-use rankmpi_core::{Error, ReduceOp, Result, ThreadCtx};
+use bytes::Bytes;
+use rankmpi_core::{ReduceOp, Result, ThreadCtx};
 
 use crate::endpoint::Endpoint;
 use crate::topology::EndpointTopology;
 
 impl Endpoint {
-    fn coll_tag(seq: u64, phase: u32) -> i64 {
-        (((seq % ((TAG_UB as u64 + 1) / 16)) * 16) + phase as u64) as i64
-    }
-
-    fn coll_send(
-        &self,
-        th: &mut ThreadCtx,
-        seq: u64,
-        phase: u32,
-        dst_ep: usize,
-        data: &[u8],
-    ) -> Result<()> {
-        let r = self.isend_ctx(
-            th,
-            self.topology().ctx_id | COLL_CTX_BIT,
-            dst_ep,
-            Self::coll_tag(seq, phase),
-            data,
-        )?;
-        r.wait(&mut th.clock);
-        Ok(())
-    }
-
-    fn coll_recv(
-        &self,
-        th: &mut ThreadCtx,
-        seq: u64,
-        phase: u32,
-        src_ep: usize,
-    ) -> Result<bytes::Bytes> {
-        let req = self.irecv_ctx(
-            th,
-            self.topology().ctx_id | COLL_CTX_BIT,
-            src_ep as i64,
-            Self::coll_tag(seq, phase),
-        )?;
-        let (_st, data) = req.wait(&mut th.clock);
-        Ok(data)
-    }
-
     /// Dissemination barrier across all endpoints.
     pub fn ep_barrier(&self, th: &mut ThreadCtx) -> Result<()> {
-        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        let p = self.size();
-        let r = self.rank();
-        let mut phase = 0u32;
-        let mut dist = 1usize;
-        while dist < p {
-            self.coll_send(th, seq, phase, (r + dist) % p, &[])?;
-            self.coll_recv(th, seq, phase, (r + p - dist) % p)?;
-            dist <<= 1;
-            phase += 1;
-        }
-        Ok(())
+        self.comm.barrier(th)
     }
 
     /// Binomial broadcast from endpoint `root_ep` across all endpoints.
@@ -85,51 +30,8 @@ impl Endpoint {
         th: &mut ThreadCtx,
         root_ep: usize,
         data: Option<&[u8]>,
-    ) -> Result<bytes::Bytes> {
-        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        self.bcast_inner(th, seq, 0, root_ep, data)
-    }
-
-    fn bcast_inner(
-        &self,
-        th: &mut ThreadCtx,
-        seq: u64,
-        phase: u32,
-        root_ep: usize,
-        data: Option<&[u8]>,
-    ) -> Result<bytes::Bytes> {
-        let p = self.size();
-        let r = self.rank();
-        if root_ep >= p {
-            return Err(Error::InvalidRank {
-                rank: root_ep as i64,
-                size: p,
-            });
-        }
-        let vr = (r + p - root_ep) % p;
-        let buf: bytes::Bytes;
-        let mut mask = 1usize;
-        if vr == 0 {
-            buf = bytes::Bytes::copy_from_slice(
-                data.ok_or(Error::InvalidState("bcast root must supply data"))?,
-            );
-            while mask < p {
-                mask <<= 1;
-            }
-        } else {
-            while vr & mask == 0 {
-                mask <<= 1;
-            }
-            buf = self.coll_recv(th, seq, phase, (vr - mask + root_ep) % p)?;
-        }
-        let mut m = mask >> 1;
-        while m > 0 {
-            if vr + m < p {
-                self.coll_send(th, seq, phase, (vr + m + root_ep) % p, &buf)?;
-            }
-            m >>= 1;
-        }
-        Ok(buf)
+    ) -> Result<Bytes> {
+        self.comm.bcast(th, root_ep, data)
     }
 
     /// Binomial reduction to endpoint `root_ep`.
@@ -140,57 +42,7 @@ impl Endpoint {
         contribution: &[f64],
         op: ReduceOp,
     ) -> Result<Option<Vec<f64>>> {
-        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        self.reduce_inner(th, seq, 0, root_ep, contribution, op)
-    }
-
-    fn reduce_inner(
-        &self,
-        th: &mut ThreadCtx,
-        seq: u64,
-        phase: u32,
-        root_ep: usize,
-        contribution: &[f64],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        let p = self.size();
-        let r = self.rank();
-        if root_ep >= p {
-            return Err(Error::InvalidRank {
-                rank: root_ep as i64,
-                size: p,
-            });
-        }
-        let vr = (r + p - root_ep) % p;
-        let mut acc = contribution.to_vec();
-        let costs = th.proc().costs().clone();
-        let mut mask = 1usize;
-        while mask < p {
-            if vr & mask != 0 {
-                self.coll_send(
-                    th,
-                    seq,
-                    phase,
-                    (vr - mask + root_ep) % p,
-                    &f64s_to_bytes(&acc),
-                )?;
-                return Ok(None);
-            }
-            if vr + mask < p {
-                let data = self.coll_recv(th, seq, phase, (vr + mask + root_ep) % p)?;
-                let other = bytes_to_f64s(&data);
-                if other.len() != acc.len() {
-                    return Err(Error::LengthMismatch {
-                        expected: acc.len(),
-                        got: other.len(),
-                    });
-                }
-                th.clock.advance(costs.reduce_cost(acc.len()));
-                op.apply(&mut acc, &other);
-            }
-            mask <<= 1;
-        }
-        Ok(Some(acc))
+        self.comm.reduce(th, root_ep, contribution, op)
     }
 
     /// One-step allreduce across all endpoints: every endpoint contributes
@@ -202,50 +54,12 @@ impl Endpoint {
         contribution: &[f64],
         op: ReduceOp,
     ) -> Result<Vec<f64>> {
-        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        let reduced = self.reduce_inner(th, seq, 0, 0, contribution, op)?;
-        let out = self.bcast_inner(
-            th,
-            seq,
-            8,
-            0,
-            reduced.as_ref().map(|v| f64s_to_bytes(v)).as_deref(),
-        )?;
-        Ok(bytes_to_f64s(&out))
+        self.comm.allreduce(th, contribution, op)
     }
 
     /// Allgather across all endpoints (equal-size contributions).
-    pub fn ep_allgather(&self, th: &mut ThreadCtx, data: &[u8]) -> Result<Vec<bytes::Bytes>> {
-        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        let p = self.size();
-        let r = self.rank();
-        let chunk = data.len();
-        // Gather to endpoint 0.
-        let concat: Option<Vec<u8>> = if r == 0 {
-            let mut parts: Vec<bytes::Bytes> = vec![bytes::Bytes::new(); p];
-            parts[0] = bytes::Bytes::copy_from_slice(data);
-            for (src, slot) in parts.iter_mut().enumerate().skip(1) {
-                *slot = self.coll_recv(th, seq, 0, src)?;
-            }
-            let mut c = Vec::with_capacity(chunk * p);
-            for part in &parts {
-                c.extend_from_slice(part);
-            }
-            Some(c)
-        } else {
-            self.coll_send(th, seq, 0, 0, data)?;
-            None
-        };
-        let all = self.bcast_inner(th, seq, 8, 0, concat.as_deref())?;
-        if all.len() != chunk * p {
-            return Err(Error::LengthMismatch {
-                expected: chunk * p,
-                got: all.len(),
-            });
-        }
-        Ok((0..p)
-            .map(|i| all.slice(i * chunk..(i + 1) * chunk))
-            .collect())
+    pub fn ep_allgather(&self, th: &mut ThreadCtx, data: &[u8]) -> Result<Vec<Bytes>> {
+        self.comm.allgather(th, data)
     }
 }
 

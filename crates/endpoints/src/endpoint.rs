@@ -1,16 +1,9 @@
-//! One endpoint: an MPI-rank-like handle backed by a dedicated VCI.
+//! One endpoint: a rank of the endpoints communicator, backed by its own VCI.
 
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rankmpi_core::matching::{MatchPattern, Status, ANY_SOURCE, ANY_TAG};
-use rankmpi_core::request::{ReqState, Request};
-use rankmpi_core::tag::TAG_UB;
-use rankmpi_core::universe::UniverseShared;
-use rankmpi_core::vci::KIND_PT2PT;
-use rankmpi_core::{Error, ProcShared, Result, ThreadCtx};
-use rankmpi_fabric::Header;
+use rankmpi_core::{Communicator, ProcShared, Request, Result, Status, ThreadCtx};
 
 use crate::topology::EndpointTopology;
 
@@ -22,43 +15,27 @@ use crate::topology::EndpointTopology;
 /// any endpoint at any time (Lesson 10's flexibility for tasking runtimes);
 /// concurrent use of one endpoint is legal and simply contends on that
 /// endpoint's VCI, like threads sharing a rank do.
+///
+/// Every operation is the [`Communicator`]'s own, on a communicator whose
+/// [`VciPolicy::PerRank`](rankmpi_core::VciPolicy) maps each endpoint rank to
+/// its VCI. The communicator is deliberately not exposed: `dup`, `split`,
+/// `shrink`, `revoke` and window creation assume one caller per process per
+/// collective, which several endpoint ranks of one process are not.
 pub struct Endpoint {
-    topo: Arc<EndpointTopology>,
-    proc: Arc<ProcShared>,
-    universe: Arc<UniverseShared>,
-    ep_rank: usize,
-    vci_idx: usize,
-    /// Collective sequence number (advances in lockstep across all endpoints
-    /// because every collective involves every endpoint).
-    pub(crate) coll_seq: AtomicU64,
+    pub(crate) topo: Arc<EndpointTopology>,
+    pub(crate) comm: Communicator,
+    pub(crate) vci_idx: usize,
 }
 
 impl Endpoint {
-    pub(crate) fn new(
-        topo: Arc<EndpointTopology>,
-        proc: Arc<ProcShared>,
-        universe: Arc<UniverseShared>,
-        ep_rank: usize,
-        vci_idx: usize,
-    ) -> Self {
-        Endpoint {
-            topo,
-            proc,
-            universe,
-            ep_rank,
-            vci_idx,
-            coll_seq: AtomicU64::new(0),
-        }
-    }
-
     /// This endpoint's global endpoint rank.
     pub fn rank(&self) -> usize {
-        self.ep_rank
+        self.comm.rank()
     }
 
     /// Total endpoints in the endpoints communicator.
     pub fn size(&self) -> usize {
-        self.topo.size()
+        self.comm.size()
     }
 
     /// The endpoints communicator's shared topology.
@@ -74,24 +51,7 @@ impl Endpoint {
 
     /// The owning process.
     pub fn proc(&self) -> &Arc<ProcShared> {
-        &self.proc
-    }
-
-    fn check_ep(&self, ep: usize) -> Result<()> {
-        if ep >= self.topo.size() {
-            return Err(Error::InvalidRank {
-                rank: ep as i64,
-                size: self.topo.size(),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_tag(tag: i64) -> Result<()> {
-        if !(0..=TAG_UB).contains(&tag) {
-            return Err(Error::TagOutOfRange { tag });
-        }
-        Ok(())
+        self.comm.proc()
     }
 
     /// Nonblocking send to endpoint `dst_ep` (eager: locally complete).
@@ -102,121 +62,29 @@ impl Endpoint {
         tag: i64,
         data: &[u8],
     ) -> Result<Request> {
-        self.isend_ctx(th, self.topo.ctx_id, dst_ep, tag, data)
-    }
-
-    pub(crate) fn isend_ctx(
-        &self,
-        th: &mut ThreadCtx,
-        ctx_id: u32,
-        dst_ep: usize,
-        tag: i64,
-        data: &[u8],
-    ) -> Result<Request> {
-        self.check_ep(dst_ep)?;
-        Self::check_tag(tag)?;
-        let entered_at = th.clock.now();
-        let costs = th.proc().costs().clone();
-        th.clock.advance(costs.copy_cost(data.len()));
-
-        let svci = self.proc.vci(self.vci_idx);
-        let dst_proc = Arc::clone(self.universe.proc(self.topo.proc_of(dst_ep)));
-        let dvci = dst_proc.vci(self.topo.vci_of(dst_ep));
-        let intra = dst_proc.node() == self.proc.node();
-
-        let header = Header {
-            kind: KIND_PT2PT,
-            context_id: ctx_id,
-            src: self.ep_rank as u32,
-            dst: dst_ep as u32,
-            tag,
-            seq: self.proc.next_seq(),
-            aux: 0,
-            aux2: 0,
-        };
-        svci.send_packet(
-            &mut th.clock,
-            &dvci,
-            intra,
-            header,
-            Bytes::copy_from_slice(data),
-        );
-
-        let req = ReqState::new(Arc::clone(self.proc.notify()));
-        req.complete(
-            th.clock.now(),
-            Status {
-                source: self.ep_rank,
-                tag,
-                len: data.len(),
-            },
-            Bytes::new(),
-        );
-        rankmpi_obs::trace::busy("ep", "ep_send", entered_at, th.clock.now(), svci.res_id());
-        Ok(Request::ready(req))
+        self.comm.isend(th, dst_ep, tag, data)
     }
 
     /// Blocking send.
     pub fn send(&self, th: &mut ThreadCtx, dst_ep: usize, tag: i64, data: &[u8]) -> Result<()> {
-        let r = self.isend(th, dst_ep, tag, data)?;
-        r.wait(&mut th.clock);
-        Ok(())
+        self.comm.send(th, dst_ep, tag, data)
     }
 
     /// Nonblocking receive *on this endpoint*. `src` is an endpoint rank or
-    /// [`ANY_SOURCE`]; `tag` may be [`ANY_TAG`]. Wildcards are always legal:
+    /// `ANY_SOURCE`; `tag` may be `ANY_TAG`. Wildcards are always legal:
     /// matching is local to this endpoint's engine (Lesson 11).
     pub fn irecv(&self, th: &mut ThreadCtx, src: i64, tag: i64) -> Result<Request> {
-        self.irecv_ctx(th, self.topo.ctx_id, src, tag)
-    }
-
-    pub(crate) fn irecv_ctx(
-        &self,
-        th: &mut ThreadCtx,
-        ctx_id: u32,
-        src: i64,
-        tag: i64,
-    ) -> Result<Request> {
-        if src != ANY_SOURCE {
-            self.check_ep(src as usize)?;
-        }
-        if tag != ANY_TAG {
-            Self::check_tag(tag)?;
-        }
-        let entered_at = th.clock.now();
-        let costs = th.proc().costs().clone();
-        th.clock.advance(costs.request_setup);
-        let vci = self.proc.vci(self.vci_idx);
-        let req = ReqState::new(Arc::clone(self.proc.notify()));
-        let pattern = MatchPattern {
-            context_id: ctx_id,
-            src,
-            tag,
-        };
-        vci.post_recv(&mut th.clock, pattern, Arc::clone(&req));
-        rankmpi_obs::trace::busy("ep", "ep_recv", entered_at, th.clock.now(), vci.res_id());
-        Ok(if req.is_complete() {
-            Request::ready(req)
-        } else {
-            Request::pending(req, vci)
-        })
+        self.comm.irecv(th, src, tag)
     }
 
     /// Blocking receive.
     pub fn recv(&self, th: &mut ThreadCtx, src: i64, tag: i64) -> Result<(Status, Bytes)> {
-        let r = self.irecv(th, src, tag)?;
-        Ok(r.wait(&mut th.clock))
+        self.comm.recv(th, src, tag)
     }
 
     /// Nonblocking probe on this endpoint (wildcards always legal).
     pub fn iprobe(&self, th: &mut ThreadCtx, src: i64, tag: i64) -> Result<Option<Status>> {
-        let vci = self.proc.vci(self.vci_idx);
-        let pattern = MatchPattern {
-            context_id: self.topo.ctx_id,
-            src,
-            tag,
-        };
-        Ok(vci.iprobe(&mut th.clock, &pattern))
+        self.comm.iprobe(th, src, tag)
     }
 
     /// Probe-and-receive if a matching message is already here.
@@ -226,17 +94,14 @@ impl Endpoint {
         src: i64,
         tag: i64,
     ) -> Result<Option<(Status, Bytes)>> {
-        match self.iprobe(th, src, tag)? {
-            Some(st) => Ok(Some(self.recv(th, st.source as i64, st.tag)?)),
-            None => Ok(None),
-        }
+        self.comm.try_recv(th, src, tag)
     }
 }
 
 impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Endpoint")
-            .field("ep_rank", &self.ep_rank)
+            .field("ep_rank", &self.rank())
             .field("vci", &self.vci_idx)
             .field("size", &self.size())
             .finish()
@@ -245,9 +110,8 @@ impl std::fmt::Debug for Endpoint {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::comm_create_endpoints;
-    use rankmpi_core::{Info, Universe};
+    use rankmpi_core::{Error, Info, Universe, ANY_SOURCE, ANY_TAG};
 
     #[test]
     fn endpoint_to_endpoint_roundtrip() {
@@ -354,6 +218,41 @@ mod tests {
                 eps[0].send(&mut th, 99, 0, b""),
                 Err(Error::InvalidRank { .. })
             ));
+            assert!(matches!(
+                eps[0].iprobe(&mut th, eps[0].size() as i64, 0),
+                Err(Error::InvalidRank { .. })
+            ));
         });
+    }
+
+    #[test]
+    fn endpoint_sends_draw_on_the_payload_pool() {
+        let u = Universe::builder().nodes(2).build();
+        let pools = u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            let eps = comm_create_endpoints(&world, &mut th, 1, &Info::new()).unwrap();
+            let ep = &eps[0];
+            let peer = 1 - ep.rank();
+            for _ in 0..64 {
+                if env.rank() == 0 {
+                    ep.send(&mut th, peer, 0, &[7u8; 32]).unwrap();
+                    // The ack says the peer dropped its view of the payload:
+                    // the slab is reusable from the next send on.
+                    ep.recv(&mut th, peer as i64, 1).unwrap();
+                } else {
+                    drop(ep.recv(&mut th, peer as i64, 0).unwrap());
+                    ep.send(&mut th, peer, 1, &[]).unwrap();
+                }
+            }
+            let vci = ep.proc().vci(ep.vci_index());
+            (
+                vci.payload_pool().fresh_allocs(),
+                vci.payload_pool().reuses(),
+            )
+        });
+        let (fresh, reused) = pools[0];
+        assert_eq!(fresh + reused, 64);
+        assert!(reused > 0);
     }
 }

@@ -13,20 +13,21 @@
 //! (Lesson 10).
 //!
 //! Implementation notes mirroring the paper's discussion:
-//! - each endpoint owns a *dedicated VCI* (matching engine + mailbox +
-//!   hardware context), allocated from the node's bounded context pool — so
-//!   endpoints consume only as many network resources as there are
-//!   communicating threads (Lesson 12), and the library, not the user, maps
-//!   endpoints onto hardware (Lesson 17: endpoints are *not* handles to
-//!   network resources);
-//! - matching is per-endpoint, so wildcards work on any endpoint without
-//!   constraining other endpoints' parallelism (Lesson 11 — the Legion
-//!   polling-thread pattern);
-//! - collectives are **one-step**: all endpoints of all processes participate
-//!   in the same operation and the library performs both the internode and
+//! - an endpoint *is* a rank: every [`Endpoint`] wraps a `rankmpi_core`
+//!   `Communicator` of the same context whose `VciPolicy::PerRank` gives each
+//!   endpoint rank a *dedicated VCI* (matching engine + mailbox + hardware
+//!   context) from the node's bounded context pool — so point-to-point,
+//!   fault handling and collectives are the core library's own, endpoints
+//!   consume only as many network resources as there are communicating
+//!   threads (Lesson 12), and the library, not the user, maps endpoints onto
+//!   hardware (Lesson 17: endpoints are *not* handles to network resources);
+//! - receives post on the endpoint's own engine, so wildcards work on any
+//!   endpoint without constraining other endpoints' parallelism (Lesson 11 —
+//!   the Legion polling-thread pattern);
+//! - collectives are **one-step**: all endpoints of all processes are ranks
+//!   of the same tree, so the library performs both the internode and
 //!   intranode portions (Lesson 18), at the cost of duplicating result
-//!   buffers on a node (Lesson 19 — measurable via the bytes-delivered
-//!   accounting in [`coll`]).
+//!   buffers on a node (Lesson 19 — see [`coll::duplication_report`]).
 
 pub mod coll;
 pub mod endpoint;

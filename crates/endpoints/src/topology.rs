@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use rankmpi_core::{Communicator, Error, Info, Result, ThreadCtx};
+use rankmpi_core::{Communicator, Error, Group, Info, Result, ThreadCtx, VciPolicy};
 
 use crate::endpoint::Endpoint;
 
@@ -131,16 +131,32 @@ pub fn comm_create_endpoints(
     // Creation is collective & synchronizing.
     parent.barrier(th)?;
 
+    // Each endpoint is one rank of the endpoints communicator: same context
+    // and group on every handle, one VCI per rank.
+    let (owners, vcis): (Vec<usize>, Vec<usize>) = topo.map.iter().copied().unzip();
+    let group = Group::from_owners(owners);
+    let vcis = Arc::new(vcis);
     let base = offsets[parent.rank()];
-    Ok((0..my_num_ep)
-        .map(|i| {
-            Endpoint::new(
-                Arc::clone(&topo),
-                proc.clone(),
+    Ok(my_vcis
+        .iter()
+        .enumerate()
+        .map(|(i, &vci)| {
+            let comm = Communicator::from_parts(
                 universe.clone(),
+                proc.clone(),
+                ctx_id,
+                group.clone(),
                 base + i,
-                my_vcis[i],
-            )
+                VciPolicy::PerRank(Arc::clone(&vcis)),
+                Arc::new(vec![vci]),
+                Info::new(),
+            );
+            comm.set_errhandler(parent.errhandler());
+            Endpoint {
+                topo: Arc::clone(&topo),
+                comm,
+                vci_idx: vci,
+            }
         })
         .collect())
 }

@@ -98,7 +98,7 @@ impl ResId {
 #[derive(Debug, Clone, Copy)]
 pub struct Span {
     /// Layer/category (`"pt2pt"`, `"match"`, `"vci"`, `"fabric"`, `"part"`,
-    /// `"coll"`, `"rma"`, `"ep"`, `"resil"`). This is what the acceptance
+    /// `"coll"`, `"rma"`, `"resil"`). This is what the acceptance
     /// criterion's "spans from at least four layers" counts. The `"resil"`
     /// layer carries the reliability protocol: `retransmit`,
     /// `spurious_rexmit`, and `exhausted` busy spans on the source context,
