@@ -171,10 +171,16 @@ fn endpoint_failures_are_attributed_to_the_owner_process() {
             let mut th = env.single_thread();
             // Endpoint ranks 0,1 live on world rank 0; 2,3 on world rank 1.
             let eps = comm_create_endpoints(&world, &mut th, 2, &Info::new()).unwrap();
+            // Rank 1 may not start dying before rank 0 has left the
+            // collective above: a receive rank 0 posts after the detector
+            // has fired fails at post time, even for a message that already
+            // arrived (ROADMAP item 4), and the `unwrap` above would see it.
             if env.rank() == 1 {
+                world.recv(&mut th, 0, 1).unwrap();
                 while world.send(&mut th, 0, 9, b"x").is_ok() {}
                 panic!("rank 1 outlived a probability-1 crash plan");
             }
+            world.send(&mut th, 1, 1, b"go").unwrap();
             // Tag 5 is never sent: these resolve only through the detector.
             let from_live = eps[0].irecv(&mut th, 1, 5).unwrap();
             let from_dead = eps[0].irecv(&mut th, 2, 5).unwrap();

@@ -5,6 +5,7 @@
 //! — under explored schedules at the `ReqState` level and under fault
 //! injection at the whole-universe level.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rankmpi_check::{base_seed, explore, ExploreConfig, Task};
@@ -71,6 +72,64 @@ fn completion_is_monotone_under_explored_schedules() {
             observer(Arc::clone(&req)),
         ]
     });
+}
+
+/// The park / notify / unpark triple behind a *blocked* request, with the
+/// waiter-count fast path in play: one task blocks in `block_until_complete`
+/// (as an engine task it parks in `Notify::wait_past`), one completes the
+/// request between two yield points, one fires bare notifies on the same
+/// notifier so the waiter's queued unparker is drained by wakes that are not
+/// the completion. No schedule may lose the completion's wakeup: a waiter
+/// left parked is reported by the engine as a deadlock (there is no timeout
+/// to rescue a parked task), which `explore` turns into a replayable failure.
+#[test]
+fn blocked_request_is_woken_under_explored_schedules() {
+    let cfg = ExploreConfig {
+        depth: 5,
+        max_exhaustive: 120,
+        random_samples: 8,
+        ..ExploreConfig::with_seed(base_seed() ^ 0xB10C)
+    };
+    let returned = Arc::new(AtomicU64::new(0));
+    let cov = explore("blocked_request_is_woken", &cfg, || {
+        let req = ReqState::detached();
+        let waiter: Task = {
+            let (req, returned) = (Arc::clone(&req), Arc::clone(&returned));
+            Box::new(move || {
+                req.block_until_complete(|| yield_point(SchedPoint::Custom("poll")));
+                assert!(req.is_complete());
+                assert_eq!(req.finish_at(), Nanos(77));
+                returned.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        let completer: Task = {
+            let req = Arc::clone(&req);
+            Box::new(move || {
+                yield_point(SchedPoint::Custom("pre-complete"));
+                req.complete(
+                    Nanos(77),
+                    rankmpi_core::Status {
+                        source: 0,
+                        tag: 0,
+                        len: 0,
+                    },
+                    bytes::Bytes::new(),
+                );
+                yield_point(SchedPoint::Custom("post-complete"));
+            })
+        };
+        let noise: Task = {
+            let notify = req.notify_handle();
+            Box::new(move || {
+                for _ in 0..3 {
+                    yield_point(SchedPoint::Custom("pre-noise"));
+                    notify.notify();
+                }
+            })
+        };
+        vec![waiter, completer, noise]
+    });
+    assert_eq!(returned.load(Ordering::Relaxed), cov.schedules);
 }
 
 /// Nonblocking `test` polls under fault injection: completion observed via

@@ -132,13 +132,23 @@ impl ReqState {
             if self.is_complete() {
                 break;
             }
-            if Instant::now() >= deadline {
+            let interval = poll_interval(deadline, Instant::now());
+            if interval.is_zero() {
                 return false;
             }
-            self.notify.wait_past(seen, Duration::from_millis(1));
+            self.notify.wait_past(seen, interval);
         }
         true
     }
+}
+
+/// How long a bounded wait may block before it must look at its deadline
+/// again: the usual 1 ms re-poll interval, cut to what is left of the
+/// deadline, zero once it has passed.
+fn poll_interval(deadline: Instant, now: Instant) -> Duration {
+    deadline
+        .saturating_duration_since(now)
+        .min(Duration::from_millis(1))
 }
 
 /// A handle to a pending or completed nonblocking operation.
@@ -379,6 +389,17 @@ mod tests {
         let done = r.block_until_complete_for(Duration::from_millis(5), || {});
         assert!(!done);
         assert!(!r.is_complete(), "expiry leaves the request pending");
+    }
+
+    #[test]
+    fn poll_interval_never_sleeps_past_the_deadline() {
+        let now = Instant::now();
+        let ms = Duration::from_millis;
+        assert_eq!(poll_interval(now + ms(20), now), ms(1));
+        let left = Duration::from_micros(300);
+        assert_eq!(poll_interval(now + left, now), left);
+        assert_eq!(poll_interval(now, now), Duration::ZERO);
+        assert_eq!(poll_interval(now, now + ms(3)), Duration::ZERO);
     }
 
     #[test]

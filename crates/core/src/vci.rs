@@ -608,6 +608,11 @@ impl Vci {
         if stamp != 0 && self.ft_seen.swap(stamp, Ordering::AcqRel) != stamp {
             self.ft_sweep(&mut **eng);
         }
+        // The scratch lock goes first, and both before the yield point
+        // below: it is a plain mutex, so an engine task preempted there while
+        // still holding it would block — for real, keeping its worker slot —
+        // every task that then takes the engine lock and reaches for it.
+        drop(batch);
         drop(eng);
         clock.advance(self.costs.match_base / 4); // the poll's own CPU cost
         if n > 0 {
@@ -1320,6 +1325,48 @@ mod tests {
             "interleaved schedule must make the threads collide on the VCI lock"
         );
         assert!(v.lock_contention() > Nanos::ZERO);
+    }
+
+    /// Records, at every yield point its thread reaches, whether the VCI's
+    /// plain-mutex drain scratch is held.
+    struct ScratchHeld {
+        vci: Arc<Vci>,
+        at_yield: parking_lot::Mutex<Vec<bool>>,
+    }
+
+    impl rankmpi_vtime::sched::SchedHook for ScratchHeld {
+        fn reached(&self, _point: rankmpi_vtime::sched::SchedPoint) {
+            let held = self.vci.drain_batch.try_lock().is_none();
+            self.at_yield.lock().push(held);
+        }
+    }
+
+    #[test]
+    fn progress_leaves_no_plain_lock_held_at_its_last_yield_point() {
+        // Regression: the scratch guard outlived the engine guard, so the
+        // poll-cost `advance` after the engine section was a yield point with
+        // a plain mutex held and the engine lock free — an engine task
+        // preempted there blocked, worker slot and all, whoever progressed
+        // this VCI next (the rare 1024-rank `scale_smoke` hang).
+        let (a, _n1, _s1) = test_vci(0);
+        let (b, _n2, _s2) = test_vci(0);
+        let mut clock = Clock::new();
+        a.send_packet(&mut clock, &b, false, header(9, 0, 5), Bytes::new());
+        let hook = Arc::new(ScratchHeld {
+            vci: Arc::clone(&b),
+            at_yield: parking_lot::Mutex::new(Vec::new()),
+        });
+        {
+            let _armed = rankmpi_vtime::sched::install_thread_hook(hook.clone());
+            assert_eq!(
+                b.progress(&mut clock),
+                1,
+                "the slow path, not the empty poll"
+            );
+        }
+        let at_yield = hook.at_yield.lock();
+        assert!(at_yield.contains(&true), "the drain itself runs under it");
+        assert_eq!(at_yield.last(), Some(&false));
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod fault;
 pub mod ft;
 pub mod mailbox;
 pub mod nic;
+pub mod notify;
 pub mod packet;
 pub mod profile;
 pub mod resil;
@@ -47,8 +48,9 @@ pub use arena::PayloadPool;
 pub use context::HwContext;
 pub use fault::{CrashPoint, FaultPlan, FaultReport, LossCause};
 pub use ft::Liveness;
-pub use mailbox::{Mailbox, Notify};
+pub use mailbox::Mailbox;
 pub use nic::Nic;
+pub use notify::Notify;
 pub use packet::{errcode, Header, Packet, KIND_ERR_FLAG};
 pub use profile::NetworkProfile;
 pub use resil::{Resil, ResilConfig, ResilReport};

@@ -1,4 +1,4 @@
-//! Destination-side packet queues and arrival notification.
+//! Destination-side packet queues (arrival notification is [`Notify`]).
 //!
 //! There is one datapath, and it is lock-free: each `(context_id, src)`
 //! channel owns a bounded [`SpscRing`] (the sender holds its context gate
@@ -17,13 +17,12 @@
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, RwLock};
-use rankmpi_vtime::engine;
+use parking_lot::{Mutex, RwLock};
 use rankmpi_vtime::sched::{self, SchedPoint};
 
 use crate::fault::{FaultFilter, FaultPlan, FaultReport, FaultStage, Stamp};
+use crate::notify::Notify;
 use crate::resil::{Resil, ResilConfig};
 use crate::spsc::SpscRing;
 use crate::Packet;
@@ -53,100 +52,6 @@ const DIR_MAX_CHANNELS: usize = 96;
 /// still-undrained channel skip straight to the spill.
 const FULL_RING_SPINS: usize = 64;
 const FULL_RING_YIELDS: usize = 32;
-
-/// A progress-event channel: a versioned condition variable.
-///
-/// Every packet deposit (and, at the MPI layer, every request completion) bumps
-/// the version and wakes sleepers. Blocking operations read the version, poll
-/// their completion condition, and sleep until the version moves — with a
-/// timeout so that simulation-level races can never deadlock a test.
-#[derive(Debug, Default)]
-pub struct Notify {
-    version: Mutex<u64>,
-    cv: Condvar,
-    /// Engine tasks parked until the version moves; registered under the
-    /// version lock (so [`notify`](Self::notify) cannot miss them) and
-    /// drained by every notification.
-    task_waiters: Mutex<Vec<engine::Unparker>>,
-    /// Registered-task count, maintained alongside `task_waiters` (incremented
-    /// under the version lock, decremented by the drainer). Lets the
-    /// common no-waiter notify skip the second lock entirely.
-    waiters: AtomicUsize,
-}
-
-impl Notify {
-    /// New notifier at version 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current version.
-    pub fn version(&self) -> u64 {
-        *self.version.lock()
-    }
-
-    /// Bump the version and wake all sleepers.
-    pub fn notify(&self) {
-        let mut v = self.version.lock();
-        *v += 1;
-        drop(v);
-        self.cv.notify_all();
-        // Waiter-count fast path: a parked task registered under the version
-        // lock *before* our bump (later registrants see the moved version and
-        // never park), so a zero count here proves there is nobody to wake —
-        // the common no-waiter notify pays one atomic load, not a second
-        // lock acquisition.
-        if self.waiters.load(Ordering::Acquire) != 0 {
-            let waiters = std::mem::take(&mut *self.task_waiters.lock());
-            self.waiters.fetch_sub(waiters.len(), Ordering::AcqRel);
-            for w in waiters {
-                w.unpark();
-            }
-        }
-    }
-
-    /// Sleep until the version moves past `seen` or `timeout` elapses.
-    /// Returns the version observed on wakeup.
-    ///
-    /// Inside an engine task the thread *parks* instead of sleeping: it
-    /// registers an unparker while holding the version lock — a concurrent
-    /// [`notify`](Self::notify) either already moved the version (observed
-    /// before parking) or will drain the registration — and wakes only when
-    /// the version moves, so idle tasks cost zero CPU and no polling
-    /// timeout. Under a plain [`sched`] hook the thread yields to the
-    /// deterministic scheduler instead (every caller re-polls in a loop).
-    pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
-        if let Some(up) = engine::current_unparker() {
-            loop {
-                {
-                    let v = self.version.lock();
-                    if *v > seen {
-                        return *v;
-                    }
-                    self.waiters.fetch_add(1, Ordering::AcqRel);
-                    self.task_waiters.lock().push(up.clone());
-                }
-                engine::park(SchedPoint::NotifyWait);
-            }
-        }
-        if sched::armed() {
-            {
-                let v = self.version.lock();
-                if *v > seen {
-                    return *v;
-                }
-            }
-            sched::yield_point(SchedPoint::NotifyWait);
-            return *self.version.lock();
-        }
-        let mut v = self.version.lock();
-        if *v > seen {
-            return *v;
-        }
-        let _ = self.cv.wait_for(&mut v, timeout);
-        *v
-    }
-}
 
 /// One queued packet plus the bookkeeping it was pushed with.
 #[derive(Debug)]
@@ -728,6 +633,7 @@ mod tests {
     use bytes::Bytes;
     use rankmpi_vtime::Nanos;
     use std::collections::HashMap;
+    use std::time::Duration;
 
     fn pkt(seq: u64) -> Packet {
         Packet {
@@ -919,20 +825,6 @@ mod tests {
         assert_eq!(n.version(), v0 + 1, "one batch, one notification");
         let mut out = Vec::new();
         assert_eq!(mb.drain_into(&mut out), 2);
-    }
-
-    #[test]
-    fn wait_past_returns_immediately_if_moved() {
-        let n = Notify::new();
-        n.notify();
-        assert_eq!(n.wait_past(0, Duration::from_secs(10)), 1);
-    }
-
-    #[test]
-    fn wait_past_times_out_without_progress() {
-        let n = Notify::new();
-        let v = n.wait_past(0, Duration::from_millis(10));
-        assert_eq!(v, 0);
     }
 
     #[test]
@@ -1175,9 +1067,9 @@ mod tests {
         let n = Arc::new(Notify::new());
         let mb = Arc::new(Mailbox::new(Arc::clone(&n)));
         let n2 = Arc::clone(&n);
-        // No sleep needed for correctness: wait_past re-checks the version
-        // under the lock, so whichever side runs first, the waiter returns
-        // once the push has happened. (The deterministic-interleaving
+        // No sleep needed for correctness: wait_past re-reads the version
+        // after registering as a sleeper, so whichever side runs first, the
+        // waiter returns once the push has happened. (The deterministic-interleaving
         // version of this test lives in the rankmpi-check conformance
         // suite, which drives both orders explicitly.)
         let t = std::thread::spawn(move || {

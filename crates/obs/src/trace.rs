@@ -7,7 +7,7 @@
 //!
 //! The writer path is lock-free: each thread owns a fixed-capacity ring whose
 //! slots only that thread writes; publication is a release store of the
-//! length, and the collector ([`session_stop`]) reads lengths with acquire
+//! length, and the collector ([`session`]) reads lengths with acquire
 //! ordering, so every span it observes is fully written. A full ring drops
 //! new spans (counted in [`Trace::dropped`]) instead of blocking or
 //! reallocating on the hot path.
@@ -20,7 +20,7 @@
 use std::cell::Cell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use rankmpi_vtime::Nanos;
 
@@ -136,8 +136,8 @@ impl Span {
     }
 }
 
-/// A finished trace: every span recorded between [`session_start`] and
-/// [`session_stop`], plus how many spans ring overflow discarded.
+/// A finished trace: every span recorded during one [`session`], plus how
+/// many spans ring overflow discarded.
 #[derive(Debug, Default)]
 pub struct Trace {
     /// All recorded spans (per-thread ring order; not globally sorted).
@@ -311,30 +311,34 @@ pub fn wait(cat: &'static str, name: &'static str, start: Nanos, end: Nanos, res
     }
 }
 
-/// Start a collection session: clears every registered ring and enables
-/// recording. Sessions are global to the process; bracket them around
-/// quiescent points (no simulated threads running).
-pub fn session_start() {
+/// The rings and the recording flag are process-global, so sessions take
+/// turns: whoever holds this is the one session collecting.
+static SESSION: Mutex<()> = Mutex::new(());
+
+/// Run `f` as one collection session and return its result with every span
+/// recorded meanwhile: clears every registered ring, records while `f` runs,
+/// then collects every thread's spans. Concurrent callers are serialised (a
+/// second session starts when the first has collected), but spans from
+/// threads *outside* `f` that run meanwhile land in the same trace — start
+/// `f` from a quiescent point.
+pub fn session<R>(f: impl FnOnce() -> R) -> (R, Trace) {
     if !COMPILED {
-        return;
+        return (f(), Trace::default());
     }
+    // A session that panicked left nothing half-updated: the next one
+    // resets the rings and the flag anyway.
+    let _turn = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
     for b in buf_registry().lock().unwrap().iter() {
         b.reset();
     }
     ACTIVE.store(true, Ordering::SeqCst);
-}
-
-/// Stop the session and collect every thread's spans.
-pub fn session_stop() -> Trace {
-    if !COMPILED {
-        return Trace::default();
-    }
+    let out = f();
     ACTIVE.store(false, Ordering::SeqCst);
     let mut trace = Trace::default();
     for b in buf_registry().lock().unwrap().iter() {
         trace.dropped += b.drain_into(&mut trace.spans);
     }
-    trace
+    (out, trace)
 }
 
 #[cfg(test)]
@@ -376,16 +380,16 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn session_records_across_threads() {
-        session_start();
-        set_actor(7, 0);
-        busy("t", "main", Nanos(0), Nanos(5), ResId::NONE);
-        let h = std::thread::spawn(|| {
-            set_actor(7, 1);
-            busy("t", "worker", Nanos(2), Nanos(9), ResId::new("vci", 7, 0));
-            wait("t", "zero", Nanos(3), Nanos(3), ResId::NONE); // dropped: empty
+        let ((), tr) = session(|| {
+            set_actor(7, 0);
+            busy("t", "main", Nanos(0), Nanos(5), ResId::NONE);
+            let h = std::thread::spawn(|| {
+                set_actor(7, 1);
+                busy("t", "worker", Nanos(2), Nanos(9), ResId::new("vci", 7, 0));
+                wait("t", "zero", Nanos(3), Nanos(3), ResId::NONE); // dropped: empty
+            });
+            h.join().unwrap();
         });
-        h.join().unwrap();
-        let tr = session_stop();
         assert_eq!(tr.dropped, 0);
         let names: Vec<_> = {
             let mut v: Vec<_> = tr.spans.iter().map(|s| s.name).collect();
@@ -399,17 +403,14 @@ mod tests {
         assert_eq!(worker.res.label(), "vci:7.0");
         // Recording outside a session is discarded.
         busy("t", "late", Nanos(0), Nanos(1), ResId::NONE);
-        session_start();
-        let tr = session_stop();
+        let ((), tr) = session(|| ());
         assert!(tr.spans.is_empty(), "rings reset between sessions");
     }
 
     #[cfg(not(feature = "enabled"))]
     #[test]
     fn disabled_tracer_is_inert() {
-        session_start();
-        busy("t", "x", Nanos(0), Nanos(1), ResId::NONE);
-        let tr = session_stop();
+        let ((), tr) = session(|| busy("t", "x", Nanos(0), Nanos(1), ResId::NONE));
         assert!(tr.spans.is_empty());
         assert!(!is_active());
     }

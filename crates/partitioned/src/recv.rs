@@ -181,16 +181,18 @@ impl PrecvRequest {
         let nv = th.proc().num_vcis().min(th.universe().num_vcis());
         let notify = th.proc().notify().clone();
         let finish = loop {
+            // Read before draining: a partition deposited after the drain
+            // below has bumped past `seen`, so the wait returns at once
+            // (an engine task parked on a version read *after* the drain
+            // would never be woken for it).
+            let seen = notify.version();
             for v in 0..nv {
                 th.proc().vci(v).progress(&mut th.clock);
             }
             if let Some(max_ready) = self.sink.all_ready() {
                 break max_ready;
             }
-            let seen = notify.version();
-            if self.sink.all_ready().is_none() {
-                notify.wait_past(seen, Duration::from_millis(1));
-            }
+            notify.wait_past(seen, Duration::from_millis(1));
         };
         th.clock.wait_until(finish);
         let data = self.sink.read_all();

@@ -27,11 +27,13 @@
 //! ```
 //!
 //! Blocking primitives never sleep on a condvar inside a task. Instead they
-//! register an [`Unparker`] with the awaited object (under the same lock
-//! that guards the awaited condition, so wakeups cannot be lost), then call
-//! [`park`]; the waker side drains registered unparkers after publishing the
-//! condition. A parked task costs zero CPU — this is what lets 1k+ idle
-//! tasks coexist on one core.
+//! register an [`Unparker`] with the awaited object so that wakeups cannot
+//! be lost — under the lock that guards the awaited condition, or (the
+//! fabric's lock-free `Notify`) published before a `SeqCst` re-read of the
+//! condition, which the waker writes before it looks for registrations —
+//! then call [`park`]; the waker side drains registered unparkers after
+//! publishing the condition. A parked task costs zero CPU — this is what
+//! lets 1k+ idle tasks coexist on one core.
 //!
 //! ## Dispatch policies
 //!
@@ -613,9 +615,11 @@ fn yield_now(shared: &Arc<Shared>, me: usize) {
 /// Park the current task until some [`Unparker`] wakes it.
 ///
 /// Callers must have registered an unparker with the awaited condition
-/// *under the same lock that guards the condition* before calling, and must
-/// re-check the condition in a loop afterwards: a consumed wake-pending
-/// flag or a drained stale registration can produce spurious returns.
+/// before calling — *under the same lock that guards the condition*, or
+/// published ahead of a `SeqCst` re-check of a condition whose writer reads
+/// the registration only after writing — and must re-check the condition in
+/// a loop afterwards: a consumed wake-pending flag or a drained stale
+/// registration can produce spurious returns.
 /// A no-op outside tasks and inside [`block_in_place`] sections.
 pub fn park(point: SchedPoint) {
     let _ = point;

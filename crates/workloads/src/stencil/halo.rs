@@ -259,10 +259,7 @@ pub fn run_halo_traced(
     mech: HaloMechanism,
     cfg: &HaloConfig,
 ) -> (HaloReport, rankmpi_obs::trace::Trace) {
-    rankmpi_obs::trace::session_start();
-    let rep = run_halo(mech, cfg);
-    let trace = rankmpi_obs::trace::session_stop();
-    (rep, trace)
+    rankmpi_obs::trace::session(|| run_halo(mech, cfg))
 }
 
 /// Per-thread exchange loop shared by the comm-map and tag mechanisms.
