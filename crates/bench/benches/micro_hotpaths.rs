@@ -208,6 +208,7 @@ fn bench_engine_ablation(_c: &mut Criterion) {
             ("bench", Json::str("micro_hotpaths")),
             ("sim_matching_cost", Json::Arr(sweep_json)),
             ("receiver_counters_mid_drain", Json::Arr(engines_json)),
+            ("resource_acquire_ns", resource_acquire_ns()),
             (
                 "datapath_ablation",
                 Json::obj([
@@ -320,15 +321,70 @@ fn bench_launch_overhead(_c: &mut Criterion) {
     );
 }
 
-fn bench_resource(c: &mut Criterion) {
-    c.bench_function("resource_acquire", |b| {
+/// `Resource::acquire` wall cost for the shapes its schedule distinguishes
+/// (median of `reps` fresh resources, `calls` timed calls each):
+/// `append_sparse_{1k,200k}` — in-order requests that never merge, onto
+/// 1k or 200k remembered intervals; `touching` — each request starts where
+/// the last ended; `behind_1k` — requests that fit a gap 1 000 intervals
+/// behind the frontier of 100k. The two ratio asserts are the regression
+/// gate: the cost of a request may depend neither on how much history the
+/// resource holds nor on how far behind the frontier it lands.
+fn resource_acquire_ns() -> Json {
+    // Sparse history: [15i + 10, 15i + 15), 10-wide gaps.
+    let sparse = |n: u64| {
         let r = Resource::new();
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 10;
-            black_box(r.acquire(Nanos(t), Nanos(5)))
-        });
-    });
+        for i in 0..n {
+            r.acquire(Nanos(15 * i + 10), Nanos(5));
+        }
+        r
+    };
+    let median_ns = |reps: usize, calls: u64, shape: &dyn Fn() -> (Resource, u64, u64)| {
+        let mut runs: Vec<f64> = (0..reps)
+            .map(|_| {
+                // `at` is the first request time, `busy` its length; each
+                // later request starts 15 after the one before.
+                let (r, at, busy) = shape();
+                let start = std::time::Instant::now();
+                for i in 0..calls {
+                    black_box(r.acquire(Nanos(at + 15 * i), Nanos(busy)));
+                }
+                start.elapsed().as_nanos() as f64 / calls as f64
+            })
+            .collect();
+        runs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        runs[runs.len() / 2]
+    };
+    let rows = [
+        (
+            "append_sparse_1k",
+            median_ns(201, 1_000, &|| (sparse(1_000), 15 * 1_000 + 10, 5)),
+        ),
+        (
+            "append_sparse_200k",
+            median_ns(21, 1_000, &|| (sparse(200_000), 15 * 200_000 + 10, 5)),
+        ),
+        ("touching", median_ns(201, 1_000, &|| (sparse(1), 15, 15))),
+        (
+            "behind_1k",
+            median_ns(21, 500, &|| (sparse(100_000), 15 * 99_000 + 2, 2)),
+        ),
+    ];
+    for (name, ns) in rows {
+        println!(
+            "bench {:<48} {ns:>14.1} ns/iter",
+            format!("resource_acquire/{name}")
+        );
+    }
+    let [(_, append_1k), (_, append_200k), _, (_, behind_1k)] = rows;
+    assert!(
+        append_200k <= 3.0 * append_1k,
+        "Resource::acquire got slower with history: {rows:?}"
+    );
+    assert!(
+        behind_1k <= 20.0 * append_1k,
+        "Resource::acquire behind the frontier fell off a cliff: {rows:?}"
+    );
+    Json::obj(rows.map(|(name, ns)| (name, Json::Num(ns))))
 }
 
 fn bench_lock(c: &mut Criterion) {
@@ -368,7 +424,6 @@ criterion_group!(
     bench_engine_ablation,
     bench_pingpong_overhead,
     bench_launch_overhead,
-    bench_resource,
     bench_lock,
     bench_tags
 );

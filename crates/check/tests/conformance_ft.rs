@@ -151,6 +151,50 @@ fn pending_recv_from_the_dead_fails_with_process_failed() {
     });
 }
 
+/// A message the dead rank sent before it died stays deliverable: a
+/// receive posted *after* the detector fired matches it instead of failing
+/// at post time. Only a receive that would stay posted is doomed.
+#[test]
+fn recv_posted_after_detection_still_gets_an_arrived_message() {
+    for launch in launch_modes_under_test() {
+        let plan = FaultPlan::new(0xD1E).crashes(1.0, 200, Nanos::us(4000));
+        assert_eq!(plan.crash_point(1), Some(CrashPoint::Sends(61)));
+        let u = Universe::builder()
+            .nodes(2)
+            .launch(launch)
+            .fault_plan(plan)
+            .build();
+        u.run_ft(|env| {
+            let world = env.world();
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            let mut th = env.single_thread();
+            if env.rank() == 1 {
+                world.send(&mut th, 0, 3, b"sent before the crash").unwrap();
+                while world.send(&mut th, 0, 9, b"x").is_ok() {}
+                panic!("rank 1 outlived a probability-1 crash plan");
+            }
+            // Tag 77 is never sent: this resolves only through the detector.
+            let fired = world.recv_timeout(&mut th, 1, 77, Duration::from_secs(20));
+            assert!(
+                matches!(fired, Err(RankMpiError::ProcessFailed { rank: 1 })),
+                "detector must fire, got {fired:?}"
+            );
+            let cell = launch_name(&launch);
+            match world.recv_timeout(&mut th, 1, 3, Duration::from_secs(20)) {
+                Ok((_, data)) => assert_eq!(&data[..], b"sent before the crash"),
+                Err(e) => panic!("arrived message from the dead rank was refused: {e:?} ({cell})"),
+            }
+            // Nothing else with tag 3 ever arrived: this one stays posted,
+            // so it is doomed.
+            let doomed = world.recv_timeout(&mut th, 1, 3, Duration::from_secs(20));
+            assert!(
+                matches!(doomed, Err(RankMpiError::ProcessFailed { rank: 1 })),
+                "second receive: {doomed:?} ({cell})"
+            );
+        });
+    }
+}
+
 /// Endpoint ranks are attributed to their owner process: when rank 1 dies,
 /// a receive from an endpoint rank 0 owns stays pending, a receive from one
 /// of the dead rank's endpoints fails naming world rank 1, and so does a
@@ -171,16 +215,10 @@ fn endpoint_failures_are_attributed_to_the_owner_process() {
             let mut th = env.single_thread();
             // Endpoint ranks 0,1 live on world rank 0; 2,3 on world rank 1.
             let eps = comm_create_endpoints(&world, &mut th, 2, &Info::new()).unwrap();
-            // Rank 1 may not start dying before rank 0 has left the
-            // collective above: a receive rank 0 posts after the detector
-            // has fired fails at post time, even for a message that already
-            // arrived (ROADMAP item 4), and the `unwrap` above would see it.
             if env.rank() == 1 {
-                world.recv(&mut th, 0, 1).unwrap();
                 while world.send(&mut th, 0, 9, b"x").is_ok() {}
                 panic!("rank 1 outlived a probability-1 crash plan");
             }
-            world.send(&mut th, 1, 1, b"go").unwrap();
             // Tag 5 is never sent: these resolve only through the detector.
             let from_live = eps[0].irecv(&mut th, 1, 5).unwrap();
             let from_dead = eps[0].irecv(&mut th, 2, 5).unwrap();

@@ -515,30 +515,42 @@ impl Vci {
             self.release_engine(eng, clock, locked_at);
             return;
         }
-        if posted.pattern.src >= 0 {
-            let global = self
-                .ft
-                .global_of(base_ctx, posted.pattern.src as usize)
-                .unwrap_or(posted.pattern.src as usize);
-            if let Some(at) = self.ft.liveness().detect_at(global) {
-                self.ft.liveness().note_detection();
-                posted.req.fail(
-                    at.max(posted.posted_at),
-                    RankMpiError::ProcessFailed {
-                        rank: global as u32,
-                    },
-                );
-                self.release_engine(eng, clock, locked_at);
-                return;
-            }
+        // Only a receive that stays posted is doomed. What the dead rank
+        // sent before it died is deliverable (the sweep leaves such packets
+        // queued) wherever it sits, so the mailbox goes into the engine
+        // before the match decides.
+        let dead_src = self.failed_source(base_ctx, &posted.pattern);
+        if dead_src.is_some() {
+            self.drain_mailbox(&mut **eng);
         }
         let (matched, work) = eng.post_recv(posted.clone());
         let done = self.charge_match(ChargeTo::Caller(clock), &work);
         obs::busy("match", "match_post", locked_at, done, self.engine_res_id());
         if let Some(pkt) = matched {
             self.complete_match(done, &posted.req, pkt);
+        } else if let Some((at, rank)) = dead_src {
+            eng.cancel(&posted.req);
+            self.ft.liveness().note_detection();
+            posted.req.fail(
+                at.max(posted.posted_at),
+                RankMpiError::ProcessFailed { rank },
+            );
         }
         self.release_engine(eng, clock, locked_at);
+    }
+
+    /// When `pattern` names a source the failure detector knows is dead:
+    /// the detection time and the source's world rank.
+    fn failed_source(&self, base_ctx: u32, pattern: &MatchPattern) -> Option<(Nanos, u32)> {
+        if pattern.src < 0 {
+            return None;
+        }
+        let global = self
+            .ft
+            .global_of(base_ctx, pattern.src as usize)
+            .unwrap_or(pattern.src as usize);
+        let at = self.ft.liveness().detect_at(global)?;
+        Some((at, global as u32))
     }
 
     /// Drain this VCI's mailbox and run the matching engine. Returns the
@@ -574,6 +586,24 @@ impl Vci {
         // (real-scheduling-dependent) number and timing of progress polls
         // cannot perturb virtual completion times.
         let mut eng = self.engine.lock_unmodeled();
+        let n = self.drain_mailbox(&mut **eng);
+        // `drain_mailbox` has released its plain scratch mutex, and the
+        // engine lock goes before the yield point below too: an engine task
+        // preempted there while holding the scratch mutex would block — for
+        // real, keeping its worker slot — every task that then takes the
+        // engine lock and reaches for it.
+        drop(eng);
+        clock.advance(self.costs.match_base / 4); // the poll's own CPU cost
+        if n > 0 {
+            obs::busy("vci", "progress", entered_at, clock.now(), self.res_id());
+        }
+        n
+    }
+
+    /// The engine critical section of [`progress`](Vci::progress): move the
+    /// mailbox into the engine, then sweep if failure knowledge moved.
+    /// Returns the number of packets drained.
+    fn drain_mailbox(&self, eng: &mut dyn MatchEngine) -> usize {
         // The scratch buffer lives under the engine critical section (its
         // lock is uncontended by construction), so the steady-state poll
         // reuses one warm allocation instead of a fresh Vec per drain.
@@ -598,7 +628,7 @@ impl Vci {
                 self.direct.dispatch(pkt);
                 continue;
             }
-            self.handle_incoming(&mut **eng, pkt);
+            self.handle_incoming(eng, pkt);
         }
         // Sweep *after* the drain (arrivals above may themselves have taught
         // us a revocation) and still under the engine lock, so pending state
@@ -606,17 +636,7 @@ impl Vci {
         // lets exactly one thread per stamp change pay for the sweep.
         let stamp = self.ft.stamp();
         if stamp != 0 && self.ft_seen.swap(stamp, Ordering::AcqRel) != stamp {
-            self.ft_sweep(&mut **eng);
-        }
-        // The scratch lock goes first, and both before the yield point
-        // below: it is a plain mutex, so an engine task preempted there while
-        // still holding it would block — for real, keeping its worker slot —
-        // every task that then takes the engine lock and reaches for it.
-        drop(batch);
-        drop(eng);
-        clock.advance(self.costs.match_base / 4); // the poll's own CPU cost
-        if n > 0 {
-            obs::busy("vci", "progress", entered_at, clock.now(), self.res_id());
+            self.ft_sweep(eng);
         }
         n
     }
@@ -686,21 +706,11 @@ impl Vci {
                     );
                     continue;
                 }
-                if p.pattern.src >= 0 {
-                    let global = self
-                        .ft
-                        .global_of(base_ctx, p.pattern.src as usize)
-                        .unwrap_or(p.pattern.src as usize);
-                    if let Some(at) = self.ft.liveness().detect_at(global) {
-                        self.ft.liveness().note_detection();
-                        p.req.fail(
-                            at.max(p.posted_at),
-                            RankMpiError::ProcessFailed {
-                                rank: global as u32,
-                            },
-                        );
-                        continue;
-                    }
+                if let Some((at, rank)) = self.failed_source(base_ctx, &p.pattern) {
+                    self.ft.liveness().note_detection();
+                    p.req
+                        .fail(at.max(p.posted_at), RankMpiError::ProcessFailed { rank });
+                    continue;
                 }
             }
             let (m, _) = eng.post_recv(p);
@@ -1339,6 +1349,38 @@ mod tests {
             let held = self.vci.drain_batch.try_lock().is_none();
             self.at_yield.lock().push(held);
         }
+    }
+
+    #[test]
+    fn recv_posted_after_detection_matches_what_the_dead_rank_already_sent() {
+        let (a, _n1, _s1) = test_vci(0);
+        let (b, _n2, _s2) = test_vci(0);
+        let mut clock = Clock::new();
+        a.send_packet(
+            &mut clock,
+            &b,
+            false,
+            header(9, 1, 5),
+            Bytes::from_static(b"last words"),
+        );
+        b.ft.liveness().mark_crashed(1, Nanos(10));
+        let from_the_dead = MatchPattern {
+            context_id: 9,
+            src: 1,
+            tag: 5,
+        };
+        // Nothing has progressed `b`: the message is still in its mailbox.
+        let req = ReqState::detached();
+        b.post_recv(&mut clock, from_the_dead, Arc::clone(&req));
+        assert_eq!(&req.take_outcome().unwrap().1[..], b"last words");
+        // A second one can only stay posted, so it is doomed.
+        let req = ReqState::detached();
+        b.post_recv(&mut clock, from_the_dead, Arc::clone(&req));
+        assert!(matches!(
+            req.take_outcome(),
+            Err(RankMpiError::ProcessFailed { rank: 1 })
+        ));
+        assert_eq!(b.posted_depth(), 0);
     }
 
     #[test]

@@ -9,20 +9,28 @@
 //! container), `rankmpi` does not measure wall-clock time. Instead, every simulated
 //! thread carries a [`Clock`] — a virtual timestamp in nanoseconds — and every
 //! shared physical resource (a NIC hardware context, a lock, a matching engine) is
-//! a [`Resource`] holding the virtual time at which it next becomes free.
+//! a [`Resource`]: a schedule of the virtual-time intervals in which it is busy.
 //!
-//! Using a resource serializes in virtual time exactly like queueing at a device:
+//! Using a resource serializes in virtual time like queueing at a device, except
+//! that the queue is ordered by *virtual* arrival, not by which real thread got
+//! there first:
 //!
 //! ```text
-//! start      = max(thread_now, resource_next_free)
-//! next_free  = start + busy
+//! start      = earliest t >= thread_now with [t, t + busy) free
 //! thread_now = start + busy (+ any overlap-exempt overhead)
 //! ```
 //!
-//! This is the classic LogGP-style accounting (overhead `o`, gap `g`, latency `L`,
-//! per-byte time `G`). Aggregate metrics (total simulated time, message rates) are
-//! independent of host scheduling, so the *shape* of every benchmark — who wins, by
-//! what factor, where crossovers fall — is reproducible.
+//! A request the OS ran late backfills the gap it would have had; a saturated
+//! resource degenerates to `start = max(thread_now, next_free)`. The schedule is a
+//! sorted array in chunks of 256 intervals: a request from its last interval on —
+//! the steady state — is O(1), an earlier one is a binary search plus a move within
+//! one chunk. History is bounded at 2^20 intervals per resource; the oldest half is
+//! then forgotten, and [`Resource::clamped`] counts the requests that arrived too
+//! late to see it (0 means every result is exact).
+//!
+//! Costs follow the classic LogGP accounting (overhead `o`, gap `g`, latency `L`,
+//! per-byte time `G`), so the *shape* of every benchmark — who wins, by what
+//! factor, where crossovers fall — is reproducible on any host.
 //!
 //! The crate also provides:
 //! - [`ContentionLock`]: a mutex whose virtual acquisition cost grows with the

@@ -1,6 +1,5 @@
 //! Serialized shared resources with gap-aware virtual-time scheduling.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -24,6 +23,146 @@ impl Acquisition {
     }
 }
 
+/// Intervals per chunk of a [`Schedule`]: an insert behind the frontier
+/// moves at most this many entries, however long the schedule is.
+const CHUNK: usize = 256;
+
+/// History bound (16 MiB of intervals). A resource that reaches it forgets
+/// its oldest half; see [`Resource::clamped`].
+const MAX_INTERVALS: usize = 1 << 20;
+
+/// Busy intervals `(start, end)`: sorted, disjoint and never touching
+/// (an insert merges with a touching neighbour), stored as sorted chunks of
+/// at most [`CHUNK`] entries. No chunk is empty.
+#[derive(Debug, Default)]
+struct Schedule {
+    chunks: Vec<Vec<(u64, u64)>>,
+    len: usize,
+}
+
+impl Schedule {
+    /// Position `(chunk, index)` of the first interval starting at or after
+    /// `bound`. `index` is 0 only when no interval starts below `bound`, and
+    /// may be one past the chunk's end.
+    fn lower_bound(&self, bound: u64) -> (usize, usize) {
+        match self.chunks.partition_point(|c| c[0].0 < bound) {
+            0 => (0, 0),
+            c => (c - 1, self.chunks[c - 1].partition_point(|iv| iv.0 < bound)),
+        }
+    }
+
+    /// Reserve the earliest `busy`-long gap at or after `cursor`; returns
+    /// its start.
+    fn reserve(&mut self, mut cursor: u64, busy: u64) -> u64 {
+        // From the last interval's start on there is nothing to search —
+        // the slot is at `max(cursor, frontier)`: the steady state of every
+        // resource with a single owner, and of a saturated one.
+        match self.chunks.last_mut().and_then(|c| c.last_mut()) {
+            Some(last) if cursor < last.0 => {}
+            Some(last) if cursor <= last.1 => {
+                let start = last.1;
+                last.1 += busy;
+                return start;
+            }
+            _ => {
+                self.push((cursor, cursor + busy));
+                return cursor;
+            }
+        }
+        // Find the earliest gap: repeatedly jump past the latest interval
+        // that overlaps [cursor, cursor + busy). Intervals are sorted and
+        // disjoint, so only the one with the greatest start below
+        // `cursor + busy` can overlap.
+        let (c, i) = loop {
+            let (c, i) = self.lower_bound(cursor + busy);
+            match i.checked_sub(1).map(|p| self.chunks[c][p].1) {
+                Some(e) if e > cursor => cursor = e,
+                _ => break (c, i),
+            }
+        };
+        // Merge with a touching predecessor and successor to keep the
+        // schedule small (halo loops produce long runs of contiguous slots).
+        let end = cursor + busy;
+        let joins_prev = i > 0 && self.chunks[c][i - 1].1 == cursor;
+        let (nc, ni) = if i == self.chunks[c].len() {
+            (c + 1, 0)
+        } else {
+            (c, i)
+        };
+        let joins_next = self.chunks.get(nc).is_some_and(|next| next[ni].0 == end);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                let next = self.remove(nc, ni);
+                self.chunks[c][i - 1].1 = next.1;
+            }
+            (true, false) => self.chunks[c][i - 1].1 = end,
+            (false, true) => self.chunks[nc][ni].0 = cursor,
+            (false, false) => self.insert(c, i, (cursor, end)),
+        }
+        cursor
+    }
+
+    /// Append past the frontier.
+    fn push(&mut self, iv: (u64, u64)) {
+        match self.chunks.last_mut() {
+            Some(c) if c.len() < CHUNK => c.push(iv),
+            _ => {
+                // Most resources hold a handful of intervals, so the first
+                // chunk grows on demand; later ones are allocated whole.
+                let mut c = if self.chunks.is_empty() {
+                    Vec::new()
+                } else {
+                    Vec::with_capacity(CHUNK)
+                };
+                c.push(iv);
+                self.chunks.push(c);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Insert before position `(c, i)`, splitting a full chunk in half.
+    fn insert(&mut self, c: usize, i: usize, iv: (u64, u64)) {
+        let chunk = &mut self.chunks[c];
+        if chunk.len() < CHUNK {
+            chunk.insert(i, iv);
+        } else {
+            let mut tail = Vec::with_capacity(CHUNK);
+            tail.extend_from_slice(&chunk[CHUNK / 2..]);
+            chunk.truncate(CHUNK / 2);
+            match i.checked_sub(CHUNK / 2) {
+                Some(t) => tail.insert(t, iv),
+                None => chunk.insert(i, iv),
+            }
+            self.chunks.insert(c + 1, tail);
+        }
+        self.len += 1;
+    }
+
+    fn remove(&mut self, c: usize, i: usize) -> (u64, u64) {
+        let iv = self.chunks[c].remove(i);
+        if self.chunks[c].is_empty() {
+            self.chunks.remove(c);
+        }
+        self.len -= 1;
+        iv
+    }
+
+    /// Drop the oldest half of the history as whole chunks; returns the end
+    /// of the last interval dropped.
+    fn forget_oldest_half(&mut self) -> u64 {
+        let (mut dropped, mut k) = (0, 0);
+        while dropped < self.len / 2 {
+            dropped += self.chunks[k].len();
+            k += 1;
+        }
+        let end = self.chunks[k - 1].last().expect("no chunk is empty").1;
+        self.chunks.drain(..k);
+        self.len -= dropped;
+        end
+    }
+}
+
 /// A shared physical resource that serves one request at a time in virtual
 /// time — a NIC hardware context's pipeline, a DMA engine, the wire.
 ///
@@ -41,15 +180,25 @@ impl Acquisition {
 /// that merely executed earlier in real time. Back-to-back requests for the
 /// same instant still serialize exactly (no overlap, ever); a saturated
 /// resource degenerates to the classic `max(now, next_free)` queue.
+///
+/// The schedule is a two-level sorted array, 16 bytes per remembered
+/// interval. A request from the last interval's start on is served at or
+/// past the frontier (that interval's end) in O(1); an earlier one
+/// binary-searches the chunk heads, then one chunk. A resource that has
+/// accumulated 2^20 intervals forgets the oldest half and raises its floor
+/// to where they ended, so memory is bounded;
+/// [`clamped`](Resource::clamped) counts the requests this could have
+/// affected.
 #[derive(Debug)]
 pub struct Resource {
-    /// Busy intervals, keyed by start, non-overlapping, gap-merged.
-    intervals: Mutex<BTreeMap<u64, u64>>,
+    schedule: Mutex<Schedule>,
     /// No request may be scheduled before this floor.
     floor: AtomicU64,
     busy_total: AtomicU64,
     acquisitions: AtomicU64,
-    /// Cached max end time (monotone), for cheap `next_free` reads.
+    clamped: AtomicU64,
+    /// The frontier, mirrored for lock-free `next_free` reads. Written
+    /// under the schedule lock.
     max_end: AtomicU64,
 }
 
@@ -57,10 +206,11 @@ impl Resource {
     /// A resource that is free from the simulation epoch.
     pub fn new() -> Self {
         Resource {
-            intervals: Mutex::new(BTreeMap::new()),
+            schedule: Mutex::default(),
             floor: AtomicU64::new(0),
             busy_total: AtomicU64::new(0),
             acquisitions: AtomicU64::new(0),
+            clamped: AtomicU64::new(0),
             max_end: AtomicU64::new(0),
         }
     }
@@ -68,51 +218,40 @@ impl Resource {
     /// Reserve the earliest `busy`-long slot at or after `now`.
     pub fn acquire(&self, now: Nanos, busy: Nanos) -> Acquisition {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let busy = busy.as_ns();
-        let mut cursor = now.as_ns().max(self.floor.load(Ordering::Acquire));
+        let (now, busy) = (now.as_ns(), busy.as_ns());
         if busy == 0 {
+            let at = self.clamp(now);
             return Acquisition {
-                start: Nanos(cursor),
-                end: Nanos(cursor),
+                start: Nanos(at),
+                end: Nanos(at),
             };
         }
         self.busy_total.fetch_add(busy, Ordering::Relaxed);
 
-        let mut map = self.intervals.lock();
-        // Find the earliest gap: repeatedly jump past the latest interval
-        // that overlaps [cursor, cursor + busy). Intervals are sorted and
-        // non-overlapping, so only the one with the greatest start below
-        // `cursor + busy` can overlap.
-        loop {
-            let overlap = map
-                .range(..cursor + busy)
-                .next_back()
-                .filter(|&(_s, e)| *e > cursor)
-                .map(|(_s, &e)| e);
-            match overlap {
-                Some(e) => cursor = e,
-                None => break,
-            }
+        let mut schedule = self.schedule.lock();
+        // Clamp under the lock: the history cap below raises the floor
+        // while holding it, and nothing may be scheduled into forgotten time.
+        let start = schedule.reserve(self.clamp(now), busy);
+        if start + busy > self.max_end.load(Ordering::Relaxed) {
+            self.max_end.store(start + busy, Ordering::Release);
         }
-        let (mut start, mut end) = (cursor, cursor + busy);
-        // Merge with a touching predecessor and successor to keep the map
-        // small (halo loops produce long runs of contiguous slots).
-        if let Some((&ps, &pe)) = map.range(..=start).next_back() {
-            if pe == start {
-                map.remove(&ps);
-                start = ps;
-            }
+        if schedule.len >= MAX_INTERVALS {
+            let forgotten = schedule.forget_oldest_half();
+            self.floor.fetch_max(forgotten, Ordering::AcqRel);
         }
-        if let Some(&ne) = map.get(&end) {
-            map.remove(&end);
-            end = ne;
-        }
-        map.insert(start, end);
-        self.max_end.fetch_max(end, Ordering::AcqRel);
         Acquisition {
-            start: Nanos(cursor),
-            end: Nanos(cursor + busy),
+            start: Nanos(start),
+            end: Nanos(start + busy),
         }
+    }
+
+    /// `now` raised to the floor, counting the requests that had to be.
+    fn clamp(&self, now: u64) -> u64 {
+        let floor = self.floor.load(Ordering::Acquire);
+        if now < floor {
+            self.clamped.fetch_add(1, Ordering::Relaxed);
+        }
+        now.max(floor)
     }
 
     /// The virtual time at which all currently scheduled work is done.
@@ -135,6 +274,14 @@ impl Resource {
         self.acquisitions.load(Ordering::Relaxed)
     }
 
+    /// Number of requests that arrived below the floor and were moved up to
+    /// it. The floor rises through [`advance_to`](Resource::advance_to) and
+    /// when the history bound forgets old intervals; while this is 0, every
+    /// result is the one an unbounded history would have given.
+    pub fn clamped(&self) -> u64 {
+        self.clamped.load(Ordering::Relaxed)
+    }
+
     /// Fraction of `[0, horizon]` the resource was busy (clamped to 1.0).
     pub fn utilization(&self, horizon: Nanos) -> f64 {
         if horizon == Nanos::ZERO {
@@ -153,7 +300,127 @@ impl Default for Resource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
+
+    /// The `BTreeMap` schedule this module used before the sorted array:
+    /// the reference every `Acquisition` must stay bit-identical to. It
+    /// never forgets.
+    #[derive(Default)]
+    struct MapResource {
+        intervals: BTreeMap<u64, u64>,
+        floor: u64,
+        busy_total: u64,
+        acquisitions: u64,
+        max_end: u64,
+    }
+
+    impl MapResource {
+        fn acquire(&mut self, now: Nanos, busy: Nanos) -> Acquisition {
+            self.acquisitions += 1;
+            let busy = busy.as_ns();
+            let mut cursor = now.as_ns().max(self.floor);
+            if busy == 0 {
+                return Acquisition {
+                    start: Nanos(cursor),
+                    end: Nanos(cursor),
+                };
+            }
+            self.busy_total += busy;
+            let map = &mut self.intervals;
+            loop {
+                let overlap = map
+                    .range(..cursor + busy)
+                    .next_back()
+                    .filter(|&(_s, e)| *e > cursor)
+                    .map(|(_s, &e)| e);
+                match overlap {
+                    Some(e) => cursor = e,
+                    None => break,
+                }
+            }
+            let (mut start, mut end) = (cursor, cursor + busy);
+            if let Some((&ps, &pe)) = map.range(..=start).next_back() {
+                if pe == start {
+                    map.remove(&ps);
+                    start = ps;
+                }
+            }
+            if let Some(&ne) = map.get(&end) {
+                map.remove(&end);
+                end = ne;
+            }
+            map.insert(start, end);
+            self.max_end = self.max_end.max(end);
+            Acquisition {
+                start: Nanos(cursor),
+                end: Nanos(cursor + busy),
+            }
+        }
+    }
+
+    /// A `Resource` and the reference, fed the same requests.
+    #[derive(Default)]
+    struct Pair {
+        r: Resource,
+        m: MapResource,
+    }
+
+    impl Pair {
+        /// Both sides after `n` in-order requests of `busy`, each `gap`
+        /// past the frontier. The resource serves them; the map is built in
+        /// the state they leave it in (`append_sparse` on an empty pair,
+        /// minus a million debug-build `BTreeMap` descents).
+        fn with_sparse_history(n: usize, gap: u64, busy: u64) -> Pair {
+            let slots = (0..n as u64).map(|i| (i * (gap + busy) + gap, (i + 1) * (gap + busy)));
+            let r = Resource::new();
+            for (start, end) in slots.clone() {
+                let got = r.acquire(Nanos(start), Nanos(busy));
+                assert_eq!((got.start, got.end), (Nanos(start), Nanos(end)));
+            }
+            let m = MapResource {
+                intervals: slots.collect(),
+                floor: 0,
+                busy_total: n as u64 * busy,
+                acquisitions: n as u64,
+                max_end: n as u64 * (gap + busy),
+            };
+            Pair { r, m }
+        }
+
+        fn acquire(&mut self, now: u64, busy: u64) -> Acquisition {
+            let got = self.r.acquire(Nanos(now), Nanos(busy));
+            let want = self.m.acquire(Nanos(now), Nanos(busy));
+            assert_eq!(got, want, "acquire({now}, {busy})");
+            got
+        }
+
+        fn advance_to(&mut self, t: u64) {
+            self.r.advance_to(Nanos(t));
+            self.m.floor = self.m.floor.max(t);
+        }
+
+        /// `n` in-order requests, each leaving a gap of `gap` behind it.
+        fn append_sparse(&mut self, n: usize, gap: u64, busy: u64) {
+            for _ in 0..n {
+                self.acquire(self.m.max_end + gap, busy);
+            }
+        }
+
+        /// Same counters, same intervals, and the chunk invariants hold.
+        fn check(&self) {
+            assert_eq!(self.r.next_free(), Nanos(self.m.max_end));
+            assert_eq!(self.r.busy_total(), Nanos(self.m.busy_total));
+            assert_eq!(self.r.acquisitions(), self.m.acquisitions);
+            let s = self.r.schedule.lock();
+            assert!(s.chunks.iter().all(|c| (1..=CHUNK).contains(&c.len())));
+            let flat: Vec<(u64, u64)> = s.chunks.concat();
+            assert_eq!(flat.len(), s.len);
+            let want: Vec<(u64, u64)> = self.m.intervals.iter().map(|(&s, &e)| (s, e)).collect();
+            assert_eq!(flat, want);
+        }
+    }
 
     #[test]
     fn back_to_back_requests_serialize() {
@@ -270,12 +537,156 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_sparse_acquires_backfill_without_overlap() {
+        // Every thread asks for the same 100 sparse instants: eight slots
+        // queue up behind each instant and merge, the instants never do,
+        // and threads out of phase in real time insert behind the frontier.
+        let r = Arc::new(Resource::new());
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let r = Arc::clone(&r);
+                std::thread::spawn(move || {
+                    (0..100u64)
+                        .map(|i| (i, r.acquire(Nanos(i * 100), Nanos(3))))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut all: Vec<(u64, Acquisition)> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        all.sort_by_key(|(_, a)| a.start);
+        for w in all.windows(2) {
+            assert!(w[0].1.end <= w[1].1.start, "overlapping service intervals");
+        }
+        for (i, a) in &all {
+            assert!(a.start.as_ns() >= i * 100 && a.end.as_ns() <= i * 100 + 24);
+        }
+        assert_eq!(r.schedule.lock().len, 100);
+        assert_eq!(r.busy_total(), Nanos(2400));
+        assert_eq!(r.next_free(), Nanos(9924));
+        assert_eq!(r.clamped(), 0);
+    }
+
+    #[test]
     fn interval_map_stays_compact_for_contiguous_runs() {
         let r = Resource::new();
         for _ in 0..1000 {
             r.acquire(Nanos(0), Nanos(7));
         }
         assert_eq!(r.next_free(), Nanos(7000));
-        assert_eq!(r.intervals.lock().len(), 1, "contiguous slots merge");
+        assert_eq!(r.schedule.lock().len, 1, "contiguous slots merge");
+    }
+
+    #[test]
+    fn chunk_boundaries_match_the_map() {
+        // A full first chunk: inserts at its head, its middle and its end
+        // split it; each half keeps taking inserts.
+        let mut p = Pair::default();
+        p.append_sparse(CHUNK, 10, 5); // [10, 15), [25, 30), ...
+        assert_eq!(p.r.schedule.lock().chunks.len(), 1);
+        assert_eq!(
+            p.m.intervals,
+            Pair::with_sparse_history(CHUNK, 10, 5).m.intervals
+        );
+        p.acquire(0, 3); // before the head
+        p.acquire(15 * CHUNK as u64 / 2 + 1, 2); // at the split point
+        p.acquire(p.m.max_end - 12, 2); // last gap of the second half
+        assert_eq!(p.r.schedule.lock().chunks.len(), 2);
+        p.check();
+
+        // A chunk of one interval empties when the gap before it is filled
+        // exactly: predecessor (tail of one chunk) and successor (head of
+        // the next) become one interval.
+        let mut p = Pair::default();
+        p.append_sparse(CHUNK + 1, 10, 5);
+        assert_eq!(p.r.schedule.lock().chunks.len(), 2);
+        let head = p.r.schedule.lock().chunks[1][0];
+        p.acquire(head.0 - 10, 10);
+        assert_eq!(p.r.schedule.lock().chunks.len(), 1);
+        p.check();
+
+        // Joins that reach across a chunk boundary from either side, and a
+        // successor-only join that rewrites a chunk head.
+        let mut p = Pair::default();
+        p.append_sparse(3 * CHUNK, 10, 5);
+        let head = p.r.schedule.lock().chunks[1][0];
+        p.acquire(head.0 - 4, 4); // joins the head of chunk 1 only
+        p.acquire(head.0 - 10, 2); // joins the tail of chunk 0 only
+        p.acquire(head.0 - 8, 4); // closes the gap between the two chunks
+        let head = p.r.schedule.lock().chunks[2][0];
+        p.acquire(head.0 - 7, 3); // lands between chunks, joins neither
+        p.acquire(0, 3 * CHUNK as u64 * 15); // fits nowhere: goes to the frontier
+        p.acquire(7, 0);
+        p.advance_to(head.0 - 9);
+        p.acquire(0, 2); // from the floor, inside a gap
+        p.acquire(0, 6); // from the floor, first gap too small
+        p.check();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Random requests, aimed relative to the frontier so that they keep
+        /// landing on chunk boundaries, give what the map gives.
+        #[test]
+        fn any_request_sequence_matches_the_map(
+            preamble in 0usize..3 * CHUNK,
+            script in collection::vec((0u8..64, any::<u64>(), any::<u64>()), 1..96)
+        ) {
+            let mut p = Pair::with_sparse_history(preamble, 24, 3);
+            let mut served = Vec::new();
+            for (kind, a, b) in script {
+                let frontier = p.m.max_end;
+                let (now, busy) = match kind {
+                    0..=15 => (frontier + 1 + a % 16, 1 + b % 8), // in order, sparse
+                    16..=21 => (frontier, 1 + b % 8),              // touching the frontier
+                    22..=39 => (a % (frontier + 1), 1 + b % 32),   // anywhere behind
+                    40..=53 if !served.is_empty() => {
+                        // Fill the gap after an earlier slot exactly, or
+                        // (on odd `b`) overshoot it by one.
+                        let at: Acquisition = served[a as usize % served.len()];
+                        let next = p.m.intervals.range(at.end.as_ns()..).next();
+                        let gap = next.map_or(1 + b % 8, |(s, _)| s - at.end.as_ns());
+                        (at.end.as_ns(), gap + b % 2)
+                    }
+                    40..=61 => (a % (frontier + 1), 0),
+                    _ => {
+                        p.advance_to(a % (frontier + 1));
+                        continue;
+                    }
+                };
+                served.push(p.acquire(now, busy));
+            }
+            p.check();
+        }
+    }
+
+    #[test]
+    fn history_is_bounded_and_late_requests_are_clamped_and_counted() {
+        let mut p = Pair::with_sparse_history(MAX_INTERVALS - 1, 10, 5);
+        let before = (p.r.next_free(), p.r.busy_total());
+        assert_eq!(p.r.schedule.lock().len, MAX_INTERVALS - 1);
+        p.append_sparse(5_001, 10, 5);
+        // The append that reached the bound dropped the oldest half.
+        assert_eq!(p.r.schedule.lock().len, MAX_INTERVALS / 2 + 5_000);
+        assert_eq!(p.r.clamped(), 0);
+        assert_eq!(p.r.next_free(), before.0 + Nanos(5_001 * 15));
+        assert_eq!(p.r.busy_total(), before.1 + Nanos(5_001 * 5));
+
+        // The floor is the end of the last interval dropped; the history
+        // above it still backfills exactly as the unbounded map does.
+        let floor = MAX_INTERVALS as u64 / 2 * 15;
+        assert_eq!(p.r.schedule.lock().chunks[0][0], (floor + 10, floor + 15));
+        p.acquire(floor, 10);
+        p.acquire(floor + 3, 7);
+        assert_eq!(p.r.clamped(), 0);
+
+        // Below it the map would have found the gap at 0; the bounded
+        // schedule starts searching at the floor, and says so.
+        let late = p.r.acquire(Nanos(0), Nanos(10));
+        assert_eq!(late.start, Nanos(floor + 30));
+        assert_eq!(p.r.clamped(), 1);
     }
 }
