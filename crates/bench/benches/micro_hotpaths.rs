@@ -17,6 +17,7 @@ use rankmpi_core::request::ReqState;
 use rankmpi_core::tag::{default_tag_hash, TagLayout, TagPlacement};
 use rankmpi_core::{LaunchMode, TaskLaunch, Universe};
 use rankmpi_fabric::{Header, Packet};
+use rankmpi_vtime::engine::{self, Dispatch, EngineConfig, TaskFn};
 use rankmpi_vtime::{Clock, ContentionLock, Nanos, Resource};
 
 fn pkt(ctx: u32, src: u32, tag: i64) -> Packet {
@@ -209,6 +210,7 @@ fn bench_engine_ablation(_c: &mut Criterion) {
             ("sim_matching_cost", Json::Arr(sweep_json)),
             ("receiver_counters_mid_drain", Json::Arr(engines_json)),
             ("resource_acquire_ns", resource_acquire_ns()),
+            ("engine_yield_ns", engine_yield_ns()),
             (
                 "datapath_ablation",
                 Json::obj([
@@ -321,6 +323,14 @@ fn bench_launch_overhead(_c: &mut Criterion) {
     );
 }
 
+/// One `bench <group>/<name> … ns/iter` line per row, in the criterion shim's
+/// format.
+fn print_rows(group: &str, rows: &[(&str, f64)]) {
+    for (name, ns) in rows {
+        println!("bench {:<48} {ns:>14.1} ns/iter", format!("{group}/{name}"));
+    }
+}
+
 /// `Resource::acquire` wall cost for the shapes its schedule distinguishes
 /// (median of `reps` fresh resources, `calls` timed calls each):
 /// `append_sparse_{1k,200k}` — in-order requests that never merge, onto
@@ -369,12 +379,7 @@ fn resource_acquire_ns() -> Json {
             median_ns(21, 500, &|| (sparse(100_000), 15 * 99_000 + 2, 2)),
         ),
     ];
-    for (name, ns) in rows {
-        println!(
-            "bench {:<48} {ns:>14.1} ns/iter",
-            format!("resource_acquire/{name}")
-        );
-    }
+    print_rows("resource_acquire", &rows);
     let [(_, append_1k), (_, append_200k), _, (_, behind_1k)] = rows;
     assert!(
         append_200k <= 3.0 * append_1k,
@@ -383,6 +388,56 @@ fn resource_acquire_ns() -> Json {
     assert!(
         behind_1k <= 20.0 * append_1k,
         "Resource::acquire behind the frontier fell off a cliff: {rows:?}"
+    );
+    Json::obj(rows.map(|(name, ns)| (name, Json::Num(ns))))
+}
+
+/// Wall nanoseconds per `Clock::advance` inside an engine task that has
+/// nothing to switch to (best of 11 runs, slowest task of each — the second
+/// row needs two cores at once, and a shared runner only ever adds to it):
+/// `1_worker` — one task on one worker; `2_workers` — two tasks, each
+/// spinning on its own worker. A yield point that does not switch takes no
+/// engine lock, so all the tasks share is the step flush every 64th point;
+/// the ratio assert is the regression gate, and a lock taken per point is
+/// exactly the cliff it catches.
+fn engine_yield_ns() -> Json {
+    const POINTS: u64 = 1_000_000;
+    let best_ns = |workers: usize| {
+        (0..11)
+            .map(|_| {
+                let tasks = (0..workers)
+                    .map(|_| {
+                        Box::new(|| {
+                            let mut c = Clock::new();
+                            let start = std::time::Instant::now();
+                            for _ in 0..POINTS {
+                                black_box(&mut c).advance(Nanos(1));
+                            }
+                            start.elapsed().as_nanos() as f64 / POINTS as f64
+                        }) as TaskFn<'static, f64>
+                    })
+                    .collect();
+                let out = engine::run(
+                    EngineConfig {
+                        dispatch: Dispatch::VirtualTime {
+                            workers,
+                            slack: Nanos(100_000),
+                        },
+                        ..EngineConfig::default()
+                    },
+                    tasks,
+                );
+                assert!(out.panic.is_none(), "{:?}", out.panic);
+                out.results.into_iter().flatten().fold(0.0, f64::max)
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let rows = [("1_worker", best_ns(1)), ("2_workers", best_ns(2))];
+    print_rows("engine_yield", &rows);
+    let [(_, one), (_, two)] = rows;
+    assert!(
+        two <= 3.0 * one,
+        "a yield point that does not switch got slower with a second worker: {rows:?}"
     );
     Json::obj(rows.map(|(name, ns)| (name, Json::Num(ns))))
 }

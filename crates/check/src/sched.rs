@@ -226,6 +226,25 @@ mod tests {
     }
 
     #[test]
+    fn seeded_run_reproduces_its_pinned_decisions() {
+        // Recorded before the engine's virtual-time dispatch learned to skip
+        // its lock at yield points: serialized dispatch must not have moved.
+        let log = Arc::new(PMutex::new(Vec::new()));
+        let out = run_tasks(
+            log_tasks(Arc::clone(&log), 5, 3),
+            &Schedule::random(7),
+            10_000,
+        );
+        assert!(out.panic.is_none());
+        assert_eq!(
+            out.replay(7).to_string(),
+            "s7:1.0.2.1.1.0.1.0.0.1.0.2.2.2.2.1.1"
+        );
+        assert_eq!(out.steps, 15);
+        assert_eq!(*log.lock(), [1, 0, 2, 1, 1, 0, 1, 0, 0, 1, 0, 2, 2, 2, 2]);
+    }
+
+    #[test]
     fn different_seeds_reach_different_interleavings() {
         let mut seen = std::collections::HashSet::new();
         for seed in 0..16 {

@@ -745,14 +745,15 @@ impl Universe {
 }
 
 /// Export one run's engine counters to the observability registry under the
-/// `engine.` prefix: switch/step totals accumulate across runs, occupancy
-/// peaks are count/sum/min/max accumulators.
+/// `engine.` prefix: switch/step/lock totals accumulate across runs,
+/// occupancy peaks are count/sum/min/max accumulators.
 fn publish_engine_metrics(m: &engine::EngineMetrics) {
     let reg = registry::global();
     let l = || labels! {"mode" => "tasks"};
     reg.counter("engine.task_switches", l())
         .add(m.task_switches);
     reg.counter("engine.steps", l()).add(m.steps);
+    reg.counter("engine.state_locks", l()).add(m.state_locks);
     reg.accum("engine.ready_queue_depth", l())
         .record(m.ready_queue_depth as u64);
     reg.accum("engine.parked", l()).record(m.parked as u64);

@@ -542,7 +542,8 @@ impl Vci {
     /// When `pattern` names a source the failure detector knows is dead:
     /// the detection time and the source's world rank.
     fn failed_source(&self, base_ctx: u32, pattern: &MatchPattern) -> Option<(Nanos, u32)> {
-        if pattern.src < 0 {
+        // Nothing has ever crashed (one atomic load): skip the group lookup.
+        if pattern.src < 0 || self.ft.liveness().epoch() == 0 {
             return None;
         }
         let global = self

@@ -43,7 +43,8 @@
 //!   task trails it by more than `slack`. Virtual-time *results* are
 //!   schedule-independent by design, so this policy only shapes wall-clock
 //!   and memory, never outcomes — which is what makes thread-mode/task-mode
-//!   parity testable.
+//!   parity testable. A yield point that does not switch decides from
+//!   lock-free hints and takes no engine lock.
 //! - [`Dispatch::Serialized`]: exactly one task runs at a time and every
 //!   choice among ≥2 runnable tasks is delegated to a [`Chooser`] and
 //!   recorded. This is the policy `rankmpi-check`'s deterministic scheduler
@@ -63,11 +64,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::sched::{self, SchedHook, SchedPoint};
 use crate::Nanos;
@@ -143,6 +144,8 @@ pub struct EngineMetrics {
     pub peak_tasks: usize,
     /// Total scheduling steps (yield points + parks) crossed.
     pub steps: u64,
+    /// State-lock acquisitions; under `VirtualTime` only a yield point that may switch takes one.
+    pub state_locks: u64,
 }
 
 /// What one engine run did.
@@ -246,6 +249,8 @@ struct State {
     alive: usize,
     ready_count: usize,
     steps: u64,
+    locks: u64,
+    hints: Arc<Hints>,
     switches: u64,
     decisions: Vec<(u32, u32)>,
     peak_ready: usize,
@@ -258,7 +263,35 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     step_cap: u64,
+    hints: Arc<Hints>,
 }
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        let mut st = self.state.lock();
+        st.locks += 1;
+        st
+    }
+}
+
+/// All a running task reads at a yield point that does not switch
+/// ([`yield_fast`]), on a cache line that lock traffic does not bounce.
+/// Written only under the state lock and equal to the locked truth at every
+/// unlock: a racing reader sees what some unlock published, the same as
+/// reaching its yield point a moment earlier or later. `Relaxed`: they
+/// publish no other data, and the lock decides whatever they cannot.
+#[repr(align(64))]
+struct Hints {
+    /// Mirror of `State::abort`, set before any carrier is unparked.
+    abort: AtomicBool,
+    /// Least virtual time among ready tasks plus `slack` (`u64::MAX`: none is
+    /// ready); a running task past it must ask under the lock.
+    yield_above: AtomicU64,
+}
+
+/// A running task flushes its step count into `State::steps`, where the cap is
+/// checked, at least this often: it overshoots by < `STEP_FLUSH` per live task.
+const STEP_FLUSH: u64 = 64;
 
 /// True once any engine has run in this process. Blocking primitives use it
 /// to skip their task-waiter bookkeeping entirely in pure thread-mode
@@ -275,6 +308,12 @@ thread_local! {
     static CURRENT: RefCell<Option<(Arc<Shared>, usize)>> = const { RefCell::new(None) };
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
     static VTIME: Cell<u64> = const { Cell::new(0) };
+    /// `Shared::hints`, reached without touching `Shared`'s own lines.
+    static HINTS: RefCell<Option<Arc<Hints>>> = const { RefCell::new(None) };
+    /// Steps crossed on the lock-free path and not flushed yet.
+    static STEPS: Cell<u64> = const { Cell::new(0) };
+    /// Inside `block_in_place`: the engine is not tracking this task.
+    static DETACHED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn current_ctx() -> Option<(Arc<Shared>, usize)> {
@@ -314,7 +353,7 @@ pub struct Unparker {
 impl Unparker {
     /// Wake the task (move it Parked → Ready and re-dispatch).
     pub fn unpark(&self) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.lock();
         unpark_task(&mut st, self.id);
     }
 }
@@ -334,7 +373,7 @@ pub fn current_unparker() -> Option<Unparker> {
 /// deadlock, step cap). Raw-blocking loops inside [`block_in_place`] should
 /// poll this so they stop waiting for peers that will never arrive.
 pub fn aborted() -> bool {
-    current_ctx().is_some_and(|(s, _)| s.state.lock().abort)
+    current_ctx().is_some_and(|(s, _)| s.hints.abort.load(Ordering::Relaxed))
 }
 
 // ---------------------------------------------------------------------------
@@ -408,13 +447,18 @@ fn admit(st: &mut State, id: usize) {
     }
 }
 
-fn admit_fill(st: &mut State, workers: usize) {
+/// Fill free slots, then publish what is left waiting. Every `make_ready`
+/// and every `running -= 1` of virtual-time dispatch is followed by this
+/// under the same lock, which is what keeps `Hints::yield_above` exact.
+fn admit_fill(st: &mut State, workers: usize, slack: u64) {
     while st.running < workers {
         match pop_best_ready(st) {
             Some(id) => admit(st, id),
             None => break,
         }
     }
+    let above = peek_best_vtime(st).map_or(u64::MAX, |best| best.saturating_add(slack));
+    st.hints.yield_above.store(above, Ordering::Relaxed);
 }
 
 /// Serialized dispatch: if no task is running, pick one among the ready set
@@ -457,7 +501,7 @@ fn dispatch_serialized(st: &mut State) {
 /// first recorded choice always sees the full candidate set.
 fn dispatch_free(st: &mut State) {
     match st.mode {
-        ModeState::VirtualTime { workers, .. } => admit_fill(st, workers),
+        ModeState::VirtualTime { workers, slack } => admit_fill(st, workers, slack),
         ModeState::Serialized { .. } => {
             if st.starting == 0 {
                 dispatch_serialized(st);
@@ -480,6 +524,7 @@ fn unpark_task(st: &mut State, id: usize) {
 
 fn abort_all(st: &mut State) {
     st.abort = true;
+    st.hints.abort.store(true, Ordering::Relaxed);
     for t in &st.tasks {
         if let Some(th) = &t.thread {
             th.unpark();
@@ -524,7 +569,7 @@ fn cap_abort(st: &mut State, cap: u64) {
 fn wait_admitted(shared: &Shared, me: usize, throw_on_abort: bool) -> bool {
     loop {
         {
-            let st = shared.state.lock();
+            let st = shared.lock();
             if st.abort {
                 drop(st);
                 if throw_on_abort {
@@ -540,10 +585,37 @@ fn wait_admitted(shared: &Shared, me: usize, throw_on_abort: bool) -> bool {
     }
 }
 
+/// The lock-free side of a yield point under [`Dispatch::VirtualTime`]:
+/// `true` when the task keeps its slot and that is all, `false` when
+/// [`yield_now`] must decide under the lock (run aborted, step flush due, or a
+/// ready task may trail by more than `slack`). Shares nothing but [`Hints`].
+#[inline]
+pub(crate) fn yield_fast() -> bool {
+    HINTS.with(|h| {
+        let h = h.borrow();
+        let Some(hints) = h.as_deref() else {
+            return false;
+        };
+        if hints.abort.load(Ordering::Relaxed) {
+            return false;
+        }
+        if DETACHED.with(|d| d.get()) {
+            return true;
+        }
+        let steps = STEPS.with(|s| s.get()) + 1;
+        let ahead = VTIME.with(|v| v.get()) > hints.yield_above.load(Ordering::Relaxed);
+        if ahead || steps >= STEP_FLUSH {
+            return false;
+        }
+        STEPS.with(|s| s.set(steps));
+        true
+    })
+}
+
 /// The engine's side of a yield point: maybe hand the slot to another task.
 fn yield_now(shared: &Arc<Shared>, me: usize) {
     let my_vt = VTIME.with(|v| v.get());
-    let mut st = shared.state.lock();
+    let mut st = shared.lock();
     if st.abort {
         drop(st);
         std::panic::panic_any(AbortRun);
@@ -551,7 +623,7 @@ fn yield_now(shared: &Arc<Shared>, me: usize) {
     if st.tasks[me].status != Status::Running {
         return; // inside block_in_place: the engine is not tracking us
     }
-    st.steps += 1;
+    st.steps += 1 + STEPS.with(|s| s.replace(0));
     if st.steps > shared.step_cap {
         cap_abort(&mut st, shared.step_cap);
         drop(st);
@@ -560,14 +632,15 @@ fn yield_now(shared: &Arc<Shared>, me: usize) {
     st.tasks[me].vtime = my_vt;
     match st.mode {
         ModeState::VirtualTime { workers, slack } => {
-            admit_fill(&mut st, workers);
+            // See `admit_fill`: no slot is ever left free at an unlock.
+            debug_assert!(st.running == workers || st.ready_count == 0);
             if let Some(best) = peek_best_vtime(&mut st) {
                 if my_vt > best.saturating_add(slack) {
                     // We are more than `slack` ahead of a ready task: hand
                     // over the slot and requeue at our own virtual time.
                     make_ready(&mut st, me);
                     st.running -= 1;
-                    admit_fill(&mut st, workers);
+                    admit_fill(&mut st, workers, slack);
                     drop(st);
                     wait_admitted(shared, me, true);
                 }
@@ -627,7 +700,7 @@ pub fn park(point: SchedPoint) {
         return;
     };
     let my_vt = VTIME.with(|v| v.get());
-    let mut st = shared.state.lock();
+    let mut st = shared.lock();
     if st.abort {
         drop(st);
         std::panic::panic_any(AbortRun);
@@ -639,7 +712,7 @@ pub fn park(point: SchedPoint) {
         st.tasks[me].wake_pending = false;
         return;
     }
-    st.steps += 1;
+    st.steps += 1 + STEPS.with(|s| s.replace(0));
     if st.steps > shared.step_cap {
         cap_abort(&mut st, shared.step_cap);
         drop(st);
@@ -666,7 +739,7 @@ pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
         return f();
     };
     {
-        let mut st = shared.state.lock();
+        let mut st = shared.lock();
         if st.abort {
             drop(st);
             std::panic::panic_any(AbortRun);
@@ -675,6 +748,7 @@ pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
             drop(st);
             return f();
         }
+        st.steps += STEPS.with(|s| s.replace(0));
         st.tasks[me].vtime = VTIME.with(|v| v.get());
         st.tasks[me].status = Status::Detached;
         st.detached += 1;
@@ -682,6 +756,7 @@ pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
         dispatch_free(&mut st);
         maybe_deadlock(&mut st);
     }
+    DETACHED.with(|d| d.set(true));
     struct Readmit<'a> {
         shared: &'a Arc<Shared>,
         me: usize,
@@ -689,7 +764,7 @@ pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
     impl Drop for Readmit<'_> {
         fn drop(&mut self) {
             {
-                let mut st = self.shared.state.lock();
+                let mut st = self.shared.lock();
                 st.detached -= 1;
                 make_ready(&mut st, self.me);
                 dispatch_free(&mut st);
@@ -697,6 +772,7 @@ pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
             // Never throws: a panic here during an unwind would abort the
             // process. On engine abort this returns immediately.
             wait_admitted(self.shared, self.me, false);
+            DETACHED.with(|d| d.set(false));
         }
     }
     let r = {
@@ -706,14 +782,15 @@ pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
         };
         f()
     };
-    if shared.state.lock().abort {
+    if shared.hints.abort.load(Ordering::Relaxed) {
         std::panic::panic_any(AbortRun);
     }
     r
 }
 
-fn finish(shared: &Shared, me: usize, panic_msg: Option<String>) {
-    let mut st = shared.state.lock();
+fn finish(shared: &Shared, me: usize, unflushed_steps: u64, panic_msg: Option<String>) {
+    let mut st = shared.lock();
+    st.steps += unflushed_steps;
     match st.tasks[me].status {
         Status::Running => st.running -= 1,
         Status::Detached => st.detached -= 1,
@@ -750,17 +827,20 @@ struct TlsGuard {
     prev: Option<(Arc<Shared>, usize)>,
     prev_in_task: bool,
     prev_vtime: u64,
+    prev_hints: Option<Arc<Hints>>,
+    prev_steps: u64,
+    prev_detached: bool,
 }
 
 impl TlsGuard {
     fn set(shared: Arc<Shared>, me: usize) -> Self {
-        let prev = CURRENT.with(|c| c.borrow_mut().replace((shared, me)));
-        let prev_in_task = IN_TASK.with(|t| t.replace(true));
-        let prev_vtime = VTIME.with(|v| v.replace(0));
         TlsGuard {
-            prev,
-            prev_in_task,
-            prev_vtime,
+            prev_hints: HINTS.with(|h| h.replace(Some(Arc::clone(&shared.hints)))),
+            prev: CURRENT.with(|c| c.borrow_mut().replace((shared, me))),
+            prev_in_task: IN_TASK.with(|t| t.replace(true)),
+            prev_vtime: VTIME.with(|v| v.replace(0)),
+            prev_steps: STEPS.with(|s| s.replace(0)),
+            prev_detached: DETACHED.with(|d| d.replace(false)),
         }
     }
 }
@@ -770,6 +850,9 @@ impl Drop for TlsGuard {
         CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
         IN_TASK.with(|t| t.set(self.prev_in_task));
         VTIME.with(|v| v.set(self.prev_vtime));
+        HINTS.with(|h| *h.borrow_mut() = self.prev_hints.take());
+        STEPS.with(|s| s.set(self.prev_steps));
+        DETACHED.with(|d| d.set(self.prev_detached));
     }
 }
 
@@ -782,31 +865,37 @@ fn carrier_body<R>(
     preallocated: bool,
     f: impl FnOnce() -> R,
 ) -> Result<R, Box<dyn std::any::Any + Send>> {
-    {
-        let mut st = shared.state.lock();
+    let armed = {
+        let mut st = shared.lock();
         if preallocated {
             st.starting -= 1;
         }
         st.tasks[me].thread = Some(std::thread::current());
         make_ready(&mut st, me);
         dispatch_free(&mut st);
-    }
+        // `Serialized` keeps firing the hook at every point, like a user's.
+        match st.mode {
+            ModeState::VirtualTime { .. } => sched::Armed::Engine,
+            ModeState::Serialized { .. } => sched::Armed::Hook,
+        }
+    };
     if !wait_admitted(shared, me, false) {
-        finish(shared, me, None);
+        finish(shared, me, 0, None);
         return Err(Box::new(AbortRun));
     }
     let hook: Arc<dyn SchedHook> = Arc::new(TaskHook {
         shared: Arc::clone(shared),
         me,
     });
-    let result = {
-        let _hg = sched::install_thread_hook(hook);
+    let (result, steps) = {
+        let _hg = sched::install(hook, armed);
         let _tg = TlsGuard::set(Arc::clone(shared), me);
-        catch_unwind(AssertUnwindSafe(f))
+        let result = catch_unwind(AssertUnwindSafe(f));
+        (result, STEPS.with(|s| s.get()))
     };
     match result {
         Ok(r) => {
-            finish(shared, me, None);
+            finish(shared, me, steps, None);
             Ok(r)
         }
         Err(payload) => {
@@ -822,7 +911,7 @@ fn carrier_body<R>(
                     },
                 })
             };
-            finish(shared, me, msg);
+            finish(shared, me, steps, msg);
             Err(payload)
         }
     }
@@ -843,7 +932,7 @@ impl EngineHandle {
     /// a plain `join().unwrap()` surfaces them).
     pub fn run_member<R>(&self, f: impl FnOnce() -> R) -> R {
         let me = {
-            let mut st = self.shared.state.lock();
+            let mut st = self.shared.lock();
             let id = st.tasks.len();
             st.tasks.push(TaskSlot::starting());
             st.alive += 1;
@@ -885,6 +974,10 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
         ModeState::VirtualTime { .. } => ReadyQueue::Heap(BinaryHeap::new()),
         ModeState::Serialized { .. } => ReadyQueue::List(Vec::new()),
     };
+    let hints = Arc::new(Hints {
+        abort: AtomicBool::new(false),
+        yield_above: AtomicU64::new(u64::MAX),
+    });
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             tasks: (0..n).map(|_| TaskSlot::starting()).collect(),
@@ -897,6 +990,8 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
             alive: n,
             ready_count: 0,
             steps: 0,
+            locks: 0,
+            hints: Arc::clone(&hints),
             switches: 0,
             decisions: Vec::new(),
             peak_ready: 0,
@@ -906,6 +1001,7 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
             panic: None,
         }),
         step_cap: cfg.step_cap,
+        hints,
     });
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
@@ -924,13 +1020,14 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
         }
     });
     let collected = std::mem::take(&mut *results.lock());
-    let mut st = shared.state.lock();
+    let mut st = shared.lock();
     let metrics = EngineMetrics {
         task_switches: st.switches,
         ready_queue_depth: st.peak_ready,
         parked: st.peak_parked,
         peak_tasks: st.peak_alive,
         steps: st.steps,
+        state_locks: st.locks,
     };
     Outcome {
         results: collected,
@@ -1047,34 +1144,215 @@ mod tests {
         assert_eq!(out.results[0], Some(99));
     }
 
+    /// A task that only ever hits yield points and never parks.
+    fn spinner() -> TaskFn<'static, ()> {
+        Box::new(|| {
+            let mut c = crate::Clock::new();
+            loop {
+                c.advance(Nanos(1));
+            }
+        })
+    }
+
     #[test]
     fn panic_aborts_run_and_reports_first_message() {
+        // The spinner never parks. With two workers it is running while the
+        // other task panics, and must see the abort from its yield points.
+        for workers in [1, 2] {
+            let tasks: Vec<TaskFn<'static, ()>> =
+                vec![spinner(), Box::new(|| panic!("deliberate engine failure"))];
+            // No cap: the spinner would reach one before the panicking
+            // task's carrier has even been spawned.
+            let mut cfg = vt_cfg(workers);
+            cfg.step_cap = u64::MAX;
+            let out = run(cfg, tasks);
+            assert_eq!(out.panic.as_deref(), Some("deliberate engine failure"));
+        }
+    }
+
+    #[test]
+    fn abort_reaches_a_spinner_inside_block_in_place() {
+        // A detached task takes no lock at its yield points and counts no
+        // steps, so the abort mirror is the only thing that can stop it.
         let tasks: Vec<TaskFn<'static, ()>> = vec![
             Box::new(|| {
-                let mut c = crate::Clock::new();
-                loop {
-                    c.advance(Nanos(1));
-                }
+                block_in_place(|| loop {
+                    sched::yield_point(SchedPoint::Custom("detached-spin"));
+                })
             }),
             Box::new(|| panic!("deliberate engine failure")),
         ];
-        let out = run(vt_cfg(1), tasks);
+        let out = run(vt_cfg(2), tasks);
         assert_eq!(out.panic.as_deref(), Some("deliberate engine failure"));
     }
 
     #[test]
     fn step_cap_stops_runaway_spin() {
-        let mut cfg = vt_cfg(1);
-        cfg.step_cap = 100;
+        // The cap still fires, at most one unflushed batch per task late.
+        for n_tasks in [1, 3] {
+            let mut cfg = vt_cfg(2);
+            cfg.step_cap = 100;
+            let out = run(cfg, (0..n_tasks).map(|_| spinner()).collect());
+            let msg = out.panic.expect("step cap must abort");
+            assert!(msg.contains("step cap"), "unexpected message: {msg}");
+            assert!(out.steps > 100 && out.steps <= 100 + STEP_FLUSH * n_tasks);
+        }
+    }
+
+    /// One task, `POINTS` clock advances, nothing to switch to.
+    fn lone_advancer(dispatch: Dispatch) -> Outcome<()> {
+        const POINTS: u64 = 100_000;
+        let out = run(
+            EngineConfig {
+                dispatch,
+                step_cap: u64::MAX,
+                stack_size: 256 * 1024,
+            },
+            vec![Box::new(|| {
+                let mut c = crate::Clock::new();
+                for _ in 0..POINTS {
+                    c.advance(Nanos(3));
+                }
+            }) as TaskFn<'static, ()>],
+        );
+        assert!(out.panic.is_none(), "{:?}", out.panic);
+        assert_eq!(out.steps, POINTS, "every point is a step, none parks");
+        assert_eq!(out.metrics.steps, POINTS);
+        out
+    }
+
+    #[test]
+    fn yield_points_that_do_not_switch_take_no_lock() {
+        for workers in [1, 2] {
+            let out = lone_advancer(Dispatch::VirtualTime {
+                workers,
+                slack: Nanos(100),
+            });
+            let locks = out.metrics.state_locks;
+            assert!(
+                locks <= out.steps / STEP_FLUSH + 64,
+                "{locks} state-lock acquisitions for {} steps on {workers} workers",
+                out.steps
+            );
+        }
+        // The explorer's policy decides at every point, under the lock.
+        let out = lone_advancer(Dispatch::Serialized(Box::new(RoundRobin(0))));
+        assert!(out.metrics.state_locks >= out.steps);
+    }
+
+    /// The runner goes `lead` ns ahead of a parked task, wakes it, and
+    /// crosses one more yield point. Returns the order things happened in.
+    fn wake_then_yield(lead: u64) -> Vec<&'static str> {
+        let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
+        let slot: Arc<Mutex<(Option<Unparker>, bool)>> = Arc::new(Mutex::new((None, false)));
+        let (log_r, slot_r) = (Arc::clone(&log), Arc::clone(&slot));
+        let (log_w, slot_w) = (Arc::clone(&log), Arc::clone(&slot));
+        let tasks: Vec<TaskFn<'static, ()>> = vec![
+            Box::new(move || {
+                // Off the worker until the waiter has registered; the one
+                // worker re-admits us only once the waiter has parked.
+                block_in_place(|| {
+                    while slot_r.lock().0.is_none() {
+                        std::thread::yield_now();
+                    }
+                });
+                let mut c = crate::Clock::new();
+                c.advance(Nanos(lead));
+                let up = {
+                    let mut s = slot_r.lock();
+                    s.1 = true;
+                    s.0.take().unwrap()
+                };
+                up.unpark(); // the waiter is ready at virtual time 0
+                log_r.lock().push("runner before its yield point");
+                c.advance(Nanos(1));
+                log_r.lock().push("runner after its yield point");
+            }),
+            Box::new(move || {
+                loop {
+                    {
+                        let mut s = slot_w.lock();
+                        if s.1 {
+                            break;
+                        }
+                        s.0 = Some(current_unparker().unwrap());
+                    }
+                    park(SchedPoint::Custom("test-wait"));
+                }
+                log_w.lock().push("waiter ran");
+            }),
+        ];
+        let out = run(vt_cfg(1), tasks); // slack 100
+        assert!(out.panic.is_none(), "{:?}", out.panic);
+        let order = log.lock().clone();
+        order
+    }
+
+    #[test]
+    fn runner_yields_to_a_ready_task_only_beyond_slack() {
+        assert_eq!(
+            wake_then_yield(1_000),
+            [
+                "runner before its yield point",
+                "waiter ran",
+                "runner after its yield point"
+            ]
+        );
+        assert_eq!(
+            wake_then_yield(50),
+            [
+                "runner before its yield point",
+                "runner after its yield point",
+                "waiter ran"
+            ]
+        );
+    }
+
+    #[test]
+    fn yield_points_inside_block_in_place_switch_nothing_and_lose_no_steps() {
         let tasks: Vec<TaskFn<'static, ()>> = vec![Box::new(|| {
             let mut c = crate::Clock::new();
-            loop {
-                c.advance(Nanos(1));
+            for _ in 0..10 {
+                c.advance(Nanos(1)); // counted task-locally, flushed at detach
+            }
+            block_in_place(|| {
+                for _ in 0..1_000 {
+                    c.advance(Nanos(1)); // detached: not steps
+                }
+            });
+            for _ in 0..7 {
+                c.advance(Nanos(1)); // flushed at finish
             }
         })];
-        let out = run(cfg, tasks);
-        let msg = out.panic.expect("step cap must abort");
-        assert!(msg.contains("step cap"), "unexpected message: {msg}");
+        let out = run(vt_cfg(1), tasks);
+        assert!(out.panic.is_none(), "{:?}", out.panic);
+        assert_eq!(out.steps, 17);
+        assert_eq!(
+            out.metrics.task_switches, 2,
+            "first admission + re-admission"
+        );
+    }
+
+    #[test]
+    fn user_hook_installed_inside_a_task_sees_every_point() {
+        struct Count(AtomicUsize);
+        impl SchedHook for Count {
+            fn reached(&self, _p: SchedPoint) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let tasks: Vec<TaskFn<'static, usize>> = vec![Box::new(|| {
+            let hook = Arc::new(Count(AtomicUsize::new(0)));
+            let _g = sched::install_thread_hook(hook.clone() as Arc<dyn SchedHook>);
+            let mut c = crate::Clock::new();
+            for _ in 0..200 {
+                c.advance(Nanos(1));
+            }
+            hook.0.load(Ordering::Relaxed)
+        })];
+        let out = run(vt_cfg(2), tasks);
+        assert!(out.panic.is_none(), "{:?}", out.panic);
+        assert_eq!(out.results, vec![Some(200)]);
     }
 
     struct RoundRobin(usize);

@@ -155,12 +155,15 @@ impl<T> ContentionLock<T> {
     /// Under a plain [`sched`] hook (no engine) the acquisition is a
     /// cooperative `try_lock` spin with a yield point between attempts.
     fn acquire_inner(&self) -> MutexGuard<'_, T> {
-        if let Some(up) = engine::current_unparker() {
+        if engine::in_task() {
             sched::yield_point(SchedPoint::LockAcquire);
+            // Built once an attempt fails: it clones the `Arc` all tasks share.
+            let mut up = None;
             loop {
                 if let Some(g) = self.inner.try_lock() {
                     return g;
                 }
+                let up = up.get_or_insert_with(|| engine::current_unparker().expect("in a task"));
                 self.task_waiters.lock().push(up.clone());
                 // Re-check after registering: a release between the failed
                 // try_lock and the registration already drained the list,

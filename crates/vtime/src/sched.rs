@@ -12,7 +12,8 @@
 //! replayable.
 //!
 //! With no hook installed (the default, and the only state production code
-//! ever sees) [`yield_point`] is a single thread-local flag read.
+//! ever sees) [`yield_point`] is a single thread-local flag read; an
+//! [`engine`](crate::engine) task reaches its hook only to take the engine's lock.
 //!
 //! ## Cooperative blocking
 //!
@@ -71,9 +72,19 @@ pub trait SchedHook: Send + Sync {
     fn reached(&self, point: SchedPoint);
 }
 
+/// What [`yield_point`] does on this thread.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Armed {
+    No,
+    /// Call the installed hook at every point.
+    Hook,
+    /// The engine's own hook: called only when `engine::yield_fast` declines.
+    Engine,
+}
+
 thread_local! {
     static HOOK: RefCell<Option<Arc<dyn SchedHook>>> = const { RefCell::new(None) };
-    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ARMED: Cell<Armed> = const { Cell::new(Armed::No) };
 }
 
 /// Install `hook` on the current thread; every subsequent yield point on
@@ -82,14 +93,18 @@ thread_local! {
 /// test binaries with independent schedulers cannot interfere.
 #[must_use = "the hook is cleared when the guard drops"]
 pub fn install_thread_hook(hook: Arc<dyn SchedHook>) -> HookGuard {
+    install(hook, Armed::Hook)
+}
+
+pub(crate) fn install(hook: Arc<dyn SchedHook>, armed: Armed) -> HookGuard {
     HOOK.with(|h| *h.borrow_mut() = Some(hook));
-    ARMED.with(|a| a.set(true));
+    ARMED.with(|a| a.set(armed));
     HookGuard { _priv: () }
 }
 
 /// Remove the current thread's hook, if any.
 pub fn clear_thread_hook() {
-    ARMED.with(|a| a.set(false));
+    ARMED.with(|a| a.set(Armed::No));
     HOOK.with(|h| *h.borrow_mut() = None);
 }
 
@@ -97,15 +112,17 @@ pub fn clear_thread_hook() {
 /// this to pick their cooperative variants.
 #[inline]
 pub fn armed() -> bool {
-    ARMED.with(|a| a.get())
+    ARMED.with(|a| a.get()) != Armed::No
 }
 
 /// Fire a yield point. A no-op (one thread-local read) unless a hook is
 /// installed on the current thread.
 #[inline]
 pub fn yield_point(point: SchedPoint) {
-    if armed() {
-        fire(point);
+    match ARMED.with(|a| a.get()) {
+        Armed::No => {}
+        Armed::Engine if crate::engine::yield_fast() => {}
+        _ => fire(point),
     }
 }
 
