@@ -309,3 +309,122 @@ fn shrink_releases_the_dead_ranks_hw_contexts() {
         }
     });
 }
+
+/// Hardware contexts fail under traffic: two threads of rank 0 each drive
+/// their own VCI while a saboteur keeps failing whatever context each VCI
+/// is on. Nothing is lost, duplicated or reordered within a thread's
+/// channel, both VCIs really failed over, and every context a VCI left is
+/// still alive at the end (a send may have borrowed it).
+///
+/// The receivers hold back until their sender is done, so every message
+/// waits in the unexpected queue and is matched by earliest *arrival*: a
+/// replacement context that forgot its predecessor's backlog reorders here.
+#[test]
+fn contexts_fail_over_under_traffic_without_losing_or_reordering() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const MSGS: usize = 48;
+    const SABOTAGE_ROUNDS: usize = 6;
+    const DONE_TAG: i64 = 99;
+    for launch in launch_modes_under_test() {
+        for s in 0..SWEEP {
+            let seed = base_seed() ^ 0xC7F0 ^ (s << 8);
+            let u = Universe::builder()
+                .nodes(2)
+                .num_vcis(2)
+                .launch(launch)
+                .build();
+            let shared = Arc::clone(u.shared());
+            let senders_done = AtomicUsize::new(0);
+            let retired = parking_lot::Mutex::new(Vec::new());
+            let (shared_ref, senders_done, retired) = (&shared, &senders_done, &retired);
+            u.run(|env| {
+                let world = env.world();
+                let mut th0 = env.single_thread();
+                let comms = [world.dup(&mut th0).unwrap(), world.dup(&mut th0).unwrap()];
+                let vcis = [comms[0].vci_block()[0], comms[1].vci_block()[0]];
+                assert_ne!(vcis[0], vcis[1], "each sender thread drives its own VCI");
+                if env.rank() == 0 {
+                    env.parallel_n(3, |th| {
+                        let tid = th.tid();
+                        if tid == 2 {
+                            // The saboteur. Bounded; each round waits until
+                            // both VCIs moved off what it broke (or the
+                            // senders are through).
+                            let proc = shared_ref.proc(0);
+                            for _ in 0..SABOTAGE_ROUNDS {
+                                let before: Vec<u64> =
+                                    vcis.iter().map(|&v| proc.vci(v).failovers()).collect();
+                                for &v in &vcis {
+                                    let ctx = proc.vci(v).hw_context();
+                                    ctx.mark_failed();
+                                    retired.lock().push(Arc::downgrade(&ctx));
+                                }
+                                while senders_done.load(Ordering::Acquire) < 2
+                                    && vcis
+                                        .iter()
+                                        .zip(&before)
+                                        .any(|(&v, &b)| proc.vci(v).failovers() == b)
+                                {
+                                    th.compute(Nanos::us(1));
+                                    std::thread::yield_now();
+                                }
+                            }
+                            return;
+                        }
+                        let c = &comms[tid];
+                        // 8 KiB and up: the context pipeline, not the CPU,
+                        // paces the channel, so a failure leaves a backlog.
+                        let len = 8192 + ((seed as usize + tid) % 7) * 1024;
+                        for i in 0..MSGS {
+                            let mut data = vec![tid as u8; len];
+                            data[..8].copy_from_slice(&(i as u64).to_le_bytes());
+                            c.send(th, 1, tid as i64, &data).unwrap();
+                            let vci = c.proc().vci_ref(vcis[tid]);
+                            if i == MSGS / 2 && vci.failovers() == 0 {
+                                // The host ran this thread start to finish
+                                // before the saboteur got a turn.
+                                vci.hw_context().mark_failed();
+                            }
+                        }
+                        c.send(th, 1, DONE_TAG, b"").unwrap();
+                        senders_done.fetch_add(1, Ordering::AcqRel);
+                    });
+                } else {
+                    env.parallel_n(2, |th| {
+                        let tid = th.tid();
+                        let c = &comms[tid];
+                        c.recv(th, 0, DONE_TAG).unwrap();
+                        for i in 0..MSGS {
+                            let (st, data) = c.recv(th, 0, tid as i64).unwrap();
+                            let got = u64::from_le_bytes(data[..8].try_into().unwrap());
+                            assert_eq!(
+                                got,
+                                i as u64,
+                                "{} seed {seed:#x}: thread {tid} message {i} overtaken \
+                                 across a failover",
+                                launch_name(&launch)
+                            );
+                            assert_eq!(data[8], tid as u8);
+                            assert_eq!(st.len, data.len());
+                        }
+                        // Exactly once: nothing of this channel is left over.
+                        assert!(c.iprobe(th, 0, tid as i64).unwrap().is_none());
+                    });
+                }
+            });
+            for v in 0..2 {
+                assert!(
+                    shared.proc(0).vci(v).failovers() > 0,
+                    "{} seed {seed:#x}: VCI {v} never failed over",
+                    launch_name(&launch)
+                );
+            }
+            let retired = retired.lock();
+            assert!(retired.len() >= 2);
+            assert!(
+                retired.iter().all(|w| w.upgrade().is_some()),
+                "a retired context was freed while its VCI lives"
+            );
+        }
+    }
+}

@@ -201,7 +201,7 @@ fn completion_times_follow_channel_order() {
                 let r = world.irecv(&mut th, 0, 5).unwrap();
                 let (_st, data) = r.wait(&mut th.clock);
                 assert_eq!(data[0], i as u8, "channel order broken");
-                let f = r.state().finish_at();
+                let f = r.finish_at();
                 assert!(
                     f >= last_finish,
                     "completion time regressed on one channel: {f:?} after {last_finish:?}"

@@ -55,6 +55,7 @@
 //! assert_eq!(sums, vec![0, 2]);
 //! ```
 
+mod append;
 pub mod coll;
 pub mod comm;
 pub mod costs;

@@ -27,8 +27,19 @@
 //! costs) is done by the caller in [`crate::vci`] from the [`ScanWork`] each
 //! operation reports, so the same code serves blocking, nonblocking, and
 //! probe paths.
+//!
+//! The production engine does a dozen map lookups per message, on keys the
+//! program itself made (ranks, tags, sequence numbers — nothing an outsider
+//! can craft), so its maps hash with a multiply–rotate mix instead of
+//! SipHash. The mix ends in a finalizer because this repo's tags carry
+//! thread ids in their *high* bits and the map reads the hash's low bits
+//! for the bucket and its top seven for the control byte: see `MixHasher`.
+//! A class queue or arrival index emptied by a match goes onto a short spare
+//! list and serves the next key, so rotating tags allocate nothing.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use rankmpi_fabric::Packet;
@@ -394,6 +405,51 @@ impl MatchEngine for LinearEngine {
     }
 }
 
+/// The hasher of every [`FastMap`]: fold each word in with a rotate, xor and
+/// odd multiply, then finish with one widening multiply whose high half is
+/// folded onto the low. The multiply alone pushes entropy *up* only — a key
+/// like `i << 20` would leave the low 20 bits, the bucket index, constant —
+/// and the cheaper `h ^ h >> 32` brings down just the middle, not the thread
+/// ids a tag layout keeps at the very top.
+#[derive(Default, Clone, Copy)]
+struct MixHasher(u64);
+
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+const FINAL_MIX: u64 = 0xD6E8_FEB8_6659_FD93;
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(26) ^ v).wrapping_mul(MIX);
+    }
+
+    fn finish(&self) -> u64 {
+        let wide = self.0 as u128 * FINAL_MIX as u128;
+        wide as u64 ^ (wide >> 64) as u64
+    }
+}
+
+/// The engine's map type: keys are made by this program, never by a peer.
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
+
+/// Longest spare list: how many emptied queues an engine keeps for reuse.
+const SPARES: usize = 64;
+
 /// An arrival-ordered index entry: `(virtual arrival time, arrival uid)`.
 type ArrivalKey = (Nanos, u64);
 /// One arrival-sorted index list of the sequence-merged unexpected store.
@@ -425,19 +481,19 @@ enum PostClass {
 #[derive(Debug, Default)]
 struct MergedCtx {
     /// Exact posted receives: posting seqs binned by `(src, tag)`.
-    posted_exact: HashMap<(u32, i64), VecDeque<u64>>,
+    posted_exact: FastMap<(u32, i64), VecDeque<u64>>,
     /// `(ANY, tag)` posted receives: posting seqs keyed by tag.
-    posted_any_src: HashMap<i64, VecDeque<u64>>,
+    posted_any_src: FastMap<i64, VecDeque<u64>>,
     /// `(src, ANY)` posted receives: posting seqs keyed by src.
-    posted_any_tag: HashMap<u32, VecDeque<u64>>,
+    posted_any_tag: FastMap<u32, VecDeque<u64>>,
     /// `(ANY, ANY)` posted receives, in posting order.
     posted_full: VecDeque<u64>,
     /// Unexpected arrivals indexed by the exact `(src, tag)` envelope.
-    un_by_exact: HashMap<(u32, i64), ArrivalIndex>,
+    un_by_exact: FastMap<(u32, i64), ArrivalIndex>,
     /// Unexpected arrivals indexed by tag (serves `(ANY, tag)` patterns).
-    un_by_tag: HashMap<i64, ArrivalIndex>,
+    un_by_tag: FastMap<i64, ArrivalIndex>,
     /// Unexpected arrivals indexed by src (serves `(src, ANY)` patterns).
-    un_by_src: HashMap<u32, ArrivalIndex>,
+    un_by_src: FastMap<u32, ArrivalIndex>,
     /// All unexpected arrivals (serves `(ANY, ANY)` patterns).
     un_all: ArrivalIndex,
 }
@@ -461,22 +517,59 @@ struct MergedCtx {
 /// ordering survives `u64` wraparound.
 #[derive(Debug, Default)]
 pub struct SeqMergedEngine {
-    ctxs: HashMap<u32, MergedCtx>,
+    ctxs: FastMap<u32, MergedCtx>,
     /// Live posted receives, keyed by posting seq. A seq present in a class
     /// queue but absent here is a tombstone.
-    posted_store: HashMap<u64, PostedRecv>,
+    posted_store: FastMap<u64, PostedRecv>,
     /// Live unexpected packets, keyed by arrival uid. A uid present in an
     /// index list but absent here is a tombstone.
-    unexpected_store: HashMap<u64, Packet>,
+    unexpected_store: FastMap<u64, Packet>,
     post_seq: u64,
     arrival_seq: u64,
+    /// Emptied class queues and arrival indexes (at most [`SPARES`] each),
+    /// kept with their buffers for the next key that needs one.
+    spare_queues: Vec<VecDeque<u64>>,
+    spare_indexes: Vec<ArrivalIndex>,
+}
+
+/// The queue at `key`, taken off `spares` if the key is new.
+fn queue_at<'a, K: Eq + std::hash::Hash, Q: Default>(
+    map: &'a mut FastMap<K, Q>,
+    key: K,
+    spares: &mut Vec<Q>,
+) -> &'a mut Q {
+    map.entry(key)
+        .or_insert_with(|| spares.pop().unwrap_or_default())
+}
+
+/// Retire an emptied queue: onto `spares` while there is room.
+fn retire<Q>(spares: &mut Vec<Q>, q: Q) {
+    if spares.len() < SPARES {
+        spares.push(q);
+    }
+}
+
+/// Pop the head of the class queue at `key` — the caller has just seen it
+/// live — and retire the queue if that empties it.
+fn pop_class<K: Eq + std::hash::Hash>(
+    map: &mut FastMap<K, VecDeque<u64>>,
+    key: K,
+    spares: &mut Vec<VecDeque<u64>>,
+) {
+    let Entry::Occupied(mut class) = map.entry(key) else {
+        unreachable!("a class whose head was just compared");
+    };
+    class.get_mut().pop_front();
+    if class.get().is_empty() {
+        retire(spares, class.remove());
+    }
 }
 
 /// Pop dead heads off a posted class queue and return the live head's seq
 /// without consuming it. Dead pops are counted into `skipped`.
 fn posted_live_front(
     q: &mut VecDeque<u64>,
-    store: &HashMap<u64, PostedRecv>,
+    store: &FastMap<u64, PostedRecv>,
     skipped: &mut usize,
 ) -> Option<u64> {
     while let Some(&seq) = q.front() {
@@ -493,7 +586,7 @@ fn posted_live_front(
 /// Dead pops are counted into `skipped`.
 fn take_live_front(
     index: &mut ArrivalIndex,
-    store: &HashMap<u64, Packet>,
+    store: &FastMap<u64, Packet>,
     skipped: &mut usize,
 ) -> Option<u64> {
     while let Some((_, uid)) = index.pop_front() {
@@ -505,18 +598,21 @@ fn take_live_front(
     None
 }
 
-/// Consume the earliest live entry of the index at `key`, dropping the index
-/// from its map if that empties it.
+/// Consume the earliest live entry of the index at `key`, retiring the index
+/// if that empties it.
 fn take_from_index<K: Eq + std::hash::Hash>(
-    map: &mut HashMap<K, ArrivalIndex>,
+    map: &mut FastMap<K, ArrivalIndex>,
     key: K,
-    store: &HashMap<u64, Packet>,
+    store: &FastMap<u64, Packet>,
     skipped: &mut usize,
+    spares: &mut Vec<ArrivalIndex>,
 ) -> Option<u64> {
-    let q = map.get_mut(&key)?;
-    let uid = take_live_front(q, store, skipped);
-    if q.is_empty() {
-        map.remove(&key);
+    let Entry::Occupied(mut index) = map.entry(key) else {
+        return None;
+    };
+    let uid = take_live_front(index.get_mut(), store, skipped);
+    if index.get().is_empty() {
+        retire(spares, index.remove());
     }
     uid
 }
@@ -526,7 +622,7 @@ fn take_from_index<K: Eq + std::hash::Hash>(
 /// `skipped` but left in place.
 fn peek_live_front(
     index: &ArrivalIndex,
-    store: &HashMap<u64, Packet>,
+    store: &FastMap<u64, Packet>,
     skipped: &mut usize,
 ) -> Option<u64> {
     for &(_, uid) in index {
@@ -569,18 +665,22 @@ impl SeqMergedEngine {
     /// list, so its live head is the earliest-arrival match.
     fn take_unexpected(
         bins: &mut MergedCtx,
-        store: &HashMap<u64, Packet>,
+        store: &FastMap<u64, Packet>,
         pattern: &MatchPattern,
         skipped: &mut usize,
+        spares: &mut Vec<ArrivalIndex>,
     ) -> Option<u64> {
         match (pattern.src == ANY_SOURCE, pattern.tag == ANY_TAG) {
             (false, false) => {
                 let key = (pattern.src as u32, pattern.tag);
-                take_from_index(&mut bins.un_by_exact, key, store, skipped)
+                take_from_index(&mut bins.un_by_exact, key, store, skipped, spares)
             }
-            (true, false) => take_from_index(&mut bins.un_by_tag, pattern.tag, store, skipped),
+            (true, false) => {
+                take_from_index(&mut bins.un_by_tag, pattern.tag, store, skipped, spares)
+            }
             (false, true) => {
-                take_from_index(&mut bins.un_by_src, pattern.src as u32, store, skipped)
+                let key = pattern.src as u32;
+                take_from_index(&mut bins.un_by_src, key, store, skipped, spares)
             }
             (true, true) => take_live_front(&mut bins.un_all, store, skipped),
         }
@@ -596,32 +696,28 @@ impl MatchEngine for SeqMergedEngine {
         let ctx = recv.pattern.context_id;
         let bins = self.ctxs.entry(ctx).or_default();
         let mut skipped = 0;
-        if let Some(uid) =
-            Self::take_unexpected(bins, &self.unexpected_store, &recv.pattern, &mut skipped)
-        {
+        if let Some(uid) = Self::take_unexpected(
+            bins,
+            &self.unexpected_store,
+            &recv.pattern,
+            &mut skipped,
+            &mut self.spare_indexes,
+        ) {
             let pkt = self.unexpected_store.remove(&uid).expect("live entry");
             return (Some(pkt), ScanWork::merged(1, skipped));
         }
         // No unexpected match: file the receive under its class.
         let seq = self.post_seq;
         self.post_seq = self.post_seq.wrapping_add(1);
-        match (recv.pattern.src == ANY_SOURCE, recv.pattern.tag == ANY_TAG) {
-            (false, false) => {
-                let key = (recv.pattern.src as u32, recv.pattern.tag);
-                bins.posted_exact.entry(key).or_default().push_back(seq);
-            }
-            (true, false) => bins
-                .posted_any_src
-                .entry(recv.pattern.tag)
-                .or_default()
-                .push_back(seq),
-            (false, true) => bins
-                .posted_any_tag
-                .entry(recv.pattern.src as u32)
-                .or_default()
-                .push_back(seq),
-            (true, true) => bins.posted_full.push_back(seq),
+        let spares = &mut self.spare_queues;
+        let (src, tag) = (recv.pattern.src, recv.pattern.tag);
+        match (src == ANY_SOURCE, tag == ANY_TAG) {
+            (false, false) => queue_at(&mut bins.posted_exact, (src as u32, tag), spares),
+            (true, false) => queue_at(&mut bins.posted_any_src, tag, spares),
+            (false, true) => queue_at(&mut bins.posted_any_tag, src as u32, spares),
+            (true, true) => &mut bins.posted_full,
         }
+        .push_back(seq);
         self.posted_store.insert(seq, recv);
         (None, ScanWork::merged(0, skipped))
     }
@@ -673,28 +769,11 @@ impl MatchEngine for SeqMergedEngine {
         let work = ScanWork::merged(scanned, skipped);
 
         if let Some((seq, class)) = best {
+            let spares = &mut self.spare_queues;
             match class {
-                PostClass::Exact => {
-                    let q = bins.posted_exact.get_mut(&key).expect("class queue");
-                    q.pop_front();
-                    if q.is_empty() {
-                        bins.posted_exact.remove(&key);
-                    }
-                }
-                PostClass::AnySrc => {
-                    let q = bins.posted_any_src.get_mut(&h.tag).expect("class queue");
-                    q.pop_front();
-                    if q.is_empty() {
-                        bins.posted_any_src.remove(&h.tag);
-                    }
-                }
-                PostClass::AnyTag => {
-                    let q = bins.posted_any_tag.get_mut(&h.src).expect("class queue");
-                    q.pop_front();
-                    if q.is_empty() {
-                        bins.posted_any_tag.remove(&h.src);
-                    }
-                }
+                PostClass::Exact => pop_class(&mut bins.posted_exact, key, spares),
+                PostClass::AnySrc => pop_class(&mut bins.posted_any_src, h.tag, spares),
+                PostClass::AnyTag => pop_class(&mut bins.posted_any_tag, h.src, spares),
                 PostClass::Full => {
                     bins.posted_full.pop_front();
                 }
@@ -708,9 +787,10 @@ impl MatchEngine for SeqMergedEngine {
         let uid = self.arrival_seq;
         self.arrival_seq = self.arrival_seq.wrapping_add(1);
         let entry = (packet.arrive_at, uid);
-        insert_by_arrival(bins.un_by_exact.entry(key).or_default(), entry);
-        insert_by_arrival(bins.un_by_tag.entry(h.tag).or_default(), entry);
-        insert_by_arrival(bins.un_by_src.entry(h.src).or_default(), entry);
+        let spares = &mut self.spare_indexes;
+        insert_by_arrival(queue_at(&mut bins.un_by_exact, key, spares), entry);
+        insert_by_arrival(queue_at(&mut bins.un_by_tag, h.tag, spares), entry);
+        insert_by_arrival(queue_at(&mut bins.un_by_src, h.src, spares), entry);
         insert_by_arrival(&mut bins.un_all, entry);
         self.unexpected_store.insert(uid, packet);
         Incoming::Queued { work }
@@ -1153,6 +1233,79 @@ mod tests {
             let arrivals: Vec<u64> = unexpected.iter().map(|p| p.arrive_at.0).collect();
             assert_eq!(arrivals, vec![100, 200, 300]);
         }
+    }
+
+    /// Distinct values of the low 7 bits (the map's bucket index) and of the
+    /// top 7 (its control byte) over `keys`.
+    fn spread<K: std::hash::Hash>(keys: impl Iterator<Item = K>) -> (usize, usize) {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<MixHasher>::default();
+        let (mut low, mut top) = (0u128, 0u128);
+        for k in keys {
+            let h = build.hash_one(k);
+            low |= 1 << (h & 127);
+            top |= 1 << (h >> 57);
+        }
+        (low.count_ones() as usize, top.count_ones() as usize)
+    }
+
+    #[test]
+    fn mix_hasher_fills_both_ends_of_the_hash_for_the_engines_key_shapes() {
+        const N: u64 = 4096;
+        let shapes = [
+            (
+                "tags with low zeros",
+                spread((0..N).map(|i| (i << 20) as i64)),
+            ),
+            (
+                "(src, tid << 40 | i), 64 threads",
+                spread((0..N).map(|i| (1u32, (((i % 64) << 40) | (i / 64)) as i64))),
+            ),
+            ("sequence numbers", spread(0..N)),
+            ("ranks", spread((0..N).map(|i| i as u32))),
+        ];
+        for (shape, (low, top)) in shapes {
+            assert!(low >= 100, "{shape}: low 7 bits take {low} of 128 values");
+            assert!(top >= 100, "{shape}: top 7 bits take {top} of 128 values");
+        }
+    }
+
+    #[test]
+    fn rotating_tags_reuse_emptied_queues() {
+        let mut e = SeqMergedEngine::new();
+        // Warm: one class queue and one set of arrival indexes exist.
+        for round in 0..10_000i64 {
+            let tag = round % 512;
+            // Posted path: a class queue is filed, matched and retired.
+            e.post_recv(recv(1, 0, tag));
+            assert!(matches!(
+                e.incoming(pkt(1, 0, tag, round as u64)),
+                Incoming::Matched { .. }
+            ));
+            // Unexpected path: three keyed indexes are filed and retired.
+            e.incoming(pkt(1, 1, tag, round as u64));
+            assert!(e.post_recv(recv(1, 1, tag)).0.is_some());
+            assert!(e.spare_queues.len() <= 1, "round {round}");
+            assert!(e.spare_indexes.len() <= 3, "round {round}");
+        }
+        let bins = &e.ctxs[&1];
+        assert!(bins.posted_exact.is_empty() && bins.un_by_exact.is_empty());
+        // The spare a later key picks up kept its buffer.
+        assert!(e.spare_queues[0].capacity() > 0);
+    }
+
+    #[test]
+    fn spare_lists_are_bounded() {
+        let mut e = SeqMergedEngine::new();
+        let n = 3 * SPARES as i64;
+        for tag in 0..n {
+            e.post_recv(recv(1, 0, tag));
+        }
+        for tag in 0..n {
+            e.incoming(pkt(1, 0, tag, tag as u64));
+        }
+        assert_eq!(e.posted_len(), 0);
+        assert_eq!(e.spare_queues.len(), SPARES);
     }
 
     #[test]

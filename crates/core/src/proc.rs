@@ -1,13 +1,19 @@
 //! Simulated MPI processes and threads.
+//!
+//! A [`ProcShared`] is read by every process that sends to it: the sender
+//! looks up the destination VCI there. Nothing on that lookup is written per
+//! message — the VCI pool is an append-only table whose entries are borrowed
+//! ([`ProcShared::vci_ref`]), not cloned — and the one word the owner *does*
+//! write per message, its sequence counter, sits on a line of its own.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use rankmpi_fabric::resil::ResilConfig;
 use rankmpi_fabric::{FaultPlan, Nic, Notify};
 use rankmpi_vtime::{engine, Clock};
 
+use crate::append::AppendTable;
 use crate::comm::Communicator;
 use crate::costs::CoreCosts;
 use crate::ft::FtShared;
@@ -40,8 +46,8 @@ pub struct ProcShared {
     /// this process: the crash plan (if any), the universe-wide liveness
     /// registry, and the set of revoked communicators learned so far.
     ft: Arc<FtShared>,
-    vcis: RwLock<Vec<Arc<Vci>>>,
-    seq: AtomicU64,
+    vcis: AppendTable<Arc<Vci>>,
+    seq: SeqLine,
     /// `MPI_THREAD_SERIALIZED` violation detector: set while any thread of
     /// this process is inside an MPI call.
     in_mpi: std::sync::atomic::AtomicBool,
@@ -49,6 +55,12 @@ pub struct ProcShared {
     /// universe's deterministic context-id agreement).
     dup_counters: parking_lot::Mutex<std::collections::HashMap<u32, u64>>,
 }
+
+/// The per-process message sequence counter, alone in a 128-byte block
+/// (two lines: adjacent-line prefetch pairs them): every local send bumps
+/// it, and every remote sender reads the fields around it.
+#[repr(align(128))]
+struct SeqLine(AtomicU64);
 
 impl ProcShared {
     /// Create the process with `num_vcis` standard VCIs running `matching`
@@ -82,8 +94,8 @@ impl ProcShared {
             direct,
             fault,
             ft,
-            vcis: RwLock::new(Vec::new()),
-            seq: AtomicU64::new(0),
+            vcis: AppendTable::new(),
+            seq: SeqLine(AtomicU64::new(0)),
             in_mpi: std::sync::atomic::AtomicBool::new(false),
             dup_counters: parking_lot::Mutex::new(std::collections::HashMap::new()),
         };
@@ -114,14 +126,22 @@ impl ProcShared {
         &self.costs
     }
 
-    /// VCI `id` of this process.
+    /// VCI `id` of this process, as an owned handle.
     pub fn vci(&self, id: usize) -> Arc<Vci> {
-        Arc::clone(&self.vcis.read()[id])
+        Arc::clone(self.vci_ref(id))
+    }
+
+    /// VCI `id` of this process, borrowed: what the per-message paths use,
+    /// so a lookup writes nothing (no lock word, no reference count).
+    pub fn vci_ref(&self, id: usize) -> &Arc<Vci> {
+        self.vcis
+            .get(id)
+            .unwrap_or_else(|| panic!("rank {} has no VCI {id}", self.rank))
     }
 
     /// Number of VCIs currently in the pool.
     pub fn num_vcis(&self) -> usize {
-        self.vcis.read().len()
+        self.vcis.len()
     }
 
     /// Grow the pool by one VCI (endpoints allocate per-endpoint VCIs this
@@ -131,27 +151,28 @@ impl ProcShared {
     /// armed with the same per-`(rank, vci)` derived plan the build-time
     /// pool got — endpoint channels see the same weather as everything else.
     pub fn add_vci(&self) -> usize {
-        let mut v = self.vcis.write();
-        let id = v.len();
-        v.push(Vci::new(
-            id,
-            self.rank,
-            &self.nic,
-            &self.shm_nic,
-            Arc::clone(&self.notify),
-            self.costs.clone(),
-            Arc::clone(&self.direct),
-            self.matching,
-            Arc::clone(&self.ft),
-        ));
-        if let Some((plan, resil)) = &self.fault {
-            let mailbox = Arc::clone(v[id].mailbox());
-            mailbox.arm_faults(plan.derive(self.rank as u64, id as u64));
-            if let (Some(cfg), Some(r)) = (resil, mailbox.resil()) {
-                r.set_config(*cfg);
+        // Armed before the push publishes it.
+        self.vcis.push_with(|id| {
+            let vci = Vci::new(
+                id,
+                self.rank,
+                &self.nic,
+                &self.shm_nic,
+                Arc::clone(&self.notify),
+                self.costs.clone(),
+                Arc::clone(&self.direct),
+                self.matching,
+                Arc::clone(&self.ft),
+            );
+            if let Some((plan, resil)) = &self.fault {
+                let mailbox = vci.mailbox();
+                mailbox.arm_faults(plan.derive(self.rank as u64, id as u64));
+                if let (Some(cfg), Some(r)) = (resil, mailbox.resil()) {
+                    r.set_config(*cfg);
+                }
             }
-        }
-        id
+            vci
+        })
     }
 
     /// Default matching-engine kind of this process's VCIs.
@@ -176,7 +197,7 @@ impl ProcShared {
 
     /// Next per-process message sequence number.
     pub fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
+        self.seq.0.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Next collective-operation index for `parent_ctx` (keys deterministic
@@ -459,5 +480,20 @@ impl ProcEnv {
     /// A single-thread context (tid 0) for serial sections.
     pub fn single_thread(&self) -> ThreadCtx {
         ThreadCtx::new(0, Arc::clone(&self.proc), Arc::clone(&self.universe))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::{align_of, offset_of, size_of};
+
+    #[test]
+    fn the_sequence_counter_sits_alone_in_its_128_byte_block() {
+        // The block is exactly the counter's, and the process state starts
+        // on a block boundary, so no field a remote sender reads shares it.
+        assert_eq!(size_of::<SeqLine>(), 128);
+        assert_eq!(align_of::<ProcShared>(), 128);
+        assert_eq!(offset_of!(ProcShared, seq) % 128, 0);
     }
 }

@@ -1,4 +1,12 @@
 //! Point-to-point operations on communicators.
+//!
+//! The per-message paths borrow what they look up — the sender's and the
+//! destination's VCI come out of the communicator's own `proc`/`universe`
+//! handles as `&Vci` ([`ProcShared::vci_ref`](crate::ProcShared::vci_ref)),
+//! which also leaves `&mut th.clock` free — and a send, complete once
+//! injected, builds no shared request ([`Request::Done`]; a blocking `send`
+//! builds none at all). What a message still writes outside its own
+//! process is the destination mailbox and notifier, nothing else.
 
 use std::sync::Arc;
 
@@ -37,8 +45,8 @@ pub struct SendSpec<'a> {
 
 /// One eager message ready to inject: what [`Communicator::stage_send`]
 /// hands the single and the batched send.
-struct Staged {
-    dvci: Arc<Vci>,
+struct Staged<'a> {
+    dvci: &'a Vci,
     intra: bool,
     header: Header,
     payload: Bytes,
@@ -92,53 +100,68 @@ impl Communicator {
     /// Nonblocking send (eager protocol: the returned request is already
     /// locally complete, like a small-message `MPI_Isend`).
     pub fn isend(&self, th: &mut ThreadCtx, dst: usize, tag: i64, data: &[u8]) -> Result<Request> {
-        self.check_rank(dst)?;
-        self.check_tag(tag)?;
-        let (svci, dvci) = self.send_vcis(dst, tag)?;
-        self.isend_on_vcis(th, svci, dvci, self.context_id(), dst, tag, data)
+        self.send(th, dst, tag, data)?;
+        Ok(self.sent(th, tag, data.len()))
     }
 
-    /// Blocking send.
+    /// Blocking send. Eager, so complete once injected: no request is built.
     pub fn send(&self, th: &mut ThreadCtx, dst: usize, tag: i64, data: &[u8]) -> Result<()> {
-        let req = self.isend(th, dst, tag, data)?;
-        req.wait(&mut th.clock);
-        Ok(())
+        self.check_rank(dst)?;
+        self.check_tag(tag)?;
+        let (src_vci, dst_vci) = self.send_vcis(dst, tag)?;
+        self.inject(
+            th,
+            &SendSpec {
+                src_vci,
+                dst_vci,
+                ctx_id: self.context_id(),
+                dst,
+                tag,
+                data,
+            },
+        )
     }
 
     /// The per-message half of every send: refuse what fault tolerance
     /// forbids, charge the eager copy out of the user buffer, stamp the
     /// header and copy the payload into `svci`'s pool.
-    fn stage_send(&self, th: &mut ThreadCtx, svci: &Vci, s: &SendSpec<'_>) -> Result<Staged> {
+    fn stage_send(&self, th: &mut ThreadCtx, svci: &Vci, s: &SendSpec<'_>) -> Result<Staged<'_>> {
+        debug_assert!(
+            Arc::ptr_eq(self.proc(), th.proc()),
+            "a communicator is used by threads of its own process"
+        );
         let dst_global = self.global_rank(s.dst);
         // FT fast paths: sends complete locally under the eager protocol, so
         // a revoked communicator or an already-detected dead destination must
         // be refused *here* — a completed send to a corpse is a silent lie.
         let base_ctx = s.ctx_id & !crate::comm::COLL_CTX_BIT;
-        if th.proc().ft().is_revoked(base_ctx) {
+        let ft = self.proc().ft();
+        if ft.is_revoked(base_ctx) {
             return self.handle_error(Error::Revoked {
                 context_id: base_ctx,
             });
         }
-        if let Some(at) = th.proc().ft().liveness().detect_at(dst_global) {
+        if let Some(at) = ft.liveness().detect_at(dst_global) {
             if th.clock.now() >= at {
-                th.proc().ft().liveness().note_detection();
+                ft.liveness().note_detection();
                 return self.handle_error(Error::ProcessFailed {
                     rank: dst_global as u32,
                 });
             }
         }
-        th.clock.advance(th.proc().costs().copy_cost(s.data.len()));
-        let dst_proc = th.universe().proc(dst_global);
+        th.clock
+            .advance(self.proc().costs().copy_cost(s.data.len()));
+        let dst_proc = self.universe().proc(dst_global);
         Ok(Staged {
-            dvci: dst_proc.vci(s.dst_vci),
-            intra: dst_proc.node() == th.proc().node(),
+            dvci: dst_proc.vci_ref(s.dst_vci),
+            intra: dst_proc.node() == self.proc().node(),
             header: Header {
                 kind: KIND_PT2PT,
                 context_id: s.ctx_id,
                 src: self.rank() as u32,
                 dst: s.dst as u32,
                 tag: s.tag,
-                seq: th.proc().next_seq(),
+                seq: self.proc().next_seq(),
                 aux: 0,
                 aux2: 0,
             },
@@ -146,16 +169,28 @@ impl Communicator {
         })
     }
 
-    /// The locally complete request of an injected eager send.
+    /// Stage and inject one checked message.
+    fn inject(&self, th: &mut ThreadCtx, spec: &SendSpec<'_>) -> Result<()> {
+        let _mpi = th.enter_mpi();
+        th.proc().maybe_crash(&th.clock, true);
+        let entered_at = th.clock.now();
+        let svci = self.proc().vci_ref(spec.src_vci);
+        let m = self.stage_send(th, svci, spec)?;
+        svci.send_packet(&mut th.clock, m.dvci, m.intra, m.header, m.payload);
+        obs::busy("pt2pt", "send", entered_at, th.clock.now(), svci.res_id());
+        Ok(())
+    }
+
+    /// The locally complete request of an eager send injected just now.
     fn sent(&self, th: &ThreadCtx, tag: i64, len: usize) -> Request {
-        let req = ReqState::new(Arc::clone(th.proc().notify()));
-        let status = Status {
-            source: self.rank(),
-            tag,
-            len,
-        };
-        req.complete(th.clock.now(), status, Bytes::new());
-        Request::ready(req)
+        Request::Done {
+            finish_at: th.clock.now(),
+            status: Status {
+                source: self.rank(),
+                tag,
+                len,
+            },
+        }
     }
 
     /// Nonblocking send with explicit sender-side and receiver-side VCI
@@ -174,21 +209,17 @@ impl Communicator {
         data: &[u8],
     ) -> Result<Request> {
         self.check_rank(dst)?;
-        let _mpi = th.enter_mpi();
-        th.proc().maybe_crash(&th.clock, true);
-        let entered_at = th.clock.now();
-        let svci = th.proc().vci(src_vci);
-        let spec = SendSpec {
-            src_vci,
-            dst_vci,
-            ctx_id,
-            dst,
-            tag,
-            data,
-        };
-        let m = self.stage_send(th, &svci, &spec)?;
-        svci.send_packet(&mut th.clock, &m.dvci, m.intra, m.header, m.payload);
-        obs::busy("pt2pt", "send", entered_at, th.clock.now(), svci.res_id());
+        self.inject(
+            th,
+            &SendSpec {
+                src_vci,
+                dst_vci,
+                ctx_id,
+                dst,
+                tag,
+                data,
+            },
+        )?;
         Ok(self.sent(th, tag, data.len()))
     }
 
@@ -251,8 +282,7 @@ impl Communicator {
         // same-channel messages (one channel implies one source VCI).
         let mut staged = Vec::with_capacity(specs.len());
         for s in specs {
-            let svci = th.proc().vci(s.src_vci);
-            staged.push(self.stage_send(th, &svci, s)?);
+            staged.push(self.stage_send(th, self.proc().vci_ref(s.src_vci), s)?);
         }
         // One injection batch per distinct source VCI, in first-appearance
         // order; message order within each batch is message order.
@@ -269,13 +299,13 @@ impl Communicator {
                 .zip(&mut staged)
                 .filter(|(s, _)| s.src_vci == v)
                 .map(|(_, m)| BatchSend {
-                    dst: &m.dvci,
+                    dst: m.dvci,
                     intra_node: m.intra,
                     header: m.header,
                     payload: std::mem::take(&mut m.payload),
                 })
                 .collect();
-            let svci = th.proc().vci(v);
+            let svci = self.proc().vci_ref(v);
             svci.send_batch(&mut th.clock, batch);
             last_res = svci.res_id();
         }
@@ -347,16 +377,15 @@ impl Communicator {
             });
         }
         let entered_at = th.clock.now();
-        let costs = th.proc().costs().clone();
-        th.clock.advance(costs.request_setup);
-        let vci = th.proc().vci(vci_idx);
-        let req = ReqState::new(Arc::clone(th.proc().notify()));
+        th.clock.advance(self.proc().costs().request_setup);
+        let vci = self.proc().vci_ref(vci_idx);
+        let req = ReqState::new(Arc::clone(self.proc().notify()));
         vci.post_recv(&mut th.clock, pattern, Arc::clone(&req));
         obs::busy("pt2pt", "recv", entered_at, th.clock.now(), vci.res_id());
         Ok(if req.is_complete() {
             Request::ready(req)
         } else {
-            Request::pending(req, vci)
+            Request::pending(req, Arc::clone(vci))
         })
     }
 
@@ -364,7 +393,7 @@ impl Communicator {
     pub fn iprobe(&self, th: &mut ThreadCtx, src: i64, tag: i64) -> Result<Option<Status>> {
         let (vci_idx, pattern) = self.recv_vci(src, tag)?;
         let _mpi = th.enter_mpi();
-        let vci = th.proc().vci(vci_idx);
+        let vci = self.proc().vci_ref(vci_idx);
         Ok(vci.iprobe(&mut th.clock, &pattern))
     }
 
@@ -399,7 +428,7 @@ impl Communicator {
     ) -> Result<Option<(Status, Bytes)>> {
         let (vci_idx, pattern) = self.recv_vci(src, tag)?;
         let _mpi = th.enter_mpi();
-        let vci = th.proc().vci(vci_idx);
+        let vci = self.proc().vci_ref(vci_idx);
         Ok(vci.mprobe(&mut th.clock, &pattern))
     }
 

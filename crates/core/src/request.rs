@@ -1,4 +1,11 @@
 //! Nonblocking-operation requests.
+//!
+//! A [`Request`] comes in two shapes. A receive is completed by whoever
+//! drains the mailbox, so its state ([`ReqState`]) is shared, allocated, and
+//! completion signals the process's notifier. An eager send is complete the
+//! moment it is injected: nobody else will ever touch it and nobody can be
+//! blocked on it, so it is a plain value ([`Request::Done`]) — no allocation,
+//! no mutex, no notification on the sender's own notifier.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -158,27 +165,41 @@ fn poll_interval(deadline: Instant, now: Instant) -> Duration {
 /// buffer ownership sound across threads. Send requests complete with an empty
 /// payload.
 #[derive(Debug, Clone)]
-pub struct Request {
-    state: Arc<ReqState>,
-    /// Progress hook: the VCI whose mailbox must be drained for this request
-    /// to complete (None for requests completed at creation, e.g. eager sends).
-    progress_vci: Option<Arc<crate::vci::Vci>>,
+pub enum Request {
+    /// Complete when it was created — every eager send. Nobody can be
+    /// blocked on such a request, so there is nothing to share and nobody to
+    /// wake: the outcome is carried inline.
+    Done {
+        /// Virtual completion time.
+        finish_at: Nanos,
+        /// What `wait` returns (with an empty payload).
+        status: Status,
+    },
+    /// Completed by another party through shared state — every receive.
+    Shared {
+        /// The completion state.
+        state: Arc<ReqState>,
+        /// Progress hook: the VCI whose mailbox must be drained for this
+        /// request to complete (`None` once it already has).
+        progress_vci: Option<Arc<crate::vci::Vci>>,
+    },
 }
 
 impl Request {
     /// A request that will be completed through `state`, progressed by
     /// draining `vci`.
     pub fn pending(state: Arc<ReqState>, vci: Arc<crate::vci::Vci>) -> Self {
-        Request {
+        Request::Shared {
             state,
             progress_vci: Some(vci),
         }
     }
 
-    /// An already-completed request (eager sends, immediate matches).
+    /// An already-completed request that carries a payload (a receive that
+    /// matched at once).
     pub fn ready(state: Arc<ReqState>) -> Self {
         debug_assert!(state.is_complete());
-        Request {
+        Request::Shared {
             state,
             progress_vci: None,
         }
@@ -191,15 +212,21 @@ impl Request {
     ///
     /// [`wait_outcome`]: Request::wait_outcome
     pub fn test(&self, clock: &mut rankmpi_vtime::Clock) -> Option<(Status, Bytes)> {
-        if let Some(vci) = &self.progress_vci {
+        if let Request::Shared {
+            progress_vci: Some(vci),
+            ..
+        } = self
+        {
             vci.progress(clock);
         }
-        if self.state.is_complete() {
-            clock.wait_until(self.state.finish_at());
-            Some(self.state.take_result())
-        } else {
-            None
+        if !self.is_complete() {
+            return None;
         }
+        clock.wait_until(self.finish_at());
+        Some(match self {
+            Request::Done { status, .. } => (*status, Bytes::new()),
+            Request::Shared { state, .. } => state.take_result(),
+        })
     }
 
     /// Block until complete; returns status and payload, advancing `clock` to
@@ -223,32 +250,7 @@ impl Request {
         &self,
         clock: &mut rankmpi_vtime::Clock,
     ) -> Result<(Status, Bytes), RankMpiError> {
-        let entered_at = clock.now();
-        if let Some(vci) = &self.progress_vci {
-            let state = Arc::clone(&self.state);
-            // Drive progress with a scratch clock while blocked: the matching
-            // work done on behalf of *other* requests should not advance this
-            // thread past its own completion time. The scratch is re-cloned
-            // from the wait-entry clock on every poll so that repeated idle
-            // polls (whose count depends on real scheduling, not virtual
-            // time) cannot ratchet the engine's virtual schedule forward.
-            let base = clock.clone();
-            state.block_until_complete(|| {
-                let mut scratch = base.clone();
-                vci.progress(&mut scratch);
-            });
-        } else {
-            // Completed at creation.
-            debug_assert!(self.state.is_complete());
-        }
-        clock.wait_until(self.state.finish_at());
-        let res = self
-            .progress_vci
-            .as_ref()
-            .map(|v| v.res_id())
-            .unwrap_or(rankmpi_obs::trace::ResId::NONE);
-        rankmpi_obs::trace::wait("pt2pt", "req_wait", entered_at, clock.now(), res);
-        self.state.take_outcome()
+        self.wait_bounded(clock, None)
     }
 
     /// Bounded wait: like [`wait_outcome`] but gives up after `timeout` of
@@ -262,42 +264,68 @@ impl Request {
         clock: &mut rankmpi_vtime::Clock,
         timeout: Duration,
     ) -> Result<(Status, Bytes), RankMpiError> {
+        self.wait_bounded(clock, Some(timeout))
+    }
+
+    fn wait_bounded(
+        &self,
+        clock: &mut rankmpi_vtime::Clock,
+        timeout: Option<Duration>,
+    ) -> Result<(Status, Bytes), RankMpiError> {
         let entered_at = clock.now();
-        let started = Instant::now();
-        let completed = if let Some(vci) = &self.progress_vci {
-            let state = Arc::clone(&self.state);
+        let mut res = rankmpi_obs::trace::ResId::NONE;
+        if let Request::Shared {
+            state,
+            progress_vci: Some(vci),
+        } = self
+        {
+            res = vci.res_id();
+            // Drive progress with a scratch clock while blocked: the matching
+            // work done on behalf of *other* requests should not advance this
+            // thread past its own completion time. The scratch is re-cloned
+            // from the wait-entry clock on every poll so that repeated idle
+            // polls (whose count depends on real scheduling, not virtual
+            // time) cannot ratchet the engine's virtual schedule forward.
             let base = clock.clone();
-            state.block_until_complete_for(timeout, || {
+            let progress = || {
                 let mut scratch = base.clone();
                 vci.progress(&mut scratch);
-            })
-        } else {
-            debug_assert!(self.state.is_complete());
-            true
-        };
-        if !completed {
-            return Err(RankMpiError::Timeout {
-                waited_ms: started.elapsed().as_millis() as u64,
-            });
+            };
+            match timeout {
+                None => state.block_until_complete(progress),
+                Some(timeout) => {
+                    let started = Instant::now();
+                    if !state.block_until_complete_for(timeout, progress) {
+                        return Err(RankMpiError::Timeout {
+                            waited_ms: started.elapsed().as_millis() as u64,
+                        });
+                    }
+                }
+            }
         }
-        clock.wait_until(self.state.finish_at());
-        let res = self
-            .progress_vci
-            .as_ref()
-            .map(|v| v.res_id())
-            .unwrap_or(rankmpi_obs::trace::ResId::NONE);
+        debug_assert!(self.is_complete(), "no progress hook, so born complete");
+        clock.wait_until(self.finish_at());
         rankmpi_obs::trace::wait("pt2pt", "req_wait", entered_at, clock.now(), res);
-        self.state.take_outcome()
+        match self {
+            Request::Done { status, .. } => Ok((*status, Bytes::new())),
+            Request::Shared { state, .. } => state.take_outcome(),
+        }
     }
 
     /// Whether the request has completed (no progress attempted).
     pub fn is_complete(&self) -> bool {
-        self.state.is_complete()
+        match self {
+            Request::Done { .. } => true,
+            Request::Shared { state, .. } => state.is_complete(),
+        }
     }
 
-    /// The underlying shared state (for library-internal protocols).
-    pub fn state(&self) -> &Arc<ReqState> {
-        &self.state
+    /// Virtual completion time (valid once complete).
+    pub fn finish_at(&self) -> Nanos {
+        match self {
+            Request::Done { finish_at, .. } => *finish_at,
+            Request::Shared { state, .. } => state.finish_at(),
+        }
     }
 }
 
@@ -419,6 +447,32 @@ mod tests {
         let (s, _) = req.wait(&mut clock);
         assert_eq!(s.len, 0);
         assert_eq!(clock.now(), Nanos(500));
+    }
+
+    #[test]
+    fn done_request_is_complete_inline_and_waits_to_finish_time() {
+        let status = Status {
+            source: 2,
+            tag: 11,
+            len: 64,
+        };
+        let req = Request::Done {
+            finish_at: Nanos(500),
+            status,
+        };
+        assert!(req.is_complete());
+        assert_eq!(req.finish_at(), Nanos(500));
+        // Every way of completing it agrees, any number of times: there is
+        // no shared state to take the result out of.
+        let mut clock = rankmpi_vtime::Clock::new();
+        assert_eq!(req.test(&mut clock), Some((status, Bytes::new())));
+        assert_eq!(clock.now(), Nanos(500));
+        assert_eq!(req.wait(&mut clock), (status, Bytes::new()));
+        let timed = req.wait_timeout(&mut clock, Duration::ZERO);
+        assert_eq!(timed, Ok((status, Bytes::new())));
+        let mut late = rankmpi_vtime::Clock::starting_at(Nanos(900));
+        req.clone().wait(&mut late);
+        assert_eq!(late.now(), Nanos(900), "a clock past the finish stays");
     }
 
     #[test]

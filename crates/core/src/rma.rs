@@ -240,9 +240,8 @@ impl Window {
         th.clock.advance(costs.copy_cost(bytes));
         let svci = th.proc().vci(vci_idx);
         let tgt_proc = th.universe().proc(self.comm.global_rank(target));
-        let dvci = tgt_proc.vci(vci_idx);
         let intra = tgt_proc.node() == th.proc().node();
-        let arrival = svci.raw_transmit(&mut th.clock, &dvci, intra, bytes);
+        let arrival = svci.raw_transmit(&mut th.clock, intra, bytes);
         let mut apply = costs.rma_apply;
         if atomic {
             apply += costs.rma_atomic_extra;

@@ -8,11 +8,10 @@
 //! hardware. The "MPI+threads (Original)" regime is a pool of exactly one VCI:
 //! every thread contends on one engine lock and one hardware context.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 use rankmpi_fabric::{
     errcode, send_batch, transmit, Header, HwContext, Mailbox, NetworkProfile, Nic, Notify, Packet,
     SendDesc, TxInfo,
@@ -21,6 +20,7 @@ use rankmpi_obs::trace as obs;
 use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::{Accumulator, Clock, ContentionLock, Counter, Nanos};
 
+use crate::append::AppendTable;
 use crate::costs::CoreCosts;
 use crate::error::RankMpiError;
 use crate::ft::FtShared;
@@ -150,12 +150,17 @@ pub struct Vci {
     rank: usize,
     profile: NetworkProfile,
     costs: CoreCosts,
-    /// NIC hardware context backing this VCI for inter-node traffic. Behind a
-    /// lock because a failed context is remapped *live* (see
-    /// [`Vci::hw_context`] and the failover path in `send_packet`).
-    ctx: RwLock<Arc<HwContext>>,
-    /// The NIC the context came from — needed to allocate a replacement when
-    /// the context fails mid-run.
+    /// Every NIC hardware context this VCI was ever mapped onto, and which
+    /// of them backs inter-node traffic now. A failed context is remapped
+    /// *live* (see `maybe_failover`); the retired ones stay alive as long as
+    /// the VCI does, so a send borrows the current one instead of taking a
+    /// lock and a reference count.
+    ctxs: AppendTable<Arc<HwContext>>,
+    current: AtomicUsize,
+    /// Serializes racing failovers.
+    failover: parking_lot::Mutex<()>,
+    /// The NIC the contexts come from — needed to allocate a replacement
+    /// when the current one fails mid-run.
     nic: Arc<Nic>,
     /// Shared-memory channel for intra-node traffic (unbounded pool).
     shm_ctx: Arc<HwContext>,
@@ -235,12 +240,16 @@ impl Vci {
     ) -> Arc<Self> {
         let reg = registry::global();
         let l = || labels! {"rank" => rank, "vci" => id};
+        let ctxs = AppendTable::new();
+        ctxs.push(nic.alloc_context());
         Arc::new(Vci {
             id,
             rank,
             profile: nic.profile().clone(),
             costs,
-            ctx: RwLock::new(nic.alloc_context()),
+            ctxs,
+            current: AtomicUsize::new(0),
+            failover: parking_lot::Mutex::new(()),
             nic: Arc::clone(nic),
             shm_ctx: shm_nic.alloc_context(),
             mailbox: Arc::new(Mailbox::new(notify)),
@@ -325,7 +334,14 @@ impl Vci {
     /// The NIC hardware context currently backing this VCI (failover can
     /// swap it mid-run, hence the owned handle).
     pub fn hw_context(&self) -> Arc<HwContext> {
-        Arc::clone(&self.ctx.read())
+        Arc::clone(self.current_ctx())
+    }
+
+    /// [`hw_context`](Vci::hw_context), borrowed.
+    fn current_ctx(&self) -> &Arc<HwContext> {
+        self.ctxs
+            .get(self.current.load(Ordering::Acquire))
+            .expect("`current` indexes a pushed context")
     }
 
     /// Live hardware-context remaps this VCI has performed.
@@ -347,24 +363,41 @@ impl Vci {
     }
 
     /// If the backing hardware context has been marked failed, remap this
-    /// VCI onto a replacement from the NIC — live, between sends. The write
-    /// lock serializes racing senders; the first one through performs the swap
-    /// (paying one doorbell write to program the new context) and later ones
-    /// see a healthy context on the double-check. Falling back onto a shared
-    /// context is the Lesson 3 oversubscription event, counted in
-    /// `nic.alloc_shared`; the remap itself is counted in `resil.failovers`.
+    /// VCI onto a replacement from the NIC — live, between sends. The
+    /// failover mutex serializes racing senders; the first one through
+    /// performs the swap (paying one doorbell write to program the new
+    /// context) and later ones see a healthy context on the double-check.
+    /// Falling back onto a shared context is the Lesson 3 oversubscription
+    /// event, counted in `nic.alloc_shared`; the remap itself is counted in
+    /// `resil.failovers`.
+    ///
+    /// The replacement inherits the backlog of every context this VCI has
+    /// left — all of them, because a replacement can itself fail before it
+    /// carried a message. Without that, a message sent after the remap would
+    /// be stamped with an earlier arrival than its predecessors still queued
+    /// on the failed context, and matching (earliest arrival wins) would
+    /// deliver it first.
     fn maybe_failover(&self, clock: &mut Clock) {
-        if !self.ctx.read().is_failed() {
+        if !self.current_ctx().is_failed() {
             return;
         }
         let entered = clock.now();
-        let mut cur = self.ctx.write();
+        let serial = self.failover.lock();
+        let cur = self.current_ctx();
         if !cur.is_failed() {
             return; // another sender already remapped
         }
-        let fresh = self.nic.replace_context(&cur);
-        *cur = fresh;
-        drop(cur);
+        let fresh = self.nic.replace_context(cur);
+        let backlog = self.ctxs.iter().map(|c| c.pipeline_free_at()).max();
+        fresh.inherit_backlog(backlog.expect("a VCI always has a context"));
+        // An exhausted pool re-issues contexts: one we already hold keeps
+        // its slot.
+        let slot = match self.ctxs.iter().position(|c| Arc::ptr_eq(c, &fresh)) {
+            Some(known) => known,
+            None => self.ctxs.push(fresh),
+        };
+        self.current.store(slot, Ordering::Release);
+        drop(serial);
         clock.advance(self.profile.doorbell);
         self.failovers.incr();
         obs::busy("resil", "failover", entered, clock.now(), self.res_id());
@@ -421,13 +454,11 @@ impl Vci {
         } else {
             self.maybe_failover(clock);
             self.doorbells.incr();
-            let src_ctx = Arc::clone(&self.ctx.read());
-            let dst_ctx = Arc::clone(&dst.ctx.read());
             transmit(
                 &self.profile,
                 clock,
-                &src_ctx,
-                &dst_ctx,
+                self.current_ctx(),
+                dst.current_ctx(),
                 &dst.mailbox,
                 header,
                 payload,
@@ -460,22 +491,15 @@ impl Vci {
             self.maybe_failover(clock);
             self.doorbells.incr();
             self.doorbells_coalesced.add(nic.len() as u64 - 1);
-            let src_ctx = Arc::clone(&self.ctx.read());
-            let dst_ctxs: Vec<Arc<HwContext>> = nic
-                .iter()
-                .map(|(_, d)| Arc::clone(&d.dst.ctx.read()))
-                .collect();
             let fab_descs = nic
                 .iter()
-                .zip(&dst_ctxs)
-                .map(|((_, d), ctx)| SendDesc {
-                    dst: ctx,
+                .map(|(_, d)| SendDesc {
                     dst_mail: &d.dst.mailbox,
                     header: d.header,
                     payload: d.payload.clone(),
                 })
                 .collect();
-            let infos = send_batch(&self.profile, clock, &src_ctx, fab_descs);
+            let infos = send_batch(&self.profile, clock, self.current_ctx(), fab_descs);
             for ((i, _), info) in nic.iter().zip(infos) {
                 out[*i] = Some(info);
             }
@@ -647,13 +671,7 @@ impl Vci {
     /// without delivering a packet. RMA uses this: data is applied directly at
     /// the target while virtual time flows through the same resources a real
     /// NIC op would occupy. Returns the virtual arrival time at the target.
-    pub fn raw_transmit(
-        &self,
-        clock: &mut Clock,
-        dst: &Vci,
-        intra_node: bool,
-        bytes: usize,
-    ) -> Nanos {
+    pub fn raw_transmit(&self, clock: &mut Clock, intra_node: bool, bytes: usize) -> Nanos {
         let entered_at = clock.now();
         if intra_node {
             clock.advance(self.costs.shm_gap);
@@ -663,7 +681,7 @@ impl Vci {
         }
         self.maybe_failover(clock);
         self.doorbells.incr();
-        let ctx = Arc::clone(&self.ctx.read());
+        let ctx = self.current_ctx();
         clock.advance(self.profile.send_overhead);
         let gate = ctx.lock_gate(clock);
         clock.advance(self.profile.doorbell);
@@ -673,7 +691,6 @@ impl Vci {
             bytes,
         );
         gate.release(clock);
-        dst.ctx.read().note_rx();
         let arrive = injected + self.profile.wire_latency() + self.profile.rx_gap;
         obs::busy("fabric", "raw_tx", entered_at, clock.now(), ctx.res_id());
         obs::busy("fabric", "wire", injected, arrive, obs::ResId::NONE);
@@ -1174,6 +1191,76 @@ mod tests {
         // Subsequent sends stay on the replacement — no repeated remap.
         a.send_packet(&mut clock, &b, false, header(1, 0, 0), Bytes::new());
         assert_eq!(a.failovers(), 1);
+    }
+
+    #[test]
+    fn failover_keeps_a_channels_arrival_order() {
+        // Payloads big enough that the context's pipeline, not the sending
+        // CPU, paces the channel: a backlog is queued when the context fails.
+        let (a, _n1, _s1) = test_vci(0);
+        let (b, _n2, _s2) = test_vci(0);
+        let payload = Bytes::from(vec![0u8; 64 << 10]);
+        let mut clock = Clock::new();
+        let mut last = Nanos::ZERO;
+        let mut retired = vec![a.hw_context()];
+        for round in 0..4 {
+            for _ in 0..4 {
+                let info = a.send_packet(&mut clock, &b, false, header(1, 0, 0), payload.clone());
+                assert!(
+                    info.arrive_at > last,
+                    "round {round}: arrival {:?} after {last:?} overtakes within the channel",
+                    info.arrive_at
+                );
+                last = info.arrive_at;
+            }
+            // Two failovers per round: the first replacement fails before it
+            // carried anything, so the backlog must survive an idle heir.
+            for _ in 0..2 {
+                a.hw_context().mark_failed();
+                a.maybe_failover(&mut clock);
+                retired.push(a.hw_context());
+            }
+        }
+        assert_eq!(a.failovers(), 8);
+        assert!(!a.hw_context().is_failed());
+        // Every context the VCI left is still alive and still in its table.
+        assert_eq!(a.ctxs.len(), retired.len());
+        for (kept, seen) in a.ctxs.iter().zip(&retired) {
+            assert!(Arc::ptr_eq(kept, seen));
+        }
+    }
+
+    #[test]
+    fn a_reissued_context_keeps_its_slot() {
+        // A pool of two, both taken: every replacement is the other context.
+        let nic = Arc::new(Nic::new(0, NetworkProfile::constrained(2)));
+        let shm = Arc::new(Nic::new(0, NetworkProfile::ideal()));
+        let mk = |id| {
+            Vci::new(
+                id,
+                0,
+                &nic,
+                &shm,
+                Arc::new(Notify::new()),
+                CoreCosts::default(),
+                Arc::new(DirectRegistry::new()),
+                EngineKind::default(),
+                FtShared::solo(),
+            )
+        };
+        let (a, _b) = (mk(0), mk(1));
+        let mut clock = Clock::new();
+        let first = a.hw_context();
+        for _ in 0..6 {
+            a.hw_context().mark_failed();
+            a.maybe_failover(&mut clock);
+        }
+        assert_eq!(a.failovers(), 6);
+        assert_eq!(a.ctxs.len(), 2, "two contexts exist, two slots");
+        assert!(
+            Arc::ptr_eq(&a.hw_context(), &first),
+            "an even number of swaps"
+        );
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub struct HwContext {
     /// health): channels remap off it on their next send.
     failed: AtomicBool,
     msgs_tx: Counter,
-    msgs_rx: Counter,
     bytes_tx: Counter,
 }
 
@@ -44,7 +43,6 @@ impl HwContext {
             owners: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
             msgs_tx: Counter::new(),
-            msgs_rx: Counter::new(),
             bytes_tx: Counter::new(),
         }
     }
@@ -123,20 +121,22 @@ impl HwContext {
         self.time.acquire(now, occupancy).end
     }
 
-    /// Record one arriving message. Arrival costs are additive (see
-    /// `transmit`'s causality note); this only maintains statistics.
-    pub fn note_rx(&self) {
-        self.msgs_rx.incr();
+    /// Virtual time at which everything queued on the TX pipeline has left.
+    pub fn pipeline_free_at(&self) -> Nanos {
+        self.time.next_free()
+    }
+
+    /// Take over a backlog: nothing leaves this pipeline before `t`. A
+    /// channel that fails over onto this context brings along the work still
+    /// queued where it came from, so its later messages cannot arrive before
+    /// its earlier ones.
+    pub fn inherit_backlog(&self, t: Nanos) {
+        self.time.advance_to(t);
     }
 
     /// Messages injected through this context.
     pub fn msgs_tx(&self) -> u64 {
         self.msgs_tx.get()
-    }
-
-    /// Messages received through this context.
-    pub fn msgs_rx(&self) -> u64 {
-        self.msgs_rx.get()
     }
 
     /// Payload bytes injected through this context.
@@ -186,16 +186,13 @@ mod tests {
     }
 
     #[test]
-    fn note_rx_counts_arrivals() {
+    fn an_inherited_backlog_delays_the_pipeline() {
         let c = ctx();
-        c.note_rx();
-        c.note_rx();
-        assert_eq!(c.msgs_rx(), 2);
-        assert_eq!(
-            c.busy_total(),
-            Nanos::ZERO,
-            "arrivals do not occupy the tx pipeline"
-        );
+        c.occupy_tx(Nanos(0), Nanos(100), 8);
+        assert_eq!(c.pipeline_free_at(), Nanos(100));
+        let heir = ctx();
+        heir.inherit_backlog(c.pipeline_free_at());
+        assert_eq!(heir.occupy_tx(Nanos(0), Nanos(10), 8), Nanos(110));
     }
 
     #[test]

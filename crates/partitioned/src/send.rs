@@ -85,11 +85,15 @@ impl PsendRequest {
     }
 
     fn resolve_route(&self, th: &mut ThreadCtx) -> Result<(u64, Arc<PartSink>)> {
-        let mut route = self.route.lock();
-        if let Some(r) = route.as_ref() {
-            return Ok((r.0, Arc::clone(&r.1)));
+        let known = self.route.lock().clone();
+        if let Some(route) = known {
+            return Ok(route);
         }
         // The operation's single matched message: the receiver's handshake.
+        // `route` is not held across it — a plain mutex held over a blocking
+        // wait keeps an engine task's worker slot from whoever needs the
+        // lock next — and need not be: only the first `start` gets here,
+        // and `active` admits one `start` at a time.
         let pattern = MatchPattern {
             context_id: self.comm.context_id() | PART_CTL_BIT,
             src: self.dst as i64,
@@ -109,7 +113,7 @@ impl PsendRequest {
                 got: self.partitions * self.part_bytes,
             });
         }
-        *route = Some((id, Arc::clone(&sink)));
+        *self.route.lock() = Some((id, Arc::clone(&sink)));
         Ok((id, sink))
     }
 
@@ -269,6 +273,57 @@ mod tests {
                 for p in 0..4 {
                     assert_eq!(&data[p * 8..(p + 1) * 8], &[p as u8; 8]);
                 }
+            }
+        });
+    }
+
+    /// Counts the yield points its thread reaches, and how many of them with
+    /// the request's `route` mutex held.
+    struct RouteHeld {
+        req: Arc<PsendRequest>,
+        yields: AtomicU64,
+        held: AtomicU64,
+    }
+
+    impl rankmpi_vtime::sched::SchedHook for RouteHeld {
+        fn reached(&self, _point: rankmpi_vtime::sched::SchedPoint) {
+            self.yields.fetch_add(1, Ordering::Relaxed);
+            if self.req.route.try_lock().is_none() {
+                self.held.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn first_start_holds_no_plain_lock_across_the_route_handshake() {
+        let u = Universe::builder().nodes(2).build();
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            if env.rank() == 0 {
+                let sreq = Arc::new(psend_init(&world, &mut th, 1, 5, 1, 8, &Info::new()).unwrap());
+                let hook = Arc::new(RouteHeld {
+                    req: Arc::clone(&sreq),
+                    yields: AtomicU64::new(0),
+                    held: AtomicU64::new(0),
+                });
+                {
+                    let _armed = rankmpi_vtime::sched::install_thread_hook(hook.clone());
+                    sreq.start(&mut th).unwrap();
+                }
+                // Asserted after the exchange: a lock held is a count, not
+                // a hang.
+                sreq.pready(&mut th, 0, &[7; 8]).unwrap();
+                sreq.wait(&mut th).unwrap();
+                assert!(
+                    hook.yields.load(Ordering::Relaxed) > 0,
+                    "the handshake posts, waits and advances the clock"
+                );
+                assert_eq!(hook.held.load(Ordering::Relaxed), 0);
+            } else {
+                let rreq = precv_init(&world, &mut th, 0, 5, 1, 8, &Info::new()).unwrap();
+                rreq.start(&mut th).unwrap();
+                assert_eq!(rreq.wait(&mut th).unwrap(), [7; 8]);
             }
         });
     }

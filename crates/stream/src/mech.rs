@@ -159,60 +159,7 @@ impl Mechanism {
                     .expect("comm_create_endpoints");
                 Arc::new(EpTransport { eps })
             }
-            Mechanism::Partitioned => {
-                let comm = world.dup(th).expect("dup");
-                let window = opts.part_window.max(1);
-                let info = Info::new();
-                // Init everything, then start receives, then sends: a
-                // psend's first start blocks on the receiver's route
-                // handshake, which its precv start emits.
-                let mut rx = HashMap::new();
-                for l in &plan.in_lanes {
-                    let req = precv_init(
-                        &comm,
-                        th,
-                        l.src,
-                        PART_TAG_BASE + l.id as i64,
-                        window,
-                        opts.item_bytes,
-                        &info,
-                    )
-                    .expect("precv_init");
-                    rx.insert(
-                        l.id,
-                        RxLane {
-                            req,
-                            round: Mutex::new(0),
-                        },
-                    );
-                }
-                let mut tx = HashMap::new();
-                for l in &plan.out_lanes {
-                    let req = psend_init(
-                        &comm,
-                        th,
-                        l.dst,
-                        PART_TAG_BASE + l.id as i64,
-                        window,
-                        opts.item_bytes,
-                        &info,
-                    )
-                    .expect("psend_init");
-                    tx.insert(l.id, req);
-                }
-                for lane in rx.values() {
-                    lane.req.start(th).expect("precv start");
-                }
-                for req in tx.values() {
-                    req.start(th).expect("psend start");
-                }
-                Arc::new(PartTransport {
-                    window,
-                    part_bytes: opts.item_bytes,
-                    tx,
-                    rx,
-                })
-            }
+            Mechanism::Partitioned => Arc::new(PartTransport::setup(th, world, plan, opts)),
         }
     }
 }
@@ -321,17 +268,81 @@ struct PartTransport {
 }
 
 impl PartTransport {
+    fn setup(
+        th: &mut ThreadCtx,
+        world: &Communicator,
+        plan: &RankPlan,
+        opts: &TransportOpts,
+    ) -> Self {
+        let comm = world.dup(th).expect("dup");
+        let window = opts.part_window.max(1);
+        let info = Info::new();
+        // Init everything, then start receives, then sends: a psend's first
+        // start blocks on the receiver's route handshake, which its precv
+        // start emits.
+        let mut rx = HashMap::new();
+        for l in &plan.in_lanes {
+            let req = precv_init(
+                &comm,
+                th,
+                l.src,
+                PART_TAG_BASE + l.id as i64,
+                window,
+                opts.item_bytes,
+                &info,
+            )
+            .expect("precv_init");
+            rx.insert(
+                l.id,
+                RxLane {
+                    req,
+                    round: Mutex::new(0),
+                },
+            );
+        }
+        let mut tx = HashMap::new();
+        for l in &plan.out_lanes {
+            let req = psend_init(
+                &comm,
+                th,
+                l.dst,
+                PART_TAG_BASE + l.id as i64,
+                window,
+                opts.item_bytes,
+                &info,
+            )
+            .expect("psend_init");
+            tx.insert(l.id, req);
+        }
+        for lane in rx.values() {
+            lane.req.start(th).expect("precv start");
+        }
+        for req in tx.values() {
+            req.start(th).expect("psend start");
+        }
+        PartTransport {
+            window,
+            part_bytes: opts.item_bytes,
+            tx,
+            rx,
+        }
+    }
+
     /// Re-arm the receive op when `lane_seq` crosses into a new round
     /// (idempotent — `try_recv` may ask repeatedly for the same ordinal).
     fn rx_rollover(&self, th: &mut ThreadCtx, lane: &Lane, round: u64) {
         let rx = &self.rx[&lane.id];
-        let mut cur = rx.round.lock();
-        if round > *cur {
+        // Read, then re-arm with `round` released (a lane has one consumer,
+        // so nobody moves it meanwhile): `wait` and `start` are yield
+        // points, and a plain mutex held across one keeps an engine task's
+        // worker slot from whoever wants the lock next.
+        let cur = *rx.round.lock();
+        if round > cur {
             // The previous round was fully consumed partition by partition,
             // so its completion is immediate.
             rx.req.wait(th).expect("precv wait");
             rx.req.start(th).expect("precv start");
-            *cur = round;
+            *rx.round.lock() = round;
         }
     }
 }
@@ -394,5 +405,94 @@ impl LaneTransport for PartTransport {
         // The in-flight round (padded by the sender if partial) completes.
         let rx = &self.rx[&lane.id];
         rx.req.wait(th).expect("precv final wait");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topology::Role;
+    use rankmpi_core::Universe;
+    use rankmpi_vtime::sched::{install_thread_hook, SchedHook, SchedPoint};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Counts the yield points its thread reaches, and how many of them with
+    /// the lane's `round` mutex held.
+    struct RoundHeld {
+        transport: Arc<PartTransport>,
+        lane: usize,
+        yields: AtomicU64,
+        held: AtomicU64,
+    }
+
+    impl SchedHook for RoundHeld {
+        fn reached(&self, _point: SchedPoint) {
+            self.yields.fetch_add(1, Ordering::Relaxed);
+            if self.transport.rx[&self.lane].round.try_lock().is_none() {
+                self.held.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn rx_rollover_holds_no_plain_lock_while_it_rearms_the_lane() {
+        const WINDOW: usize = 2;
+        const ITEMS: u64 = 3 * WINDOW as u64;
+        let lane = Lane {
+            id: 0,
+            src: 0,
+            src_tid: 0,
+            dst: 1,
+            dst_tid: 0,
+            count: ITEMS,
+        };
+        let opts = TransportOpts {
+            threads: 1,
+            item_bytes: 8,
+            part_window: WINDOW,
+        };
+        let u = Universe::builder().nodes(2).num_vcis(2).build();
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            let sender = env.rank() == 0;
+            let lanes = |mine: bool| if mine { vec![lane.clone()] } else { Vec::new() };
+            let plan = RankPlan {
+                rank: env.rank(),
+                role: if sender {
+                    Role::Emitter
+                } else {
+                    Role::Collector
+                },
+                in_lanes: lanes(!sender),
+                out_lanes: lanes(sender),
+            };
+            let t = Arc::new(PartTransport::setup(&mut th, &world, &plan, &opts));
+            if sender {
+                for i in 0..ITEMS {
+                    t.send(&mut th, &lane, i, &i.to_le_bytes());
+                }
+                t.finish_tx(&mut th, &lane);
+                return;
+            }
+            let hook = Arc::new(RoundHeld {
+                transport: Arc::clone(&t),
+                lane: lane.id,
+                yields: AtomicU64::new(0),
+                held: AtomicU64::new(0),
+            });
+            {
+                let _armed = install_thread_hook(hook.clone());
+                for i in 0..ITEMS {
+                    assert_eq!(t.recv(&mut th, &lane, i), i.to_le_bytes());
+                }
+            }
+            t.finish_rx(&mut th, &lane);
+            // Asserted after the exchange: a lock held is a count, not a
+            // hang.
+            assert_eq!(*t.rx[&lane.id].round.lock(), ITEMS / WINDOW as u64 - 1);
+            assert!(hook.yields.load(Ordering::Relaxed) > 0);
+            assert_eq!(hook.held.load(Ordering::Relaxed), 0);
+        });
     }
 }
