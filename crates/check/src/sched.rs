@@ -143,7 +143,8 @@ impl engine::Chooser for SeededChooser {
 /// bounds total yield points as a livelock backstop.
 ///
 /// Tasks must synchronize only through the library's cooperative primitives
-/// (`ContentionLock`, `VirtualBarrier`, `Notify`, mailboxes) — a raw
+/// — `ContentionLock`, and `Notify::wait_until`, which requests, mailboxes,
+/// `VirtualBarrier` and the rendezvous boards all wait through — a raw
 /// blocking wait between tasks would deadlock the serialized dispatcher.
 pub fn run_tasks(tasks: Vec<Task>, schedule: &Schedule, step_cap: u64) -> RunOutcome {
     assert!(!tasks.is_empty(), "run_tasks needs at least one task");

@@ -3,17 +3,22 @@
 //! Once a request reports complete it must stay complete, its completion
 //! time must never change, and its payload must be handed out exactly once
 //! — under explored schedules at the `ReqState` level and under fault
-//! injection at the whole-universe level.
+//! injection at the whole-universe level. And a blocked waiter is always
+//! woken: a request, a barrier member and a split member, the three shapes of
+//! wait that share `Notify::wait_until`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use rankmpi_check::{base_seed, explore, ExploreConfig, Task};
 use rankmpi_core::request::ReqState;
 use rankmpi_core::Universe;
 use rankmpi_fabric::FaultPlan;
+use rankmpi_vtime::barrier::BarrierCosts;
+use rankmpi_vtime::engine;
 use rankmpi_vtime::sched::{yield_point, SchedPoint};
-use rankmpi_vtime::Nanos;
+use rankmpi_vtime::{Clock, Nanos, VirtualBarrier};
 
 /// One completer and two observers race over a `ReqState` across every
 /// explored interleaving: no observer may ever see completion regress, and
@@ -74,62 +79,161 @@ fn completion_is_monotone_under_explored_schedules() {
     });
 }
 
-/// The park / notify / unpark triple behind a *blocked* request, with the
-/// waiter-count fast path in play: one task blocks in `block_until_complete`
-/// (as an engine task it parks in `Notify::wait_past`), one completes the
-/// request between two yield points, one fires bare notifies on the same
-/// notifier so the waiter's queued unparker is drained by wakes that are not
-/// the completion. No schedule may lose the completion's wakeup: a waiter
-/// left parked is reported by the engine as a deadlock (there is no timeout
-/// to rescue a parked task), which `explore` turns into a replayable failure.
-#[test]
-fn blocked_request_is_woken_under_explored_schedules() {
+/// One case of the blocked-waiter suite: `mk` builds a fresh task set in
+/// which `waiters` tasks block through `Notify::wait_until` (as engine tasks
+/// they park) and count themselves into the counter once they return.
+struct WaiterCase {
+    name: &'static str,
+    salt: u64,
+    waiters: u64,
+    mk: fn(&Arc<AtomicU64>) -> Vec<Task>,
+}
+
+/// Run one case under explored schedules. No schedule may lose a wakeup: a
+/// waiter left parked is reported by the engine as a deadlock (there is no
+/// timeout to rescue a parked task), which `explore` turns into a
+/// replayable failure; and every waiter of every schedule must return.
+fn explore_waiters(case: WaiterCase) {
     let cfg = ExploreConfig {
         depth: 5,
         max_exhaustive: 120,
         random_samples: 8,
-        ..ExploreConfig::with_seed(base_seed() ^ 0xB10C)
+        ..ExploreConfig::with_seed(base_seed() ^ case.salt)
     };
     let returned = Arc::new(AtomicU64::new(0));
-    let cov = explore("blocked_request_is_woken", &cfg, || {
-        let req = ReqState::detached();
-        let waiter: Task = {
-            let (req, returned) = (Arc::clone(&req), Arc::clone(&returned));
-            Box::new(move || {
-                req.block_until_complete(|| yield_point(SchedPoint::Custom("poll")));
-                assert!(req.is_complete());
-                assert_eq!(req.finish_at(), Nanos(77));
-                returned.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        let completer: Task = {
-            let req = Arc::clone(&req);
-            Box::new(move || {
-                yield_point(SchedPoint::Custom("pre-complete"));
-                req.complete(
-                    Nanos(77),
-                    rankmpi_core::Status {
-                        source: 0,
-                        tag: 0,
-                        len: 0,
-                    },
-                    bytes::Bytes::new(),
-                );
-                yield_point(SchedPoint::Custom("post-complete"));
-            })
-        };
-        let noise: Task = {
-            let notify = req.notify_handle();
-            Box::new(move || {
+    let cov = explore(case.name, &cfg, || (case.mk)(&returned));
+    assert_eq!(
+        returned.load(Ordering::Relaxed),
+        case.waiters * cov.schedules,
+        "{}: a waiter did not return",
+        case.name
+    );
+}
+
+/// The park / notify / unpark triple behind a *blocked* request, with the
+/// waiter-count fast path in play: one task blocks in `block_until_complete`,
+/// one completes the request between two yield points, one fires bare
+/// notifies on the same notifier so the waiter's queued unparker is drained
+/// by wakes that are not the completion.
+#[test]
+fn blocked_request_is_woken_under_explored_schedules() {
+    explore_waiters(WaiterCase {
+        name: "blocked_request_is_woken",
+        salt: 0xB10C,
+        waiters: 1,
+        mk: |returned| {
+            let req = ReqState::detached();
+            let waiter: Task = {
+                let (req, returned) = (Arc::clone(&req), Arc::clone(returned));
+                Box::new(move || {
+                    req.block_until_complete(None, || yield_point(SchedPoint::Custom("poll")));
+                    assert!(req.is_complete());
+                    assert_eq!(req.finish_at(), Nanos(77));
+                    returned.fetch_add(1, Ordering::Relaxed);
+                })
+            };
+            let completer: Task = {
+                let req = Arc::clone(&req);
+                Box::new(move || {
+                    yield_point(SchedPoint::Custom("pre-complete"));
+                    req.complete(
+                        Nanos(77),
+                        rankmpi_core::Status {
+                            source: 0,
+                            tag: 0,
+                            len: 0,
+                        },
+                        bytes::Bytes::new(),
+                    );
+                    yield_point(SchedPoint::Custom("post-complete"));
+                })
+            };
+            let noise: Task = {
+                let notify = req.notify_handle();
+                Box::new(move || {
+                    for _ in 0..3 {
+                        yield_point(SchedPoint::Custom("pre-noise"));
+                        notify.notify();
+                    }
+                })
+            };
+            vec![waiter, completer, noise]
+        },
+    });
+}
+
+/// A two-member `VirtualBarrier`: whichever member arrives first waits for
+/// the other's arrival to turn the generation, and both leave at the joined
+/// time. The barrier keeps its notifier to itself, so the third task makes
+/// its noise by unparking the members directly — wakes that are not the
+/// generation turning, which a parked member must sleep through again.
+#[test]
+fn blocked_barrier_members_are_woken_under_explored_schedules() {
+    explore_waiters(WaiterCase {
+        name: "blocked_barrier_members_are_woken",
+        salt: 0xBA55,
+        waiters: 2,
+        mk: |returned| {
+            let barrier = Arc::new(VirtualBarrier::with_costs(
+                2,
+                BarrierCosts {
+                    base: Nanos(10),
+                    per_level: Nanos(0),
+                },
+            ));
+            let parked: Arc<Mutex<Vec<engine::Unparker>>> = Arc::default();
+            let mut tasks: Vec<Task> = (0..2u64)
+                .map(|i| {
+                    let (barrier, parked) = (Arc::clone(&barrier), Arc::clone(&parked));
+                    let returned = Arc::clone(returned);
+                    Box::new(move || {
+                        parked.lock().extend(engine::current_unparker());
+                        let mut clock = Clock::starting_at(Nanos(100 * i));
+                        yield_point(SchedPoint::Custom("pre-arrive"));
+                        barrier.wait(&mut clock);
+                        assert_eq!(clock.now(), Nanos(110), "left before the join");
+                        returned.fetch_add(1, Ordering::Relaxed);
+                    }) as Task
+                })
+                .collect();
+            tasks.push(Box::new(move || {
                 for _ in 0..3 {
                     yield_point(SchedPoint::Custom("pre-noise"));
-                    notify.notify();
+                    let members = parked.lock().clone();
+                    for up in members {
+                        up.unpark();
+                    }
                 }
-            })
-        };
-        vec![waiter, completer, noise]
+            }));
+            tasks
+        },
     });
-    assert_eq!(returned.load(Ordering::Relaxed), cov.schedules);
+}
+
+/// A three-member `split` rendezvous: every member contributes, the last
+/// contribution rings the universe's rendezvous notifier, and every member
+/// returns the full vector in rank order.
+#[test]
+fn blocked_split_members_are_woken_under_explored_schedules() {
+    explore_waiters(WaiterCase {
+        name: "blocked_split_members_are_woken",
+        salt: 0x5B17,
+        waiters: 3,
+        mk: |returned| {
+            let universe = Arc::clone(Universe::builder().nodes(1).build().shared());
+            (0..3i64)
+                .map(|i| {
+                    let (universe, returned) = (Arc::clone(&universe), Arc::clone(returned));
+                    Box::new(move || {
+                        yield_point(SchedPoint::Custom("pre-contribute"));
+                        let all = universe.gather_split((0, 0), i as usize, 3, i % 2, i);
+                        assert_eq!(all, vec![(0, 0), (1, 1), (0, 2)]);
+                        returned.fetch_add(1, Ordering::Relaxed);
+                    }) as Task
+                })
+                .collect()
+        },
+    });
 }
 
 /// Nonblocking `test` polls under fault injection: completion observed via

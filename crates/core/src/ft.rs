@@ -31,12 +31,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use rankmpi_fabric::fault::CrashPoint;
 use rankmpi_fabric::ft::{crash_now, Liveness};
 use rankmpi_fabric::{errcode, Header};
 use rankmpi_obs::{labels, registry};
-use rankmpi_vtime::{engine, Clock, Counter, Nanos};
+use rankmpi_vtime::{Clock, Counter, Nanos, Notify};
 
 use crate::comm::Communicator;
 use crate::error::{Error, Result};
@@ -205,7 +205,6 @@ impl std::fmt::Debug for FtShared {
 #[derive(Debug)]
 pub(crate) struct FtGather {
     state: Mutex<GatherState>,
-    cv: Condvar,
 }
 
 #[derive(Debug)]
@@ -221,8 +220,13 @@ impl FtGather {
                 entries: vec![None; size],
                 decided: None,
             }),
-            cv: Condvar::new(),
         }
+    }
+
+    /// Members that have contributed so far.
+    #[cfg(test)]
+    pub(crate) fn contributed(&self) -> usize {
+        self.state.lock().entries.iter().flatten().count()
     }
 
     fn try_decide(st: &mut GatherState, alive: &dyn Fn(usize) -> bool) {
@@ -245,60 +249,44 @@ impl FtGather {
         }
     }
 
-    /// Contribute `value` for `local_rank` and block until the agreement
-    /// resolves: every slot contributed or is crashed per `alive`. Crash
-    /// marks don't signal the condvar, so waiting polls on a short timeout
-    /// re-evaluating liveness each tick (same cadence as the split board's
-    /// abort polling).
+    /// Contribute `value` for `local_rank` and block on `rendezvous` until
+    /// the agreement resolves: every slot contributed or is crashed per
+    /// `alive`. Whoever resolves it rings `rendezvous`, and so does every
+    /// crash, so a waiter re-evaluates liveness exactly when it changes.
     pub(crate) fn contribute(
         &self,
+        rendezvous: &Notify,
         local_rank: usize,
         value: i64,
         alive: &(dyn Fn(usize) -> bool + Sync),
     ) -> Arc<Vec<(usize, i64)>> {
-        let tick = std::time::Duration::from_millis(20);
-        let mut st = self.state.lock();
-        if st.decided.is_none() {
-            st.entries[local_rank] = Some(value);
-            Self::try_decide(&mut st, alive);
-        }
-        if st.decided.is_some() {
-            self.cv.notify_all();
-        } else if engine::in_task() {
-            // Detach from the engine while blocked (a condvar sleep would
-            // pin a worker slot all its siblings need to make progress).
-            drop(st);
-            engine::block_in_place(|| {
-                let mut st = self.state.lock();
-                while st.decided.is_none() {
-                    let _ = self.cv.wait_for(&mut st, tick);
-                    Self::try_decide(&mut st, alive);
-                    if engine::aborted() {
-                        return;
-                    }
-                }
-                self.cv.notify_all();
-            });
-            st = self.state.lock();
-        } else {
-            while st.decided.is_none() {
-                let _ = self.cv.wait_for(&mut st, tick);
-                Self::try_decide(&mut st, alive);
+        {
+            let mut st = self.state.lock();
+            if st.decided.is_none() {
+                st.entries[local_rank] = Some(value);
             }
-            self.cv.notify_all();
         }
-        match &st.decided {
-            Some(d) => Arc::clone(d),
-            // Only reachable when the engine run is aborting (a real panic
-            // elsewhere); return what arrived — the run is being torn down.
-            None => Arc::new(
-                st.entries
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, e)| e.map(|v| (i, v)))
-                    .collect(),
-            ),
-        }
+        rendezvous.wait_until(|| {
+            let (decided, resolved_here) = {
+                let mut st = self.state.lock();
+                let open = st.decided.is_none();
+                if open {
+                    if !alive(local_rank) {
+                        // A sibling thread crashed this process: no verdict
+                        // is owed to it (and a board its peers resolved and
+                        // dropped would never resolve again).
+                        drop(st);
+                        crash_now();
+                    }
+                    Self::try_decide(&mut st, alive);
+                }
+                (st.decided.clone(), open && st.decided.is_some())
+            };
+            if resolved_here {
+                rendezvous.notify();
+            }
+            decided
+        })
     }
 }
 

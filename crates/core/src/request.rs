@@ -113,49 +113,25 @@ impl ReqState {
         Arc::clone(&self.notify)
     }
 
-    /// Block the real thread until complete, driving `progress` between
-    /// notifications. `progress` is the caller-supplied progress hook (drain
-    /// mailboxes, match messages); it returns `true` if it did useful work.
-    pub fn block_until_complete(&self, mut progress: impl FnMut()) {
-        while !self.is_complete() {
-            let seen = self.notify.version();
-            progress();
-            if self.is_complete() {
-                break;
-            }
-            self.notify.wait_past(seen, Duration::from_millis(1));
-        }
+    /// Block the real thread until complete or the real-time `deadline`
+    /// passes (`None`: never), driving `progress` (the caller's hook: drain
+    /// mailboxes, match messages) between notifications. Returns whether the
+    /// request completed; on expiry it stays pending. A request complete on
+    /// entry returns without calling `progress`.
+    pub fn block_until_complete(
+        &self,
+        deadline: Option<Instant>,
+        mut progress: impl FnMut(),
+    ) -> bool {
+        self.notify
+            .wait_until_deadline(deadline, || {
+                if !self.is_complete() {
+                    progress();
+                }
+                self.is_complete().then_some(())
+            })
+            .is_some()
     }
-
-    /// Like [`block_until_complete`] but gives up after `timeout` of *real*
-    /// time. Returns `true` if the request completed, `false` on expiry.
-    ///
-    /// [`block_until_complete`]: ReqState::block_until_complete
-    pub fn block_until_complete_for(&self, timeout: Duration, mut progress: impl FnMut()) -> bool {
-        let deadline = Instant::now() + timeout;
-        while !self.is_complete() {
-            let seen = self.notify.version();
-            progress();
-            if self.is_complete() {
-                break;
-            }
-            let interval = poll_interval(deadline, Instant::now());
-            if interval.is_zero() {
-                return false;
-            }
-            self.notify.wait_past(seen, interval);
-        }
-        true
-    }
-}
-
-/// How long a bounded wait may block before it must look at its deadline
-/// again: the usual 1 ms re-poll interval, cut to what is left of the
-/// deadline, zero once it has passed.
-fn poll_interval(deadline: Instant, now: Instant) -> Duration {
-    deadline
-        .saturating_duration_since(now)
-        .min(Duration::from_millis(1))
 }
 
 /// A handle to a pending or completed nonblocking operation.
@@ -291,16 +267,12 @@ impl Request {
                 let mut scratch = base.clone();
                 vci.progress(&mut scratch);
             };
-            match timeout {
-                None => state.block_until_complete(progress),
-                Some(timeout) => {
-                    let started = Instant::now();
-                    if !state.block_until_complete_for(timeout, progress) {
-                        return Err(RankMpiError::Timeout {
-                            waited_ms: started.elapsed().as_millis() as u64,
-                        });
-                    }
-                }
+            let started = timeout.map(|t| (Instant::now(), t));
+            if !state.block_until_complete(started.map(|(at, t)| at + t), progress) {
+                let waited = started.map_or(Duration::ZERO, |(at, _)| at.elapsed());
+                return Err(RankMpiError::Timeout {
+                    waited_ms: waited.as_millis() as u64,
+                });
             }
         }
         debug_assert!(self.is_complete(), "no progress hook, so born complete");
@@ -393,7 +365,7 @@ mod tests {
         let polling = Arc::new(AtomicBool::new(false));
         let polling2 = Arc::clone(&polling);
         let t = std::thread::spawn(move || {
-            r2.block_until_complete(|| polling2.store(true, Ordering::SeqCst));
+            r2.block_until_complete(None, || polling2.store(true, Ordering::SeqCst));
             r2.finish_at()
         });
         while !polling.load(Ordering::SeqCst) {
@@ -414,20 +386,10 @@ mod tests {
     #[test]
     fn bounded_block_expires_on_a_request_that_never_completes() {
         let r = ReqState::detached();
-        let done = r.block_until_complete_for(Duration::from_millis(5), || {});
+        let deadline = Instant::now() + Duration::from_millis(5);
+        let done = r.block_until_complete(Some(deadline), || {});
         assert!(!done);
         assert!(!r.is_complete(), "expiry leaves the request pending");
-    }
-
-    #[test]
-    fn poll_interval_never_sleeps_past_the_deadline() {
-        let now = Instant::now();
-        let ms = Duration::from_millis;
-        assert_eq!(poll_interval(now + ms(20), now), ms(1));
-        let left = Duration::from_micros(300);
-        assert_eq!(poll_interval(now + left, now), left);
-        assert_eq!(poll_interval(now, now), Duration::ZERO);
-        assert_eq!(poll_interval(now, now + ms(3)), Duration::ZERO);
     }
 
     #[test]
@@ -489,7 +451,7 @@ mod tests {
         );
         let req = Request::ready(st);
         let mut clock = rankmpi_vtime::Clock::new();
-        let out = req.wait_timeout(&mut clock, Duration::from_millis(1));
+        let out = req.wait_timeout(&mut clock, Duration::from_millis(5));
         assert!(out.is_ok());
         assert_eq!(clock.now(), Nanos(40));
     }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rankmpi_fabric::{FaultPlan, Liveness, NetworkProfile, Nic, ResilConfig};
 use rankmpi_obs::{labels, registry};
-use rankmpi_vtime::{engine, Nanos};
+use rankmpi_vtime::{engine, Nanos, Notify};
 
 use crate::costs::CoreCosts;
 use crate::ft::FtGather;
@@ -118,6 +118,10 @@ pub struct UniverseShared {
     /// In-flight fault-tolerant agreements (`agree`/`shrink` membership):
     /// (parent ctx, op index, kind) → board.
     ft_boards: Mutex<HashMap<(u32, u64, u8), Arc<FtGather>>>,
+    /// What every member blocked on a split or FT board waits on: rung by
+    /// the contribution that resolves a board, and by `liveness` on every
+    /// crash (a death can resolve an FT board without anyone contributing).
+    rendezvous: Arc<Notify>,
     /// Dead ranks whose channel resources have already been retired —
     /// `reclaim_rank` is requested by every survivor but performed once.
     reclaimed: Mutex<HashSet<usize>>,
@@ -129,45 +133,33 @@ pub struct UniverseShared {
 #[derive(Debug)]
 pub struct SplitBoard {
     entries: Mutex<Vec<Option<(i64, i64)>>>,
-    cv: parking_lot::Condvar,
 }
 
 impl SplitBoard {
     fn new(size: usize) -> Self {
         SplitBoard {
             entries: Mutex::new(vec![None; size]),
-            cv: parking_lot::Condvar::new(),
         }
     }
 
-    fn contribute(&self, local_rank: usize, color: i64, key: i64) -> Vec<(i64, i64)> {
-        let mut e = self.entries.lock();
-        e[local_rank] = Some((color, key));
-        if e.iter().all(Option::is_some) {
-            self.cv.notify_all();
-        } else if engine::in_task() {
-            // The condvar is shared with sibling tasks, so sleeping here
-            // would hold a worker slot; detach instead, and poll with a
-            // timeout so an aborted run cannot strand us.
-            drop(e);
-            engine::block_in_place(|| {
-                let mut e = self.entries.lock();
-                while !e.iter().all(Option::is_some) {
-                    let _ = self
-                        .cv
-                        .wait_for(&mut e, std::time::Duration::from_millis(20));
-                    if engine::aborted() {
-                        return;
-                    }
-                }
-            });
-            e = self.entries.lock();
-        } else {
-            while !e.iter().all(Option::is_some) {
-                self.cv.wait(&mut e);
-            }
+    /// Contribute, ring `rendezvous` if that completed the board, and wait
+    /// on it for the full vector.
+    fn contribute(
+        &self,
+        rendezvous: &Notify,
+        local_rank: usize,
+        color: i64,
+        key: i64,
+    ) -> Vec<(i64, i64)> {
+        let complete = {
+            let mut e = self.entries.lock();
+            e[local_rank] = Some((color, key));
+            e.iter().all(Option::is_some)
+        };
+        if complete {
+            rendezvous.notify();
         }
-        e.iter().map(|x| x.unwrap()).collect()
+        rendezvous.wait_until(|| self.entries.lock().iter().copied().collect())
     }
 }
 
@@ -261,6 +253,10 @@ impl UniverseShared {
     /// Contribute to (and wait for) the `(color, key)` exchange of a `split`
     /// on `(parent ctx, op index)`. Returns every member's contribution in
     /// parent-rank order.
+    ///
+    /// The board is dropped by whichever member returns first: it resolved
+    /// only after every member had fetched it, and op indices only grow, so
+    /// nobody looks the key up again.
     pub fn gather_split(
         &self,
         key: (u32, u64),
@@ -276,7 +272,9 @@ impl UniverseShared {
                     .or_insert_with(|| Arc::new(SplitBoard::new(size))),
             )
         };
-        board.contribute(local_rank, color, sort_key)
+        let out = board.contribute(&self.rendezvous, local_rank, color, sort_key);
+        self.split_boards.lock().remove(&key);
+        out
     }
 
     /// Agree on a window id for `(parent ctx, op index)`.
@@ -314,6 +312,11 @@ impl UniverseShared {
     /// [`gather_split`](UniverseShared::gather_split), resolution waits only
     /// for members `alive` still believes in, and the first resolver freezes
     /// the contribution set — every survivor returns the same decision.
+    ///
+    /// The first member to return drops the board, as in `gather_split`: it
+    /// resolved only once every member `alive` still believes in had
+    /// contributed, and a rank is marked dead only by its own crash, so
+    /// nobody left to arrive can need it.
     pub fn gather_ft(
         &self,
         key: (u32, u64, u8),
@@ -329,7 +332,9 @@ impl UniverseShared {
                     .or_insert_with(|| Arc::new(FtGather::new(size))),
             )
         };
-        board.contribute(local_rank, value, alive)
+        let out = board.contribute(&self.rendezvous, local_rank, value, alive);
+        self.ft_boards.lock().remove(&key);
+        out
     }
 
     /// Retire a dead rank's channel resources: every VCI of its process
@@ -544,11 +549,14 @@ impl UniverseBuilder {
             })
             .collect();
         // A crash emits no packet, so the liveness registry rings every
-        // process notifier itself: survivors parked on them (task launch
-        // mode) re-poll and observe the death instead of deadlocking.
+        // process notifier and the rendezvous itself: survivors parked on
+        // them (task launch mode) re-poll and observe the death instead of
+        // deadlocking.
+        let rendezvous = Arc::new(Notify::new());
         for p in &procs {
             liveness.register_waker(Arc::clone(p.notify()));
         }
+        liveness.register_waker(Arc::clone(&rendezvous));
         let shared = UniverseShared {
             profile: self.profile,
             costs: self.costs,
@@ -574,6 +582,7 @@ impl UniverseBuilder {
             split_boards: Mutex::new(HashMap::new()),
             liveness,
             ft_boards: Mutex::new(HashMap::new()),
+            rendezvous,
             reclaimed: Mutex::new(HashSet::new()),
             launch: self.launch,
         };
@@ -993,5 +1002,61 @@ mod tests {
             sub.size()
         });
         assert_eq!(sizes, vec![2, 2, 2, 2]);
+    }
+
+    #[test]
+    fn resolved_rendezvous_boards_are_dropped() {
+        let u = Universe::builder().nodes(4).build();
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            for key in 0..64 {
+                world.split(&mut th, (env.rank() % 2) as i64, key).unwrap();
+            }
+            assert!(world.agree(&mut th, true).unwrap());
+            world.shrink(&mut th).unwrap();
+        });
+        let s = u.shared();
+        assert_eq!(s.split_boards.lock().len(), 0, "split boards left behind");
+        assert_eq!(s.ft_boards.lock().len(), 0, "agreement boards left behind");
+    }
+
+    /// Three members of an `agree` park on its board; the fourth, the last
+    /// outstanding, dies without contributing. Only the crash can wake them
+    /// — a parked task has no timeout to fall back on — and they must return
+    /// the survivors' verdict.
+    #[test]
+    fn a_crash_wakes_members_parked_on_an_agreement_board() {
+        let one_worker = TaskLaunch {
+            workers: 1,
+            ..TaskLaunch::default()
+        };
+        let u = Universe::builder()
+            .nodes(4)
+            .launch(LaunchMode::Tasks(one_worker))
+            .build();
+        let shared = Arc::clone(u.shared());
+        let contributed = || -> usize {
+            let boards = shared.ft_boards.lock();
+            boards.values().map(|b| b.contributed()).sum()
+        };
+        let verdicts = u.run_ft(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            if env.rank() < 3 {
+                return world.agree(&mut th, true).unwrap();
+            }
+            // One worker and the largest clock: this task runs only while no
+            // other is ready, so three contributions mean three parked tasks.
+            while contributed() < 3 {
+                th.clock.advance(Nanos(1_000_000));
+            }
+            env.proc()
+                .ft()
+                .liveness()
+                .mark_crashed(env.rank(), th.clock.now());
+            rankmpi_fabric::ft::crash_now();
+        });
+        assert_eq!(verdicts, vec![Some(true), Some(true), Some(true), None]);
     }
 }

@@ -95,10 +95,11 @@ pub struct Liveness {
     epoch: AtomicU64,
     crashes: Arc<Counter>,
     detections: Arc<Counter>,
-    /// Per-process notifiers, rung on every registry change. A crash emits
-    /// no packet, so without these a survivor parked on its notifier (task
-    /// launch mode parks instead of timed-sleeping) would never wake to
-    /// observe the death — the engine would report an all-parked deadlock.
+    /// Notifiers rung on every registry change: one per process, plus the
+    /// universe's rendezvous for agreement boards. A crash emits no packet,
+    /// so without these a survivor parked on one (task launch mode parks
+    /// instead of timed-sleeping) would never wake to observe the death —
+    /// the engine would report an all-parked deadlock.
     wakers: RwLock<Vec<Arc<crate::Notify>>>,
 }
 
@@ -122,8 +123,8 @@ impl Liveness {
         }
     }
 
-    /// Register a process notifier to be rung on every crash. The universe
-    /// registers one per process at build time.
+    /// Register a notifier to be rung on every crash. The universe registers
+    /// one per process and its rendezvous at build time.
     pub fn register_waker(&self, notify: Arc<crate::Notify>) {
         self.wakers.write().push(notify);
     }
@@ -131,8 +132,8 @@ impl Liveness {
     /// Record `rank` as dead at virtual time `at`. Idempotent; called by the
     /// crashing rank itself immediately before it unwinds, so everything it
     /// sent beforehand is already in the destination mailboxes. Rings every
-    /// registered process notifier so parked survivors re-poll and observe
-    /// the death.
+    /// registered notifier so parked survivors re-poll and observe the
+    /// death.
     pub fn mark_crashed(&self, rank: usize, at: Nanos) {
         {
             let mut map = self.crashed.write();

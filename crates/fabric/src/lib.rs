@@ -37,7 +37,6 @@ pub mod fault;
 pub mod ft;
 pub mod mailbox;
 pub mod nic;
-pub mod notify;
 pub mod packet;
 pub mod profile;
 pub mod resil;
@@ -50,9 +49,11 @@ pub use fault::{CrashPoint, FaultPlan, FaultReport, LossCause};
 pub use ft::Liveness;
 pub use mailbox::Mailbox;
 pub use nic::Nic;
-pub use notify::Notify;
 pub use packet::{errcode, Header, Packet, KIND_ERR_FLAG};
 pub use profile::NetworkProfile;
+/// The progress-event channel a [`Mailbox`] rings on every deposit; it lives
+/// in `rankmpi-vtime` beside the engine it parks tasks on.
+pub use rankmpi_vtime::Notify;
 pub use resil::{Resil, ResilConfig, ResilReport};
 pub use spsc::SpscRing;
 pub use transmit::{send_batch, transmit, SendDesc, TxInfo};

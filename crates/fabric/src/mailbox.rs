@@ -20,9 +20,9 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use rankmpi_vtime::sched::{self, SchedPoint};
+use rankmpi_vtime::Notify;
 
 use crate::fault::{FaultFilter, FaultPlan, FaultReport, FaultStage, Stamp};
-use crate::notify::Notify;
 use crate::resil::{Resil, ResilConfig};
 use crate::spsc::SpscRing;
 use crate::Packet;
@@ -523,7 +523,7 @@ impl Mailbox {
             return Some(entry);
         }
         // The full ring is itself a doorbell: a consumer parked in
-        // `wait_past` cannot learn the ring filled without this (quiet
+        // `wait_until` cannot learn the ring filled without this (quiet
         // pushes defer their batch notify until after the burst).
         self.notify.notify();
         for i in 0..FULL_RING_SPINS + FULL_RING_YIELDS {
@@ -633,7 +633,6 @@ mod tests {
     use bytes::Bytes;
     use rankmpi_vtime::Nanos;
     use std::collections::HashMap;
-    use std::time::Duration;
 
     fn pkt(seq: u64) -> Packet {
         Packet {
@@ -1066,23 +1065,18 @@ mod tests {
     fn waiter_is_woken_by_push() {
         let n = Arc::new(Notify::new());
         let mb = Arc::new(Mailbox::new(Arc::clone(&n)));
-        let n2 = Arc::clone(&n);
-        // No sleep needed for correctness: wait_past re-reads the version
-        // after registering as a sleeper, so whichever side runs first, the
-        // waiter returns once the push has happened. (The deterministic-interleaving
+        let mb2 = Arc::clone(&mb);
+        // No sleep needed for correctness: wait_until reads the version
+        // before each drain, so whichever side runs first, the waiter
+        // returns once the push has happened. (The deterministic-interleaving
         // version of this test lives in the rankmpi-check conformance
         // suite, which drives both orders explicitly.)
         let t = std::thread::spawn(move || {
-            let mut seen = 0;
-            loop {
-                let v = n2.wait_past(seen, Duration::from_secs(30));
-                if v > 0 {
-                    return v;
-                }
-                seen = v;
-            }
+            let mut got = Vec::new();
+            n.wait_until(|| (mb2.drain_into(&mut got) > 0).then_some(()));
+            got.len()
         });
         mb.push(pkt(1));
-        assert!(t.join().unwrap() >= 1);
+        assert_eq!(t.join().unwrap(), 1);
     }
 }

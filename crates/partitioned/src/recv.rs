@@ -2,7 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use rankmpi_core::{Communicator, Error, Info, Result, ThreadCtx};
 use rankmpi_vtime::{ContentionLock, Nanos};
@@ -180,20 +179,12 @@ impl PrecvRequest {
         self.contend(th);
         let nv = th.proc().num_vcis().min(th.universe().num_vcis());
         let notify = th.proc().notify().clone();
-        let finish = loop {
-            // Read before draining: a partition deposited after the drain
-            // below has bumped past `seen`, so the wait returns at once
-            // (an engine task parked on a version read *after* the drain
-            // would never be woken for it).
-            let seen = notify.version();
+        let finish = notify.wait_until(|| {
             for v in 0..nv {
                 th.proc().vci(v).progress(&mut th.clock);
             }
-            if let Some(max_ready) = self.sink.all_ready() {
-                break max_ready;
-            }
-            notify.wait_past(seen, Duration::from_millis(1));
-        };
+            self.sink.all_ready()
+        });
         th.clock.wait_until(finish);
         let data = self.sink.read_all();
         th.clock.advance(th.proc().costs().match_base); // completion bookkeeping

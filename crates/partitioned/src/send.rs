@@ -2,7 +2,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -202,14 +201,8 @@ impl PsendRequest {
         let (_route_id, sink) = self.resolve_route(th)?;
         let iter = self.iteration.load(Ordering::Acquire);
         let needed = (iter + 1) * self.partitions as u64;
-        let notify = sink.notify_handle();
-        while sink.total_accepted() < needed {
-            let seen = notify.version();
-            if sink.total_accepted() >= needed {
-                break;
-            }
-            notify.wait_past(seen, Duration::from_millis(1));
-        }
+        sink.notify_handle()
+            .wait_until(|| (sink.total_accepted() >= needed).then_some(()));
         // Transfer-complete acknowledgment: one wire latency past the last
         // partition's landing.
         th.clock

@@ -25,7 +25,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use rankmpi_core::info::keys;
@@ -364,13 +363,7 @@ impl LaneTransport for PartTransport {
         self.rx_rollover(th, lane, round);
         let rx = &self.rx[&lane.id];
         let notify = Arc::clone(th.proc().notify());
-        loop {
-            let seen = notify.version();
-            if rx.req.parrived(th, part).expect("parrived") {
-                break;
-            }
-            notify.wait_past(seen, Duration::from_millis(1));
-        }
+        notify.wait_until(|| rx.req.parrived(th, part).expect("parrived").then_some(()));
         rx.req.read_partition(part)
     }
 

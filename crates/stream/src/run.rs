@@ -24,7 +24,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use rankmpi_core::{Communicator, EngineKind, LaunchMode, ThreadCtx, Universe};
 use rankmpi_fabric::{FaultPlan, NetworkProfile};
@@ -305,91 +304,90 @@ fn run_emitter(
     let mut stall_start: Option<Nanos> = None;
 
     while next_seq < cfg.items || feedback_done < feedback_expected {
-        let seen = notify.version();
-        let mut progress = false;
+        // One pass; wait for the next deposit only when it did nothing.
+        notify.wait_until(|| {
+            let mut progress = false;
 
-        // Drain credit grants.
-        while let Some((_st, data)) = world
-            .try_recv(th, collector, CREDIT_TAG)
-            .expect("credit recv")
-        {
-            tokens += u64::from_le_bytes(data[..8].try_into().unwrap());
-            progress = true;
-        }
-        if tokens > 0 {
-            if let Some(t0) = stall_start.take() {
-                let now = th.clock.now();
-                stalls += 1;
-                stall_ns += now.0.saturating_sub(t0.0);
-                obs::wait("stream", "credit_stall", t0, now, obs::ResId::NONE);
-            }
-        }
-
-        // Drain feedback returns.
-        while feedback_done + (fb_queue.len() as u64) < feedback_expected {
-            match world
-                .try_recv(th, collector, FEEDBACK_TAG)
-                .expect("feedback recv")
+            // Drain credit grants.
+            while let Some((_st, data)) = world
+                .try_recv(th, collector, CREDIT_TAG)
+                .expect("credit recv")
             {
-                Some((_st, data)) => {
-                    fb_queue.push_back(data.to_vec());
-                    progress = true;
-                }
-                None => break,
+                tokens += u64::from_le_bytes(data[..8].try_into().unwrap());
+                progress = true;
             }
-        }
-
-        // Feedback re-emissions first: the item keeps its token, so they
-        // can never be starved by backpressure.
-        if let Some(mut fb) = fb_queue.pop_front() {
-            let mut h = item::decode(&fb);
-            h.pass = 1;
-            item::restamp(&mut fb, &h);
-            let lane = &out[topo.lane_of(h.seq)];
-            transport.send(th, lane, lane_seq[lane.id], &fb);
-            lane_seq[lane.id] += 1;
-            feedback_done += 1;
-            continue;
-        }
-
-        if next_seq < cfg.items {
             if tokens > 0 {
-                // Emit every tokened item (up to EMIT_BURST) as one burst:
-                // the transport amortizes the injection path across the
-                // whole batch where the mechanism allows it.
-                let burst = tokens.min(cfg.items - next_seq).min(EMIT_BURST);
-                let mut bufs: Vec<(usize, u64, Vec<u8>)> = Vec::with_capacity(burst as usize);
-                for _ in 0..burst {
-                    let h = ItemHeader {
-                        seq: next_seq,
-                        emit_ns: th.clock.now().0,
-                        digest: item::base_digest(cfg.seed, next_seq),
-                        pass: 0,
-                        hops: 0,
-                    };
-                    item::encode(&mut buf, &h, cfg.seed);
-                    let lane_id = out[topo.lane_of(next_seq)].id;
-                    bufs.push((lane_id, lane_seq[lane_id], buf.clone()));
-                    lane_seq[lane_id] += 1;
-                    next_seq += 1;
+                if let Some(t0) = stall_start.take() {
+                    let now = th.clock.now();
+                    stalls += 1;
+                    stall_ns += now.0.saturating_sub(t0.0);
+                    obs::wait("stream", "credit_stall", t0, now, obs::ResId::NONE);
                 }
-                let batch: Vec<(&_, u64, &[u8])> = bufs
-                    .iter()
-                    .map(|(lane_id, seq, data)| (&out[*lane_id], *seq, data.as_slice()))
-                    .collect();
-                transport.send_many(th, &batch);
-                tokens -= burst;
-                inflight_acc.record(cfg.credits - tokens);
-                continue;
             }
-            if stall_start.is_none() {
-                stall_start = Some(th.clock.now());
-            }
-        }
 
-        if !progress {
-            notify.wait_past(seen, Duration::from_millis(1));
-        }
+            // Drain feedback returns.
+            while feedback_done + (fb_queue.len() as u64) < feedback_expected {
+                match world
+                    .try_recv(th, collector, FEEDBACK_TAG)
+                    .expect("feedback recv")
+                {
+                    Some((_st, data)) => {
+                        fb_queue.push_back(data.to_vec());
+                        progress = true;
+                    }
+                    None => break,
+                }
+            }
+
+            // Feedback re-emissions first: the item keeps its token, so they
+            // can never be starved by backpressure.
+            if let Some(mut fb) = fb_queue.pop_front() {
+                let mut h = item::decode(&fb);
+                h.pass = 1;
+                item::restamp(&mut fb, &h);
+                let lane = &out[topo.lane_of(h.seq)];
+                transport.send(th, lane, lane_seq[lane.id], &fb);
+                lane_seq[lane.id] += 1;
+                feedback_done += 1;
+                return Some(());
+            }
+
+            if next_seq < cfg.items {
+                if tokens > 0 {
+                    // Emit every tokened item (up to EMIT_BURST) as one
+                    // burst: the transport amortizes the injection path
+                    // across the whole batch where the mechanism allows it.
+                    let burst = tokens.min(cfg.items - next_seq).min(EMIT_BURST);
+                    let mut bufs: Vec<(usize, u64, Vec<u8>)> = Vec::with_capacity(burst as usize);
+                    for _ in 0..burst {
+                        let h = ItemHeader {
+                            seq: next_seq,
+                            emit_ns: th.clock.now().0,
+                            digest: item::base_digest(cfg.seed, next_seq),
+                            pass: 0,
+                            hops: 0,
+                        };
+                        item::encode(&mut buf, &h, cfg.seed);
+                        let lane_id = out[topo.lane_of(next_seq)].id;
+                        bufs.push((lane_id, lane_seq[lane_id], buf.clone()));
+                        lane_seq[lane_id] += 1;
+                        next_seq += 1;
+                    }
+                    let batch: Vec<(&_, u64, &[u8])> = bufs
+                        .iter()
+                        .map(|(lane_id, seq, data)| (&out[*lane_id], *seq, data.as_slice()))
+                        .collect();
+                    transport.send_many(th, &batch);
+                    tokens -= burst;
+                    inflight_acc.record(cfg.credits - tokens);
+                    return Some(());
+                }
+                if stall_start.is_none() {
+                    stall_start = Some(th.clock.now());
+                }
+            }
+            progress.then_some(())
+        });
     }
 
     for lane in out {
@@ -474,79 +472,80 @@ fn run_collector(
     let mut pending_credit = 0u64;
 
     while delivered < cfg.items {
-        let version = notify.version();
-        let mut progress = false;
-        for (i, lane) in plan.in_lanes.iter().enumerate() {
-            if seen[i] >= lane.count {
-                continue;
-            }
-            let Some(buf) = transport.try_recv(th, lane, seen[i]) else {
-                continue;
-            };
-            seen[i] += 1;
-            progress = true;
+        // One sweep over the in-lanes; wait only when it found nothing.
+        notify.wait_until(|| {
+            let mut progress = false;
+            for (i, lane) in plan.in_lanes.iter().enumerate() {
+                if seen[i] >= lane.count {
+                    continue;
+                }
+                let Some(buf) = transport.try_recv(th, lane, seen[i]) else {
+                    continue;
+                };
+                seen[i] += 1;
+                progress = true;
 
-            let h = item::decode(&buf);
-            assert!(
-                item::filler_ok(&buf, cfg.seed, h.seq),
-                "payload corrupt at collector, item {}",
-                h.seq
-            );
-            if h.pass == 0 && item::selected(cfg.seed, h.seq, permille) {
-                // First pass of a feedback item: route it back whole. Its
-                // credit token stays with it until the second pass lands.
-                world
-                    .send(th, 0, FEEDBACK_TAG, &buf)
-                    .expect("feedback send");
-                feedback_items += 1;
-                continue;
-            }
-            assert_eq!(
-                h.digest,
-                topo.expected_digest(cfg.seed, h.seq),
-                "provenance digest mismatch for item {} (skipped/repeated/mis-routed stage)",
-                h.seq
-            );
-            assert_eq!(
-                h.hops,
-                topo.expected_hops(cfg.seed, h.seq),
-                "hop count mismatch for item {}",
-                h.seq
-            );
-            match reorder.push(h.seq, h.emit_ns) {
-                Ok(()) => {}
-                Err(PushErr::Full) => panic!(
-                    "reorder buffer overflow at item {}: backpressure violated \
-                     (credits {} should bound in-flight items)",
-                    h.seq, cfg.credits
-                ),
-                Err(PushErr::Stale) => panic!("duplicate delivery of item {}", h.seq),
-            }
-            depth_acc.record(reorder.len() as u64);
-            while let Some((_seq, emit_ns)) = reorder.pop_next() {
-                // Latency is measured at in-order delivery: it includes
-                // head-of-line waiting inside the reorder buffer.
-                let lat = th.clock.now().0.saturating_sub(emit_ns);
-                latency_acc.record(lat);
-                latencies.push(lat);
-                delivered += 1;
-                pending_credit += 1;
-                if pending_credit >= credit_batch {
-                    grant(th, world, pending_credit);
-                    pending_credit = 0;
+                let h = item::decode(&buf);
+                assert!(
+                    item::filler_ok(&buf, cfg.seed, h.seq),
+                    "payload corrupt at collector, item {}",
+                    h.seq
+                );
+                if h.pass == 0 && item::selected(cfg.seed, h.seq, permille) {
+                    // First pass of a feedback item: route it back whole.
+                    // Its credit token stays with it until the second pass
+                    // lands.
+                    world
+                        .send(th, 0, FEEDBACK_TAG, &buf)
+                        .expect("feedback send");
+                    feedback_items += 1;
+                    continue;
+                }
+                assert_eq!(
+                    h.digest,
+                    topo.expected_digest(cfg.seed, h.seq),
+                    "provenance digest mismatch for item {} (skipped/repeated/mis-routed stage)",
+                    h.seq
+                );
+                assert_eq!(
+                    h.hops,
+                    topo.expected_hops(cfg.seed, h.seq),
+                    "hop count mismatch for item {}",
+                    h.seq
+                );
+                match reorder.push(h.seq, h.emit_ns) {
+                    Ok(()) => {}
+                    Err(PushErr::Full) => panic!(
+                        "reorder buffer overflow at item {}: backpressure violated \
+                         (credits {} should bound in-flight items)",
+                        h.seq, cfg.credits
+                    ),
+                    Err(PushErr::Stale) => panic!("duplicate delivery of item {}", h.seq),
+                }
+                depth_acc.record(reorder.len() as u64);
+                while let Some((_seq, emit_ns)) = reorder.pop_next() {
+                    // Latency is measured at in-order delivery: it includes
+                    // head-of-line waiting inside the reorder buffer.
+                    let lat = th.clock.now().0.saturating_sub(emit_ns);
+                    latency_acc.record(lat);
+                    latencies.push(lat);
+                    delivered += 1;
+                    pending_credit += 1;
+                    if pending_credit >= credit_batch {
+                        grant(th, world, pending_credit);
+                        pending_credit = 0;
+                    }
                 }
             }
-        }
-        if !progress {
             // Flush a partial credit batch before parking: with this, the
             // emitter can never be left token-starved while we idle — any
             // credits >= 1 is deadlock-free.
-            if pending_credit > 0 {
+            if !progress && pending_credit > 0 {
                 grant(th, world, pending_credit);
                 pending_credit = 0;
             }
-            notify.wait_past(version, Duration::from_millis(1));
-        }
+            progress.then_some(())
+        });
     }
 
     for lane in &plan.in_lanes {

@@ -1,10 +1,9 @@
 //! A barrier that synchronizes both real threads and their virtual clocks.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use crate::engine;
 use crate::sched::{self, SchedPoint};
-use crate::{Clock, Nanos};
+use crate::{Clock, Nanos, Notify};
 
 /// Per-participant cost of a barrier episode, modeled after tree barriers on
 /// many-core nodes: a base cost plus a log2(n) fan-in/fan-out term.
@@ -32,9 +31,6 @@ struct BarrierState {
     max_now: Nanos,
     /// Release time of the last completed generation.
     release_at: Nanos,
-    /// Engine tasks parked waiting for the generation to turn; drained and
-    /// woken by the last arrival.
-    waiters: Vec<engine::Unparker>,
 }
 
 /// A cyclic barrier for `n` simulated threads that also joins virtual time:
@@ -48,7 +44,8 @@ pub struct VirtualBarrier {
     n: usize,
     costs: BarrierCosts,
     state: Mutex<BarrierState>,
-    cv: Condvar,
+    /// Rung by the last arrival of every generation.
+    turned: Notify,
 }
 
 impl VirtualBarrier {
@@ -68,9 +65,8 @@ impl VirtualBarrier {
                 generation: 0,
                 max_now: Nanos::ZERO,
                 release_at: Nanos::ZERO,
-                waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
+            turned: Notify::new(),
         }
     }
 
@@ -83,74 +79,36 @@ impl VirtualBarrier {
     /// Arrive at the barrier; blocks (for real) until all `n` arrive, then sets
     /// the caller's clock to the joined release time.
     ///
-    /// Inside an engine task, waiting *parks*: the task registers an
-    /// unparker on the barrier (under the barrier's own lock, so the last
-    /// arrival cannot miss it) and leaves the CPU until the generation
-    /// turns — 1k waiting tasks cost nothing. Under a plain
-    /// [`sched`](crate::sched) hook, waiting is a cooperative poll with a
-    /// yield point per probe; otherwise a condvar sleep.
+    /// Waiting is [`Notify::wait_until`] on the generation turning: an engine
+    /// task parks (1k waiting tasks cost nothing), a thread under a
+    /// [`sched`](crate::sched) hook yields between polls, any other thread
+    /// polls briefly, then sleeps.
     pub fn wait(&self, clock: &mut Clock) {
         sched::yield_point(SchedPoint::BarrierArrive);
-        let engine_up = engine::current_unparker();
-        let my_gen = {
+        let (my_gen, last) = {
             let mut st = self.state.lock();
             let my_gen = st.generation;
             st.max_now = st.max_now.max(clock.now());
             st.arrived += 1;
-            if st.arrived == self.n {
+            let last = st.arrived == self.n;
+            if last {
                 st.release_at = st.max_now + self.episode_cost();
                 st.arrived = 0;
                 st.max_now = Nanos::ZERO;
                 st.generation += 1;
-                let release = st.release_at;
-                let waiters = std::mem::take(&mut st.waiters);
-                drop(st);
-                self.cv.notify_all();
-                for w in waiters {
-                    w.unpark();
-                }
-                clock.wait_until(release);
-                return;
             }
-            if let Some(up) = engine_up {
-                // Parked wait: re-register on every spurious wake (the
-                // last arrival drains the whole waiter list).
-                st.waiters.push(up.clone());
-                loop {
-                    drop(st);
-                    engine::park(SchedPoint::BarrierWait);
-                    st = self.state.lock();
-                    if st.generation != my_gen {
-                        let release = st.release_at;
-                        drop(st);
-                        clock.wait_until(release);
-                        return;
-                    }
-                    st.waiters.push(up.clone());
-                }
-            }
-            if !sched::armed() {
-                while st.generation == my_gen {
-                    self.cv.wait(&mut st);
-                }
-                let release = st.release_at;
-                drop(st);
-                clock.wait_until(release);
-                return;
-            }
-            my_gen
+            (my_gen, last)
         };
-        // Cooperative wait: poll with yield points, no condvar sleep.
-        loop {
-            sched::yield_point(SchedPoint::BarrierWait);
-            let st = self.state.lock();
-            if st.generation != my_gen {
-                let release = st.release_at;
-                drop(st);
-                clock.wait_until(release);
-                return;
-            }
+        if last {
+            self.turned.notify();
         }
+        // The generation cannot turn twice while we wait (that needs our own
+        // next arrival), so `release_at` is still ours when we see it move.
+        let release = self.turned.wait_until(|| {
+            let st = self.state.lock();
+            (st.generation != my_gen).then_some(st.release_at)
+        });
+        clock.wait_until(release);
     }
 
     /// Number of participants.

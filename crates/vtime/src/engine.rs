@@ -26,14 +26,13 @@
 //!                                                   └─ return ──▶ Finished
 //! ```
 //!
-//! Blocking primitives never sleep on a condvar inside a task. Instead they
-//! register an [`Unparker`] with the awaited object so that wakeups cannot
-//! be lost — under the lock that guards the awaited condition, or (the
-//! fabric's lock-free `Notify`) published before a `SeqCst` re-read of the
-//! condition, which the waker writes before it looks for registrations —
-//! then call [`park`]; the waker side drains registered unparkers after
-//! publishing the condition. A parked task costs zero CPU — this is what
-//! lets 1k+ idle tasks coexist on one core.
+//! Blocking primitives never sleep on a condvar inside a task: they wait in
+//! [`Notify::wait_until`](crate::Notify::wait_until), which registers the
+//! task's [`Unparker`] with the notifier — published before a `SeqCst`
+//! re-read of the version, which the notifier bumps before it looks for
+//! registrations, so no wakeup is lost — then calls [`park`]; a notify
+//! drains the registered unparkers. A parked task costs zero CPU — this is
+//! what lets 1k+ idle tasks coexist on one core.
 //!
 //! ## Dispatch policies
 //!
@@ -54,8 +53,8 @@
 //! ## Raw blocking
 //!
 //! A task that must block on something outside the engine's yield-point
-//! vocabulary (joining scoped child threads, a plain condvar shared with
-//! non-task threads) wraps the blocking section in [`block_in_place`], which
+//! vocabulary (joining scoped child threads: `ProcEnv::parallel_n`'s join is
+//! the one such wait) wraps the blocking section in [`block_in_place`], which
 //! releases the task's worker slot for the duration so the tasks it is
 //! waiting on can run.
 
@@ -731,9 +730,9 @@ pub fn park(point: SchedPoint) {
 
 /// Run `f` with the current task *detached*: its worker slot is released so
 /// other tasks can run while `f` blocks outside the engine's vocabulary
-/// (joining child carriers, a condvar shared with non-task threads).
-/// Re-admission happens even if `f` unwinds. A transparent passthrough when
-/// the caller is not a task or is already detached.
+/// (joining child carriers). Re-admission happens even if `f` unwinds. A
+/// transparent passthrough when the caller is not a task or is already
+/// detached.
 pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
     let Some((shared, me)) = current_ctx() else {
         return f();

@@ -38,6 +38,10 @@
 //!   (the thread-synchronization overheads of the paper's Lessons 3 and 14);
 //! - [`VirtualBarrier`]: a barrier that joins the virtual clocks of all
 //!   participants (used by stencil iterations and partitioned-request completion);
+//! - [`Notify`]: the progress-event channel every blocked caller waits on, and
+//!   [`Notify::wait_until`], the one place the rule for *how* it waits lives
+//!   (an engine task parks, a `sched`-armed thread yields, a plain thread
+//!   polls, then sleeps);
 //! - [`stats`]: lightweight atomic counters/accumulators used for byte and
 //!   collision accounting in the experiments;
 //! - [`sched`]: optional per-thread scheduling hooks that turn every clock
@@ -53,6 +57,7 @@ pub mod clock;
 pub mod engine;
 pub mod lock;
 pub mod nanos;
+pub mod notify;
 pub mod resource;
 pub mod sched;
 pub mod stats;
@@ -61,5 +66,6 @@ pub use barrier::VirtualBarrier;
 pub use clock::Clock;
 pub use lock::{ContentionLock, LockCosts, UnmodeledGuard};
 pub use nanos::Nanos;
+pub use notify::Notify;
 pub use resource::{Acquisition, Resource};
 pub use stats::{Accumulator, Counter};

@@ -1,12 +1,25 @@
-//! Progress-event notification: the wake path between a packet deposit (or a
-//! request completion) and the thread blocked on it.
+//! Progress-event notification: the wake path between a deposit (a request
+//! completion, a barrier turning) and the caller blocked on it, and
+//! [`Notify::wait_until`], the one way a caller blocks.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use rankmpi_vtime::engine;
-use rankmpi_vtime::sched::{self, SchedPoint};
+
+use crate::engine;
+use crate::sched::{self, SchedPoint};
+
+/// How long a thread-launched waiter sleeps before it re-polls although the
+/// version has not moved: a backstop against a condition that changes
+/// without a notify, never the wake path itself.
+const RE_POLL: Duration = Duration::from_millis(1);
+
+/// How long a bounded wait may block before it must look at `deadline`
+/// again: [`RE_POLL`], cut to what is left, zero once it has passed.
+fn poll_interval(deadline: Instant, now: Instant) -> Duration {
+    deadline.saturating_duration_since(now).min(RE_POLL)
+}
 
 /// Busy polls (`spin_loop` + one load; 100 of them take 1.1–1.4 µs on the
 /// 2.1 GHz Xeon this was written on) before a thread-launched waiter starts
@@ -68,10 +81,9 @@ fn smoothed(wake_ns: u64, sample: Duration) -> u64 {
 /// path beside it.
 ///
 /// Every packet deposit (and, at the MPI layer, every request completion)
-/// bumps the version. Blocking operations read the version, poll their
-/// completion condition, and [`wait_past`](Self::wait_past) the version they
-/// read — which returns as soon as it moves, or after the caller's timeout
-/// so that a simulation-level race can never deadlock a test.
+/// bumps the version. Blocking operations wait in
+/// [`wait_until`](Self::wait_until): read the version, poll their condition,
+/// and wait for the version to move past what they read.
 ///
 /// A [`notify`](Self::notify) that finds nobody sleeping or parked is one
 /// read-modify-write and two loads: no lock, no syscall. Only a non-zero
@@ -127,6 +139,12 @@ impl Notify {
     }
 
     /// Current version: one load.
+    ///
+    /// Public for `benchmark/`'s probes, which time the raw wake path; code in
+    /// the workspace blocks through [`wait_until`](Self::wait_until) (CI
+    /// rejects other callers of `wait_past`), because the order is the whole
+    /// contract: `PrecvRequest::wait` once read the version *after* draining
+    /// and checking, and a partition landing in between parked a task for good.
     #[inline]
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::SeqCst)
@@ -180,8 +198,52 @@ impl Notify {
         }
     }
 
-    /// Wait until the version moves past `seen` or `timeout` elapses.
-    /// Returns the version last observed (every caller re-polls in a loop).
+    /// Block until `poll` returns `Some`, and return what it returned.
+    ///
+    /// Each round reads the version, *then* runs `poll`, and on `None` waits
+    /// for the version to move past what it read: a notify landing after the
+    /// read ends that wait at once, one landing before it was seen by `poll`.
+    /// Between rounds an engine task parks, a `sched`-armed thread yields, a
+    /// plain thread polls, then sleeps with a 1 ms re-poll. `poll` may run any
+    /// number of times; what must happen before blocking (a drain, flushing a
+    /// credit batch) belongs in it.
+    pub fn wait_until<T>(&self, poll: impl FnMut() -> Option<T>) -> T {
+        self.wait_until_deadline(None, poll)
+            .expect("a wait without a deadline ends only with what `poll` found")
+    }
+
+    /// [`wait_until`](Self::wait_until) that gives up once the real-time
+    /// `deadline` has passed (`None`: never), returning `None`. `poll` runs
+    /// at least once. An engine task parks until a notify whatever the
+    /// deadline: it has no wall clock to wake on.
+    pub fn wait_until_deadline<T>(
+        &self,
+        deadline: Option<Instant>,
+        mut poll: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        loop {
+            let seen = self.version();
+            if let Some(t) = poll() {
+                return Some(t);
+            }
+            let timeout = deadline.map_or(RE_POLL, |d| poll_interval(d, Instant::now()));
+            if timeout.is_zero() {
+                return None;
+            }
+            // The window a lost wakeup lives in, between the failed check and
+            // the wait: explored schedules may run a notifier here. Under
+            // `VirtualTime` the park below is the switch point; yielding here
+            // would only hand the slot away to come back and park.
+            if sched::hooked() {
+                sched::yield_point(SchedPoint::NotifyWait);
+            }
+            self.wait_past(seen, timeout);
+        }
+    }
+
+    /// Wait until the version moves past `seen` or `timeout` elapses, and
+    /// return the version last observed. Public for `benchmark/`'s probes
+    /// only: see [`version`](Self::version).
     ///
     /// A plain OS thread goes through three phases, all counted against
     /// `timeout` (a zero `timeout` returns after one load):
@@ -355,6 +417,32 @@ mod tests {
             );
             assert_eq!(n.sleepers(), 0);
         }
+    }
+
+    #[test]
+    fn poll_interval_never_sleeps_past_the_deadline() {
+        let now = Instant::now();
+        let ms = Duration::from_millis;
+        assert_eq!(poll_interval(now + ms(20), now), RE_POLL);
+        let left = Duration::from_micros(300);
+        assert_eq!(poll_interval(now + left, now), left);
+        assert_eq!(poll_interval(now, now), Duration::ZERO);
+        assert_eq!(poll_interval(now, now + ms(3)), Duration::ZERO);
+    }
+
+    #[test]
+    fn a_passed_deadline_polls_once_and_gives_up() {
+        let n = Notify::new();
+        let mut polls = 0;
+        let none = n.wait_until_deadline(Some(Instant::now()), || {
+            polls += 1;
+            None::<()>
+        });
+        assert_eq!((none, polls), (None, 1));
+        assert_eq!(
+            n.wait_until_deadline(Some(Instant::now()), || Some(7)),
+            Some(7)
+        );
     }
 
     #[test]

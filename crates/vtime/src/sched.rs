@@ -23,10 +23,11 @@
 //!
 //! - [`ContentionLock`](crate::ContentionLock) acquisition becomes a
 //!   `try_lock` spin with a yield point between attempts;
-//! - [`VirtualBarrier`](crate::VirtualBarrier) waiting becomes a poll loop
-//!   with yield points instead of a condvar sleep;
-//! - `rankmpi-fabric`'s `Notify::wait_past` yields once and returns instead
-//!   of sleeping (every caller already re-polls in a loop).
+//! - [`Notify::wait_until`](crate::Notify::wait_until), through which every
+//!   other wait goes ([`VirtualBarrier`](crate::VirtualBarrier) included),
+//!   yields between polls instead of sleeping, with a
+//!   [`SchedPoint::NotifyWait`] between a failed poll and its wait (the
+//!   window a lost wakeup lives in).
 //!
 //! Mixing hooked and un-hooked threads on one blocking primitive is not
 //! supported: either all participants of a barrier/lock run under the
@@ -52,13 +53,12 @@ pub enum SchedPoint {
     LockRelease,
     /// A thread arrived at a [`VirtualBarrier`](crate::VirtualBarrier).
     BarrierArrive,
-    /// A thread polled a barrier it is still waiting on.
-    BarrierWait,
     /// A packet was pushed toward a mailbox.
     MailboxPush,
     /// A mailbox is about to be drained.
     MailboxDrain,
-    /// A thread polled an arrival notifier instead of sleeping on it.
+    /// A thread waits on a [`Notify`](crate::Notify): after a failed poll,
+    /// and where it would otherwise sleep or park.
     NotifyWait,
     /// A library- or test-defined yield point.
     Custom(&'static str),
@@ -113,6 +113,14 @@ pub fn clear_thread_hook() {
 #[inline]
 pub fn armed() -> bool {
     ARMED.with(|a| a.get()) != Armed::No
+}
+
+/// Whether the installed hook sees every yield point (a user's, or the
+/// engine's under `Dispatch::Serialized`) rather than only those where a task
+/// runs ahead of the pack (the engine's under `Dispatch::VirtualTime`).
+#[inline]
+pub(crate) fn hooked() -> bool {
+    ARMED.with(|a| a.get()) == Armed::Hook
 }
 
 /// Fire a yield point. A no-op (one thread-local read) unless a hook is

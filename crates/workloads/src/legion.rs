@@ -159,39 +159,20 @@ pub fn run_legion(mode: LegionMode, cfg: &LegionConfig) -> LegionReport {
             let mut th = env.single_thread();
             crate::measure::begin(&mut th);
             let notify = env.proc().notify().clone();
-            let mut processed = 0usize;
             // Event loop shape: poll for ONE request, run its handler, then
             // re-poll from the top — the structure of Realm's progress
             // thread. With communicators the sweep restarts over *all* task
             // threads' communicators per event (Fig. 5 left); with a single
             // communicator or endpoint one wildcard probe suffices.
-            while processed < total {
-                let seen = notify.version();
-                let got = match mode {
+            for _ in 0..total {
+                notify.wait_until(|| match mode {
                     LegionMode::SingleComm => world.try_recv(&mut th, ANY_SOURCE, ANY_TAG).unwrap(),
-                    LegionMode::CommPerThread => {
-                        let mut found = None;
-                        for c in comms {
-                            if let Some(ev) = c.try_recv(&mut th, ANY_SOURCE, ANY_TAG).unwrap() {
-                                found = Some(ev);
-                                break;
-                            }
-                        }
-                        found
-                    }
+                    LegionMode::CommPerThread => comms
+                        .iter()
+                        .find_map(|c| c.try_recv(&mut th, ANY_SOURCE, ANY_TAG).unwrap()),
                     LegionMode::Endpoints => eps[0].try_recv(&mut th, ANY_SOURCE, ANY_TAG).unwrap(),
-                };
-                match got {
-                    Some((_st, _data)) => {
-                        processed += 1;
-                        th.clock.advance(cfg.handler_compute);
-                    }
-                    None => {
-                        if processed < total {
-                            notify.wait_past(seen, std::time::Duration::from_millis(1));
-                        }
-                    }
-                }
+                });
+                th.clock.advance(cfg.handler_compute);
             }
             (crate::measure::elapsed(&th), th.clock.waited())
         }
