@@ -236,7 +236,8 @@ mod tests {
             let peer = 1 - ep.rank();
             for _ in 0..64 {
                 if env.rank() == 0 {
-                    ep.send(&mut th, peer, 0, &[7u8; 32]).unwrap();
+                    // Above the inline cap, so each payload needs a slab.
+                    ep.send(&mut th, peer, 0, &[7u8; 64]).unwrap();
                     // The ack says the peer dropped its view of the payload:
                     // the slab is reusable from the next send on.
                     ep.recv(&mut th, peer as i64, 1).unwrap();

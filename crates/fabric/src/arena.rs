@@ -10,12 +10,16 @@
 //! slab is *scavenged* back to the freelist once the receiver drops the view.
 //! Scavenging is piggybacked on later `alloc`s — no background work, O(1)
 //! amortized per message.
+//!
+//! A payload of at most [`INLINE_CAP`] bytes skips the slabs altogether: it
+//! is copied into the `Bytes` value itself, so neither side writes a line
+//! the other owns — no pool lock, no `Arc` count the receiver decrements.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, INLINE_CAP};
 use parking_lot::Mutex;
 
 /// Slabs checked for reclamation per `alloc` — bounds the scan while still
@@ -46,9 +50,14 @@ impl PayloadPool {
         Self::default()
     }
 
-    /// Copy `data` into a pooled buffer. Steady state (a warm freelist and
-    /// slab capacities that fit `data`) performs zero heap allocations.
+    /// Copy `data` into an inline `Bytes` if it fits, into a pooled buffer
+    /// otherwise. Steady state (a warm freelist and slab capacities that fit
+    /// `data`) performs zero heap allocations.
     pub fn alloc(&self, data: &[u8]) -> Bytes {
+        if data.len() <= INLINE_CAP {
+            self.reuses.fetch_add(1, Ordering::Relaxed);
+            return Bytes::copy_from_slice(data);
+        }
         let mut st = self.state.lock();
         // Reclaim slabs whose receivers have dropped their views: the pool's
         // own reference is then the only one left.
@@ -87,7 +96,8 @@ impl PayloadPool {
         self.fresh_allocs.load(Ordering::Relaxed)
     }
 
-    /// Allocations served from a recycled slab.
+    /// Allocations served without allocating: inline, or from a recycled
+    /// slab.
     pub fn reuses(&self) -> u64 {
         self.reuses.load(Ordering::Relaxed)
     }
@@ -107,11 +117,16 @@ impl PayloadPool {
 mod tests {
     use super::*;
 
+    /// The shortest payload that needs a slab.
+    const SLAB_MIN: usize = INLINE_CAP + 1;
+
     #[test]
     fn alloc_copies_and_views_share() {
         let pool = PayloadPool::new();
-        let b = pool.alloc(b"hello");
-        assert_eq!(&b[..], b"hello");
+        let data = [b'h'; SLAB_MIN];
+        let b = pool.alloc(&data);
+        assert_eq!(&b[..], &data);
+        assert_eq!(b.owner_count(), Some(2), "the view shares the pool's slab");
         assert_eq!(pool.fresh_allocs(), 1);
         assert_eq!(pool.lent(), 1);
     }
@@ -119,10 +134,10 @@ mod tests {
     #[test]
     fn dropped_views_are_scavenged_and_reused() {
         let pool = PayloadPool::new();
-        let b = pool.alloc(&[1u8; 32]);
+        let b = pool.alloc(&[1u8; 2 * SLAB_MIN]);
         drop(b);
-        let c = pool.alloc(&[2u8; 16]);
-        assert_eq!(&c[..], &[2u8; 16]);
+        let c = pool.alloc(&[2u8; SLAB_MIN]);
+        assert_eq!(&c[..], &[2u8; SLAB_MIN]);
         assert_eq!(pool.fresh_allocs(), 1, "second alloc reuses the slab");
         assert_eq!(pool.reuses(), 1);
     }
@@ -130,22 +145,45 @@ mod tests {
     #[test]
     fn live_views_are_never_reused() {
         let pool = PayloadPool::new();
-        let a = pool.alloc(&[7u8; 8]);
-        let b = pool.alloc(&[9u8; 8]);
-        assert_eq!(&a[..], &[7u8; 8], "first view intact after second alloc");
+        let a = pool.alloc(&[7u8; SLAB_MIN]);
+        let b = pool.alloc(&[9u8; SLAB_MIN]);
+        assert_eq!(
+            &a[..],
+            &[7u8; SLAB_MIN],
+            "first view intact after second alloc"
+        );
         assert_eq!(pool.fresh_allocs(), 2);
         drop(a);
         drop(b);
-        pool.alloc(&[0u8; 8]);
+        pool.alloc(&[0u8; SLAB_MIN]);
         assert_eq!(pool.reuses(), 1);
+    }
+
+    #[test]
+    fn a_payload_that_fits_inline_never_touches_the_slabs() {
+        let pool = PayloadPool::new();
+        for len in [0, 8, INLINE_CAP] {
+            let data = vec![len as u8; len];
+            let b = pool.alloc(&data);
+            assert_eq!(&b[..], &data[..]);
+            assert_eq!(b.owner_count(), None, "no slab behind a {len}-byte payload");
+        }
+        assert_eq!((pool.lent(), pool.free()), (0, 0));
+        assert_eq!(pool.fresh_allocs(), 0);
+        assert_eq!(
+            pool.reuses(),
+            3,
+            "inline payloads are served without allocating"
+        );
     }
 
     #[test]
     fn steady_state_stops_allocating() {
         let pool = PayloadPool::new();
         for i in 0..1000u64 {
-            let b = pool.alloc(&i.to_le_bytes());
-            assert_eq!(&b[..], &i.to_le_bytes());
+            let data = [i as u8; SLAB_MIN];
+            let b = pool.alloc(&data);
+            assert_eq!(&b[..], &data);
             drop(b);
         }
         assert!(

@@ -99,10 +99,6 @@ struct ChannelLane {
     /// isn't draining pays the wait once per saturation episode, not once
     /// per push.
     saturated: AtomicBool,
-    /// Pushes that landed in this lane's ring. Kept per-lane (summed by
-    /// [`Mailbox::ring_pushes`]) so the hot path never writes a cacheline
-    /// shared with other channels' producers.
-    pushes: AtomicU64,
     /// Ring-path pushes on this lane that fell back to the locked queue
     /// (full ring or lost producer claim).
     spills: AtomicU64,
@@ -186,7 +182,6 @@ impl ChannelDir {
             key,
             claim: AtomicBool::new(false),
             saturated: AtomicBool::new(false),
-            pushes: AtomicU64::new(0),
             spills: AtomicU64::new(0),
             ring: SpscRing::with_capacity(RING_CAPACITY),
         }));
@@ -389,14 +384,11 @@ impl Mailbox {
         RING_CAPACITY
     }
 
-    /// Pushes that took a channel ring (the lock-free path). Summed from
-    /// per-lane counters, so reading it is O(channels) — the hot path never
-    /// pays for it.
+    /// Pushes that took a channel ring (the lock-free path): the sum of the
+    /// rings' tails, which every ring push advances exactly once. Reading
+    /// it is O(channels); the hot path writes no counter for it.
     pub fn ring_pushes(&self) -> u64 {
-        self.dir
-            .lanes()
-            .map(|l| l.pushes.load(Ordering::Relaxed))
-            .sum()
+        self.dir.lanes().map(|l| l.ring.pushed()).sum()
     }
 
     /// Ring-path pushes that fell back to the locked queue: full ring, lost
@@ -482,16 +474,12 @@ impl Mailbox {
         {
             match lane.ring.try_push(entry) {
                 Ok(()) => {
-                    lane.pushes.fetch_add(1, Ordering::Relaxed);
                     if lane.saturated.load(Ordering::Relaxed) {
                         lane.saturated.store(false, Ordering::Relaxed);
                     }
                 }
                 Err(e) => match self.wait_for_ring_room(lane, e) {
-                    None => {
-                        lane.pushes.fetch_add(1, Ordering::Relaxed);
-                        lane.saturated.store(false, Ordering::Relaxed);
-                    }
+                    None => lane.saturated.store(false, Ordering::Relaxed),
                     Some(e) => {
                         // Full ring: spill to the fallback queue. The ticket
                         // keeps the entry ordered; only lock-freedom is lost.

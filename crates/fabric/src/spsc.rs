@@ -103,6 +103,12 @@ impl<T> SpscRing<T> {
         self.len() == 0
     }
 
+    /// Entries ever pushed: `tail` counts them and never wraps in practice
+    /// (2^64 pushes). Same caveat as [`len`](Self::len).
+    pub(crate) fn pushed(&self) -> u64 {
+        self.prod.tail.load(Ordering::Relaxed) as u64
+    }
+
     /// Publish `v`, or hand it back if the ring is full. Single producer:
     /// the caller must hold the channel's producer claim.
     pub fn try_push(&self, v: T) -> Result<(), T> {

@@ -48,7 +48,8 @@ impl Default for LockCosts {
 ///
 /// 1. real mutual exclusion over `T` (`parking_lot::Mutex`);
 /// 2. virtual serialization — critical sections occupy non-overlapping
-///    intervals of a gap-aware [`Resource`]. The interval is reserved at
+///    intervals of a gap-aware [`Resource`] that lives under the same mutex
+///    as `T`, so reserving one takes no second lock. The interval is reserved at
 ///    [`release`](ContentionGuard::release), when the section's true length
 ///    is known: if the earliest fitting slot starts later than the section's
 ///    entry time (a genuine virtual collision with another holder), the
@@ -61,18 +62,34 @@ impl Default for LockCosts {
 ///    (Lessons 3 and 14).
 #[derive(Debug)]
 pub struct ContentionLock<T> {
-    inner: Mutex<T>,
+    inner: Mutex<Held<T>>,
     costs: LockCosts,
-    /// Virtual schedule of past critical sections.
-    sections: Resource,
     /// Number of threads currently trying to acquire (incl. the holder).
     claimants: AtomicU64,
     /// Total virtual time spent on acquisition latency + collision shifts.
+    /// Written only by the holder (see `add_held`).
     contended_total: AtomicU64,
+    /// Written only by the holder (see `add_held`).
     acquisitions: AtomicU64,
     /// Engine tasks parked waiting for the real mutex; drained (and woken)
     /// by every release.
     task_waiters: Mutex<Vec<engine::Unparker>>,
+}
+
+/// What the real mutex guards: the protected value and the virtual
+/// schedule of past critical sections.
+#[derive(Debug)]
+struct Held<T> {
+    value: T,
+    sections: Resource,
+}
+
+/// Add `n` to a counter that only the lock holder writes: the mutex orders
+/// every writer's load and store, so no update is lost and no
+/// read-modify-write is needed. Readers outside the lock see some recent
+/// total.
+fn add_held(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 impl<T> ContentionLock<T> {
@@ -84,9 +101,11 @@ impl<T> ContentionLock<T> {
     /// Wrap `value` with explicit costs.
     pub fn with_costs(value: T, costs: LockCosts) -> Self {
         ContentionLock {
-            inner: Mutex::new(value),
+            inner: Mutex::new(Held {
+                value,
+                sections: Resource::new(),
+            }),
             costs,
-            sections: Resource::new(),
             claimants: AtomicU64::new(0),
             contended_total: AtomicU64::new(0),
             acquisitions: AtomicU64::new(0),
@@ -106,9 +125,8 @@ impl<T> ContentionLock<T> {
 
         let acquire_cost = self.costs.acquire_base + self.costs.per_waiter * waiters_before;
         clock.advance(acquire_cost);
-        self.contended_total
-            .fetch_add(acquire_cost.as_ns(), Ordering::Relaxed);
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        add_held(&self.contended_total, acquire_cost.as_ns());
+        add_held(&self.acquisitions, 1);
 
         ContentionGuard {
             lock: self,
@@ -154,7 +172,7 @@ impl<T> ContentionLock<T> {
     /// to its release while arbitrarily many tasks queue at zero cost.
     /// Under a plain [`sched`] hook (no engine) the acquisition is a
     /// cooperative `try_lock` spin with a yield point between attempts.
-    fn acquire_inner(&self) -> MutexGuard<'_, T> {
+    fn acquire_inner(&self) -> MutexGuard<'_, Held<T>> {
         if engine::in_task() {
             sched::yield_point(SchedPoint::LockAcquire);
             // Built once an attempt fails: it clones the `Arc` all tasks share.
@@ -206,21 +224,19 @@ impl<T> ContentionLock<T> {
 /// holder's — prefer it whenever a `Clock` is available.
 pub struct ContentionGuard<'a, T> {
     lock: &'a ContentionLock<T>,
-    guard: ManuallyDrop<MutexGuard<'a, T>>,
+    guard: ManuallyDrop<MutexGuard<'a, Held<T>>>,
     entered_at: Nanos,
 }
 
 impl<'a, T> ContentionGuard<'a, T> {
     /// End the critical section at the caller's current virtual time,
     /// settling its place in the lock's virtual schedule.
-    pub fn release(self, clock: &mut Clock) {
+    pub fn release(mut self, clock: &mut Clock) {
         let busy = clock.now().saturating_sub(self.entered_at) + self.lock.costs.handoff;
-        let acq = self.lock.sections.acquire(self.entered_at, busy);
+        let acq = self.guard.sections.acquire_exclusive(self.entered_at, busy);
         let shift = acq.start.saturating_sub(self.entered_at);
         if shift > Nanos::ZERO {
-            self.lock
-                .contended_total
-                .fetch_add(shift.as_ns(), Ordering::Relaxed);
+            add_held(&self.lock.contended_total, shift.as_ns());
         }
         // `claimants` decremented in Drop; release the real mutex before
         // advancing the clock so the collision-shift yield point fires with
@@ -236,13 +252,13 @@ impl<'a, T> ContentionGuard<'a, T> {
 impl<'a, T> std::ops::Deref for ContentionGuard<'a, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.guard
+        &self.guard.value
     }
 }
 
 impl<'a, T> std::ops::DerefMut for ContentionGuard<'a, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
+        &mut self.guard.value
     }
 }
 
@@ -262,19 +278,19 @@ impl<'a, T> Drop for ContentionGuard<'a, T> {
 /// with no virtual-time accounting, but full engine-task wakeup semantics.
 pub struct UnmodeledGuard<'a, T> {
     lock: &'a ContentionLock<T>,
-    guard: ManuallyDrop<MutexGuard<'a, T>>,
+    guard: ManuallyDrop<MutexGuard<'a, Held<T>>>,
 }
 
 impl<'a, T> std::ops::Deref for UnmodeledGuard<'a, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.guard
+        &self.guard.value
     }
 }
 
 impl<'a, T> std::ops::DerefMut for UnmodeledGuard<'a, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
+        &mut self.guard.value
     }
 }
 
@@ -385,6 +401,38 @@ mod tests {
         // depends on the interleaving, so only the per-thread floor is
         // deterministic: 50 acquisitions x 10ns base each.
         assert!(times.iter().min().unwrap() >= &Nanos(500));
+    }
+
+    #[test]
+    fn holder_only_counters_lose_no_update() {
+        // Empty sections: every tick a thread's clock takes is a charge the
+        // lock also adds to `contended_total` (acquire latency or collision
+        // shift), so the clocks' sum is what the counter must read.
+        let costs = LockCosts {
+            acquire_base: Nanos(3),
+            per_waiter: Nanos(5),
+            handoff: Nanos(7),
+        };
+        let l = ContentionLock::with_costs((), costs);
+        let charged: Vec<Nanos> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut c = Clock::new();
+                        for _ in 0..10_000 {
+                            l.lock(&mut c).release(&mut c);
+                        }
+                        c.now()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(l.acquisitions(), 40_000);
+        assert_eq!(
+            l.contended_total(),
+            Nanos(charged.iter().map(|t| t.as_ns()).sum())
+        );
     }
 
     #[test]

@@ -192,46 +192,31 @@ impl Schedule {
 #[derive(Debug)]
 pub struct Resource {
     schedule: Mutex<Schedule>,
-    /// No request may be scheduled before this floor.
-    floor: AtomicU64,
+    bounds: Bounds,
     busy_total: AtomicU64,
     acquisitions: AtomicU64,
+}
+
+/// The parts of a [`Resource`] read without its schedule lock.
+#[derive(Debug, Default)]
+struct Bounds {
+    /// No request may be scheduled before this floor.
+    floor: AtomicU64,
     clamped: AtomicU64,
     /// The frontier, mirrored for lock-free `next_free` reads. Written
-    /// under the schedule lock.
+    /// while the schedule is held.
     max_end: AtomicU64,
 }
 
-impl Resource {
-    /// A resource that is free from the simulation epoch.
-    pub fn new() -> Self {
-        Resource {
-            schedule: Mutex::default(),
-            floor: AtomicU64::new(0),
-            busy_total: AtomicU64::new(0),
-            acquisitions: AtomicU64::new(0),
-            clamped: AtomicU64::new(0),
-            max_end: AtomicU64::new(0),
-        }
-    }
-
-    /// Reserve the earliest `busy`-long slot at or after `now`.
-    pub fn acquire(&self, now: Nanos, busy: Nanos) -> Acquisition {
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let (now, busy) = (now.as_ns(), busy.as_ns());
-        if busy == 0 {
-            let at = self.clamp(now);
-            return Acquisition {
-                start: Nanos(at),
-                end: Nanos(at),
-            };
-        }
-        self.busy_total.fetch_add(busy, Ordering::Relaxed);
-
-        let mut schedule = self.schedule.lock();
-        // Clamp under the lock: the history cap below raises the floor
-        // while holding it, and nothing may be scheduled into forgotten time.
-        let start = schedule.reserve(self.clamp(now), busy);
+impl Bounds {
+    /// The reservation both acquire paths share, `busy` > 0: the caller
+    /// holds `schedule` and has counted the request.
+    fn reserve(&self, schedule: &mut Schedule, now: Nanos, busy: Nanos) -> Acquisition {
+        let busy = busy.as_ns();
+        // Clamp while holding the schedule: the history cap below raises the
+        // floor while holding it, and nothing may be scheduled into
+        // forgotten time.
+        let start = schedule.reserve(self.clamp(now.as_ns()), busy);
         if start + busy > self.max_end.load(Ordering::Relaxed) {
             self.max_end.store(start + busy, Ordering::Release);
         }
@@ -245,6 +230,13 @@ impl Resource {
         }
     }
 
+    /// A zero-length request occupies nothing: it is served at `now`,
+    /// raised to the floor.
+    fn instant(&self, now: Nanos) -> Acquisition {
+        let at = Nanos(self.clamp(now.as_ns()));
+        Acquisition { start: at, end: at }
+    }
+
     /// `now` raised to the floor, counting the requests that had to be.
     fn clamp(&self, now: u64) -> u64 {
         let floor = self.floor.load(Ordering::Acquire);
@@ -253,15 +245,51 @@ impl Resource {
         }
         now.max(floor)
     }
+}
+
+impl Resource {
+    /// A resource that is free from the simulation epoch.
+    pub fn new() -> Self {
+        Resource {
+            schedule: Mutex::default(),
+            bounds: Bounds::default(),
+            busy_total: AtomicU64::new(0),
+            acquisitions: AtomicU64::new(0),
+        }
+    }
+
+    /// Reserve the earliest `busy`-long slot at or after `now`.
+    pub fn acquire(&self, now: Nanos, busy: Nanos) -> Acquisition {
+        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        if busy == Nanos::ZERO {
+            return self.bounds.instant(now);
+        }
+        self.busy_total.fetch_add(busy.as_ns(), Ordering::Relaxed);
+        self.bounds.reserve(&mut self.schedule.lock(), now, busy)
+    }
+
+    /// [`acquire`](Resource::acquire) through exclusive access: the same
+    /// reservation, with no lock and no read-modify-write. A resource that
+    /// lives inside a mutex its callers already hold (a
+    /// [`ContentionLock`](crate::ContentionLock)'s section schedule) takes
+    /// this path.
+    pub(crate) fn acquire_exclusive(&mut self, now: Nanos, busy: Nanos) -> Acquisition {
+        *self.acquisitions.get_mut() += 1;
+        if busy == Nanos::ZERO {
+            return self.bounds.instant(now);
+        }
+        *self.busy_total.get_mut() += busy.as_ns();
+        self.bounds.reserve(self.schedule.get_mut(), now, busy)
+    }
 
     /// The virtual time at which all currently scheduled work is done.
     pub fn next_free(&self) -> Nanos {
-        Nanos(self.max_end.load(Ordering::Acquire))
+        Nanos(self.bounds.max_end.load(Ordering::Acquire))
     }
 
     /// Forbid scheduling before `t` (resource created or handed off mid-run).
     pub fn advance_to(&self, t: Nanos) {
-        self.floor.fetch_max(t.as_ns(), Ordering::AcqRel);
+        self.bounds.floor.fetch_max(t.as_ns(), Ordering::AcqRel);
     }
 
     /// Total virtual time the resource spent busy.
@@ -279,7 +307,7 @@ impl Resource {
     /// when the history bound forgets old intervals; while this is 0, every
     /// result is the one an unbounded history would have given.
     pub fn clamped(&self) -> u64 {
-        self.clamped.load(Ordering::Relaxed)
+        self.bounds.clamped.load(Ordering::Relaxed)
     }
 
     /// Fraction of `[0, horizon]` the resource was busy (clamped to 1.0).
@@ -360,10 +388,12 @@ mod tests {
         }
     }
 
-    /// A `Resource` and the reference, fed the same requests.
+    /// A `Resource` served through the shared path, one served through
+    /// the exclusive path, and the reference, fed the same requests.
     #[derive(Default)]
     struct Pair {
         r: Resource,
+        x: Resource,
         m: MapResource,
     }
 
@@ -374,10 +404,11 @@ mod tests {
         /// minus a million debug-build `BTreeMap` descents).
         fn with_sparse_history(n: usize, gap: u64, busy: u64) -> Pair {
             let slots = (0..n as u64).map(|i| (i * (gap + busy) + gap, (i + 1) * (gap + busy)));
-            let r = Resource::new();
+            let (r, mut x) = (Resource::new(), Resource::new());
             for (start, end) in slots.clone() {
                 let got = r.acquire(Nanos(start), Nanos(busy));
                 assert_eq!((got.start, got.end), (Nanos(start), Nanos(end)));
+                assert_eq!(x.acquire_exclusive(Nanos(start), Nanos(busy)), got);
             }
             let m = MapResource {
                 intervals: slots.collect(),
@@ -386,18 +417,21 @@ mod tests {
                 acquisitions: n as u64,
                 max_end: n as u64 * (gap + busy),
             };
-            Pair { r, m }
+            Pair { r, x, m }
         }
 
         fn acquire(&mut self, now: u64, busy: u64) -> Acquisition {
             let got = self.r.acquire(Nanos(now), Nanos(busy));
             let want = self.m.acquire(Nanos(now), Nanos(busy));
             assert_eq!(got, want, "acquire({now}, {busy})");
+            let exclusive = self.x.acquire_exclusive(Nanos(now), Nanos(busy));
+            assert_eq!(exclusive, want, "acquire_exclusive({now}, {busy})");
             got
         }
 
         fn advance_to(&mut self, t: u64) {
             self.r.advance_to(Nanos(t));
+            self.x.advance_to(Nanos(t));
             self.m.floor = self.m.floor.max(t);
         }
 
@@ -408,17 +442,21 @@ mod tests {
             }
         }
 
-        /// Same counters, same intervals, and the chunk invariants hold.
+        /// Same counters, same intervals, and the chunk invariants hold, on
+        /// both paths.
         fn check(&self) {
-            assert_eq!(self.r.next_free(), Nanos(self.m.max_end));
-            assert_eq!(self.r.busy_total(), Nanos(self.m.busy_total));
-            assert_eq!(self.r.acquisitions(), self.m.acquisitions);
-            let s = self.r.schedule.lock();
-            assert!(s.chunks.iter().all(|c| (1..=CHUNK).contains(&c.len())));
-            let flat: Vec<(u64, u64)> = s.chunks.concat();
-            assert_eq!(flat.len(), s.len);
             let want: Vec<(u64, u64)> = self.m.intervals.iter().map(|(&s, &e)| (s, e)).collect();
-            assert_eq!(flat, want);
+            for r in [&self.r, &self.x] {
+                assert_eq!(r.next_free(), Nanos(self.m.max_end));
+                assert_eq!(r.busy_total(), Nanos(self.m.busy_total));
+                assert_eq!(r.acquisitions(), self.m.acquisitions);
+                assert_eq!(r.clamped(), self.r.clamped());
+                let s = r.schedule.lock();
+                assert!(s.chunks.iter().all(|c| (1..=CHUNK).contains(&c.len())));
+                let flat: Vec<(u64, u64)> = s.chunks.concat();
+                assert_eq!(flat.len(), s.len);
+                assert_eq!(flat, want);
+            }
         }
     }
 
@@ -688,5 +726,7 @@ mod tests {
         let late = p.r.acquire(Nanos(0), Nanos(10));
         assert_eq!(late.start, Nanos(floor + 30));
         assert_eq!(p.r.clamped(), 1);
+        assert_eq!(p.x.acquire_exclusive(Nanos(0), Nanos(10)), late);
+        assert_eq!(p.x.clamped(), 1);
     }
 }

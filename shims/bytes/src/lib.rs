@@ -1,62 +1,76 @@
 //! Offline shim for the subset of the `bytes` crate this workspace uses:
 //! [`Bytes`], an immutable, cheaply-cloneable, sliceable byte buffer.
+//!
+//! Unlike the original, a short buffer is stored *inline*: up to
+//! [`INLINE_CAP`] bytes live in the `Bytes` value itself, so building,
+//! cloning and dropping one touches no heap and no shared reference count.
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
+/// Longest buffer [`Bytes::copy_from_slice`] stores inline: 40 bytes, the
+/// size of a `Bytes` (which `Packet` and the mailbox ring's entries embed),
+/// less the variant tag and a length byte. View offsets are `u32` so that a
+/// view fits in the same 40 bytes.
+pub const INLINE_CAP: usize = 38;
+
 /// An immutable byte buffer. Clones share the underlying allocation;
 /// [`Bytes::slice`] produces zero-copy sub-views.
 #[derive(Clone)]
-pub struct Bytes {
-    data: Repr,
-    start: usize,
-    end: usize,
-}
+pub struct Bytes(Repr);
 
 #[derive(Clone)]
 enum Repr {
+    /// A copy of at most [`INLINE_CAP`] bytes, owned by the value.
+    Inline { len: u8, buf: [u8; INLINE_CAP] },
+    /// A static slice; sub-views are sub-slices.
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
-    /// A pooled buffer: the `Arc<Vec<u8>>` is shared with an allocation pool
-    /// that reclaims it once the last `Bytes` view drops (see
-    /// `Bytes::from_owner`). Unlike `Shared`, constructing this from an
-    /// existing `Arc` performs no copy and no allocation.
-    Owned(Arc<Vec<u8>>),
+    /// The view `[start, end)` of a copied buffer.
+    Shared {
+        data: Arc<[u8]>,
+        start: u32,
+        end: u32,
+    },
+    /// The view `[start, end)` of a pooled buffer: the `Arc<Vec<u8>>` is
+    /// shared with an allocation pool that reclaims it once the last `Bytes`
+    /// view drops (see `Bytes::from_owner`). Unlike `Shared`, constructing
+    /// this from an existing `Arc` performs no copy and no allocation.
+    Owned {
+        data: Arc<Vec<u8>>,
+        start: u32,
+        end: u32,
+    },
 }
 
-impl Repr {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Repr::Static(s) => s,
-            Repr::Shared(a) => a,
-            Repr::Owned(v) => v,
-        }
-    }
+/// A view offset: views address at most 4 GiB.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a Bytes view spans at most u32::MAX bytes")
 }
 
 impl Bytes {
     /// An empty buffer (no allocation).
     pub const fn new() -> Self {
-        Bytes {
-            data: Repr::Static(&[]),
-            start: 0,
-            end: 0,
-        }
+        Bytes(Repr::Static(&[]))
     }
 
     /// Wrap a static slice (no allocation).
     pub const fn from_static(s: &'static [u8]) -> Self {
-        Bytes {
-            data: Repr::Static(s),
-            start: 0,
-            end: s.len(),
-        }
+        Bytes(Repr::Static(s))
     }
 
-    /// Copy `s` into a new shared buffer.
+    /// Copy `s`: inline when it fits in [`INLINE_CAP`] bytes, into a new
+    /// shared buffer otherwise.
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        if s.len() > INLINE_CAP {
+            return Bytes::from(s.to_vec());
+        }
+        let mut buf = [0; INLINE_CAP];
+        buf[..s.len()].copy_from_slice(s);
+        Bytes(Repr::Inline {
+            len: s.len() as u8,
+            buf,
+        })
     }
 
     /// Wrap an existing shared buffer without copying: the full `Vec` is the
@@ -64,34 +78,41 @@ impl Bytes {
     /// pool does) and reclaim the buffer once `owner_count` drops back to its
     /// own references.
     pub fn from_owner(v: Arc<Vec<u8>>) -> Self {
-        let end = v.len();
-        Bytes {
-            data: Repr::Owned(v),
+        let end = offset(v.len());
+        Bytes(Repr::Owned {
+            data: v,
             start: 0,
             end,
-        }
+        })
     }
 
     /// For pool-owned buffers (`from_owner`): the current strong count of the
-    /// backing `Arc`. Returns `None` for static or copied buffers.
+    /// backing `Arc`. Returns `None` for inline, static or copied buffers.
     pub fn owner_count(&self) -> Option<usize> {
-        match &self.data {
-            Repr::Owned(v) => Some(Arc::strong_count(v)),
+        match &self.0 {
+            Repr::Owned { data, .. } => Some(Arc::strong_count(data)),
             _ => None,
         }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        match &self.0 {
+            Repr::Inline { len, .. } => *len as usize,
+            Repr::Static(s) => s.len(),
+            Repr::Shared { start, end, .. } | Repr::Owned { start, end, .. } => {
+                (end - start) as usize
+            }
+        }
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len() == 0
     }
 
-    /// A zero-copy sub-view of `range`.
+    /// A sub-view of `range`: zero-copy, except that a sub-view of an
+    /// inline buffer is an inline copy.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let lo = match range.start_bound() {
             Bound::Included(&n) => n,
@@ -104,11 +125,20 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len(), "slice out of range");
-        Bytes {
-            data: self.data.clone(),
-            start: self.start + lo,
-            end: self.start + hi,
-        }
+        Bytes(match &self.0 {
+            Repr::Inline { .. } => return Bytes::copy_from_slice(&self[lo..hi]),
+            Repr::Static(s) => Repr::Static(&s[lo..hi]),
+            Repr::Shared { data, start, .. } => Repr::Shared {
+                data: Arc::clone(data),
+                start: start + offset(lo),
+                end: start + offset(hi),
+            },
+            Repr::Owned { data, start, .. } => Repr::Owned {
+                data: Arc::clone(data),
+                start: start + offset(lo),
+                end: start + offset(hi),
+            },
+        })
     }
 }
 
@@ -121,7 +151,12 @@ impl Default for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data.as_slice()[self.start..self.end]
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Static(s) => s,
+            Repr::Shared { data, start, end } => &data[*start as usize..*end as usize],
+            Repr::Owned { data, start, end } => &data[*start as usize..*end as usize],
+        }
     }
 }
 
@@ -133,12 +168,12 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let len = v.len();
-        Bytes {
-            data: Repr::Shared(Arc::from(v)),
+        let end = offset(v.len());
+        Bytes(Repr::Shared {
+            data: Arc::from(v),
             start: 0,
-            end: len,
-        }
+            end,
+        })
     }
 }
 
@@ -177,6 +212,7 @@ impl fmt::Debug for Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_and_deref() {
@@ -184,6 +220,13 @@ mod tests {
         assert_eq!(&Bytes::from_static(b"abc")[..], b"abc");
         assert_eq!(&Bytes::copy_from_slice(b"xyz")[1..], b"yz");
         assert_eq!(&Bytes::from(vec![1u8, 2, 3])[..], &[1, 2, 3]);
+    }
+
+    #[test]
+    fn a_bytes_is_as_large_as_a_view() {
+        // `Packet` and the mailbox ring's entries embed a `Bytes`: the
+        // inline form must not grow them.
+        assert_eq!(std::mem::size_of::<Bytes>(), 40);
     }
 
     #[test]
@@ -213,5 +256,36 @@ mod tests {
         drop(b);
         assert_eq!(Arc::strong_count(&a), 1, "views release the owner");
         assert_eq!(Bytes::copy_from_slice(b"x").owner_count(), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Up to and one past the inline capacity, a copy and a view of the
+        /// same bytes are indistinguishable through the public API.
+        #[test]
+        fn inline_and_view_agree(
+            data in collection::vec(any::<u8>(), 0..INLINE_CAP + 2),
+            cut in (any::<usize>(), any::<usize>())
+        ) {
+            let copy = Bytes::copy_from_slice(&data);
+            let view = Bytes::from_owner(Arc::new(data.clone()));
+            prop_assert_eq!(matches!(copy.0, Repr::Inline { .. }), data.len() <= INLINE_CAP);
+            prop_assert!(matches!(view.0, Repr::Owned { .. }));
+            let (a, b) = (cut.0 % (data.len() + 1), cut.1 % (data.len() + 1));
+            let (lo, hi) = (a.min(b), a.max(b));
+            for (x, y) in [
+                (copy.clone(), view.clone()),
+                (copy.slice(lo..hi), view.slice(lo..hi)),
+                (copy.slice(lo..).slice(..hi - lo), view.slice(lo..).slice(..hi - lo)),
+            ] {
+                prop_assert_eq!(x.len(), y.len());
+                prop_assert_eq!(x.is_empty(), y.is_empty());
+                prop_assert_eq!(&x[..], &y[..]);
+                prop_assert_eq!(&x, &y);
+                prop_assert_eq!(format!("{x:?}"), format!("{y:?}"));
+            }
+            prop_assert_eq!(&copy.slice(lo..hi)[..], &data[lo..hi]);
+        }
     }
 }

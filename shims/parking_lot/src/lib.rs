@@ -46,6 +46,14 @@ impl<T: ?Sized> Mutex<T> {
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
+
+    /// The value, through exclusive access to the mutex itself: no locking
+    /// needed. Ignores poison like [`lock`].
+    ///
+    /// [`lock`]: Mutex::lock
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 impl<T: Default> Default for Mutex<T> {
@@ -247,6 +255,13 @@ mod tests {
             assert!(m.try_lock().is_none(), "held lock must refuse");
         }
         assert!(m.try_lock().is_some());
+    }
+
+    #[test]
+    fn get_mut_reaches_the_value_without_locking() {
+        let mut m = Mutex::new(vec![1u32]);
+        m.get_mut().push(2);
+        assert_eq!(*m.lock(), [1, 2]);
     }
 
     #[test]

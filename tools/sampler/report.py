@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Symbolise a sampler.c dump: share of CPU samples per function.
 
-usage: report.py DUMP [--top N] [--sum REGEX ...]
+usage: report.py DUMP [--top N] [--sum REGEX ...] [--by-thread REGEX ...]
 
 Each sample is one instruction pointer, so a share is *self* time; frames
 inlined at that address (addr2line -i, needs at least line-tables debug info)
 are kept as a chain, innermost first. The table ranks innermost frames;
 `--sum` adds up the samples whose chain matches any of the given regexes.
+`--by-thread` labels each thread by the first regex, in the order given, that
+any of its samples' chains matches ("other" if none does) and prints one
+table, with its own `--sum` line, per label.
 """
 import argparse
 import collections
@@ -15,7 +18,7 @@ import subprocess
 
 
 def load(path):
-    maps, ips, dropped = [], [], 0
+    maps, samples, dropped = [], [], 0
     for line in open(path):
         kind, _, rest = line.partition(" ")
         if kind == "M":
@@ -24,10 +27,11 @@ def load(path):
                 lo, hi = (int(x, 16) for x in f[0].split("-"))
                 maps.append((lo, hi, f[5]))
         elif kind == "S":
-            ips.append(int(rest.split()[1], 16))
+            tid, ip = rest.split()[:2]
+            samples.append((int(tid), int(ip, 16)))
         elif kind == "D":
             dropped = int(rest)
-    return maps, ips, dropped
+    return maps, samples, dropped
 
 
 def symbolise(maps, ips):
@@ -62,23 +66,54 @@ def symbolise(maps, ips):
     return {ip: tuple(c) or ("??",) for ip, c in chains.items()}
 
 
+def table(ips, chains, top, sums):
+    """Self-time shares of `ips`, then the `--sum` share."""
+    total = len(ips)
+    self_time = collections.Counter(chains.get(ip, ("[unmapped]",))[0] for ip in ips)
+    for fn, n in self_time.most_common(top):
+        print(f"{100 * n / total:6.2f}%  {fn}")
+    if sums:
+        pats = [re.compile(p) for p in sums]
+        hit = sum(any(p.search(f) for p in pats for f in chains.get(ip, ())) for ip in ips)
+        print(f"{100 * hit / total:6.2f}%  sum over {sums}")
+
+
+def by_thread(samples, chains, regexes):
+    """label -> the ips of the threads it labels, in the order given."""
+    pats = [re.compile(p) for p in regexes]
+    frames = collections.defaultdict(set)
+    for tid, ip in samples:
+        frames[tid].update(chains.get(ip, ()))
+    label = {
+        tid: next((p.pattern for p in pats if any(p.search(f) for f in fns)), "other")
+        for tid, fns in frames.items()
+    }
+    groups = {name: [] for name in regexes + ["other"]}
+    for tid, ip in samples:
+        groups[label[tid]].append(ip)
+    return {name: ips for name, ips in groups.items() if ips}, label
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dump")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--sum", nargs="*", default=[], metavar="REGEX")
+    ap.add_argument("--by-thread", nargs="+", default=[], metavar="REGEX")
     args = ap.parse_args()
-    maps, ips, dropped = load(args.dump)
+    maps, samples, dropped = load(args.dump)
+    ips = [ip for _, ip in samples]
     chains = symbolise(maps, ips)
-    total = len(ips)
-    print(f"{total} samples ({dropped} dropped)")
-    self_time = collections.Counter(chains.get(ip, ("[unmapped]",))[0] for ip in ips)
-    for fn, n in self_time.most_common(args.top):
-        print(f"{100 * n / total:6.2f}%  {fn}")
-    if args.sum:
-        pats = [re.compile(p) for p in args.sum]
-        hit = sum(any(p.search(f) for p in pats for f in chains.get(ip, ())) for ip in ips)
-        print(f"{100 * hit / total:6.2f}%  sum over {args.sum}")
+    print(f"{len(ips)} samples ({dropped} dropped)")
+    if not args.by_thread:
+        table(ips, chains, args.top, args.sum)
+        return
+    groups, label = by_thread(samples, chains, args.by_thread)
+    for name, group in groups.items():
+        threads = sum(1 for t in label.values() if t == name)
+        print(f"\n== {name}: {threads} thread(s), {len(group)} samples "
+              f"({100 * len(group) / len(ips):.1f}% of all)")
+        table(group, chains, args.top, args.sum)
 
 
 if __name__ == "__main__":
