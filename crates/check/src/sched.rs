@@ -143,7 +143,7 @@ impl engine::Chooser for SeededChooser {
 /// bounds total yield points as a livelock backstop.
 ///
 /// Tasks must synchronize only through the library's cooperative primitives
-/// — `ContentionLock`, and `Notify::wait_until`, which requests, mailboxes,
+/// — `Notify::wait_until`, which `ContentionLock`, requests, mailboxes,
 /// `VirtualBarrier` and the rendezvous boards all wait through — a raw
 /// blocking wait between tasks would deadlock the serialized dispatcher.
 pub fn run_tasks(tasks: Vec<Task>, schedule: &Schedule, step_cap: u64) -> RunOutcome {

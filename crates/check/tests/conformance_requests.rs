@@ -4,8 +4,8 @@
 //! time must never change, and its payload must be handed out exactly once
 //! — under explored schedules at the `ReqState` level and under fault
 //! injection at the whole-universe level. And a blocked waiter is always
-//! woken: a request, a barrier member and a split member, the three shapes of
-//! wait that share `Notify::wait_until`.
+//! woken: a request, a barrier member, a split member and a lock member, the
+//! four shapes of wait that share `Notify::wait_until`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use rankmpi_fabric::FaultPlan;
 use rankmpi_vtime::barrier::BarrierCosts;
 use rankmpi_vtime::engine;
 use rankmpi_vtime::sched::{yield_point, SchedPoint};
-use rankmpi_vtime::{Clock, Nanos, VirtualBarrier};
+use rankmpi_vtime::{Clock, ContentionLock, LockCosts, Nanos, VirtualBarrier};
 
 /// One completer and two observers race over a `ReqState` across every
 /// explored interleaving: no observer may ever see completion regress, and
@@ -228,6 +228,53 @@ fn blocked_split_members_are_woken_under_explored_schedules() {
                         yield_point(SchedPoint::Custom("pre-contribute"));
                         let all = universe.gather_split((0, 0), i as usize, 3, i % 2, i);
                         assert_eq!(all, vec![(0, 0), (1, 1), (0, 2)]);
+                        returned.fetch_add(1, Ordering::Relaxed);
+                    }) as Task
+                })
+                .collect()
+        },
+    });
+}
+
+/// Three members of one `ContentionLock`, all entering at virtual 0: whoever
+/// holds the mutex when another arrives makes that one park until the
+/// release's notify. Contention is a function of virtual overlap alone, so
+/// the sections line up one behind the other (each `handoff` apart) in
+/// every schedule: the same sorted clocks and the same charged total,
+/// whichever real order the members took the mutex in.
+#[test]
+fn blocked_lock_members_are_woken_under_explored_schedules() {
+    explore_waiters(WaiterCase {
+        name: "blocked_lock_members_are_woken",
+        salt: 0x10C4,
+        waiters: 3,
+        mk: |returned| {
+            let lock = Arc::new(ContentionLock::with_costs(
+                (),
+                LockCosts {
+                    acquire_base: Nanos(30),
+                    handoff: Nanos(50),
+                },
+            ));
+            let clocks: Arc<Mutex<Vec<Nanos>>> = Arc::default();
+            (0..3)
+                .map(|_| {
+                    let (lock, clocks) = (Arc::clone(&lock), Arc::clone(&clocks));
+                    let returned = Arc::clone(returned);
+                    Box::new(move || {
+                        let mut clock = Clock::new();
+                        let g = lock.lock(&mut clock);
+                        clock.advance(Nanos(100));
+                        g.release(&mut clock);
+                        let mut clocks = clocks.lock();
+                        clocks.push(clock.now());
+                        if clocks.len() == 3 {
+                            clocks.sort();
+                            // Sections [30, 130) + 50, then two shifted
+                            // behind it: 150 and 300 on top of 130.
+                            assert_eq!(*clocks, [Nanos(130), Nanos(280), Nanos(430)]);
+                            assert_eq!(lock.contended_total(), Nanos(3 * 30 + 150 + 300));
+                        }
                         returned.fetch_add(1, Ordering::Relaxed);
                     }) as Task
                 })

@@ -18,6 +18,7 @@ use rankmpi_fabric::{
 };
 use rankmpi_obs::trace as obs;
 use rankmpi_obs::{labels, registry};
+use rankmpi_vtime::lock::ContentionGuard;
 use rankmpi_vtime::{Accumulator, Clock, ContentionLock, Counter, Nanos};
 
 use crate::append::AppendTable;
@@ -141,6 +142,15 @@ enum ChargeTo<'a> {
     EngineAt(Nanos),
 }
 
+/// What a VCI's engine lock guards.
+#[derive(Debug)]
+struct Matching {
+    engine: Box<dyn MatchEngine>,
+    /// Reusable drain buffer for [`Vci::progress`]: the steady-state poll
+    /// allocates nothing once it is warm.
+    scratch: Vec<Packet>,
+}
+
 /// One VCI: mailbox + matching engine + hardware context (+ an intra-node
 /// shared-memory channel).
 #[derive(Debug)]
@@ -168,7 +178,7 @@ pub struct Vci {
     /// Which matching structure `engine` holds, fixed at construction.
     engine_kind: EngineKind,
     /// The VCI "big lock": serializes software access to the matching engine.
-    engine: ContentionLock<Box<dyn MatchEngine>>,
+    engine: ContentionLock<Matching>,
     /// The matching engine's virtual occupancy: every message match/enqueue
     /// consumes engine time here, anchored to the message's arrival — so
     /// completion stamps are independent of *which* real thread happened to
@@ -187,8 +197,8 @@ pub struct Vci {
     match_wildcard_scanned: Arc<Counter>,
     /// Registry series: clock-charged engine-lock acquisitions.
     acquires: Arc<Counter>,
-    /// Registry series: acquisitions that paid more than the uncontended base
-    /// (another thread was fighting for this VCI's lock).
+    /// Registry series: sections that queued behind another holder's section
+    /// in virtual time (see `release_engine`).
     acquires_contended: Arc<Counter>,
     /// Registry series: virtual time the engine lock was held, per section.
     hold_ns: Arc<Accumulator>,
@@ -205,10 +215,6 @@ pub struct Vci {
     /// (`n-1` per NIC batch of `n`). `doorbells + doorbells_coalesced` equals
     /// the NIC-path message count.
     doorbells_coalesced: Arc<Counter>,
-    /// Reusable drain buffer for [`progress`](Vci::progress): taken inside
-    /// the engine critical section, so the steady-state poll allocates
-    /// nothing once the buffer is warm.
-    drain_batch: parking_lot::Mutex<Vec<Packet>>,
     /// Pooled payload slabs for this VCI's eager sends — per-VCI (not
     /// per-process) so threads driving independent VCIs never serialize on
     /// the pool, mirroring the datapath's whole design argument.
@@ -254,7 +260,10 @@ impl Vci {
             shm_ctx: shm_nic.alloc_context(),
             mailbox: Arc::new(Mailbox::new(notify)),
             engine_kind,
-            engine: ContentionLock::new(engine_kind.new_engine()),
+            engine: ContentionLock::new(Matching {
+                engine: engine_kind.new_engine(),
+                scratch: Vec::new(),
+            }),
             engine_time: rankmpi_vtime::Resource::new(),
             direct,
             polls: reg.insert_counter("vci.polls", l()),
@@ -268,7 +277,6 @@ impl Vci {
             poisoned_direct_drops: reg.insert_counter("vci.poisoned_direct_drops", l()),
             doorbells: reg.insert_counter("vci.doorbells", l()),
             doorbells_coalesced: reg.insert_counter("vci.doorbells_coalesced", l()),
-            drain_batch: parking_lot::Mutex::new(Vec::new()),
             payloads: rankmpi_fabric::PayloadPool::new(),
             ft,
             ft_seen: AtomicU64::new(0),
@@ -285,40 +293,36 @@ impl Vci {
         self.rank
     }
 
-    /// Acquire the engine lock with contention classification: counts the
-    /// acquisition, flags it contended when it paid more than the uncontended
-    /// base, and records the fight as a wait span.
-    fn lock_engine<'a>(
-        &'a self,
-        clock: &mut Clock,
-    ) -> rankmpi_vtime::lock::ContentionGuard<'a, Box<dyn MatchEngine>> {
-        let before = clock.now();
-        let guard = self.engine.lock(clock);
+    /// Acquire the engine lock, counting the acquisition.
+    fn lock_engine(&self, clock: &mut Clock) -> ContentionGuard<'_, Matching> {
         self.acquires.incr();
-        let base = self.engine.costs().acquire_base;
-        if clock.now().saturating_sub(before) > base {
-            self.acquires_contended.incr();
-            obs::wait(
-                "vci",
-                "engine_acquire",
-                before + base,
-                clock.now(),
-                self.res_id(),
-            );
-        }
-        guard
+        self.engine.lock(clock)
     }
 
-    /// Release the engine lock, recording how long it was held (virtually).
+    /// Release the engine lock, recording how long it was held (virtually)
+    /// and its collision shift as a wait span. A section shifted by more
+    /// than a handoff queued behind another holder's section: it counts as
+    /// contended. One that only waited out a handoff — a thread re-entering
+    /// right after its own release does — does not.
     fn release_engine(
         &self,
-        guard: rankmpi_vtime::lock::ContentionGuard<'_, Box<dyn MatchEngine>>,
+        guard: ContentionGuard<'_, Matching>,
         clock: &mut Clock,
         locked_at: Nanos,
     ) {
         self.hold_ns
             .record(clock.now().saturating_sub(locked_at).as_ns());
-        guard.release(clock);
+        let shift = guard.release(clock);
+        obs::wait(
+            "vci",
+            "engine_acquire",
+            clock.now() - shift,
+            clock.now(),
+            self.res_id(),
+        );
+        if shift > self.engine.costs().handoff {
+            self.acquires_contended.incr();
+        }
     }
 
     /// The matching-engine kind this VCI runs.
@@ -545,15 +549,15 @@ impl Vci {
         // before the match decides.
         let dead_src = self.failed_source(base_ctx, &posted.pattern);
         if dead_src.is_some() {
-            self.drain_mailbox(&mut **eng);
+            self.drain_mailbox(&mut eng);
         }
-        let (matched, work) = eng.post_recv(posted.clone());
+        let (matched, work) = eng.engine.post_recv(posted.clone());
         let done = self.charge_match(ChargeTo::Caller(clock), &work);
         obs::busy("match", "match_post", locked_at, done, self.engine_res_id());
         if let Some(pkt) = matched {
             self.complete_match(done, &posted.req, pkt);
         } else if let Some((at, rank)) = dead_src {
-            eng.cancel(&posted.req);
+            eng.engine.cancel(&posted.req);
             self.ft.liveness().note_detection();
             posted.req.fail(
                 at.max(posted.posted_at),
@@ -610,14 +614,9 @@ impl Vci {
         // priced on `engine_time`, anchored to each message's arrival, so the
         // (real-scheduling-dependent) number and timing of progress polls
         // cannot perturb virtual completion times.
-        let mut eng = self.engine.lock_unmodeled();
-        let n = self.drain_mailbox(&mut **eng);
-        // `drain_mailbox` has released its plain scratch mutex, and the
-        // engine lock goes before the yield point below too: an engine task
-        // preempted there while holding the scratch mutex would block — for
-        // real, keeping its worker slot — every task that then takes the
-        // engine lock and reaches for it.
-        drop(eng);
+        // The guard is a temporary: the engine lock is free again before the
+        // poll's yield point below.
+        let n = self.drain_mailbox(&mut self.engine.lock_unmodeled());
         clock.advance(self.costs.match_base / 4); // the poll's own CPU cost
         if n > 0 {
             obs::busy("vci", "progress", entered_at, clock.now(), self.res_id());
@@ -628,14 +627,12 @@ impl Vci {
     /// The engine critical section of [`progress`](Vci::progress): move the
     /// mailbox into the engine, then sweep if failure knowledge moved.
     /// Returns the number of packets drained.
-    fn drain_mailbox(&self, eng: &mut dyn MatchEngine) -> usize {
-        // The scratch buffer lives under the engine critical section (its
-        // lock is uncontended by construction), so the steady-state poll
-        // reuses one warm allocation instead of a fresh Vec per drain.
-        let mut batch = self.drain_batch.lock();
-        self.mailbox.drain_into(&mut batch);
-        let n = batch.len();
-        for pkt in batch.drain(..) {
+    fn drain_mailbox(&self, m: &mut Matching) -> usize {
+        let Matching { engine, scratch } = m;
+        let eng = &mut **engine;
+        self.mailbox.drain_into(scratch);
+        let n = scratch.len();
+        for pkt in scratch.drain(..) {
             if pkt.header.base_kind() == KIND_FT {
                 // Revocation control packet — epidemically poisons the
                 // context; never enters matching.
@@ -849,7 +846,7 @@ impl Vci {
         self.progress(clock);
         let eng = self.lock_engine(clock);
         let locked_at = clock.now();
-        let (st, work) = eng.probe(pattern);
+        let (st, work) = eng.engine.probe(pattern);
         self.charge_match(ChargeTo::Caller(clock), &work);
         self.release_engine(eng, clock, locked_at);
         st
@@ -872,7 +869,7 @@ impl Vci {
             posted_at: clock.now(),
         };
         let probe_req = Arc::clone(&probe.req);
-        let (matched, work) = eng.post_recv(probe);
+        let (matched, work) = eng.engine.post_recv(probe);
         let done = self.charge_match(ChargeTo::Caller(clock), &work);
         let out = match matched {
             Some(pkt) => {
@@ -883,7 +880,7 @@ impl Vci {
             }
             None => {
                 // Nothing matched: retract the probe by request identity.
-                let removed = eng.cancel(&probe_req);
+                let removed = eng.engine.cancel(&probe_req);
                 debug_assert!(removed);
                 None
             }
@@ -914,15 +911,16 @@ impl Vci {
 
     /// Current depth of the engine's posted-receive queue.
     pub fn posted_depth(&self) -> usize {
-        self.engine.lock_unmodeled().posted_len()
+        self.engine.lock_unmodeled().engine.posted_len()
     }
 
     /// Current depth of the engine's unexpected-message queue.
     pub fn unexpected_depth(&self) -> usize {
-        self.engine.lock_unmodeled().unexpected_len()
+        self.engine.lock_unmodeled().engine.unexpected_len()
     }
 
-    /// Total contention on the VCI lock (virtual time spent acquiring).
+    /// Total virtual time the VCI lock charged: acquisitions plus collision
+    /// shifts.
     pub fn lock_contention(&self) -> Nanos {
         self.engine.contended_total()
     }
@@ -932,8 +930,8 @@ impl Vci {
         self.acquires.get()
     }
 
-    /// Acquisitions that paid more than the uncontended base cost — i.e.
-    /// entries that actually fought another thread for this VCI.
+    /// Sections that overlapped another holder's section in virtual time, so
+    /// their release shifted the holder's clock behind it.
     pub fn lock_acquires_contended(&self) -> u64 {
         self.acquires_contended.get()
     }
@@ -1391,51 +1389,37 @@ mod tests {
 
     #[test]
     fn two_threads_on_one_vci_report_contended_acquires() {
-        // Deterministic version of the old "hammer 20k iprobes and hope for
-        // a real collision" test: the rankmpi-check scheduler serializes the
-        // two threads at yield points, so a schedule that parks one thread
-        // between its claimant registration and its lock acquisition makes
-        // the other observe a waiter — reproducibly, from a fixed seed.
+        // Two tasks whose clocks both start at 0 probe one VCI in lockstep
+        // virtual time: their sections overlap whatever the real order, so
+        // every schedule reports contended (shifted) acquisitions.
         use rankmpi_check::{run_tasks, Schedule, Task};
-        let (v, _n, _s) = test_vci(0);
         const PER_TASK: usize = 40;
-        let tasks: Vec<Task> = (0..2)
-            .map(|_| {
-                let v = Arc::clone(&v);
-                Box::new(move || {
-                    let mut c = Clock::new();
-                    let pat = MatchPattern {
-                        context_id: 1,
-                        src: 0,
-                        tag: 0,
-                    };
-                    for _ in 0..PER_TASK {
-                        v.iprobe(&mut c, &pat);
-                    }
-                }) as Task
-            })
-            .collect();
-        let out = run_tasks(tasks, &Schedule::random(3), 500_000);
-        assert!(out.panic.is_none(), "scheduled run failed: {:?}", out.panic);
-        assert_eq!(v.lock_acquires(), 2 * PER_TASK as u64);
-        assert!(
-            v.lock_acquires_contended() > 0,
-            "interleaved schedule must make the threads collide on the VCI lock"
-        );
-        assert!(v.lock_contention() > Nanos::ZERO);
-    }
-
-    /// Records, at every yield point its thread reaches, whether the VCI's
-    /// plain-mutex drain scratch is held.
-    struct ScratchHeld {
-        vci: Arc<Vci>,
-        at_yield: parking_lot::Mutex<Vec<bool>>,
-    }
-
-    impl rankmpi_vtime::sched::SchedHook for ScratchHeld {
-        fn reached(&self, _point: rankmpi_vtime::sched::SchedPoint) {
-            let held = self.vci.drain_batch.try_lock().is_none();
-            self.at_yield.lock().push(held);
+        for seed in [3, 11, 29] {
+            let (v, _n, _s) = test_vci(0);
+            let tasks: Vec<Task> = (0..2)
+                .map(|_| {
+                    let v = Arc::clone(&v);
+                    Box::new(move || {
+                        let mut c = Clock::new();
+                        let pat = MatchPattern {
+                            context_id: 1,
+                            src: 0,
+                            tag: 0,
+                        };
+                        for _ in 0..PER_TASK {
+                            v.iprobe(&mut c, &pat);
+                        }
+                    }) as Task
+                })
+                .collect();
+            let out = run_tasks(tasks, &Schedule::random(seed), 500_000);
+            assert!(out.panic.is_none(), "seed {seed}: {:?}", out.panic);
+            assert_eq!(v.lock_acquires(), 2 * PER_TASK as u64);
+            assert!(
+                v.lock_acquires_contended() > 0,
+                "seed {seed}: overlapping sections must be reported contended"
+            );
+            assert!(v.lock_contention() > Nanos::ZERO);
         }
     }
 
@@ -1469,34 +1453,6 @@ mod tests {
             Err(RankMpiError::ProcessFailed { rank: 1 })
         ));
         assert_eq!(b.posted_depth(), 0);
-    }
-
-    #[test]
-    fn progress_leaves_no_plain_lock_held_at_its_last_yield_point() {
-        // Regression: the scratch guard outlived the engine guard, so the
-        // poll-cost `advance` after the engine section was a yield point with
-        // a plain mutex held and the engine lock free — an engine task
-        // preempted there blocked, worker slot and all, whoever progressed
-        // this VCI next (the rare 1024-rank `scale_smoke` hang).
-        let (a, _n1, _s1) = test_vci(0);
-        let (b, _n2, _s2) = test_vci(0);
-        let mut clock = Clock::new();
-        a.send_packet(&mut clock, &b, false, header(9, 0, 5), Bytes::new());
-        let hook = Arc::new(ScratchHeld {
-            vci: Arc::clone(&b),
-            at_yield: parking_lot::Mutex::new(Vec::new()),
-        });
-        {
-            let _armed = rankmpi_vtime::sched::install_thread_hook(hook.clone());
-            assert_eq!(
-                b.progress(&mut clock),
-                1,
-                "the slow path, not the empty poll"
-            );
-        }
-        let at_yield = hook.at_yield.lock();
-        assert!(at_yield.contains(&true), "the drain itself runs under it");
-        assert_eq!(at_yield.last(), Some(&false));
     }
 
     #[test]

@@ -12,8 +12,9 @@ use crate::NetworkProfile;
 /// NICs this is the library-level lock that serializes access to a shared work
 /// queue. When a context is *dedicated* to one logical channel the lock is
 /// uncontended and nearly free; when the channel pool is oversubscribed
-/// (Lesson 3) multiple channels share the context and the lock cost grows with
-/// waiters. Independently of the lock, the context itself processes messages at
+/// (Lesson 3) multiple channels share the context, their sections overlap in
+/// virtual time, and each overlap shifts the later one behind the earlier.
+/// Independently of the lock, the context itself processes messages at
 /// a bounded rate: its [`Resource`] is occupied for `gap + bytes*G` per message.
 ///
 /// [`gate`]: HwContext::lock_gate
@@ -60,12 +61,6 @@ impl HwContext {
     /// Trace resource id for this context (`hwctx:node.id`).
     pub fn res_id(&self) -> rankmpi_obs::trace::ResId {
         rankmpi_obs::trace::ResId::new("hwctx", self.node as u64, self.id as u64)
-    }
-
-    /// Uncontended gate acquisition cost (used by instrumentation to
-    /// classify contended entries).
-    pub fn gate_acquire_base(&self) -> Nanos {
-        self.gate.costs().acquire_base
     }
 
     /// Register a logical channel on this context. Returns the new owner count.
@@ -149,7 +144,8 @@ impl HwContext {
         self.time.busy_total()
     }
 
-    /// Total virtual time threads spent entering the gate (lock contention).
+    /// Total virtual time the gate charged: acquisitions plus collision
+    /// shifts (lock contention).
     pub fn gate_contention(&self) -> Nanos {
         self.gate.contended_total()
     }

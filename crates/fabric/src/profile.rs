@@ -63,7 +63,6 @@ impl NetworkProfile {
             byte_time_ps: 80,
             context_lock: LockCosts {
                 acquire_base: Nanos(30),
-                per_waiter: Nanos(10),
                 handoff: Nanos(50),
             },
             shared_context_penalty: Nanos(2_000),
@@ -86,7 +85,6 @@ impl NetworkProfile {
             byte_time_ps: 80,
             context_lock: LockCosts {
                 acquire_base: Nanos(30),
-                per_waiter: Nanos(10),
                 handoff: Nanos(45),
             },
             shared_context_penalty: Nanos(300),
@@ -109,7 +107,6 @@ impl NetworkProfile {
             byte_time_ps: 40,
             context_lock: LockCosts {
                 acquire_base: Nanos(25),
-                per_waiter: Nanos(10),
                 handoff: Nanos(40),
             },
             shared_context_penalty: Nanos(100),
@@ -133,7 +130,6 @@ impl NetworkProfile {
             byte_time_ps: 0,
             context_lock: LockCosts {
                 acquire_base: Nanos(0),
-                per_waiter: Nanos(0),
                 handoff: Nanos(0),
             },
             shared_context_penalty: Nanos(0),

@@ -78,12 +78,12 @@ pub fn transmit(
 ) -> TxInfo {
     let entered_at = clock.now();
     clock.advance(profile.send_overhead);
-    let gate = lock_gate(clock, src);
+    let gate = src.lock_gate(clock);
     clock.advance(profile.doorbell);
 
     let info = inject(profile, clock, src, dst_mail, header, payload);
     dst_mail.wake();
-    gate.release(clock);
+    release_gate(clock, src, gate);
 
     obs::busy("fabric", "transmit", entered_at, clock.now(), src.res_id());
     TxInfo {
@@ -92,19 +92,17 @@ pub fn transmit(
     }
 }
 
-/// Take `src`'s software gate, recording anything past the uncontended base
-/// as time spent fighting for the shared context.
-fn lock_gate<'a>(clock: &mut Clock, src: &'a HwContext) -> ContentionGuard<'a, ()> {
-    let before_gate = clock.now();
-    let gate = src.lock_gate(clock);
+/// Leave `src`'s software gate, recording its collision shift — the time
+/// this section waited behind earlier ones in virtual time — as a wait span.
+fn release_gate(clock: &mut Clock, src: &HwContext, gate: ContentionGuard<'_, ()>) {
+    let shift = gate.release(clock);
     obs::wait(
         "fabric",
         "gate_acquire",
-        before_gate + src.gate_acquire_base(),
+        clock.now() - shift,
         clock.now(),
         src.res_id(),
     );
-    gate
 }
 
 /// Inject one descriptor through `src`, whose gate the caller holds: window
@@ -227,7 +225,7 @@ pub fn send_batch(
     // Descriptor construction is per-message CPU work; batching cannot
     // amortize it.
     clock.advance(Nanos(profile.send_overhead.as_ns() * n as u64));
-    let gate = lock_gate(clock, src);
+    let gate = src.lock_gate(clock);
     clock.advance(profile.doorbell_batched(n));
 
     let mut infos = Vec::with_capacity(n);
@@ -242,7 +240,7 @@ pub fn send_batch(
     for m in to_notify {
         m.wake();
     }
-    gate.release(clock);
+    release_gate(clock, src, gate);
 
     // The batch completes together.
     let local_complete = clock.now();

@@ -14,11 +14,12 @@
 //! The design's fundamental limitation (Lesson 14) is modeled faithfully: all
 //! threads driving partitions share one request object, so every `pready`,
 //! `parrived` and `wait` passes through the request's
-//! [`ContentionLock`](rankmpi_vtime::ContentionLock) — contention that grows
-//! with thread count and that the other two designs do not pay. Its
-//! *persistence* (Lesson 15) is also structural: destination, tag and
-//! partitioning are fixed at init time, so dynamic communication patterns and
-//! wildcard-based polling simply do not fit the interface.
+//! [`ContentionLock`](rankmpi_vtime::ContentionLock). Passes whose sections
+//! overlap in virtual time are shifted one behind the other, so the cost grows
+//! with the number of threads arriving together, and the other two designs do
+//! not pay it. Its *persistence* (Lesson 15) is also structural: destination,
+//! tag and partitioning are fixed at init time, so dynamic communication
+//! patterns and wildcard-based polling simply do not fit the interface.
 //!
 //! The [`device`] module models Lesson 20's cost argument: `Pready`-style
 //! lightweight triggers versus full per-message setup for device-initiated

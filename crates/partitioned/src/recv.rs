@@ -14,7 +14,8 @@ use crate::PART_CTL_BIT;
 /// Created once ([`precv_init`]), then cycled: `start` → threads poll
 /// `parrived(part)` → one thread calls `wait` → `start` again (Listing 4).
 /// All methods pass through the request's shared [`ContentionLock`] — the
-/// Lesson 14 cost of threads sharing one MPI request.
+/// Lesson 14 cost of threads sharing one MPI request: passes that overlap in
+/// virtual time are shifted one behind the other.
 pub struct PrecvRequest {
     comm: Communicator,
     src: usize,
@@ -126,6 +127,8 @@ impl PrecvRequest {
         Ok(())
     }
 
+    /// One pass through the shared request: an acquisition, plus a shift
+    /// whenever another thread's pass overlaps this one in virtual time.
     fn contend(&self, th: &mut ThreadCtx) {
         let g = self.shared.lock(&mut th.clock);
         g.release(&mut th.clock);

@@ -19,7 +19,8 @@ use crate::PART_CTL_BIT;
 /// Created once ([`psend_init`]), then cycled: `start` → threads call
 /// `pready(part, data)` as their partition becomes ready → one thread calls
 /// `wait` → `start` again. As on the receive side, every operation passes
-/// through the shared request's [`ContentionLock`] (Lesson 14).
+/// through the shared request's [`ContentionLock`] (Lesson 14): threads
+/// whose passes overlap in virtual time are shifted one behind the other.
 pub struct PsendRequest {
     comm: Communicator,
     dst: usize,
@@ -146,8 +147,7 @@ impl PsendRequest {
         }
         let entered_at = th.clock.now();
         // Shared-request access (Lesson 14): threads contend here.
-        let g = self.shared.lock(&mut th.clock);
-        g.release(&mut th.clock);
+        self.contend(th);
 
         let (route_id, _sink) = self.resolve_route(th)?;
         let costs = th.proc().costs().clone();
@@ -219,6 +219,8 @@ impl PsendRequest {
         Ok(())
     }
 
+    /// One pass through the shared request: an acquisition, plus a shift
+    /// whenever another thread's pass overlaps this one in virtual time.
     fn contend(&self, th: &mut ThreadCtx) {
         let g = self.shared.lock(&mut th.clock);
         g.release(&mut th.clock);

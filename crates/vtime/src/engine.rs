@@ -30,7 +30,7 @@
 //! [`Notify::wait_until`](crate::Notify::wait_until), which registers the
 //! task's [`Unparker`] with the notifier — published before a `SeqCst`
 //! re-read of the version, which the notifier bumps before it looks for
-//! registrations, so no wakeup is lost — then calls [`park`]; a notify
+//! registrations, so no wakeup is lost — then parks; a notify
 //! drains the registered unparkers. A parked task costs zero CPU — this is
 //! what lets 1k+ idle tasks coexist on one core.
 //!
@@ -693,7 +693,9 @@ fn yield_now(shared: &Arc<Shared>, me: usize) {
 /// a loop afterwards: a consumed wake-pending flag or a drained stale
 /// registration can produce spurious returns.
 /// A no-op outside tasks and inside [`block_in_place`] sections.
-pub fn park(point: SchedPoint) {
+/// [`Notify::wait_until`](crate::Notify::wait_until) is the one caller: a
+/// task parks only through a notifier.
+pub(crate) fn park(point: SchedPoint) {
     let _ = point;
     let Some((shared, me)) = current_ctx() else {
         return;

@@ -33,9 +33,9 @@
 //! factor, where crossovers fall — is reproducible on any host.
 //!
 //! The crate also provides:
-//! - [`ContentionLock`]: a mutex whose virtual acquisition cost grows with the
-//!   number of concurrent waiters, modeling cache-line bouncing and futex traffic
-//!   (the thread-synchronization overheads of the paper's Lessons 3 and 14);
+//! - [`ContentionLock`]: a mutex plus the virtual schedule of its critical
+//!   sections; a section that overlaps another in virtual time is shifted behind
+//!   it (the thread-synchronization overheads of the paper's Lessons 3 and 14);
 //! - [`VirtualBarrier`]: a barrier that joins the virtual clocks of all
 //!   participants (used by stencil iterations and partitioned-request completion);
 //! - [`Notify`]: the progress-event channel every blocked caller waits on, and

@@ -19,15 +19,13 @@
 //!
 //! When a hook is armed on a thread, the library's blocking primitives
 //! switch to *cooperative* variants so that a paused task can never wedge a
-//! scheduled one:
-//!
-//! - [`ContentionLock`](crate::ContentionLock) acquisition becomes a
-//!   `try_lock` spin with a yield point between attempts;
-//! - [`Notify::wait_until`](crate::Notify::wait_until), through which every
-//!   other wait goes ([`VirtualBarrier`](crate::VirtualBarrier) included),
-//!   yields between polls instead of sleeping, with a
-//!   [`SchedPoint::NotifyWait`] between a failed poll and its wait (the
-//!   window a lost wakeup lives in).
+//! scheduled one. [`Notify::wait_until`](crate::Notify::wait_until), through
+//! which every wait goes, yields between polls instead of sleeping, with a
+//! [`SchedPoint::NotifyWait`] between a failed poll and its wait (the window
+//! a lost wakeup lives in). A [`ContentionLock`](crate::ContentionLock)
+//! acquisition is such a wait — a [`SchedPoint::LockAcquire`], then
+//! `try_lock` as the poll, on a notifier every release rings — and so is a
+//! [`VirtualBarrier`](crate::VirtualBarrier)'s.
 //!
 //! Mixing hooked and un-hooked threads on one blocking primitive is not
 //! supported: either all participants of a barrier/lock run under the
@@ -46,8 +44,8 @@ use std::sync::Arc;
 pub enum SchedPoint {
     /// A virtual clock advanced ([`Clock::advance`](crate::Clock::advance)).
     ClockAdvance,
-    /// A [`ContentionLock`](crate::ContentionLock) acquisition attempt
-    /// (fired before each `try_lock` attempt while armed).
+    /// A [`ContentionLock`](crate::ContentionLock) acquisition (fired
+    /// before the first `try_lock` while armed).
     LockAcquire,
     /// A [`ContentionLock`](crate::ContentionLock) critical section ended.
     LockRelease,
