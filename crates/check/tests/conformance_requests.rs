@@ -4,17 +4,20 @@
 //! time must never change, and its payload must be handed out exactly once
 //! — under explored schedules at the `ReqState` level and under fault
 //! injection at the whole-universe level. And a blocked waiter is always
-//! woken: a request, a barrier member, a split member and a lock member, the
-//! four shapes of wait that share `Notify::wait_until`.
+//! woken: a request (alone, or completed in a batch by another task's
+//! drain), a barrier member, a split member and a lock member, the shapes of
+//! wait that share `Notify::wait_until`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rankmpi_check::{base_seed, explore, ExploreConfig, Task};
-use rankmpi_core::request::ReqState;
+use rankmpi_core::matching::MatchPattern;
+use rankmpi_core::request::{ReqState, Request};
+use rankmpi_core::vci::KIND_PT2PT;
 use rankmpi_core::Universe;
-use rankmpi_fabric::FaultPlan;
+use rankmpi_fabric::{FaultPlan, Header, Packet};
 use rankmpi_vtime::barrier::BarrierCosts;
 use rankmpi_vtime::engine;
 use rankmpi_vtime::sched::{yield_point, SchedPoint};
@@ -158,6 +161,78 @@ fn blocked_request_is_woken_under_explored_schedules() {
                 })
             };
             vec![waiter, completer, noise]
+        },
+    });
+}
+
+/// Two tasks of one process each wait on their own receive, and whichever
+/// drain comes first completes both: the other's request is completed
+/// without a notify of its own. The drain's engine section owes the
+/// process notifier one ring at its end; without it, a waiter that polled
+/// an empty mailbox while the drain was between its completions stays
+/// parked.
+#[test]
+fn batched_completions_wake_every_waiter_under_explored_schedules() {
+    explore_waiters(WaiterCase {
+        name: "batched_completions_wake_every_waiter",
+        salt: 0xBA7C,
+        waiters: 2,
+        mk: |returned| {
+            let universe = Arc::clone(Universe::builder().nodes(1).build().shared());
+            let proc = universe.proc(0);
+            let vci = proc.vci(0);
+            let posted = Arc::new(AtomicU64::new(0));
+            let mut tasks: Vec<Task> = (0..2i64)
+                .map(|tag| {
+                    let (vci, notify) = (Arc::clone(&vci), Arc::clone(proc.notify()));
+                    let (posted, returned) = (Arc::clone(&posted), Arc::clone(returned));
+                    Box::new(move || {
+                        let mut clock = Clock::new();
+                        let state = ReqState::new(notify);
+                        let pattern = MatchPattern {
+                            context_id: 1,
+                            src: 0,
+                            tag,
+                        };
+                        vci.post_recv(&mut clock, pattern, Arc::clone(&state));
+                        posted.fetch_add(1, Ordering::SeqCst);
+                        let (st, _) = Request::pending(state, vci).wait(&mut clock);
+                        assert_eq!(st.tag, tag);
+                        returned.fetch_add(1, Ordering::Relaxed);
+                    }) as Task
+                })
+                .collect();
+            tasks.push(Box::new(move || {
+                // Both receives are posted, then both packets land before
+                // the one wake: a single drain can complete both.
+                while posted.load(Ordering::SeqCst) < 2 {
+                    yield_point(SchedPoint::Custom("await-posts"));
+                }
+                let mailbox = vci.mailbox();
+                for tag in 0..2 {
+                    let header = Header {
+                        kind: KIND_PT2PT,
+                        context_id: 1,
+                        src: 0,
+                        dst: 0,
+                        tag,
+                        seq: 0,
+                        aux: 0,
+                        aux2: 0,
+                    };
+                    let payload = bytes::Bytes::new();
+                    mailbox.push_quiet(
+                        Packet {
+                            header,
+                            payload,
+                            arrive_at: Nanos(100),
+                        },
+                        None,
+                    );
+                }
+                mailbox.notifier().notify();
+            }));
+            tasks
         },
     });
 }

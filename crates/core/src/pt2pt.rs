@@ -7,6 +7,12 @@
 //! injected, builds no shared request ([`Request::Done`]; a blocking `send`
 //! builds none at all). What a message still writes outside its own
 //! process is the destination mailbox and notifier, nothing else.
+//!
+//! A receive ([`irecv_on_vci`](Communicator::irecv_on_vci)) takes its
+//! request state from the calling thread's spares ([`ReqState`]'s recycling),
+//! so once warm it allocates nothing and writes no reference count of the
+//! process notifier; the engine section that completes it rings that
+//! notifier once for all its completions.
 
 use std::sync::Arc;
 
@@ -379,8 +385,8 @@ impl Communicator {
         let entered_at = th.clock.now();
         th.clock.advance(self.proc().costs().request_setup);
         let vci = self.proc().vci_ref(vci_idx);
-        let req = ReqState::new(Arc::clone(self.proc().notify()));
-        vci.post_recv(&mut th.clock, pattern, Arc::clone(&req));
+        let req = ReqState::recycled(self.proc().notify());
+        vci.post_recv_ref(&mut th.clock, pattern, &req);
         obs::busy("pt2pt", "recv", entered_at, th.clock.now(), vci.res_id());
         Ok(if req.is_complete() {
             Request::ready(req)

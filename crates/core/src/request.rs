@@ -1,29 +1,59 @@
 //! Nonblocking-operation requests.
 //!
-//! A [`Request`] comes in two shapes. A receive is completed by whoever
-//! drains the mailbox, so its state ([`ReqState`]) is shared, allocated, and
-//! completion signals the process's notifier. An eager send is complete the
-//! moment it is injected: nobody else will ever touch it and nobody can be
-//! blocked on it, so it is a plain value ([`Request::Done`]) — no allocation,
-//! no mutex, no notification on the sender's own notifier.
+//! A [`Request`] comes in two shapes. An eager send is complete the moment
+//! it is injected: nobody else will ever touch it and nobody can be blocked
+//! on it, so it is a plain value ([`Request::Done`]) — no allocation, no
+//! shared state, no notification on the sender's own notifier.
+//!
+//! A receive is completed by whoever drains the mailbox, so its state
+//! ([`ReqState`]) is shared. Its life writes only lines the receiving side
+//! owns:
+//! - it is taken from a bounded per-thread spare list that dropped requests
+//!   refill, so a warm receive allocates nothing and clones no notifier;
+//! - completion is one CAS on a completion word plus a `Release` store, and
+//!   taking the outcome one CAS: no mutex;
+//! - a request completed inside a VCI engine section is not notified one by
+//!   one: the section rings the VCI's notifier once at its end
+//!   ([`Vci::progress`](crate::vci::Vci::progress)).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::{RefCell, UnsafeCell};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rankmpi_fabric::Notify;
 use rankmpi_vtime::Nanos;
 
 use crate::error::RankMpiError;
 use crate::matching::Status;
 
+/// What a completed request hands out once.
+type Outcome = Result<(Status, Bytes), RankMpiError>;
+
+/// Completion-word states, in the only order a request moves through them.
+const PENDING: u8 = 0;
+/// A completer won the request and is writing its outcome.
+const WRITING: u8 = 1;
+/// The outcome is published.
+const COMPLETE: u8 = 2;
+/// The outcome was handed out.
+const TAKEN: u8 = 3;
+
+/// Spare request states per thread, like the matching engine's spare queues.
+const SPARES: usize = 64;
+
+thread_local! {
+    /// States that dropped requests handed back, for this thread's next
+    /// receives.
+    static SPARE_STATES: RefCell<Vec<Arc<ReqState>>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Shared completion state of one request.
 ///
-/// Completion is two-phase: the *real* completion flag flips once the library
+/// Completion is two-phase: the *real* completion word flips once the library
 /// has logically finished the operation, and `finish_at` records the *virtual*
-/// time of completion. A waiting thread blocks (for real) on the flag, then
+/// time of completion. A waiting thread blocks (for real) on the word, then
 /// advances its virtual clock to `finish_at`.
 ///
 /// A request can complete with an error (`fail`): the reliability layer uses
@@ -31,19 +61,30 @@ use crate::matching::Status;
 /// returns instead of hanging on a packet that will never arrive.
 #[derive(Debug)]
 pub struct ReqState {
-    complete: AtomicBool,
+    /// `PENDING` → `WRITING` → `COMPLETE` → `TAKEN`. The two CAS steps
+    /// decide who owns `outcome`: the completer between its CAS and its
+    /// `COMPLETE` store, the taker after its CAS.
+    state: AtomicU8,
     finish_at: AtomicU64,
-    result: Mutex<Option<Result<(Status, Bytes), RankMpiError>>>,
+    outcome: UnsafeCell<Option<Outcome>>,
     notify: Arc<Notify>,
 }
+
+// SAFETY: `outcome` is the only field that is not `Sync`, and the completion
+// word gives it one accessor at a time. Only the settle that wins
+// `PENDING → WRITING` writes it, before its `Release` store of `COMPLETE`.
+// Only the take that wins `COMPLETE → TAKEN` (an `Acquire` CAS, so it sees
+// that write) reads it. Both CASes succeed at most once per life, and a life
+// restarts only through `&mut` (`recycle`). The outcome itself is `Send`.
+unsafe impl Sync for ReqState {}
 
 impl ReqState {
     /// A pending request that signals `notify` on completion.
     pub fn new(notify: Arc<Notify>) -> Arc<Self> {
         Arc::new(ReqState {
-            complete: AtomicBool::new(false),
+            state: AtomicU8::new(PENDING),
             finish_at: AtomicU64::new(0),
-            result: Mutex::new(None),
+            outcome: UnsafeCell::new(None),
             notify,
         })
     }
@@ -53,9 +94,44 @@ impl ReqState {
         Self::new(Arc::new(Notify::new()))
     }
 
+    /// A pending request on `notify`: a spare this thread's dropped requests
+    /// left behind if one waits on the same notifier, a fresh one otherwise.
+    pub(crate) fn recycled(notify: &Arc<Notify>) -> Arc<Self> {
+        let spare = SPARE_STATES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let at = spares
+                .iter()
+                .rposition(|s| Arc::ptr_eq(&s.notify, notify))?;
+            Some(spares.swap_remove(at))
+        });
+        spare
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| Self::new(Arc::clone(notify)))
+    }
+
+    /// Hand `state` back to this thread's spares if nobody else holds it,
+    /// dropping any outcome nobody took. A state still shared (a user clone,
+    /// the engine's clone mid-drain) is left to its last owner to free.
+    pub(crate) fn recycle(state: &mut Arc<Self>) {
+        let Some(s) = Arc::get_mut(state) else {
+            return;
+        };
+        *s.state.get_mut() = PENDING;
+        *s.finish_at.get_mut() = 0;
+        *s.outcome.get_mut() = None;
+        let _ = SPARE_STATES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if spares.len() < SPARES {
+                spares.push(Arc::clone(state));
+            }
+        });
+    }
+
     /// Complete the request at virtual time `finish_at` and wake waiters.
     pub fn complete(&self, finish_at: Nanos, status: Status, data: Bytes) {
         self.settle(finish_at, Ok((status, data)));
+        self.notify.notify();
     }
 
     /// Complete the request *with an error* at virtual time `finish_at` and
@@ -63,28 +139,44 @@ impl ReqState {
     /// message this request was matched against.
     pub fn fail(&self, finish_at: Nanos, err: RankMpiError) {
         self.settle(finish_at, Err(err));
+        self.notify.notify();
     }
 
-    fn settle(&self, finish_at: Nanos, outcome: Result<(Status, Bytes), RankMpiError>) {
-        {
-            let mut r = self.result.lock();
-            debug_assert!(r.is_none(), "request completed twice");
-            *r = Some(outcome);
+    /// Complete the request inside an engine section that rings `section`
+    /// once at its end: a request waiting on `section` is left to that ring,
+    /// any other is notified now. Returns whether `section` is owed its ring.
+    pub(crate) fn settle_in(&self, finish_at: Nanos, outcome: Outcome, section: &Notify) -> bool {
+        self.settle(finish_at, outcome);
+        let owed = std::ptr::eq(&*self.notify, section);
+        if !owed {
+            self.notify.notify();
         }
-        self.finish_at.store(finish_at.as_ns(), Ordering::Release);
-        self.complete.store(true, Ordering::Release);
-        self.notify.notify();
+        owed
+    }
+
+    /// Publish the outcome: one CAS, the slot, one `Release` store. Panics
+    /// if the request was already completed.
+    fn settle(&self, finish_at: Nanos, outcome: Outcome) {
+        let won =
+            self.state
+                .compare_exchange(PENDING, WRITING, Ordering::Acquire, Ordering::Relaxed);
+        assert!(won.is_ok(), "request completed twice");
+        // SAFETY: winning `PENDING → WRITING` makes this the slot's only
+        // accessor until the `COMPLETE` store below (see `impl Sync`).
+        unsafe { *self.outcome.get() = Some(outcome) };
+        self.finish_at.store(finish_at.as_ns(), Ordering::Relaxed);
+        self.state.store(COMPLETE, Ordering::Release);
     }
 
     /// Whether the request has completed.
     #[inline]
     pub fn is_complete(&self) -> bool {
-        self.complete.load(Ordering::Acquire)
+        self.state.load(Ordering::Acquire) >= COMPLETE
     }
 
     /// Virtual completion time (valid once complete).
     pub fn finish_at(&self) -> Nanos {
-        Nanos(self.finish_at.load(Ordering::Acquire))
+        Nanos(self.finish_at.load(Ordering::Relaxed))
     }
 
     /// Take the completion payload. Panics if not complete, taken twice, or
@@ -102,10 +194,17 @@ impl ReqState {
     /// Take the completion outcome — `Ok((status, payload))` or the error the
     /// request failed with. Panics if not complete or taken twice.
     pub fn take_outcome(&self) -> Result<(Status, Bytes), RankMpiError> {
-        self.result
-            .lock()
-            .take()
-            .expect("request result taken before completion (or twice)")
+        let won =
+            self.state
+                .compare_exchange(COMPLETE, TAKEN, Ordering::Acquire, Ordering::Relaxed);
+        assert!(
+            won.is_ok(),
+            "request result taken before completion (or twice)"
+        );
+        // SAFETY: winning `COMPLETE → TAKEN` makes this the slot's only
+        // accessor, after the completer's writes (see `impl Sync`).
+        let outcome = unsafe { (*self.outcome.get()).take() };
+        outcome.expect("a completed request holds its outcome")
     }
 
     /// The notifier signaled on completion.
@@ -152,6 +251,7 @@ pub enum Request {
         status: Status,
     },
     /// Completed by another party through shared state — every receive.
+    /// Dropping the last handle recycles the state.
     Shared {
         /// The completion state.
         state: Arc<ReqState>,
@@ -297,6 +397,16 @@ impl Request {
         match self {
             Request::Done { finish_at, .. } => *finish_at,
             Request::Shared { state, .. } => state.finish_at(),
+        }
+    }
+}
+
+impl Drop for Request {
+    /// A receive's state goes back to this thread's spares when this was
+    /// its last handle.
+    fn drop(&mut self) {
+        if let Request::Shared { state, .. } = self {
+            ReqState::recycle(state);
         }
     }
 }
@@ -454,6 +564,105 @@ mod tests {
         let out = req.wait_timeout(&mut clock, Duration::from_millis(5));
         assert!(out.is_ok());
         assert_eq!(clock.now(), Nanos(40));
+    }
+
+    fn status(tag: i64) -> Status {
+        Status {
+            source: 0,
+            tag,
+            len: 0,
+        }
+    }
+
+    /// A request completed on `notify`, waited for and dropped.
+    fn use_once(state: Arc<ReqState>) {
+        state.complete(Nanos(5), status(1), Bytes::new());
+        Request::ready(state).wait(&mut rankmpi_vtime::Clock::new());
+    }
+
+    #[test]
+    fn a_dropped_unique_request_is_handed_out_again() {
+        let notify = Arc::new(Notify::new());
+        let first = ReqState::recycled(&notify);
+        let at = Arc::as_ptr(&first);
+        use_once(first);
+        let again = ReqState::recycled(&notify);
+        assert_eq!(Arc::as_ptr(&again), at, "the same state, recycled");
+        assert!(!again.is_complete());
+        assert_eq!(again.finish_at(), Nanos::ZERO);
+        use_once(again);
+    }
+
+    #[test]
+    fn a_shared_state_or_another_notifier_is_not_reused() {
+        let (mine, other) = (Arc::new(Notify::new()), Arc::new(Notify::new()));
+        let state = ReqState::recycled(&mine);
+        let kept = Arc::clone(&state);
+        use_once(state);
+        let fresh = ReqState::recycled(&mine);
+        assert!(!Arc::ptr_eq(&fresh, &kept), "a live clone keeps it out");
+        drop(kept);
+        let at = Arc::as_ptr(&fresh);
+        use_once(fresh);
+        let elsewhere = ReqState::recycled(&other);
+        assert_ne!(Arc::as_ptr(&elsewhere), at, "another notifier's spare");
+        assert!(Arc::ptr_eq(&elsewhere.notify, &other));
+        assert_eq!(Arc::as_ptr(&ReqState::recycled(&mine)), at, "still spare");
+    }
+
+    #[test]
+    fn an_untaken_payload_is_dropped_on_recycle() {
+        let notify = Arc::new(Notify::new());
+        let owner = Arc::new(vec![7u8; 256]);
+        let state = ReqState::recycled(&notify);
+        state.complete(Nanos(1), status(2), Bytes::from_owner(Arc::clone(&owner)));
+        assert_eq!(Arc::strong_count(&owner), 2);
+        drop(Request::ready(state));
+        assert_eq!(Arc::strong_count(&owner), 1, "nobody took it");
+    }
+
+    #[test]
+    #[should_panic(expected = "request completed twice")]
+    fn completing_twice_panics() {
+        let r = ReqState::detached();
+        r.complete(Nanos(1), status(0), Bytes::new());
+        r.fail(Nanos(2), RankMpiError::LinkDown { src: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "taken before completion (or twice)")]
+    fn taking_twice_panics() {
+        let r = ReqState::detached();
+        r.complete(Nanos(1), status(0), Bytes::new());
+        let _ = r.take_outcome();
+        let _ = r.take_outcome();
+    }
+
+    #[test]
+    fn completer_and_taker_threads_agree_on_every_outcome() {
+        const N: usize = 100_000;
+        let notify = Arc::new(Notify::new());
+        let reqs: Vec<_> = (0..N).map(|_| ReqState::new(Arc::clone(&notify))).collect();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for (i, r) in reqs.iter().enumerate() {
+                    let data = Bytes::copy_from_slice(&(i as u64).to_le_bytes());
+                    r.complete(Nanos(i as u64), status(i as i64), data);
+                }
+            });
+            s.spawn(|| {
+                for (i, r) in reqs.iter().enumerate() {
+                    while !r.is_complete() {
+                        std::hint::spin_loop();
+                    }
+                    assert_eq!(r.finish_at(), Nanos(i as u64));
+                    let (st, data) = r.take_result();
+                    assert_eq!(st.tag, i as i64);
+                    assert_eq!(&data[..], &(i as u64).to_le_bytes());
+                }
+            });
+        });
+        assert_eq!(notify.version(), N as u64);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use rankmpi_fabric::{
 use rankmpi_obs::trace as obs;
 use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::lock::ContentionGuard;
+use rankmpi_vtime::sched::{self, SchedPoint};
 use rankmpi_vtime::{Accumulator, Clock, ContentionLock, Counter, Nanos};
 
 use crate::append::AppendTable;
@@ -293,10 +294,11 @@ impl Vci {
         self.rank
     }
 
-    /// Acquire the engine lock, counting the acquisition.
+    /// Acquire the engine lock, counting the acquisition once it is held.
     fn lock_engine(&self, clock: &mut Clock) -> ContentionGuard<'_, Matching> {
-        self.acquires.incr();
-        self.engine.lock(clock)
+        let guard = self.engine.lock(clock);
+        self.acquires.add_held(1);
+        guard
     }
 
     /// Release the engine lock, recording how long it was held (virtually)
@@ -311,7 +313,7 @@ impl Vci {
         locked_at: Nanos,
     ) {
         self.hold_ns
-            .record(clock.now().saturating_sub(locked_at).as_ns());
+            .record_held(clock.now().saturating_sub(locked_at).as_ns());
         let shift = guard.release(clock);
         obs::wait(
             "vci",
@@ -519,52 +521,61 @@ impl Vci {
     /// completed immediately (completion time accounts for arrival, matching
     /// work and the eager copy); otherwise the receive is queued.
     pub fn post_recv(&self, clock: &mut Clock, pattern: MatchPattern, req: Arc<ReqState>) {
+        self.post_recv_ref(clock, pattern, &req);
+    }
+
+    /// [`post_recv`](Vci::post_recv) for a caller that keeps its handle:
+    /// the engine's is the one clone taken.
+    pub(crate) fn post_recv_ref(
+        &self,
+        clock: &mut Clock,
+        pattern: MatchPattern,
+        req: &Arc<ReqState>,
+    ) {
         let mut eng = self.lock_engine(clock);
-        let locked_at = clock.now();
-        let posted = PostedRecv {
-            pattern,
-            req,
-            posted_at: clock.now(),
-        };
+        let posted_at = clock.now();
         // The FT sweep re-examines pending state only when the failure stamp
         // moves, so a receive posted *after* the sweep for the current epoch
         // already ran would wait forever. Apply the same doom rules at post
         // time, under the same engine lock (which orders this check against
         // any concurrent sweep: either the sweep sees our insertion, or we
         // see the failure knowledge it acted on).
-        let base_ctx = posted.pattern.context_id & !crate::comm::COLL_CTX_BIT;
+        let base_ctx = pattern.context_id & !crate::comm::COLL_CTX_BIT;
         if let Some(at) = self.ft.revoked_at(base_ctx) {
-            posted.req.fail(
-                at.max(posted.posted_at),
+            req.fail(
+                at.max(posted_at),
                 RankMpiError::Revoked {
                     context_id: base_ctx,
                 },
             );
-            self.release_engine(eng, clock, locked_at);
+            self.release_engine(eng, clock, posted_at);
             return;
         }
         // Only a receive that stays posted is doomed. What the dead rank
         // sent before it died is deliverable (the sweep leaves such packets
         // queued) wherever it sits, so the mailbox goes into the engine
         // before the match decides.
-        let dead_src = self.failed_source(base_ctx, &posted.pattern);
+        let dead_src = self.failed_source(base_ctx, &pattern);
+        let mut owed = false;
         if dead_src.is_some() {
-            self.drain_mailbox(&mut eng);
+            self.drain_mailbox(&mut eng, &mut owed);
         }
-        let (matched, work) = eng.engine.post_recv(posted.clone());
+        let (matched, work) = eng.engine.post_recv(PostedRecv {
+            pattern,
+            req: Arc::clone(req),
+            posted_at,
+        });
         let done = self.charge_match(ChargeTo::Caller(clock), &work);
-        obs::busy("match", "match_post", locked_at, done, self.engine_res_id());
+        obs::busy("match", "match_post", posted_at, done, self.engine_res_id());
         if let Some(pkt) = matched {
-            self.complete_match(done, &posted.req, pkt);
+            self.complete_match(done, req, pkt, &mut owed);
         } else if let Some((at, rank)) = dead_src {
-            eng.engine.cancel(&posted.req);
+            eng.engine.cancel(req);
             self.ft.liveness().note_detection();
-            posted.req.fail(
-                at.max(posted.posted_at),
-                RankMpiError::ProcessFailed { rank },
-            );
+            req.fail(at.max(posted_at), RankMpiError::ProcessFailed { rank });
         }
-        self.release_engine(eng, clock, locked_at);
+        self.ring_owed(owed);
+        self.release_engine(eng, clock, posted_at);
     }
 
     /// When `pattern` names a source the failure detector knows is dead:
@@ -614,9 +625,15 @@ impl Vci {
         // priced on `engine_time`, anchored to each message's arrival, so the
         // (real-scheduling-dependent) number and timing of progress polls
         // cannot perturb virtual completion times.
-        // The guard is a temporary: the engine lock is free again before the
-        // poll's yield point below.
-        let n = self.drain_mailbox(&mut self.engine.lock_unmodeled());
+        // The guard is dropped at the block's end: the engine lock is free
+        // again before the poll's yield point below.
+        let n = {
+            let mut m = self.engine.lock_unmodeled();
+            let mut owed = false;
+            let n = self.drain_mailbox(&mut m, &mut owed);
+            self.ring_owed(owed);
+            n
+        };
         clock.advance(self.costs.match_base / 4); // the poll's own CPU cost
         if n > 0 {
             obs::busy("vci", "progress", entered_at, clock.now(), self.res_id());
@@ -626,8 +643,9 @@ impl Vci {
 
     /// The engine critical section of [`progress`](Vci::progress): move the
     /// mailbox into the engine, then sweep if failure knowledge moved.
-    /// Returns the number of packets drained.
-    fn drain_mailbox(&self, m: &mut Matching) -> usize {
+    /// Returns the number of packets drained; sets `owed` when a completion
+    /// left its wake to the section's end ([`ring_owed`](Vci::ring_owed)).
+    fn drain_mailbox(&self, m: &mut Matching, owed: &mut bool) -> usize {
         let Matching { engine, scratch } = m;
         let eng = &mut **engine;
         self.mailbox.drain_into(scratch);
@@ -650,7 +668,7 @@ impl Vci {
                 self.direct.dispatch(pkt);
                 continue;
             }
-            self.handle_incoming(eng, pkt);
+            self.handle_incoming(eng, pkt, owed);
         }
         // Sweep *after* the drain (arrivals above may themselves have taught
         // us a revocation) and still under the engine lock, so pending state
@@ -745,7 +763,7 @@ impl Vci {
         }
     }
 
-    fn handle_incoming(&self, eng: &mut dyn MatchEngine, pkt: Packet) {
+    fn handle_incoming(&self, eng: &mut dyn MatchEngine, pkt: Packet, owed: &mut bool) {
         let arrived = pkt.arrive_at;
         match eng.incoming(pkt) {
             Incoming::Matched { recv, packet, work } => {
@@ -753,7 +771,7 @@ impl Vci {
                 // earlier than its arrival and the receive's posting.
                 let ready = packet.arrive_at.max(recv.posted_at);
                 let done = self.charge_match(ChargeTo::EngineAt(ready), &work);
-                self.complete_match(done, &recv.req, packet);
+                self.complete_match(done, &recv.req, packet, owed);
             }
             Incoming::Queued { work } => {
                 self.charge_match(ChargeTo::EngineAt(arrived), &work);
@@ -767,9 +785,9 @@ impl Vci {
     /// incoming-side handling — so all of them price engine occupancy
     /// identically.
     fn charge_match(&self, to: ChargeTo<'_>, work: &ScanWork) -> Nanos {
-        self.match_scanned.add(work.scanned as u64);
+        self.match_scanned.add_held(work.scanned as u64);
         self.match_wildcard_scanned
-            .add(work.wildcard_scanned as u64);
+            .add_held(work.wildcard_scanned as u64);
         let cost = self.costs.match_cost_of(work);
         match to {
             ChargeTo::Caller(clock) => {
@@ -803,7 +821,14 @@ impl Vci {
     /// whose retries were exhausted) fails the request instead — the waiting
     /// receiver gets a [`RankMpiError`] at the sender's give-up time rather
     /// than hanging on data that will never arrive.
-    fn complete_match(&self, done: Nanos, req: &Arc<ReqState>, pkt: Packet) -> Nanos {
+    ///
+    /// A request waiting on this VCI's notifier is not notified: `owed` is
+    /// set, and the engine section rings the notifier once at its end.
+    fn complete_match(&self, done: Nanos, req: &ReqState, pkt: Packet, owed: &mut bool) -> Nanos {
+        // Explored schedules may run another task between a section's
+        // completions: a waiter that polls here sees an empty mailbox and
+        // its own request still pending, the state the owed ring resolves.
+        sched::yield_point(SchedPoint::Custom("match-complete"));
         if pkt.header.is_poisoned() {
             let finish = done.max(pkt.arrive_at);
             let src = pkt.header.src;
@@ -824,10 +849,10 @@ impl Vci {
                     attempts: pkt.header.poison_attempts(),
                 },
             };
-            req.fail(finish, err);
+            *owed |= req.settle_in(finish, Err(err), self.mailbox.notifier());
             return finish;
         }
-        self.matched.incr();
+        self.matched.add_held(1);
         let finish = done.max(pkt.arrive_at)
             + self.profile.recv_overhead
             + self.costs.copy_cost(pkt.payload.len());
@@ -836,8 +861,17 @@ impl Vci {
             tag: pkt.header.tag,
             len: pkt.payload.len(),
         };
-        req.complete(finish, status, pkt.payload);
+        *owed |= req.settle_in(finish, Ok((status, pkt.payload)), self.mailbox.notifier());
         finish
+    }
+
+    /// End an engine section that completed requests on this VCI's notifier
+    /// without ringing it (`owed`): one ring for all of them, after every
+    /// completion store and before the lock is released.
+    fn ring_owed(&self, owed: bool) {
+        if owed {
+            self.mailbox.notifier().notify();
+        }
     }
 
     /// Probe for an unexpected message matching `pattern` without receiving
@@ -862,21 +896,23 @@ impl Vci {
         let locked_at = clock.now();
         // Reuse the posted-receive matching path with a throwaway request,
         // keeping its handle so a miss retracts exactly this probe — other
-        // threads may have posted receives in the meantime.
+        // threads may have posted receives in the meantime. The request is
+        // a recycled one on this VCI's notifier: it is completed and taken
+        // inside this section, so nobody can wait on it and the ring its
+        // completion leaves owed is dropped.
+        let mut probe_req = ReqState::recycled(self.mailbox.notifier());
         let probe = PostedRecv {
             pattern: *pattern,
-            req: ReqState::detached(),
+            req: Arc::clone(&probe_req),
             posted_at: clock.now(),
         };
-        let probe_req = Arc::clone(&probe.req);
         let (matched, work) = eng.engine.post_recv(probe);
         let done = self.charge_match(ChargeTo::Caller(clock), &work);
         let out = match matched {
             Some(pkt) => {
-                let finish = self.complete_match(done, &probe_req, pkt);
+                let finish = self.complete_match(done, &probe_req, pkt, &mut false);
                 clock.wait_until(finish);
-                let (status, payload) = probe_req.take_result();
-                Some((status, payload))
+                Some(probe_req.take_result())
             }
             None => {
                 // Nothing matched: retract the probe by request identity.
@@ -886,6 +922,7 @@ impl Vci {
             }
         };
         self.release_engine(eng, clock, locked_at);
+        ReqState::recycle(&mut probe_req);
         out
     }
 
@@ -1385,6 +1422,47 @@ mod tests {
             "one thread can never observe a waiter on its own VCI lock"
         );
         assert_eq!(v.lock_hold_stats().count(), 2_000);
+    }
+
+    #[test]
+    fn engine_counters_are_exact_under_concurrent_posts_and_drains() {
+        // Four threads post and progress one VCI at once: every counter the
+        // engine lock serializes must still count every event.
+        const PER_THREAD: usize = 250;
+        let (a, _n1, _s1) = test_vci(0);
+        let (b, _n2, _s2) = test_vci(0);
+        let pattern = |tag: usize| MatchPattern {
+            context_id: 9,
+            src: 0,
+            tag: tag as i64,
+        };
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (a, b) = (&a, &b);
+                s.spawn(move || {
+                    let mut c = Clock::new();
+                    let reqs: Vec<_> = (0..PER_THREAD)
+                        .map(|i| {
+                            let req = ReqState::detached();
+                            b.post_recv(&mut c, pattern(t * PER_THREAD + i), Arc::clone(&req));
+                            req
+                        })
+                        .collect();
+                    for i in 0..PER_THREAD {
+                        let h = header(9, 0, (t * PER_THREAD + i) as i64);
+                        a.send_packet(&mut c, b, false, h, Bytes::new());
+                        b.progress(&mut c);
+                    }
+                    while reqs.iter().any(|r| !r.is_complete()) {
+                        b.progress(&mut c);
+                    }
+                });
+            }
+        });
+        let n = 4 * PER_THREAD as u64;
+        assert_eq!(b.matched(), n);
+        assert_eq!(b.lock_acquires(), n, "one clock-charged section per post");
+        assert_eq!(b.lock_hold_stats().count(), n);
     }
 
     #[test]

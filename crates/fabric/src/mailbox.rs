@@ -612,6 +612,12 @@ impl Mailbox {
     pub fn notify_handle(&self) -> Arc<Notify> {
         Arc::clone(&self.notify)
     }
+
+    /// [`notify_handle`](Self::notify_handle), borrowed: no reference count
+    /// is written.
+    pub fn notifier(&self) -> &Arc<Notify> {
+        &self.notify
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,12 @@
 //! Contention-aware locks: real mutual exclusion plus virtual-time cost modeling.
 
 use std::mem::ManuallyDrop;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::engine;
 use crate::sched::{self, SchedPoint};
-use crate::{Clock, Nanos, Notify, Resource};
+use crate::{Clock, Counter, Nanos, Notify, Resource};
 
 /// Cost parameters for a [`ContentionLock`].
 ///
@@ -61,10 +60,10 @@ pub struct ContentionLock<T> {
     inner: Mutex<Held<T>>,
     costs: LockCosts,
     /// Total virtual time charged for acquisitions and collision shifts.
-    /// Written only by the holder (see `add_held`).
-    contended_total: AtomicU64,
-    /// Written only by the holder (see `add_held`).
-    acquisitions: AtomicU64,
+    /// Written only by the holder ([`Counter::add_held`]).
+    contended_total: Counter,
+    /// Written only by the holder ([`Counter::add_held`]).
+    acquisitions: Counter,
     /// Rung after every release once an engine has run: what tasks waiting
     /// for the mutex wait on.
     released: Notify,
@@ -76,14 +75,6 @@ pub struct ContentionLock<T> {
 struct Held<T> {
     value: T,
     sections: Resource,
-}
-
-/// Add `n` to a counter that only the lock holder writes: the mutex orders
-/// every writer's load and store, so no update is lost and no
-/// read-modify-write is needed. Readers outside the lock see some recent
-/// total.
-fn add_held(counter: &AtomicU64, n: u64) {
-    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 impl<T> ContentionLock<T> {
@@ -100,8 +91,8 @@ impl<T> ContentionLock<T> {
                 sections: Resource::new(),
             }),
             costs,
-            contended_total: AtomicU64::new(0),
-            acquisitions: AtomicU64::new(0),
+            contended_total: Counter::new(),
+            acquisitions: Counter::new(),
             released: Notify::new(),
         }
     }
@@ -112,8 +103,9 @@ impl<T> ContentionLock<T> {
     pub fn lock<'a>(&'a self, clock: &mut Clock) -> ContentionGuard<'a, T> {
         let guard = self.lock_unmodeled();
         clock.advance(self.costs.acquire_base);
-        add_held(&self.contended_total, self.costs.acquire_base.as_ns());
-        add_held(&self.acquisitions, 1);
+        self.contended_total
+            .add_held(self.costs.acquire_base.as_ns());
+        self.acquisitions.add_held(1);
         ContentionGuard {
             guard,
             entered_at: clock.now(),
@@ -131,12 +123,12 @@ impl<T> ContentionLock<T> {
     /// Total virtual time all threads were charged by this lock
     /// (acquisitions plus collision shifts at release).
     pub fn contended_total(&self) -> Nanos {
-        Nanos(self.contended_total.load(Ordering::Relaxed))
+        Nanos(self.contended_total.get())
     }
 
     /// Number of successful acquisitions.
     pub fn acquisitions(&self) -> u64 {
-        self.acquisitions.load(Ordering::Relaxed)
+        self.acquisitions.get()
     }
 
     /// Take the real mutex without cost accounting (setup/teardown paths
@@ -182,7 +174,7 @@ impl<'a, T> ContentionGuard<'a, T> {
         let acq = guard.guard.sections.acquire_exclusive(entered_at, busy);
         let shift = acq.start.saturating_sub(entered_at);
         if shift > Nanos::ZERO {
-            add_held(&lock.contended_total, shift.as_ns());
+            lock.contended_total.add_held(shift.as_ns());
         }
         // Release the real mutex before advancing the clock, so the
         // collision-shift yield point fires with the critical section over.
@@ -374,7 +366,7 @@ mod tests {
         // in virtual time until the other has reached its side: the waiter
         // tries the lock only while the holder holds it, and parks. Only the
         // holder's drop — no `release` — can wake it.
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         let l = ContentionLock::new(0u32);
         let (held, trying) = (AtomicBool::new(false), AtomicBool::new(false));
         let (l, held, trying) = (&l, &held, &trying);

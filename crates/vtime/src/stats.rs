@@ -26,6 +26,16 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Add `n` to a counter whose every writer holds one lock: the lock
+    /// orders each writer's load and store, so no update is lost and no
+    /// read-modify-write is needed. Readers outside the lock see some recent
+    /// total. Never mix with [`add`](Self::add) on one counter.
+    #[inline]
+    pub fn add_held(&self, n: u64) {
+        self.0
+            .store(self.0.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -68,6 +78,19 @@ impl Accumulator {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// [`record`](Self::record) for an accumulator whose every writer holds
+    /// one lock (see [`Counter::add_held`]): loads and stores, no
+    /// read-modify-write and no CAS loop.
+    pub fn record_held(&self, v: u64) {
+        let held = |a: &AtomicU64, f: fn(u64, u64) -> u64| {
+            a.store(f(a.load(Ordering::Relaxed), v), Ordering::Relaxed)
+        };
+        held(&self.count, |c, _| c + 1);
+        held(&self.sum, u64::wrapping_add);
+        held(&self.min, u64::min);
+        held(&self.max, u64::max);
     }
 
     /// Record a duration sample.
@@ -146,6 +169,28 @@ mod tests {
         assert_eq!(a.min(), Some(1));
         assert_eq!(a.max(), Some(9));
         assert_eq!(a.mean(), Some(5.0));
+    }
+
+    #[test]
+    fn held_updates_under_one_mutex_lose_no_update() {
+        let (c, a) = (Counter::new(), Accumulator::new());
+        let lock = std::sync::Mutex::new(());
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (c, a, lock) = (&c, &a, &lock);
+                s.spawn(move || {
+                    for i in 0..10_000u64 {
+                        let _held = lock.lock().unwrap();
+                        c.add_held(2);
+                        a.record_held(t * 10_000 + i);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 80_000);
+        assert_eq!(a.count(), 40_000);
+        assert_eq!(a.sum(), (0..40_000).sum::<u64>());
+        assert_eq!((a.min(), a.max()), (Some(0), Some(39_999)));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 """Symbolise a sampler.c dump: share of CPU samples per function.
 
 usage: report.py DUMP [--top N] [--sum REGEX ...] [--by-thread REGEX ...]
+                 [--lines REGEX]
 
 Each sample is one instruction pointer, so a share is *self* time; frames
 inlined at that address (addr2line -i, needs at least line-tables debug info)
@@ -10,6 +11,9 @@ are kept as a chain, innermost first. The table ranks innermost frames;
 `--by-thread` labels each thread by the first regex, in the order given, that
 any of its samples' chains matches ("other" if none does) and prints one
 table, with its own `--sum` line, per label.
+`--lines` takes the samples whose innermost function matches the regex and
+counts them by source line: the innermost file:line, then the frames it is
+inlined into, each with its own line.
 """
 import argparse
 import collections
@@ -35,7 +39,7 @@ def load(path):
 
 
 def symbolise(maps, ips):
-    """ip -> tuple of function names, innermost first."""
+    """ip -> tuple of (function, file:line) frames, innermost first."""
     base = {}  # a PIE object's load base is the start of its first mapping
     for lo, _, obj in maps:
         base[obj] = min(lo, base.get(obj, lo))
@@ -61,9 +65,11 @@ def symbolise(maps, ips):
                 fn = True
             else:
                 if fn:
-                    chains[addrs[i]].append(line)
+                    chains[addrs[i]].append((line, "??:0"))
+                else:
+                    chains[addrs[i]][-1] = (chains[addrs[i]][-1][0], line)
                 fn = not fn
-    return {ip: tuple(c) or ("??",) for ip, c in chains.items()}
+    return {ip: tuple(c) or (("??", "??:0"),) for ip, c in chains.items()}
 
 
 def table(ips, chains, top, sums):
@@ -76,6 +82,30 @@ def table(ips, chains, top, sums):
         pats = [re.compile(p) for p in sums]
         hit = sum(any(p.search(f) for p in pats for f in chains.get(ip, ())) for ip in ips)
         print(f"{100 * hit / total:6.2f}%  sum over {sums}")
+
+
+def short(fn, where):
+    """`f<T>`, `.../crates/core/src/vci.rs:812 (discriminator 2)` ->
+    `core/src/vci.rs:812 f`: the path's last three parts, no generic args."""
+    prev = None
+    while prev != fn:
+        prev, fn = fn, re.sub(r"(?<=\w)<[^<>]*>", "", fn)
+    path = where.split(" ")[0]
+    return "/".join(path.split("/")[-3:]) + " " + fn
+
+
+def lines(ips, frames, pattern, top):
+    """The samples whose innermost function matches `pattern`, by line."""
+    pat = re.compile(pattern)
+    hits = [ip for ip in ips if ip in frames and pat.search(frames[ip][0][0])]
+    print(f"\n{len(hits)} samples ({100 * len(hits) / max(len(ips), 1):.2f}% of all) "
+          f"in functions matching {pattern!r}, by line (innermost first):")
+    by_line = collections.Counter(
+        tuple(short(fn, where) for fn, where in frames[ip]) for ip in hits)
+    for chain, n in by_line.most_common(top):
+        print(f"{n:6d} {100 * n / max(len(hits), 1):6.2f}%  {chain[0]}")
+        for outer in chain[1:]:
+            print(f"{'':15s}<- {outer}")
 
 
 def by_thread(samples, chains, regexes):
@@ -100,11 +130,15 @@ def main():
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--sum", nargs="*", default=[], metavar="REGEX")
     ap.add_argument("--by-thread", nargs="+", default=[], metavar="REGEX")
+    ap.add_argument("--lines", metavar="REGEX")
     args = ap.parse_args()
     maps, samples, dropped = load(args.dump)
     ips = [ip for _, ip in samples]
-    chains = symbolise(maps, ips)
+    frames = symbolise(maps, ips)
+    chains = {ip: tuple(fn for fn, _ in f) for ip, f in frames.items()}
     print(f"{len(ips)} samples ({dropped} dropped)")
+    if args.lines:
+        lines(ips, frames, args.lines, args.top)
     if not args.by_thread:
         table(ips, chains, args.top, args.sum)
         return
