@@ -13,9 +13,10 @@
 
 use std::time::Instant;
 
-use rankmpi_bench::json::{write_bench_json, Json};
+use rankmpi_bench::write_bench_json;
 use rankmpi_bench::{print_table, ratio, takeaway};
 use rankmpi_core::{LaunchMode, TaskLaunch};
+use rankmpi_obs::json::Value;
 use rankmpi_obs::registry;
 use rankmpi_vtime::Nanos;
 use rankmpi_workloads::stencil::halo::{run_halo, HaloConfig, HaloMechanism};
@@ -69,12 +70,12 @@ fn scale_sweep() {
             format!("{}", rep.per_iter),
             peak.to_string(),
         ]);
-        sweep_json.push(Json::obj([
-            ("ranks", Json::int(ranks as u64)),
-            ("threads_per_rank", Json::int(4)),
-            ("wall_ms_per_step", Json::Num(wall_ms_per_step)),
-            ("sim_per_iter_ns", Json::int(rep.per_iter.as_ns())),
-            ("peak_tasks", Json::int(peak)),
+        sweep_json.push(Value::obj([
+            ("ranks", Value::int(ranks as u64)),
+            ("threads_per_rank", Value::int(4)),
+            ("wall_ms_per_step", Value::Num(wall_ms_per_step)),
+            ("sim_per_iter_ns", Value::int(rep.per_iter.as_ns())),
+            ("peak_tasks", Value::int(peak)),
         ]));
     }
     print_table(
@@ -84,11 +85,11 @@ fn scale_sweep() {
     );
     write_bench_json(
         "fig1b_scale",
-        &Json::obj([
-            ("bench", Json::str("fig1b_stencil_scaling")),
-            ("mechanism", Json::str("tags_hashed")),
-            ("launch", Json::str("tasks")),
-            ("sweep", Json::Arr(sweep_json)),
+        &Value::obj([
+            ("bench", Value::str("fig1b_stencil_scaling")),
+            ("mechanism", Value::str("tags_hashed")),
+            ("launch", Value::str("tasks")),
+            ("sweep", Value::Arr(sweep_json)),
         ]),
     );
 }

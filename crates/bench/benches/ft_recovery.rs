@@ -22,13 +22,15 @@
 //! `BENCH_ft_recovery.json` carries the same numbers for regression
 //! tooling.
 
-use rankmpi_bench::json::{percentiles_json, registry_samples, write_bench_json, Json};
+use rankmpi_bench::{percentile, percentiles_json, write_bench_json};
 use rankmpi_bench::{print_table, takeaway};
 use rankmpi_core::{
     Communicator, Errhandler, LaunchMode, RankMpiError, ReduceOp, TaskLaunch, ThreadCtx, Universe,
 };
 use rankmpi_fabric::ft::PROBE_TIMEOUT;
 use rankmpi_fabric::FaultPlan;
+use rankmpi_obs::json::Value;
+use rankmpi_obs::registry::registry_samples;
 use rankmpi_vtime::Nanos;
 use std::time::{Duration, Instant};
 
@@ -349,8 +351,8 @@ fn bench_goodput() -> Goodput {
 // ------------------------------------------------------------------ main
 
 fn p50_max(samples: &[u64]) -> (u64, u64) {
-    let p50 = rankmpi_bench::json::percentile(samples, 50.0).unwrap_or(0);
-    let max = rankmpi_bench::json::percentile(samples, 100.0).unwrap_or(0);
+    let p50 = percentile(samples, 50.0).unwrap_or(0);
+    let max = percentile(samples, 100.0).unwrap_or(0);
     (p50, max)
 }
 
@@ -452,34 +454,34 @@ fn main() {
         "survivors must make progress after the shrink"
     );
 
-    let json = Json::obj([
+    let json = Value::obj([
         (
             "detection",
-            Json::obj([
-                ("probe_timeout_ns", Json::int(PROBE_TIMEOUT.0)),
+            Value::obj([
+                ("probe_timeout_ns", Value::int(PROBE_TIMEOUT.0)),
                 ("from_crash_ns", percentiles_json(&detection.from_crash)),
                 ("from_post_ns", percentiles_json(&detection.from_post)),
             ]),
         ),
         (
             "revoke",
-            Json::obj([
-                ("ranks", Json::int(REVOKE_RANKS as u64)),
+            Value::obj([
+                ("ranks", Value::int(REVOKE_RANKS as u64)),
                 ("propagation_ns", percentiles_json(&revoke)),
             ]),
         ),
         (
             "shrink_scale",
-            Json::Arr(
+            Value::Arr(
                 shrink
                     .iter()
                     .map(|t| {
-                        Json::obj([
-                            ("ranks", Json::int(t.ranks as u64)),
-                            ("launch", Json::str("tasks")),
+                        Value::obj([
+                            ("ranks", Value::int(t.ranks as u64)),
+                            ("launch", Value::str("tasks")),
                             ("agree_wall_ns", percentiles_json(&t.agree_wall_ns)),
                             ("shrink_wall_ns", percentiles_json(&t.shrink_wall_ns)),
-                            ("tier_wall_ms", Json::int(t.wall_ms_total)),
+                            ("tier_wall_ms", Value::int(t.wall_ms_total)),
                         ])
                     })
                     .collect(),
@@ -487,18 +489,18 @@ fn main() {
         ),
         (
             "goodput",
-            Json::obj([
-                ("workload", Json::str("ring_halo")),
-                ("procs", Json::int(GOOD_PROCS as u64)),
-                ("iters", Json::int(GOOD_ITERS as u64)),
-                ("seed", Json::int(goodput.seed)),
-                ("victim", Json::int(goodput.victim as u64)),
-                ("final_size", Json::int(goodput.final_size as u64)),
+            Value::obj([
+                ("workload", Value::str("ring_halo")),
+                ("procs", Value::int(GOOD_PROCS as u64)),
+                ("iters", Value::int(GOOD_ITERS as u64)),
+                ("seed", Value::int(goodput.seed)),
+                ("victim", Value::int(goodput.victim as u64)),
+                ("final_size", Value::int(goodput.final_size as u64)),
                 (
                     "before_iters_per_ms",
-                    Json::Num(goodput.before_iters_per_ms),
+                    Value::Num(goodput.before_iters_per_ms),
                 ),
-                ("after_iters_per_ms", Json::Num(goodput.after_iters_per_ms)),
+                ("after_iters_per_ms", Value::Num(goodput.after_iters_per_ms)),
             ]),
         ),
         ("ft_counters", registry_samples("ft.")),

@@ -10,9 +10,11 @@
 //! 808 communicators on Omni-Path's 160 contexts) and pays gate contention;
 //! endpoints use only as many contexts as there are communicating threads.
 
-use rankmpi_bench::json::{registry_samples, write_bench_json, Json};
+use rankmpi_bench::write_bench_json;
 use rankmpi_bench::{print_table, ratio, takeaway};
 use rankmpi_fabric::NetworkProfile;
+use rankmpi_obs::json::Value;
+use rankmpi_obs::registry::registry_samples;
 use rankmpi_vtime::Nanos;
 use rankmpi_workloads::commcount::{
     communicators_required_3d, min_channels_3d, overprovision_ratio,
@@ -136,35 +138,35 @@ fn main() {
         &[fmt(&comm_rep), fmt(&ep_rep)],
     );
 
-    let mech_json = |r: &rankmpi_workloads::stencil::halo::HaloReport, nic: Json| {
-        Json::obj([
-            ("mechanism", Json::str(r.mechanism)),
-            ("channels", Json::int(r.channels_created as u64)),
-            ("hw_contexts", Json::int(r.hw_contexts_used as u64)),
-            ("oversubscription", Json::Num(r.oversubscription)),
-            ("comm_per_iter_ns", Json::int(comm_time(r).as_ns())),
-            ("per_iter_ns", Json::int(r.per_iter.as_ns())),
-            ("gate_contention_ns", Json::int(r.gate_contention.as_ns())),
+    let mech_json = |r: &rankmpi_workloads::stencil::halo::HaloReport, nic: Value| {
+        Value::obj([
+            ("mechanism", Value::str(r.mechanism)),
+            ("channels", Value::int(r.channels_created as u64)),
+            ("hw_contexts", Value::int(r.hw_contexts_used as u64)),
+            ("oversubscription", Value::Num(r.oversubscription)),
+            ("comm_per_iter_ns", Value::int(comm_time(r).as_ns())),
+            ("per_iter_ns", Value::int(r.per_iter.as_ns())),
+            ("gate_contention_ns", Value::int(r.gate_contention.as_ns())),
             ("nic_counters", nic),
         ])
     };
     write_bench_json(
         "lesson3_resources",
-        &Json::obj([
+        &Value::obj([
             (
                 "config",
-                Json::obj([
-                    ("threads_per_proc", Json::int((geo.tx * geo.ty) as u64)),
-                    ("nic_contexts", Json::int(24)),
-                    ("nine_point", Json::Bool(cfg.nine_point)),
-                    ("iters", Json::int(cfg.iters as u64)),
+                Value::obj([
+                    ("threads_per_proc", Value::int((geo.tx * geo.ty) as u64)),
+                    ("nic_contexts", Value::int(24)),
+                    ("nine_point", Value::Bool(cfg.nine_point)),
+                    ("iters", Value::int(cfg.iters as u64)),
                 ]),
             ),
             ("comm_map", mech_json(&comm_rep, comm_nic)),
             ("endpoints", mech_json(&ep_rep, ep_nic)),
             (
                 "comm_over_ep",
-                Json::Num(
+                Value::Num(
                     (comm_rep.per_iter - cfg.compute).as_ns() as f64
                         / (ep_rep.per_iter - cfg.compute).as_ns() as f64,
                 ),

@@ -6,11 +6,12 @@
 //! application tag bits survive once sender/receiver thread ids are encoded,
 //! and at which thread counts layouts stop fitting.
 
-use rankmpi_bench::json::{engine_counters, write_bench_json, Json};
+use rankmpi_bench::{engine_counters, write_bench_json};
 use rankmpi_bench::{print_table, ratio, takeaway};
 use rankmpi_core::matching::EngineKind;
 use rankmpi_core::tag::{bits_for, TagLayout, TagPlacement, TAG_BITS};
 use rankmpi_core::Universe;
+use rankmpi_obs::json::Value;
 use rankmpi_workloads::smilei::{run_smilei, SmileiConfig, SmileiMode};
 
 fn main() {
@@ -114,7 +115,7 @@ fn main() {
                 for t in 0..patches {
                     world.send(&mut th, 1, t, &[7u8; 64][..]).unwrap();
                 }
-                Json::Null
+                Value::Null
             } else {
                 // A tag-overflowed consumer drains patches in its own order,
                 // not arrival order — the worst case for a linear scan.
@@ -131,10 +132,10 @@ fn main() {
         let counters = out
             .into_iter()
             .map(|(_, c)| c)
-            .find(|c| *c != Json::Null)
+            .find(|c| *c != Value::Null)
             .unwrap();
-        engines_json.push(Json::obj([
-            ("total_time_ns", Json::int(total.as_ns())),
+        engines_json.push(Value::obj([
+            ("total_time_ns", Value::int(total.as_ns())),
             ("receiver_counters", counters),
         ]));
     }
@@ -156,10 +157,10 @@ fn main() {
     );
     write_bench_json(
         "lesson9_tag_overflow",
-        &Json::obj([
-            ("bench", Json::str("lesson9_tag_overflow")),
-            ("patches", Json::int(patches as u64)),
-            ("engines", Json::Arr(engines_json)),
+        &Value::obj([
+            ("bench", Value::str("lesson9_tag_overflow")),
+            ("patches", Value::int(patches as u64)),
+            ("engines", Value::Arr(engines_json)),
         ]),
     );
 

@@ -1,24 +1,21 @@
-//! Criterion microbenchmarks of the library's hot paths (real wall time, not
-//! virtual time): matching-engine scans at varying queue depths under both
-//! engines, resource acquisition, contention-lock round trips, and tag
-//! encoding — plus a simulated-cost ablation of linear vs sequence-merged
-//! matching and a machine-readable
-//! `BENCH_micro_hotpaths.json` summary.
+//! Hot-path cost gates: the simulated linear-vs-`seq_merged` matching cost
+//! over unexpected-queue depths (the `CoreCosts` model, deterministic), plus
+//! two wall-clock ratio gates, `Resource::acquire` against its history and an
+//! engine yield point against a second worker. Each section asserts its
+//! claim, and the run writes `BENCH_micro_hotpaths.json`. Per-structure wall
+//! costs (mailbox, matching, lock, launch) live in `benchmark/`'s probes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use bytes::Bytes;
-use rankmpi_bench::json::{engine_counters, write_bench_json, Json};
-use rankmpi_bench::{mailbox_costs, print_table, ratio};
+use rankmpi_bench::{print_table, write_bench_json};
 use rankmpi_core::costs::CoreCosts;
 use rankmpi_core::matching::{EngineKind, MatchPattern, PostedRecv, ANY_SOURCE, ANY_TAG};
 use rankmpi_core::request::ReqState;
-use rankmpi_core::tag::{default_tag_hash, TagLayout, TagPlacement};
-use rankmpi_core::{LaunchMode, TaskLaunch, Universe};
 use rankmpi_fabric::{Header, Packet};
+use rankmpi_obs::json::Value;
 use rankmpi_vtime::engine::{self, Dispatch, EngineConfig, TaskFn};
-use rankmpi_vtime::{Clock, ContentionLock, Nanos, Resource};
+use rankmpi_vtime::{Clock, Nanos, Resource};
 
 fn pkt(ctx: u32, src: u32, tag: i64) -> Packet {
     Packet {
@@ -49,50 +46,16 @@ fn recv(ctx: u32, src: i64, tag: i64) -> PostedRecv {
     }
 }
 
-fn bench_matching(c: &mut Criterion) {
-    let mut g = c.benchmark_group("matching_engine");
-    for kind in EngineKind::all() {
-        for depth in [0usize, 16, 128, 1024] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("post_recv_scan_{}", kind.name()), depth),
-                &depth,
-                |b, &depth| {
-                    b.iter_batched(
-                        || {
-                            let mut e = kind.new_engine();
-                            for i in 0..depth {
-                                e.incoming(pkt(1, 0, i as i64));
-                            }
-                            e
-                        },
-                        |mut e| {
-                            // Miss: the linear engine scans the whole
-                            // unexpected queue; the merged engine answers
-                            // from an empty index. Return the engine so its
-                            // teardown is not timed.
-                            let (m, work) = e.post_recv(recv(1, 0, depth as i64 + 1));
-                            black_box((m.is_some(), work.scanned));
-                            e
-                        },
-                        criterion::BatchSize::SmallInput,
-                    );
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
 /// Simulated matching cost (the `CoreCosts` model, not wall time) for every
-/// engine across unexpected-queue depths, plus live engine counters from a
-/// reordered exchange. Writes `BENCH_micro_hotpaths.json`.
-fn bench_engine_ablation(_c: &mut Criterion) {
+/// engine across unexpected-queue depths: one row per depth with each
+/// engine's exact and wildcard cost in ns.
+fn sim_matching_cost() -> Value {
     let costs = CoreCosts::default();
     let mut rows = Vec::new();
     let mut sweep_json = Vec::new();
     for depth in [1usize, 16, 64, 256, 1024] {
         let mut per_kind = Vec::new();
-        let mut jrow = vec![("depth".to_string(), Json::int(depth as u64))];
+        let mut jrow = vec![("depth".to_string(), Value::int(depth as u64))];
         for kind in EngineKind::all() {
             // Exact receive of the last-arrived of `depth` uniquely tagged
             // unexpected packets: the hot path tag-multiplexed apps hit.
@@ -113,11 +76,11 @@ fn bench_engine_ablation(_c: &mut Criterion) {
             let wild = costs.match_cost_of(&work);
             jrow.push((
                 format!("{}_exact_ns", kind.name()),
-                Json::int(exact.as_ns()),
+                Value::int(exact.as_ns()),
             ));
             jrow.push((
                 format!("{}_wildcard_ns", kind.name()),
-                Json::int(wild.as_ns()),
+                Value::int(wild.as_ns()),
             ));
             per_kind.push((exact, wild));
         }
@@ -146,7 +109,7 @@ fn bench_engine_ablation(_c: &mut Criterion) {
             format!("{}", lin.1),
             format!("{}", mrg.1),
         ]);
-        sweep_json.push(Json::Obj(jrow));
+        sweep_json.push(Value::obj(jrow));
     }
     print_table(
         "Simulated matching cost — linear vs seq_merged (unexpected-depth sweep)",
@@ -159,172 +122,10 @@ fn bench_engine_ablation(_c: &mut Criterion) {
         ],
         &rows,
     );
-
-    // Live engine counters: rank 0 sends 64 uniquely tagged messages, rank 1
-    // drains them in reverse, snapshotting its VCI counters halfway while the
-    // unexpected queue is still deep.
-    let n = 64i64;
-    let mut engines_json = Vec::new();
-    for kind in EngineKind::all() {
-        let u = Universe::builder().nodes(2).matching(kind).build();
-        let snaps = u.run(|env| {
-            let world = env.world();
-            let mut th = env.single_thread();
-            if env.rank() == 0 {
-                for t in 0..n {
-                    world.send(&mut th, 1, t, b"payload").unwrap();
-                }
-                Json::Null
-            } else {
-                for t in (n / 2..n).rev() {
-                    world.recv(&mut th, 0, t).unwrap();
-                }
-                let snap = engine_counters(&env.proc().vci(world.vci_block()[0]));
-                for t in (0..n / 2).rev() {
-                    world.recv(&mut th, 0, t).unwrap();
-                }
-                snap
-            }
-        });
-        let snap = snaps.into_iter().find(|s| *s != Json::Null).unwrap();
-        engines_json.push(snap);
-    }
-
-    // Datapath rows: single-thread mailbox push cost and drain rate (the
-    // `datapath` bench has the rest; these keep the hot-path summary
-    // self-contained).
-    let (ring_push_ns, ring_drain_tput) = mailbox_costs(512);
-    print_table(
-        "Mailbox datapath — single thread, 4 channels x 32 pushes per drain",
-        &["ns/push", "drain msgs/s"],
-        &[vec![
-            format!("{ring_push_ns:.0}"),
-            format!("{ring_drain_tput:.3e}"),
-        ]],
-    );
-
-    write_bench_json(
-        "micro_hotpaths",
-        &Json::obj([
-            ("bench", Json::str("micro_hotpaths")),
-            ("sim_matching_cost", Json::Arr(sweep_json)),
-            ("receiver_counters_mid_drain", Json::Arr(engines_json)),
-            ("resource_acquire_ns", resource_acquire_ns()),
-            ("engine_yield_ns", engine_yield_ns()),
-            (
-                "datapath_ablation",
-                Json::obj([
-                    ("ring_ns_per_push", Json::Num(ring_push_ns)),
-                    ("ring_drain_msgs_per_sec", Json::Num(ring_drain_tput)),
-                ]),
-            ),
-        ]),
-    );
+    Value::Arr(sweep_json)
 }
 
-/// Wall-clock nanoseconds per pingpong iteration (2 ranks, 1 thread each,
-/// blocking send/recv round trip) — the hot path the `obs` feature must not
-/// tax when disabled.
-fn pingpong_wall_ns_per_iter(iters: usize) -> f64 {
-    let u = Universe::builder().nodes(2).build();
-    let start = std::time::Instant::now();
-    u.run(|env| {
-        let world = env.world();
-        let mut th = env.single_thread();
-        let peer = 1 - env.rank();
-        for i in 0..iters {
-            let tag = (i % 512) as i64;
-            if env.rank() == 0 {
-                world.send(&mut th, peer, tag, b"pingpong").unwrap();
-                world.recv(&mut th, peer as i64, tag).unwrap();
-            } else {
-                world.recv(&mut th, peer as i64, tag).unwrap();
-                world.send(&mut th, peer, tag, b"pingpong").unwrap();
-            }
-        }
-    });
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// Median-of-repeats pingpong timing, written to the summary JSON. The file
-/// name carries the tracer state (`micro_hotpaths` vs `micro_hotpaths_obs`)
-/// so feature-off and feature-on runs can sit side by side and be diffed:
-/// their ratio is the compiled-in tracer's overhead. The rank threads are
-/// not pinned, so the absolute number depends on where the kernel puts them
-/// (`benchmark/`'s pinned `pingpong` is the wall-clock measuring stick).
-fn bench_pingpong_overhead(_c: &mut Criterion) {
-    let iters = 2_000;
-    pingpong_wall_ns_per_iter(iters); // warmup
-    let mut runs: Vec<f64> = (0..5).map(|_| pingpong_wall_ns_per_iter(iters)).collect();
-    runs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = runs[runs.len() / 2];
-    println!(
-        "\npingpong hot path: {median:.0} ns/iter wall (obs compiled: {})",
-        rankmpi_obs::COMPILED
-    );
-    let name = if rankmpi_obs::COMPILED {
-        "micro_hotpaths_pingpong_obs"
-    } else {
-        "micro_hotpaths_pingpong"
-    };
-    write_bench_json(
-        name,
-        &Json::obj([
-            ("bench", Json::str("micro_hotpaths")),
-            ("obs_compiled", Json::Bool(rankmpi_obs::COMPILED)),
-            ("pingpong_iters", Json::int(iters as u64)),
-            ("pingpong_ns_per_iter_median", Json::Num(median)),
-            (
-                "pingpong_ns_per_iter_runs",
-                Json::Arr(runs.into_iter().map(Json::Num).collect()),
-            ),
-        ]),
-    );
-}
-
-/// Real wall time to build, run a trivial per-rank body, and join a 64-rank
-/// universe under each launch mode — the fixed cost a large-rank run pays for
-/// OS-thread-per-rank vs cooperatively scheduled rank-tasks. Writes
-/// `BENCH_micro_hotpaths_launch.json`.
-fn bench_launch_overhead(_c: &mut Criterion) {
-    const RANKS: usize = 64;
-    let run_once = |mode: LaunchMode| -> f64 {
-        let u = Universe::builder().nodes(RANKS).launch(mode).build();
-        let start = std::time::Instant::now();
-        u.run(|env| env.rank());
-        start.elapsed().as_secs_f64() * 1e6
-    };
-    let median = |mode: LaunchMode| -> f64 {
-        run_once(mode); // warmup
-        let mut runs: Vec<f64> = (0..5).map(|_| run_once(mode)).collect();
-        runs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        runs[runs.len() / 2]
-    };
-    let threads_us = median(LaunchMode::Threads);
-    let tasks_us = median(LaunchMode::Tasks(TaskLaunch::default()));
-    print_table(
-        "Launch + join overhead — trivial per-rank body (real wall time, median of 5)",
-        &["ranks", "threads", "tasks", "threads/tasks"],
-        &[vec![
-            RANKS.to_string(),
-            format!("{threads_us:.0} us"),
-            format!("{tasks_us:.0} us"),
-            ratio(threads_us, tasks_us),
-        ]],
-    );
-    write_bench_json(
-        "micro_hotpaths_launch",
-        &Json::obj([
-            ("bench", Json::str("micro_hotpaths")),
-            ("ranks", Json::int(RANKS as u64)),
-            ("threads_launch_us", Json::Num(threads_us)),
-            ("tasks_launch_us", Json::Num(tasks_us)),
-        ]),
-    );
-}
-
-/// One `bench <group>/<name> … ns/iter` line per row, in the criterion shim's
-/// format.
+/// One `bench <group>/<name> … ns/iter` line per row.
 fn print_rows(group: &str, rows: &[(&str, f64)]) {
     for (name, ns) in rows {
         println!("bench {:<48} {ns:>14.1} ns/iter", format!("{group}/{name}"));
@@ -339,7 +140,7 @@ fn print_rows(group: &str, rows: &[(&str, f64)]) {
 /// behind the frontier of 100k. The two ratio asserts are the regression
 /// gate: the cost of a request may depend neither on how much history the
 /// resource holds nor on how far behind the frontier it lands.
-fn resource_acquire_ns() -> Json {
+fn resource_acquire_ns() -> Value {
     // Sparse history: [15i + 10, 15i + 15), 10-wide gaps.
     let sparse = |n: u64| {
         let r = Resource::new();
@@ -389,7 +190,7 @@ fn resource_acquire_ns() -> Json {
         behind_1k <= 20.0 * append_1k,
         "Resource::acquire behind the frontier fell off a cliff: {rows:?}"
     );
-    Json::obj(rows.map(|(name, ns)| (name, Json::Num(ns))))
+    Value::obj(rows.map(|(name, ns)| (name, Value::Num(ns))))
 }
 
 /// Wall nanoseconds per `Clock::advance` inside an engine task that has
@@ -400,7 +201,7 @@ fn resource_acquire_ns() -> Json {
 /// engine lock, so all the tasks share is the step flush every 64th point;
 /// the ratio assert is the regression gate, and a lock taken per point is
 /// exactly the cliff it catches.
-fn engine_yield_ns() -> Json {
+fn engine_yield_ns() -> Value {
     const POINTS: u64 = 1_000_000;
     let best_ns = |workers: usize| {
         (0..11)
@@ -439,47 +240,17 @@ fn engine_yield_ns() -> Json {
         two <= 3.0 * one,
         "a yield point that does not switch got slower with a second worker: {rows:?}"
     );
-    Json::obj(rows.map(|(name, ns)| (name, Json::Num(ns))))
+    Value::obj(rows.map(|(name, ns)| (name, Value::Num(ns))))
 }
 
-fn bench_lock(c: &mut Criterion) {
-    c.bench_function("contention_lock_roundtrip", |b| {
-        let l = ContentionLock::new(0u64);
-        let mut clock = Clock::new();
-        b.iter(|| {
-            let mut g = l.lock(&mut clock);
-            *g += 1;
-            g.release(&mut clock);
-        });
-    });
+fn main() {
+    write_bench_json(
+        "micro_hotpaths",
+        &Value::obj([
+            ("bench", Value::str("micro_hotpaths")),
+            ("sim_matching_cost", sim_matching_cost()),
+            ("resource_acquire_ns", resource_acquire_ns()),
+            ("engine_yield_ns", engine_yield_ns()),
+        ]),
+    );
 }
-
-fn bench_tags(c: &mut Criterion) {
-    let layout = TagLayout::for_threads(64, TagPlacement::Msb).unwrap();
-    c.bench_function("tag_encode_decode", |b| {
-        b.iter(|| {
-            let t = layout
-                .encode(black_box(13), black_box(57), black_box(1000))
-                .unwrap();
-            black_box(layout.decode(t))
-        });
-    });
-    c.bench_function("default_tag_hash", |b| {
-        let mut t = 0i64;
-        b.iter(|| {
-            t += 1;
-            black_box(default_tag_hash(7, t, 16))
-        });
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_matching,
-    bench_engine_ablation,
-    bench_pingpong_overhead,
-    bench_launch_overhead,
-    bench_lock,
-    bench_tags
-);
-criterion_main!(benches);

@@ -10,10 +10,11 @@
 //! loss-free baseline; `BENCH_resilience.json` carries the same numbers
 //! for regression tooling.
 
-use rankmpi_bench::json::{write_bench_json, Json};
+use rankmpi_bench::write_bench_json;
 use rankmpi_bench::{print_table, ratio, takeaway};
 use rankmpi_core::Universe;
 use rankmpi_fabric::{FaultPlan, ResilReport};
+use rankmpi_obs::json::Value;
 
 const SEED: u64 = 0x5EED_0F1A;
 const ROUNDS: u64 = 256;
@@ -160,34 +161,34 @@ fn main() {
         "the mid-run context failure must trigger a live remap in every tier"
     );
 
-    let json = Json::obj([
-        ("workload", Json::str("pingpong")),
-        ("rounds", Json::int(ROUNDS)),
-        ("payload_bytes", Json::int(BYTES as u64)),
-        ("failover_at_round", Json::int(ROUNDS / 2)),
+    let json = Value::obj([
+        ("workload", Value::str("pingpong")),
+        ("rounds", Value::int(ROUNDS)),
+        ("payload_bytes", Value::int(BYTES as u64)),
+        ("failover_at_round", Value::int(ROUNDS / 2)),
         (
             "tiers",
-            Json::Arr(
+            Value::Arr(
                 outcomes
                     .iter()
                     .map(|o| {
-                        Json::obj([
-                            ("fabric", Json::str(o.label)),
-                            ("drop_prob", Json::Num(o.loss)),
-                            ("delivered", Json::int(o.resil.delivered)),
-                            ("retransmits", Json::int(o.resil.retransmits)),
-                            ("wire_drops", Json::int(o.resil.wire_drops)),
-                            ("link_down_drops", Json::int(o.resil.link_down_drops)),
-                            ("exhausted", Json::int(o.resil.exhausted)),
-                            ("spurious_rexmit", Json::int(o.resil.spurious_rexmit)),
-                            ("backpressure_waits", Json::int(o.resil.backpressure_waits)),
-                            ("backpressure_ns", Json::int(o.resil.backpressure_ns)),
-                            ("failovers", Json::int(o.failovers)),
-                            ("nic_shared_allocs", Json::int(o.shared_allocs)),
-                            ("virtual_ns", Json::int(o.virtual_ns)),
+                        Value::obj([
+                            ("fabric", Value::str(o.label)),
+                            ("drop_prob", Value::Num(o.loss)),
+                            ("delivered", Value::int(o.resil.delivered)),
+                            ("retransmits", Value::int(o.resil.retransmits)),
+                            ("wire_drops", Value::int(o.resil.wire_drops)),
+                            ("link_down_drops", Value::int(o.resil.link_down_drops)),
+                            ("exhausted", Value::int(o.resil.exhausted)),
+                            ("spurious_rexmit", Value::int(o.resil.spurious_rexmit)),
+                            ("backpressure_waits", Value::int(o.resil.backpressure_waits)),
+                            ("backpressure_ns", Value::int(o.resil.backpressure_ns)),
+                            ("failovers", Value::int(o.failovers)),
+                            ("nic_shared_allocs", Value::int(o.shared_allocs)),
+                            ("virtual_ns", Value::int(o.virtual_ns)),
                             (
                                 "goodput_vs_lossless",
-                                Json::Num(base_ns as f64 / o.virtual_ns.max(1) as f64),
+                                Value::Num(base_ns as f64 / o.virtual_ns.max(1) as f64),
                             ),
                         ])
                     })

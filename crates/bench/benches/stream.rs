@@ -9,10 +9,11 @@
 //! `BENCH_stream.json` carries throughput plus p50/p90/p99 latency per row
 //! for regression tooling.
 
-use rankmpi_bench::json::{histogram_json, percentile, percentiles_json, write_bench_json, Json};
+use rankmpi_bench::{histogram_json, percentile, percentiles_json, write_bench_json};
 use rankmpi_bench::{print_table, takeaway};
 use rankmpi_core::LaunchMode;
 use rankmpi_fabric::FaultPlan;
+use rankmpi_obs::json::Value;
 use rankmpi_vtime::Nanos;
 use rankmpi_workloads::stream::{run_stream, Mechanism, StreamConfig, StreamReport, Topology};
 
@@ -59,30 +60,30 @@ fn base(topology: Topology, mechanism: Mechanism) -> StreamConfig {
     }
 }
 
-fn row_json(fabric: &str, launch: &str, rep: &StreamReport, hist: bool) -> Json {
+fn row_json(fabric: &str, launch: &str, rep: &StreamReport, hist: bool) -> Value {
     let mut fields = vec![
-        ("topology", Json::str(rep.topology)),
-        ("mechanism", Json::str(rep.mechanism)),
-        ("fabric", Json::str(fabric)),
-        ("launch", Json::str(launch)),
-        ("items", Json::int(rep.items)),
-        ("delivered", Json::int(rep.delivered)),
-        ("feedback_items", Json::int(rep.feedback_items)),
-        ("elapsed_ns", Json::int(rep.elapsed.0)),
+        ("topology", Value::str(rep.topology)),
+        ("mechanism", Value::str(rep.mechanism)),
+        ("fabric", Value::str(fabric)),
+        ("launch", Value::str(launch)),
+        ("items", Value::int(rep.items)),
+        ("delivered", Value::int(rep.delivered)),
+        ("feedback_items", Value::int(rep.feedback_items)),
+        ("elapsed_ns", Value::int(rep.elapsed.0)),
         (
             "throughput_items_per_sec",
-            Json::Num(rep.throughput_items_per_sec()),
+            Value::Num(rep.throughput_items_per_sec()),
         ),
         ("latency_ns", percentiles_json(&rep.latencies_ns)),
-        ("credit_stalls", Json::int(rep.credit_stalls)),
-        ("credit_stall_ns", Json::int(rep.credit_stall_ns)),
-        ("reorder_peak", Json::int(rep.reorder_peak as u64)),
-        ("verified", Json::Bool(rep.verified)),
+        ("credit_stalls", Value::int(rep.credit_stalls)),
+        ("credit_stall_ns", Value::int(rep.credit_stall_ns)),
+        ("reorder_peak", Value::int(rep.reorder_peak as u64)),
+        ("verified", Value::Bool(rep.verified)),
     ];
     if hist {
         fields.push(("latency_hist", histogram_json(&rep.latencies_ns)));
     }
-    Json::obj(fields)
+    Value::obj(fields)
 }
 
 fn table_row(fabric: &str, rep: &StreamReport) -> Vec<String> {
@@ -117,7 +118,7 @@ fn main() {
     ];
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut json_rows: Vec<Json> = Vec::new();
+    let mut json_rows: Vec<Value> = Vec::new();
 
     for topo in topologies {
         for mech in Mechanism::ALL {
@@ -201,10 +202,10 @@ fn main() {
 
     write_bench_json(
         "stream",
-        &Json::obj([
-            ("bench", Json::str("stream")),
-            ("seed", Json::int(SEED)),
-            ("rows", Json::Arr(json_rows)),
+        &Value::obj([
+            ("bench", Value::str("stream")),
+            ("seed", Value::int(SEED)),
+            ("rows", Value::Arr(json_rows)),
         ]),
     );
 }

@@ -7,13 +7,16 @@
 //! totals. CI runs this in the `check` job so schedule/fault coverage is a
 //! tracked artifact, not a side effect.
 
-use rankmpi_bench::json::{registry_samples, render, write_bench_json, Json};
+use std::path::PathBuf;
+use std::sync::Arc;
+
 use rankmpi_check::oracle::differential_run_faulted;
 use rankmpi_check::{base_seed, explore, ExploreConfig, Task};
 use rankmpi_fabric::FaultPlan;
+use rankmpi_obs::json::Value;
+use rankmpi_obs::registry::registry_samples;
 use rankmpi_vtime::sched::{yield_point, SchedPoint};
 use rankmpi_vtime::{Clock, ContentionLock, VirtualBarrier};
-use std::sync::Arc;
 
 /// A small but representative task set: three threads contending on one
 /// `ContentionLock` and meeting at a `VirtualBarrier` — every yield-point
@@ -67,35 +70,41 @@ fn main() {
         }
     }
 
-    let out = Json::obj([
-        ("bench", Json::str("check_coverage")),
-        ("base_seed", Json::int(seed)),
+    let out = Value::obj([
+        ("bench", Value::str("check_coverage")),
+        ("base_seed", Value::int(seed)),
         (
             "exploration",
-            Json::obj([
-                ("schedules", Json::int(cov.schedules)),
-                ("decisions", Json::int(cov.decisions)),
+            Value::obj([
+                ("schedules", Value::int(cov.schedules)),
+                ("decisions", Value::int(cov.decisions)),
             ]),
         ),
         (
             "faulted_differential",
-            Json::obj([
-                ("sweep_seeds", Json::int(32)),
-                ("ops", Json::int(ops)),
-                ("delivered", Json::int(delivered)),
-                ("delays", Json::int(delays)),
-                ("duplicates", Json::int(dups)),
-                ("nacks", Json::int(nacks)),
-                ("reorders", Json::int(reorders)),
+            Value::obj([
+                ("sweep_seeds", Value::int(32)),
+                ("ops", Value::int(ops)),
+                ("delivered", Value::int(delivered)),
+                ("delays", Value::int(delays)),
+                ("duplicates", Value::int(dups)),
+                ("nacks", Value::int(nacks)),
+                ("reorders", Value::int(reorders)),
             ]),
         ),
         ("registry_check", registry_samples("check.")),
         ("registry_fault", registry_samples("fault.")),
     ]);
-    println!("{}", render(&out));
-    if let Ok(dir) = std::env::var("RANKMPI_BENCH_DIR") {
-        let _ = std::fs::create_dir_all(dir);
+    let text = out.render_pretty() + "\n";
+    print!("{text}");
+    // Default: the workspace root, two levels above crates/check.
+    let dir = std::env::var_os("RANKMPI_BENCH_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
+    let _ = std::fs::create_dir_all(&dir);
+    let path = dir.join("BENCH_check_coverage.json");
+    match std::fs::write(&path, text) {
+        Ok(()) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
-    // write_bench_json announces the output path itself.
-    write_bench_json("check_coverage", &out);
 }

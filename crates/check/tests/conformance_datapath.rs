@@ -71,66 +71,74 @@ fn concurrent_bursts_past_ring_capacity_deliver_exactly_once_in_order() {
 /// A batched multi-send must deliver exactly what the equivalent singles
 /// deliver, while coalescing its NIC doorbells: `n` messages in one batch
 /// ring one doorbell, and `doorbells + doorbells_coalesced` stays equal to
-/// the NIC message count (so nothing is double-counted or missed).
+/// the NIC message count (so nothing is double-counted or missed). Two
+/// shapes: 16 messages to one peer, and the halo shape, one message to each
+/// of four distinct neighbors, which share the doorbell all the same.
 #[test]
 fn batched_sends_match_singles_and_coalesce_doorbells() {
-    const N: usize = 16;
-    let run = |batched: bool| -> (Vec<Vec<u8>>, u64, u64) {
-        let u = Universe::builder().nodes(2).build();
+    let run = |nodes: usize, dsts: &[usize], batched: bool| -> (Vec<Vec<Vec<u8>>>, u64, u64) {
+        let u = Universe::builder().nodes(nodes).build();
         let got = u.run(|env| {
             let world = env.world();
             let mut th = env.single_thread();
             if env.rank() == 0 {
-                let bodies: Vec<[u8; 24]> = (0..N).map(|i| [i as u8 ^ 0x21; 24]).collect();
+                let bodies: Vec<[u8; 24]> = (0..dsts.len()).map(|i| [i as u8 ^ 0x21; 24]).collect();
                 if batched {
-                    let msgs: Vec<(usize, i64, &[u8])> =
-                        bodies.iter().map(|b| (1usize, 9i64, &b[..])).collect();
+                    let msgs: Vec<(usize, i64, &[u8])> = dsts
+                        .iter()
+                        .zip(&bodies)
+                        .map(|(&d, b)| (d, 9i64, &b[..]))
+                        .collect();
                     for r in world.isend_multi(&mut th, &msgs).unwrap() {
                         r.wait(&mut th.clock);
                     }
                 } else {
-                    for b in &bodies {
-                        world.send(&mut th, 1, 9, b).unwrap();
+                    for (&d, b) in dsts.iter().zip(&bodies) {
+                        world.send(&mut th, d, 9, b).unwrap();
                     }
                 }
                 Vec::new()
             } else {
-                (0..N)
+                let mine = dsts.iter().filter(|&&d| d == env.rank()).count();
+                (0..mine)
                     .map(|_| world.recv(&mut th, 0, 9).unwrap().1.to_vec())
                     .collect()
             }
         });
         let vci = u.shared().proc(0).vci(0);
-        (
-            got.into_iter().find(|v| !v.is_empty()).unwrap_or_default(),
-            vci.doorbells(),
-            vci.doorbells_coalesced(),
-        )
+        (got, vci.doorbells(), vci.doorbells_coalesced())
     };
 
-    let (singles, singles_bells, singles_coal) = run(false);
-    let (batched, batch_bells, batch_coal) = run(true);
-    assert_eq!(
-        batched, singles,
-        "batched multi-send delivered different payloads than singles"
-    );
-    assert_eq!(singles_coal, 0, "singles must never share a doorbell");
-    assert_eq!(
-        singles_bells - batch_bells,
-        (N - 1) as u64,
-        "a batch of {N} must replace {N} doorbell rings with one"
-    );
-    assert_eq!(
-        batch_coal,
-        (N - 1) as u64,
-        "coalesced counter must record the {} sends that shared the ring",
-        N - 1
-    );
-    assert_eq!(
-        batch_bells + batch_coal,
-        singles_bells,
-        "doorbells + coalesced must equal the NIC message count"
-    );
+    for (nodes, dsts) in [(2, vec![1usize; 16]), (5, vec![1, 2, 3, 4])] {
+        let n = dsts.len() as u64;
+        let (singles, singles_bells, singles_coal) = run(nodes, &dsts, false);
+        let (batched, batch_bells, batch_coal) = run(nodes, &dsts, true);
+        assert_eq!(
+            batched, singles,
+            "batched multi-send to {dsts:?} delivered different payloads than singles"
+        );
+        assert_eq!(singles_coal, 0, "singles must never share a doorbell");
+        assert_eq!(
+            batch_bells, 1,
+            "a batch to {dsts:?} must ring exactly one doorbell"
+        );
+        assert_eq!(
+            singles_bells - batch_bells,
+            n - 1,
+            "a batch to {dsts:?} must replace {n} doorbell rings with one"
+        );
+        assert_eq!(
+            batch_coal,
+            n - 1,
+            "coalesced counter must record the {} sends to {dsts:?} that shared the ring",
+            n - 1
+        );
+        assert_eq!(
+            batch_bells + batch_coal,
+            singles_bells,
+            "doorbells + coalesced must equal the NIC message count"
+        );
+    }
 }
 
 /// Burst injection (batched multi-sends) over a lossy fabric: the batch

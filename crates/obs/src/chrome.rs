@@ -8,7 +8,6 @@
 //! timeline groups one track per rank with one row per thread — the same
 //! shape the paper's per-VCI/per-context figures have.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -44,46 +43,47 @@ pub fn to_chrome(trace: &Trace) -> Value {
     }
 
     for s in &trace.spans {
-        let mut args = BTreeMap::new();
-        args.insert("start_ns".to_string(), Value::from(s.start.as_ns()));
-        args.insert("end_ns".to_string(), Value::from(s.end.as_ns()));
-        args.insert("kind".to_string(), Value::from(s.kind.label()));
+        let mut args = vec![
+            ("start_ns", Value::int(s.start.as_ns())),
+            ("end_ns", Value::int(s.end.as_ns())),
+            ("kind", Value::str(s.kind.label())),
+        ];
         if !s.res.is_none() {
-            args.insert("res".to_string(), Value::Str(s.res.label()));
+            args.push(("res", Value::str(s.res.label())));
         }
-        let mut ev = BTreeMap::new();
-        ev.insert("name".to_string(), Value::from(s.name));
-        ev.insert("cat".to_string(), Value::from(s.cat));
-        ev.insert("ph".to_string(), Value::from("X"));
-        ev.insert("ts".to_string(), Value::Num(s.start.as_ns() as f64 / 1e3));
-        ev.insert("dur".to_string(), Value::Num(s.dur().as_ns() as f64 / 1e3));
-        ev.insert("pid".to_string(), Value::from(u64::from(s.pid)));
-        ev.insert("tid".to_string(), Value::from(u64::from(s.tid)));
-        ev.insert("args".to_string(), Value::Obj(args));
-        events.push(Value::Obj(ev));
+        events.push(Value::obj([
+            ("name", Value::str(s.name)),
+            ("cat", Value::str(s.cat)),
+            ("ph", Value::str("X")),
+            ("ts", Value::Num(s.start.as_ns() as f64 / 1e3)),
+            ("dur", Value::Num(s.dur().as_ns() as f64 / 1e3)),
+            ("pid", Value::int(u64::from(s.pid))),
+            ("tid", Value::int(u64::from(s.tid))),
+            ("args", Value::obj(args)),
+        ]));
     }
 
-    let mut other = BTreeMap::new();
-    other.insert("dropped_spans".to_string(), Value::from(trace.dropped));
-    let mut root = BTreeMap::new();
-    root.insert("traceEvents".to_string(), Value::Arr(events));
-    root.insert("displayTimeUnit".to_string(), Value::from("ns"));
-    root.insert("otherData".to_string(), Value::Obj(other));
-    Value::Obj(root)
+    Value::obj([
+        ("traceEvents", Value::Arr(events)),
+        ("displayTimeUnit", Value::str("ns")),
+        (
+            "otherData",
+            Value::obj([("dropped_spans", Value::int(trace.dropped))]),
+        ),
+    ])
 }
 
 fn meta_event(name: &str, pid: u32, tid: Option<u32>, label: &str) -> Value {
-    let mut args = BTreeMap::new();
-    args.insert("name".to_string(), Value::from(label));
-    let mut ev = BTreeMap::new();
-    ev.insert("name".to_string(), Value::from(name));
-    ev.insert("ph".to_string(), Value::from("M"));
-    ev.insert("pid".to_string(), Value::from(u64::from(pid)));
+    let mut ev = vec![
+        ("name", Value::str(name)),
+        ("ph", Value::str("M")),
+        ("pid", Value::int(u64::from(pid))),
+        ("args", Value::obj([("name", Value::str(label))])),
+    ];
     if let Some(t) = tid {
-        ev.insert("tid".to_string(), Value::from(u64::from(t)));
+        ev.push(("tid", Value::int(u64::from(t))));
     }
-    ev.insert("args".to_string(), Value::Obj(args));
-    Value::Obj(ev)
+    Value::obj(ev)
 }
 
 /// Directory trace files are written to: `RANKMPI_TRACE_DIR`, defaulting to

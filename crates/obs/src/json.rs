@@ -1,9 +1,11 @@
 //! A dependency-free JSON value, renderer, and recursive-descent parser.
 //!
-//! The workspace is offline (no serde); `rankmpi_bench::json` already renders
-//! JSON without it, but exporting *and verifying* Chrome traces also needs to
-//! **parse** JSON back (the e2e trace test round-trips the file the example
-//! wrote). This module carries both directions for the obs subsystem.
+//! The workspace is offline (no serde). One value type serves every JSON
+//! file the workspace writes or reads: Chrome traces (which the e2e trace
+//! test parses back), the registry snapshot, and the benches'
+//! `BENCH_<name>.json` summaries. [`Value::render`] is compact,
+//! [`Value::render_pretty`] indents two spaces per level; both write a
+//! non-finite number as `null`, so every rendered value parses.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -58,17 +60,42 @@ impl Value {
         }
     }
 
+    /// A string value.
+    pub fn str(s: impl Into<String>) -> Self {
+        Value::Str(s.into())
+    }
+
+    /// An integer value (counters, depths, nanoseconds).
+    pub fn int(v: u64) -> Self {
+        Value::Num(v as f64)
+    }
+
+    /// An object from `(key, value)` pairs; a repeated key keeps the last.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Value)>) -> Self {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Render to a compact JSON string.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_into(&mut out, None);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Render to JSON text indented two spaces per level, one member or
+    /// element per line; empty arrays and objects stay `[]` and `{}`.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, Some(0));
+        out
+    }
+
+    /// `indent` is `None` for compact output, else the current depth.
+    fn render_into(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(n) if !n.is_finite() => out.push_str("null"),
             Value::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9e15 {
                     let _ = write!(out, "{}", *n as i64);
@@ -77,48 +104,46 @@ impl Value {
                 }
             }
             Value::Str(s) => render_str(s, out),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.render_into(out);
-                }
-                out.push(']');
-            }
-            Value::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_str(k, out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
+            Value::Arr(items) => render_seq(out, indent, ('[', ']'), items, |out, v, ind| {
+                v.render_into(out, ind)
+            }),
+            Value::Obj(map) => render_seq(out, indent, ('{', '}'), map, |out, (k, v), ind| {
+                render_str(k, out);
+                out.push_str(if ind.is_some() { ": " } else { ":" });
+                v.render_into(out, ind);
+            }),
         }
     }
 }
 
-impl From<&str> for Value {
-    fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+/// Render a bracketed sequence: compact when `indent` is `None`, else one
+/// item per line at `indent + 1`, closing bracket back at `indent`.
+fn render_seq<I: IntoIterator>(
+    out: &mut String,
+    indent: Option<usize>,
+    (open, close): (char, char),
+    items: I,
+    mut item: impl FnMut(&mut String, I::Item, Option<usize>),
+) {
+    out.push(open);
+    let inner = indent.map(|d| d + 1);
+    let mut any = false;
+    for (i, v) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(d) = inner {
+            out.push('\n');
+            out.push_str(&"  ".repeat(d));
+        }
+        item(out, v, inner);
+        any = true;
     }
-}
-
-impl From<f64> for Value {
-    fn from(n: f64) -> Self {
-        Value::Num(n)
+    if let (true, Some(d)) = (any, indent) {
+        out.push('\n');
+        out.push_str(&"  ".repeat(d));
     }
-}
-
-impl From<u64> for Value {
-    fn from(n: u64) -> Self {
-        Value::Num(n as f64)
-    }
+    out.push(close);
 }
 
 fn render_str(s: &str, out: &mut String) {
@@ -372,6 +397,47 @@ mod tests {
         assert_eq!(Value::Num(100.0).render(), "100");
         assert_eq!(Value::Num(1.25).render(), "1.25");
         assert_eq!(Value::Num(-3.0).render(), "-3");
+    }
+
+    #[test]
+    fn renders_nested_values() {
+        let v = Value::obj([
+            ("name", Value::str("demo")),
+            ("n", Value::int(3)),
+            ("half", Value::Num(0.5)),
+            (
+                "tags",
+                Value::Arr(vec![Value::int(1), Value::Bool(true), Value::Null]),
+            ),
+            ("empty", Value::obj::<&str>([])),
+            ("none", Value::Arr(vec![])),
+        ]);
+        assert_eq!(
+            v.render_pretty(),
+            "{\n  \"empty\": {},\n  \"half\": 0.5,\n  \"n\": 3,\n  \"name\": \"demo\",\n  \
+             \"none\": [],\n  \"tags\": [\n    1,\n    true,\n    null\n  ]\n}"
+        );
+        assert_eq!(
+            v.render(),
+            r#"{"empty":{},"half":0.5,"n":3,"name":"demo","none":[],"tags":[1,true,null]}"#
+        );
+        assert_eq!(parse(&v.render_pretty()).unwrap(), v);
+    }
+
+    #[test]
+    fn escapes_strings() {
+        let s = Value::str("a\"b\\c\nd").render();
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null_and_parse() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let v = Value::obj([("x", Value::Num(n)), ("ok", Value::int(1))]);
+            let want = Value::obj([("x", Value::Null), ("ok", Value::int(1))]);
+            assert_eq!(parse(&v.render()).unwrap(), want, "{n} compact");
+            assert_eq!(parse(&v.render_pretty()).unwrap(), want, "{n} pretty");
+        }
     }
 
     #[test]

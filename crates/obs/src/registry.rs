@@ -22,6 +22,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use rankmpi_vtime::{Accumulator, Counter};
 
+use crate::json;
+
 /// Labels attached to a metric: an ordered `key -> value` map rendered as
 /// `{k1=v1,k2=v2}` in exported names.
 pub type Labels = BTreeMap<&'static str, String>;
@@ -226,6 +228,45 @@ impl Registry {
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
+}
+
+/// One sample as a JSON object: `key`, `name` and `count`, plus `sum`, `min`
+/// and `max` for an accumulator (`null` extrema when it is empty).
+fn sample_json(s: &Sample) -> json::Value {
+    let mut fields = vec![
+        ("key", json::Value::str(s.key())),
+        ("name", json::Value::str(s.name.as_str())),
+    ];
+    match &s.value {
+        Value::Count(n) => fields.push(("count", json::Value::int(*n))),
+        Value::Stats {
+            count,
+            sum,
+            min,
+            max,
+        } => {
+            let ext = |v: &Option<u64>| v.map_or(json::Value::Null, json::Value::int);
+            fields.extend([
+                ("count", json::Value::int(*count)),
+                ("sum", json::Value::int(*sum)),
+                ("min", ext(min)),
+                ("max", ext(max)),
+            ]);
+        }
+    }
+    json::Value::obj(fields)
+}
+
+/// The [`global`] registry's series whose name starts with `prefix` (empty
+/// prefix: every series) as a JSON array of sample objects.
+pub fn registry_samples(prefix: &str) -> json::Value {
+    json::Value::Arr(
+        global()
+            .snapshot_prefix(prefix)
+            .iter()
+            .map(sample_json)
+            .collect(),
+    )
 }
 
 #[cfg(test)]

@@ -187,22 +187,11 @@ pub fn run_halo_ft(cfg: &HaloFtConfig) -> HaloFtReport {
                         iter += 1;
                     }
                     Err(e) if is_ft_error(&e) => {
-                        if std::env::var_os("RANKMPI_FT_DEBUG").is_some() {
-                            eprintln!("[ft] rank {} broke at iter {iter}: {e:?}", env.rank());
-                        }
                         broken = true;
                         break;
                     }
                     Err(e) => panic!("halo step failed: {e:?}"),
                 }
-            }
-            let dbg = std::env::var_os("RANKMPI_FT_DEBUG").is_some();
-            if dbg {
-                eprintln!(
-                    "[ft] rank {} fence: broken={broken} iter={iter} size={}",
-                    env.rank(),
-                    comm.size()
-                );
             }
             // Fence: a broken rank revokes first so no peer stays blocked
             // in its compute phase; then everyone votes on health.
@@ -212,21 +201,10 @@ pub fn run_halo_ft(cfg: &HaloFtConfig) -> HaloFtReport {
             let healthy = comm
                 .agree(&mut th, !broken && !comm.is_revoked())
                 .expect("agreement must resolve for a survivor");
-            if dbg {
-                eprintln!("[ft] rank {} verdict={healthy}", env.rank());
-            }
             if healthy {
                 break true;
             }
             comm = comm.shrink(&mut th).expect("a survivor can always shrink");
-            if dbg {
-                eprintln!(
-                    "[ft] rank {} shrunk to size {} (rank {})",
-                    env.rank(),
-                    comm.size(),
-                    comm.rank()
-                );
-            }
             recoveries += 1;
             assert!(
                 recoveries <= max_rounds,
@@ -244,9 +222,6 @@ pub fn run_halo_ft(cfg: &HaloFtConfig) -> HaloFtReport {
                     comm.revoke(&mut th).expect("revoke cannot fail");
                 }
                 Err(e) => panic!("resync failed: {e:?}"),
-            }
-            if dbg {
-                eprintln!("[ft] rank {} resynced to iter {iter}", env.rank());
             }
         };
         HaloFtRankReport {
