@@ -19,7 +19,7 @@ fn main() {
             vec![
                 "Point-to-point",
                 "communicators (stencil::maps) or tags (VciPolicy::TagBits*)",
-                "endpoints (comm_create_endpoints)",
+                "endpoints (Communicator::create_endpoints)",
                 "partitioned pt2pt (psend_init/precv_init)",
             ],
             vec![
@@ -31,7 +31,7 @@ fn main() {
             vec![
                 "Collective",
                 "communicators + user-driven intranode step (vasp::MultiCommSegmented)",
-                "endpoints (ep_allreduce etc., one-step)",
+                "endpoints (allreduce etc. over endpoint ranks, one-step)",
                 "partitioned collective APIs (TBD in MPI; not standardized)",
             ],
         ],

@@ -14,8 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rankmpi_check::{base_seed, launch_modes_under_test};
-use rankmpi_core::{Errhandler, Info, LaunchMode, RankMpiError, Universe};
-use rankmpi_endpoints::comm_create_endpoints;
+use rankmpi_core::{Errhandler, LaunchMode, RankMpiError, Universe};
 use rankmpi_fabric::{CrashPoint, FaultPlan, NetworkProfile};
 use rankmpi_stream::ft::{run_farm_ft, FarmFtConfig};
 use rankmpi_vtime::Nanos;
@@ -214,7 +213,7 @@ fn endpoint_failures_are_attributed_to_the_owner_process() {
             world.set_errhandler(Errhandler::ErrorsReturn);
             let mut th = env.single_thread();
             // Endpoint ranks 0,1 live on world rank 0; 2,3 on world rank 1.
-            let eps = comm_create_endpoints(&world, &mut th, 2, &Info::new()).unwrap();
+            let eps = world.create_endpoints(&mut th, 2).unwrap();
             if env.rank() == 1 {
                 while world.send(&mut th, 0, 9, b"x").is_ok() {}
                 panic!("rank 1 outlived a probability-1 crash plan");

@@ -797,4 +797,101 @@ mod tests {
             assert_eq!(o, vec![2.0; 3]);
         }
     }
+
+    // One-step collectives over endpoints (Lessons 18 and 19): every
+    // endpoint is a rank of one communicator, so the library's tree spans the
+    // intranode and internode portions in one call.
+
+    #[test]
+    fn one_step_allreduce_across_all_endpoints() {
+        // 2 procs x 3 endpoints: all 6 endpoints allreduce in ONE call — the
+        // library handles internode + intranode (Lesson 18).
+        let u = Universe::builder().nodes(2).threads_per_proc(3).build();
+        let out = u.run(|env| {
+            let world = env.world();
+            let mut th0 = env.single_thread();
+            let eps = world.create_endpoints(&mut th0, 3).unwrap();
+            let eps = &eps;
+            env.parallel(|th| {
+                let ep = &eps[th.tid()];
+                ep.allreduce(th, &[ep.rank() as f64], ReduceOp::Sum)
+                    .unwrap()
+            })
+        });
+        // Sum of ep ranks 0..6 = 15; every endpoint holds its own copy.
+        for per_proc in out {
+            for v in per_proc {
+                assert_eq!(v, vec![15.0]);
+            }
+        }
+    }
+
+    #[test]
+    fn ep_barrier_joins_all_endpoint_clocks() {
+        let u = Universe::builder().nodes(2).threads_per_proc(2).build();
+        let times = u.run(|env| {
+            let world = env.world();
+            let mut th0 = env.single_thread();
+            let eps = world.create_endpoints(&mut th0, 2).unwrap();
+            let eps = &eps;
+            env.parallel(|th| {
+                let ep = &eps[th.tid()];
+                // Stagger by global endpoint rank.
+                th.compute(rankmpi_vtime::Nanos(ep.rank() as u64 * 5_000));
+                ep.barrier(th).unwrap();
+                th.clock.now()
+            })
+        });
+        for per_proc in &times {
+            for t in per_proc {
+                assert!(
+                    t.as_ns() >= 15_000,
+                    "no endpoint leaves before the slowest entered"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ep_bcast_reaches_every_endpoint() {
+        let u = Universe::builder().nodes(2).threads_per_proc(2).build();
+        let out = u.run(|env| {
+            let world = env.world();
+            let mut th0 = env.single_thread();
+            let eps = world.create_endpoints(&mut th0, 2).unwrap();
+            let eps = &eps;
+            env.parallel(|th| {
+                let ep = &eps[th.tid()];
+                let data = (ep.rank() == 1).then_some(&b"hello-eps"[..]);
+                ep.bcast(th, 1, data).unwrap().to_vec()
+            })
+        });
+        for per_proc in out {
+            for b in per_proc {
+                assert_eq!(&b[..], b"hello-eps");
+            }
+        }
+    }
+
+    #[test]
+    fn ep_allgather_orders_by_endpoint_rank() {
+        let u = Universe::builder().nodes(2).threads_per_proc(2).build();
+        let out = u.run(|env| {
+            let world = env.world();
+            let mut th0 = env.single_thread();
+            let eps = world.create_endpoints(&mut th0, 2).unwrap();
+            let eps = &eps;
+            env.parallel(|th| {
+                let ep = &eps[th.tid()];
+                let mine = [ep.rank() as u8 + 100];
+                let all = ep.allgather(th, &mine).unwrap();
+                all.iter().map(|b| b[0]).collect::<Vec<u8>>()
+            })
+        });
+        for per_proc in out {
+            for v in per_proc {
+                assert_eq!(v, vec![100, 101, 102, 103]);
+            }
+        }
+    }
 }

@@ -16,17 +16,9 @@ use crate::vci::VciPolicy;
 /// can never match user point-to-point operations on the same communicator.
 pub const COLL_CTX_BIT: u32 = 0x8000_0000;
 
-/// Marker for how a collective distributes its intranode portion — used by
-/// the workload crates to label measurement series; the core library itself
-/// always performs both portions (Lesson 18's "one-step" behaviour applies to
-/// endpoints/partitioned designs, built in their own crates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollMode {
-    /// The library handles internode + intranode (endpoints/partitioned).
-    OneStep,
-    /// The user performs the intranode step manually (existing mechanisms).
-    UserIntranode,
-}
+/// Key-space bit of [`Communicator::create_endpoints`]'s creation-op index
+/// and rendezvous keys (the same bit as `shrink`'s, whose counter it shares).
+const ENDPOINTS_NS: u32 = 0x2000_0000;
 
 /// An MPI communicator.
 ///
@@ -75,10 +67,9 @@ impl Communicator {
         }
     }
 
-    /// Construct a communicator from parts (used by `dup`/`split` and by the
-    /// extension crates).
+    /// Construct a communicator from parts.
     #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         universe: Arc<UniverseShared>,
         proc: Arc<ProcShared>,
         ctx_id: u32,
@@ -190,7 +181,7 @@ impl Communicator {
     /// hints shape the VCI mapping.
     pub fn dup_with_info(&self, th: &mut ThreadCtx, info: Info) -> Result<Communicator> {
         let (policy, want_vcis) = policy_from_info(&info)?;
-        let idx = self.proc.next_dup_index(self.ctx_id);
+        let idx = self.creation_index(0)?;
         let (ctx_id, block) = self.universe.agree_comm((self.ctx_id, idx, 0), want_vcis);
         // `rankmpi_resil_*` hints reconfigure the reliability protocol on
         // every VCI of the block. On a loss-free fabric there is no resil
@@ -234,7 +225,7 @@ impl Communicator {
     /// same color land in the same child, ordered by `(key, parent rank)`.
     /// A negative color (like `MPI_UNDEFINED`) yields `None`.
     pub fn split(&self, th: &mut ThreadCtx, color: i64, key: i64) -> Result<Option<Communicator>> {
-        let idx = self.proc.next_dup_index(self.ctx_id);
+        let idx = self.creation_index(0)?;
         let all =
             self.universe
                 .gather_split((self.ctx_id, idx), self.my_rank, self.size(), color, key);
@@ -270,6 +261,121 @@ impl Communicator {
             coll_seq: Arc::new(AtomicU64::new(0)),
             errhandler: Arc::new(AtomicU8::new(self.errhandler.load(Ordering::Relaxed))),
         }))
+    }
+
+    /// `MPI_Comm_create_endpoints` (the paper's Fig. 2), collective over this
+    /// communicator: every process passes its own `my_num_ep` and receives
+    /// that many communicators, one per endpoint. An endpoint *is* a rank:
+    /// all of them share one new context, and ranks are laid out in owner
+    /// order (this communicator's rank 0's endpoints first), so
+    /// [`endpoint_rank`](Self::endpoint_rank) addresses any of them.
+    ///
+    /// Under [`VciPolicy::PerRank`] each endpoint rank owns a dedicated VCI
+    /// drawn from the node's bounded hardware-context pool, so creating more
+    /// endpoints than the NIC has contexts degrades into sharing (Lessons 12
+    /// and 17). Point-to-point, collectives and fault handling are the
+    /// ordinary communicator's; collectives are one-step over all endpoints
+    /// (Lesson 18), and every endpoint holds its own copy of a replicated
+    /// result (Lesson 19). Creation calls on the returned communicators fail:
+    /// see [`creation_index`](Self::creation_index).
+    pub fn create_endpoints(
+        &self,
+        th: &mut ThreadCtx,
+        my_num_ep: usize,
+    ) -> Result<Vec<Communicator>> {
+        if my_num_ep == 0 {
+            return Err(Error::InvalidState("my_num_ep must be at least 1"));
+        }
+        let idx = self.creation_index(ENDPOINTS_NS)?;
+        let board = self.ctx_id | ENDPOINTS_NS;
+        // The collective agreement on endpoint counts, on the split board.
+        let counts = self.universe.gather_split(
+            (board, idx),
+            self.my_rank,
+            self.size(),
+            my_num_ep as i64,
+            0,
+        );
+        // The context id (the standard VCI block goes unused: endpoints own
+        // dedicated VCIs outside the pool).
+        let (ctx_id, _block) = self
+            .universe
+            .agree_comm((self.ctx_id, idx | (1 << 62), 0), 1);
+        // My endpoints' VCIs get consecutive indices because `add_vci`
+        // appends and one thread per process creates; a second rendezvous
+        // publishes each process's first one.
+        let my_vcis: Vec<usize> = (0..my_num_ep).map(|_| self.proc.add_vci()).collect();
+        debug_assert!(my_vcis.windows(2).all(|w| w[1] == w[0] + 1));
+        let starts = self.universe.gather_split(
+            (board, idx | (1 << 61)),
+            self.my_rank,
+            self.size(),
+            my_vcis[0] as i64,
+            0,
+        );
+        let mut owners = Vec::new();
+        let mut vcis = Vec::new();
+        for (r, (&(count, _), &(start, _))) in counts.iter().zip(&starts).enumerate() {
+            owners.extend(std::iter::repeat_n(self.group.global(r), count as usize));
+            vcis.extend(start as usize..(start + count) as usize);
+        }
+        let first: usize = counts[..self.my_rank]
+            .iter()
+            .map(|&(c, _)| c as usize)
+            .sum();
+
+        // Creation is collective and synchronizing.
+        self.barrier(th)?;
+
+        let group = Group::from_owners(owners);
+        let vcis = Arc::new(vcis);
+        Ok(my_vcis
+            .into_iter()
+            .enumerate()
+            .map(|(i, vci)| {
+                let ep = Communicator::from_parts(
+                    Arc::clone(&self.universe),
+                    Arc::clone(&self.proc),
+                    ctx_id,
+                    group.clone(),
+                    first + i,
+                    VciPolicy::PerRank(Arc::clone(&vcis)),
+                    Arc::new(vec![vci]),
+                    Info::new(),
+                );
+                ep.set_errhandler(self.errhandler());
+                ep
+            })
+            .collect())
+    }
+
+    /// The rank of the `i`-th endpoint of world process `owner` on an
+    /// endpoints communicator (ranks are laid out in owner order). On any
+    /// other communicator, with `i == 0`, `owner`'s rank. Panics if `owner`
+    /// holds no rank here.
+    pub fn endpoint_rank(&self, owner: usize, i: usize) -> usize {
+        let first = self
+            .group
+            .local(owner)
+            .expect("owner process holds no rank of this communicator");
+        debug_assert_eq!(self.group.global(first + i), owner);
+        first + i
+    }
+
+    /// Draw this process's next creation-op index in key space `ns`: the
+    /// per-process count that keys a collective creation's agreement. Every
+    /// creation call (`dup_with_info`, `split`, `agree`, `shrink`,
+    /// `Window::create`, `create_endpoints`) assumes one caller per process,
+    /// which the endpoint ranks of one process are not, so on a
+    /// [`VciPolicy::PerRank`] communicator they all fail here, before any
+    /// rendezvous. `revoke` stays callable: it is idempotent per process.
+    pub(crate) fn creation_index(&self, ns: u32) -> Result<u64> {
+        if matches!(self.policy, VciPolicy::PerRank(_)) {
+            return Err(Error::InvalidState(
+                "creation calls need one caller per process; an endpoints communicator has several",
+            ));
+        }
+        Ok(self.proc.next_dup_index(self.ctx_id | ns))
     }
 
     /// Enter a collective: enforce MPI's serial-issuance rule.
@@ -527,5 +633,52 @@ mod tests {
             policy_from_info(&info),
             Err(Error::TagBitsOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn creation_calls_fail_on_an_endpoints_communicator() {
+        use crate::rma::Window;
+        use crate::universe::Universe;
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+        type Call = fn(&Communicator, &mut ThreadCtx) -> Result<()>;
+        let calls: [(&str, Call); 6] = [
+            ("dup_with_info", |c, th| {
+                c.dup_with_info(th, Info::new()).map(drop)
+            }),
+            ("split", |c, th| c.split(th, 0, 0).map(drop)),
+            ("agree", |c, th| c.agree(th, true).map(drop)),
+            ("shrink", |c, th| c.shrink(th).map(drop)),
+            ("Window::create", |c, th| {
+                Window::create(c, th, 8, &Info::new()).map(drop)
+            }),
+            ("create_endpoints", |c, th| {
+                c.create_endpoints(th, 1).map(drop)
+            }),
+        ];
+        // A call that reached its rendezvous would wait for the process's
+        // other endpoint rank forever: fail on a timeout instead of hanging.
+        let (done, finished) = channel();
+        let run = std::thread::spawn(move || {
+            let u = Universe::builder().nodes(2).build();
+            u.run(|env| {
+                let world = env.world();
+                let mut th = env.single_thread();
+                for ep in world.create_endpoints(&mut th, 2).unwrap() {
+                    for (name, call) in calls {
+                        assert!(
+                            matches!(call(&ep, &mut th), Err(Error::InvalidState(_))),
+                            "{name} on endpoint rank {}",
+                            ep.rank()
+                        );
+                    }
+                }
+            });
+            let _ = done.send(());
+        });
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+            panic!("a creation call on an endpoints communicator hung");
+        }
+        run.join().unwrap();
     }
 }

@@ -362,7 +362,7 @@ impl Communicator {
         let _mpi = th.enter_mpi();
         th.proc().ft().maybe_crash(&th.clock, false);
         let entered = th.clock.now();
-        let idx = self.proc().next_dup_index(self.context_id() | FT_AGREE_NS);
+        let idx = self.creation_index(FT_AGREE_NS)?;
         let group = self.group().clone();
         let liveness = Arc::clone(self.proc().ft().liveness());
         let alive = move |local: usize| !liveness.is_crashed(group.global(local));
@@ -397,7 +397,7 @@ impl Communicator {
         let _mpi = th.enter_mpi();
         th.proc().ft().maybe_crash(&th.clock, false);
         let entered = th.clock.now();
-        let idx = self.proc().next_dup_index(self.context_id() | FT_SHRINK_NS);
+        let idx = self.creation_index(FT_SHRINK_NS)?;
         let group = self.group().clone();
         let liveness = Arc::clone(self.proc().ft().liveness());
         let alive = {

@@ -9,8 +9,9 @@
 //! them is the [`rankmpi_fabric`] model — but the library enforces MPI's
 //! semantics exactly as a real implementation would:
 //!
-//! - **Communicators** with context ids, `dup`/`split`/`dup_with_info`
-//!   ([`comm`]);
+//! - **Communicators** with context ids, `dup`/`split`/`dup_with_info`,
+//!   and user-visible endpoints ("Rankpoints"): `create_endpoints` makes
+//!   each endpoint a rank with a VCI of its own ([`comm`]);
 //! - **Info hints** including MPI 4.0's `mpi_assert_allow_overtaking`,
 //!   `mpi_assert_no_any_tag`, `mpi_assert_no_any_source` and the
 //!   MPICH-style VCI mapping hints from the paper's Listing 2 ([`info`]);
@@ -28,9 +29,8 @@
 //! - **Rank-crash fault tolerance** — ULFM-style failure detection,
 //!   communicator revocation, fault-tolerant agreement and `shrink` ([`ft`]).
 //!
-//! The user-visible endpoints and partitioned-communication designs build on
-//! these primitives in the `rankmpi-endpoints` and `rankmpi-partitioned`
-//! crates.
+//! The partitioned-communication design builds on these primitives in the
+//! `rankmpi-partitioned` crate.
 //!
 //! # Quick example
 //!
@@ -59,6 +59,10 @@ mod append;
 pub mod coll;
 pub mod comm;
 pub mod costs;
+// Endpoints are `Communicator::create_endpoints`; these two modules hold its
+// rank-layout and endpoint-to-endpoint tests.
+#[cfg(test)]
+mod endpoint;
 pub mod error;
 pub mod ft;
 pub mod group;
@@ -69,11 +73,13 @@ pub mod pt2pt;
 pub mod request;
 pub mod rma;
 pub mod tag;
+#[cfg(test)]
+mod topology;
 pub mod universe;
 pub mod vci;
 
 pub use coll::ReduceOp;
-pub use comm::{CollMode, Communicator};
+pub use comm::Communicator;
 pub use error::{Errhandler, Error, RankMpiError, Result};
 pub use ft::FtShared;
 pub use group::Group;

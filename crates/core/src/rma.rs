@@ -136,7 +136,7 @@ impl Window {
         };
         // Window-creation op counters live beside the comm's dup counters but
         // in a disjoint key space.
-        let idx = th.proc().next_dup_index(comm.context_id() | 0x4000_0000);
+        let idx = comm.creation_index(0x4000_0000)?;
         let win_id = comm.universe().agree_window((comm.context_id(), idx));
         let mine = WindowTarget::new(size);
         comm.universe().publish_window_target(

@@ -54,7 +54,11 @@ pub struct TaskLaunch {
     pub workers: usize,
     /// Virtual-time slack before a running task yields its slot to a
     /// lagging ready task (default 100µs). Larger values mean fewer task
-    /// switches; results are unaffected either way.
+    /// switches, and less accurate results for anything that polls: a
+    /// failed poll charges virtual time until the poller is `slack` ahead,
+    /// and only then yields. Slack is a model-accuracy parameter; Lesson
+    /// 14's partitioned halo costs ≈125µs per iteration at 100µs slack and
+    /// ≈31µs at 1µs.
     pub vtime_slack: Nanos,
     /// Carrier-thread stack size in bytes (default 512 KiB — task counts
     /// are the point, so stacks stay small).

@@ -30,7 +30,6 @@ use parking_lot::Mutex;
 use rankmpi_core::info::keys;
 use rankmpi_core::tag::{TagLayout, TagPlacement};
 use rankmpi_core::{Communicator, Info, ThreadCtx};
-use rankmpi_endpoints::{comm_create_endpoints, Endpoint};
 use rankmpi_partitioned::{precv_init, psend_init, PrecvRequest, PsendRequest};
 
 use crate::topology::{Lane, RankPlan};
@@ -154,8 +153,9 @@ impl Mechanism {
                 })
             }
             Mechanism::Endpoints => {
-                let eps = comm_create_endpoints(world, th, opts.threads, &Info::new())
-                    .expect("comm_create_endpoints");
+                let eps = world
+                    .create_endpoints(th, opts.threads)
+                    .expect("create_endpoints");
                 Arc::new(EpTransport { eps })
             }
             Mechanism::Partitioned => Arc::new(PartTransport::setup(th, world, plan, opts)),
@@ -223,26 +223,26 @@ impl LaneTransport for CommTransport {
 
 /// Endpoints: lanes address `(rank, thread slot)` in endpoint-rank space.
 struct EpTransport {
-    eps: Vec<Endpoint>,
+    eps: Vec<Communicator>,
 }
 
 impl LaneTransport for EpTransport {
     fn send(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64, data: &[u8]) {
         let ep = &self.eps[lane.src_tid];
-        let dst_ep = ep.topology().ep_rank(lane.dst, lane.dst_tid);
+        let dst_ep = ep.endpoint_rank(lane.dst, lane.dst_tid);
         ep.send(th, dst_ep, lane.id as i64, data).expect("ep send");
     }
 
     fn recv(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64) -> Vec<u8> {
         let ep = &self.eps[lane.dst_tid];
-        let src_ep = ep.topology().ep_rank(lane.src, lane.src_tid);
+        let src_ep = ep.endpoint_rank(lane.src, lane.src_tid);
         let (_st, data) = ep.recv(th, src_ep as i64, lane.id as i64).expect("ep recv");
         data.to_vec()
     }
 
     fn try_recv(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64) -> Option<Vec<u8>> {
         let ep = &self.eps[lane.dst_tid];
-        let src_ep = ep.topology().ep_rank(lane.src, lane.src_tid);
+        let src_ep = ep.endpoint_rank(lane.src, lane.src_tid);
         ep.try_recv(th, src_ep as i64, lane.id as i64)
             .expect("ep try_recv")
             .map(|(_st, data)| data.to_vec())

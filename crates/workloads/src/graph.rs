@@ -11,8 +11,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rankmpi_core::{Communicator, Info, Universe};
-use rankmpi_endpoints::comm_create_endpoints;
+use rankmpi_core::{Communicator, Universe};
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_vtime::Nanos;
 
@@ -115,9 +114,7 @@ pub fn run_graph(mode: GraphMode, cfg: &GraphConfig) -> GraphReport {
             _ => Vec::new(),
         };
         let eps = match mode {
-            GraphMode::Endpoints => {
-                comm_create_endpoints(&world, &mut setup, t, &Info::new()).unwrap()
-            }
+            GraphMode::Endpoints => world.create_endpoints(&mut setup, t).unwrap(),
             _ => Vec::new(),
         };
         let comms = &comms;
@@ -149,8 +146,8 @@ pub fn run_graph(mode: GraphMode, cfg: &GraphConfig) -> GraphReport {
                     }
                     GraphMode::Endpoints => {
                         let ep = &eps[tid];
-                        let dst_ep = ep.topology().ep_rank(peer, send_to);
-                        let src_ep = ep.topology().ep_rank(peer, recv_from);
+                        let dst_ep = ep.endpoint_rank(peer, send_to);
+                        let src_ep = ep.endpoint_rank(peer, recv_from);
                         let s = ep.isend(th, dst_ep, 0, &payload).unwrap();
                         let r = ep.irecv(th, src_ep as i64, 0).unwrap();
                         s.wait(&mut th.clock);

@@ -9,8 +9,7 @@
 //! communicator variant processes events 1.63× slower.
 
 use rankmpi_core::matching::{ANY_SOURCE, ANY_TAG};
-use rankmpi_core::{Communicator, Info, Universe};
-use rankmpi_endpoints::comm_create_endpoints;
+use rankmpi_core::{Communicator, Universe};
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_vtime::Nanos;
 
@@ -120,7 +119,7 @@ pub fn run_legion(mode: LegionMode, cfg: &LegionConfig) -> LegionReport {
         let eps = match mode {
             LegionMode::Endpoints => {
                 let mine = if env.rank() == 0 { t } else { 1 };
-                comm_create_endpoints(&world, &mut setup, mine, &Info::new()).unwrap()
+                world.create_endpoints(&mut setup, mine).unwrap()
             }
             _ => Vec::new(),
         };
@@ -143,7 +142,7 @@ pub fn run_legion(mode: LegionMode, cfg: &LegionConfig) -> LegionReport {
                             comms[tid].send(th, 1, tid as i64, &payload).unwrap();
                         }
                         LegionMode::Endpoints => {
-                            let poller = eps[tid].topology().ep_rank(1, 0);
+                            let poller = eps[tid].endpoint_rank(1, 0);
                             eps[tid].send(th, poller, tid as i64, &payload).unwrap();
                         }
                     }

@@ -2,7 +2,6 @@
 //! core/thread count grows, under the three deployment models.
 
 use rankmpi_core::{Communicator, Universe};
-use rankmpi_endpoints::comm_create_endpoints;
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_vtime::Nanos;
 
@@ -168,10 +167,7 @@ fn run_threads(cores: usize, cfg: &RateConfig, channel: ThreadChannel) -> Nanos 
             _ => Vec::new(),
         };
         let eps = match channel {
-            ThreadChannel::EndpointPerThread => {
-                comm_create_endpoints(&world, &mut setup, cores, &rankmpi_core::Info::new())
-                    .unwrap()
-            }
+            ThreadChannel::EndpointPerThread => world.create_endpoints(&mut setup, cores).unwrap(),
             _ => Vec::new(),
         };
         let comms = &comms;
@@ -224,7 +220,7 @@ fn run_threads(cores: usize, cfg: &RateConfig, channel: ThreadChannel) -> Nanos 
                 }
                 ThreadChannel::EndpointPerThread => {
                     let ep = &eps[tid];
-                    let peer_ep = ep.topology().ep_rank(peer, tid);
+                    let peer_ep = ep.endpoint_rank(peer, tid);
                     if env.rank() == 0 {
                         for _ in 0..msgs {
                             ep.send(th, peer_ep, 0, &payload).unwrap();

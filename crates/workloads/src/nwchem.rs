@@ -15,7 +15,6 @@ use rand::Rng;
 use rand::SeedableRng;
 use rankmpi_core::info::keys;
 use rankmpi_core::{Info, ReduceOp, Universe, Window};
-use rankmpi_endpoints::comm_create_endpoints;
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_vtime::Nanos;
 
@@ -146,9 +145,7 @@ pub fn run_nwchem(mode: RmaMode, cfg: &NwchemConfig) -> NwchemReport {
         };
         let win = Window::create(&win_comm, &mut setup, win_bytes, &win_info).unwrap();
         let eps = match mode {
-            RmaMode::Endpoints => {
-                comm_create_endpoints(&world, &mut setup, t, &Info::new()).unwrap()
-            }
+            RmaMode::Endpoints => world.create_endpoints(&mut setup, t).unwrap(),
             _ => Vec::new(),
         };
         let win = &win;
@@ -171,7 +168,7 @@ pub fn run_nwchem(mode: RmaMode, cfg: &NwchemConfig) -> NwchemReport {
                         RmaMode::Endpoints => {
                             win.get_on_vci(
                                 th,
-                                eps[tid].vci_index(),
+                                eps[tid].vci_block()[0],
                                 target,
                                 tile * tile_bytes,
                                 tile_bytes,
@@ -191,7 +188,7 @@ pub fn run_nwchem(mode: RmaMode, cfg: &NwchemConfig) -> NwchemReport {
                 let offset = tile * tile_bytes;
                 match mode {
                     RmaMode::Endpoints => {
-                        let vci = eps[tid].vci_index();
+                        let vci = eps[tid].vci_block()[0];
                         vcis_used.push(vci);
                         win.accumulate_on_vci(th, vci, target, offset, &ones, ReduceOp::Sum)
                             .unwrap();
@@ -205,9 +202,9 @@ pub fn run_nwchem(mode: RmaMode, cfg: &NwchemConfig) -> NwchemReport {
             }
             for target in 0..nprocs {
                 match mode {
-                    RmaMode::Endpoints => {
-                        win.flush_on_vci(th, eps[tid].vci_index(), target).unwrap()
-                    }
+                    RmaMode::Endpoints => win
+                        .flush_on_vci(th, eps[tid].vci_block()[0], target)
+                        .unwrap(),
                     _ => win.flush(th, target).unwrap(),
                 }
             }

@@ -15,7 +15,6 @@ use rand::SeedableRng;
 use rankmpi_core::info::keys;
 use rankmpi_core::tag::{bits_for, TagLayout, TagPlacement};
 use rankmpi_core::{Info, Universe};
-use rankmpi_endpoints::comm_create_endpoints;
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_vtime::Nanos;
 
@@ -150,9 +149,7 @@ pub fn run_smilei(mode: SmileiMode, cfg: &SmileiConfig) -> SmileiReport {
             SmileiMode::Endpoints => world.dup(&mut setup).unwrap(),
         };
         let eps = match mode {
-            SmileiMode::Endpoints => {
-                comm_create_endpoints(&world, &mut setup, t, &Info::new()).unwrap()
-            }
+            SmileiMode::Endpoints => world.create_endpoints(&mut setup, t).unwrap(),
             _ => Vec::new(),
         };
         let comm = &comm;
@@ -170,7 +167,7 @@ pub fn run_smilei(mode: SmileiMode, cfg: &SmileiConfig) -> SmileiReport {
                     match mode {
                         SmileiMode::Endpoints => {
                             let ep = &eps[tid];
-                            let peer_ep = ep.topology().ep_rank(peer, tid);
+                            let peer_ep = ep.endpoint_rank(peer, tid);
                             let r = ep.irecv(th, peer_ep as i64, patch as i64).unwrap();
                             ep.isend(th, peer_ep, patch as i64, &buf)
                                 .unwrap()

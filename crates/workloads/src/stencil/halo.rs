@@ -5,7 +5,6 @@ use std::sync::Arc;
 use rankmpi_core::info::keys;
 use rankmpi_core::tag::{TagLayout, TagPlacement};
 use rankmpi_core::{Communicator, Info, LaunchMode, Universe};
-use rankmpi_endpoints::comm_create_endpoints;
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_partitioned::{precv_init, psend_init, PrecvRequest, PsendRequest};
 use rankmpi_vtime::{Nanos, VirtualBarrier};
@@ -446,7 +445,7 @@ fn run_endpoints(uni: &Universe, cfg: &HaloConfig, dirs: &[Dir2]) -> Vec<Nanos> 
     let per_proc = uni.run(|env| {
         let world = env.world();
         let mut setup = env.single_thread();
-        let eps = comm_create_endpoints(&world, &mut setup, boundary.len(), &Info::new()).unwrap();
+        let eps = world.create_endpoints(&mut setup, boundary.len()).unwrap();
         let eps = &eps;
         let ep_slot = &ep_slot;
         let my_proc = env.rank();
@@ -468,7 +467,7 @@ fn run_endpoints(uni: &Universe, cfg: &HaloConfig, dirs: &[Dir2]) -> Vec<Nanos> 
                     // Listing 3's addressing: the remote endpoint rank is
                     // computed directly from the neighbor's rank and tid.
                     let (nproc, ntid) = geo.neighbor(rx, ry, tid_x, tid_y, d);
-                    let n_ep = ep.topology().ep_rank(nproc, ep_slot[&ntid]);
+                    let n_ep = ep.endpoint_rank(nproc, ep_slot[&ntid]);
                     reqs.push((
                         ep.irecv(th, n_ep as i64, dir_idx(d.opposite()) as i64)
                             .unwrap(),

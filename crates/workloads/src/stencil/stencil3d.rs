@@ -13,7 +13,6 @@ use std::sync::Arc;
 use rankmpi_core::info::keys;
 use rankmpi_core::tag::{TagLayout, TagPlacement};
 use rankmpi_core::{Communicator, Info, Universe};
-use rankmpi_endpoints::comm_create_endpoints;
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_vtime::Nanos;
 
@@ -401,7 +400,7 @@ pub fn run_halo3(mech: Halo3Mechanism, cfg: &Halo3Config) -> Halo3Report {
         };
         let eps = match mech {
             Halo3Mechanism::Endpoints => {
-                comm_create_endpoints(&world, &mut setup, boundary.len(), &Info::new()).unwrap()
+                world.create_endpoints(&mut setup, boundary.len()).unwrap()
             }
             _ => Vec::new(),
         };
@@ -426,7 +425,7 @@ pub fn run_halo3(mech: Halo3Mechanism, cfg: &Halo3Config) -> Halo3Report {
                     match mech {
                         Halo3Mechanism::Endpoints => {
                             let ep = &eps[ep_slot[&tid]];
-                            let n_ep = ep.topology().ep_rank(np, ep_slot[&nt]);
+                            let n_ep = ep.endpoint_rank(np, ep_slot[&nt]);
                             reqs.push((
                                 ep.irecv(th, n_ep as i64, d.opposite().index() as i64)
                                     .unwrap(),

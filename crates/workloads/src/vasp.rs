@@ -17,9 +17,7 @@
 //!   (Lesson 19's duplication, quantified in the report).
 
 use parking_lot::Mutex;
-use rankmpi_core::{Communicator, Info, ReduceOp, Universe};
-use rankmpi_endpoints::coll::duplication_report;
-use rankmpi_endpoints::comm_create_endpoints;
+use rankmpi_core::{Communicator, LaunchMode, ReduceOp, Universe};
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_vtime::{Nanos, VirtualBarrier};
 use std::sync::Arc;
@@ -103,6 +101,10 @@ pub fn expected_sum(cfg: &VaspConfig) -> f64 {
 
 /// Run the multithreaded allreduce under `mode`.
 pub fn run_vasp(mode: VaspMode, cfg: &VaspConfig) -> VaspReport {
+    run_vasp_launched(mode, cfg, LaunchMode::default())
+}
+
+fn run_vasp_launched(mode: VaspMode, cfg: &VaspConfig, launch: LaunchMode) -> VaspReport {
     assert_eq!(cfg.elems % cfg.threads, 0, "segments must divide evenly");
     let t = cfg.threads;
     let num_vcis = match mode {
@@ -115,11 +117,8 @@ pub fn run_vasp(mode: VaspMode, cfg: &VaspConfig) -> VaspReport {
         .threads_per_proc(t)
         .num_vcis(num_vcis)
         .profile(cfg.profile.clone())
+        .launch(launch)
         .build();
-
-    let mut duplicated_bytes = 0usize;
-    let result_bytes = cfg.elems * 8;
-    let mut result_bytes_per_process = result_bytes;
 
     let results: Vec<(Nanos, f64)> = match mode {
         VaspMode::Funneled => uni.run(|env| {
@@ -143,12 +142,12 @@ pub fn run_vasp(mode: VaspMode, cfg: &VaspConfig) -> VaspReport {
                         }
                     }
                     team.wait(&mut th.clock);
-                    {
-                        let mut s = shared.lock();
-                        ReduceOp::Sum.apply(&mut s, &mine);
-                        // The on-node combine is serial per thread arrival.
-                        th.clock.advance(th.proc().costs().reduce_cost(cfg.elems));
-                    }
+                    ReduceOp::Sum.apply(&mut shared.lock(), &mine);
+                    // The on-node combine is serial per thread arrival. The
+                    // advance is a yield point under tasks, so it comes after
+                    // the guard drops: a task parked holding the lock would
+                    // block every other task in the OS.
+                    th.clock.advance(th.proc().costs().reduce_cost(cfg.elems));
                     team.wait(&mut th.clock);
                     // One thread funnels the internode allreduce.
                     if tid == 0 {
@@ -204,7 +203,7 @@ pub fn run_vasp(mode: VaspMode, cfg: &VaspConfig) -> VaspReport {
             let world = env.world();
             let me = env.rank();
             let mut setup = env.single_thread();
-            let eps = comm_create_endpoints(&world, &mut setup, t, &Info::new()).unwrap();
+            let eps = world.create_endpoints(&mut setup, t).unwrap();
             let eps = &eps;
             let per_thread = env.parallel(|th| {
                 crate::measure::begin(th);
@@ -213,7 +212,7 @@ pub fn run_vasp(mode: VaspMode, cfg: &VaspConfig) -> VaspReport {
                 let mut first = 0.0;
                 for _ in 0..cfg.repeats {
                     // ONE call; the library handles internode + intranode.
-                    let global = eps[tid].ep_allreduce(th, &mine, ReduceOp::Sum).unwrap();
+                    let global = eps[tid].allreduce(th, &mine, ReduceOp::Sum).unwrap();
                     first = global[0];
                 }
                 (crate::measure::elapsed(th), first)
@@ -222,27 +221,21 @@ pub fn run_vasp(mode: VaspMode, cfg: &VaspConfig) -> VaspReport {
         }),
     };
 
-    if mode == VaspMode::EndpointsOneStep {
-        // Quantify Lesson 19 on the actual topology shape.
-        let topo = rankmpi_endpoints::EndpointTopology {
-            ctx_id: 0,
-            map: (0..cfg.procs * t).map(|e| (e / t, e % t)).collect(),
-            counts: vec![t; cfg.procs],
-            offsets: (0..cfg.procs).map(|p| p * t).collect(),
-            parent_ctx: 0,
-        };
-        let rep = duplication_report(&topo, result_bytes);
-        duplicated_bytes = rep.duplicated_bytes;
-        result_bytes_per_process = t * result_bytes;
-    }
-
+    // Lesson 19: each endpoint holds its own copy of the result, `threads - 1`
+    // more per process than one process-rank buffer.
+    let result_bytes = cfg.elems * 8;
+    let copies = if mode == VaspMode::EndpointsOneStep {
+        t
+    } else {
+        1
+    };
     let total_time = results.iter().map(|(t, _)| *t).max().unwrap();
     let first_elem = results[0].1;
     VaspReport {
         mode: mode.label(),
         total_time,
-        result_bytes_per_process,
-        duplicated_bytes,
+        result_bytes_per_process: copies * result_bytes,
+        duplicated_bytes: cfg.procs * (copies - 1) * result_bytes,
         first_elem,
     }
 }
@@ -292,6 +285,38 @@ mod tests {
             segmented.total_time,
             funneled.total_time
         );
+    }
+
+    #[test]
+    fn funneled_finishes_under_one_worker_tasks() {
+        use rankmpi_core::TaskLaunch;
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+        // A task that yields (a clock advance) while it holds the on-node
+        // buffer's mutex blocks every other task in the OS: with one engine
+        // worker the run never finishes. Fail on a timeout, not a hang.
+        let cfg = VaspConfig {
+            procs: 2,
+            threads: 2,
+            elems: 4096,
+            ..VaspConfig::default()
+        };
+        let launch = LaunchMode::Tasks(TaskLaunch {
+            workers: 1,
+            vtime_slack: Nanos(1_000),
+            ..TaskLaunch::default()
+        });
+        let want = expected_sum(&cfg);
+        let (done, finished) = channel();
+        let run = std::thread::spawn(move || {
+            let rep = run_vasp_launched(VaspMode::Funneled, &cfg, launch);
+            let _ = done.send(());
+            rep
+        });
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+            panic!("Funneled hung under one-worker tasks");
+        }
+        assert_eq!(run.join().unwrap().first_elem, want);
     }
 
     #[test]

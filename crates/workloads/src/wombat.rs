@@ -14,7 +14,6 @@
 //!   endpoint channels.
 
 use rankmpi_core::{Info, Universe, Window};
-use rankmpi_endpoints::comm_create_endpoints;
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_vtime::Nanos;
 
@@ -125,9 +124,7 @@ pub fn run_wombat(mode: WombatMode, cfg: &WombatConfig) -> WombatReport {
                 .collect(),
         };
         let eps = match mode {
-            WombatMode::EndpointsOneWindow => {
-                comm_create_endpoints(&world, &mut setup, t, &Info::new()).unwrap()
-            }
+            WombatMode::EndpointsOneWindow => world.create_endpoints(&mut setup, t).unwrap(),
             _ => Vec::new(),
         };
         let wins = &wins;
@@ -154,7 +151,7 @@ pub fn run_wombat(mode: WombatMode, cfg: &WombatConfig) -> WombatReport {
                     WombatMode::EndpointsOneWindow => {
                         // Endpoint completion scope: flush only this
                         // endpoint's channel, not sibling threads' streams.
-                        let vci = eps[tid].vci_index();
+                        let vci = eps[tid].vci_block()[0];
                         wins[0]
                             .put_on_vci(th, vci, peer, tid * patch, &boundary)
                             .unwrap();

@@ -10,8 +10,9 @@
 //! - [`fabric`]: the simulated interconnect (bounded hardware-context pools,
 //!   LogGP costs, network profiles);
 //! - [`core`]: the MPI-like library — communicators, Info hints, tag
-//!   matching, VCIs, point-to-point, RMA windows, collectives;
-//! - [`endpoints`]: user-visible MPI Endpoints ("Rankpoints");
+//!   matching, VCIs, point-to-point, RMA windows, collectives, and
+//!   user-visible MPI Endpoints ("Rankpoints") as a communicator
+//!   constructor;
 //! - [`partitioned`]: MPI 4.0 partitioned communication;
 //! - [`workloads`]: the paper's application kernels (stencils, event
 //!   runtime, graph exchange, RMA matmul, multithreaded allreduce);
@@ -24,7 +25,6 @@
 //! paper.
 
 pub use rankmpi_core as core;
-pub use rankmpi_endpoints as endpoints;
 pub use rankmpi_fabric as fabric;
 pub use rankmpi_obs as obs;
 pub use rankmpi_partitioned as partitioned;
@@ -37,7 +37,6 @@ pub mod prelude {
         Communicator, Error, Info, ReduceOp, Request, Result, ThreadCtx, ThreadLevel, Universe,
         Window, ANY_SOURCE, ANY_TAG,
     };
-    pub use rankmpi_endpoints::{comm_create_endpoints, Endpoint};
     pub use rankmpi_fabric::NetworkProfile;
     pub use rankmpi_partitioned::{precv_init, psend_init};
     pub use rankmpi_vtime::Nanos;

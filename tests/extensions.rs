@@ -2,7 +2,6 @@
 //! together with the core library in one universe.
 
 use rankmpi_core::{Info, ReduceOp, Universe, Window, ANY_SOURCE, ANY_TAG};
-use rankmpi_endpoints::comm_create_endpoints;
 use rankmpi_partitioned::{precv_init, psend_init};
 
 #[test]
@@ -13,13 +12,13 @@ fn endpoints_and_plain_comm_traffic_coexist() {
     u.run(|env| {
         let world = env.world();
         let mut setup = env.single_thread();
-        let eps = comm_create_endpoints(&world, &mut setup, 2, &Info::new()).unwrap();
+        let eps = world.create_endpoints(&mut setup, 2).unwrap();
         let eps = &eps;
         env.parallel(|th| {
             let tid = th.tid();
             let ep = &eps[tid];
             let peer_proc = 1 - env.rank();
-            let peer_ep = ep.topology().ep_rank(peer_proc, tid);
+            let peer_ep = ep.endpoint_rank(peer_proc, tid);
             if env.rank() == 0 {
                 world.send(th, 1, tid as i64, b"via-world").unwrap();
                 ep.send(th, peer_ep, tid as i64, b"via-ep").unwrap();
@@ -46,7 +45,7 @@ fn endpoint_collective_while_partitioned_traffic_flows() {
     u.run(|env| {
         let world = env.world();
         let mut setup = env.single_thread();
-        let eps = comm_create_endpoints(&world, &mut setup, 2, &Info::new()).unwrap();
+        let eps = world.create_endpoints(&mut setup, 2).unwrap();
 
         // A partitioned stream runs alongside the endpoint collective.
         if env.rank() == 0 {
@@ -56,22 +55,16 @@ fn endpoint_collective_while_partitioned_traffic_flows() {
                 sreq.pready(&mut setup, p, &[p as u8; 16]).unwrap();
             }
             let eps = &eps;
-            let sums = env.parallel(|th| {
-                eps[th.tid()]
-                    .ep_allreduce(th, &[1.0], ReduceOp::Sum)
-                    .unwrap()[0]
-            });
+            let sums =
+                env.parallel(|th| eps[th.tid()].allreduce(th, &[1.0], ReduceOp::Sum).unwrap()[0]);
             assert!(sums.iter().all(|&s| s == 4.0));
             sreq.wait(&mut setup).unwrap();
         } else {
             let rreq = precv_init(&world, &mut setup, 0, 5, 4, 16, &Info::new()).unwrap();
             rreq.start(&mut setup).unwrap();
             let eps = &eps;
-            let sums = env.parallel(|th| {
-                eps[th.tid()]
-                    .ep_allreduce(th, &[1.0], ReduceOp::Sum)
-                    .unwrap()[0]
-            });
+            let sums =
+                env.parallel(|th| eps[th.tid()].allreduce(th, &[1.0], ReduceOp::Sum).unwrap()[0]);
             assert!(sums.iter().all(|&s| s == 4.0));
             let data = rreq.wait(&mut setup).unwrap();
             for p in 0..4 {
@@ -88,12 +81,12 @@ fn window_driven_through_endpoint_vcis() {
         let world = env.world();
         let mut setup = env.single_thread();
         let win = Window::create(&world, &mut setup, 128, &Info::new()).unwrap();
-        let eps = comm_create_endpoints(&world, &mut setup, 2, &Info::new()).unwrap();
+        let eps = world.create_endpoints(&mut setup, 2).unwrap();
         let win = &win;
         let eps = &eps;
         if env.rank() == 0 {
             env.parallel(|th| {
-                let vci = eps[th.tid()].vci_index();
+                let vci = eps[th.tid()].vci_block()[0];
                 let off = th.tid() * 32;
                 win.put_on_vci(th, vci, 1, off, &[th.tid() as u8 + 1; 8])
                     .unwrap();

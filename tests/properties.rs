@@ -431,8 +431,7 @@ proptest! {
     /// reaches every receiver endpoint and nothing cross-matches.
     #[test]
     fn endpoint_fanout_delivers_everything(eps_n in 1usize..=4, salt in 0u8..32) {
-        use rankmpi_core::{Info, Universe, ANY_SOURCE, ANY_TAG};
-        use rankmpi_endpoints::comm_create_endpoints;
+        use rankmpi_core::{Universe, ANY_SOURCE, ANY_TAG};
 
         let u = Universe::builder()
             .nodes(2)
@@ -442,7 +441,7 @@ proptest! {
         let totals = u.run(move |env| {
             let world = env.world();
             let mut setup = env.single_thread();
-            let eps = comm_create_endpoints(&world, &mut setup, eps_n, &Info::new()).unwrap();
+            let eps = world.create_endpoints(&mut setup, eps_n).unwrap();
             let eps = &eps;
             let got = env.parallel(|th| {
                 let tid = th.tid();
@@ -452,7 +451,7 @@ proptest! {
                     // Fan out: this thread sends one message to EVERY peer
                     // endpoint, tagged with (sender, receiver).
                     for j in 0..eps_n {
-                        let dst = ep.topology().ep_rank(peer_proc, j);
+                        let dst = ep.endpoint_rank(peer_proc, j);
                         let tag = (tid * 10 + j) as i64;
                         ep.send(th, dst, tag, &[tid as u8, j as u8, salt]).unwrap();
                     }
