@@ -1,19 +1,18 @@
 #![warn(missing_docs)]
 
-//! Shared reporting helpers for the benchmark harness.
+//! The benchmark harness: the paper as one checked table ([`paper`]) and the
+//! shared reporting helpers of the bench targets in `benches/`.
 //!
-//! Every table and figure of the paper has a bench target in `benches/`; each
-//! prints the same rows/series the paper reports (in simulated time) and a
-//! short interpretation line comparing the measured *shape* to the paper's
-//! claim. `EXPERIMENTS.md` records the paper-vs-measured comparison. Benches
-//! whose numbers are tracked also write a `BENCH_<name>.json` summary
+//! `EXPERIMENTS.md` records the paper-vs-measured comparison by row id.
+//! Benches whose numbers are tracked write a `BENCH_<name>.json` summary
 //! ([`write_bench_json`]) built from [`rankmpi_obs::json::Value`].
 
 use std::fmt::Display;
 use std::path::PathBuf;
 
-use rankmpi_core::vci::Vci;
 use rankmpi_obs::json::Value;
+
+pub mod paper;
 
 /// Print a Markdown-style table.
 pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[Vec<C>]) {
@@ -123,32 +122,6 @@ pub fn histogram_json(samples: &[u64]) -> Value {
         ("count", Value::int(total)),
     ]));
     Value::Arr(rows)
-}
-
-/// Snapshot one VCI's matching-engine counters as a JSON object:
-/// `engine`, `posted_len`, `unexpected_len`, `matched`, the scan-work
-/// series (`match_scanned`, `match_wildcard_scanned`), `polls`, plus the
-/// engine-lock series (`lock_acquires`, `lock_acquires_contended`,
-/// `lock_hold_ns`).
-pub fn engine_counters(vci: &Vci) -> Value {
-    Value::obj([
-        ("engine", Value::str(vci.engine_kind().name())),
-        ("posted_len", Value::int(vci.posted_depth() as u64)),
-        ("unexpected_len", Value::int(vci.unexpected_depth() as u64)),
-        ("matched", Value::int(vci.matched())),
-        ("match_scanned", Value::int(vci.match_scanned())),
-        (
-            "match_wildcard_scanned",
-            Value::int(vci.match_wildcard_scanned()),
-        ),
-        ("polls", Value::int(vci.polls())),
-        ("lock_acquires", Value::int(vci.lock_acquires())),
-        (
-            "lock_acquires_contended",
-            Value::int(vci.lock_acquires_contended()),
-        ),
-        ("lock_hold_ns", Value::int(vci.lock_hold_stats().sum())),
-    ])
 }
 
 /// Write `BENCH_<name>.json` into `RANKMPI_BENCH_DIR` (default: the

@@ -290,7 +290,7 @@ fn engines_agree_under_explored_interleavings() {
     });
 }
 
-/// The `lesson9_tag_overflow` deep-queue drain end to end through a
+/// The paper table's `E8` deep-queue drain end to end through a
 /// `Universe`: 256 tags sent in order, received in reverse, so every receive
 /// digs its message out of a deep unexpected queue. Both engine kinds must
 /// hand back the same statuses and payloads — `linear`'s one check through
