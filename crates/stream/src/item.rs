@@ -76,15 +76,17 @@ pub fn encode(buf: &mut [u8], h: &ItemHeader, seed: u64) {
     assert!(buf.len() >= HEADER, "item buffer smaller than header");
     restamp(buf, h);
     buf[28..32].fill(0);
-    let mut i = HEADER;
+    // Whole words, then one sub-word tail: a fixed-size store each, no
+    // per-word library call.
+    let mut words = buf[HEADER..].chunks_exact_mut(8);
     let mut chunk = 0u64;
-    while i < buf.len() {
-        let w = filler_word(seed, h.seq, chunk).to_le_bytes();
-        let n = (buf.len() - i).min(8);
-        buf[i..i + n].copy_from_slice(&w[..n]);
-        i += n;
+    for w in &mut words {
+        w.copy_from_slice(&filler_word(seed, h.seq, chunk).to_le_bytes());
         chunk += 1;
     }
+    let tail = words.into_remainder();
+    let n = tail.len();
+    tail.copy_from_slice(&filler_word(seed, h.seq, chunk).to_le_bytes()[..n]);
 }
 
 /// Rewrite only the header fields (stages restamp in place, keeping the
@@ -97,7 +99,8 @@ pub fn restamp(buf: &mut [u8], h: &ItemHeader) {
     buf[26..28].copy_from_slice(&h.hops.to_le_bytes());
 }
 
-/// Decode the header of `buf`.
+/// Decode the header of `buf`. Checks nothing beyond the header's length;
+/// a stage that consumes an item calls [`verify`].
 pub fn decode(buf: &[u8]) -> ItemHeader {
     assert!(buf.len() >= HEADER, "item buffer smaller than header");
     ItemHeader {
@@ -109,61 +112,130 @@ pub fn decode(buf: &[u8]) -> ItemHeader {
     }
 }
 
-/// Verify the filler bytes of `buf` against `(seed, seq)`.
-pub fn filler_ok(buf: &[u8], seed: u64, seq: u64) -> bool {
-    let mut i = HEADER;
+/// Check that `buf` is an intact item of exactly `item_bytes` bytes and
+/// return its header: the length, the reserved bytes 28..32 (zero), and
+/// every filler byte against `(seed, seq)`. `None` if any of them is off.
+pub fn verify(buf: &[u8], item_bytes: usize, seed: u64) -> Option<ItemHeader> {
+    if buf.len() != item_bytes || buf.len() < HEADER || buf[28..32] != [0; 4] {
+        return None;
+    }
+    let h = decode(buf);
+    // Compare whole words in registers; the differences are OR-ed so the
+    // loop has no data-dependent branch.
+    let words = buf[HEADER..].chunks_exact(8);
+    let tail = words.remainder();
+    let mut diff = 0u64;
     let mut chunk = 0u64;
-    while i < buf.len() {
-        let w = filler_word(seed, seq, chunk).to_le_bytes();
-        let n = (buf.len() - i).min(8);
-        if buf[i..i + n] != w[..n] {
-            return false;
-        }
-        i += n;
+    for w in words {
+        diff |= u64::from_le_bytes(w.try_into().unwrap()) ^ filler_word(seed, h.seq, chunk);
         chunk += 1;
     }
-    true
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        let mask = u64::MAX >> (64 - 8 * tail.len());
+        diff |= (u64::from_le_bytes(last) ^ filler_word(seed, h.seq, chunk)) & mask;
+    }
+    (diff == 0).then_some(h)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrip_header_and_filler() {
-        let h = ItemHeader {
-            seq: 42,
+    fn header(seq: u64, seed: u64) -> ItemHeader {
+        ItemHeader {
+            seq,
             emit_ns: 1_234_567,
-            digest: base_digest(9, 42),
+            digest: base_digest(seed, seq),
             pass: 1,
             hops: 3,
-        };
-        for len in [HEADER, HEADER + 1, HEADER + 7, HEADER + 8, 256] {
-            let mut buf = vec![0u8; len];
+        }
+    }
+
+    /// Every length from a bare header through two words and a tail, plus
+    /// the stream's usual 512 B.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (HEADER..=HEADER + 17).chain([512])
+    }
+
+    #[test]
+    fn roundtrip_header_and_filler() {
+        let h = header(42, 9);
+        for len in lengths() {
+            let mut buf = vec![0xEE; len];
             encode(&mut buf, &h, 9);
             assert_eq!(decode(&buf), h, "len {len}");
-            assert!(filler_ok(&buf, 9, 42), "len {len}");
-            assert!(!filler_ok(&buf, 9, 43) || len == HEADER);
+            assert_eq!(verify(&buf, len, 9), Some(h), "len {len}");
+            if len > HEADER {
+                assert_eq!(verify(&buf, len, 10), None, "wrong seed, len {len}");
+                // The filler is bound to the item's seq: the same bytes
+                // under another seq must fail.
+                let mut other = buf.clone();
+                restamp(&mut other, &ItemHeader { seq: 43, ..h });
+                assert_eq!(verify(&other, len, 9), None, "wrong seq, len {len}");
+            }
         }
     }
 
     #[test]
+    fn verify_catches_every_flipped_byte() {
+        let h = header(7, 3);
+        for len in lengths() {
+            let mut buf = vec![0u8; len];
+            encode(&mut buf, &h, 3);
+            for i in 28..len {
+                for bit in [0x01, 0x80, 0xFF] {
+                    buf[i] ^= bit;
+                    assert_eq!(
+                        verify(&buf, len, 3),
+                        None,
+                        "len {len} byte {i} bit {bit:#x}"
+                    );
+                    buf[i] ^= bit;
+                }
+            }
+            assert_eq!(verify(&buf, len, 3), Some(h), "len {len}");
+        }
+    }
+
+    #[test]
+    fn verify_rejects_a_truncated_or_padded_item() {
+        let h = header(11, 5);
+        for len in lengths() {
+            // A well-formed item one byte longer than expected, and its
+            // prefix one byte shorter: only the length gives them away.
+            let mut buf = vec![0u8; len + 1];
+            encode(&mut buf, &h, 5);
+            assert_eq!(verify(&buf, len + 1, 5), Some(h), "len {len}");
+            assert_eq!(verify(&buf, len, 5), None, "padded, len {len}");
+            assert_eq!(
+                verify(&buf[..len], len + 1, 5),
+                None,
+                "truncated, len {len}"
+            );
+        }
+        assert_eq!(verify(&[0; HEADER - 1], HEADER - 1, 5), None);
+    }
+
+    #[test]
     fn restamp_preserves_filler() {
-        let mut buf = vec![0u8; 96];
-        let mut h = ItemHeader {
-            seq: 7,
-            emit_ns: 100,
-            digest: base_digest(1, 7),
-            pass: 0,
-            hops: 0,
-        };
-        encode(&mut buf, &h, 1);
-        h.digest = mix(h.digest, stage_salt(1, 3));
-        h.hops += 1;
-        h.pass = 1;
-        restamp(&mut buf, &h);
-        assert_eq!(decode(&buf), h);
-        assert!(filler_ok(&buf, 1, 7));
+        for len in lengths() {
+            let mut buf = vec![0u8; len];
+            let mut h = ItemHeader {
+                seq: 7,
+                emit_ns: 100,
+                digest: base_digest(1, 7),
+                pass: 0,
+                hops: 0,
+            };
+            encode(&mut buf, &h, 1);
+            h.digest = mix(h.digest, stage_salt(1, 3));
+            h.hops += 1;
+            h.pass = 1;
+            restamp(&mut buf, &h);
+            assert_eq!(verify(&buf, len, 1), Some(h), "len {len}");
+        }
     }
 
     #[test]

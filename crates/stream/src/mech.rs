@@ -69,10 +69,12 @@ pub trait LaneTransport: Send + Sync {
             self.send(th, lane, *lane_seq, data);
         }
     }
-    /// Blocking receive of item `lane_seq` of `lane`.
-    fn recv(&self, th: &mut ThreadCtx, lane: &Lane, lane_seq: u64) -> Vec<u8>;
-    /// Nonblocking receive of item `lane_seq` of `lane`.
-    fn try_recv(&self, th: &mut ThreadCtx, lane: &Lane, lane_seq: u64) -> Option<Vec<u8>>;
+    /// Blocking receive of item `lane_seq` of `lane` into `out`, which the
+    /// caller owns and reuses: its previous contents are replaced.
+    fn recv(&self, th: &mut ThreadCtx, lane: &Lane, lane_seq: u64, out: &mut Vec<u8>);
+    /// Nonblocking receive of item `lane_seq` of `lane` into `out`; `false`
+    /// (and `out` untouched) if it has not arrived.
+    fn try_recv(&self, th: &mut ThreadCtx, lane: &Lane, lane_seq: u64, out: &mut Vec<u8>) -> bool;
     /// Flush/complete the send side of `lane` after its last item.
     fn finish_tx(&self, th: &mut ThreadCtx, lane: &Lane);
     /// Complete the receive side of `lane` after its last item.
@@ -163,6 +165,12 @@ impl Mechanism {
     }
 }
 
+/// Replace `out`'s contents with a received payload, reusing its capacity.
+fn fill(out: &mut Vec<u8>, data: &[u8]) {
+    out.clear();
+    out.extend_from_slice(data);
+}
+
 /// Baseline / tags+VCIs: one shared communicator, lanes keyed by tag.
 struct CommTransport {
     comm: Communicator,
@@ -202,19 +210,20 @@ impl LaneTransport for CommTransport {
         }
     }
 
-    fn recv(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64) -> Vec<u8> {
+    fn recv(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64, out: &mut Vec<u8>) {
         let (_st, data) = self
             .comm
             .recv(th, lane.src as i64, self.tag(lane))
             .expect("lane recv");
-        data.to_vec()
+        fill(out, &data);
     }
 
-    fn try_recv(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64) -> Option<Vec<u8>> {
+    fn try_recv(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64, out: &mut Vec<u8>) -> bool {
         self.comm
             .try_recv(th, lane.src as i64, self.tag(lane))
             .expect("lane try_recv")
-            .map(|(_st, data)| data.to_vec())
+            .map(|(_st, data)| fill(out, &data))
+            .is_some()
     }
 
     fn finish_tx(&self, _th: &mut ThreadCtx, _lane: &Lane) {}
@@ -233,19 +242,20 @@ impl LaneTransport for EpTransport {
         ep.send(th, dst_ep, lane.id as i64, data).expect("ep send");
     }
 
-    fn recv(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64) -> Vec<u8> {
+    fn recv(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64, out: &mut Vec<u8>) {
         let ep = &self.eps[lane.dst_tid];
         let src_ep = ep.endpoint_rank(lane.src, lane.src_tid);
         let (_st, data) = ep.recv(th, src_ep as i64, lane.id as i64).expect("ep recv");
-        data.to_vec()
+        fill(out, &data);
     }
 
-    fn try_recv(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64) -> Option<Vec<u8>> {
+    fn try_recv(&self, th: &mut ThreadCtx, lane: &Lane, _lane_seq: u64, out: &mut Vec<u8>) -> bool {
         let ep = &self.eps[lane.dst_tid];
         let src_ep = ep.endpoint_rank(lane.src, lane.src_tid);
         ep.try_recv(th, src_ep as i64, lane.id as i64)
             .expect("ep try_recv")
-            .map(|(_st, data)| data.to_vec())
+            .map(|(_st, data)| fill(out, &data))
+            .is_some()
     }
 
     fn finish_tx(&self, _th: &mut ThreadCtx, _lane: &Lane) {}
@@ -357,26 +367,26 @@ impl LaneTransport for PartTransport {
         req.pready(th, part, data).expect("pready");
     }
 
-    fn recv(&self, th: &mut ThreadCtx, lane: &Lane, lane_seq: u64) -> Vec<u8> {
+    fn recv(&self, th: &mut ThreadCtx, lane: &Lane, lane_seq: u64, out: &mut Vec<u8>) {
         let round = lane_seq / self.window as u64;
         let part = (lane_seq % self.window as u64) as usize;
         self.rx_rollover(th, lane, round);
         let rx = &self.rx[&lane.id];
         let notify = Arc::clone(th.proc().notify());
         notify.wait_until(|| rx.req.parrived(th, part).expect("parrived").then_some(()));
-        rx.req.read_partition(part)
+        *out = rx.req.read_partition(part);
     }
 
-    fn try_recv(&self, th: &mut ThreadCtx, lane: &Lane, lane_seq: u64) -> Option<Vec<u8>> {
+    fn try_recv(&self, th: &mut ThreadCtx, lane: &Lane, lane_seq: u64, out: &mut Vec<u8>) -> bool {
         let round = lane_seq / self.window as u64;
         let part = (lane_seq % self.window as u64) as usize;
         self.rx_rollover(th, lane, round);
         let rx = &self.rx[&lane.id];
-        if rx.req.parrived(th, part).expect("parrived") {
-            Some(rx.req.read_partition(part))
-        } else {
-            None
+        let arrived = rx.req.parrived(th, part).expect("parrived");
+        if arrived {
+            *out = rx.req.read_partition(part);
         }
+        arrived
     }
 
     /// Pad the final partial round so the receiver's last `wait` completes
@@ -476,8 +486,10 @@ mod tests {
             });
             {
                 let _armed = install_thread_hook(hook.clone());
+                let mut buf = Vec::new();
                 for i in 0..ITEMS {
-                    assert_eq!(t.recv(&mut th, &lane, i), i.to_le_bytes());
+                    t.recv(&mut th, &lane, i, &mut buf);
+                    assert_eq!(buf, i.to_le_bytes());
                 }
             }
             t.finish_rx(&mut th, &lane);

@@ -291,7 +291,8 @@ fn run_emitter(
     let out = &plan.out_lanes;
     debug_assert!(out.iter().enumerate().all(|(i, l)| l.id == i));
     let mut lane_seq = vec![0u64; out.len()];
-    let mut buf = vec![0u8; cfg.item_bytes];
+    // One buffer per burst slot, encoded in place every burst.
+    let mut bufs = vec![vec![0u8; cfg.item_bytes]; EMIT_BURST as usize];
 
     let feedback_expected = topo.selected_count(cfg.seed, cfg.items);
     let mut feedback_done = 0u64;
@@ -358,8 +359,8 @@ fn run_emitter(
                     // burst: the transport amortizes the injection path
                     // across the whole batch where the mechanism allows it.
                     let burst = tokens.min(cfg.items - next_seq).min(EMIT_BURST);
-                    let mut bufs: Vec<(usize, u64, Vec<u8>)> = Vec::with_capacity(burst as usize);
-                    for _ in 0..burst {
+                    let mut batch: Vec<(&_, u64, &[u8])> = Vec::with_capacity(burst as usize);
+                    for buf in &mut bufs[..burst as usize] {
                         let h = ItemHeader {
                             seq: next_seq,
                             emit_ns: th.clock.now().0,
@@ -367,16 +368,12 @@ fn run_emitter(
                             pass: 0,
                             hops: 0,
                         };
-                        item::encode(&mut buf, &h, cfg.seed);
-                        let lane_id = out[topo.lane_of(next_seq)].id;
-                        bufs.push((lane_id, lane_seq[lane_id], buf.clone()));
-                        lane_seq[lane_id] += 1;
+                        item::encode(buf, &h, cfg.seed);
+                        let lane = &out[topo.lane_of(next_seq)];
+                        batch.push((lane, lane_seq[lane.id], buf));
+                        lane_seq[lane.id] += 1;
                         next_seq += 1;
                     }
-                    let batch: Vec<(&_, u64, &[u8])> = bufs
-                        .iter()
-                        .map(|(lane_id, seq, data)| (&out[*lane_id], *seq, data.as_slice()))
-                        .collect();
                     transport.send_many(th, &batch);
                     tokens -= burst;
                     inflight_acc.record(cfg.credits - tokens);
@@ -427,15 +424,17 @@ fn run_worker(
     };
     debug_assert_eq!(in_lane.count, out_lane.count);
     let salt = item::stage_salt(cfg.seed, plan.rank);
+    // Every item is received into, restamped in and sent from this buffer.
+    let mut buf = Vec::with_capacity(cfg.item_bytes);
 
     for n in 0..in_lane.count {
-        let mut buf = transport.recv(th, in_lane, n);
-        let mut h = item::decode(&buf);
-        assert!(
-            item::filler_ok(&buf, cfg.seed, h.seq),
-            "payload corrupt at worker rank {} tid {tid} item {n}",
-            plan.rank
-        );
+        transport.recv(th, in_lane, n, &mut buf);
+        let Some(mut h) = item::verify(&buf, cfg.item_bytes, cfg.seed) else {
+            panic!(
+                "payload corrupt at worker rank {} tid {tid} item {n}",
+                plan.rank
+            );
+        };
         let t0 = th.clock.now();
         th.clock.advance(work_time(cfg, plan.rank, tid, n));
         obs::busy("stream", "process", t0, th.clock.now(), obs::ResId::NONE);
@@ -470,6 +469,7 @@ fn run_collector(
     let mut delivered = 0u64;
     let mut feedback_items = 0u64;
     let mut pending_credit = 0u64;
+    let mut buf = Vec::with_capacity(cfg.item_bytes);
 
     while delivered < cfg.items {
         // One sweep over the in-lanes; wait only when it found nothing.
@@ -479,18 +479,18 @@ fn run_collector(
                 if seen[i] >= lane.count {
                     continue;
                 }
-                let Some(buf) = transport.try_recv(th, lane, seen[i]) else {
+                if !transport.try_recv(th, lane, seen[i], &mut buf) {
                     continue;
+                }
+                let Some(h) = item::verify(&buf, cfg.item_bytes, cfg.seed) else {
+                    panic!(
+                        "payload corrupt at collector rank {} lane {} item {}",
+                        plan.rank, lane.id, seen[i]
+                    );
                 };
                 seen[i] += 1;
                 progress = true;
 
-                let h = item::decode(&buf);
-                assert!(
-                    item::filler_ok(&buf, cfg.seed, h.seq),
-                    "payload corrupt at collector, item {}",
-                    h.seq
-                );
                 if h.pass == 0 && item::selected(cfg.seed, h.seq, permille) {
                     // First pass of a feedback item: route it back whole.
                     // Its credit token stays with it until the second pass

@@ -14,9 +14,16 @@ table, with its own `--sum` line, per label.
 `--lines` takes the samples whose innermost function matches the regex and
 counts them by source line: the innermost file:line, then the frames it is
 inlined into, each with its own line.
+
+An address with no line information that lies past the end of every symbol
+`readelf -Ws --dyn-syms` lists for its object (a stripped libc's internal
+string functions) is named `<object>+0x<page>`, not after the export
+addr2line falls back to.
 """
 import argparse
+import bisect
 import collections
+import os
 import re
 import subprocess
 
@@ -69,7 +76,34 @@ def symbolise(maps, ips):
                 else:
                     chains[addrs[i]][-1] = (chains[addrs[i]][-1][0], line)
                 fn = not fn
+        unexported(obj, addrs, base[obj], chains)
     return {ip: tuple(c) or (("??", "??:0"),) for ip, c in chains.items()}
+
+
+def unexported(obj, addrs, base, chains):
+    """Rename the innermost frame of each address in `addrs` that has no line
+    information and that no function symbol of `obj` covers: addr2line names
+    it after the nearest preceding symbol, which for a stripped object is an
+    unrelated export. The new name is the object and the 4 KiB page."""
+    todo = [a for a in addrs if chains[a] and chains[a][0][1].startswith("??")]
+    if not todo:
+        return
+    out = subprocess.run(["readelf", "-Ws", "--dyn-syms", obj],
+                         capture_output=True, text=True).stdout
+    spans = sorted({(int(f[1], 16), int(f[1], 16) + int(f[2], 0))
+                    for f in (line.split() for line in out.splitlines())
+                    if len(f) >= 8 and f[3] in ("FUNC", "IFUNC") and f[6] != "UND"})
+    starts = [lo for lo, _ in spans]
+    reach, end = [], 0  # reach[i]: the furthest end among spans[:i + 1]
+    for _, hi in spans:
+        end = max(end, hi)
+        reach.append(end)
+    name = os.path.basename(obj)
+    for a in todo:
+        off = a - base
+        i = bisect.bisect_right(starts, off) - 1
+        if i < 0 or reach[i] <= off:
+            chains[a][0] = (f"{name}+{off & ~0xfff:#x}", chains[a][0][1])
 
 
 def table(ips, chains, top, sums):
