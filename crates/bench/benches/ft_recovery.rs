@@ -36,15 +36,6 @@ use std::time::{Duration, Instant};
 
 const BACKSTOP: Duration = Duration::from_secs(30);
 
-fn is_ft_error(e: &RankMpiError) -> bool {
-    matches!(
-        e,
-        RankMpiError::ProcessFailed { .. }
-            | RankMpiError::Revoked { .. }
-            | RankMpiError::LinkDown { .. }
-    )
-}
-
 // ---------------------------------------------------------------- detection
 
 struct Detection {
@@ -261,7 +252,7 @@ fn goodput_run(seed: u64) -> Vec<Option<GoodRec>> {
                             rec.t_last_ok = th.clock.now().0;
                         }
                     }
-                    Err(e) if is_ft_error(&e) => {
+                    Err(e) if e.is_ft() => {
                         if rec.t_break.is_none() {
                             rec.t_break = Some(th.clock.now().0);
                             rec.iters_before = iter as u64;
@@ -290,7 +281,7 @@ fn goodput_run(seed: u64) -> Vec<Option<GoodRec>> {
                         rec.iter_resume = iter as u64;
                     }
                 }
-                Err(ref e) if is_ft_error(e) => {
+                Err(ref e) if e.is_ft() => {
                     comm.revoke(&mut th).expect("revoke cannot fail");
                 }
                 Err(e) => panic!("resync failed: {e:?}"),

@@ -121,6 +121,22 @@ pub enum RankMpiError {
     },
 }
 
+impl RankMpiError {
+    /// Whether a fault-tolerant caller recovers from this error by revoking,
+    /// agreeing and shrinking rather than treating it as a bug: a dead peer
+    /// ([`ProcessFailed`](Self::ProcessFailed)), a revoked communicator
+    /// ([`Revoked`](Self::Revoked)), or a link that stayed down across every
+    /// retry ([`LinkDown`](Self::LinkDown)). Every other variant is `false`.
+    pub fn is_ft(&self) -> bool {
+        matches!(
+            self,
+            RankMpiError::ProcessFailed { .. }
+                | RankMpiError::Revoked { .. }
+                | RankMpiError::LinkDown { .. }
+        )
+    }
+}
+
 impl fmt::Display for RankMpiError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -269,6 +285,51 @@ mod tests {
         assert!(RankMpiError::Revoked { context_id: 42 }
             .to_string()
             .contains("42"));
+    }
+
+    #[test]
+    fn is_ft_accepts_exactly_the_recoverable_failures() {
+        let accepted = [
+            RankMpiError::ProcessFailed { rank: 1 },
+            RankMpiError::Revoked { context_id: 2 },
+            RankMpiError::LinkDown { src: 3 },
+        ];
+        let rejected = [
+            RankMpiError::InvalidRank { rank: 9, size: 4 },
+            RankMpiError::TagOutOfRange { tag: -5 },
+            RankMpiError::TagBitsOverflow {
+                requested: 30,
+                available: 22,
+            },
+            RankMpiError::WildcardUnsupported { reason: "r" },
+            RankMpiError::MissingAssertion { hint: "h" },
+            RankMpiError::ConcurrentCollective { context_id: 0 },
+            RankMpiError::WindowOutOfBounds {
+                offset: 0,
+                len: 1,
+                size: 0,
+            },
+            RankMpiError::LengthMismatch {
+                expected: 1,
+                got: 2,
+            },
+            RankMpiError::BadInfoValue {
+                key: "k".into(),
+                value: "v".into(),
+            },
+            RankMpiError::InvalidState("s"),
+            RankMpiError::Timeout { waited_ms: 1 },
+            RankMpiError::RetriesExhausted {
+                src: 0,
+                attempts: 3,
+            },
+        ];
+        for e in &accepted {
+            assert!(e.is_ft(), "{e:?} must be a fault-tolerance error");
+        }
+        for e in &rejected {
+            assert!(!e.is_ft(), "{e:?} must not be a fault-tolerance error");
+        }
     }
 
     #[test]

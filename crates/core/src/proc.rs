@@ -413,10 +413,6 @@ impl ProcEnv {
     pub fn parallel_n<R: Send>(&self, n: usize, f: impl Fn(&mut ThreadCtx) -> R + Sync) -> Vec<R> {
         let f = &f;
         if let Some(h) = engine::handle() {
-            let stack = match self.universe.launch() {
-                crate::universe::LaunchMode::Tasks(cfg) => cfg.stack_size,
-                crate::universe::LaunchMode::Threads => 512 * 1024,
-            };
             return engine::block_in_place(|| {
                 std::thread::scope(|s| {
                     let handles: Vec<_> = (0..n)
@@ -426,7 +422,7 @@ impl ProcEnv {
                             let h = h.clone();
                             std::thread::Builder::new()
                                 .name(format!("r{}t{tid}", proc.rank()))
-                                .stack_size(stack)
+                                .stack_size(crate::universe::TASK_STACK)
                                 .spawn_scoped(s, move || {
                                     h.run_member(move || {
                                         let mut th = ThreadCtx::new(tid, proc, universe);

@@ -60,10 +60,12 @@ pub struct TaskLaunch {
     /// 14's partitioned halo costs ≈125µs per iteration at 100µs slack and
     /// ≈31µs at 1µs.
     pub vtime_slack: Nanos,
-    /// Carrier-thread stack size in bytes (default 512 KiB — task counts
-    /// are the point, so stacks stay small).
-    pub stack_size: usize,
 }
+
+/// Carrier-thread stack size of every engine task: rank-tasks and the
+/// simulated threads they fork. Task counts are the point, so stacks stay
+/// small.
+pub(crate) const TASK_STACK: usize = 512 * 1024;
 
 impl Default for TaskLaunch {
     fn default() -> Self {
@@ -72,7 +74,6 @@ impl Default for TaskLaunch {
                 .map(|n| n.get())
                 .unwrap_or(1),
             vtime_slack: Nanos(100_000),
-            stack_size: 512 * 1024,
         }
     }
 }
@@ -619,42 +620,59 @@ impl Universe {
     /// their simulated threads via [`ProcEnv::parallel`] and the per-process
     /// results come back in rank order.
     pub fn run<R: Send>(&self, f: impl Fn(ProcEnv) -> R + Sync) -> Vec<R> {
-        match self.shared.launch() {
-            LaunchMode::Threads => self.run_threads(f),
-            LaunchMode::Tasks(cfg) => self.run_tasks(cfg, f),
-        }
+        self.launch_ranks(|_, env| f(env))
     }
 
-    fn run_threads<R: Send>(&self, f: impl Fn(ProcEnv) -> R + Sync) -> Vec<R> {
-        let f = &f;
-        let shared = &self.shared;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..shared.n_procs())
-                .map(|r| {
-                    let proc = Arc::clone(shared.proc(r));
-                    let universe = Arc::clone(shared);
-                    s.spawn(move || {
-                        let tpp = universe.threads_per_proc();
-                        f(ProcEnv::new(proc, universe, tpp))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+    /// Like [`run`](Universe::run), but tolerant of planned rank crashes:
+    /// a rank the fault plan killed yields `None` in its slot instead of
+    /// tearing the whole run down. Any unwind the [`Liveness`] registry
+    /// cannot attribute to the crash plan is re-raised — real bugs still
+    /// fail loudly.
+    pub fn run_ft<R: Send>(&self, f: impl Fn(ProcEnv) -> R + Sync) -> Vec<Option<R>> {
+        let liveness = &self.shared.liveness;
+        self.launch_ranks(|rank, env| {
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(env)));
+            rankmpi_fabric::ft::clear_crash_flag();
+            match out {
+                Ok(r) => Some(r),
+                // A planned crash: this rank's slot stays empty.
+                Err(_) if liveness.is_crashed(rank) => None,
+                Err(p) => std::panic::resume_unwind(p),
+            }
         })
     }
 
-    fn run_tasks<R: Send>(&self, cfg: TaskLaunch, f: impl Fn(ProcEnv) -> R + Sync) -> Vec<R> {
-        let f = &f;
+    /// Run `rank_fn(rank, env)` once per process under the configured launch
+    /// mode and collect the results in rank order. A rank's panic reaches the
+    /// caller with its original payload in threads mode; the engine re-raises
+    /// its message in tasks mode.
+    fn launch_ranks<R: Send>(&self, rank_fn: impl Fn(usize, ProcEnv) -> R + Sync) -> Vec<R> {
         let shared = &self.shared;
+        let rank_fn = &rank_fn;
+        let rank_task = |r: usize| {
+            let proc = Arc::clone(shared.proc(r));
+            let universe = Arc::clone(shared);
+            move || {
+                let tpp = universe.threads_per_proc();
+                rank_fn(r, ProcEnv::new(proc, universe, tpp))
+            }
+        };
+        let cfg = match shared.launch() {
+            LaunchMode::Threads => {
+                return std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..shared.n_procs())
+                        .map(|r| s.spawn(rank_task(r)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
+                })
+            }
+            LaunchMode::Tasks(cfg) => cfg,
+        };
         let tasks: Vec<engine::TaskFn<'_, R>> = (0..shared.n_procs())
-            .map(|r| {
-                let proc = Arc::clone(shared.proc(r));
-                let universe = Arc::clone(shared);
-                Box::new(move || {
-                    let tpp = universe.threads_per_proc();
-                    f(ProcEnv::new(proc, universe, tpp))
-                }) as engine::TaskFn<'_, R>
-            })
+            .map(|r| Box::new(rank_task(r)) as engine::TaskFn<'_, R>)
             .collect();
         let out = engine::run(
             engine::EngineConfig {
@@ -662,7 +680,7 @@ impl Universe {
                     workers: cfg.workers,
                     slack: cfg.vtime_slack,
                 },
-                stack_size: cfg.stack_size,
+                stack_size: TASK_STACK,
                 ..engine::EngineConfig::default()
             },
             tasks,
@@ -675,85 +693,6 @@ impl Universe {
             .into_iter()
             .map(|r| r.expect("rank-task finished without result or panic"))
             .collect()
-    }
-
-    /// Like [`run`](Universe::run), but tolerant of planned rank crashes:
-    /// a rank the fault plan killed yields `None` in its slot instead of
-    /// tearing the whole run down. Any unwind the [`Liveness`] registry
-    /// cannot attribute to the crash plan is re-raised — real bugs still
-    /// fail loudly.
-    pub fn run_ft<R: Send>(&self, f: impl Fn(ProcEnv) -> R + Sync) -> Vec<Option<R>> {
-        let f = &f;
-        let shared = &self.shared;
-        let liveness = Arc::clone(&shared.liveness);
-        // Classify one rank closure's outcome: planned crash → None.
-        let settle = move |rank: usize, out: std::thread::Result<R>| -> Option<R> {
-            rankmpi_fabric::ft::clear_crash_flag();
-            match out {
-                Ok(r) => Some(r),
-                Err(p) => {
-                    if liveness.is_crashed(rank) {
-                        None
-                    } else {
-                        std::panic::resume_unwind(p)
-                    }
-                }
-            }
-        };
-        let run_one = move |r: usize, env: ProcEnv| -> Option<R> {
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(env)));
-            settle(r, out)
-        };
-        let run_one = &run_one;
-        match shared.launch() {
-            LaunchMode::Threads => std::thread::scope(|s| {
-                let handles: Vec<_> = (0..shared.n_procs())
-                    .map(|r| {
-                        let proc = Arc::clone(shared.proc(r));
-                        let universe = Arc::clone(shared);
-                        s.spawn(move || {
-                            let tpp = universe.threads_per_proc();
-                            run_one(r, ProcEnv::new(proc, universe, tpp))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            }),
-            LaunchMode::Tasks(cfg) => {
-                let tasks: Vec<engine::TaskFn<'_, Option<R>>> = (0..shared.n_procs())
-                    .map(|r| {
-                        let proc = Arc::clone(shared.proc(r));
-                        let universe = Arc::clone(shared);
-                        Box::new(move || {
-                            let tpp = universe.threads_per_proc();
-                            run_one(r, ProcEnv::new(proc, universe, tpp))
-                        }) as engine::TaskFn<'_, Option<R>>
-                    })
-                    .collect();
-                let out = engine::run(
-                    engine::EngineConfig {
-                        dispatch: engine::Dispatch::VirtualTime {
-                            workers: cfg.workers,
-                            slack: cfg.vtime_slack,
-                        },
-                        stack_size: cfg.stack_size,
-                        ..engine::EngineConfig::default()
-                    },
-                    tasks,
-                );
-                publish_engine_metrics(&out.metrics);
-                if let Some(p) = out.panic {
-                    panic!("{p}");
-                }
-                out.results
-                    .into_iter()
-                    .map(|r| r.expect("rank-task finished without result or panic"))
-                    .collect()
-            }
-        }
     }
 }
 
@@ -918,6 +857,13 @@ mod tests {
             .threads_per_proc(2)
             .thread_level(ThreadLevel::Single)
             .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 gave up")]
+    fn a_rank_panic_reaches_the_caller_with_its_message() {
+        let u = Universe::builder().nodes(2).build();
+        u.run(|env| assert!(env.rank() != 1, "rank {} gave up", env.rank()));
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //!    across the stack (send/recv posting, match attempts, VCI lock holds,
 //!    hardware-context occupancy, wire segments, partitioned transfers,
 //!    collective phases) record [`trace::Span`]s into per-thread ring buffers
-//!    whose writer path is lock-free. The whole recording path is guarded by
-//!    the compile-time constant [`COMPILED`]: without the `enabled` cargo
-//!    feature every recording call is an empty inline function the optimizer
-//!    deletes, so benches built feature-off are unaffected.
+//!    whose writer path is lock-free. While no [`trace::session`] is
+//!    collecting, a recording call costs one relaxed atomic load.
 //! 2. [`registry`] — a labeled metrics registry that unifies the scattered
 //!    counters of the stack (VCI polls/matches, lock acquisitions, NIC
 //!    context-pool sharing, matching work) behind one typed interface. The
@@ -34,14 +32,3 @@ pub mod critpath;
 pub mod json;
 pub mod registry;
 pub mod trace;
-
-/// Whether the span tracer's recording path was compiled in (cargo feature
-/// `enabled`, reached from the workspace as feature `obs` on the consuming
-/// crates).
-///
-/// Instrumentation sites call [`trace::span`] and friends unconditionally;
-/// those functions start with `if !COMPILED { return; }`, so with the feature
-/// off the calls — including the construction of their arguments — constant-
-/// fold to nothing. This is the zero-cost-when-off guarantee the benches rely
-/// on.
-pub const COMPILED: bool = cfg!(feature = "enabled");

@@ -12,10 +12,8 @@
 //! new spans (counted in [`Trace::dropped`]) instead of blocking or
 //! reallocating on the hot path.
 //!
-//! The entire module is inert unless the crate's `enabled` feature is on:
-//! every public recording function starts with `if !COMPILED { return; }`
-//! (see [`crate::COMPILED`]) and otherwise costs one relaxed atomic load
-//! while no session is active.
+//! Recording is inert outside a [`session`]: every recording call checks one
+//! process-global flag with a relaxed load and returns while it is clear.
 
 use std::cell::Cell;
 use std::mem::MaybeUninit;
@@ -24,10 +22,8 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use rankmpi_vtime::Nanos;
 
-use crate::COMPILED;
-
-/// Default per-thread span capacity (overridable via `RANKMPI_OBS_SPAN_CAP`).
-const DEFAULT_CAP: usize = 1 << 16;
+/// Per-thread span capacity.
+const CAP: usize = 1 << 16;
 
 /// Whether a span consumed a resource or waited for one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,17 +215,6 @@ fn buf_registry() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
     BUFS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-fn ring_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("RANKMPI_OBS_SPAN_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&c: &usize| c > 0)
-            .unwrap_or(DEFAULT_CAP)
-    })
-}
-
 thread_local! {
     static TLS_BUF: Cell<Option<&'static ThreadBuf>> = const { Cell::new(None) };
     static TLS_ACTOR: Cell<(u32, u32)> = const { Cell::new((0, 0)) };
@@ -243,7 +228,7 @@ fn my_buf() -> &'static ThreadBuf {
         if let Some(b) = tls.get() {
             return b;
         }
-        let buf = ThreadBuf::new(ring_cap());
+        let buf = ThreadBuf::new(CAP);
         buf_registry().lock().unwrap().push(Arc::clone(&buf));
         let leaked: &'static ThreadBuf = Box::leak(Box::new(buf));
         tls.set(Some(leaked));
@@ -257,19 +242,16 @@ fn my_buf() -> &'static ThreadBuf {
 /// set are stamped `(0, 0)`.
 #[inline]
 pub fn set_actor(pid: u32, tid: u32) {
-    if !COMPILED {
-        return;
-    }
     TLS_ACTOR.with(|a| a.set((pid, tid)));
 }
 
 /// Whether a trace session is currently collecting.
 #[inline]
 pub fn is_active() -> bool {
-    COMPILED && ACTIVE.load(Ordering::Relaxed)
+    ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Record one span. No-op unless [`crate::COMPILED`] and a session is active.
+/// Record one span. No-op unless a session is active.
 #[inline]
 pub fn span(
     cat: &'static str,
@@ -279,7 +261,7 @@ pub fn span(
     res: ResId,
     kind: SpanKind,
 ) {
-    if !COMPILED || !ACTIVE.load(Ordering::Relaxed) {
+    if !ACTIVE.load(Ordering::Relaxed) {
         return;
     }
     let (pid, tid) = TLS_ACTOR.with(|a| a.get());
@@ -322,9 +304,6 @@ static SESSION: Mutex<()> = Mutex::new(());
 /// threads *outside* `f` that run meanwhile land in the same trace — start
 /// `f` from a quiescent point.
 pub fn session<R>(f: impl FnOnce() -> R) -> (R, Trace) {
-    if !COMPILED {
-        return (f(), Trace::default());
-    }
     // A session that panicked left nothing half-updated: the next one
     // resets the rings and the flag anyway.
     let _turn = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
@@ -377,7 +356,34 @@ mod tests {
         assert!(!outer.encloses(&other_thread));
     }
 
-    #[cfg(feature = "enabled")]
+    /// Only a span recorded inside a session reaches a trace. The spans
+    /// before and after it are checked against this thread's ring, because
+    /// the next session's reset would hide them from any trace.
+    #[test]
+    fn spans_outside_a_session_are_not_recorded() {
+        let record_outside = |name| {
+            // Holding the session turn: no session is collecting, and none
+            // can reset this thread's ring under the check.
+            let _turn = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
+            let ring = my_buf();
+            let len = ring.len.load(Ordering::Acquire);
+            busy("guard", name, Nanos(0), Nanos(1), ResId::NONE);
+            assert_eq!(
+                ring.len.load(Ordering::Acquire),
+                len,
+                "span {name:?} recorded outside a session"
+            );
+        };
+        set_actor(5, 3);
+        record_outside("before");
+        let ((), tr) = session(|| busy("guard", "inside", Nanos(2), Nanos(4), ResId::NONE));
+        record_outside("after");
+        let mine: Vec<_> = tr.spans.iter().filter(|s| s.cat == "guard").collect();
+        assert_eq!(mine.len(), 1, "{mine:?}");
+        assert_eq!((mine[0].name, mine[0].pid, mine[0].tid), ("inside", 5, 3));
+        assert_eq!((mine[0].start, mine[0].end), (Nanos(2), Nanos(4)));
+    }
+
     #[test]
     fn session_records_across_threads() {
         let ((), tr) = session(|| {
@@ -405,13 +411,5 @@ mod tests {
         busy("t", "late", Nanos(0), Nanos(1), ResId::NONE);
         let ((), tr) = session(|| ());
         assert!(tr.spans.is_empty(), "rings reset between sessions");
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_tracer_is_inert() {
-        let ((), tr) = session(|| busy("t", "x", Nanos(0), Nanos(1), ResId::NONE));
-        assert!(tr.spans.is_empty());
-        assert!(!is_active());
     }
 }

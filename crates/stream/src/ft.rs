@@ -23,7 +23,7 @@
 //! isolated by construction, and the emitter needs no deduplication
 //! beyond its own acked set.
 
-use rankmpi_core::{Communicator, Errhandler, Error, LaunchMode, ThreadCtx, Universe};
+use rankmpi_core::{Communicator, Errhandler, LaunchMode, ThreadCtx, Universe};
 use rankmpi_fabric::{FaultPlan, NetworkProfile};
 use rankmpi_vtime::Nanos;
 
@@ -117,13 +117,6 @@ fn expected_result(seed: u64, seq: u64) -> u64 {
     splitmix(seed ^ seq.rotate_left(17) ^ 0xFA37)
 }
 
-fn is_ft_error(e: &Error) -> bool {
-    matches!(
-        e,
-        Error::ProcessFailed { .. } | Error::Revoked { .. } | Error::LinkDown { .. }
-    )
-}
-
 /// One emitter fence-round phase: dispatch every unacknowledged item
 /// round-robin over the current workers, then collect the acknowledgments
 /// in assignment order, then stop the workers. Returns `Ok(true)` when the
@@ -179,7 +172,7 @@ fn emitter_phase(
                     );
                     acked[seq as usize] = true;
                 }
-                Err(e) if is_ft_error(&e) => return false,
+                Err(e) if e.is_ft() => return false,
                 Err(e) => panic!("ack recv failed: {e:?}"),
             }
         }
@@ -213,11 +206,11 @@ fn worker_phase(
                 ack[8..].copy_from_slice(&expected_result(cfg.seed, seq).to_le_bytes());
                 match comm.send(th, 0, ACK_TAG, &ack) {
                     Ok(()) => *processed += 1,
-                    Err(e) if is_ft_error(&e) => return false,
+                    Err(e) if e.is_ft() => return false,
                     Err(e) => panic!("ack send failed: {e:?}"),
                 }
             }
-            Err(e) if is_ft_error(&e) => return false,
+            Err(e) if e.is_ft() => return false,
             Err(e) => panic!("work recv failed: {e:?}"),
         }
     }

@@ -101,13 +101,6 @@ fn stamp(iter: usize, sender: usize) -> u64 {
     ((iter as u64) << 20) | sender as u64
 }
 
-fn is_ft_error(e: &Error) -> bool {
-    matches!(
-        e,
-        Error::ProcessFailed { .. } | Error::Revoked { .. } | Error::LinkDown { .. }
-    )
-}
-
 /// One ring-halo iteration on `comm`: exchange stamped payloads with both
 /// neighbors and verify them. Any fault-tolerance error aborts the
 /// iteration for the caller to recover from.
@@ -186,7 +179,7 @@ pub fn run_halo_ft(cfg: &HaloFtConfig) -> HaloFtReport {
                         exchanged += 1;
                         iter += 1;
                     }
-                    Err(e) if is_ft_error(&e) => {
+                    Err(e) if e.is_ft() => {
                         broken = true;
                         break;
                     }
@@ -218,7 +211,7 @@ pub fn run_halo_ft(cfg: &HaloFtConfig) -> HaloFtReport {
             // immediately to funnel every member back into the fence.
             match comm.allreduce(&mut th, &[iter as f64], ReduceOp::Max) {
                 Ok(m) => iter = m[0] as usize,
-                Err(ref e) if is_ft_error(e) => {
+                Err(ref e) if e.is_ft() => {
                     comm.revoke(&mut th).expect("revoke cannot fail");
                 }
                 Err(e) => panic!("resync failed: {e:?}"),

@@ -251,9 +251,6 @@ pub fn run_halo(mech: HaloMechanism, cfg: &HaloConfig) -> HaloReport {
 
 /// Run the halo exchange with the span tracer active, returning the report
 /// plus the captured trace.
-///
-/// With the `obs` feature disabled the returned trace is empty (the tracer
-/// compiles away — see [`rankmpi_obs::COMPILED`]).
 pub fn run_halo_traced(
     mech: HaloMechanism,
     cfg: &HaloConfig,

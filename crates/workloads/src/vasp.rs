@@ -304,7 +304,6 @@ mod tests {
         let launch = LaunchMode::Tasks(TaskLaunch {
             workers: 1,
             vtime_slack: Nanos(1_000),
-            ..TaskLaunch::default()
         });
         let want = expected_sum(&cfg);
         let (done, finished) = channel();

@@ -3,12 +3,10 @@
 //!
 //! Run with: `cargo run --release --example stencil_halo`
 //!
-//! With the observability layer compiled in
-//! (`cargo run --release --example stencil_halo --features obs`) each
-//! mechanism additionally drops a Chrome trace-event file
+//! Each mechanism also drops a Chrome trace-event file
 //! (`TRACE_stencil_halo_<mechanism>.json`, loadable in Perfetto /
-//! `chrome://tracing`) and prints the virtual-time critical path with its
-//! per-resource contention breakdown.
+//! `chrome://tracing`); the single-communicator run also prints its
+//! virtual-time critical path with the per-resource contention breakdown.
 
 use rankmpi_obs::{chrome, critpath};
 use rankmpi_vtime::Nanos;
@@ -63,27 +61,25 @@ fn main() {
         traces.push((mech, trace));
     }
 
-    if rankmpi_obs::COMPILED {
-        println!();
-        for (mech, trace) in &traces {
-            let slug = format!("{mech:?}").to_lowercase();
-            match chrome::write_trace(&format!("stencil_halo_{slug}"), trace) {
-                Ok(p) => println!(
-                    "{:<38} {} spans -> {}",
-                    mech.label(),
-                    trace.spans.len(),
-                    p.display()
-                ),
-                Err(e) => eprintln!("could not write trace for {}: {e}", mech.label()),
-            }
+    println!();
+    for (mech, trace) in &traces {
+        let slug = format!("{mech:?}").to_lowercase();
+        match chrome::write_trace(&format!("stencil_halo_{slug}"), trace) {
+            Ok(p) => println!(
+                "{:<38} {} spans -> {}",
+                mech.label(),
+                trace.spans.len(),
+                p.display()
+            ),
+            Err(e) => eprintln!("could not write trace for {}: {e}", mech.label()),
         }
-        // Critical path of the mechanism the paper spends the most ink on:
-        // the single shared communicator, where every span contends on one
-        // VCI and one hardware context.
-        let (mech, trace) = &traces[0];
-        println!("\ncritical path — {} :", mech.label());
-        critpath::analyze(trace).print();
     }
+    // Critical path of the mechanism the paper spends the most ink on:
+    // the single shared communicator, where every span contends on one
+    // VCI and one hardware context.
+    let (mech, trace) = &traces[0];
+    println!("\ncritical path — {} :", mech.label());
+    critpath::analyze(trace).print();
 
     println!(
         "\nEvery halo cell was verified against its expected sender and iteration; \

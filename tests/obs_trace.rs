@@ -1,10 +1,5 @@
 //! End-to-end observability test: run the halo workload with the tracer
 //! active, export the Chrome trace, re-parse it, and check its structure.
-//!
-//! Compiled only with the `obs` feature — without it the tracer records
-//! nothing and there is nothing to assert:
-//! `cargo test --features obs --test obs_trace`.
-#![cfg(feature = "obs")]
 
 use rankmpi::obs::json::Value;
 use rankmpi::obs::{chrome, critpath, json};
