@@ -24,17 +24,50 @@
 
 use rankmpi_bench::{percentile, percentiles_json, write_bench_json};
 use rankmpi_bench::{print_table, takeaway};
+use rankmpi_core::universe::UniverseShared;
 use rankmpi_core::{
     Communicator, Errhandler, LaunchMode, RankMpiError, ReduceOp, TaskLaunch, ThreadCtx, Universe,
 };
 use rankmpi_fabric::ft::PROBE_TIMEOUT;
 use rankmpi_fabric::FaultPlan;
 use rankmpi_obs::json::Value;
-use rankmpi_obs::registry::registry_samples;
 use rankmpi_vtime::Nanos;
 use std::time::{Duration, Instant};
 
 const BACKSTOP: Duration = Duration::from_secs(30);
+
+/// Fault-tolerance counters summed over every universe the bench builds.
+#[derive(Default)]
+struct FtCounters {
+    crashes: u64,
+    detections: u64,
+    revoked_drops: u64,
+    revokes: u64,
+    shrinks: u64,
+}
+
+impl FtCounters {
+    fn add(&mut self, u: &UniverseShared) {
+        self.crashes += u.liveness().num_crashed() as u64;
+        self.detections += u.liveness().detections();
+        for r in 0..u.n_procs() {
+            let ft = u.proc(r).ft();
+            self.revoked_drops += ft.revoked_drops();
+            self.revokes += ft.revokes();
+            self.shrinks += ft.shrinks();
+        }
+    }
+
+    fn json(&self) -> Value {
+        Value::obj([
+            ("crashes", Value::int(self.crashes)),
+            ("detections", Value::int(self.detections)),
+            ("revoked_drops", Value::int(self.revoked_drops)),
+            ("revokes", Value::int(self.revokes)),
+            ("shrinks", Value::int(self.shrinks)),
+        ])
+    }
+}
 
 // ---------------------------------------------------------------- detection
 
@@ -48,7 +81,7 @@ struct Detection {
 /// a seed-dependent amount so the samples cover both regimes: a receive
 /// already pending when the probe fires, and one posted after the
 /// detector has the verdict (doomed at post time).
-fn bench_detection() -> Detection {
+fn bench_detection(ft: &mut FtCounters) -> Detection {
     let mut from_crash = Vec::new();
     let mut from_post = Vec::new();
     for seed in 0..8u64 {
@@ -83,6 +116,7 @@ fn bench_detection() -> Detection {
             .crashed_at(1)
             .expect("rank 1 died by plan")
             .0;
+        ft.add(&shared);
         from_crash.push(observed.saturating_sub(crashed));
         from_post.push(observed.saturating_sub(posted));
     }
@@ -100,7 +134,7 @@ const REVOKE_RANKS: usize = 8;
 /// receives are pending), then revokes. Each observer's blocked receive
 /// can only resolve through the poisoned control flood; the sample is the
 /// virtual time from the revoke call to that resolution.
-fn bench_revoke() -> Vec<u64> {
+fn bench_revoke(ft: &mut FtCounters) -> Vec<u64> {
     let u = Universe::builder().nodes(REVOKE_RANKS).build();
     let stamps = u.run(|env| {
         let world = env.world();
@@ -125,6 +159,7 @@ fn bench_revoke() -> Vec<u64> {
             }
         }
     });
+    ft.add(u.shared());
     let t0 = stamps[0];
     stamps[1..].iter().map(|&t| t.saturating_sub(t0)).collect()
 }
@@ -142,7 +177,7 @@ struct ShrinkTier {
 /// With nobody dead the shrink is a pure membership collective (the child
 /// equals the parent), which isolates the cost being measured: the
 /// fault-tolerant rendezvous itself as the member count grows.
-fn bench_shrink_scale() -> Vec<ShrinkTier> {
+fn bench_shrink_scale(ft: &mut FtCounters) -> Vec<ShrinkTier> {
     [64usize, 256, 1024]
         .iter()
         .map(|&n| {
@@ -165,6 +200,7 @@ fn bench_shrink_scale() -> Vec<ShrinkTier> {
                 assert_eq!(child.size(), n, "nobody died; shrink must not drop members");
                 (agree_ns, shrink_ns)
             });
+            ft.add(u.shared());
             ShrinkTier {
                 ranks: n,
                 agree_wall_ns: out.iter().map(|&(a, _)| a).collect(),
@@ -219,13 +255,13 @@ fn halo_step(comm: &Communicator, th: &mut ThreadCtx, iter: usize) -> Result<(),
 /// One crash-surviving halo run (same fence protocol as the workload
 /// crate), instrumented with the virtual timestamps the goodput numbers
 /// need: run start, first break, post-recovery resume, and finish.
-fn goodput_run(seed: u64) -> Vec<Option<GoodRec>> {
+fn goodput_run(seed: u64, ft: &mut FtCounters) -> Vec<Option<GoodRec>> {
     let plan = FaultPlan::new(seed).crashes(0.6, 60, Nanos::us(90));
     let u = Universe::builder()
         .nodes(GOOD_PROCS)
         .fault_plan(plan)
         .build();
-    u.run_ft(|env| {
+    let out = u.run_ft(|env| {
         let world = env.world();
         world.set_errhandler(Errhandler::ErrorsReturn);
         let mut th = env.single_thread();
@@ -290,7 +326,9 @@ fn goodput_run(seed: u64) -> Vec<Option<GoodRec>> {
         rec.t_end = th.clock.now().0;
         rec.final_size = comm.size();
         rec
-    })
+    });
+    ft.add(u.shared());
+    out
 }
 
 struct Goodput {
@@ -304,7 +342,7 @@ struct Goodput {
 /// Scan seeds for a plan with exactly one victim whose crash interrupts
 /// the run (rank 0 breaks, recovers, and resumes iterations), then report
 /// rank 0's iteration rate on either side of the recovery.
-fn bench_goodput() -> Goodput {
+fn bench_goodput(ft: &mut FtCounters) -> Goodput {
     for seed in 0..200u64 {
         let plan = FaultPlan::new(seed).crashes(0.6, 60, Nanos::us(90));
         let victims: Vec<usize> = (1..GOOD_PROCS)
@@ -313,7 +351,7 @@ fn bench_goodput() -> Goodput {
         if victims.len() != 1 {
             continue;
         }
-        let out = goodput_run(seed);
+        let out = goodput_run(seed, ft);
         let rec = out[0].clone().expect("rank 0 survives by plan");
         let (Some(t_break), Some(t_resume)) = (rec.t_break, rec.t_resume) else {
             continue; // crash point fell past the last operation; next seed
@@ -348,10 +386,11 @@ fn p50_max(samples: &[u64]) -> (u64, u64) {
 }
 
 fn main() {
-    let detection = bench_detection();
-    let revoke = bench_revoke();
-    let shrink = bench_shrink_scale();
-    let goodput = bench_goodput();
+    let mut ft = FtCounters::default();
+    let detection = bench_detection(&mut ft);
+    let revoke = bench_revoke(&mut ft);
+    let shrink = bench_shrink_scale(&mut ft);
+    let goodput = bench_goodput(&mut ft);
 
     let (dc50, dcmax) = p50_max(&detection.from_crash);
     let (dp50, dpmax) = p50_max(&detection.from_post);
@@ -494,7 +533,7 @@ fn main() {
                 ("after_iters_per_ms", Value::Num(goodput.after_iters_per_ms)),
             ]),
         ),
-        ("ft_counters", registry_samples("ft.")),
+        ("ft_counters", ft.json()),
     ]);
     write_bench_json("ft_recovery", &json);
 }

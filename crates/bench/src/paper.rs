@@ -11,7 +11,6 @@ use rankmpi_core::vci::Vci;
 use rankmpi_core::{Info, Universe};
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_obs::json::Value;
-use rankmpi_obs::registry;
 use rankmpi_partitioned::device::DeviceProfile;
 use rankmpi_partitioned::{precv_init, psend_init, BufferedPrecv, BufferedPsend};
 use rankmpi_vtime::{Nanos, VirtualBarrier};
@@ -380,20 +379,13 @@ fn lesson3() -> Outcome {
     });
 
     let cfg = lesson3_halo(NetworkProfile::constrained(24));
-    // Earlier rows' NICs stay in the process-wide registry under other
-    // labels: clear it before each run so the "nic." series are that run's.
-    let nic_run = |mech| {
-        registry::global().reset();
-        let rep = run_halo(mech, &cfg);
-        (rep, registry::registry_samples("nic."))
-    };
-    let (comm, comm_nic) = nic_run(HaloMechanism::CommMapFig4);
-    let (eps, eps_nic) = nic_run(HaloMechanism::Endpoints);
+    let comm = run_halo(HaloMechanism::CommMapFig4, &cfg);
+    let eps = run_halo(HaloMechanism::Endpoints, &cfg);
 
     // The >2x claim is about communication time: the compute phase is
     // identical, so subtract it.
     let comm_time = |r: &HaloReport| r.per_iter - cfg.compute;
-    let mech_json = |r: &HaloReport, nic: Value| {
+    let mech_json = |r: &HaloReport| {
         Value::obj([
             ("mechanism", Value::str(r.mechanism)),
             ("channels", count(r.channels_created)),
@@ -402,7 +394,6 @@ fn lesson3() -> Outcome {
             ("comm_per_iter_ns", ns(comm_time(r))),
             ("per_iter_ns", ns(r.per_iter)),
             ("gate_contention_ns", ns(r.gate_contention)),
-            ("nic_counters", nic),
         ])
     };
     let required = communicators_required_3d(4, 4, 4);
@@ -425,8 +416,8 @@ fn lesson3() -> Outcome {
             ("endpoint_channels", count(eps.channels_created)),
             ("comm_over_ep", num(comm_over_ep)),
             ("config", config),
-            ("comm_map", mech_json(&comm, comm_nic)),
-            ("endpoints", mech_json(&eps, eps_nic)),
+            ("comm_map", mech_json(&comm)),
+            ("endpoints", mech_json(&eps)),
         ],
         held: required == 808 && min_channels == 56 && comm_over_ep > 2.0,
     }

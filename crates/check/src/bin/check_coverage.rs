@@ -2,19 +2,18 @@
 //!
 //! Runs a representative exploration plus a faulted differential sweep in
 //! one process, then writes `BENCH_check_coverage.json` (honors
-//! `RANKMPI_BENCH_DIR`): explored-schedule and decision counters, the
-//! fault-injection counters (`fault.*` registry series), and the sweep's
-//! totals. CI runs this in the `check` job so schedule/fault coverage is a
-//! tracked artifact, not a side effect.
+//! `RANKMPI_BENCH_DIR`): explored-schedule and decision counters, and the
+//! sweep's totals, every `FaultReport` field summed over its mailboxes. CI
+//! runs this in the `check` job so schedule/fault coverage is a tracked
+//! artifact, not a side effect.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use rankmpi_check::oracle::differential_run_faulted;
 use rankmpi_check::{base_seed, explore, ExploreConfig, Task};
-use rankmpi_fabric::FaultPlan;
+use rankmpi_fabric::{FaultPlan, FaultReport};
 use rankmpi_obs::json::Value;
-use rankmpi_obs::registry::registry_samples;
 use rankmpi_vtime::sched::{yield_point, SchedPoint};
 use rankmpi_vtime::{Clock, ContentionLock, VirtualBarrier};
 
@@ -56,17 +55,22 @@ fn main() {
     // Faulted differential sweep: 32 derived seeds under a chaos plan.
     let mut delivered = 0u64;
     let mut ops = 0u64;
-    let (mut delays, mut dups, mut nacks, mut reorders) = (0u64, 0u64, 0u64, 0u64);
+    let mut f = FaultReport::default();
     for i in 0..32u64 {
         let plan = FaultPlan::chaos(seed ^ (0xFA_u64 << 32) ^ i);
         let stats = differential_run_faulted(seed.wrapping_add(i), 300, &plan);
         ops += stats.ops as u64;
         delivered += stats.delivered as u64;
         if let Some(r) = stats.fault_report {
-            delays += r.delays;
-            dups += r.dups_injected;
-            nacks += r.nacks;
-            reorders += r.reorders;
+            f.delays += r.delays;
+            f.delay_ns += r.delay_ns;
+            f.dups_injected += r.dups_injected;
+            f.dups_dropped += r.dups_dropped;
+            f.nacks += r.nacks;
+            f.reorders += r.reorders;
+            f.spurious_dropped += r.spurious_dropped;
+            f.stragglers += r.stragglers;
+            f.straggler_ns += r.straggler_ns;
         }
     }
 
@@ -86,14 +90,17 @@ fn main() {
                 ("sweep_seeds", Value::int(32)),
                 ("ops", Value::int(ops)),
                 ("delivered", Value::int(delivered)),
-                ("delays", Value::int(delays)),
-                ("duplicates", Value::int(dups)),
-                ("nacks", Value::int(nacks)),
-                ("reorders", Value::int(reorders)),
+                ("delays", Value::int(f.delays)),
+                ("delay_ns", Value::int(f.delay_ns)),
+                ("dups_injected", Value::int(f.dups_injected)),
+                ("dups_dropped", Value::int(f.dups_dropped)),
+                ("nacks", Value::int(f.nacks)),
+                ("reorders", Value::int(f.reorders)),
+                ("spurious_dropped", Value::int(f.spurious_dropped)),
+                ("stragglers", Value::int(f.stragglers)),
+                ("straggler_ns", Value::int(f.straggler_ns)),
             ]),
         ),
-        ("registry_check", registry_samples("check.")),
-        ("registry_fault", registry_samples("fault.")),
     ]);
     let text = out.render_pretty() + "\n";
     print!("{text}");

@@ -9,9 +9,10 @@
 //! schedule-explored op interleavings.
 //!
 //! The committed corpus (`crates/check/corpus/engine_fuzz_seeds.txt`) runs
-//! first, then a sweep of `RANKMPI_FUZZ_SEEDS` fresh seeds (default 32,
-//! derived from `RANKMPI_CHECK_SEED`) per variant. A divergence prints a
-//! one-line replay command naming the exact variant and seed:
+//! first, then a sweep of [`SWEEP_SEEDS`] fresh seeds (derived from
+//! `RANKMPI_CHECK_SEED`) per variant, each [`STEPS`] operations long. A
+//! divergence prints a one-line replay command naming the exact variant and
+//! seed:
 //!
 //! ```text
 //! RANKMPI_FUZZ_VARIANT=faulted RANKMPI_FUZZ_SEED=17 \
@@ -39,6 +40,10 @@ use rankmpi_vtime::Nanos;
 
 /// Regression seeds, committed with the repo; see the file's header.
 const CORPUS: &str = include_str!("../../corpus/engine_fuzz_seeds.txt");
+/// Operations per fuzz case.
+const STEPS: usize = 400;
+/// Fresh seeds swept per variant after the corpus.
+const SWEEP_SEEDS: u64 = 32;
 
 /// One workload shape the fuzzer drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,24 +91,24 @@ fn env_u64(name: &str) -> Option<u64> {
 }
 
 /// Run one case; panics (caught by the caller) on any divergence.
-fn run_case(variant: Variant, seed: u64, steps: usize) {
+fn run_case(variant: Variant, seed: u64) {
     let kinds = EngineKind::all();
     match variant {
         Variant::Clean => {
-            differential_run_config(&kinds, &DiffConfig::clean(seed, steps));
+            differential_run_config(&kinds, &DiffConfig::clean(seed, STEPS));
         }
         Variant::Faulted => {
             let plan = FaultPlan::chaos(0xF022_0000 ^ seed);
-            differential_run_config(&kinds, &DiffConfig::faulted(seed, steps, plan));
+            differential_run_config(&kinds, &DiffConfig::faulted(seed, STEPS, plan));
         }
         Variant::Lossy => {
             let plan = FaultPlan::lossy(0x1055_0000 ^ seed);
-            differential_run_config(&kinds, &DiffConfig::faulted(seed, steps, plan));
+            differential_run_config(&kinds, &DiffConfig::faulted(seed, STEPS, plan));
         }
         Variant::Wraparound => {
             // Counters start close enough to u64::MAX that both the posting
             // and the arrival counter wrap while the queues are populated.
-            let cfg = DiffConfig::clean(seed, steps).with_seq_base(u64::MAX - (steps as u64 / 4));
+            let cfg = DiffConfig::clean(seed, STEPS).with_seq_base(u64::MAX - (STEPS as u64 / 4));
             differential_run_config(&kinds, &cfg);
         }
         Variant::Explored => explored_case(seed),
@@ -171,8 +176,6 @@ fn explored_case(seed: u64) {
 }
 
 fn main() {
-    let steps = env_u64("RANKMPI_FUZZ_STEPS").unwrap_or(400) as usize;
-
     // Replay mode: exactly one pinned case.
     let mut cases: Vec<(Variant, u64)> = Vec::new();
     let pinned = std::env::var("RANKMPI_FUZZ_VARIANT")
@@ -198,9 +201,8 @@ fn main() {
                 .unwrap_or_else(|| panic!("bad corpus line: {line:?}"));
             cases.push((variant, seed));
         }
-        let sweep = env_u64("RANKMPI_FUZZ_SEEDS").unwrap_or(32);
         let base = base_seed();
-        for i in 0..sweep {
+        for i in 0..SWEEP_SEEDS {
             for variant in Variant::all() {
                 cases.push((variant, base.wrapping_mul(10_000).wrapping_add(i)));
             }
@@ -210,7 +212,7 @@ fn main() {
     let total = cases.len();
     let mut divergences = 0usize;
     for (variant, seed) in cases {
-        let ok = catch_unwind(AssertUnwindSafe(|| run_case(variant, seed, steps))).is_ok();
+        let ok = catch_unwind(AssertUnwindSafe(|| run_case(variant, seed))).is_ok();
         if !ok {
             divergences += 1;
             println!(

@@ -15,11 +15,7 @@
 //! Setting `RANKMPI_SCHED` switches [`explore`] into replay mode: it runs
 //! exactly that one schedule and nothing else.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::sched::{run_tasks, RunOutcome, Schedule, Task};
-use rankmpi_obs::labels;
-use rankmpi_obs::registry;
 
 /// Bounds for one exploration ([`explore`]).
 #[derive(Debug, Clone)]
@@ -61,9 +57,7 @@ impl ExploreConfig {
     }
 }
 
-/// What one [`explore`] call covered. Totals across all explorations in the
-/// process are also exported through the metrics registry as
-/// `check.schedules` / `check.decisions` (see `BENCH_check_coverage.json`).
+/// What one [`explore`] call covered.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Coverage {
     /// Schedules executed.
@@ -73,17 +67,6 @@ pub struct Coverage {
     /// True when `RANKMPI_SCHED` forced a single replay (coverage
     /// expectations don't apply).
     pub replay: bool,
-}
-
-static TOTAL_SCHEDULES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_DECISIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide exploration totals: `(schedules, decisions)`.
-pub fn process_coverage() -> (u64, u64) {
-    (
-        TOTAL_SCHEDULES.load(Ordering::Relaxed),
-        TOTAL_DECISIONS.load(Ordering::Relaxed),
-    )
 }
 
 fn run_one(
@@ -96,14 +79,6 @@ fn run_one(
     let out = run_tasks(mk(), schedule, cfg.step_cap);
     cov.schedules += 1;
     cov.decisions += out.decisions.len() as u64;
-    TOTAL_SCHEDULES.fetch_add(1, Ordering::Relaxed);
-    TOTAL_DECISIONS.fetch_add(out.decisions.len() as u64, Ordering::Relaxed);
-    registry::global()
-        .counter("check.schedules", labels! {"layer" => "check"})
-        .incr();
-    registry::global()
-        .counter("check.decisions", labels! {"layer" => "check"})
-        .add(out.decisions.len() as u64);
     if let Some(msg) = &out.panic {
         report_failure(name, schedule, &out, msg);
     }

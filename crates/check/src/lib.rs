@@ -24,12 +24,12 @@
 //!   [`rankmpi_fabric::fault`]).
 //!
 //! The conformance tests themselves live in this crate's `tests/`
-//! directory (`conformance_*.rs`) and honor two environment knobs used
-//! by CI's seed matrix: `RANKMPI_CHECK_SEED` (base seed, default 0) and
-//! `RANKMPI_CHECK_LAUNCH` (`threads` or `tasks`; unset runs both). They run
-//! the production matching engine; `linear`, the reference, is covered where
-//! the engine contract itself is tested ([`oracle`] and
-//! `conformance_matching.rs`).
+//! directory (`conformance_*.rs`) and honor one environment knob used by
+//! CI's seed matrix: `RANKMPI_CHECK_SEED` (base seed, default 0). Suites
+//! that sweep launch modes run both ([`launch_modes_under_test`]) and name
+//! the failing cell (`"launch tasks, seed 0x3"`). They run the production
+//! matching engine; `linear`, the reference, is covered where the engine
+//! contract itself is tested ([`oracle`] and `conformance_matching.rs`).
 
 pub mod explore;
 pub mod oracle;
@@ -49,24 +49,12 @@ pub fn base_seed() -> u64 {
         .unwrap_or(0)
 }
 
-/// The launch modes under test: restricted to one by
-/// `RANKMPI_CHECK_LAUNCH` (`threads` or `tasks`), both when unset or
-/// unrecognized. Used by the fault-tolerance conformance sweep, whose
-/// recovery protocol must behave identically whether ranks are OS threads
-/// or cooperative rank-tasks.
+/// The launch modes under test: both. Used by the conformance suites whose
+/// protocols must behave identically whether ranks are OS threads or
+/// cooperative rank-tasks.
 pub fn launch_modes_under_test() -> Vec<LaunchMode> {
-    let both = || {
-        vec![
-            LaunchMode::Threads,
-            LaunchMode::Tasks(TaskLaunch::default()),
-        ]
-    };
-    match std::env::var("RANKMPI_CHECK_LAUNCH") {
-        Ok(s) => match s.trim().to_ascii_lowercase().as_str() {
-            "threads" => vec![LaunchMode::Threads],
-            "tasks" => vec![LaunchMode::Tasks(TaskLaunch::default())],
-            _ => both(),
-        },
-        Err(_) => both(),
-    }
+    vec![
+        LaunchMode::Threads,
+        LaunchMode::Tasks(TaskLaunch::default()),
+    ]
 }

@@ -7,8 +7,7 @@
 //! The sweeps run under both launch modes (OS threads and cooperative
 //! rank-tasks): the recovery protocol lives above the channel layer and
 //! must be oblivious to the choice. Failures name the exact
-//! `(launch, seed)` pair so CI can replay one cell of the matrix via
-//! `RANKMPI_CHECK_LAUNCH` / `RANKMPI_CHECK_SEED`.
+//! `(launch, seed)` pair; `RANKMPI_CHECK_SEED` replays the seed.
 
 use std::sync::Arc;
 use std::time::Duration;

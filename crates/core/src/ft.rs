@@ -35,7 +35,6 @@ use parking_lot::{Mutex, RwLock};
 use rankmpi_fabric::fault::CrashPoint;
 use rankmpi_fabric::ft::{crash_now, Liveness};
 use rankmpi_fabric::{errcode, Header};
-use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::{Clock, Counter, Nanos, Notify};
 
 use crate::comm::Communicator;
@@ -73,14 +72,13 @@ pub struct FtShared {
     /// Locally known revoked context ids → virtual time of learning.
     revoked: RwLock<HashMap<u32, Nanos>>,
     revoke_epoch: AtomicU64,
-    revokes: Arc<Counter>,
-    revoked_drops: Arc<Counter>,
+    revokes: Counter,
+    revoked_drops: Counter,
+    shrinks: Counter,
 }
 
 impl FtShared {
     pub(crate) fn new(rank: usize, liveness: Arc<Liveness>, crash: Option<CrashPoint>) -> Self {
-        let reg = registry::global();
-        let c = |name| reg.counter(name, labels! {"layer" => "ft"});
         FtShared {
             rank,
             liveness,
@@ -89,8 +87,9 @@ impl FtShared {
             groups: RwLock::new(HashMap::new()),
             revoked: RwLock::new(HashMap::new()),
             revoke_epoch: AtomicU64::new(0),
-            revokes: c("ft.revokes"),
-            revoked_drops: c("ft.revoked_drops"),
+            revokes: Counter::new(),
+            revoked_drops: Counter::new(),
+            shrinks: Counter::new(),
         }
     }
 
@@ -164,6 +163,21 @@ impl FtShared {
     /// revoked.
     pub fn note_revoked_drop(&self) {
         self.revoked_drops.incr();
+    }
+
+    /// Revocations this process has learned.
+    pub fn revokes(&self) -> u64 {
+        self.revokes.get()
+    }
+
+    /// Unexpected-queue packets this process dropped on revoked contexts.
+    pub fn revoked_drops(&self) -> u64 {
+        self.revoked_drops.get()
+    }
+
+    /// Shrinks this process has completed.
+    pub fn shrinks(&self) -> u64 {
+        self.shrinks.get()
     }
 
     /// Crash-plan check at an MPI operation boundary. Counts the operation
@@ -441,9 +455,7 @@ impl Communicator {
             Info::new(),
         );
         child.set_errhandler(self.errhandler());
-        registry::global()
-            .counter("ft.shrinks", labels! {"layer" => "ft"})
-            .incr();
+        self.proc().ft().shrinks.incr();
         // Synchronize the survivors on the new context before returning it.
         // This must be fault-tolerant too: a plain barrier on the child
         // would hang blocked waves (or split the survivors' outcomes) if

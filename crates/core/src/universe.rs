@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rankmpi_fabric::{FaultPlan, Liveness, NetworkProfile, Nic, ResilConfig};
-use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::{engine, Nanos, Notify};
 
 use crate::costs::CoreCosts;
@@ -363,7 +362,7 @@ impl UniverseShared {
     ///
     /// Every VCI mapped onto that context fails over to a replacement on its
     /// next send (see `Vci::maybe_failover`); the remap shows up in the
-    /// `resil.failovers` and (when the pool is exhausted) `nic.alloc_shared`
+    /// `Vci::failovers` and (when the pool is exhausted) `Nic::shared_allocs`
     /// counters. Returns whether a context with that id existed.
     pub fn fail_context(&self, node: usize, ctx_id: usize) -> bool {
         for ctx in self.nics[node].contexts() {
@@ -593,6 +592,7 @@ impl UniverseBuilder {
         };
         Universe {
             shared: Arc::new(shared),
+            engine_metrics: Mutex::new(None),
         }
     }
 }
@@ -600,6 +600,8 @@ impl UniverseBuilder {
 /// A simulated MPI job.
 pub struct Universe {
     shared: Arc<UniverseShared>,
+    /// Engine counters of the last task-mode run.
+    engine_metrics: Mutex<Option<engine::EngineMetrics>>,
 }
 
 impl Universe {
@@ -611,6 +613,12 @@ impl Universe {
     /// The shared state (process table, registries, statistics).
     pub fn shared(&self) -> &Arc<UniverseShared> {
         &self.shared
+    }
+
+    /// Engine counters of the last [`LaunchMode::Tasks`] run; `None` before
+    /// the first one.
+    pub fn engine_metrics(&self) -> Option<engine::EngineMetrics> {
+        *self.engine_metrics.lock()
     }
 
     /// Run `f` once per process. Under [`LaunchMode::Threads`] each process
@@ -685,7 +693,7 @@ impl Universe {
             },
             tasks,
         );
-        publish_engine_metrics(&out.metrics);
+        *self.engine_metrics.lock() = Some(out.metrics);
         if let Some(p) = out.panic {
             panic!("{p}");
         }
@@ -694,23 +702,6 @@ impl Universe {
             .map(|r| r.expect("rank-task finished without result or panic"))
             .collect()
     }
-}
-
-/// Export one run's engine counters to the observability registry under the
-/// `engine.` prefix: switch/step/lock totals accumulate across runs,
-/// occupancy peaks are count/sum/min/max accumulators.
-fn publish_engine_metrics(m: &engine::EngineMetrics) {
-    let reg = registry::global();
-    let l = || labels! {"mode" => "tasks"};
-    reg.counter("engine.task_switches", l())
-        .add(m.task_switches);
-    reg.counter("engine.steps", l()).add(m.steps);
-    reg.counter("engine.state_locks", l()).add(m.state_locks);
-    reg.accum("engine.ready_queue_depth", l())
-        .record(m.ready_queue_depth as u64);
-    reg.accum("engine.parked", l()).record(m.parked as u64);
-    reg.accum("engine.peak_tasks", l())
-        .record(m.peak_tasks as u64);
 }
 
 impl std::fmt::Debug for Universe {

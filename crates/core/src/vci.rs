@@ -17,7 +17,6 @@ use rankmpi_fabric::{
     SendDesc, TxInfo,
 };
 use rankmpi_obs::trace as obs;
-use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::lock::ContentionGuard;
 use rankmpi_vtime::sched::{self, SchedPoint};
 use rankmpi_vtime::{Accumulator, Clock, ContentionLock, Counter, Nanos};
@@ -189,32 +188,31 @@ pub struct Vci {
     direct: Arc<DirectRegistry>,
     polls: Arc<Counter>,
     matched: Arc<Counter>,
-    /// Registry series: queue entries examined by matching operations (the
-    /// [`ScanWork::scanned`] totals). Flat for O(1) engines, grows with queue
-    /// depth on linear scans — the scan-count regression tests pin it down.
+    /// Queue entries examined by matching operations (the [`ScanWork::scanned`]
+    /// totals). Flat for O(1) engines, grows with queue depth on linear scans
+    /// — the scan-count regression tests pin it down.
     match_scanned: Arc<Counter>,
-    /// Registry series: lazy tombstones skipped
-    /// ([`ScanWork::wildcard_scanned`] totals).
+    /// Lazy tombstones skipped ([`ScanWork::wildcard_scanned`] totals).
     match_wildcard_scanned: Arc<Counter>,
-    /// Registry series: clock-charged engine-lock acquisitions.
+    /// Clock-charged engine-lock acquisitions.
     acquires: Arc<Counter>,
-    /// Registry series: sections that queued behind another holder's section
-    /// in virtual time (see `release_engine`).
+    /// Sections that queued behind another holder's section in virtual time
+    /// (see `release_engine`).
     acquires_contended: Arc<Counter>,
-    /// Registry series: virtual time the engine lock was held, per section.
+    /// Virtual time the engine lock was held, per section.
     hold_ns: Arc<Accumulator>,
-    /// Registry series: live hardware-context remaps after a failure.
+    /// Live hardware-context remaps after a failure.
     failovers: Arc<Counter>,
-    /// Registry series: poisoned direct packets dropped (the direct protocol
-    /// has no per-message request to fail; partitioned windows observe loss
-    /// through `resil.*` counters instead).
+    /// Poisoned direct packets dropped (the direct protocol has no per-message
+    /// request to fail; partitioned windows observe loss through the
+    /// mailbox's `ResilReport` instead).
     poisoned_direct_drops: Arc<Counter>,
-    /// Registry series: NIC doorbell rings on this VCI's injection path (one
-    /// per single send, one per batch — shared-memory sends ring none).
+    /// NIC doorbell rings on this VCI's injection path (one per single send,
+    /// one per batch — shared-memory sends ring none).
     doorbells: Arc<Counter>,
-    /// Registry series: sends whose doorbell was coalesced into a batch ring
-    /// (`n-1` per NIC batch of `n`). `doorbells + doorbells_coalesced` equals
-    /// the NIC-path message count.
+    /// Sends whose doorbell was coalesced into a batch ring (`n-1` per NIC
+    /// batch of `n`). `doorbells + doorbells_coalesced` equals the NIC-path
+    /// message count.
     doorbells_coalesced: Arc<Counter>,
     /// Pooled payload slabs for this VCI's eager sends — per-VCI (not
     /// per-process) so threads driving independent VCIs never serialize on
@@ -245,8 +243,6 @@ impl Vci {
         engine_kind: EngineKind,
         ft: Arc<FtShared>,
     ) -> Arc<Self> {
-        let reg = registry::global();
-        let l = || labels! {"rank" => rank, "vci" => id};
         let ctxs = AppendTable::new();
         ctxs.push(nic.alloc_context());
         Arc::new(Vci {
@@ -267,17 +263,17 @@ impl Vci {
             }),
             engine_time: rankmpi_vtime::Resource::new(),
             direct,
-            polls: reg.insert_counter("vci.polls", l()),
-            matched: reg.insert_counter("vci.matched", l()),
-            match_scanned: reg.insert_counter("vci.match_scanned", l()),
-            match_wildcard_scanned: reg.insert_counter("vci.match_wildcard_scanned", l()),
-            acquires: reg.insert_counter("vci.lock_acquires", l()),
-            acquires_contended: reg.insert_counter("vci.lock_acquires_contended", l()),
-            hold_ns: reg.insert_accum("vci.lock_hold_ns", l()),
-            failovers: reg.insert_counter("resil.failovers", l()),
-            poisoned_direct_drops: reg.insert_counter("vci.poisoned_direct_drops", l()),
-            doorbells: reg.insert_counter("vci.doorbells", l()),
-            doorbells_coalesced: reg.insert_counter("vci.doorbells_coalesced", l()),
+            polls: Arc::new(Counter::new()),
+            matched: Arc::new(Counter::new()),
+            match_scanned: Arc::new(Counter::new()),
+            match_wildcard_scanned: Arc::new(Counter::new()),
+            acquires: Arc::new(Counter::new()),
+            acquires_contended: Arc::new(Counter::new()),
+            hold_ns: Arc::new(Accumulator::new()),
+            failovers: Arc::new(Counter::new()),
+            poisoned_direct_drops: Arc::new(Counter::new()),
+            doorbells: Arc::new(Counter::new()),
+            doorbells_coalesced: Arc::new(Counter::new()),
             payloads: rankmpi_fabric::PayloadPool::new(),
             ft,
             ft_seen: AtomicU64::new(0),
@@ -374,8 +370,8 @@ impl Vci {
     /// performs the swap (paying one doorbell write to program the new
     /// context) and later ones see a healthy context on the double-check.
     /// Falling back onto a shared context is the Lesson 3 oversubscription
-    /// event, counted in `nic.alloc_shared`; the remap itself is counted in
-    /// `resil.failovers`.
+    /// event, counted in `Nic::shared_allocs`; the remap itself is counted in
+    /// [`failovers`](Vci::failovers).
     ///
     /// The replacement inherits the backlog of every context this VCI has
     /// left — all of them, because a replacement can itself fail before it
@@ -475,14 +471,14 @@ impl Vci {
     /// Send several packets from this VCI as one injection batch.
     ///
     /// NIC-path messages are written under a single context-gate acquisition
-    /// and ring one amortized doorbell (`vci.doorbells` counts the ring,
-    /// `vci.doorbells_coalesced` the `n-1` sends that shared it). Intra-node
-    /// messages take the shared-memory path individually — shm has no
-    /// doorbell to amortize (its per-message occupancy is payload-sized), so
-    /// batching buys nothing there. Descriptor order is preserved within
-    /// each path, which preserves per-channel FIFO (a channel's messages
-    /// never straddle the two paths). Returned timings are in descriptor
-    /// order.
+    /// and ring one amortized doorbell ([`doorbells`](Vci::doorbells) counts
+    /// the ring, [`doorbells_coalesced`](Vci::doorbells_coalesced) the `n-1`
+    /// sends that shared it). Intra-node messages take the shared-memory path
+    /// individually — shm has no doorbell to amortize (its per-message
+    /// occupancy is payload-sized), so batching buys nothing there.
+    /// Descriptor order is preserved within each path, which preserves
+    /// per-channel FIFO (a channel's messages never straddle the two paths).
+    /// Returned timings are in descriptor order.
     pub fn send_batch(&self, clock: &mut Clock, descs: Vec<BatchSend<'_>>) -> Vec<TxInfo> {
         let mut out: Vec<Option<TxInfo>> = (0..descs.len()).map(|_| None).collect();
         let mut nic: Vec<(usize, BatchSend<'_>)> = Vec::with_capacity(descs.len());
@@ -660,8 +656,8 @@ impl Vci {
             if pkt.header.base_kind() == KIND_DIRECT {
                 if pkt.header.is_poisoned() {
                     // The direct protocol has no per-message request to fail;
-                    // drop the tombstone and let `resil.*` counters carry the
-                    // loss signal.
+                    // drop the tombstone and let the mailbox's `ResilReport`
+                    // carry the loss signal.
                     self.poisoned_direct_drops.incr();
                     continue;
                 }

@@ -32,14 +32,13 @@
 //! like a link going down and coming back, still schedule-independent.
 //!
 //! Injected faults are recorded as `obs` spans (category `"fault"`) and
-//! aggregated into the always-compiled metrics registry under the
-//! `fault.*` prefix, so traces show them and bench JSON can export them.
+//! counted per mailbox, read back as a [`FaultReport`], so traces show them
+//! and bench JSON can export them.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use rankmpi_obs::trace as obs;
-use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::{Counter, Nanos};
 
 use crate::Packet;
@@ -391,7 +390,7 @@ pub(crate) struct FaultStage {
 impl FaultStage {
     /// A fresh stage for `plan` and the drain filter that pairs with it.
     pub fn arm(plan: FaultPlan) -> (FaultStage, FaultFilter) {
-        let counters = Arc::new(FaultCounters::new());
+        let counters = Arc::new(FaultCounters::default());
         let filter = FaultFilter {
             next_deliver: HashMap::new(),
             counters: Arc::clone(&counters),
@@ -536,11 +535,8 @@ pub struct FaultReport {
     pub straggler_ns: u64,
 }
 
-/// Per-mailbox fault counters, mirrored into the global metrics registry
-/// (`fault.delays`, `fault.dups_injected`, `fault.dups_dropped`,
-/// `fault.nacks`, `fault.reorders`, `fault.delay_ns`, `fault.stragglers`,
-/// `fault.straggler_ns`).
-#[derive(Debug)]
+/// Per-mailbox fault counters, read back as a [`FaultReport`].
+#[derive(Debug, Default)]
 pub(crate) struct FaultCounters {
     pub delays: Counter,
     pub delay_ns: Counter,
@@ -551,76 +547,38 @@ pub(crate) struct FaultCounters {
     pub spurious_dropped: Counter,
     pub stragglers: Counter,
     pub straggler_ns: Counter,
-    reg: [Arc<Counter>; 9],
 }
 
 impl FaultCounters {
-    pub fn new() -> Self {
-        let reg = registry::global();
-        let c = |name| reg.counter(name, labels! {"layer" => "fabric"});
-        FaultCounters {
-            delays: Counter::new(),
-            delay_ns: Counter::new(),
-            dups_injected: Counter::new(),
-            dups_dropped: Counter::new(),
-            nacks: Counter::new(),
-            reorders: Counter::new(),
-            spurious_dropped: Counter::new(),
-            stragglers: Counter::new(),
-            straggler_ns: Counter::new(),
-            reg: [
-                c("fault.delays"),
-                c("fault.delay_ns"),
-                c("fault.dups_injected"),
-                c("fault.dups_dropped"),
-                c("fault.nacks"),
-                c("fault.reorders"),
-                c("fault.spurious_dropped"),
-                c("fault.stragglers"),
-                c("fault.straggler_ns"),
-            ],
-        }
-    }
-
     pub fn bump_delay(&self, extra_ns: u64) {
         self.delays.incr();
         self.delay_ns.add(extra_ns);
-        self.reg[0].incr();
-        self.reg[1].add(extra_ns);
     }
 
     pub fn bump_dup_injected(&self) {
         self.dups_injected.incr();
-        self.reg[2].incr();
     }
 
     pub fn bump_dup_dropped(&self) {
         self.dups_dropped.incr();
-        self.reg[3].incr();
     }
 
     pub fn bump_nack(&self, extra_ns: u64) {
         self.nacks.incr();
         self.delay_ns.add(extra_ns);
-        self.reg[4].incr();
-        self.reg[1].add(extra_ns);
     }
 
     pub fn bump_reorder(&self) {
         self.reorders.incr();
-        self.reg[5].incr();
     }
 
     pub fn bump_spurious_dropped(&self) {
         self.spurious_dropped.incr();
-        self.reg[6].incr();
     }
 
     pub fn bump_straggle(&self, extra_ns: u64) {
         self.stragglers.incr();
         self.straggler_ns.add(extra_ns);
-        self.reg[7].incr();
-        self.reg[8].add(extra_ns);
     }
 
     pub fn report(&self) -> FaultReport {

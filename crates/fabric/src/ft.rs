@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::{Counter, Nanos};
 
 /// Modeled idle-probe round trip: a channel observes a peer's death no
@@ -89,12 +88,11 @@ pub fn clear_crash_flag() {
 /// `epoch` counts registry changes; hot paths read it with one relaxed
 /// atomic load and skip the map entirely while it is zero, so a universe
 /// without a crash plan pays nothing.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Liveness {
     crashed: RwLock<HashMap<usize, Nanos>>,
     epoch: AtomicU64,
-    crashes: Arc<Counter>,
-    detections: Arc<Counter>,
+    detections: Counter,
     /// Notifiers rung on every registry change: one per process, plus the
     /// universe's rendezvous for agreement boards. A crash emits no packet,
     /// so without these a survivor parked on one (task launch mode parks
@@ -103,24 +101,10 @@ pub struct Liveness {
     wakers: RwLock<Vec<Arc<crate::Notify>>>,
 }
 
-impl Default for Liveness {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Liveness {
     /// An empty registry: every rank alive.
     pub fn new() -> Liveness {
-        let reg = registry::global();
-        let c = |name| reg.counter(name, labels! {"layer" => "ft"});
-        Liveness {
-            crashed: RwLock::new(HashMap::new()),
-            epoch: AtomicU64::new(0),
-            crashes: c("ft.crashes"),
-            detections: c("ft.detections"),
-            wakers: RwLock::new(Vec::new()),
-        }
+        Liveness::default()
     }
 
     /// Register a notifier to be rung on every crash. The universe registers
@@ -142,7 +126,6 @@ impl Liveness {
             }
             map.insert(rank, at);
         }
-        self.crashes.incr();
         self.epoch.fetch_add(1, Ordering::Release);
         for w in self.wakers.read().iter() {
             w.notify();
@@ -176,9 +159,15 @@ impl Liveness {
     }
 
     /// Record one detection event (a pending operation resolved to
-    /// `ProcessFailed` instead of hanging) in the `ft.*` counters.
+    /// `ProcessFailed` instead of hanging).
     pub fn note_detection(&self) {
         self.detections.incr();
+    }
+
+    /// Detection events recorded so far (see
+    /// [`note_detection`](Liveness::note_detection)).
+    pub fn detections(&self) -> u64 {
+        self.detections.get()
     }
 
     /// Every dead rank, unordered.

@@ -3,8 +3,6 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rankmpi_obs::labels;
-use rankmpi_obs::registry;
 use rankmpi_vtime::Counter;
 
 use crate::{HwContext, NetworkProfile};
@@ -22,10 +20,10 @@ pub struct Nic {
     node: usize,
     profile: NetworkProfile,
     state: Mutex<NicState>,
-    /// Registry series: channels that got a dedicated context.
+    /// Channels that got a dedicated context.
     alloc_dedicated: Arc<Counter>,
-    /// Registry series: channels that fell back to sharing (pool exhausted —
-    /// the Lesson 3 oversubscription event).
+    /// Channels that fell back to sharing (pool exhausted — the Lesson 3
+    /// oversubscription event).
     alloc_shared: Arc<Counter>,
 }
 
@@ -41,8 +39,6 @@ struct NicState {
 impl Nic {
     /// NIC for `node` with the context pool of `profile`.
     pub fn new(node: usize, profile: NetworkProfile) -> Self {
-        let reg = registry::global();
-        let fabric = profile.name;
         Nic {
             node,
             profile,
@@ -51,16 +47,8 @@ impl Nic {
                 share_cursor: 0,
                 allocations: 0,
             }),
-            // The fabric label separates a node's wire NIC from its shm NIC,
-            // which would otherwise replace the same registry series.
-            alloc_dedicated: reg.insert_counter(
-                "nic.alloc_dedicated",
-                labels! {"node" => node, "fabric" => fabric},
-            ),
-            alloc_shared: reg.insert_counter(
-                "nic.alloc_shared",
-                labels! {"node" => node, "fabric" => fabric},
-            ),
+            alloc_dedicated: Arc::new(Counter::new()),
+            alloc_shared: Arc::new(Counter::new()),
         }
     }
 
@@ -120,11 +108,11 @@ impl Nic {
     ///
     /// Prefers a fresh dedicated context while the pool has capacity;
     /// otherwise round-robins onto the next *healthy* context — a genuine
-    /// Lesson 3 oversubscription event, counted in `nic.alloc_shared`. If
-    /// every context is down the failed rotation is reused anyway (the
-    /// simulation must keep moving; retries and error handlers decide what
-    /// the application sees). The failed context loses an owner, the
-    /// replacement gains one.
+    /// Lesson 3 oversubscription event, counted in
+    /// [`shared_allocs`](Nic::shared_allocs). If every context is down the
+    /// failed rotation is reused anyway (the simulation must keep moving;
+    /// retries and error handlers decide what the application sees). The
+    /// failed context loses an owner, the replacement gains one.
     pub fn replace_context(&self, failed: &HwContext) -> Arc<HwContext> {
         let mut st = self.state.lock();
         st.allocations += 1;

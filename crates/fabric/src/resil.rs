@@ -16,7 +16,7 @@
 //! retransmit one timeout later, re-occupying the source hardware context so
 //! the repeated injection is LogGP-cost-accounted exactly like a real
 //! retransmit; only the final outcome is delivered. Virtual time and the
-//! metrics registry (`resil.*`) see every retry, while the real-time side
+//! mailbox's [`ResilReport`] see every retry, while the real-time side
 //! stays a single mailbox push — keeping the protocol composable with
 //! `rankmpi-check`'s schedule exploration.
 //!
@@ -30,15 +30,15 @@
 //!
 //! If an ack would arrive after the next retransmit timer already fired, the
 //! sender also emits one *spurious* retransmit copy (counted in
-//! `resil.spurious_rexmit`) that the mailbox's dedup watermark drops — the
-//! duplicate-suppression path real protocols need is exercised, not assumed.
+//! [`ResilReport::spurious_rexmit`]) that the mailbox's dedup watermark
+//! drops — the duplicate-suppression path real protocols need is exercised,
+//! not assumed.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rankmpi_obs::trace as obs;
-use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::{Clock, Counter, Nanos};
 
 use crate::fault::{FaultPlan, LossCause};
@@ -141,8 +141,8 @@ struct Chan {
     floor: Nanos,
 }
 
-/// Registry-mirrored protocol counters (prefix `resil.`).
-#[derive(Debug)]
+/// Protocol counters, read back as a [`ResilReport`].
+#[derive(Debug, Default)]
 struct ResilCounters {
     delivered: Counter,
     retransmits: Counter,
@@ -152,34 +152,6 @@ struct ResilCounters {
     spurious_rexmit: Counter,
     backpressure_waits: Counter,
     backpressure_ns: Counter,
-    reg: [Arc<Counter>; 8],
-}
-
-impl ResilCounters {
-    fn new() -> Self {
-        let reg = registry::global();
-        let c = |name| reg.counter(name, labels! {"layer" => "fabric"});
-        ResilCounters {
-            delivered: Counter::new(),
-            retransmits: Counter::new(),
-            wire_drops: Counter::new(),
-            link_down_drops: Counter::new(),
-            exhausted: Counter::new(),
-            spurious_rexmit: Counter::new(),
-            backpressure_waits: Counter::new(),
-            backpressure_ns: Counter::new(),
-            reg: [
-                c("resil.delivered"),
-                c("resil.retransmits"),
-                c("resil.wire_drops"),
-                c("resil.link_down_drops"),
-                c("resil.exhausted"),
-                c("resil.spurious_rexmit"),
-                c("resil.backpressure_waits"),
-                c("resil.backpressure_ns"),
-            ],
-        }
-    }
 }
 
 /// Snapshot of one mailbox's reliability-protocol counters.
@@ -223,7 +195,7 @@ impl Resil {
             cfg: Mutex::new(cfg),
             plan,
             chans: Mutex::new(HashMap::new()),
-            counters: ResilCounters::new(),
+            counters: ResilCounters::default(),
         })
     }
 
@@ -274,8 +246,6 @@ impl Resil {
                 let stalled = ack_at.saturating_sub(clock.now());
                 self.counters.backpressure_waits.incr();
                 self.counters.backpressure_ns.add(stalled.as_ns());
-                self.counters.reg[6].incr();
-                self.counters.reg[7].add(stalled.as_ns());
                 obs::wait(
                     "resil",
                     "window_stall",
@@ -320,14 +290,8 @@ impl Resil {
                 None => break,
                 Some(c) => {
                     match c {
-                        LossCause::Drop => {
-                            self.counters.wire_drops.incr();
-                            self.counters.reg[2].incr();
-                        }
-                        LossCause::LinkDown => {
-                            self.counters.link_down_drops.incr();
-                            self.counters.reg[3].incr();
-                        }
+                        LossCause::Drop => self.counters.wire_drops.incr(),
+                        LossCause::LinkDown => self.counters.link_down_drops.incr(),
                     }
                     if attempt >= cfg.max_retries {
                         cause = Some(c);
@@ -337,7 +301,6 @@ impl Resil {
                     let timer = send_at + rto(&cfg, &self.plan, src, seq, attempt);
                     let injected = src_ctx.occupy_tx(timer, occupancy, bytes);
                     self.counters.retransmits.incr();
-                    self.counters.reg[1].incr();
                     obs::busy("resil", "retransmit", timer, injected, src_ctx.res_id());
                     send_at = injected;
                     arrive = injected + post_inject;
@@ -365,7 +328,6 @@ impl Resil {
                     .map(|timer| {
                         let injected = src_ctx.occupy_tx(timer, occupancy, bytes);
                         self.counters.spurious_rexmit.incr();
-                        self.counters.reg[5].incr();
                         obs::busy(
                             "resil",
                             "spurious_rexmit",
@@ -377,7 +339,6 @@ impl Resil {
                     });
                 st.inflight.push_back((rseq, ack_at));
                 self.counters.delivered.incr();
-                self.counters.reg[0].incr();
                 Delivery {
                     arrive_at: arrive,
                     attempts: attempt + 1,
@@ -391,7 +352,6 @@ impl Resil {
                 let give_up = send_at + rto(&cfg, &self.plan, src, seq, attempt + 1);
                 st.inflight.push_back((rseq, give_up));
                 self.counters.exhausted.incr();
-                self.counters.reg[4].incr();
                 obs::busy("resil", "exhausted", send_at, give_up, src_ctx.res_id());
                 Delivery {
                     arrive_at: give_up,

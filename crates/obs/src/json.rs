@@ -2,10 +2,10 @@
 //!
 //! The workspace is offline (no serde). One value type serves every JSON
 //! file the workspace writes or reads: Chrome traces (which the e2e trace
-//! test parses back), the registry snapshot, and the benches'
-//! `BENCH_<name>.json` summaries. [`Value::render`] is compact,
-//! [`Value::render_pretty`] indents two spaces per level; both write a
-//! non-finite number as `null`, so every rendered value parses.
+//! test parses back) and the benches' `BENCH_<name>.json` summaries.
+//! [`Value::render`] is compact, [`Value::render_pretty`] indents two
+//! spaces per level; both write a non-finite number as `null`, so every
+//! rendered value parses.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

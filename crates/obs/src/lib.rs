@@ -5,7 +5,7 @@
 //! Every quantitative claim of the source paper is an *observability* result:
 //! the authors could see where time went per VCI, per hardware context, and
 //! per matching queue. This crate gives the reproduction the same eyes, in
-//! three pieces:
+//! two pieces:
 //!
 //! 1. [`trace`] — a span/event tracer stamped in **virtual time**. Hot paths
 //!    across the stack (send/recv posting, match attempts, VCI lock holds,
@@ -13,12 +13,7 @@
 //!    collective phases) record [`trace::Span`]s into per-thread ring buffers
 //!    whose writer path is lock-free. While no [`trace::session`] is
 //!    collecting, a recording call costs one relaxed atomic load.
-//! 2. [`registry`] — a labeled metrics registry that unifies the scattered
-//!    counters of the stack (VCI polls/matches, lock acquisitions, NIC
-//!    context-pool sharing, matching work) behind one typed interface. The
-//!    registry is *always* compiled: its cost is the same relaxed atomics the
-//!    hand-rolled counters already paid.
-//! 3. [`critpath`] — an analysis pass over a finished [`trace::Trace`] that
+//! 2. [`critpath`] — an analysis pass over a finished [`trace::Trace`] that
 //!    reconstructs the virtual-time critical path and emits a per-resource
 //!    contention breakdown (which ranks share which hardware context, where
 //!    engine locks serialized, how much time the slowest thread waited).
@@ -30,5 +25,4 @@
 pub mod chrome;
 pub mod critpath;
 pub mod json;
-pub mod registry;
 pub mod trace;

@@ -28,7 +28,6 @@ use std::sync::Arc;
 use rankmpi_core::{Communicator, EngineKind, LaunchMode, ThreadCtx, Universe};
 use rankmpi_fabric::{FaultPlan, NetworkProfile};
 use rankmpi_obs::trace as obs;
-use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::Nanos;
 
 use crate::item::{self, ItemHeader, HEADER};
@@ -284,8 +283,6 @@ fn run_emitter(
     let topo = cfg.topology;
     let collector = topo.collector_rank() as i64;
     let notify = Arc::clone(th.proc().notify());
-    let metrics = registry::global();
-    let inflight_acc = metrics.accum("stream.inflight", labels! {"layer" => "stream"});
 
     // Out-lane ids are exactly 0..lanes in order, so lane_of indexes them.
     let out = &plan.out_lanes;
@@ -376,7 +373,6 @@ fn run_emitter(
                     }
                     transport.send_many(th, &batch);
                     tokens -= burst;
-                    inflight_acc.record(cfg.credits - tokens);
                     return Some(());
                 }
                 if stall_start.is_none() {
@@ -391,15 +387,6 @@ fn run_emitter(
         transport.finish_tx(th, lane);
     }
 
-    metrics
-        .counter("stream.items_emitted", labels! {"layer" => "stream"})
-        .add(cfg.items);
-    metrics
-        .counter("stream.credit_stalls", labels! {"layer" => "stream"})
-        .add(stalls);
-    metrics
-        .counter("stream.credit_stall_ns", labels! {"layer" => "stream"})
-        .add(stall_ns);
     RankOut::Emitter {
         credit_stalls: stalls,
         credit_stall_ns: stall_ns,
@@ -457,9 +444,6 @@ fn run_collector(
     th.clock.sync_to(START);
     let topo = cfg.topology;
     let notify = Arc::clone(th.proc().notify());
-    let metrics = registry::global();
-    let depth_acc = metrics.accum("stream.reorder_depth", labels! {"layer" => "stream"});
-    let latency_acc = metrics.accum("stream.item_latency_ns", labels! {"layer" => "stream"});
 
     let permille = topo.feedback_permille();
     let credit_batch = cfg.credit_batch.clamp(1, cfg.credits);
@@ -522,12 +506,10 @@ fn run_collector(
                     ),
                     Err(PushErr::Stale) => panic!("duplicate delivery of item {}", h.seq),
                 }
-                depth_acc.record(reorder.len() as u64);
                 while let Some((_seq, emit_ns)) = reorder.pop_next() {
                     // Latency is measured at in-order delivery: it includes
                     // head-of-line waiting inside the reorder buffer.
                     let lat = th.clock.now().0.saturating_sub(emit_ns);
-                    latency_acc.record(lat);
                     latencies.push(lat);
                     delivered += 1;
                     pending_credit += 1;
@@ -553,12 +535,6 @@ fn run_collector(
     }
     let elapsed = th.clock.now() - START;
 
-    metrics
-        .counter("stream.items_delivered", labels! {"layer" => "stream"})
-        .add(delivered);
-    metrics
-        .counter("stream.feedback_items", labels! {"layer" => "stream"})
-        .add(feedback_items);
     RankOut::Collector {
         latencies_ns: latencies,
         delivered,

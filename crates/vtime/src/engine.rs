@@ -130,7 +130,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// Counters describing one engine run, for the `engine.*` metric family.
+/// Counters describing one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineMetrics {
     /// Task admissions (switch-ins), including each task's first.
@@ -160,7 +160,7 @@ pub struct Outcome<R> {
     /// Panic message of the first task that failed, or the engine's own
     /// deadlock/step-cap report.
     pub panic: Option<String>,
-    /// Scheduling counters for the `engine.*` metric family.
+    /// Scheduling counters of the run.
     pub metrics: EngineMetrics,
 }
 

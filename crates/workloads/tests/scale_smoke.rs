@@ -12,7 +12,6 @@
 use std::sync::Arc;
 
 use rankmpi_core::{LaunchMode, TaskLaunch, Universe};
-use rankmpi_obs::registry;
 use rankmpi_vtime::{Nanos, VirtualBarrier};
 use rankmpi_workloads::stencil::halo::{run_halo, HaloConfig, HaloMechanism};
 use rankmpi_workloads::stencil::maps::Geometry;
@@ -57,16 +56,12 @@ fn thousand_ranks_of_four_threads_join_barriers() {
     }
     // The engine saw all rank-tasks and thread-tasks, and parked waiters
     // instead of spinning them.
-    let snap = registry::global().snapshot_prefix("engine.peak_tasks");
-    let peak = snap
-        .first()
-        .expect("task-mode run publishes engine.peak_tasks");
-    let observed = match &peak.value {
-        registry::Value::Stats { max, .. } => max.unwrap_or(0),
-        registry::Value::Count(c) => *c,
-    };
+    let observed = u
+        .engine_metrics()
+        .expect("a task-mode run records its engine metrics")
+        .peak_tasks;
     assert!(
-        observed >= RANKS as u64,
+        observed >= RANKS,
         "peak task count {observed} below rank count"
     );
     #[cfg(not(debug_assertions))]

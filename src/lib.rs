@@ -17,7 +17,7 @@
 //! - [`workloads`]: the paper's application kernels (stencils, event
 //!   runtime, graph exchange, RMA matmul, multithreaded allreduce);
 //! - [`obs`]: the observability layer — virtual-time span tracer (Chrome
-//!   trace export), metrics registry, and critical-path analysis.
+//!   trace export) and critical-path analysis.
 //!
 //! See `examples/quickstart.rs` for a first program and the `rankmpi-bench`
 //! crate for the harness that regenerates every figure and table of the

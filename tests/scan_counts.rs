@@ -2,8 +2,8 @@
 //!
 //! A thousand pending wildcard receives must not tax unrelated exact
 //! traffic: the merged engine compares only class/index heads, so the
-//! `vci.match_scanned` / `vci.match_wildcard_scanned` registry counters
-//! stay a small constant multiple of `vci.matched` at any queue depth.
+//! `Vci::match_scanned` / `Vci::match_wildcard_scanned` counters stay a
+//! small constant multiple of `Vci::matched` at any queue depth.
 //! The linear engine, by contrast, walks the whole wildcard backlog on every
 //! incoming packet — the counters are how the difference is observable.
 
@@ -13,7 +13,7 @@ use rankmpi_core::{Universe, ANY_SOURCE};
 const DEPTH: usize = 1024;
 
 /// Drives the deep-wildcard workload under `kind` and returns rank 1's
-/// receive-side `(matched, scanned, wildcard_scanned)` registry counters.
+/// receive-side `(matched, scanned, wildcard_scanned)` VCI counters.
 ///
 /// Rank 1 posts `DEPTH` wildcard receives on a tag that stays quiet, then
 /// `DEPTH` exact receives; rank 0 sends the exact traffic first, so every
