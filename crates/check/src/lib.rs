@@ -13,7 +13,7 @@
 //!   [`rankmpi_vtime::sched`]'s yield points — it serializes a set of tasks
 //!   so exactly one runs between yield points, with every choice among
 //!   runnable tasks recorded;
-//! - [`explore`]: schedule exploration — exhaustive DFS over choice
+//! - [`explore`](mod@explore): schedule exploration — exhaustive DFS over choice
 //!   prefixes up to a bounded depth, then seeded-random sampling — with
 //!   failing runs reported as a compact replayable schedule string
 //!   (`RANKMPI_SCHED='s7:1.0.2' …`);

@@ -276,8 +276,9 @@ impl Communicator {
     /// and 17). Point-to-point, collectives and fault handling are the
     /// ordinary communicator's; collectives are one-step over all endpoints
     /// (Lesson 18), and every endpoint holds its own copy of a replicated
-    /// result (Lesson 19). Creation calls on the returned communicators fail:
-    /// see [`creation_index`](Self::creation_index).
+    /// result (Lesson 19). Creation calls (`dup_with_info`, `split`, `agree`,
+    /// `shrink`, `Window::create`, `create_endpoints`) on the returned
+    /// communicators fail with `InvalidState`.
     pub fn create_endpoints(
         &self,
         th: &mut ThreadCtx,

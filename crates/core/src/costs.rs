@@ -7,7 +7,7 @@ use rankmpi_vtime::Nanos;
 ///
 /// The defaults reflect the relative magnitudes the paper's cited measurements
 /// establish: message matching is a costly serial operation whose cost grows
-/// with queue depth (Lesson on partitioned motivation, [56] in the paper);
+/// with queue depth (Lesson on partitioned motivation, \[56\] in the paper);
 /// intra-node shared-memory transfers are ~5× cheaper than NIC messages; local
 /// reductions cost ~1 ns/element.
 #[derive(Debug, Clone)]

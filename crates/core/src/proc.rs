@@ -406,55 +406,24 @@ impl ProcEnv {
 
     /// Run `f` on `n` threads.
     ///
-    /// Inside an engine rank-task, each simulated thread becomes a sibling
-    /// task of the engine (so the virtual-time dispatcher interleaves *all*
-    /// simulated threads of *all* ranks); the parent detaches while it
-    /// blocks in the scope join, so fork/join costs no worker slot.
+    /// Inside an engine rank-task, the simulated threads are forked as child
+    /// tasks of the engine ([`engine::fork_join`]), so the virtual-time
+    /// dispatcher interleaves *all* simulated threads of *all* ranks, and
+    /// the parent parks without a worker slot until they have all finished.
     pub fn parallel_n<R: Send>(&self, n: usize, f: impl Fn(&mut ThreadCtx) -> R + Sync) -> Vec<R> {
-        let f = &f;
-        if let Some(h) = engine::handle() {
-            return engine::block_in_place(|| {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..n)
-                        .map(|tid| {
-                            let proc = Arc::clone(&self.proc);
-                            let universe = Arc::clone(&self.universe);
-                            let h = h.clone();
-                            std::thread::Builder::new()
-                                .name(format!("r{}t{tid}", proc.rank()))
-                                .stack_size(crate::universe::TASK_STACK)
-                                .spawn_scoped(s, move || {
-                                    h.run_member(move || {
-                                        let mut th = ThreadCtx::new(tid, proc, universe);
-                                        f(&mut th)
-                                    })
-                                })
-                                .expect("spawn simulated-thread carrier")
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| self.join_member(h.join()))
-                        .collect()
-                })
-            });
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|tid| {
-                    let proc = Arc::clone(&self.proc);
-                    let universe = Arc::clone(&self.universe);
-                    s.spawn(move || {
-                        let mut th = ThreadCtx::new(tid, proc, universe);
-                        f(&mut th)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| self.join_member(h.join()))
-                .collect()
-        })
+        let member = |tid| {
+            let mut th = ThreadCtx::new(tid, Arc::clone(&self.proc), Arc::clone(&self.universe));
+            f(&mut th)
+        };
+        let joined = if engine::in_task() {
+            engine::fork_join(n, member)
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..n).map(|tid| s.spawn(move || member(tid))).collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            })
+        };
+        joined.into_iter().map(|j| self.join_member(j)).collect()
     }
 
     /// Unwrap one simulated thread's join result. A planned rank-crash
@@ -482,6 +451,7 @@ impl ProcEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::universe::{LaunchMode, TaskLaunch, Universe};
     use std::mem::{align_of, offset_of, size_of};
 
     #[test]
@@ -491,5 +461,41 @@ mod tests {
         assert_eq!(size_of::<SeqLine>(), 128);
         assert_eq!(align_of::<ProcShared>(), 128);
         assert_eq!(offset_of!(ProcShared, seq) % 128, 0);
+    }
+
+    fn tasks(workers: usize) -> Universe {
+        Universe::builder()
+            .nodes(2)
+            .launch(LaunchMode::Tasks(TaskLaunch {
+                workers,
+                ..Default::default()
+            }))
+            .build()
+    }
+
+    #[test]
+    fn forked_threads_start_in_tid_order_at_one_worker() {
+        // Each rank forks when admitted and parks; its children are reserved
+        // in tid order and run once every reservation has registered.
+        let expected: Vec<_> = (0..2).flat_map(|r| (0..4).map(move |t| (r, t))).collect();
+        for run in 0..20 {
+            let order = std::sync::Mutex::new(Vec::new());
+            tasks(1).run(|env| {
+                env.parallel_n(4, |th| order.lock().unwrap().push((env.rank(), th.tid())));
+            });
+            assert_eq!(order.into_inner().unwrap(), expected, "run {run}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "engine deadlock")]
+    fn a_fork_whose_threads_all_wait_forever_is_a_deadlock() {
+        // Rank 0's two threads each wait for a message nobody sends, while
+        // rank 0 itself joins them: every live task is parked.
+        tasks(2).run(|env| {
+            if env.rank() == 0 {
+                env.parallel_n(2, |th| env.world().recv(th, 1, 7).map(|_| ()));
+            }
+        });
     }
 }

@@ -61,11 +61,6 @@ pub struct TaskLaunch {
     pub vtime_slack: Nanos,
 }
 
-/// Carrier-thread stack size of every engine task: rank-tasks and the
-/// simulated threads they fork. Task counts are the point, so stacks stay
-/// small.
-pub(crate) const TASK_STACK: usize = 512 * 1024;
-
 impl Default for TaskLaunch {
     fn default() -> Self {
         TaskLaunch {
@@ -688,7 +683,9 @@ impl Universe {
                     workers: cfg.workers,
                     slack: cfg.vtime_slack,
                 },
-                stack_size: TASK_STACK,
+                // Every task's carrier, rank-tasks and the simulated threads
+                // they fork: task counts are the point, so stacks stay small.
+                stack_size: 512 * 1024,
                 ..engine::EngineConfig::default()
             },
             tasks,

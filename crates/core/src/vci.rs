@@ -38,7 +38,7 @@ pub const KIND_PT2PT: u16 = 1;
 pub const KIND_DIRECT: u16 = 3;
 /// Packet kind for fault-tolerance control packets (communicator
 /// revocation). Never matched: the progress loop feeds them straight into
-/// the process's [`FtShared`](crate::ft::FtShared) revocation state. Always
+/// the process's [`FtShared`] revocation state. Always
 /// sent poisoned so the fault layer delivers them even when "lost".
 pub const KIND_FT: u16 = 4;
 

@@ -19,7 +19,7 @@
 //!   (per-message gap and per-byte DMA occupancy);
 //! - [`Nic`]: a per-node bounded pool of contexts; allocations beyond the pool
 //!   fall back to sharing, which is where oversubscription penalties come from;
-//! - [`transmit`]: the injection path — overhead, doorbell, context occupancy,
+//! - [`transmit`](mod@transmit): the injection path — overhead, doorbell, context occupancy,
 //!   wire latency, remote context serialization — delivering a [`Packet`] into a
 //!   destination [`Mailbox`] with its virtual arrival stamp.
 //!

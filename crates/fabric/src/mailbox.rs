@@ -6,7 +6,7 @@
 //! progress engine — serialized by the engine lock — is the single consumer),
 //! and a global ticket counter linearizes pushes so the drain-side merge
 //! delivers in exact cross-channel push order. Channels are found through a
-//! fixed open-addressed [`ChannelDir`] whose lookups are pure atomic loads —
+//! fixed open-addressed `ChannelDir` whose lookups are pure atomic loads —
 //! the push hot path performs exactly one shared read-modify-write (the
 //! ticket) and otherwise touches only channel-local state. Drains pop the
 //! rings without any lock and visit the fallback mutex only when the
@@ -248,7 +248,7 @@ impl std::fmt::Debug for ChannelDir {
 }
 
 /// The receive queue of one logical channel (VCI): packets deposited by
-/// [`transmit`](crate::transmit), drained by the owner's progress engine.
+/// [`transmit`](fn@crate::transmit), drained by the owner's progress engine.
 ///
 /// Per-source-context FIFO order is guaranteed by the sender holding its
 /// context gate across stamp+push; the mailbox itself preserves push order —

@@ -101,7 +101,7 @@ pub struct Packet {
     /// Message payload. `Bytes` keeps enqueue/clone cheap.
     pub payload: Bytes,
     /// Virtual time at which the packet is fully arrived at the destination
-    /// hardware context (set by [`transmit`](crate::transmit)).
+    /// hardware context (set by [`transmit`](fn@crate::transmit)).
     pub arrive_at: Nanos,
 }
 

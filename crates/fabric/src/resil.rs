@@ -1,9 +1,9 @@
 //! Per-channel reliability: a sliding-window ack/retransmit protocol that
 //! keeps MPI delivery semantics over a lossy fabric.
 //!
-//! When a [`FaultPlan`](crate::FaultPlan) with a lossy class armed (wire
+//! When a [`FaultPlan`] with a lossy class armed (wire
 //! drops or link flaps) is installed on a [`Mailbox`](crate::Mailbox), a
-//! [`Resil`] instance rides along and [`transmit`](crate::transmit) routes
+//! [`Resil`] instance rides along and [`transmit`](fn@crate::transmit) routes
 //! every send through it. The protocol is the classic one — per-channel
 //! 16-bit send sequence numbers, a bounded in-flight window with sender
 //! backpressure, cumulative acks, retransmission on a virtual-time timeout
@@ -178,7 +178,7 @@ pub struct ResilReport {
 /// The reliability layer of one mailbox (destination side of a channel set).
 ///
 /// Created by [`Mailbox::arm_faults`](crate::Mailbox::arm_faults) when the
-/// plan has a lossy class; [`transmit`](crate::transmit) consults it on
+/// plan has a lossy class; [`transmit`](fn@crate::transmit) consults it on
 /// every send into that mailbox.
 #[derive(Debug)]
 pub struct Resil {

@@ -81,7 +81,7 @@ impl VirtualBarrier {
     ///
     /// Waiting is [`Notify::wait_until`] on the generation turning: an engine
     /// task parks (1k waiting tasks cost nothing), a thread under a
-    /// [`sched`](crate::sched) hook yields between polls, any other thread
+    /// [`sched`] hook yields between polls, any other thread
     /// polls briefly, then sleeps.
     pub fn wait(&self, clock: &mut Clock) {
         sched::yield_point(SchedPoint::BarrierArrive);

@@ -7,12 +7,12 @@
 //! it — and the engine multiplexes thousands of tasks over a small number of
 //! concurrently-running workers, ordered by virtual time.
 //!
-//! The [`SchedPoint`](crate::sched::SchedPoint) yield points introduced for
-//! deterministic checking are the complete set of suspension points, and the
-//! engine promotes them into its task-switch boundary: an admitted task runs
-//! until it reaches a yield point (clock advance, lock acquire/release,
-//! barrier, mailbox push/drain, notify poll) or blocks in a cooperative
-//! primitive, at which moment the engine may hand its slot to another task.
+//! The [`SchedPoint`] yield points introduced for deterministic checking are
+//! the complete set of suspension points, and the engine promotes them into
+//! its task-switch boundary: an admitted task runs until it reaches a yield
+//! point (clock advance, lock acquire/release, barrier, mailbox push/drain,
+//! notify poll) or blocks in a cooperative primitive, at which moment the
+//! engine may hand its slot to another task.
 //!
 //! ## Task lifecycle
 //!
@@ -21,10 +21,13 @@
 //!                          ▲                        │   the pack) ──▶ Ready
 //!                          │                        ├─ park ──▶ Parked
 //!                          └──────unpark────────────┘        (woken: Ready)
-//!                                                   ├─ block_in_place
-//!                                                   │     ──▶ Detached
 //!                                                   └─ return ──▶ Finished
 //! ```
+//!
+//! Every task is reserved as `Starting` before its carrier exists: the root
+//! tasks by [`run`], the children of a fork by [`fork_join`]. No task is
+//! admitted while any reserved slot is still `Starting`, so the first choice
+//! after a fork always sees the whole set, in task-id order.
 //!
 //! Blocking primitives never sleep on a condvar inside a task: they wait in
 //! [`Notify::wait_until`](crate::Notify::wait_until), which registers the
@@ -32,7 +35,8 @@
 //! re-read of the version, which the notifier bumps before it looks for
 //! registrations, so no wakeup is lost — then parks; a notify
 //! drains the registered unparkers. A parked task costs zero CPU — this is
-//! what lets 1k+ idle tasks coexist on one core.
+//! what lets 1k+ idle tasks coexist on one core. The one other wait is a
+//! fork's join: the parent parks until its last child finishes.
 //!
 //! ## Dispatch policies
 //!
@@ -49,20 +53,12 @@
 //!   recorded. This is the policy `rankmpi-check`'s deterministic scheduler
 //!   is built on: a seeded chooser plus the recorded `(choice, arity)` list
 //!   makes any interleaving replayable.
-//!
-//! ## Raw blocking
-//!
-//! A task that must block on something outside the engine's yield-point
-//! vocabulary (joining scoped child threads: `ProcEnv::parallel_n`'s join is
-//! the one such wait) wraps the blocking section in [`block_in_place`], which
-//! releases the task's worker slot for the duration so the tasks it is
-//! waiting on can run.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
@@ -172,7 +168,7 @@ pub struct AbortRun;
 /// Extract a displayable message from a task panic payload, or `None` if it
 /// is the engine's own [`AbortRun`] (the collateral unwind of a parked task
 /// after some other task failed).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> Option<String> {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
     if payload.downcast_ref::<AbortRun>().is_some() {
         return None;
     }
@@ -193,10 +189,9 @@ enum Status {
     Ready,
     /// Admitted: its carrier thread is executing.
     Running,
-    /// Blocked in a cooperative primitive until some [`Unparker`] fires.
+    /// Blocked in a cooperative primitive until some [`Unparker`] fires, or
+    /// in [`fork_join`] until its last child finishes.
     Parked,
-    /// Inside [`block_in_place`]: off the books, holding no slot.
-    Detached,
     /// Returned (or unwound).
     Finished,
 }
@@ -210,16 +205,22 @@ struct TaskSlot {
     /// An unpark arrived while not parked; consume at the next park.
     wake_pending: bool,
     thread: Option<Thread>,
+    /// The task whose [`fork_join`] reserved this one.
+    parent: Option<usize>,
+    /// Unfinished children of this task's current fork.
+    children: usize,
 }
 
 impl TaskSlot {
-    fn starting() -> Self {
+    fn starting(parent: Option<usize>) -> Self {
         TaskSlot {
             status: Status::Starting,
             vtime: 0,
             ready_stamp: 0,
             wake_pending: false,
             thread: None,
+            parent,
+            children: 0,
         }
     }
 }
@@ -243,7 +244,6 @@ struct State {
     mode: ModeState,
     running: usize,
     parked: usize,
-    detached: usize,
     starting: usize,
     alive: usize,
     ready_count: usize,
@@ -262,6 +262,7 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     step_cap: u64,
+    stack_size: usize,
     hints: Arc<Hints>,
 }
 
@@ -276,9 +277,10 @@ impl Shared {
 /// All a running task reads at a yield point that does not switch
 /// ([`yield_fast`]), on a cache line that lock traffic does not bounce.
 /// Written only under the state lock and equal to the locked truth at every
-/// unlock: a racing reader sees what some unlock published, the same as
-/// reaching its yield point a moment earlier or later. `Relaxed`: they
-/// publish no other data, and the lock decides whatever they cannot.
+/// unlock while no slot is `Starting` (see [`admit_fill`]): a racing reader
+/// sees what some unlock published, the same as reaching its yield point a
+/// moment earlier or later. `Relaxed`: they publish no other data, and the
+/// lock decides whatever they cannot.
 #[repr(align(64))]
 struct Hints {
     /// Mirror of `State::abort`, set before any carrier is unparked.
@@ -311,8 +313,6 @@ thread_local! {
     static HINTS: RefCell<Option<Arc<Hints>>> = const { RefCell::new(None) };
     /// Steps crossed on the lock-free path and not flushed yet.
     static STEPS: Cell<u64> = const { Cell::new(0) };
-    /// Inside `block_in_place`: the engine is not tracking this task.
-    static DETACHED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn current_ctx() -> Option<(Arc<Shared>, usize)> {
@@ -368,13 +368,6 @@ pub fn current_unparker() -> Option<Unparker> {
     current_ctx().map(|(shared, id)| Unparker { shared, id })
 }
 
-/// Whether the current task's engine run has aborted (panic elsewhere,
-/// deadlock, step cap). Raw-blocking loops inside [`block_in_place`] should
-/// poll this so they stop waiting for peers that will never arrive.
-pub fn aborted() -> bool {
-    current_ctx().is_some_and(|(s, _)| s.hints.abort.load(Ordering::Relaxed))
-}
-
 // ---------------------------------------------------------------------------
 // State transitions (all called with the state lock held).
 // ---------------------------------------------------------------------------
@@ -393,29 +386,15 @@ fn make_ready(st: &mut State, id: usize) {
 }
 
 fn pop_best_ready(st: &mut State) -> Option<usize> {
-    let State {
-        ready,
-        tasks,
-        ready_count,
-        ..
-    } = st;
-    match ready {
-        ReadyQueue::Heap(h) => loop {
-            let Reverse((_, stamp, id)) = h.pop()?;
-            let t = &tasks[id];
-            if t.status == Status::Ready && t.ready_stamp == stamp {
-                *ready_count -= 1;
-                return Some(id);
-            }
-        },
-        ReadyQueue::List(v) => {
-            if v.is_empty() {
-                None
-            } else {
-                v.sort_unstable();
-                *ready_count -= 1;
-                Some(v.remove(0))
-            }
+    let ReadyQueue::Heap(h) = &mut st.ready else {
+        unreachable!("virtual-time dispatch uses the heap");
+    };
+    loop {
+        let Reverse((_, stamp, id)) = h.pop()?;
+        let t = &st.tasks[id];
+        if t.status == Status::Ready && t.ready_stamp == stamp {
+            st.ready_count -= 1;
+            return Some(id);
         }
     }
 }
@@ -448,7 +427,9 @@ fn admit(st: &mut State, id: usize) {
 
 /// Fill free slots, then publish what is left waiting. Every `make_ready`
 /// and every `running -= 1` of virtual-time dispatch is followed by this
-/// under the same lock, which is what keeps `Hints::yield_above` exact.
+/// under the same lock, which is what keeps `Hints::yield_above` exact —
+/// except while a slot is `Starting`, when nothing may be admitted anyway
+/// and the last registration republishes it.
 fn admit_fill(st: &mut State, workers: usize, slack: u64) {
     while st.running < workers {
         match pop_best_ready(st) {
@@ -463,49 +444,38 @@ fn admit_fill(st: &mut State, workers: usize, slack: u64) {
 /// Serialized dispatch: if no task is running, pick one among the ready set
 /// (recording the choice when there are ≥ 2 candidates) and admit it.
 fn dispatch_serialized(st: &mut State) {
-    if st.running > 0 {
+    let (ReadyQueue::List(list), ModeState::Serialized { chooser }) = (&mut st.ready, &mut st.mode)
+    else {
+        unreachable!("serialized mode uses a list ready queue");
+    };
+    let k = list.len();
+    if st.running > 0 || k == 0 {
         return;
     }
-    let k = {
-        let ReadyQueue::List(list) = &mut st.ready else {
-            unreachable!("serialized mode uses a list ready queue");
-        };
-        list.sort_unstable();
-        list.len()
+    list.sort_unstable();
+    let idx = if k == 1 {
+        0
+    } else {
+        let idx = chooser.choose(k).min(k - 1);
+        st.decisions.push((idx as u32, k as u32));
+        idx
     };
-    let id = match k {
-        0 => return,
-        1 => pop_best_ready(st).unwrap(),
-        _ => {
-            let idx = {
-                let ModeState::Serialized { chooser } = &mut st.mode else {
-                    unreachable!("list ready queue implies serialized mode");
-                };
-                chooser.choose(k).min(k - 1)
-            };
-            st.decisions.push((idx as u32, k as u32));
-            let ReadyQueue::List(list) = &mut st.ready else {
-                unreachable!();
-            };
-            let id = list.remove(idx);
-            st.ready_count -= 1;
-            id
-        }
-    };
+    let id = list.remove(idx);
+    st.ready_count -= 1;
     admit(st, id);
 }
 
-/// Fill free slots according to the dispatch policy. Serialized dispatch is
-/// suppressed until every pre-allocated root task has registered, so the
-/// first recorded choice always sees the full candidate set.
+/// Fill free slots according to the dispatch policy, but only once no
+/// reserved slot is still `Starting`: admitting earlier would follow the
+/// carriers' OS start order, so the first choice after [`run`] starts or a
+/// task forks always sees the full candidate set, in task-id order.
 fn dispatch_free(st: &mut State) {
+    if st.starting > 0 {
+        return;
+    }
     match st.mode {
         ModeState::VirtualTime { workers, slack } => admit_fill(st, workers, slack),
-        ModeState::Serialized { .. } => {
-            if st.starting == 0 {
-                dispatch_serialized(st);
-            }
-        }
+        ModeState::Serialized { .. } => dispatch_serialized(st),
     }
 }
 
@@ -531,49 +501,43 @@ fn abort_all(st: &mut State) {
     }
 }
 
+/// Abort the run, reporting `msg` unless an earlier failure is recorded.
+fn fail(st: &mut State, msg: String) {
+    st.panic.get_or_insert(msg);
+    abort_all(st);
+}
+
 /// Declare deadlock if every live task is parked: nothing can ever wake.
+/// A parent joining its children is parked too, so a fork whose children
+/// all wait forever is reported like any other.
 fn maybe_deadlock(st: &mut State) {
-    if !st.abort
-        && st.alive > 0
-        && st.starting == 0
-        && st.running == 0
-        && st.detached == 0
-        && st.ready_count == 0
-    {
-        if st.panic.is_none() {
-            st.panic = Some(format!(
-                "engine deadlock: all {} unfinished tasks are parked",
-                st.parked
-            ));
-        }
-        abort_all(st);
+    if !st.abort && st.alive > 0 && st.starting == 0 && st.running == 0 && st.ready_count == 0 {
+        let msg = format!(
+            "engine deadlock: all {} unfinished tasks are parked",
+            st.parked
+        );
+        fail(st, msg);
     }
 }
 
 fn cap_abort(st: &mut State, cap: u64) {
-    if st.panic.is_none() {
-        st.panic = Some(format!(
-            "scheduler step cap {cap} exceeded (livelock or runaway spin)"
-        ));
-    }
-    abort_all(st);
+    fail(
+        st,
+        format!("scheduler step cap {cap} exceeded (livelock or runaway spin)"),
+    );
 }
 
 // ---------------------------------------------------------------------------
 // Carrier-side operations.
 // ---------------------------------------------------------------------------
 
-/// Block the carrier until its task is admitted. Returns `false` (or throws
-/// [`AbortRun`]) if the run aborted first.
-fn wait_admitted(shared: &Shared, me: usize, throw_on_abort: bool) -> bool {
+/// Block the carrier until its task is admitted. Returns `false` if the run
+/// aborted first.
+fn wait_admitted(shared: &Shared, me: usize) -> bool {
     loop {
         {
             let st = shared.lock();
             if st.abort {
-                drop(st);
-                if throw_on_abort {
-                    std::panic::panic_any(AbortRun);
-                }
                 return false;
             }
             if st.tasks[me].status == Status::Running {
@@ -598,9 +562,6 @@ pub(crate) fn yield_fast() -> bool {
         if hints.abort.load(Ordering::Relaxed) {
             return false;
         }
-        if DETACHED.with(|d| d.get()) {
-            return true;
-        }
         let steps = STEPS.with(|s| s.get()) + 1;
         let ahead = VTIME.with(|v| v.get()) > hints.yield_above.load(Ordering::Relaxed);
         if ahead || steps >= STEP_FLUSH {
@@ -619,9 +580,6 @@ fn yield_now(shared: &Arc<Shared>, me: usize) {
         drop(st);
         std::panic::panic_any(AbortRun);
     }
-    if st.tasks[me].status != Status::Running {
-        return; // inside block_in_place: the engine is not tracking us
-    }
     st.steps += 1 + STEPS.with(|s| s.replace(0));
     if st.steps > shared.step_cap {
         cap_abort(&mut st, shared.step_cap);
@@ -629,59 +587,56 @@ fn yield_now(shared: &Arc<Shared>, me: usize) {
         std::panic::panic_any(AbortRun);
     }
     st.tasks[me].vtime = my_vt;
-    match st.mode {
+    let hand_over = match st.mode {
         ModeState::VirtualTime { workers, slack } => {
-            // See `admit_fill`: no slot is ever left free at an unlock.
-            debug_assert!(st.running == workers || st.ready_count == 0);
-            if let Some(best) = peek_best_vtime(&mut st) {
-                if my_vt > best.saturating_add(slack) {
-                    // We are more than `slack` ahead of a ready task: hand
-                    // over the slot and requeue at our own virtual time.
-                    make_ready(&mut st, me);
-                    st.running -= 1;
-                    admit_fill(&mut st, workers, slack);
-                    drop(st);
-                    wait_admitted(shared, me, true);
-                }
-            }
+            // See `admit_fill`: a slot is left free at an unlock only while
+            // another is still `Starting`.
+            debug_assert!(st.running == workers || st.ready_count == 0 || st.starting > 0);
+            // Only when more than `slack` ahead of a ready task.
+            peek_best_vtime(&mut st).is_some_and(|best| my_vt > best.saturating_add(slack))
         }
-        ModeState::Serialized { .. } => {
-            let mut cands = {
-                let ReadyQueue::List(list) = &st.ready else {
-                    unreachable!();
-                };
-                list.clone()
-            };
-            cands.push(me);
-            cands.sort_unstable();
-            let k = cands.len();
-            if k >= 2 {
-                let idx = {
-                    let ModeState::Serialized { chooser } = &mut st.mode else {
-                        unreachable!();
-                    };
-                    chooser.choose(k).min(k - 1)
-                };
-                st.decisions.push((idx as u32, k as u32));
-                let next = cands[idx];
-                if next != me {
-                    {
-                        let ReadyQueue::List(list) = &mut st.ready else {
-                            unreachable!();
-                        };
-                        let pos = list.iter().position(|&x| x == next).unwrap();
-                        list.remove(pos);
-                        st.ready_count -= 1;
-                    }
-                    make_ready(&mut st, me);
-                    st.running -= 1;
-                    admit(&mut st, next);
-                    drop(st);
-                    wait_admitted(shared, me, true);
-                }
+        // Every point is a recorded choice with this task among the candidates.
+        ModeState::Serialized { .. } => true,
+    };
+    if hand_over {
+        // Requeue at our own virtual time and let the dispatcher choose.
+        make_ready(&mut st, me);
+        st.running -= 1;
+        dispatch_free(&mut st);
+        if st.tasks[me].status != Status::Running {
+            drop(st);
+            if !wait_admitted(shared, me) {
+                std::panic::panic_any(AbortRun);
             }
         }
     }
+}
+
+/// Park the running task `me` until an unpark makes it Ready and the
+/// dispatcher admits it again, or return at once on a pending wake. `false`
+/// once the run has aborted.
+fn park_until_admitted(shared: &Shared, me: usize, mut st: MutexGuard<'_, State>) -> bool {
+    if st.abort {
+        return false;
+    }
+    if st.tasks[me].wake_pending {
+        st.tasks[me].wake_pending = false;
+        return true;
+    }
+    st.steps += 1 + STEPS.with(|s| s.replace(0));
+    if st.steps > shared.step_cap {
+        cap_abort(&mut st, shared.step_cap);
+        return false;
+    }
+    st.tasks[me].vtime = VTIME.with(|v| v.get());
+    st.tasks[me].status = Status::Parked;
+    st.parked += 1;
+    st.peak_parked = st.peak_parked.max(st.parked);
+    st.running -= 1;
+    dispatch_free(&mut st);
+    maybe_deadlock(&mut st);
+    drop(st);
+    wait_admitted(shared, me)
 }
 
 /// Park the current task until some [`Unparker`] wakes it.
@@ -692,101 +647,17 @@ fn yield_now(shared: &Arc<Shared>, me: usize) {
 /// the registration only after writing — and must re-check the condition in
 /// a loop afterwards: a consumed wake-pending flag or a drained stale
 /// registration can produce spurious returns.
-/// A no-op outside tasks and inside [`block_in_place`] sections.
+/// A no-op outside tasks.
 /// [`Notify::wait_until`](crate::Notify::wait_until) is the one caller: a
-/// task parks only through a notifier.
-pub(crate) fn park(point: SchedPoint) {
-    let _ = point;
+/// task parks only through a notifier or in [`fork_join`].
+pub(crate) fn park() {
     let Some((shared, me)) = current_ctx() else {
         return;
     };
-    let my_vt = VTIME.with(|v| v.get());
-    let mut st = shared.lock();
-    if st.abort {
-        drop(st);
+    let st = shared.lock();
+    if !park_until_admitted(&shared, me, st) {
         std::panic::panic_any(AbortRun);
     }
-    if st.tasks[me].status != Status::Running {
-        return;
-    }
-    if st.tasks[me].wake_pending {
-        st.tasks[me].wake_pending = false;
-        return;
-    }
-    st.steps += 1 + STEPS.with(|s| s.replace(0));
-    if st.steps > shared.step_cap {
-        cap_abort(&mut st, shared.step_cap);
-        drop(st);
-        std::panic::panic_any(AbortRun);
-    }
-    st.tasks[me].vtime = my_vt;
-    st.tasks[me].status = Status::Parked;
-    st.parked += 1;
-    st.peak_parked = st.peak_parked.max(st.parked);
-    st.running -= 1;
-    dispatch_free(&mut st);
-    maybe_deadlock(&mut st);
-    drop(st);
-    wait_admitted(&shared, me, true);
-}
-
-/// Run `f` with the current task *detached*: its worker slot is released so
-/// other tasks can run while `f` blocks outside the engine's vocabulary
-/// (joining child carriers). Re-admission happens even if `f` unwinds. A
-/// transparent passthrough when the caller is not a task or is already
-/// detached.
-pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
-    let Some((shared, me)) = current_ctx() else {
-        return f();
-    };
-    {
-        let mut st = shared.lock();
-        if st.abort {
-            drop(st);
-            std::panic::panic_any(AbortRun);
-        }
-        if st.tasks[me].status != Status::Running {
-            drop(st);
-            return f();
-        }
-        st.steps += STEPS.with(|s| s.replace(0));
-        st.tasks[me].vtime = VTIME.with(|v| v.get());
-        st.tasks[me].status = Status::Detached;
-        st.detached += 1;
-        st.running -= 1;
-        dispatch_free(&mut st);
-        maybe_deadlock(&mut st);
-    }
-    DETACHED.with(|d| d.set(true));
-    struct Readmit<'a> {
-        shared: &'a Arc<Shared>,
-        me: usize,
-    }
-    impl Drop for Readmit<'_> {
-        fn drop(&mut self) {
-            {
-                let mut st = self.shared.lock();
-                st.detached -= 1;
-                make_ready(&mut st, self.me);
-                dispatch_free(&mut st);
-            }
-            // Never throws: a panic here during an unwind would abort the
-            // process. On engine abort this returns immediately.
-            wait_admitted(self.shared, self.me, false);
-            DETACHED.with(|d| d.set(false));
-        }
-    }
-    let r = {
-        let _g = Readmit {
-            shared: &shared,
-            me,
-        };
-        f()
-    };
-    if shared.hints.abort.load(Ordering::Relaxed) {
-        std::panic::panic_any(AbortRun);
-    }
-    r
 }
 
 fn finish(shared: &Shared, me: usize, unflushed_steps: u64, panic_msg: Option<String>) {
@@ -794,18 +665,20 @@ fn finish(shared: &Shared, me: usize, unflushed_steps: u64, panic_msg: Option<St
     st.steps += unflushed_steps;
     match st.tasks[me].status {
         Status::Running => st.running -= 1,
-        Status::Detached => st.detached -= 1,
         Status::Parked => st.parked -= 1,
         _ => {}
     }
     st.tasks[me].status = Status::Finished;
     st.tasks[me].thread = None;
     st.alive -= 1;
-    if let Some(m) = panic_msg {
-        if st.panic.is_none() {
-            st.panic = Some(m);
+    if let Some(parent) = st.tasks[me].parent {
+        st.tasks[parent].children -= 1;
+        if st.tasks[parent].children == 0 {
+            unpark_task(&mut st, parent);
         }
-        abort_all(&mut st);
+    }
+    if let Some(m) = panic_msg {
+        fail(&mut st, m);
     } else if !st.abort {
         dispatch_free(&mut st);
         maybe_deadlock(&mut st);
@@ -823,54 +696,37 @@ impl SchedHook for TaskHook {
     }
 }
 
-/// Restores the carrier's thread-locals on drop (including unwinds).
-struct TlsGuard {
-    prev: Option<(Arc<Shared>, usize)>,
-    prev_in_task: bool,
-    prev_vtime: u64,
-    prev_hints: Option<Arc<Hints>>,
-    prev_steps: u64,
-    prev_detached: bool,
-}
+/// Makes the carrier thread task `me`'s, and clears its thread-locals on
+/// drop (including unwinds).
+struct TlsGuard;
 
 impl TlsGuard {
     fn set(shared: Arc<Shared>, me: usize) -> Self {
-        TlsGuard {
-            prev_hints: HINTS.with(|h| h.replace(Some(Arc::clone(&shared.hints)))),
-            prev: CURRENT.with(|c| c.borrow_mut().replace((shared, me))),
-            prev_in_task: IN_TASK.with(|t| t.replace(true)),
-            prev_vtime: VTIME.with(|v| v.replace(0)),
-            prev_steps: STEPS.with(|s| s.replace(0)),
-            prev_detached: DETACHED.with(|d| d.replace(false)),
-        }
+        HINTS.with(|h| h.replace(Some(Arc::clone(&shared.hints))));
+        CURRENT.with(|c| c.replace(Some((shared, me))));
+        IN_TASK.with(|t| t.set(true));
+        TlsGuard
     }
 }
 
 impl Drop for TlsGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
-        IN_TASK.with(|t| t.set(self.prev_in_task));
-        VTIME.with(|v| v.set(self.prev_vtime));
-        HINTS.with(|h| *h.borrow_mut() = self.prev_hints.take());
-        STEPS.with(|s| s.set(self.prev_steps));
-        DETACHED.with(|d| d.set(self.prev_detached));
+        CURRENT.with(|c| c.take());
+        IN_TASK.with(|t| t.set(false));
+        HINTS.with(|h| h.take());
     }
 }
 
-/// Register task `me` (slot already allocated), wait for first admission,
-/// then run `f` under the engine's hook. Returns the raw unwind payload on
-/// panic so root and member carriers can handle it differently.
+/// Register reserved task `me`, wait for its first admission, then run `f`
+/// under the engine's hook. Returns `f`'s result or its unwind payload.
 fn carrier_body<R>(
     shared: &Arc<Shared>,
     me: usize,
-    preallocated: bool,
     f: impl FnOnce() -> R,
-) -> Result<R, Box<dyn std::any::Any + Send>> {
+) -> std::thread::Result<R> {
     let armed = {
         let mut st = shared.lock();
-        if preallocated {
-            st.starting -= 1;
-        }
+        st.starting -= 1;
         st.tasks[me].thread = Some(std::thread::current());
         make_ready(&mut st, me);
         dispatch_free(&mut st);
@@ -880,7 +736,7 @@ fn carrier_body<R>(
             ModeState::Serialized { .. } => sched::Armed::Hook,
         }
     };
-    if !wait_admitted(shared, me, false) {
+    if !wait_admitted(shared, me) {
         finish(shared, me, 0, None);
         return Err(Box::new(AbortRun));
     }
@@ -894,62 +750,87 @@ fn carrier_body<R>(
         let result = catch_unwind(AssertUnwindSafe(f));
         (result, STEPS.with(|s| s.get()))
     };
-    match result {
-        Ok(r) => {
-            finish(shared, me, steps, None);
-            Ok(r)
+    let msg = result
+        .as_ref()
+        .err()
+        .and_then(|p| panic_message(p.as_ref()));
+    finish(shared, me, steps, msg);
+    result
+}
+
+/// Start the carrier thread of reserved task `id` in `scope`.
+fn spawn_carrier<'scope, R: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    shared: &Arc<Shared>,
+    id: usize,
+    f: impl FnOnce() -> R + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, std::thread::Result<R>> {
+    let carrier = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(format!("rankmpi-task-{id}"))
+        .stack_size(shared.stack_size)
+        .spawn_scoped(scope, move || carrier_body(&carrier, id, f))
+        .unwrap_or_else(|e| {
+            // A slot left `Starting` would stop all admission: fail the run
+            // so that every carrier already started can leave.
+            let msg = format!("cannot start engine carrier {id}: {e}");
+            fail(&mut shared.lock(), msg.clone());
+            panic!("{msg}")
+        })
+}
+
+/// Fork `n` child tasks running `f(0)`, …, `f(n - 1)` and join them: a
+/// `#pragma omp parallel` region inside a task.
+///
+/// The children are reserved as `Starting` in index order before any carrier
+/// starts, on the engine's carrier stack size. The calling task then parks,
+/// holding no worker slot, until its last child finishes, and returns each
+/// child's result or panic payload in index order. A child that panics
+/// fails the run, as any task does.
+///
+/// # Panics
+///
+/// Outside an engine task; and with [`AbortRun`] when the run aborts while
+/// every child returned.
+pub fn fork_join<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<std::thread::Result<R>> {
+    let (shared, me) = current_ctx().expect("engine::fork_join outside an engine task");
+    let first = {
+        let mut st = shared.lock();
+        if st.abort {
+            drop(st);
+            std::panic::panic_any(AbortRun);
         }
-        Err(payload) => {
-            // Peek at the payload for the report, then hand it back intact.
-            let msg = if payload.downcast_ref::<AbortRun>().is_some() {
-                None
-            } else {
-                Some(match payload.downcast_ref::<&str>() {
-                    Some(s) => (*s).to_string(),
-                    None => match payload.downcast_ref::<String>() {
-                        Some(s) => s.clone(),
-                        None => "non-string panic payload".to_string(),
-                    },
-                })
-            };
-            finish(shared, me, steps, msg);
-            Err(payload)
+        let first = st.tasks.len();
+        st.tasks
+            .extend((0..n).map(|_| TaskSlot::starting(Some(me))));
+        st.tasks[me].children = n;
+        st.starting += n;
+        st.alive += n;
+        st.peak_alive = st.peak_alive.max(st.alive);
+        first
+    };
+    let f = &f;
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let carriers: Vec<_> = (0..n)
+            .map(|i| spawn_carrier(scope, &shared, first + i, move || f(i)))
+            .collect();
+        loop {
+            let st = shared.lock();
+            if st.tasks[me].children == 0 || !park_until_admitted(&shared, me, st) {
+                break;
+            }
         }
+        // Every child has finished (or the run aborted): the joins wait only
+        // for carriers that have already left the engine.
+        carriers
+            .into_iter()
+            .map(|c| c.join().and_then(|r| r))
+            .collect()
+    });
+    if shared.hints.abort.load(Ordering::Relaxed) && results.iter().all(Result::is_ok) {
+        std::panic::panic_any(AbortRun);
     }
-}
-
-/// A capability to add tasks to a running engine, capturable by a task and
-/// passed into threads it spawns (how `ProcEnv::parallel` turns its
-/// simulated threads into sibling tasks).
-#[derive(Clone)]
-pub struct EngineHandle {
-    shared: Arc<Shared>,
-}
-
-impl EngineHandle {
-    /// Register the *calling thread* as a new engine task for the duration
-    /// of `f`. Blocks until the engine first admits the task; panics from
-    /// `f` are propagated to the caller after the task is unregistered (so
-    /// a plain `join().unwrap()` surfaces them).
-    pub fn run_member<R>(&self, f: impl FnOnce() -> R) -> R {
-        let me = {
-            let mut st = self.shared.lock();
-            let id = st.tasks.len();
-            st.tasks.push(TaskSlot::starting());
-            st.alive += 1;
-            st.peak_alive = st.peak_alive.max(st.alive);
-            id
-        };
-        match carrier_body(&self.shared, me, false, f) {
-            Ok(r) => r,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-}
-
-/// The current task's engine, if the calling thread is a task.
-pub fn handle() -> Option<EngineHandle> {
-    current_ctx().map(|(shared, _)| EngineHandle { shared })
+    results
 }
 
 /// Run `tasks` to completion under the engine and collect their results.
@@ -981,12 +862,11 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
     });
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
-            tasks: (0..n).map(|_| TaskSlot::starting()).collect(),
+            tasks: (0..n).map(|_| TaskSlot::starting(None)).collect(),
             ready,
             mode,
             running: 0,
             parked: 0,
-            detached: 0,
             starting: n,
             alive: n,
             ready_count: 0,
@@ -1002,25 +882,20 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
             panic: None,
         }),
         step_cap: cfg.step_cap,
+        stack_size: cfg.stack_size,
         hints,
     });
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for (i, task) in tasks.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let results = &results;
-            std::thread::Builder::new()
-                .name(format!("rankmpi-task-{i}"))
-                .stack_size(cfg.stack_size)
-                .spawn_scoped(scope, move || {
-                    if let Ok(r) = carrier_body(&shared, i, true, task) {
-                        results.lock()[i] = Some(r);
-                    }
-                })
-                .expect("spawn engine carrier");
-        }
+    let results = std::thread::scope(|scope| {
+        let carriers: Vec<_> = tasks
+            .into_iter()
+            .enumerate()
+            .map(|(i, task)| spawn_carrier(scope, &shared, i, task))
+            .collect();
+        carriers
+            .into_iter()
+            .map(|c| c.join().ok().and_then(Result::ok))
+            .collect()
     });
-    let collected = std::mem::take(&mut *results.lock());
     let mut st = shared.lock();
     let metrics = EngineMetrics {
         task_switches: st.switches,
@@ -1031,7 +906,7 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
         state_locks: st.locks,
     };
     Outcome {
-        results: collected,
+        results,
         decisions: std::mem::take(&mut st.decisions),
         steps: st.steps,
         panic: st.panic.clone(),
@@ -1081,32 +956,12 @@ mod tests {
     fn park_unpark_handoff_completes() {
         let slot: Arc<Mutex<(Option<Unparker>, bool)>> = Arc::new(Mutex::new((None, false)));
         let a = Arc::clone(&slot);
-        let b = Arc::clone(&slot);
         let tasks: Vec<TaskFn<'static, ()>> = vec![
-            Box::new(move || {
-                // Register, then park until the flag is up.
-                loop {
-                    {
-                        let mut s = a.lock();
-                        if s.1 {
-                            return;
-                        }
-                        s.0 = Some(current_unparker().unwrap());
-                    }
-                    park(SchedPoint::Custom("test-wait"));
-                }
-            }),
+            Box::new(move || wait_for(&a)),
             Box::new(move || {
                 let mut c = crate::Clock::new();
                 c.advance(Nanos(1_000)); // give the waiter a chance to park
-                let up = {
-                    let mut s = b.lock();
-                    s.1 = true;
-                    s.0.take()
-                };
-                if let Some(up) = up {
-                    up.unpark();
-                }
+                raise(&slot);
             }),
         ];
         let out = run(vt_cfg(1), tasks);
@@ -1118,7 +973,7 @@ mod tests {
     fn all_parked_is_reported_as_deadlock() {
         let tasks: Vec<TaskFn<'static, ()>> = vec![Box::new(|| loop {
             // Parks with no registered waker: nothing can ever wake us.
-            park(SchedPoint::Custom("forever"));
+            park();
         })];
         let out = run(vt_cfg(2), tasks);
         let msg = out.panic.expect("deadlock must abort the run");
@@ -1126,23 +981,81 @@ mod tests {
         assert_eq!(out.results, vec![None]);
     }
 
+    /// Park the current task until `flag` is up; `raise` wakes it.
+    fn wait_for(flag: &Mutex<(Option<Unparker>, bool)>) {
+        loop {
+            {
+                let mut s = flag.lock();
+                if s.1 {
+                    return;
+                }
+                s.0 = Some(current_unparker().unwrap());
+            }
+            park();
+        }
+    }
+
+    fn raise(flag: &Mutex<(Option<Unparker>, bool)>) {
+        let up = {
+            let mut s = flag.lock();
+            s.1 = true;
+            s.0.take()
+        };
+        if let Some(up) = up {
+            up.unpark();
+        }
+    }
+
     #[test]
-    fn block_in_place_releases_the_worker_slot() {
-        // With one worker, A raw-blocks on a channel fed by B. Without
-        // releasing the slot, B could never run and this would hang.
-        let (tx, rx) = std::sync::mpsc::channel::<u32>();
+    fn a_joining_parent_holds_no_worker_slot() {
+        // One worker. A's child waits for B, so B must run while A joins:
+        // if the join held the slot, this would hang.
+        let flag: Arc<Mutex<(Option<Unparker>, bool)>> = Arc::new(Mutex::new((None, false)));
+        let f = Arc::clone(&flag);
         let tasks: Vec<TaskFn<'static, u32>> = vec![
-            Box::new(move || block_in_place(|| rx.recv().unwrap())),
+            Box::new(move || {
+                let (shared, me) = current_ctx().unwrap();
+                let got = fork_join(1, |_| {
+                    let st = shared.lock();
+                    assert_eq!(st.tasks[me].status, Status::Parked);
+                    assert_eq!(st.running, 1, "only the child holds the slot");
+                    drop(st);
+                    wait_for(&f);
+                    99
+                });
+                got.into_iter().map(|r| r.unwrap()).sum()
+            }),
             Box::new(move || {
                 let mut c = crate::Clock::new();
-                c.advance(Nanos(10));
-                tx.send(99).unwrap();
+                c.advance(Nanos(1_000));
+                raise(&flag);
                 0
             }),
         ];
         let out = run(vt_cfg(1), tasks);
         assert!(out.panic.is_none(), "{:?}", out.panic);
-        assert_eq!(out.results[0], Some(99));
+        assert_eq!(out.results, vec![Some(99), Some(0)]);
+    }
+
+    #[test]
+    fn children_start_in_index_order_and_a_stuck_fork_is_a_deadlock() {
+        let order: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+        let o = Arc::clone(&order);
+        let tasks: Vec<TaskFn<'static, ()>> = vec![Box::new(move || {
+            fork_join(4, |i| {
+                o.lock().push(i);
+                loop {
+                    // Nothing will ever wake a child.
+                    park();
+                }
+            });
+        })];
+        let out = run(vt_cfg(1), tasks);
+        let msg = out
+            .panic
+            .expect("a fork whose children all park must abort");
+        assert!(msg.contains("engine deadlock"), "unexpected message: {msg}");
+        assert_eq!(*order.lock(), [0, 1, 2, 3]);
     }
 
     /// A task that only ever hits yield points and never parks.
@@ -1172,19 +1085,33 @@ mod tests {
     }
 
     #[test]
-    fn abort_reaches_a_spinner_inside_block_in_place() {
-        // A detached task takes no lock at its yield points and counts no
-        // steps, so the abort mirror is the only thing that can stop it.
-        let tasks: Vec<TaskFn<'static, ()>> = vec![
-            Box::new(|| {
-                block_in_place(|| loop {
-                    sched::yield_point(SchedPoint::Custom("detached-spin"));
-                })
+    fn abort_reaches_parked_parents_and_running_children() {
+        // Two workers: A forks two spinners and parks; once one spins, B
+        // panics. The running child must stop at a yield point, the other
+        // before its first admission, and the parked parent must wake and
+        // hand back both children's unwinds.
+        let spinning = Arc::new(AtomicBool::new(false));
+        let s = Arc::clone(&spinning);
+        let tasks: Vec<TaskFn<'static, usize>> = vec![
+            Box::new(move || {
+                let joined = fork_join(2, |_| {
+                    s.store(true, Ordering::Relaxed);
+                    loop {
+                        sched::yield_point(SchedPoint::Custom("child-spin"));
+                    }
+                });
+                joined.iter().filter(|r| r.is_err()).count()
             }),
-            Box::new(|| panic!("deliberate engine failure")),
+            Box::new(move || {
+                while !spinning.load(Ordering::Relaxed) {
+                    sched::yield_point(SchedPoint::Custom("wait-for-spin"));
+                }
+                panic!("deliberate engine failure")
+            }),
         ];
         let out = run(vt_cfg(2), tasks);
         assert_eq!(out.panic.as_deref(), Some("deliberate engine failure"));
+        assert_eq!(out.results, vec![Some(2), None]);
     }
 
     #[test]
@@ -1245,44 +1172,26 @@ mod tests {
     /// crosses one more yield point. Returns the order things happened in.
     fn wake_then_yield(lead: u64) -> Vec<&'static str> {
         let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let slot: Arc<Mutex<(Option<Unparker>, bool)>> = Arc::new(Mutex::new((None, false)));
-        let (log_r, slot_r) = (Arc::clone(&log), Arc::clone(&slot));
-        let (log_w, slot_w) = (Arc::clone(&log), Arc::clone(&slot));
-        let tasks: Vec<TaskFn<'static, ()>> = vec![
-            Box::new(move || {
-                // Off the worker until the waiter has registered; the one
-                // worker re-admits us only once the waiter has parked.
-                block_in_place(|| {
-                    while slot_r.lock().0.is_none() {
-                        std::thread::yield_now();
-                    }
-                });
+        let slot: Mutex<(Option<Unparker>, bool)> = Mutex::new((None, false));
+        let l = Arc::clone(&log);
+        // Children start in index order on the one worker, so the waiter
+        // has parked before the runner is first admitted.
+        let tasks: Vec<TaskFn<'static, ()>> = vec![Box::new(move || {
+            fork_join(2, |i| {
+                if i == 0 {
+                    wait_for(&slot);
+                    l.lock().push("waiter ran");
+                    return;
+                }
                 let mut c = crate::Clock::new();
                 c.advance(Nanos(lead));
-                let up = {
-                    let mut s = slot_r.lock();
-                    s.1 = true;
-                    s.0.take().unwrap()
-                };
-                up.unpark(); // the waiter is ready at virtual time 0
-                log_r.lock().push("runner before its yield point");
+                assert!(slot.lock().0.is_some(), "the waiter has parked");
+                raise(&slot); // the waiter is ready at virtual time 0
+                l.lock().push("runner before its yield point");
                 c.advance(Nanos(1));
-                log_r.lock().push("runner after its yield point");
-            }),
-            Box::new(move || {
-                loop {
-                    {
-                        let mut s = slot_w.lock();
-                        if s.1 {
-                            break;
-                        }
-                        s.0 = Some(current_unparker().unwrap());
-                    }
-                    park(SchedPoint::Custom("test-wait"));
-                }
-                log_w.lock().push("waiter ran");
-            }),
-        ];
+                l.lock().push("runner after its yield point");
+            });
+        })];
         let out = run(vt_cfg(1), tasks); // slack 100
         assert!(out.panic.is_none(), "{:?}", out.panic);
         let order = log.lock().clone();
@@ -1310,15 +1219,16 @@ mod tests {
     }
 
     #[test]
-    fn yield_points_inside_block_in_place_switch_nothing_and_lose_no_steps() {
+    fn a_fork_join_keeps_step_counts_exact() {
         let tasks: Vec<TaskFn<'static, ()>> = vec![Box::new(|| {
             let mut c = crate::Clock::new();
             for _ in 0..10 {
-                c.advance(Nanos(1)); // counted task-locally, flushed at detach
+                c.advance(Nanos(1)); // counted task-locally, flushed at the join's park
             }
-            block_in_place(|| {
-                for _ in 0..1_000 {
-                    c.advance(Nanos(1)); // detached: not steps
+            fork_join(2, |_| {
+                let mut c = crate::Clock::new();
+                for _ in 0..50 {
+                    c.advance(Nanos(1)); // within slack: no switch, flushed at finish
                 }
             });
             for _ in 0..7 {
@@ -1327,11 +1237,12 @@ mod tests {
         })];
         let out = run(vt_cfg(1), tasks);
         assert!(out.panic.is_none(), "{:?}", out.panic);
-        assert_eq!(out.steps, 17);
+        assert_eq!(out.steps, 10 + 2 * 50 + 1 + 7, "points plus the one park");
         assert_eq!(
-            out.metrics.task_switches, 2,
-            "first admission + re-admission"
+            out.metrics.task_switches, 4,
+            "parent, two children, parent again"
         );
+        assert_eq!(out.metrics.peak_tasks, 3);
     }
 
     #[test]
@@ -1403,32 +1314,21 @@ mod tests {
     }
 
     #[test]
-    fn member_tasks_join_a_running_engine() {
+    fn forked_children_join_a_running_engine() {
         let spawned = Arc::new(AtomicUsize::new(0));
         let tasks: Vec<TaskFn<'static, usize>> = (0..4)
             .map(|_| {
                 let spawned = Arc::clone(&spawned);
                 Box::new(move || {
-                    let h = handle().expect("root task has a handle");
-                    block_in_place(|| {
-                        std::thread::scope(|s| {
-                            let joins: Vec<_> = (0..8)
-                                .map(|j| {
-                                    let h = h.clone();
-                                    let spawned = Arc::clone(&spawned);
-                                    s.spawn(move || {
-                                        h.run_member(move || {
-                                            let mut c = crate::Clock::new();
-                                            c.advance(Nanos(5 * (j + 1)));
-                                            spawned.fetch_add(1, Ordering::Relaxed);
-                                            j as usize
-                                        })
-                                    })
-                                })
-                                .collect();
-                            joins.into_iter().map(|h| h.join().unwrap()).sum()
-                        })
+                    fork_join(8, |j| {
+                        let mut c = crate::Clock::new();
+                        c.advance(Nanos(5 * (j as u64 + 1)));
+                        spawned.fetch_add(1, Ordering::Relaxed);
+                        j
                     })
+                    .into_iter()
+                    .map(|r| r.unwrap())
+                    .sum()
                 }) as TaskFn<'static, usize>
             })
             .collect();
@@ -1436,6 +1336,6 @@ mod tests {
         assert!(out.panic.is_none(), "{:?}", out.panic);
         assert_eq!(spawned.load(Ordering::Relaxed), 32);
         assert!(out.results.iter().all(|r| *r == Some(28)));
-        assert!(out.metrics.peak_tasks > 4);
+        assert!(out.metrics.peak_tasks >= 4 + 8);
     }
 }

@@ -286,7 +286,7 @@ impl Notify {
                 if v > seen {
                     return v;
                 }
-                engine::park(SchedPoint::NotifyWait);
+                engine::park();
             }
         }
         let v = self.version();
