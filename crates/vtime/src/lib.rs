@@ -22,9 +22,10 @@
 //!
 //! A request the OS ran late backfills the gap it would have had; a saturated
 //! resource degenerates to `start = max(thread_now, next_free)`. The schedule is a
-//! sorted array in chunks of 256 intervals: a request from its last interval on —
-//! the steady state — is O(1), an earlier one is a binary search plus a move within
-//! one chunk. History is bounded at 2^20 intervals per resource; the oldest half is
+//! sorted array in chunks of 512 intervals, each stored as 32-bit offsets from its
+//! chunk's base (8 bytes): a request from its last interval on — the steady state —
+//! is O(1), an earlier one is a binary search plus a move within one chunk. History
+//! is bounded at 2^20 intervals per resource; the oldest half is
 //! then forgotten, and [`Resource::clamped`] counts the requests that arrived too
 //! late to see it (0 means every result is exact).
 //!

@@ -23,20 +23,107 @@ impl Acquisition {
     }
 }
 
-/// Intervals per chunk of a [`Schedule`]: an insert behind the frontier
-/// moves at most this many entries, however long the schedule is.
-const CHUNK: usize = 256;
+/// Intervals per chunk of a [`Schedule`] (4 KiB of offsets): an insert
+/// behind the frontier moves at most this many entries, however long the
+/// schedule is.
+const CHUNK: usize = 512;
 
-/// History bound (16 MiB of intervals). A resource that reaches it forgets
+/// The widest range one [`Chunk`] covers: its offsets are `u32`.
+const SPAN: u64 = u32::MAX as u64;
+
+/// History bound (8 MiB of intervals). A resource that reaches it forgets
 /// its oldest half; see [`Resource::clamped`].
 const MAX_INTERVALS: usize = 1 << 20;
 
-/// Busy intervals `(start, end)`: sorted, disjoint and never touching
-/// (an insert merges with a touching neighbour), stored as sorted chunks of
-/// at most [`CHUNK`] entries. No chunk is empty.
+/// Up to [`CHUNK`] sorted intervals `(base + start, base + end)`, 8 bytes
+/// each. `base` lies at or below the first start, and every end lies within
+/// [`SPAN`] of it.
+#[derive(Debug)]
+struct Chunk {
+    base: u64,
+    iv: Vec<(u32, u32)>,
+}
+
+impl Chunk {
+    fn get(&self, i: usize) -> (u64, u64) {
+        let (s, e) = self.iv[i];
+        (self.base + u64::from(s), self.base + u64::from(e))
+    }
+
+    fn last(&self) -> (u64, u64) {
+        self.get(self.iv.len() - 1)
+    }
+
+    fn intervals(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0..self.iv.len()).map(|i| self.get(i))
+    }
+
+    /// `(start, end)` as offsets from `base`, if it lies in this chunk's
+    /// range.
+    fn offsets(&self, (start, end): (u64, u64)) -> Option<(u32, u32)> {
+        let start = start.checked_sub(self.base)?;
+        let end = end - self.base;
+        (end <= SPAN).then_some((start as u32, end as u32))
+    }
+
+    /// [`offsets`](Chunk::offsets), first moving `base` to the lowest start
+    /// if `iv` lies outside the range but the chunk with `iv` in it spans at
+    /// most [`SPAN`] (`iv` covers any interval it replaces). The offsets are
+    /// shifted in place.
+    fn place(&mut self, iv: (u64, u64)) -> Option<(u32, u32)> {
+        if let Some(off) = self.offsets(iv) {
+            return Some(off);
+        }
+        let lo = iv.0.min(self.get(0).0);
+        if iv.1.max(self.last().1) - lo > SPAN {
+            return None;
+        }
+        // Every shifted offset lands in [0, SPAN], so wrapping is exact.
+        let shift = self.base.wrapping_sub(lo) as u32;
+        for (s, e) in &mut self.iv {
+            *s = s.wrapping_add(shift);
+            *e = e.wrapping_add(shift);
+        }
+        self.base = lo;
+        self.offsets(iv)
+    }
+}
+
+/// Append `iv` past every interval of `chunks`, opening a chunk when the
+/// last one is full or cannot take `iv` even rebased. An interval wider than
+/// [`SPAN`] is cut into touching pieces, one per chunk. Returns the number of
+/// entries added.
+fn append(chunks: &mut Vec<Chunk>, (mut start, end): (u64, u64)) -> usize {
+    let mut pieces = 0;
+    loop {
+        pieces += 1;
+        if let Some(c) = chunks.last_mut().filter(|c| c.iv.len() < CHUNK) {
+            if let Some(off) = c.place((start, end)) {
+                c.iv.push(off);
+                return pieces;
+            }
+        }
+        // Most resources hold a handful of intervals, so the first chunk
+        // grows on demand; later ones are allocated whole.
+        let mut iv = Vec::with_capacity(if chunks.is_empty() { 0 } else { CHUNK });
+        let piece = end.min(start.saturating_add(SPAN));
+        iv.push((0, (piece - start) as u32));
+        chunks.push(Chunk { base: start, iv });
+        if piece == end {
+            return pieces;
+        }
+        start = piece;
+    }
+}
+
+/// Busy intervals: sorted, disjoint and never touching (an insert merges
+/// with a touching neighbour), stored as sorted chunks. The one exception to
+/// "never touching" is an interval wider than [`SPAN`], stored as touching
+/// pieces. No chunk is empty.
 #[derive(Debug, Default)]
 struct Schedule {
-    chunks: Vec<Vec<(u64, u64)>>,
+    chunks: Vec<Chunk>,
+    /// Entries, each piece counted.
     len: usize,
 }
 
@@ -45,9 +132,16 @@ impl Schedule {
     /// `bound`. `index` is 0 only when no interval starts below `bound`, and
     /// may be one past the chunk's end.
     fn lower_bound(&self, bound: u64) -> (usize, usize) {
-        match self.chunks.partition_point(|c| c[0].0 < bound) {
+        match self.chunks.partition_point(|c| c.get(0).0 < bound) {
             0 => (0, 0),
-            c => (c - 1, self.chunks[c - 1].partition_point(|iv| iv.0 < bound)),
+            c => {
+                let chunk = &self.chunks[c - 1];
+                let bound = bound - chunk.base;
+                (
+                    c - 1,
+                    chunk.iv.partition_point(|iv| u64::from(iv.0) < bound),
+                )
+            }
         }
     }
 
@@ -57,17 +151,18 @@ impl Schedule {
         // From the last interval's start on there is nothing to search —
         // the slot is at `max(cursor, frontier)`: the steady state of every
         // resource with a single owner, and of a saturated one.
-        match self.chunks.last_mut().and_then(|c| c.last_mut()) {
-            Some(last) if cursor < last.0 => {}
-            Some(last) if cursor <= last.1 => {
-                let start = last.1;
-                last.1 += busy;
-                return start;
-            }
-            _ => {
-                self.push((cursor, cursor + busy));
-                return cursor;
-            }
+        let Some(tail) = self.chunks.last() else {
+            self.push((cursor, cursor + busy));
+            return cursor;
+        };
+        let (last, (start, end)) = ((self.chunks.len() - 1, tail.iv.len() - 1), tail.last());
+        if cursor > end {
+            self.push((cursor, cursor + busy));
+            return cursor;
+        }
+        if cursor >= start {
+            self.set(last, (start, end + busy));
+            return end;
         }
         // Find the earliest gap: repeatedly jump past the latest interval
         // that overlaps [cursor, cursor + busy). Intervals are sorted and
@@ -75,7 +170,7 @@ impl Schedule {
         // `cursor + busy` can overlap.
         let (c, i) = loop {
             let (c, i) = self.lower_bound(cursor + busy);
-            match i.checked_sub(1).map(|p| self.chunks[c][p].1) {
+            match i.checked_sub(1).map(|p| self.chunks[c].get(p).1) {
                 Some(e) if e > cursor => cursor = e,
                 _ => break (c, i),
             }
@@ -83,69 +178,82 @@ impl Schedule {
         // Merge with a touching predecessor and successor to keep the
         // schedule small (halo loops produce long runs of contiguous slots).
         let end = cursor + busy;
-        let joins_prev = i > 0 && self.chunks[c][i - 1].1 == cursor;
-        let (nc, ni) = if i == self.chunks[c].len() {
+        let prev = i.checked_sub(1).map(|p| self.chunks[c].get(p));
+        let (nc, ni) = if i == self.chunks[c].iv.len() {
             (c + 1, 0)
         } else {
             (c, i)
         };
-        let joins_next = self.chunks.get(nc).is_some_and(|next| next[ni].0 == end);
-        match (joins_prev, joins_next) {
-            (true, true) => {
-                let next = self.remove(nc, ni);
-                self.chunks[c][i - 1].1 = next.1;
+        let next = self.chunks.get(nc).map(|chunk| chunk.get(ni));
+        match (prev.filter(|p| p.1 == cursor), next.filter(|n| n.0 == end)) {
+            (Some(prev), Some(next)) => {
+                // Removing (nc, ni) leaves (c, i - 1) where it is.
+                self.remove(nc, ni);
+                self.set((c, i - 1), (prev.0, next.1));
             }
-            (true, false) => self.chunks[c][i - 1].1 = end,
-            (false, true) => self.chunks[nc][ni].0 = cursor,
-            (false, false) => self.insert(c, i, (cursor, end)),
+            (Some(prev), None) => self.set((c, i - 1), (prev.0, end)),
+            (None, Some(next)) => self.set((nc, ni), (cursor, next.1)),
+            (None, None) => self.insert(c, i, (cursor, end)),
         }
         cursor
     }
 
     /// Append past the frontier.
     fn push(&mut self, iv: (u64, u64)) {
-        match self.chunks.last_mut() {
-            Some(c) if c.len() < CHUNK => c.push(iv),
-            _ => {
-                // Most resources hold a handful of intervals, so the first
-                // chunk grows on demand; later ones are allocated whole.
-                let mut c = if self.chunks.is_empty() {
-                    Vec::new()
-                } else {
-                    Vec::with_capacity(CHUNK)
-                };
-                c.push(iv);
-                self.chunks.push(c);
-            }
-        }
-        self.len += 1;
+        self.len += append(&mut self.chunks, iv);
     }
 
-    /// Insert before position `(c, i)`, splitting a full chunk in half.
-    fn insert(&mut self, c: usize, i: usize, iv: (u64, u64)) {
-        let chunk = &mut self.chunks[c];
-        if chunk.len() < CHUNK {
-            chunk.insert(i, iv);
-        } else {
+    /// Rewrite the interval at `(c, i)` as `iv`, which covers it.
+    fn set(&mut self, (c, i): (usize, usize), iv: (u64, u64)) {
+        match self.chunks[c].place(iv) {
+            Some(off) => self.chunks[c].iv[i] = off,
+            None => self.respill(c, |ivs| ivs[i] = iv),
+        }
+    }
+
+    /// Insert before position `(c, i)`. A full chunk is first split where
+    /// the insert lands, but the left part keeps at least half of it: a run
+    /// of inserts near the frontier then leaves full chunks behind it, not
+    /// half-full ones. Both parts keep the chunk's `base`.
+    fn insert(&mut self, mut c: usize, mut i: usize, iv: (u64, u64)) {
+        if self.chunks[c].iv.len() == CHUNK {
+            let at = i.clamp(CHUNK / 2, CHUNK - 1);
+            let chunk = &mut self.chunks[c];
             let mut tail = Vec::with_capacity(CHUNK);
-            tail.extend_from_slice(&chunk[CHUNK / 2..]);
-            chunk.truncate(CHUNK / 2);
-            match i.checked_sub(CHUNK / 2) {
-                Some(t) => tail.insert(t, iv),
-                None => chunk.insert(i, iv),
+            tail.extend_from_slice(&chunk.iv[at..]);
+            chunk.iv.truncate(at);
+            let base = chunk.base;
+            self.chunks.insert(c + 1, Chunk { base, iv: tail });
+            if i >= at {
+                (c, i) = (c + 1, i - at);
             }
-            self.chunks.insert(c + 1, tail);
         }
-        self.len += 1;
+        match self.chunks[c].place(iv) {
+            Some(off) => {
+                self.chunks[c].iv.insert(i, off);
+                self.len += 1;
+            }
+            None => self.respill(c, |ivs| ivs.insert(i, iv)),
+        }
     }
 
-    fn remove(&mut self, c: usize, i: usize) -> (u64, u64) {
-        let iv = self.chunks[c].remove(i);
-        if self.chunks[c].is_empty() {
+    fn remove(&mut self, c: usize, i: usize) {
+        self.chunks[c].iv.remove(i);
+        if self.chunks[c].iv.is_empty() {
             self.chunks.remove(c);
         }
         self.len -= 1;
-        iv
+    }
+
+    /// An edit to chunk `c` that no base can hold: rebuild the chunk's
+    /// intervals, edited, into as many chunks as they need.
+    fn respill(&mut self, c: usize, edit: impl FnOnce(&mut Vec<(u64, u64)>)) {
+        let mut ivs: Vec<(u64, u64)> = self.chunks[c].intervals().collect();
+        edit(&mut ivs);
+        let mut rebuilt = Vec::new();
+        let added: usize = ivs.into_iter().map(|iv| append(&mut rebuilt, iv)).sum();
+        self.len = self.len + added - self.chunks[c].iv.len();
+        self.chunks.splice(c..=c, rebuilt);
     }
 
     /// Drop the oldest half of the history as whole chunks; returns the end
@@ -153,10 +261,10 @@ impl Schedule {
     fn forget_oldest_half(&mut self) -> u64 {
         let (mut dropped, mut k) = (0, 0);
         while dropped < self.len / 2 {
-            dropped += self.chunks[k].len();
+            dropped += self.chunks[k].iv.len();
             k += 1;
         }
-        let end = self.chunks[k - 1].last().expect("no chunk is empty").1;
+        let end = self.chunks[k - 1].last().1;
         self.chunks.drain(..k);
         self.len -= dropped;
         end
@@ -181,10 +289,11 @@ impl Schedule {
 /// same instant still serialize exactly (no overlap, ever); a saturated
 /// resource degenerates to the classic `max(now, next_free)` queue.
 ///
-/// The schedule is a two-level sorted array, 16 bytes per remembered
-/// interval. A request from the last interval's start on is served at or
-/// past the frontier (that interval's end) in O(1); an earlier one
-/// binary-searches the chunk heads, then one chunk. A resource that has
+/// The schedule is a two-level sorted array of chunks, each a 64-bit base
+/// and up to 512 intervals as 32-bit offsets from it: 8 bytes per
+/// remembered interval. A request from the last interval's start on is
+/// served at or past the frontier (that interval's end) in O(1); an earlier
+/// one binary-searches the chunk heads, then one chunk. A resource that has
 /// accumulated 2^20 intervals forgets the oldest half and raises its floor
 /// to where they ended, so memory is bounded;
 /// [`clamped`](Resource::clamped) counts the requests this could have
@@ -435,6 +544,35 @@ mod tests {
             self.m.floor = self.m.floor.max(t);
         }
 
+        /// Requests aimed relative to the frontier, so that they keep
+        /// landing on chunk boundaries: gaps below `gap` and slots below
+        /// `busy` (4 × `busy` behind the frontier).
+        fn play(&mut self, script: Vec<(u8, u64, u64)>, gap: u64, busy: u64) {
+            let mut served = Vec::new();
+            for (kind, a, b) in script {
+                let frontier = self.m.max_end;
+                let (now, busy) = match kind {
+                    0..=15 => (frontier + 1 + a % gap, 1 + b % busy), // in order, sparse
+                    16..=21 => (frontier, 1 + b % busy),              // touching the frontier
+                    22..=39 => (a % (frontier + 1), 1 + b % (4 * busy)), // anywhere behind
+                    40..=53 if !served.is_empty() => {
+                        // Fill the gap after an earlier slot exactly, or
+                        // (on odd `b`) overshoot it by one.
+                        let at: Acquisition = served[a as usize % served.len()];
+                        let next = self.m.intervals.range(at.end.as_ns()..).next();
+                        let gap = next.map_or(1 + b % busy, |(s, _)| s - at.end.as_ns());
+                        (at.end.as_ns(), gap + b % 2)
+                    }
+                    40..=61 => (a % (frontier + 1), 0),
+                    _ => {
+                        self.advance_to(a % (frontier + 1));
+                        continue;
+                    }
+                };
+                served.push(self.acquire(now, busy));
+            }
+        }
+
         /// `n` in-order requests, each leaving a gap of `gap` behind it.
         fn append_sparse(&mut self, n: usize, gap: u64, busy: u64) {
             for _ in 0..n {
@@ -452,9 +590,21 @@ mod tests {
                 assert_eq!(r.acquisitions(), self.m.acquisitions);
                 assert_eq!(r.clamped(), self.r.clamped());
                 let s = r.schedule.lock();
-                assert!(s.chunks.iter().all(|c| (1..=CHUNK).contains(&c.len())));
-                let flat: Vec<(u64, u64)> = s.chunks.concat();
-                assert_eq!(flat.len(), s.len);
+                assert!(s.chunks.iter().all(|c| (1..=CHUNK).contains(&c.iv.len())));
+                let pieces: Vec<(u64, u64)> = s.chunks.iter().flat_map(Chunk::intervals).collect();
+                assert_eq!(pieces.len(), s.len);
+                // Touching neighbours are pieces of one interval wider
+                // than a chunk's range; joined, they are the map's.
+                let mut flat: Vec<(u64, u64)> = Vec::new();
+                for (start, end) in pieces {
+                    match flat.last_mut() {
+                        Some(prev) if prev.1 == start => {
+                            assert!(end - prev.0 > SPAN, "touching {prev:?}, {start}");
+                            prev.1 = end;
+                        }
+                        _ => flat.push((start, end)),
+                    }
+                }
                 assert_eq!(flat, want);
             }
         }
@@ -640,7 +790,7 @@ mod tests {
         let mut p = Pair::default();
         p.append_sparse(CHUNK + 1, 10, 5);
         assert_eq!(p.r.schedule.lock().chunks.len(), 2);
-        let head = p.r.schedule.lock().chunks[1][0];
+        let head = p.r.schedule.lock().chunks[1].get(0);
         p.acquire(head.0 - 10, 10);
         assert_eq!(p.r.schedule.lock().chunks.len(), 1);
         p.check();
@@ -649,17 +799,91 @@ mod tests {
         // successor-only join that rewrites a chunk head.
         let mut p = Pair::default();
         p.append_sparse(3 * CHUNK, 10, 5);
-        let head = p.r.schedule.lock().chunks[1][0];
+        let head = p.r.schedule.lock().chunks[1].get(0);
         p.acquire(head.0 - 4, 4); // joins the head of chunk 1 only
         p.acquire(head.0 - 10, 2); // joins the tail of chunk 0 only
         p.acquire(head.0 - 8, 4); // closes the gap between the two chunks
-        let head = p.r.schedule.lock().chunks[2][0];
+        let head = p.r.schedule.lock().chunks[2].get(0);
         p.acquire(head.0 - 7, 3); // lands between chunks, joins neither
         p.acquire(0, 3 * CHUNK as u64 * 15); // fits nowhere: goes to the frontier
         p.acquire(7, 0);
         p.advance_to(head.0 - 9);
         p.acquire(0, 2); // from the floor, inside a gap
         p.acquire(0, 6); // from the floor, first gap too small
+        p.check();
+    }
+
+    #[test]
+    fn edits_that_leave_a_chunks_range_match_the_map() {
+        let lens = |p: &Pair| -> Vec<usize> {
+            let s = p.r.schedule.lock();
+            s.chunks.iter().map(|c| c.iv.len()).collect()
+        };
+
+        // Frontier extensions: past the chunk's range (the extended
+        // interval opens a chunk), then wider than any range (pieces).
+        let mut p = Pair::default();
+        p.append_sparse(3, 10, 5); // [10, 15), [25, 30), [40, 45)
+        p.acquire(p.m.max_end, SPAN - 20);
+        assert_eq!(lens(&p), [2, 1]);
+        p.acquire(p.m.max_end, 2 * SPAN);
+        assert_eq!(lens(&p), [2, 1, 1, 1]);
+        p.acquire(p.m.max_end, 7);
+        p.check();
+
+        // Inserts before a chunk's base: one that a rebase holds, one that
+        // re-splits the chunk, one that fits the new first chunk as it is.
+        let mut p = Pair::default();
+        p.acquire(1 << 33, 5);
+        p.acquire((1 << 33) + SPAN - 2_000, 5);
+        p.acquire((1 << 33) - 1_000, 5);
+        assert_eq!(p.r.schedule.lock().chunks[0].base, (1 << 33) - 1_000);
+        assert_eq!(lens(&p), [3]);
+        p.acquire(1 << 32, 5);
+        assert_eq!(lens(&p), [2, 2]);
+        p.acquire((1 << 33) - 100, 5);
+        assert_eq!(lens(&p), [3, 2]);
+        p.check();
+
+        // Joins: one that fills its chunk's range exactly, one whose merged
+        // interval leaves it (and is cut into pieces), one whose successor
+        // is a head that a rebase moves.
+        let mut p = Pair::default();
+        p.acquire(0, 10);
+        p.acquire(SPAN - 5, 5);
+        p.acquire(10, SPAN - 15); // [0, SPAN): one entry
+        assert_eq!(lens(&p), [1]);
+        p.acquire(SPAN + 10, 100); // [SPAN + 10, SPAN + 110): a new chunk
+        assert_eq!(lens(&p), [1, 1]);
+        p.acquire(SPAN, 10); // [0, SPAN + 110) in pieces
+        assert_eq!(lens(&p), [1, 1]);
+        assert_eq!(p.r.schedule.lock().chunks[1].get(0), (SPAN, SPAN + 110));
+        p.acquire(3 * SPAN, 5);
+        p.acquire(3 * SPAN - 20, 20); // joins a chunk head only
+        assert_eq!(p.r.schedule.lock().chunks[2].base, 3 * SPAN - 20);
+        p.check();
+
+        // Full chunks: a split where the insert lands keeps the left part
+        // full; an insert before the head splits at the half and then
+        // leaves the range of the left half, which re-splits.
+        let full = || {
+            let mut p = Pair::default();
+            p.acquire(1 << 32, 5);
+            p.append_sparse(CHUNK - 1, (1 << 23) - 8, 5); // spans 2^32 - 2^23 - 1528
+            assert_eq!(lens(&p), [CHUNK]);
+            p
+        };
+        let mut p = full();
+        let late = p.r.schedule.lock().chunks[0].get(500);
+        p.acquire(late.0 - 6, 3);
+        assert_eq!(lens(&p), [500, 13]);
+        p.append_sparse(CHUNK - 13, (1 << 23) - 8, 5);
+        assert_eq!(lens(&p), [500, CHUNK]);
+        p.check();
+        let mut p = full();
+        p.acquire((1 << 31) - (1 << 24), 5);
+        let l = lens(&p);
+        assert_eq!((l.len(), l[0] + l[1], l[2]), (3, CHUNK / 2 + 1, CHUNK / 2));
         p.check();
     }
 
@@ -674,29 +898,27 @@ mod tests {
             script in collection::vec((0u8..64, any::<u64>(), any::<u64>()), 1..96)
         ) {
             let mut p = Pair::with_sparse_history(preamble, 24, 3);
-            let mut served = Vec::new();
-            for (kind, a, b) in script {
-                let frontier = p.m.max_end;
-                let (now, busy) = match kind {
-                    0..=15 => (frontier + 1 + a % 16, 1 + b % 8), // in order, sparse
-                    16..=21 => (frontier, 1 + b % 8),              // touching the frontier
-                    22..=39 => (a % (frontier + 1), 1 + b % 32),   // anywhere behind
-                    40..=53 if !served.is_empty() => {
-                        // Fill the gap after an earlier slot exactly, or
-                        // (on odd `b`) overshoot it by one.
-                        let at: Acquisition = served[a as usize % served.len()];
-                        let next = p.m.intervals.range(at.end.as_ns()..).next();
-                        let gap = next.map_or(1 + b % 8, |(s, _)| s - at.end.as_ns());
-                        (at.end.as_ns(), gap + b % 2)
-                    }
-                    40..=61 => (a % (frontier + 1), 0),
-                    _ => {
-                        p.advance_to(a % (frontier + 1));
-                        continue;
-                    }
-                };
-                served.push(p.acquire(now, busy));
-            }
+            p.play(script, 16, 8);
+            p.check();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The same requests with gaps up to 2^34 ns and slots up to 2^33
+        /// ns, after a history whose chunks fill by count, by range at
+        /// 511 intervals, or by range at 4: edits leave chunk ranges, rebase,
+        /// re-split, and cut intervals into pieces.
+        #[test]
+        fn wide_request_sequences_match_the_map(
+            preamble in 0usize..2 * CHUNK,
+            spacing in 0usize..3,
+            script in collection::vec((0u8..64, any::<u64>(), any::<u64>()), 1..96)
+        ) {
+            let gap = [24, 8_409_997, 1 << 30][spacing];
+            let mut p = Pair::with_sparse_history(preamble, gap, 3);
+            p.play(script, 1 << 34, 1 << 33);
             p.check();
         }
     }
@@ -716,7 +938,10 @@ mod tests {
         // The floor is the end of the last interval dropped; the history
         // above it still backfills exactly as the unbounded map does.
         let floor = MAX_INTERVALS as u64 / 2 * 15;
-        assert_eq!(p.r.schedule.lock().chunks[0][0], (floor + 10, floor + 15));
+        assert_eq!(
+            p.r.schedule.lock().chunks[0].get(0),
+            (floor + 10, floor + 15)
+        );
         p.acquire(floor, 10);
         p.acquire(floor + 3, 7);
         assert_eq!(p.r.clamped(), 0);

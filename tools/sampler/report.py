@@ -13,7 +13,8 @@ any of its samples' chains matches ("other" if none does) and prints one
 table, with its own `--sum` line, per label.
 `--lines` takes the samples whose innermost function matches the regex and
 counts them by source line: the innermost file:line, then the frames it is
-inlined into, each with its own line.
+inlined into, each with its own line. With `--by-thread` it prints one such
+table per label, after that label's function table.
 
 An address with no line information that lies past the end of every symbol
 `readelf -Ws --dyn-syms` lists for its object (a stripped libc's internal
@@ -128,11 +129,11 @@ def short(fn, where):
     return "/".join(path.split("/")[-3:]) + " " + fn
 
 
-def lines(ips, frames, pattern, top):
+def lines(ips, frames, pattern, top, scope="all"):
     """The samples whose innermost function matches `pattern`, by line."""
     pat = re.compile(pattern)
     hits = [ip for ip in ips if ip in frames and pat.search(frames[ip][0][0])]
-    print(f"\n{len(hits)} samples ({100 * len(hits) / max(len(ips), 1):.2f}% of all) "
+    print(f"\n{len(hits)} samples ({100 * len(hits) / max(len(ips), 1):.2f}% of {scope}) "
           f"in functions matching {pattern!r}, by line (innermost first):")
     by_line = collections.Counter(
         tuple(short(fn, where) for fn, where in frames[ip]) for ip in hits)
@@ -171,9 +172,9 @@ def main():
     frames = symbolise(maps, ips)
     chains = {ip: tuple(fn for fn, _ in f) for ip, f in frames.items()}
     print(f"{len(ips)} samples ({dropped} dropped)")
-    if args.lines:
-        lines(ips, frames, args.lines, args.top)
     if not args.by_thread:
+        if args.lines:
+            lines(ips, frames, args.lines, args.top)
         table(ips, chains, args.top, args.sum)
         return
     groups, label = by_thread(samples, chains, args.by_thread)
@@ -182,6 +183,8 @@ def main():
         print(f"\n== {name}: {threads} thread(s), {len(group)} samples "
               f"({100 * len(group) / len(ips):.1f}% of all)")
         table(group, chains, args.top, args.sum)
+        if args.lines:
+            lines(group, frames, args.lines, args.top, "this label")
 
 
 if __name__ == "__main__":
