@@ -133,7 +133,7 @@ pub static ROWS: &[Row] = &[
                 than with endpoints, and is cheapest on one wildcard endpoint at every \
                 Fig. 1(c) width (Lesson 5)",
         run: lesson5_poller,
-        status: Status::Varies,
+        status: Status::Holds,
     },
     Row {
         id: "E6.graph",

@@ -34,8 +34,10 @@
 //! SipHash. The mix ends in a finalizer because this repo's tags carry
 //! thread ids in their *high* bits and the map reads the hash's low bits
 //! for the bucket and its top seven for the control byte: see `MixHasher`.
-//! A class queue or arrival index emptied by a match goes onto a short spare
-//! list and serves the next key, so rotating tags allocate nothing.
+//! A posted class queue emptied by a match goes onto a short spare list and
+//! serves the next key, so rotating tags allocate nothing; an unexpected
+//! message's slab slot is freed by the match that takes it and serves the
+//! next arrival.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -83,11 +85,6 @@ impl MatchPattern {
             && (self.src == ANY_SOURCE || self.src == src as i64)
             && (self.tag == ANY_TAG || self.tag == tag)
     }
-
-    /// Whether the pattern uses any wildcard.
-    pub fn has_wildcard(&self) -> bool {
-        self.src == ANY_SOURCE || self.tag == ANY_TAG
-    }
 }
 
 /// A receive posted to an engine, waiting for its message.
@@ -107,13 +104,14 @@ pub struct PostedRecv {
 /// `scanned` counts queue entries actually examined — for [`LinearEngine`]
 /// that is the flat-queue walk, for [`SeqMergedEngine`] the candidate-list
 /// heads compared — so linear depth-dependent pricing stays meaningful across
-/// engines. `wildcard_scanned` counts the dead (lazily deleted) index entries
-/// a sequence-merged operation skipped.
+/// engines. `wildcard_scanned` counts the cancelled posted receives
+/// (tombstones) a sequence-merged `incoming` skipped; the unexpected side
+/// keeps none, so its operations report 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanWork {
     /// Queue entries examined on the primary path.
     pub scanned: usize,
-    /// Lazy tombstones skipped.
+    /// Cancelled-post tombstones skipped.
     pub wildcard_scanned: usize,
     /// Which engine structure performed the work (selects the fixed base
     /// cost: flat-queue touch or merged head comparison).
@@ -131,7 +129,7 @@ impl ScanWork {
     }
 
     /// Work of a sequence-merged operation: `scanned` candidate heads
-    /// compared, `wildcard_scanned` dead index entries lazily skipped.
+    /// compared, `wildcard_scanned` cancelled-post tombstones skipped.
     pub fn merged(scanned: usize, wildcard_scanned: usize) -> Self {
         ScanWork {
             scanned,
@@ -224,30 +222,6 @@ pub fn seq_lt(a: u64, b: u64) -> bool {
 #[inline]
 fn arrival_lt(a: (Nanos, u64), b: (Nanos, u64)) -> bool {
     a.0 < b.0 || (a.0 == b.0 && seq_lt(a.1, b.1))
-}
-
-/// `Ordering` adapter over [`arrival_lt`] for sorting drained entries.
-#[inline]
-fn arrival_cmp(a: (Nanos, u64), b: (Nanos, u64)) -> std::cmp::Ordering {
-    if arrival_lt(a, b) {
-        std::cmp::Ordering::Less
-    } else if a == b {
-        std::cmp::Ordering::Equal
-    } else {
-        std::cmp::Ordering::Greater
-    }
-}
-
-/// `Ordering` adapter over [`seq_lt`] for sorting drained posted receives.
-#[inline]
-fn seq_cmp(a: u64, b: u64) -> std::cmp::Ordering {
-    if seq_lt(a, b) {
-        std::cmp::Ordering::Less
-    } else if a == b {
-        std::cmp::Ordering::Equal
-    } else {
-        std::cmp::Ordering::Greater
-    }
 }
 
 /// A matching engine: the posted-receive and unexpected-message state of a
@@ -447,13 +421,97 @@ impl Hasher for MixHasher {
 /// The engine's map type: keys are made by this program, never by a peer.
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
 
-/// Longest spare list: how many emptied queues an engine keeps for reuse.
+/// Longest spare list: how many emptied class queues an engine keeps for
+/// reuse.
 const SPARES: usize = 64;
 
-/// An arrival-ordered index entry: `(virtual arrival time, arrival uid)`.
-type ArrivalKey = (Nanos, u64);
-/// One arrival-sorted index list of the sequence-merged unexpected store.
-type ArrivalIndex = VecDeque<ArrivalKey>;
+/// No node: the end of an arrival list, or an empty list's head and tail.
+const NIL: u32 = u32::MAX;
+
+/// Which of its context's four arrival lists a node link threads: the
+/// index into [`Node::links`].
+const BY_EXACT: usize = 0;
+const BY_TAG: usize = 1;
+const BY_SRC: usize = 2;
+const ALL: usize = 3;
+
+/// One arrival-sorted, doubly linked list of slab nodes. Its `(tail, head)`
+/// are the `(prev, next)` of a header that closes the list into a ring, so
+/// [`links_of`] treats the ends like any node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct List {
+    ends: (u32, u32),
+}
+
+impl Default for List {
+    fn default() -> Self {
+        List { ends: (NIL, NIL) }
+    }
+}
+
+/// A slot of the unexpected slab: a queued packet, threaded on its context's
+/// four arrival lists, or a free slot.
+#[derive(Debug)]
+struct Node {
+    /// `None` while the slot is free.
+    packet: Option<Packet>,
+    /// The lists' sort key: `(virtual arrival time, arrival uid)`.
+    at: (Nanos, u64),
+    /// `(prev, next)` on each list, indexed by [`BY_EXACT`] .. [`ALL`].
+    links: [(u32, u32); 4],
+}
+
+/// The `(prev, next)` of node `i` on `list`, or the list's ends for `NIL`.
+fn links_of<'a>(
+    nodes: &'a mut [Node],
+    list: &'a mut List,
+    which: usize,
+    i: u32,
+) -> &'a mut (u32, u32) {
+    match i {
+        NIL => &mut list.ends,
+        i => &mut nodes[i as usize].links[which],
+    }
+}
+
+/// Link node `n` into `list` at slot `which` of its links, after the last
+/// node that arrived before it. Arrivals are mostly near-sorted, so search
+/// from the tail.
+fn link(nodes: &mut [Node], list: &mut List, which: usize, n: u32) {
+    let at = nodes[n as usize].at;
+    let mut prev = list.ends.0;
+    while prev != NIL && arrival_lt(at, nodes[prev as usize].at) {
+        prev = nodes[prev as usize].links[which].0;
+    }
+    let next = links_of(nodes, list, which, prev).1;
+    nodes[n as usize].links[which] = (prev, next);
+    links_of(nodes, list, which, prev).1 = n;
+    links_of(nodes, list, which, next).0 = n;
+}
+
+/// Unlink node `n` from `list`; returns whether that emptied the list.
+fn unlink(nodes: &mut [Node], list: &mut List, which: usize, n: u32) -> bool {
+    let (prev, next) = nodes[n as usize].links[which];
+    links_of(nodes, list, which, prev).1 = next;
+    links_of(nodes, list, which, next).0 = prev;
+    list.ends.1 == NIL
+}
+
+/// Unlink node `n` from the keyed list at `key`, and drop the key if that
+/// empties the list.
+fn unlink_keyed<K: Eq + std::hash::Hash>(
+    map: &mut FastMap<K, List>,
+    key: K,
+    nodes: &mut [Node],
+    which: usize,
+    n: u32,
+) {
+    if let Entry::Occupied(mut list) = map.entry(key) {
+        if unlink(nodes, list.get_mut(), which, n) {
+            list.remove();
+        }
+    }
+}
 
 /// Which posted class a sequence-merged match candidate came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -474,10 +532,11 @@ enum PostClass {
 /// addressed by the packet's envelope, so the earliest-posted match is the
 /// minimum over ≤ 4 head sequence numbers.
 ///
-/// Unexpected packets are indexed four ways — by exact envelope, by tag, by
-/// src, and all — each index sorted by `(arrive_at, uid)`. Any receive
-/// pattern's full candidate set is exactly one index list, so the
-/// earliest-arrival match is that list's head.
+/// Each unexpected packet is a slab node threaded on four arrival lists — by
+/// exact envelope, by tag, by src, and all — each sorted by `(arrive_at,
+/// uid)`. Any receive pattern's full candidate set is exactly one list, so
+/// the earliest-arrival match is that list's head. A keyed list leaves its
+/// map when it empties.
 #[derive(Debug, Default)]
 struct MergedCtx {
     /// Exact posted receives: posting seqs binned by `(src, tag)`.
@@ -488,14 +547,77 @@ struct MergedCtx {
     posted_any_tag: FastMap<u32, VecDeque<u64>>,
     /// `(ANY, ANY)` posted receives, in posting order.
     posted_full: VecDeque<u64>,
-    /// Unexpected arrivals indexed by the exact `(src, tag)` envelope.
-    un_by_exact: FastMap<(u32, i64), ArrivalIndex>,
-    /// Unexpected arrivals indexed by tag (serves `(ANY, tag)` patterns).
-    un_by_tag: FastMap<i64, ArrivalIndex>,
-    /// Unexpected arrivals indexed by src (serves `(src, ANY)` patterns).
-    un_by_src: FastMap<u32, ArrivalIndex>,
+    /// Unexpected arrivals listed by the exact `(src, tag)` envelope.
+    un_by_exact: FastMap<(u32, i64), List>,
+    /// Unexpected arrivals listed by tag (serves `(ANY, tag)` patterns).
+    un_by_tag: FastMap<i64, List>,
+    /// Unexpected arrivals listed by src (serves `(src, ANY)` patterns).
+    un_by_src: FastMap<u32, List>,
     /// All unexpected arrivals (serves `(ANY, ANY)` patterns).
-    un_all: ArrivalIndex,
+    un_all: List,
+}
+
+impl MergedCtx {
+    /// The head of the one arrival list that holds every unexpected packet
+    /// `pattern` accepts: the earliest-arrival match.
+    fn unexpected_head(&self, pattern: &MatchPattern) -> Option<u32> {
+        let list = match (pattern.src == ANY_SOURCE, pattern.tag == ANY_TAG) {
+            (false, false) => self.un_by_exact.get(&(pattern.src as u32, pattern.tag)),
+            (true, false) => self.un_by_tag.get(&pattern.tag),
+            (false, true) => self.un_by_src.get(&(pattern.src as u32)),
+            (true, true) => Some(&self.un_all),
+        };
+        list.map(|l| l.ends.1).filter(|&n| n != NIL)
+    }
+}
+
+/// The unexpected packets of every context: one slab whose nodes each
+/// context threads on its arrival lists, and the free slots. Links are
+/// `u32` with [`NIL`] reserved, so fewer than 2^32 − 1 packets queue at once.
+#[derive(Debug, Default)]
+struct Slab {
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+}
+
+impl Slab {
+    /// Queue `packet` as arrival `uid`: take a slot, and link it into its
+    /// context's four lists.
+    fn insert(&mut self, bins: &mut MergedCtx, packet: Packet, uid: u64) {
+        let h = packet.header;
+        let node = Node {
+            at: (packet.arrive_at, uid),
+            packet: Some(packet),
+            links: [(NIL, NIL); 4],
+        };
+        let n = self.free.pop().unwrap_or(self.nodes.len() as u32);
+        if n as usize == self.nodes.len() {
+            self.nodes.push(node);
+        } else {
+            self.nodes[n as usize] = node;
+        }
+        let (nodes, key) = (&mut self.nodes, (h.src, h.tag));
+        link(nodes, bins.un_by_exact.entry(key).or_default(), BY_EXACT, n);
+        link(nodes, bins.un_by_tag.entry(h.tag).or_default(), BY_TAG, n);
+        link(nodes, bins.un_by_src.entry(h.src).or_default(), BY_SRC, n);
+        link(nodes, &mut bins.un_all, ALL, n);
+    }
+
+    /// Unlink node `n` from its four lists, free its slot, and return its
+    /// packet.
+    fn take(&mut self, bins: &mut MergedCtx, n: u32) -> Packet {
+        let Some(packet) = self.nodes[n as usize].packet.take() else {
+            unreachable!("a listed node is live");
+        };
+        let h = packet.header;
+        let nodes = &mut self.nodes;
+        unlink_keyed(&mut bins.un_by_exact, (h.src, h.tag), nodes, BY_EXACT, n);
+        unlink_keyed(&mut bins.un_by_tag, h.tag, nodes, BY_TAG, n);
+        unlink_keyed(&mut bins.un_by_src, h.src, nodes, BY_SRC, n);
+        unlink(nodes, &mut bins.un_all, ALL, n);
+        self.free.push(n);
+        packet
+    }
 }
 
 /// The sequence-merged engine: every posted receive carries a global posting
@@ -503,15 +625,14 @@ struct MergedCtx {
 /// by shape, so a match — exact *or* wildcard — resolves by comparing only
 /// the head sequence numbers of the ≤ 4 candidate lists.
 ///
-/// The unexpected side mirrors the trick: each arrival is entered into four
-/// arrival-sorted index lists (by envelope, by tag, by src, all), so any
-/// receive pattern consults exactly one list head. Consuming an entry through
-/// one index leaves *tombstones* in the other three; they are skipped (and
-/// popped, on `&mut` paths) lazily when they surface at a head. Each entry is
-/// created once and tombstone-popped at most three times, so all operations
-/// stay amortized O(1) in queue depth — the property [`ScanWork`] reports and
-/// the scan-count regression tests pin down. Cancelled posted receives leave
-/// the same kind of tombstone in their class queue.
+/// The unexpected side mirrors the trick: each arrival is one slab node
+/// linked into four arrival-sorted lists (by envelope, by tag, by src, all),
+/// so any receive pattern consults exactly one list head. A match unlinks
+/// the node from all four lists in O(1) and frees its slot, so the
+/// unexpected side holds only live messages and skips nothing: its
+/// operations report `wildcard_scanned = 0`. Cancelled posted receives leave
+/// a *tombstone* in their class queue, skipped and popped when it surfaces
+/// at the head; those skips are what [`ScanWork::wildcard_scanned`] counts.
 ///
 /// Sequence numbers compare by serial-number arithmetic ([`seq_lt`]), so
 /// ordering survives `u64` wraparound.
@@ -521,15 +642,13 @@ pub struct SeqMergedEngine {
     /// Live posted receives, keyed by posting seq. A seq present in a class
     /// queue but absent here is a tombstone.
     posted_store: FastMap<u64, PostedRecv>,
-    /// Live unexpected packets, keyed by arrival uid. A uid present in an
-    /// index list but absent here is a tombstone.
-    unexpected_store: FastMap<u64, Packet>,
+    /// Queued unexpected packets, threaded on their contexts' lists.
+    unexpected: Slab,
     post_seq: u64,
     arrival_seq: u64,
-    /// Emptied class queues and arrival indexes (at most [`SPARES`] each),
-    /// kept with their buffers for the next key that needs one.
+    /// Emptied class queues (at most [`SPARES`]), kept with their buffers
+    /// for the next key that needs one.
     spare_queues: Vec<VecDeque<u64>>,
-    spare_indexes: Vec<ArrivalIndex>,
 }
 
 /// The queue at `key`, taken off `spares` if the key is new.
@@ -542,15 +661,9 @@ fn queue_at<'a, K: Eq + std::hash::Hash, Q: Default>(
         .or_insert_with(|| spares.pop().unwrap_or_default())
 }
 
-/// Retire an emptied queue: onto `spares` while there is room.
-fn retire<Q>(spares: &mut Vec<Q>, q: Q) {
-    if spares.len() < SPARES {
-        spares.push(q);
-    }
-}
-
 /// Pop the head of the class queue at `key` — the caller has just seen it
-/// live — and retire the queue if that empties it.
+/// live — and retire the queue onto `spares`, while there is room, if that
+/// empties it.
 fn pop_class<K: Eq + std::hash::Hash>(
     map: &mut FastMap<K, VecDeque<u64>>,
     key: K,
@@ -561,7 +674,10 @@ fn pop_class<K: Eq + std::hash::Hash>(
     };
     class.get_mut().pop_front();
     if class.get().is_empty() {
-        retire(spares, class.remove());
+        let q = class.remove();
+        if spares.len() < SPARES {
+            spares.push(q);
+        }
     }
 }
 
@@ -582,68 +698,6 @@ fn posted_live_front(
     None
 }
 
-/// Pop entries off an arrival index until a live one is found, consuming it.
-/// Dead pops are counted into `skipped`.
-fn take_live_front(
-    index: &mut ArrivalIndex,
-    store: &FastMap<u64, Packet>,
-    skipped: &mut usize,
-) -> Option<u64> {
-    while let Some((_, uid)) = index.pop_front() {
-        if store.contains_key(&uid) {
-            return Some(uid);
-        }
-        *skipped += 1;
-    }
-    None
-}
-
-/// Consume the earliest live entry of the index at `key`, retiring the index
-/// if that empties it.
-fn take_from_index<K: Eq + std::hash::Hash>(
-    map: &mut FastMap<K, ArrivalIndex>,
-    key: K,
-    store: &FastMap<u64, Packet>,
-    skipped: &mut usize,
-    spares: &mut Vec<ArrivalIndex>,
-) -> Option<u64> {
-    let Entry::Occupied(mut index) = map.entry(key) else {
-        return None;
-    };
-    let uid = take_live_front(index.get_mut(), store, skipped);
-    if index.get().is_empty() {
-        retire(spares, index.remove());
-    }
-    uid
-}
-
-/// The earliest live entry of an arrival index, found without mutating it
-/// (the `&self` probe path). Dead entries walked over are counted into
-/// `skipped` but left in place.
-fn peek_live_front(
-    index: &ArrivalIndex,
-    store: &FastMap<u64, Packet>,
-    skipped: &mut usize,
-) -> Option<u64> {
-    for &(_, uid) in index {
-        if store.contains_key(&uid) {
-            return Some(uid);
-        }
-        *skipped += 1;
-    }
-    None
-}
-
-/// Insert an entry into an arrival-sorted index. Arrivals are mostly
-/// near-sorted, so search from the back.
-fn insert_by_arrival(index: &mut ArrivalIndex, entry: ArrivalKey) {
-    let mut i = index.len();
-    while i > 0 && arrival_lt(entry, index[i - 1]) {
-        i -= 1;
-    }
-    index.insert(i, entry);
-}
-
 impl SeqMergedEngine {
     /// An empty engine.
     pub fn new() -> Self {
@@ -659,32 +713,6 @@ impl SeqMergedEngine {
             ..Self::default()
         }
     }
-
-    /// The shape-selected unexpected index for `pattern`, consumed
-    /// destructively: the pattern's full candidate set is exactly one index
-    /// list, so its live head is the earliest-arrival match.
-    fn take_unexpected(
-        bins: &mut MergedCtx,
-        store: &FastMap<u64, Packet>,
-        pattern: &MatchPattern,
-        skipped: &mut usize,
-        spares: &mut Vec<ArrivalIndex>,
-    ) -> Option<u64> {
-        match (pattern.src == ANY_SOURCE, pattern.tag == ANY_TAG) {
-            (false, false) => {
-                let key = (pattern.src as u32, pattern.tag);
-                take_from_index(&mut bins.un_by_exact, key, store, skipped, spares)
-            }
-            (true, false) => {
-                take_from_index(&mut bins.un_by_tag, pattern.tag, store, skipped, spares)
-            }
-            (false, true) => {
-                let key = pattern.src as u32;
-                take_from_index(&mut bins.un_by_src, key, store, skipped, spares)
-            }
-            (true, true) => take_live_front(&mut bins.un_all, store, skipped),
-        }
-    }
 }
 
 impl MatchEngine for SeqMergedEngine {
@@ -695,16 +723,9 @@ impl MatchEngine for SeqMergedEngine {
     fn post_recv(&mut self, recv: PostedRecv) -> (Option<Packet>, ScanWork) {
         let ctx = recv.pattern.context_id;
         let bins = self.ctxs.entry(ctx).or_default();
-        let mut skipped = 0;
-        if let Some(uid) = Self::take_unexpected(
-            bins,
-            &self.unexpected_store,
-            &recv.pattern,
-            &mut skipped,
-            &mut self.spare_indexes,
-        ) {
-            let pkt = self.unexpected_store.remove(&uid).expect("live entry");
-            return (Some(pkt), ScanWork::merged(1, skipped));
+        if let Some(n) = bins.unexpected_head(&recv.pattern) {
+            let pkt = self.unexpected.take(bins, n);
+            return (Some(pkt), ScanWork::merged(1, 0));
         }
         // No unexpected match: file the receive under its class.
         let seq = self.post_seq;
@@ -719,7 +740,7 @@ impl MatchEngine for SeqMergedEngine {
         }
         .push_back(seq);
         self.posted_store.insert(seq, recv);
-        (None, ScanWork::merged(0, skipped))
+        (None, ScanWork::merged(0, 0))
     }
 
     fn incoming(&mut self, packet: Packet) -> Incoming {
@@ -782,52 +803,25 @@ impl MatchEngine for SeqMergedEngine {
             return Incoming::Matched { recv, packet, work };
         }
 
-        // No match: enter the packet into all four arrival indexes and the
-        // store. Consumption through one index later tombstones the others.
+        // No match: queue the packet on its context's four arrival lists.
         let uid = self.arrival_seq;
         self.arrival_seq = self.arrival_seq.wrapping_add(1);
-        let entry = (packet.arrive_at, uid);
-        let spares = &mut self.spare_indexes;
-        insert_by_arrival(queue_at(&mut bins.un_by_exact, key, spares), entry);
-        insert_by_arrival(queue_at(&mut bins.un_by_tag, h.tag, spares), entry);
-        insert_by_arrival(queue_at(&mut bins.un_by_src, h.src, spares), entry);
-        insert_by_arrival(&mut bins.un_all, entry);
-        self.unexpected_store.insert(uid, packet);
+        self.unexpected.insert(bins, packet, uid);
         Incoming::Queued { work }
     }
 
     fn probe(&self, pattern: &MatchPattern) -> (Option<Status>, ScanWork) {
-        let Some(bins) = self.ctxs.get(&pattern.context_id) else {
-            return (None, ScanWork::merged(0, 0));
-        };
-        let mut skipped = 0;
-        let store = &self.unexpected_store;
-        let uid = match (pattern.src == ANY_SOURCE, pattern.tag == ANY_TAG) {
-            (false, false) => {
-                let key = (pattern.src as u32, pattern.tag);
-                bins.un_by_exact
-                    .get(&key)
-                    .and_then(|q| peek_live_front(q, store, &mut skipped))
-            }
-            (true, false) => bins
-                .un_by_tag
-                .get(&pattern.tag)
-                .and_then(|q| peek_live_front(q, store, &mut skipped)),
-            (false, true) => bins
-                .un_by_src
-                .get(&(pattern.src as u32))
-                .and_then(|q| peek_live_front(q, store, &mut skipped)),
-            (true, true) => peek_live_front(&bins.un_all, store, &mut skipped),
-        };
-        let st = uid.map(|uid| {
-            let p = &self.unexpected_store[&uid];
-            Status {
+        let st = self
+            .ctxs
+            .get(&pattern.context_id)
+            .and_then(|bins| bins.unexpected_head(pattern))
+            .and_then(|n| self.unexpected.nodes[n as usize].packet.as_ref())
+            .map(|p| Status {
                 source: p.header.src as usize,
                 tag: p.header.tag,
                 len: p.payload.len(),
-            }
-        });
-        (st, ScanWork::merged(st.is_some() as usize, skipped))
+            });
+        (st, ScanWork::merged(st.is_some() as usize, 0))
     }
 
     fn cancel(&mut self, req: &Arc<ReqState>) -> bool {
@@ -852,21 +846,26 @@ impl MatchEngine for SeqMergedEngine {
     }
 
     fn unexpected_len(&self) -> usize {
-        self.unexpected_store.len()
+        self.unexpected.nodes.len() - self.unexpected.free.len()
     }
 
     fn drain(&mut self) -> (Vec<PostedRecv>, Vec<Packet>) {
         self.ctxs.clear();
+        // Every live seq and uid lies less than half the space behind its
+        // counter, so its distance past the counter sorts in serial order.
+        let (post_seq, arrival_seq) = (self.post_seq, self.arrival_seq);
         let mut posted: Vec<(u64, PostedRecv)> =
             std::mem::take(&mut self.posted_store).into_iter().collect();
-        posted.sort_by(|a, b| seq_cmp(a.0, b.0));
-        let mut unexpected: Vec<(u64, Packet)> = std::mem::take(&mut self.unexpected_store)
+        posted.sort_unstable_by_key(|e| e.0.wrapping_sub(post_seq));
+        let mut unexpected: Vec<(Nanos, u64, Packet)> = std::mem::take(&mut self.unexpected)
+            .nodes
             .into_iter()
+            .filter_map(|n| Some((n.at.0, n.at.1.wrapping_sub(arrival_seq), n.packet?)))
             .collect();
-        unexpected.sort_by(|a, b| arrival_cmp((a.1.arrive_at, a.0), (b.1.arrive_at, b.0)));
+        unexpected.sort_unstable_by_key(|e| (e.0, e.1));
         (
             posted.into_iter().map(|e| e.1).collect(),
-            unexpected.into_iter().map(|e| e.1).collect(),
+            unexpected.into_iter().map(|e| e.2).collect(),
         )
     }
 }
@@ -1083,13 +1082,12 @@ mod tests {
         assert!(m.is_some());
         assert_eq!(work.scanned, 1);
         assert_eq!(work.engine, EngineKind::SeqMerged);
-        // Full wildcard: still one index (the all-list), no sweep — the
-        // entry just consumed through `un_by_exact` surfaces as at most one
-        // tombstone here.
+        // Full wildcard: still one list (the all-list), no sweep — the
+        // entry just consumed through `un_by_exact` left it too.
         let (m, work) = e.post_recv(recv(1, ANY_SOURCE, ANY_TAG));
         assert!(m.is_some());
         assert_eq!(work.scanned, 1);
-        assert!(work.wildcard_scanned <= 1, "no depth-proportional sweep");
+        assert_eq!(work.wildcard_scanned, 0, "nothing dead to skip");
         // Shape wildcards consult their own single index.
         let (m, work) = e.post_recv(recv(1, ANY_SOURCE, 5));
         assert!(m.is_some());
@@ -1206,8 +1204,12 @@ mod tests {
 
     #[test]
     fn drain_preserves_posting_and_arrival_order() {
-        for kind in EngineKind::all() {
-            let mut e = kind.new_engine();
+        // Counters starting just below the wrap: serial order, not plain
+        // order, must decide both lists.
+        let engines = EngineKind::all()
+            .into_iter()
+            .flat_map(|k| [k.new_engine(), k.new_engine_with_seq_base(u64::MAX - 1)]);
+        for mut e in engines {
             let r1 = recv(1, 0, 5);
             let r2 = recv(1, ANY_SOURCE, ANY_TAG);
             let r3 = recv(2, 3, 7);
@@ -1219,19 +1221,23 @@ mod tests {
             e.post_recv(r1);
             e.post_recv(r2);
             e.post_recv(r3);
-            // Context 3 has no posted receives: all three arrivals queue, in
-            // different (src, tag) bins, out of arrival order.
+            // Context 3 has no posted receives: all four arrivals queue, in
+            // different (src, tag) bins, out of arrival order, two of them
+            // at the same time.
             e.incoming(pkt(3, 9, 9, 300));
             e.incoming(pkt(3, 1, 2, 100));
             e.incoming(pkt(3, 8, 8, 200));
+            e.incoming(pkt(3, 7, 7, 100));
             let (posted, unexpected) = e.drain();
             assert_eq!(e.posted_len(), 0);
             assert_eq!(e.unexpected_len(), 0);
             assert!(Arc::ptr_eq(&posted[0].req, &req1));
             assert!(Arc::ptr_eq(&posted[1].req, &req2));
             assert!(Arc::ptr_eq(&posted[2].req, &req3));
-            let arrivals: Vec<u64> = unexpected.iter().map(|p| p.arrive_at.0).collect();
-            assert_eq!(arrivals, vec![100, 200, 300]);
+            let arrivals: Vec<(u64, u32)> = (unexpected.iter())
+                .map(|p| (p.arrive_at.0, p.header.src))
+                .collect();
+            assert_eq!(arrivals, vec![(100, 1), (100, 7), (200, 8), (300, 9)]);
         }
     }
 
@@ -1273,7 +1279,6 @@ mod tests {
     #[test]
     fn rotating_tags_reuse_emptied_queues() {
         let mut e = SeqMergedEngine::new();
-        // Warm: one class queue and one set of arrival indexes exist.
         for round in 0..10_000i64 {
             let tag = round % 512;
             // Posted path: a class queue is filed, matched and retired.
@@ -1282,16 +1287,191 @@ mod tests {
                 e.incoming(pkt(1, 0, tag, round as u64)),
                 Incoming::Matched { .. }
             ));
-            // Unexpected path: three keyed indexes are filed and retired.
+            // Unexpected path: a node is linked on four lists, matched
+            // through one, and gone from all four.
             e.incoming(pkt(1, 1, tag, round as u64));
             assert!(e.post_recv(recv(1, 1, tag)).0.is_some());
             assert!(e.spare_queues.len() <= 1, "round {round}");
-            assert!(e.spare_indexes.len() <= 3, "round {round}");
+            let bins = &e.ctxs[&1];
+            assert!(bins.un_by_exact.is_empty(), "round {round}");
+            assert!(bins.un_by_tag.is_empty(), "round {round}");
+            assert!(bins.un_by_src.is_empty(), "round {round}");
+            assert_eq!(bins.un_all, List::default(), "round {round}");
+            assert_eq!(e.unexpected.nodes.len(), 1, "one slot, reused");
         }
-        let bins = &e.ctxs[&1];
-        assert!(bins.posted_exact.is_empty() && bins.un_by_exact.is_empty());
+        assert!(e.ctxs[&1].posted_exact.is_empty());
         // The spare a later key picks up kept its buffer.
         assert!(e.spare_queues[0].capacity() > 0);
+    }
+
+    #[test]
+    fn probe_then_exact_recv_skips_nothing() {
+        // What `try_recv(ANY, ANY)` does per event: probe by full wildcard,
+        // then receive the probed envelope exactly.
+        let mut e = SeqMergedEngine::new();
+        let any = MatchPattern {
+            context_id: 1,
+            src: ANY_SOURCE,
+            tag: ANY_TAG,
+        };
+        for round in 0..10_000u64 {
+            e.incoming(pkt(1, (round % 4) as u32, (round % 7) as i64, round));
+            let (st, work) = e.probe(&any);
+            let st = st.unwrap();
+            assert_eq!(work.wildcard_scanned, 0, "round {round}");
+            let (m, work) = e.post_recv(recv(1, st.source as i64, st.tag));
+            assert_eq!(m.unwrap().arrive_at, Nanos(round));
+            assert_eq!(work.wildcard_scanned, 0, "round {round}");
+        }
+        assert_eq!(e.unexpected_len(), 0);
+        assert_eq!(e.ctxs[&1].un_all, List::default());
+    }
+
+    /// The nodes of `list` from head to tail, checking every back link.
+    fn walk(nodes: &[Node], list: &List, which: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        let (mut prev, mut n) = (NIL, list.ends.1);
+        while n != NIL {
+            assert_eq!(nodes[n as usize].links[which].0, prev, "back link");
+            out.push(n as usize);
+            assert!(out.len() <= nodes.len(), "a cycle");
+            (prev, n) = (n, nodes[n as usize].links[which].1);
+        }
+        assert_eq!(list.ends.0, prev, "tail");
+        out
+    }
+
+    /// The slab's invariants: every live node is on exactly its four lists
+    /// and no free slot is on any, each list is sorted, no map holds an
+    /// empty list, live nodes and free slots fill the slab, and the
+    /// all-lists hold `unexpected_len()` nodes.
+    fn check_slab(e: &SeqMergedEngine) {
+        let nodes = &e.unexpected.nodes;
+        let mut on = vec![[0; 4]; nodes.len()];
+        let mut listed = 0;
+        for (&ctx, bins) in &e.ctxs {
+            let lists = (bins.un_by_exact.iter())
+                .map(|(&(src, tag), l)| (BY_EXACT, Some(src), Some(tag), l))
+                .chain(
+                    bins.un_by_tag
+                        .iter()
+                        .map(|(&t, l)| (BY_TAG, None, Some(t), l)),
+                )
+                .chain(
+                    bins.un_by_src
+                        .iter()
+                        .map(|(&s, l)| (BY_SRC, Some(s), None, l)),
+                )
+                .chain([(ALL, None, None, &bins.un_all)]);
+            for (which, src, tag, list) in lists {
+                let walked = walk(nodes, list, which);
+                assert!(which == ALL || !walked.is_empty(), "empty keyed list kept");
+                for pair in walked.windows(2) {
+                    assert!(arrival_lt(nodes[pair[0]].at, nodes[pair[1]].at), "unsorted");
+                }
+                for &n in &walked {
+                    let h = nodes[n]
+                        .packet
+                        .as_ref()
+                        .expect("a listed node is live")
+                        .header;
+                    assert_eq!(h.context_id, ctx);
+                    assert!(src.is_none_or(|s| s == h.src) && tag.is_none_or(|t| t == h.tag));
+                    on[n][which] += 1;
+                }
+                if which == ALL {
+                    listed += walked.len();
+                }
+            }
+        }
+        for (n, node) in nodes.iter().enumerate() {
+            let lists = if node.packet.is_some() {
+                [1; 4]
+            } else {
+                [0; 4]
+            };
+            assert_eq!(on[n], lists, "node {n}");
+        }
+        let mut free = e.unexpected.free.clone();
+        free.sort_unstable();
+        free.dedup();
+        assert_eq!(free.len(), e.unexpected.free.len(), "a slot freed twice");
+        assert!(free.iter().all(|&f| nodes[f as usize].packet.is_none()));
+        let live = nodes.iter().filter(|n| n.packet.is_some()).count();
+        assert_eq!(live + free.len(), nodes.len());
+        assert_eq!(e.unexpected_len(), listed);
+    }
+
+    /// One op of the mixed-op proptest on `e`, as a comparable string. A
+    /// packet is known by its `seq`, a posted receive by its `posted_at`;
+    /// 3 is the wildcard in a pattern and folds onto 0 in an envelope.
+    fn apply(
+        e: &mut dyn MatchEngine,
+        id: u64,
+        (op, ctx, src, tag, at): (u8, u32, u8, i64, u64),
+    ) -> String {
+        let pattern = MatchPattern {
+            context_id: ctx,
+            src: if src == 3 { ANY_SOURCE } else { src as i64 },
+            tag: if tag == 3 { ANY_TAG } else { tag },
+        };
+        let posted = PostedRecv {
+            posted_at: Nanos(id),
+            ..recv(ctx, pattern.src, pattern.tag)
+        };
+        match op {
+            0 => {
+                let (p, work) = e.post_recv(posted);
+                assert_eq!(work.wildcard_scanned, 0);
+                format!("{:?}", p.map(|p| p.header.seq))
+            }
+            1 => {
+                let mut p = pkt(ctx, src as u32 % 3, tag % 3, at);
+                p.header.seq = id;
+                match e.incoming(p) {
+                    Incoming::Matched { recv, .. } => format!("{:?}", recv.posted_at),
+                    Incoming::Queued { .. } => "queued".into(),
+                }
+            }
+            2 => {
+                let (st, work) = e.probe(&pattern);
+                assert_eq!(work.wildcard_scanned, 0);
+                format!("{st:?}")
+            }
+            _ => {
+                // `Vci::mprobe`: post, and retract on a miss.
+                let req = Arc::clone(&posted.req);
+                let (p, _) = e.post_recv(posted);
+                if p.is_none() {
+                    assert!(e.cancel(&req));
+                }
+                format!("{:?}", p.map(|p| p.header.seq))
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Mixed-shape posts, arrivals (out of order, with ties), probes and
+        /// matched probes: after every op the slab keeps its invariants, the
+        /// unexpected side skips nothing, and every result equals the
+        /// linear reference's.
+        #[test]
+        fn slab_lists_stay_exact_under_mixed_ops(
+            ops in proptest::collection::vec((0u8..4, 1u32..3, 0u8..4, 0i64..4, 0u64..16), 1..160)
+        ) {
+            let mut merged = SeqMergedEngine::new();
+            let mut linear = LinearEngine::new();
+            for (id, op) in ops.into_iter().enumerate() {
+                let want = apply(&mut linear, id as u64, op);
+                let got = apply(&mut merged, id as u64, op);
+                proptest::prop_assert_eq!(want, got, "op {} {:?}", id, op);
+                proptest::prop_assert_eq!(linear.unexpected_len(), merged.unexpected_len());
+                proptest::prop_assert_eq!(linear.posted_len(), merged.posted_len());
+                check_slab(&merged);
+            }
+        }
     }
 
     #[test]

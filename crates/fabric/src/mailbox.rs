@@ -567,7 +567,9 @@ impl Mailbox {
             self.fallback_pending.fetch_sub(q.len(), Ordering::Release);
             batch.append(&mut q);
         }
-        batch.sort_by_key(|e| e.ticket);
+        // Tickets are unique, so the unstable sort gives push order without
+        // the stable sort's scratch allocation.
+        batch.sort_unstable_by_key(|e| e.ticket);
         let Some(f) = filter else {
             let n = batch.len();
             out.extend(batch.drain(..).map(|e| e.p));

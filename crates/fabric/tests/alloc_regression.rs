@@ -51,8 +51,9 @@ fn header(src: u32, seq: u64) -> Header {
 }
 
 /// One simulated steady-state round: `msgs` messages across `srcs` channels,
-/// each pool-allocated, pushed, drained into a reused buffer, and dropped
-/// (returning its slab to the pool). Returns allocator events observed.
+/// each pool-allocated and pushed, drained into a reused buffer every
+/// `burst` pushes, and dropped (returning its slab to the pool). Returns
+/// allocator events observed.
 fn round(
     mb: &Mailbox,
     pool: &PayloadPool,
@@ -60,6 +61,7 @@ fn round(
     data: &[u8],
     srcs: u32,
     msgs: u64,
+    burst: u64,
 ) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     for i in 0..msgs {
@@ -69,19 +71,29 @@ fn round(
             payload,
             arrive_at: Nanos(i),
         });
-        // Drain every few pushes so rings never overflow into the locked
-        // fallback (a spill is legal, but the steady state under test is
-        // the ring path).
-        if i % 8 == 7 {
-            drained.clear();
-            mb.drain_into(drained);
-            drained.clear();
+        // A burst stays below the ring capacity per channel, so rings never
+        // overflow into the locked fallback (a spill is legal, but the
+        // steady state under test is the ring path).
+        if i % burst == burst - 1 {
+            drain(mb, drained);
         }
     }
+    drain(mb, drained);
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// Drain `mb`, check that the ticket merge restored push order across the
+/// channels, and drop the packets.
+fn drain(mb: &Mailbox, drained: &mut Vec<Packet>) {
     drained.clear();
     mb.drain_into(drained);
+    assert!(
+        drained
+            .windows(2)
+            .all(|w| w[0].header.seq < w[1].header.seq),
+        "a drain left push order"
+    );
     drained.clear();
-    ALLOCS.load(Ordering::Relaxed) - before
 }
 
 #[test]
@@ -93,17 +105,24 @@ fn steady_state_datapath_allocates_nothing_per_message() {
 
     // Warmup: registers every channel ring, grows the pool and the drain
     // scratch to their steady footprint.
-    for _ in 0..4 {
-        round(&mb, &pool, &mut drained, &data, 4, 512);
+    // Drains of 8 entries, then of 256 (64 per channel): a merge of more
+    // than 20 entries is where a stable sort takes a scratch buffer.
+    for burst in [8, 256] {
+        for _ in 0..4 {
+            round(&mb, &pool, &mut drained, &data, 4, 512, burst);
+        }
     }
 
     let fresh_before = pool.fresh_allocs();
-    let steady = round(&mb, &pool, &mut drained, &data, 4, 2048);
-    assert_eq!(
-        steady, 0,
-        "steady-state datapath performed {steady} heap allocations over \
-         2048 messages; the ring + arena hot loop must allocate nothing"
-    );
+    for burst in [8, 256] {
+        let steady = round(&mb, &pool, &mut drained, &data, 4, 2048, burst);
+        assert_eq!(
+            steady, 0,
+            "steady-state datapath performed {steady} heap allocations over \
+             2048 messages drained {burst} at a time; the ring + arena hot \
+             loop must allocate nothing"
+        );
+    }
     assert_eq!(
         pool.fresh_allocs(),
         fresh_before,

@@ -3,6 +3,7 @@
 
 usage: report.py DUMP [--top N] [--sum REGEX ...] [--by-thread REGEX ...]
                  [--lines REGEX]
+       report.py DUMP --allocs [--top N] [--depth N] [--skip REGEX]
 
 Each sample is one instruction pointer, so a share is *self* time; frames
 inlined at that address (addr2line -i, needs at least line-tables debug info)
@@ -15,6 +16,12 @@ table, with its own `--sum` line, per label.
 counts them by source line: the innermost file:line, then the frames it is
 inlined into, each with its own line. With `--by-thread` it prints one such
 table per label, after that label's function table.
+
+`--allocs` reads an allocsites.c dump instead: it symbolises each sampled
+allocation's call stack, drops the frames whose source path matches `--skip`
+(the hook, libc, the standard library and the benchmark's allocator), and
+groups the samples by their first `--depth` remaining frames, ranked by
+sampled bytes.
 
 An address with no line information that lies past the end of every symbol
 `readelf -Ws --dyn-syms` lists for its object (a stripped libc's internal
@@ -29,8 +36,16 @@ import re
 import subprocess
 
 
+# Source paths of the frames every allocation stack shares: the hook, libc
+# and other objects without line tables, the Rust standard library, and the
+# benchmark's counting allocator. `--allocs` groups by the frames below.
+SKIP = r"^\?\?|allocsites\.c|/rustc/|benchmark/src/alloc\.rs"
+
+
 def load(path):
-    maps, samples, dropped = [], [], 0
+    """maps, CPU samples (tid, ip), allocation samples (size, [ip...]),
+    dropped count, and the allocation totals line."""
+    maps, samples, allocs, dropped, totals = [], [], [], 0, None
     for line in open(path):
         kind, _, rest = line.partition(" ")
         if kind == "M":
@@ -41,9 +56,15 @@ def load(path):
         elif kind == "S":
             tid, ip = rest.split()[:2]
             samples.append((int(tid), int(ip, 16)))
+        elif kind == "A":
+            f = rest.split()
+            # Callers' frames are return addresses: step back into the call.
+            allocs.append((int(f[0]), [int(x, 16) - 1 for x in f[1:]]))
+        elif kind == "T":
+            totals = [int(x) for x in rest.split()]
         elif kind == "D":
             dropped = int(rest)
-    return maps, samples, dropped
+    return maps, samples, allocs, dropped, totals
 
 
 def symbolise(maps, ips):
@@ -143,6 +164,30 @@ def lines(ips, frames, pattern, top, scope="all"):
             print(f"{'':15s}<- {outer}")
 
 
+def allocs(maps, stacks, totals, top, depth, skip):
+    """Sampled allocations grouped by their first `depth` frames past
+    `skip`, ranked by bytes."""
+    frames = symbolise(maps, [ip for _, st in stacks for ip in st])
+    pat = re.compile(skip)
+    groups = collections.defaultdict(lambda: [0, 0])
+    for size, st in stacks:
+        kept = [short(fn, where) for ip in st for fn, where in frames.get(ip, ())
+                if not pat.search(where)]
+        g = groups[tuple(kept[:depth]) or ("(no frame outside --skip)",)]
+        g[0] += 1
+        g[1] += size
+    total = sum(size for size, _ in stacks)
+    if totals:
+        every, seen, seen_bytes = totals
+        print(f"1 in {every} of {seen} allocations of the minimum size or more "
+              f"({seen_bytes} B) sampled: {len(stacks)} stacks, {total} B")
+    for stack, (n, b) in sorted(groups.items(), key=lambda g: -g[1][1])[:top]:
+        print(f"\n{n:6d} samples {b:10d} B {100 * b / max(total, 1):6.2f}%  "
+              f"mean {b // n} B")
+        for frame in stack:
+            print(f"{'':8s}{frame}")
+
+
 def by_thread(samples, chains, regexes):
     """label -> the ips of the threads it labels, in the order given."""
     pats = [re.compile(p) for p in regexes]
@@ -166,8 +211,15 @@ def main():
     ap.add_argument("--sum", nargs="*", default=[], metavar="REGEX")
     ap.add_argument("--by-thread", nargs="+", default=[], metavar="REGEX")
     ap.add_argument("--lines", metavar="REGEX")
+    ap.add_argument("--allocs", action="store_true")
+    ap.add_argument("--depth", type=int, default=6)
+    ap.add_argument("--skip", metavar="REGEX", default=SKIP)
     args = ap.parse_args()
-    maps, samples, dropped = load(args.dump)
+    maps, samples, stacks, dropped, totals = load(args.dump)
+    if args.allocs:
+        print(f"{len(stacks)} allocation samples ({dropped} dropped)")
+        allocs(maps, stacks, totals, args.top, args.depth, args.skip)
+        return
     ips = [ip for _, ip in samples]
     frames = symbolise(maps, ips)
     chains = {ip: tuple(fn for fn, _ in f) for ip, f in frames.items()}
