@@ -652,11 +652,11 @@ pub struct SeqMergedEngine {
 }
 
 /// The queue at `key`, taken off `spares` if the key is new.
-fn queue_at<'a, K: Eq + std::hash::Hash, Q: Default>(
-    map: &'a mut FastMap<K, Q>,
+fn queue_at<'a, K: Eq + std::hash::Hash>(
+    map: &'a mut FastMap<K, VecDeque<u64>>,
     key: K,
-    spares: &mut Vec<Q>,
-) -> &'a mut Q {
+    spares: &mut Vec<VecDeque<u64>>,
+) -> &'a mut VecDeque<u64> {
     map.entry(key)
         .or_insert_with(|| spares.pop().unwrap_or_default())
 }

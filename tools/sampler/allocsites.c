@@ -1,11 +1,10 @@
 /* Allocation-site sampler for hosts without `perf` or heaptrack: an
  * LD_PRELOAD library that wraps malloc, calloc and realloc, records the call
- * stack (backtrace(3)) of one in every ALLOCSITES_EVERY (default 16)
- * allocations of at least ALLOCSITES_MIN bytes (default 1024) in a
- * preallocated array, and dumps the stacks and /proc/self/maps to
- * ALLOCSITES_OUT (default allocsites.out) when the process exits.
- * `report.py --allocs` symbolises and groups the dump. glibc only. See
- * README.md. */
+ * stack (backtrace(3)) of one in every EVERY allocations of at least
+ * MIN_SIZE bytes in a preallocated array, and dumps the stacks and
+ * /proc/self/maps to ALLOCSITES_OUT (default allocsites.out) when the
+ * process exits. `report.py --allocs` symbolises and groups the dump.
+ * glibc only. See README.md. */
 #define _GNU_SOURCE
 #include <execinfo.h>
 #include <stdio.h>
@@ -13,6 +12,8 @@
 
 #define MAX_SAMPLES (1u << 16)
 #define DEPTH 32
+#define EVERY 16
+#define MIN_SIZE 1024
 
 extern void *__libc_malloc(size_t);
 extern void *__libc_calloc(size_t, size_t);
@@ -24,17 +25,16 @@ static struct {
     void *ips[DEPTH];
 } samples[MAX_SAMPLES];
 static unsigned long taken;       /* may pass MAX_SAMPLES; the excess is dropped */
-static unsigned long seen, seen_bytes; /* every allocation of at least `min_size` */
-static unsigned long every = 16, min_size = 1024;
+static unsigned long seen, seen_bytes; /* every allocation of at least MIN_SIZE */
 static int ready;                 /* set once the constructor has run */
 static __thread int inside;       /* backtrace() may allocate: no recursion */
 
 static void record(size_t size)
 {
-    if (!ready || inside || size < min_size)
+    if (!ready || inside || size < MIN_SIZE)
         return;
     __atomic_fetch_add(&seen_bytes, size, __ATOMIC_RELAXED);
-    if (__atomic_fetch_add(&seen, 1, __ATOMIC_RELAXED) % every)
+    if (__atomic_fetch_add(&seen, 1, __ATOMIC_RELAXED) % EVERY)
         return;
     unsigned long i = __atomic_fetch_add(&taken, 1, __ATOMIC_RELAXED);
     if (i >= MAX_SAMPLES)
@@ -65,12 +65,6 @@ void *realloc(void *p, size_t size)
 
 __attribute__((constructor)) static void allocsites_start(void)
 {
-    const char *e = getenv("ALLOCSITES_EVERY");
-    const char *m = getenv("ALLOCSITES_MIN");
-    if (e && atol(e) > 0)
-        every = atol(e);
-    if (m)
-        min_size = atol(m);
     /* The first backtrace() loads the unwinder, which allocates. */
     void *prime[2];
     inside = 1;
@@ -98,7 +92,7 @@ __attribute__((destructor)) static void allocsites_dump(void)
             fprintf(out, " %lx", (unsigned long)samples[i].ips[f]);
         fputc('\n', out);
     }
-    fprintf(out, "T %lu %lu %lu\n", every, seen, seen_bytes);
+    fprintf(out, "T %lu %lu %lu\n", (unsigned long)EVERY, seen, seen_bytes);
     fprintf(out, "D %lu\n", taken - n);
     fclose(maps);
     fclose(out);

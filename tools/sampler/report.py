@@ -3,7 +3,7 @@
 
 usage: report.py DUMP [--top N] [--sum REGEX ...] [--by-thread REGEX ...]
                  [--lines REGEX]
-       report.py DUMP --allocs [--top N] [--depth N] [--skip REGEX]
+       report.py DUMP --allocs [--top N] [--depth N]
 
 Each sample is one instruction pointer, so a share is *self* time; frames
 inlined at that address (addr2line -i, needs at least line-tables debug info)
@@ -18,7 +18,7 @@ inlined into, each with its own line. With `--by-thread` it prints one such
 table per label, after that label's function table.
 
 `--allocs` reads an allocsites.c dump instead: it symbolises each sampled
-allocation's call stack, drops the frames whose source path matches `--skip`
+allocation's call stack, drops the frames whose source path matches `SKIP`
 (the hook, libc, the standard library and the benchmark's allocator), and
 groups the samples by their first `--depth` remaining frames, ranked by
 sampled bytes.
@@ -164,16 +164,16 @@ def lines(ips, frames, pattern, top, scope="all"):
             print(f"{'':15s}<- {outer}")
 
 
-def allocs(maps, stacks, totals, top, depth, skip):
+def allocs(maps, stacks, totals, top, depth):
     """Sampled allocations grouped by their first `depth` frames past
-    `skip`, ranked by bytes."""
+    `SKIP`, ranked by bytes."""
     frames = symbolise(maps, [ip for _, st in stacks for ip in st])
-    pat = re.compile(skip)
+    pat = re.compile(SKIP)
     groups = collections.defaultdict(lambda: [0, 0])
     for size, st in stacks:
         kept = [short(fn, where) for ip in st for fn, where in frames.get(ip, ())
                 if not pat.search(where)]
-        g = groups[tuple(kept[:depth]) or ("(no frame outside --skip)",)]
+        g = groups[tuple(kept[:depth]) or ("(no frame outside SKIP)",)]
         g[0] += 1
         g[1] += size
     total = sum(size for size, _ in stacks)
@@ -213,12 +213,11 @@ def main():
     ap.add_argument("--lines", metavar="REGEX")
     ap.add_argument("--allocs", action="store_true")
     ap.add_argument("--depth", type=int, default=6)
-    ap.add_argument("--skip", metavar="REGEX", default=SKIP)
     args = ap.parse_args()
     maps, samples, stacks, dropped, totals = load(args.dump)
     if args.allocs:
         print(f"{len(stacks)} allocation samples ({dropped} dropped)")
-        allocs(maps, stacks, totals, args.top, args.depth, args.skip)
+        allocs(maps, stacks, totals, args.top, args.depth)
         return
     ips = [ip for _, ip in samples]
     frames = symbolise(maps, ips)
