@@ -12,6 +12,9 @@ use std::path::PathBuf;
 
 use rankmpi_obs::json::Value;
 
+// Lesson 20's cost model lives in `paper`; this module holds its tests.
+#[cfg(test)]
+mod device;
 pub mod paper;
 
 /// Print a Markdown-style table.

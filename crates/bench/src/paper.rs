@@ -8,11 +8,9 @@
 use rankmpi_core::matching::EngineKind;
 use rankmpi_core::tag::{bits_for, TagLayout, TagPlacement, TAG_BITS};
 use rankmpi_core::vci::Vci;
-use rankmpi_core::{Info, Universe};
+use rankmpi_core::{BufferedPrecv, BufferedPsend, Info, Universe};
 use rankmpi_fabric::NetworkProfile;
 use rankmpi_obs::json::Value;
-use rankmpi_partitioned::device::DeviceProfile;
-use rankmpi_partitioned::{precv_init, psend_init, BufferedPrecv, BufferedPsend};
 use rankmpi_vtime::{Nanos, VirtualBarrier};
 use rankmpi_workloads::commcount::{communicators_required_3d, min_channels_3d};
 use rankmpi_workloads::graph::{run_graph, GraphConfig, GraphMode};
@@ -626,7 +624,9 @@ fn shared_request_contention(threads: usize) -> Nanos {
         let world = env.world();
         let mut setup = env.single_thread();
         if env.rank() == 0 {
-            let sreq = psend_init(&world, &mut setup, 1, 0, threads, 64, &Info::new()).unwrap();
+            let sreq = world
+                .psend_init(&mut setup, 1, 0, threads, 64, &Info::new())
+                .unwrap();
             let team = VirtualBarrier::new(threads);
             env.parallel(|th| {
                 for _ in 0..iters {
@@ -644,7 +644,9 @@ fn shared_request_contention(threads: usize) -> Nanos {
             });
             sreq.shared_contention()
         } else {
-            let rreq = precv_init(&world, &mut setup, 0, 0, threads, 64, &Info::new()).unwrap();
+            let rreq = world
+                .precv_init(&mut setup, 0, 0, threads, 64, &Info::new())
+                .unwrap();
             for _ in 0..iters {
                 rreq.start(&mut setup).unwrap();
                 rreq.wait(&mut setup).unwrap();
@@ -757,6 +759,70 @@ fn lesson18() -> Outcome {
             ("duplicated_bytes", count(eps.duplicated_bytes)),
         ],
         held: speedup > 2.0 && eps.duplicated_bytes == duplicate,
+    }
+}
+
+/// The cost parameters of a CPU+GPU node: Lesson 20's closed-form model of
+/// device-initiated communication.
+///
+/// The paper's heterogeneous-computing argument is about *where* the serial
+/// cost of setting up a network message runs: partitioned communication lets
+/// the expensive `P{send,recv}_init` run on a low-latency CPU core before
+/// kernel launch, leaving only lightweight `Pready`/`Parrived` triggers to the
+/// GPU — whereas full MPI operations initiated on-device pay the high-latency
+/// compute-unit setup per message, and CPU-proxy schemes pay a kernel
+/// launch + control-return round trip per communication phase. No real GPU
+/// is involved (the paper's own discussion is forward-looking).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DeviceProfile {
+    /// Launching a GPU kernel from the host.
+    kernel_launch: Nanos,
+    /// Returning control from device to host (sync + callback).
+    control_return: Nanos,
+    /// Building a full network message descriptor on a GPU compute unit.
+    device_msg_setup: Nanos,
+    /// A lightweight device-side trigger (`Pready` flag / doorbell).
+    device_trigger: Nanos,
+    /// Building a full network message descriptor on a CPU core.
+    cpu_msg_setup: Nanos,
+}
+
+impl Default for DeviceProfile {
+    fn default() -> Self {
+        DeviceProfile {
+            kernel_launch: Nanos::us(8),
+            control_return: Nanos::us(4),
+            device_msg_setup: Nanos::us(3),
+            device_trigger: Nanos(200),
+            cpu_msg_setup: Nanos(400),
+        }
+    }
+}
+
+impl DeviceProfile {
+    /// CPU-proxy pattern: the GPU computes; each iteration control returns to
+    /// the CPU, which issues every message, then relaunches the kernel.
+    pub(crate) fn cpu_proxy(&self, iterations: u64, msgs_per_iter: u64) -> Nanos {
+        (self.control_return + self.kernel_launch) * iterations
+            + self.cpu_msg_setup * (iterations * msgs_per_iter)
+    }
+
+    /// Hypothetical fully device-initiated MPI: a persistent kernel issues
+    /// every message with full setup on a compute unit (the expensive path
+    /// the paper cites as an open problem).
+    pub(crate) fn device_full(&self, iterations: u64, msgs_per_iter: u64) -> Nanos {
+        self.kernel_launch + self.device_msg_setup * (iterations * msgs_per_iter)
+    }
+
+    /// Partitioned device-initiated: `P*_init` on the CPU once, lightweight
+    /// triggers from the device per partition — but control still returns to
+    /// the CPU each iteration for `MPI_Wait` before the next partitions can
+    /// be issued (the Lesson 20 caveat).
+    pub(crate) fn device_partitioned(&self, iterations: u64, msgs_per_iter: u64) -> Nanos {
+        self.cpu_msg_setup * msgs_per_iter // one-time init of the persistent op
+            + self.kernel_launch
+            + self.device_trigger * (iterations * msgs_per_iter)
+            + (self.control_return + self.kernel_launch) * iterations // Wait each iter
     }
 }
 

@@ -19,7 +19,6 @@ use rand::{rngs::StdRng, SeedableRng};
 use rankmpi_check::base_seed;
 use rankmpi_core::{Info, Universe};
 use rankmpi_fabric::FaultPlan;
-use rankmpi_partitioned::{precv_init, psend_init};
 
 const PARTS: usize = 8;
 const PART_BYTES: usize = 16;
@@ -47,8 +46,9 @@ fn parrived_never_true_before_pready() {
             let world = env.world();
             let mut th = env.single_thread();
             if env.rank() == 0 {
-                let sreq =
-                    psend_init(&world, &mut th, 1, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
+                let sreq = world
+                    .psend_init(&mut th, 1, 3, PARTS, PART_BYTES, &Info::new())
+                    .unwrap();
                 sreq.start(&mut th).unwrap();
                 for &p in order_ref.iter() {
                     // Stamp strictly before pready: the packet cannot be
@@ -59,8 +59,9 @@ fn parrived_never_true_before_pready() {
                 }
                 sreq.wait(&mut th).unwrap();
             } else {
-                let rreq =
-                    precv_init(&world, &mut th, 0, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
+                let rreq = world
+                    .precv_init(&mut th, 0, 3, PARTS, PART_BYTES, &Info::new())
+                    .unwrap();
                 rreq.start(&mut th).unwrap();
                 let mut arrived = [false; PARTS];
                 while arrived.iter().any(|a| !a) {
@@ -116,8 +117,9 @@ fn shuffled_pready_order_delivers_every_partition_intact() {
             let world = env.world();
             let mut th = env.single_thread();
             if env.rank() == 0 {
-                let sreq =
-                    psend_init(&world, &mut th, 1, 9, PARTS, PART_BYTES, &Info::new()).unwrap();
+                let sreq = world
+                    .psend_init(&mut th, 1, 9, PARTS, PART_BYTES, &Info::new())
+                    .unwrap();
                 for round in 0..2u8 {
                     sreq.start(&mut th).unwrap();
                     for &p in order_ref.iter() {
@@ -127,8 +129,9 @@ fn shuffled_pready_order_delivers_every_partition_intact() {
                     sreq.wait(&mut th).unwrap();
                 }
             } else {
-                let rreq =
-                    precv_init(&world, &mut th, 0, 9, PARTS, PART_BYTES, &Info::new()).unwrap();
+                let rreq = world
+                    .precv_init(&mut th, 0, 9, PARTS, PART_BYTES, &Info::new())
+                    .unwrap();
                 for round in 0..2u8 {
                     rreq.start(&mut th).unwrap();
                     let data = rreq.wait(&mut th).unwrap();

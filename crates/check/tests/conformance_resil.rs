@@ -14,7 +14,6 @@ use std::time::Duration;
 use rankmpi_check::base_seed;
 use rankmpi_core::{Errhandler, Info, RankMpiError, Universe};
 use rankmpi_fabric::{FaultPlan, ResilConfig};
-use rankmpi_partitioned::{precv_init, psend_init};
 
 const SWEEP: u64 = 4;
 const ROUNDS: u64 = 16;
@@ -90,8 +89,9 @@ fn parrived_never_before_pready_under_lossy_fabric() {
             let world = env.world();
             let mut th = env.single_thread();
             if env.rank() == 0 {
-                let sreq =
-                    psend_init(&world, &mut th, 1, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
+                let sreq = world
+                    .psend_init(&mut th, 1, 3, PARTS, PART_BYTES, &Info::new())
+                    .unwrap();
                 sreq.start(&mut th).unwrap();
                 for p in 0..PARTS {
                     // Stamp strictly before pready: the packet cannot be
@@ -102,8 +102,9 @@ fn parrived_never_before_pready_under_lossy_fabric() {
                 }
                 sreq.wait(&mut th).unwrap();
             } else {
-                let rreq =
-                    precv_init(&world, &mut th, 0, 3, PARTS, PART_BYTES, &Info::new()).unwrap();
+                let rreq = world
+                    .precv_init(&mut th, 0, 3, PARTS, PART_BYTES, &Info::new())
+                    .unwrap();
                 rreq.start(&mut th).unwrap();
                 let mut arrived = [false; PARTS];
                 while arrived.iter().any(|a| !a) {

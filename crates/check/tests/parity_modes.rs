@@ -22,7 +22,6 @@ use std::sync::Arc;
 
 use rankmpi_check::{base_seed, oracle};
 use rankmpi_core::{EngineKind, Info, LaunchMode, TaskLaunch, Universe};
-use rankmpi_partitioned::{precv_init, psend_init};
 use rankmpi_vtime::{Nanos, VirtualBarrier};
 
 fn modes() -> [LaunchMode; 2] {
@@ -215,16 +214,18 @@ fn partitioned_times_are_mode_independent() {
             let world = env.world();
             let mut th = env.single_thread();
             if env.rank() == 0 {
-                let sreq =
-                    psend_init(&world, &mut th, 1, 5, PARTS, PART_BYTES, &Info::new()).unwrap();
+                let sreq = world
+                    .psend_init(&mut th, 1, 5, PARTS, PART_BYTES, &Info::new())
+                    .unwrap();
                 sreq.start(&mut th).unwrap();
                 for p in 0..PARTS {
                     sreq.pready(&mut th, p, &[p as u8; PART_BYTES]).unwrap();
                 }
                 sreq.wait(&mut th).unwrap();
             } else {
-                let rreq =
-                    precv_init(&world, &mut th, 0, 5, PARTS, PART_BYTES, &Info::new()).unwrap();
+                let rreq = world
+                    .precv_init(&mut th, 0, 5, PARTS, PART_BYTES, &Info::new())
+                    .unwrap();
                 rreq.start(&mut th).unwrap();
                 let data = rreq.wait(&mut th).unwrap();
                 for p in 0..PARTS {

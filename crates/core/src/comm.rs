@@ -12,13 +12,38 @@ use crate::tag::{TagLayout, TagPlacement, TAG_BITS};
 use crate::universe::UniverseShared;
 use crate::vci::VciPolicy;
 
-/// High bit of the context id marks library-internal collective traffic so it
-/// can never match user point-to-point operations on the same communicator.
+/// Context-id bit of library-internal collective traffic, so it can never
+/// match user point-to-point operations on the same communicator.
 pub const COLL_CTX_BIT: u32 = 0x8000_0000;
 
-/// Key-space bit of [`Communicator::create_endpoints`]'s creation-op index
-/// and rendezvous keys (the same bit as `shrink`'s, whose counter it shares).
+/// Context-id bit of partitioned communication's route handshake, so it can
+/// never match user or collective traffic on the same communicator.
+pub(crate) const PART_CTL_BIT: u32 = 0x4000_0000;
+
+/// The communicator a packet or receive belongs to: its context id with the
+/// collective and partitioned-control bits cleared. Revocation and the
+/// failure detector's group lookups are keyed by it.
+pub(crate) fn base_context(ctx: u32) -> u32 {
+    ctx & !(COLL_CTX_BIT | PART_CTL_BIT)
+}
+
+// Creation-key bits: [`Communicator::creation_index`] ORs one into the
+// communicator's context id to pick the per-process counter a creation call
+// draws from. They key `ProcShared::next_dup_index` only, never a packet, so
+// they may reuse the context-id bits' values. `dup_with_info` and `split`
+// share the counter of key space 0.
+
+/// Key space of [`Communicator::create_endpoints`]'s op index and rendezvous
+/// keys. The same bit as [`FT_SHRINK_NS`]: the two share one counter, which
+/// keeps their indices disjoint.
 const ENDPOINTS_NS: u32 = 0x2000_0000;
+/// Key space of [`Communicator::shrink`]'s op index (counter shared with
+/// [`ENDPOINTS_NS`]).
+pub(crate) const FT_SHRINK_NS: u32 = 0x2000_0000;
+/// Key space of [`Communicator::agree`]'s op index, its own counter.
+pub(crate) const FT_AGREE_NS: u32 = 0x4000_0000;
+/// Key space of `Window::create`'s op index, its own counter.
+pub(crate) const WINDOW_NS: u32 = 0x1000_0000;
 
 /// An MPI communicator.
 ///
@@ -363,8 +388,9 @@ impl Communicator {
         first + i
     }
 
-    /// Draw this process's next creation-op index in key space `ns`: the
-    /// per-process count that keys a collective creation's agreement. Every
+    /// Draw this process's next creation-op index in key space `ns` (0, or
+    /// one of the `*_NS` bits at the top of this module): the per-process
+    /// count that keys a collective creation's agreement. Every
     /// creation call (`dup_with_info`, `split`, `agree`, `shrink`,
     /// `Window::create`, `create_endpoints`) assumes one caller per process,
     /// which the endpoint ranks of one process are not, so on a

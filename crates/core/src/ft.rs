@@ -37,17 +37,12 @@ use rankmpi_fabric::ft::{crash_now, Liveness};
 use rankmpi_fabric::{errcode, Header};
 use rankmpi_vtime::{Clock, Counter, Nanos, Notify};
 
-use crate::comm::Communicator;
+use crate::comm::{Communicator, FT_AGREE_NS, FT_SHRINK_NS};
 use crate::error::{Error, Result};
 use crate::group::Group;
 use crate::info::Info;
 use crate::vci::{VciPolicy, KIND_FT};
 
-/// Namespace bit mixed into `next_dup_index` keys by [`Communicator::agree`]
-/// so agree op-indices count independently of `dup`/`split` ones.
-const FT_AGREE_NS: u32 = 0x4000_0000;
-/// Namespace bit for [`Communicator::shrink`] op-indices.
-const FT_SHRINK_NS: u32 = 0x2000_0000;
 /// `agree_comm` color sentinel for shrink (user splits never pass a
 /// negative color through to `agree_comm`).
 const SHRINK_COLOR: i64 = -9;

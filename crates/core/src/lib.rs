@@ -27,10 +27,10 @@
 //! - **Collectives** (barrier, bcast, reduce, allreduce, gather, allgather,
 //!   alltoall) with MPI's serial-issuance rule per communicator ([`coll`]);
 //! - **Rank-crash fault tolerance** — ULFM-style failure detection,
-//!   communicator revocation, fault-tolerant agreement and `shrink` ([`ft`]).
-//!
-//! The partitioned-communication design builds on these primitives in the
-//! `rankmpi-partitioned` crate.
+//!   communicator revocation, fault-tolerant agreement and `shrink` ([`ft`]);
+//! - **Partitioned communication** — MPI 4.0's `psend_init`/`precv_init` as
+//!   communicator methods, with one matched handshake per operation and
+//!   partition packets that bypass matching ([`partitioned`]).
 //!
 //! # Quick example
 //!
@@ -68,10 +68,19 @@ pub mod ft;
 pub mod group;
 pub mod info;
 pub mod matching;
+pub mod partitioned;
 pub mod proc;
 pub mod pt2pt;
 pub mod request;
 pub mod rma;
+// Partitioned communication is `Communicator::{psend_init, precv_init}`;
+// these three modules hold its sink, request and pipeline tests.
+#[cfg(test)]
+mod buffered;
+#[cfg(test)]
+mod route;
+#[cfg(test)]
+mod send;
 pub mod tag;
 #[cfg(test)]
 mod topology;
@@ -85,6 +94,7 @@ pub use ft::FtShared;
 pub use group::Group;
 pub use info::Info;
 pub use matching::{EngineKind, MatchPattern, Status, ANY_SOURCE, ANY_TAG};
+pub use partitioned::{BufferedPrecv, BufferedPsend, PrecvRequest, PsendRequest};
 pub use proc::{ProcEnv, ProcShared, ThreadCtx};
 pub use pt2pt::SendSpec;
 pub use request::Request;

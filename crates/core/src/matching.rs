@@ -1439,7 +1439,7 @@ mod tests {
                 format!("{st:?}")
             }
             _ => {
-                // `Vci::mprobe`: post, and retract on a miss.
+                // A post retracted on a miss (`cancel`).
                 let req = Arc::clone(&posted.req);
                 let (p, _) = e.post_recv(posted);
                 if p.is_none() {

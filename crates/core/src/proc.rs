@@ -18,8 +18,9 @@ use crate::comm::Communicator;
 use crate::costs::CoreCosts;
 use crate::ft::FtShared;
 use crate::matching::EngineKind;
+use crate::partitioned::DirectRegistry;
 use crate::universe::UniverseShared;
-use crate::vci::{DirectRegistry, DirectSink, Vci};
+use crate::vci::Vci;
 use rankmpi_fabric::Liveness;
 
 /// The shared state of one simulated MPI process: its VCI pool, its arrival
@@ -78,7 +79,7 @@ impl ProcShared {
         liveness: Arc<Liveness>,
     ) -> Arc<Self> {
         let notify = Arc::new(Notify::new());
-        let direct = Arc::new(DirectRegistry::new());
+        let direct = Arc::new(DirectRegistry::default());
         let crash = fault
             .as_ref()
             .and_then(|(plan, _)| plan.crash_point(rank as u64));
@@ -180,14 +181,9 @@ impl ProcShared {
         self.matching
     }
 
-    /// Register a direct-delivery sink (partitioned communication).
-    pub fn register_direct(&self, key: u64, sink: Arc<dyn DirectSink>) {
-        self.direct.register(key, sink);
-    }
-
-    /// Unregister a direct-delivery sink.
-    pub fn unregister_direct(&self, key: u64) {
-        self.direct.unregister(key);
+    /// This process's partitioned receive sinks, by route id.
+    pub(crate) fn direct(&self) -> &DirectRegistry {
+        &self.direct
     }
 
     /// The `MPI_THREAD_SERIALIZED` in-call flag.

@@ -20,7 +20,7 @@ use bytes::Bytes;
 use rankmpi_fabric::Header;
 use rankmpi_obs::trace as obs;
 
-use crate::comm::Communicator;
+use crate::comm::{base_context, Communicator};
 use crate::error::{Error, Result};
 use crate::info::keys;
 use crate::matching::{MatchPattern, Status, ANY_SOURCE, ANY_TAG};
@@ -140,7 +140,7 @@ impl Communicator {
         // FT fast paths: sends complete locally under the eager protocol, so
         // a revoked communicator or an already-detected dead destination must
         // be refused *here* — a completed send to a corpse is a silent lie.
-        let base_ctx = s.ctx_id & !crate::comm::COLL_CTX_BIT;
+        let base_ctx = base_context(s.ctx_id);
         let ft = self.proc().ft();
         if ft.is_revoked(base_ctx) {
             return self.handle_error(Error::Revoked {
@@ -376,7 +376,7 @@ impl Communicator {
         th.proc().maybe_crash(&th.clock, false);
         // A receive posted on a revoked communicator can never be satisfied;
         // fail it up front rather than letting the VCI sweep find it later.
-        let base_ctx = pattern.context_id & !crate::comm::COLL_CTX_BIT;
+        let base_ctx = base_context(pattern.context_id);
         if th.proc().ft().is_revoked(base_ctx) {
             return self.handle_error(Error::Revoked {
                 context_id: base_ctx,
@@ -768,6 +768,36 @@ mod tests {
                 let (st, data) = world.recv(&mut th, 0, 7).unwrap();
                 assert_eq!(st.tag, 7);
                 assert_eq!(&data[..], b"x");
+            } else {
+                world.recv(&mut th, 1, 1).unwrap();
+                world.send(&mut th, 1, 7, b"x").unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn failed_improbes_leave_nothing_behind() {
+        // A miss is a probe: no retracted receive stays queued for a later
+        // arrival to skip (and pay for) in virtual time.
+        let u = Universe::builder().nodes(2).build();
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            if env.rank() == 1 {
+                let vci = world.proc().vci(world.vci_block()[0]);
+                // The sender waits for our go-signal: every improbe misses.
+                for _ in 0..1_000 {
+                    assert!(world
+                        .improbe(&mut th, ANY_SOURCE, ANY_TAG)
+                        .unwrap()
+                        .is_none());
+                }
+                assert_eq!(vci.posted_depth(), 0);
+                let skipped = vci.match_wildcard_scanned();
+                world.send(&mut th, 0, 1, b"go").unwrap();
+                let (st, _) = world.recv(&mut th, 0, 7).unwrap();
+                assert_eq!(st.tag, 7);
+                assert!(vci.match_wildcard_scanned() - skipped <= 1);
             } else {
                 world.recv(&mut th, 1, 1).unwrap();
                 world.send(&mut th, 1, 7, b"x").unwrap();

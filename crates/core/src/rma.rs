@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use rankmpi_vtime::{Nanos, Resource};
 
 use crate::coll::ReduceOp;
-use crate::comm::Communicator;
+use crate::comm::{Communicator, WINDOW_NS};
 use crate::error::{Error, Result};
 use crate::info::{keys, Info};
 use crate::proc::ThreadCtx;
@@ -134,9 +134,7 @@ impl Window {
             Some("none") => AccumulateOrdering::None,
             _ => AccumulateOrdering::Ordered,
         };
-        // Window-creation op counters live beside the comm's dup counters but
-        // in a disjoint key space.
-        let idx = comm.creation_index(0x4000_0000)?;
+        let idx = comm.creation_index(WINDOW_NS)?;
         let win_id = comm.universe().agree_window((comm.context_id(), idx));
         let mine = WindowTarget::new(size);
         comm.universe().publish_window_target(

@@ -22,20 +22,23 @@ use rankmpi_vtime::sched::{self, SchedPoint};
 use rankmpi_vtime::{Accumulator, Clock, ContentionLock, Counter, Nanos};
 
 use crate::append::AppendTable;
+use crate::comm::base_context;
 use crate::costs::CoreCosts;
 use crate::error::RankMpiError;
 use crate::ft::FtShared;
 use crate::matching::{
     EngineKind, Incoming, MatchEngine, MatchPattern, PostedRecv, ScanWork, Status,
 };
+use crate::partitioned::DirectRegistry;
 use crate::request::ReqState;
 use crate::tag::{default_tag_hash, TagLayout};
 
 /// Packet kind for point-to-point (and collective-internal) messages.
 pub const KIND_PT2PT: u16 = 1;
-/// Packet kind for direct-delivery packets (bypass matching; routed by
-/// `header.aux` through the destination process's direct-sink registry).
-pub const KIND_DIRECT: u16 = 3;
+/// Packet kind for partitioned communication's partition packets (bypass
+/// matching; routed by `header.aux` through the destination process's
+/// [`DirectRegistry`]).
+pub(crate) const KIND_DIRECT: u16 = 3;
 /// Packet kind for fault-tolerance control packets (communicator
 /// revocation). Never matched: the progress loop feeds them straight into
 /// the process's [`FtShared`] revocation state. Always
@@ -63,58 +66,6 @@ pub enum VciPolicy {
     /// communicator live on one process and each owns a VCI. Receives always
     /// post on the caller's own entry, so wildcards are legal (Lesson 11).
     PerRank(Arc<Vec<usize>>),
-}
-
-/// A sink for [`KIND_DIRECT`] packets: deliveries that bypass the matching
-/// engine entirely and are routed by `header.aux` (partitioned communication
-/// uses this to get its O(1)-matching property).
-pub trait DirectSink: Send + Sync {
-    /// Handle one direct packet.
-    fn deliver(&self, pkt: Packet);
-}
-
-/// Registry of [`DirectSink`]s for one process, keyed by `header.aux`.
-#[derive(Default)]
-pub struct DirectRegistry {
-    sinks: parking_lot::RwLock<std::collections::HashMap<u64, Arc<dyn DirectSink>>>,
-}
-
-impl DirectRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register `sink` under `key`; replaces any previous sink.
-    pub fn register(&self, key: u64, sink: Arc<dyn DirectSink>) {
-        self.sinks.write().insert(key, sink);
-    }
-
-    /// Remove the sink under `key`.
-    pub fn unregister(&self, key: u64) {
-        self.sinks.write().remove(&key);
-    }
-
-    /// Dispatch a packet to its sink (drops packets with no sink, which can
-    /// only happen if a protocol tears down a sink with traffic in flight).
-    pub fn dispatch(&self, pkt: Packet) {
-        let sink = self.sinks.read().get(&pkt.header.aux).cloned();
-        if let Some(s) = sink {
-            s.deliver(pkt);
-        } else {
-            debug_assert!(
-                false,
-                "direct packet for unregistered sink {}",
-                pkt.header.aux
-            );
-        }
-    }
-}
-
-impl std::fmt::Debug for DirectRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DirectRegistry({} sinks)", self.sinks.read().len())
-    }
 }
 
 /// One message of a [`Vci::send_batch`] injection.
@@ -232,7 +183,7 @@ impl Vci {
     /// `direct`. `engine_kind` selects the matching structure (see
     /// [`EngineKind`]) for the VCI's lifetime.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         id: usize,
         rank: usize,
         nic: &Arc<Nic>,
@@ -536,7 +487,7 @@ impl Vci {
         // time, under the same engine lock (which orders this check against
         // any concurrent sweep: either the sweep sees our insertion, or we
         // see the failure knowledge it acted on).
-        let base_ctx = pattern.context_id & !crate::comm::COLL_CTX_BIT;
+        let base_ctx = base_context(pattern.context_id);
         if let Some(at) = self.ft.revoked_at(base_ctx) {
             req.fail(
                 at.max(posted_at),
@@ -593,8 +544,9 @@ impl Vci {
     /// number of packets processed. Safe to call from any thread ("anyone can
     /// progress anything" — MPICH's progress model).
     ///
-    /// Packets of kind [`KIND_DIRECT`] are not matched; they are dispatched
-    /// through the process's [`DirectRegistry`].
+    /// Partition packets of [partitioned communication](crate::partitioned)
+    /// are not matched; they are dispatched through the process's route
+    /// table.
     pub fn progress(&self, clock: &mut Clock) -> usize {
         let entered_at = clock.now();
         self.polls.incr();
@@ -724,7 +676,7 @@ impl Vci {
     fn ft_sweep(&self, eng: &mut dyn MatchEngine) {
         let (posted, unexpected) = eng.drain();
         for p in posted {
-            let base_ctx = p.pattern.context_id & !crate::comm::COLL_CTX_BIT;
+            let base_ctx = base_context(p.pattern.context_id);
             if !p.req.is_complete() {
                 if let Some(at) = self.ft.revoked_at(base_ctx) {
                     p.req.fail(
@@ -746,7 +698,7 @@ impl Vci {
             debug_assert!(m.is_none(), "drained engine state cannot cross-match");
         }
         for u in unexpected {
-            let base_ctx = u.header.context_id & !crate::comm::COLL_CTX_BIT;
+            let base_ctx = base_context(u.header.context_id);
             if self.ft.is_revoked(base_ctx) {
                 // Traffic on a revoked context can never be received again.
                 self.ft.note_revoked_drop();
@@ -828,7 +780,7 @@ impl Vci {
         if pkt.header.is_poisoned() {
             let finish = done.max(pkt.arrive_at);
             let src = pkt.header.src;
-            let base_ctx = pkt.header.context_id & !crate::comm::COLL_CTX_BIT;
+            let base_ctx = base_context(pkt.header.context_id);
             let err = match pkt.header.poison_code() {
                 errcode::LINK_DOWN => RankMpiError::LinkDown { src },
                 errcode::REVOKED => RankMpiError::Revoked {
@@ -886,16 +838,23 @@ impl Vci {
     /// and return the earliest unexpected message matching `pattern`, or
     /// `None`. Unlike `iprobe` + a subsequent receive, no other thread can
     /// race for the probed message.
+    ///
+    /// A miss is a probe: it charges what [`iprobe`](Vci::iprobe)'s miss
+    /// charges and leaves the engine as it found it. A hit takes the
+    /// message through the posted-receive path under the same engine lock.
     pub fn mprobe(&self, clock: &mut Clock, pattern: &MatchPattern) -> Option<(Status, Bytes)> {
         self.progress(clock);
         let mut eng = self.lock_engine(clock);
         let locked_at = clock.now();
-        // Reuse the posted-receive matching path with a throwaway request,
-        // keeping its handle so a miss retracts exactly this probe — other
-        // threads may have posted receives in the meantime. The request is
-        // a recycled one on this VCI's notifier: it is completed and taken
-        // inside this section, so nobody can wait on it and the ring its
-        // completion leaves owed is dropped.
+        let (hit, work) = eng.engine.probe(pattern);
+        if hit.is_none() {
+            self.charge_match(ChargeTo::Caller(clock), &work);
+            self.release_engine(eng, clock, locked_at);
+            return None;
+        }
+        // The request is a recycled one on this VCI's notifier: it is
+        // completed and taken inside this section, so nobody can wait on it
+        // and the ring its completion leaves owed is dropped.
         let mut probe_req = ReqState::recycled(self.mailbox.notifier());
         let probe = PostedRecv {
             pattern: *pattern,
@@ -904,22 +863,13 @@ impl Vci {
         };
         let (matched, work) = eng.engine.post_recv(probe);
         let done = self.charge_match(ChargeTo::Caller(clock), &work);
-        let out = match matched {
-            Some(pkt) => {
-                let finish = self.complete_match(done, &probe_req, pkt, &mut false);
-                clock.wait_until(finish);
-                Some(probe_req.take_result())
-            }
-            None => {
-                // Nothing matched: retract the probe by request identity.
-                let removed = eng.engine.cancel(&probe_req);
-                debug_assert!(removed);
-                None
-            }
-        };
+        let pkt = matched.expect("the probed message is queued under the held engine lock");
+        let finish = self.complete_match(done, &probe_req, pkt, &mut false);
+        clock.wait_until(finish);
+        let out = probe_req.take_result();
         self.release_engine(eng, clock, locked_at);
         ReqState::recycle(&mut probe_req);
-        out
+        Some(out)
     }
 
     /// Number of progress polls on this VCI.
@@ -1058,7 +1008,7 @@ mod tests {
             &shm,
             Arc::new(Notify::new()),
             CoreCosts::default(),
-            Arc::new(DirectRegistry::new()),
+            Arc::new(DirectRegistry::default()),
             EngineKind::default(),
             FtShared::solo(),
         );
@@ -1204,7 +1154,7 @@ mod tests {
                 &shm,
                 Arc::new(Notify::new()),
                 CoreCosts::default(),
-                Arc::new(DirectRegistry::new()),
+                Arc::new(DirectRegistry::default()),
                 EngineKind::default(),
                 FtShared::solo(),
             )
@@ -1274,7 +1224,7 @@ mod tests {
                 &shm,
                 Arc::new(Notify::new()),
                 CoreCosts::default(),
-                Arc::new(DirectRegistry::new()),
+                Arc::new(DirectRegistry::default()),
                 EngineKind::default(),
                 FtShared::solo(),
             )

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use rankmpi_core::info::keys;
 use rankmpi_core::tag::{TagLayout, TagPlacement};
 use rankmpi_core::{Communicator, Info, ThreadCtx};
-use rankmpi_partitioned::{precv_init, psend_init, PrecvRequest, PsendRequest};
+use rankmpi_core::{PrecvRequest, PsendRequest};
 
 use crate::topology::{Lane, RankPlan};
 
@@ -291,16 +291,16 @@ impl PartTransport {
         // start emits.
         let mut rx = HashMap::new();
         for l in &plan.in_lanes {
-            let req = precv_init(
-                &comm,
-                th,
-                l.src,
-                PART_TAG_BASE + l.id as i64,
-                window,
-                opts.item_bytes,
-                &info,
-            )
-            .expect("precv_init");
+            let req = comm
+                .precv_init(
+                    th,
+                    l.src,
+                    PART_TAG_BASE + l.id as i64,
+                    window,
+                    opts.item_bytes,
+                    &info,
+                )
+                .expect("precv_init");
             rx.insert(
                 l.id,
                 RxLane {
@@ -311,16 +311,16 @@ impl PartTransport {
         }
         let mut tx = HashMap::new();
         for l in &plan.out_lanes {
-            let req = psend_init(
-                &comm,
-                th,
-                l.dst,
-                PART_TAG_BASE + l.id as i64,
-                window,
-                opts.item_bytes,
-                &info,
-            )
-            .expect("psend_init");
+            let req = comm
+                .psend_init(
+                    th,
+                    l.dst,
+                    PART_TAG_BASE + l.id as i64,
+                    window,
+                    opts.item_bytes,
+                    &info,
+                )
+                .expect("psend_init");
             tx.insert(l.id, req);
         }
         for lane in rx.values() {

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use rankmpi_core::info::keys;
 use rankmpi_core::tag::{TagLayout, TagPlacement};
 use rankmpi_core::{Communicator, Info, LaunchMode, Universe};
+use rankmpi_core::{PrecvRequest, PsendRequest};
 use rankmpi_fabric::NetworkProfile;
-use rankmpi_partitioned::{precv_init, psend_init, PrecvRequest, PsendRequest};
 use rankmpi_vtime::{Nanos, VirtualBarrier};
 
 use super::maps::{colored_map, listing1_map_5pt, naive_map_5pt, CommMap, Dir2, Geometry};
@@ -525,20 +525,24 @@ fn run_partitioned(uni: &Universe, cfg: &HaloConfig) -> Vec<Nanos> {
         let mut recvs: Vec<PrecvRequest> = Vec::new();
         for &d in &Dir2::CARDINAL {
             let (nproc, parts, tag) = mk(d);
-            sends.push(psend_init(&world, &mut setup, nproc, tag, parts, bytes, &info).unwrap());
+            sends.push(
+                world
+                    .psend_init(&mut setup, nproc, tag, parts, bytes, &info)
+                    .unwrap(),
+            );
             // Our receive for direction d matches the neighbor's send with
             // the opposite tag.
             recvs.push(
-                precv_init(
-                    &world,
-                    &mut setup,
-                    nproc,
-                    dir_idx(d.opposite()) as i64,
-                    parts,
-                    bytes,
-                    &info,
-                )
-                .unwrap(),
+                world
+                    .precv_init(
+                        &mut setup,
+                        nproc,
+                        dir_idx(d.opposite()) as i64,
+                        parts,
+                        bytes,
+                        &info,
+                    )
+                    .unwrap(),
             );
         }
         let sends = &sends;

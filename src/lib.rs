@@ -12,8 +12,8 @@
 //! - [`core`]: the MPI-like library — communicators, Info hints, tag
 //!   matching, VCIs, point-to-point, RMA windows, collectives, and
 //!   user-visible MPI Endpoints ("Rankpoints") as a communicator
-//!   constructor;
-//! - [`partitioned`]: MPI 4.0 partitioned communication;
+//!   constructor and MPI 4.0 partitioned communication as communicator
+//!   methods;
 //! - [`workloads`]: the paper's application kernels (stencils, event
 //!   runtime, graph exchange, RMA matmul, multithreaded allreduce);
 //! - [`obs`]: the observability layer — virtual-time span tracer (Chrome
@@ -26,7 +26,6 @@
 pub use rankmpi_core as core;
 pub use rankmpi_fabric as fabric;
 pub use rankmpi_obs as obs;
-pub use rankmpi_partitioned as partitioned;
 pub use rankmpi_vtime as vtime;
 pub use rankmpi_workloads as workloads;
 
@@ -37,7 +36,6 @@ pub mod prelude {
         Window, ANY_SOURCE, ANY_TAG,
     };
     pub use rankmpi_fabric::NetworkProfile;
-    pub use rankmpi_partitioned::{precv_init, psend_init};
     pub use rankmpi_vtime::Nanos;
 }
 

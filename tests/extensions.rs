@@ -2,7 +2,6 @@
 //! together with the core library in one universe.
 
 use rankmpi_core::{Info, ReduceOp, Universe, Window, ANY_SOURCE, ANY_TAG};
-use rankmpi_partitioned::{precv_init, psend_init};
 
 #[test]
 fn endpoints_and_plain_comm_traffic_coexist() {
@@ -49,7 +48,9 @@ fn endpoint_collective_while_partitioned_traffic_flows() {
 
         // A partitioned stream runs alongside the endpoint collective.
         if env.rank() == 0 {
-            let sreq = psend_init(&world, &mut setup, 1, 5, 4, 16, &Info::new()).unwrap();
+            let sreq = world
+                .psend_init(&mut setup, 1, 5, 4, 16, &Info::new())
+                .unwrap();
             sreq.start(&mut setup).unwrap();
             for p in 0..4 {
                 sreq.pready(&mut setup, p, &[p as u8; 16]).unwrap();
@@ -60,7 +61,9 @@ fn endpoint_collective_while_partitioned_traffic_flows() {
             assert!(sums.iter().all(|&s| s == 4.0));
             sreq.wait(&mut setup).unwrap();
         } else {
-            let rreq = precv_init(&world, &mut setup, 0, 5, 4, 16, &Info::new()).unwrap();
+            let rreq = world
+                .precv_init(&mut setup, 0, 5, 4, 16, &Info::new())
+                .unwrap();
             rreq.start(&mut setup).unwrap();
             let eps = &eps;
             let sums =
@@ -112,8 +115,12 @@ fn partitioned_streams_in_both_directions() {
         let mut th = env.single_thread();
         let me = env.rank();
         let peer = 1 - me;
-        let sreq = psend_init(&world, &mut th, peer, 1, 2, 8, &Info::new()).unwrap();
-        let rreq = precv_init(&world, &mut th, peer, 1, 2, 8, &Info::new()).unwrap();
+        let sreq = world
+            .psend_init(&mut th, peer, 1, 2, 8, &Info::new())
+            .unwrap();
+        let rreq = world
+            .precv_init(&mut th, peer, 1, 2, 8, &Info::new())
+            .unwrap();
         for iter in 0..3u8 {
             sreq.start(&mut th).unwrap();
             rreq.start(&mut th).unwrap();

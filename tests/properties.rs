@@ -388,7 +388,6 @@ proptest! {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         use rankmpi_core::{Info, Universe};
-        use rankmpi_partitioned::{precv_init, psend_init};
 
         let u = Universe::builder().nodes(2).num_vcis(2).build();
         let ok = u.run(move |env| {
@@ -396,7 +395,7 @@ proptest! {
             let mut th = env.single_thread();
             if env.rank() == 0 {
                 let sreq =
-                    psend_init(&world, &mut th, 1, 11, parts, part_bytes, &Info::new()).unwrap();
+                    world.psend_init(&mut th, 1, 11, parts, part_bytes, &Info::new()).unwrap();
                 sreq.start(&mut th).unwrap();
                 let mut order: Vec<usize> = (0..parts).collect();
                 order.shuffle(&mut StdRng::seed_from_u64(order_seed));
@@ -408,7 +407,7 @@ proptest! {
                 true
             } else {
                 let rreq =
-                    precv_init(&world, &mut th, 0, 11, parts, part_bytes, &Info::new()).unwrap();
+                    world.precv_init(&mut th, 0, 11, parts, part_bytes, &Info::new()).unwrap();
                 rreq.start(&mut th).unwrap();
                 let data = rreq.wait(&mut th).unwrap();
                 assert_eq!(data.len(), parts * part_bytes);
