@@ -24,7 +24,10 @@
 //!   [`rankmpi_fabric::fault`]).
 //!
 //! The conformance tests themselves live in this crate's `tests/`
-//! directory (`conformance_*.rs`) and honor one environment knob used by
+//! directory (`conformance_*.rs`). Their universes are
+//! [`build_checked`](BuildChecked::build_checked): teardown asserts, in
+//! every build, that no request fell below a pruned GVT horizon. They honor
+//! one environment knob used by
 //! CI's seed matrix: `RANKMPI_CHECK_SEED` (base seed, default 0). Suites
 //! that sweep launch modes run both ([`launch_modes_under_test`]) and name
 //! the failing cell (`"launch tasks, seed 0x3"`). They run the production
@@ -38,7 +41,7 @@ pub mod sched;
 pub use explore::{explore, Coverage, ExploreConfig};
 pub use sched::{run_tasks, RunOutcome, Schedule, Task};
 
-use rankmpi_core::{LaunchMode, TaskLaunch};
+use rankmpi_core::{LaunchMode, TaskLaunch, Universe, UniverseBuilder};
 
 /// The base seed of this run: `RANKMPI_CHECK_SEED` if set, else 0. CI runs
 /// the conformance suite once per seed of its matrix.
@@ -57,4 +60,40 @@ pub fn launch_modes_under_test() -> Vec<LaunchMode> {
         LaunchMode::Threads,
         LaunchMode::Tasks(TaskLaunch::default()),
     ]
+}
+
+/// A universe whose teardown asserts that no request of any of its runs
+/// fell below a resource's pruned GVT horizon ([`UniverseShared::below_horizon`]).
+/// The resource's own check is a `debug_assert!`; this one holds in
+/// release too, where CI's seed matrix and lossy sweep run.
+///
+/// [`UniverseShared::below_horizon`]: rankmpi_core::universe::UniverseShared::below_horizon
+pub struct Checked(Universe);
+
+impl std::ops::Deref for Checked {
+    type Target = Universe;
+    fn deref(&self) -> &Universe {
+        &self.0
+    }
+}
+
+impl Drop for Checked {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let below = self.0.shared().below_horizon();
+            assert_eq!(below, 0, "{below} requests fell below a pruned GVT horizon");
+        }
+    }
+}
+
+/// [`UniverseBuilder::build`] with the teardown check of [`Checked`].
+pub trait BuildChecked {
+    /// Build the universe, checked at teardown.
+    fn build_checked(self) -> Checked;
+}
+
+impl BuildChecked for UniverseBuilder {
+    fn build_checked(self) -> Checked {
+        Checked(self.build())
+    }
 }

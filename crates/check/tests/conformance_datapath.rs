@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use rankmpi_check::Task;
-use rankmpi_check::{base_seed, explore, launch_modes_under_test, ExploreConfig};
+use rankmpi_check::{base_seed, explore, launch_modes_under_test, BuildChecked, ExploreConfig};
 use rankmpi_core::Universe;
 use rankmpi_fabric::{FaultPlan, Header, Mailbox, Notify, Packet};
 use rankmpi_vtime::sched::{yield_point, SchedPoint};
@@ -29,7 +29,7 @@ fn concurrent_bursts_past_ring_capacity_deliver_exactly_once_in_order() {
             .nodes(2)
             .threads_per_proc(4)
             .launch(launch)
-            .build();
+            .build_checked();
         u.run(|env| {
             let world = env.world();
             if env.rank() == 0 {
@@ -77,7 +77,7 @@ fn concurrent_bursts_past_ring_capacity_deliver_exactly_once_in_order() {
 #[test]
 fn batched_sends_match_singles_and_coalesce_doorbells() {
     let run = |nodes: usize, dsts: &[usize], batched: bool| -> (Vec<Vec<Vec<u8>>>, u64, u64) {
-        let u = Universe::builder().nodes(nodes).build();
+        let u = Universe::builder().nodes(nodes).build_checked();
         let got = u.run(|env| {
             let world = env.world();
             let mut th = env.single_thread();
@@ -152,7 +152,10 @@ fn batched_bursts_over_lossy_fabric_stay_exactly_once() {
     let mut retransmits = 0u64;
     for s in 0..4u64 {
         let plan = FaultPlan::lossy(base_seed() ^ 0xBA7C ^ (s << 7));
-        let u = Universe::builder().nodes(2).fault_plan(plan).build();
+        let u = Universe::builder()
+            .nodes(2)
+            .fault_plan(plan)
+            .build_checked();
         u.run(|env| {
             let world = env.world();
             let mut th = env.single_thread();

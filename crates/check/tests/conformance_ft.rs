@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rankmpi_check::{base_seed, launch_modes_under_test};
+use rankmpi_check::{base_seed, launch_modes_under_test, BuildChecked};
 use rankmpi_core::{Errhandler, LaunchMode, RankMpiError, Universe};
 use rankmpi_fabric::{CrashPoint, FaultPlan, NetworkProfile};
 use rankmpi_stream::ft::{run_farm_ft, FarmFtConfig};
@@ -122,7 +122,10 @@ fn pending_recv_from_the_dead_fails_with_process_failed() {
         plan.crash_point(1).is_some(),
         "probability 1 must draw a crash for rank 1"
     );
-    let u = Universe::builder().nodes(2).fault_plan(plan).build();
+    let u = Universe::builder()
+        .nodes(2)
+        .fault_plan(plan)
+        .build_checked();
     u.run_ft(|env| {
         let world = env.world();
         world.set_errhandler(Errhandler::ErrorsReturn);
@@ -161,7 +164,7 @@ fn recv_posted_after_detection_still_gets_an_arrived_message() {
             .nodes(2)
             .launch(launch)
             .fault_plan(plan)
-            .build();
+            .build_checked();
         u.run_ft(|env| {
             let world = env.world();
             world.set_errhandler(Errhandler::ErrorsReturn);
@@ -206,7 +209,7 @@ fn endpoint_failures_are_attributed_to_the_owner_process() {
             .nodes(2)
             .launch(launch)
             .fault_plan(plan)
-            .build();
+            .build_checked();
         u.run_ft(|env| {
             let world = env.world();
             world.set_errhandler(Errhandler::ErrorsReturn);
@@ -252,7 +255,7 @@ fn agree_is_a_consistent_and_over_contributions() {
     let u = Universe::builder()
         .nodes(4)
         .profile(NetworkProfile::omni_path())
-        .build();
+        .build_checked();
     let verdicts: Vec<(bool, bool)> = u.run(|env| {
         let world = env.world();
         world.set_errhandler(Errhandler::ErrorsReturn);
@@ -272,7 +275,10 @@ fn agree_is_a_consistent_and_over_contributions() {
 #[test]
 fn shrink_releases_the_dead_ranks_hw_contexts() {
     let plan = FaultPlan::new(base_seed() ^ 0x5EAD).crashes(1.0, 3, Nanos::us(30));
-    let u = Universe::builder().nodes(2).fault_plan(plan).build();
+    let u = Universe::builder()
+        .nodes(2)
+        .fault_plan(plan)
+        .build_checked();
     let shared = Arc::clone(u.shared());
     let baseline = shared.nic(1).contexts_in_use();
     assert!(baseline > 0, "rank 1's VCI must hold a context at start");
@@ -330,7 +336,7 @@ fn contexts_fail_over_under_traffic_without_losing_or_reordering() {
                 .nodes(2)
                 .num_vcis(2)
                 .launch(launch)
-                .build();
+                .build_checked();
             let shared = Arc::clone(u.shared());
             let senders_done = AtomicUsize::new(0);
             let retired = parking_lot::Mutex::new(Vec::new());

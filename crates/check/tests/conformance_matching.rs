@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rankmpi_check::oracle::fixed_packet;
-use rankmpi_check::{base_seed, explore, ExploreConfig, Task};
+use rankmpi_check::{base_seed, explore, BuildChecked, ExploreConfig, Task};
 use rankmpi_core::matching::{
     EngineKind, Incoming, MatchEngine, MatchPattern, PostedRecv, ANY_SOURCE, ANY_TAG,
 };
@@ -299,7 +299,7 @@ fn engines_agree_under_explored_interleavings() {
 fn deep_queue_drain_agrees_across_engines_end_to_end() {
     const TAGS: i64 = 256;
     let drain = |kind: EngineKind| -> Vec<(Status, Vec<u8>)> {
-        let u = Universe::builder().nodes(2).matching(kind).build();
+        let u = Universe::builder().nodes(2).matching(kind).build_checked();
         let mut out = u.run(|env| {
             let world = env.world();
             let mut th = env.single_thread();

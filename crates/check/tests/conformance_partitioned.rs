@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
-use rankmpi_check::base_seed;
+use rankmpi_check::{base_seed, BuildChecked};
 use rankmpi_core::{Info, Universe};
 use rankmpi_fabric::FaultPlan;
 
@@ -39,7 +39,7 @@ fn parrived_never_true_before_pready() {
             .nodes(2)
             .num_vcis(2)
             .fault_plan(plan)
-            .build();
+            .build_checked();
         let pready_at_ref = &pready_at;
         let order_ref = &order;
         u.run(|env| {
@@ -111,7 +111,7 @@ fn shuffled_pready_order_delivers_every_partition_intact() {
             .nodes(2)
             .num_vcis(2)
             .fault_plan(plan)
-            .build();
+            .build_checked();
         let order_ref = &order;
         u.run(|env| {
             let world = env.world();

@@ -13,7 +13,7 @@
 //!
 //! Each test sweeps fault seeds derived from `RANKMPI_CHECK_SEED`.
 
-use rankmpi_check::base_seed;
+use rankmpi_check::{base_seed, BuildChecked};
 use rankmpi_core::{Universe, ANY_SOURCE, ANY_TAG};
 use rankmpi_fabric::FaultPlan;
 
@@ -23,7 +23,10 @@ const SWEEP: u64 = 4;
 fn per_channel_order_survives_fault_injection() {
     for s in 0..SWEEP {
         let plan = FaultPlan::chaos(base_seed() ^ (0x9e37 << 16) ^ s);
-        let u = Universe::builder().nodes(2).fault_plan(plan).build();
+        let u = Universe::builder()
+            .nodes(2)
+            .fault_plan(plan)
+            .build_checked();
         u.run(|env| {
             let world = env.world();
             let mut th = env.single_thread();
@@ -51,7 +54,10 @@ fn per_channel_order_survives_fault_injection() {
 fn wildcard_receives_keep_each_source_in_order() {
     for s in 0..SWEEP {
         let plan = FaultPlan::chaos(base_seed() ^ 0x3b1 ^ (s << 8));
-        let u = Universe::builder().nodes(3).fault_plan(plan).build();
+        let u = Universe::builder()
+            .nodes(3)
+            .fault_plan(plan)
+            .build_checked();
         u.run(|env| {
             let world = env.world();
             let mut th = env.single_thread();
@@ -88,7 +94,10 @@ fn fault_plans_are_armed_and_actually_fire() {
     // Guard against the suite silently testing a fault-free fabric: after a
     // chaos run, the receiving mailboxes must report injected faults.
     let plan = FaultPlan::chaos(base_seed() ^ 0xF1FE);
-    let u = Universe::builder().nodes(2).fault_plan(plan).build();
+    let u = Universe::builder()
+        .nodes(2)
+        .fault_plan(plan)
+        .build_checked();
     u.run(|env| {
         let world = env.world();
         let mut th = env.single_thread();
@@ -119,7 +128,10 @@ fn messages_are_delivered_exactly_once_under_duplication() {
     let plan = FaultPlan::new(base_seed() ^ 0xD0D0)
         .duplicates(0.6)
         .delays(0.3, rankmpi_vtime::Nanos(1500));
-    let u = Universe::builder().nodes(2).fault_plan(plan).build();
+    let u = Universe::builder()
+        .nodes(2)
+        .fault_plan(plan)
+        .build_checked();
     u.run(|env| {
         let world = env.world();
         let mut th = env.single_thread();

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rankmpi_check::{base_seed, explore, ExploreConfig, Task};
+use rankmpi_check::{base_seed, explore, BuildChecked, ExploreConfig, Task};
 use rankmpi_core::matching::MatchPattern;
 use rankmpi_core::request::{ReqState, Request};
 use rankmpi_core::vci::KIND_PT2PT;
@@ -178,7 +178,7 @@ fn batched_completions_wake_every_waiter_under_explored_schedules() {
         salt: 0xBA7C,
         waiters: 2,
         mk: |returned| {
-            let universe = Arc::clone(Universe::builder().nodes(1).build().shared());
+            let universe = Arc::clone(Universe::builder().nodes(1).build_checked().shared());
             let proc = universe.proc(0);
             let vci = proc.vci(0);
             let posted = Arc::new(AtomicU64::new(0));
@@ -295,7 +295,7 @@ fn blocked_split_members_are_woken_under_explored_schedules() {
         salt: 0x5B17,
         waiters: 3,
         mk: |returned| {
-            let universe = Arc::clone(Universe::builder().nodes(1).build().shared());
+            let universe = Arc::clone(Universe::builder().nodes(1).build_checked().shared());
             (0..3i64)
                 .map(|i| {
                     let (universe, returned) = (Arc::clone(&universe), Arc::clone(returned));
@@ -365,7 +365,10 @@ fn blocked_lock_members_are_woken_under_explored_schedules() {
 fn test_polls_are_monotone_under_faults() {
     for s in 0..3u64 {
         let plan = FaultPlan::chaos(base_seed() ^ 0x7E57 ^ (s << 4));
-        let u = Universe::builder().nodes(2).fault_plan(plan).build();
+        let u = Universe::builder()
+            .nodes(2)
+            .fault_plan(plan)
+            .build_checked();
         u.run(|env| {
             let world = env.world();
             let mut th = env.single_thread();
@@ -412,7 +415,7 @@ fn completion_times_follow_channel_order() {
     let u = Universe::builder()
         .nodes(2)
         .fault_plan(FaultPlan::chaos(base_seed() ^ 0xC10C))
-        .build();
+        .build_checked();
     u.run(|env| {
         let world = env.world();
         let mut th = env.single_thread();

@@ -2,7 +2,8 @@
 //! flaps) must look loss-free and in-order to the MPI layer, bounded
 //! retries must surface as `RetriesExhausted` through `ErrorsReturn`
 //! (never a hang), and a failed hardware context must be remapped live
-//! without dropping traffic.
+//! without dropping traffic — all of it while every resource forgets the
+//! history behind the universe's GVT.
 //!
 //! Every scenario sweeps several derived seeds, mirroring the other
 //! conformance suites.
@@ -11,9 +12,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rankmpi_check::base_seed;
-use rankmpi_core::{Errhandler, Info, RankMpiError, Universe};
+use rankmpi_check::{base_seed, launch_modes_under_test, BuildChecked};
+use rankmpi_core::{Errhandler, Info, RankMpiError, Universe, ANY_SOURCE, ANY_TAG};
 use rankmpi_fabric::{FaultPlan, ResilConfig};
+use rankmpi_vtime::Nanos;
 
 const SWEEP: u64 = 4;
 const ROUNDS: u64 = 16;
@@ -26,7 +28,10 @@ fn pingpong_over_lossy_fabric_is_exactly_once_in_order() {
     let mut retransmits = 0u64;
     for s in 0..SWEEP {
         let plan = FaultPlan::lossy(base_seed() ^ 0xC0DE ^ (s << 9));
-        let u = Universe::builder().nodes(2).fault_plan(plan).build();
+        let u = Universe::builder()
+            .nodes(2)
+            .fault_plan(plan)
+            .build_checked();
         u.run(|env| {
             let world = env.world();
             let mut th = env.single_thread();
@@ -83,7 +88,7 @@ fn parrived_never_before_pready_under_lossy_fabric() {
             .nodes(2)
             .num_vcis(2)
             .fault_plan(plan)
-            .build();
+            .build_checked();
         let pready_at_ref = &pready_at;
         u.run(|env| {
             let world = env.world();
@@ -147,7 +152,7 @@ fn capped_retries_surface_retries_exhausted_without_hanging() {
                 max_retries: 3,
                 ..ResilConfig::default()
             })
-            .build();
+            .build_checked();
         u.run(|env| {
             let world = env.world();
             world.set_errhandler(Errhandler::ErrorsReturn);
@@ -191,7 +196,7 @@ fn capped_retries_surface_retries_exhausted_without_hanging() {
 /// decision, not a communicator fault).
 #[test]
 fn recv_timeout_expires_on_a_message_that_never_comes() {
-    let u = Universe::builder().nodes(2).build();
+    let u = Universe::builder().nodes(2).build_checked();
     u.run(|env| {
         if env.rank() == 1 {
             let world = env.world();
@@ -213,7 +218,10 @@ fn recv_timeout_expires_on_a_message_that_never_comes() {
 #[test]
 fn mid_run_context_failure_remaps_live_without_losing_traffic() {
     let plan = FaultPlan::lossy(base_seed() ^ 0xFA11);
-    let u = Universe::builder().nodes(2).fault_plan(plan).build();
+    let u = Universe::builder()
+        .nodes(2)
+        .fault_plan(plan)
+        .build_checked();
     let shared = Arc::clone(u.shared());
     let shared_ref = &shared;
     u.run(|env| {
@@ -253,4 +261,74 @@ fn mid_run_context_failure_remaps_live_without_losing_traffic() {
         !vci.hw_context().is_failed(),
         "VCI still bound to the failed context after the run"
     );
+}
+
+/// GVT pruning under composed faults, in both launch modes: a lossy and
+/// delaying fabric (so packets sit in retransmit timelines, delayed and
+/// reordered stamps, and spurious copies the mailbox must drop) and a
+/// mid-run context failure whose replacement inherits the failed
+/// context's backlog. Every payload arrives exactly once and in order,
+/// history is pruned, and no request falls below a pruned horizon — the
+/// holders of stamps outside the rings are covered.
+#[test]
+fn pruned_history_survives_loss_delay_and_failover() {
+    const WINDOW: u64 = 64;
+    const WINDOWS: u64 = 48;
+    const CREDIT_TAG: i64 = 1 << 20;
+    for launch in launch_modes_under_test() {
+        let plan = FaultPlan::lossy(base_seed() ^ 0x6A7).delays(0.2, Nanos::us(3));
+        let u = Universe::builder()
+            .nodes(2)
+            .fault_plan(plan)
+            .launch(launch)
+            .build_checked();
+        let shared = Arc::clone(u.shared());
+        let shared_ref = &shared;
+        u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            for w in 0..WINDOWS {
+                if env.rank() == 0 {
+                    world.recv(&mut th, 1, CREDIT_TAG).unwrap();
+                    if w == WINDOWS / 2 {
+                        let ctx = shared_ref.proc(0).vci(0).hw_context();
+                        assert!(shared_ref.fail_context(0, ctx.id()));
+                    }
+                    for i in 0..WINDOW {
+                        let n = w * WINDOW + i;
+                        world.send(&mut th, 1, 11, &n.to_le_bytes()).unwrap();
+                    }
+                } else {
+                    world.send(&mut th, 0, CREDIT_TAG, b"").unwrap();
+                    for i in 0..WINDOW {
+                        let (_st, data) = world.recv(&mut th, 0, 11).unwrap();
+                        assert_eq!(
+                            data.as_ref(),
+                            (w * WINDOW + i).to_le_bytes(),
+                            "{launch:?}: message lost, duplicated or reordered"
+                        );
+                    }
+                }
+            }
+            if env.rank() == 1 {
+                let extra = world.iprobe(&mut th, ANY_SOURCE, ANY_TAG).unwrap();
+                assert!(extra.is_none(), "{launch:?}: a copy was delivered twice");
+            }
+        });
+        let vci = shared.proc(0).vci(0);
+        assert!(vci.failovers() >= 1, "{launch:?}: no failover");
+        let resil = shared.proc(1).vci(0).mailbox().resil().unwrap().report();
+        assert!(
+            resil.retransmits > 0,
+            "{launch:?}: nothing was retransmitted"
+        );
+        // Every resource opened chunks, and GVT moved: without pruning the
+        // busiest would hold an interval or more per message.
+        let peak = shared.gvt().peak_history();
+        assert!(
+            (512..=5 * 512).contains(&peak),
+            "{launch:?}: peak live history {peak}"
+        );
+        assert_eq!(shared.below_horizon(), 0, "{launch:?}");
+    }
 }

@@ -6,7 +6,7 @@
 //! them are visible then, regardless of what the fabric did to the
 //! underlying packets. Runs under a sweep of fault seeds.
 
-use rankmpi_check::base_seed;
+use rankmpi_check::{base_seed, BuildChecked};
 use rankmpi_core::{Info, ReduceOp, Universe, Window};
 use rankmpi_fabric::FaultPlan;
 
@@ -18,7 +18,7 @@ fn fence_makes_the_whole_epoch_visible() {
             .nodes(2)
             .num_vcis(2)
             .fault_plan(plan)
-            .build();
+            .build_checked();
         u.run(|env| {
             let world = env.world();
             let mut th = env.single_thread();
@@ -58,7 +58,10 @@ fn flush_orders_get_after_put() {
     // Passive-target epoch: put, flush, then a get on the *same* offset must
     // observe the flushed value even on a faulty fabric.
     let plan = FaultPlan::chaos(base_seed() ^ 0xF1054);
-    let u = Universe::builder().nodes(2).fault_plan(plan).build();
+    let u = Universe::builder()
+        .nodes(2)
+        .fault_plan(plan)
+        .build_checked();
     u.run(|env| {
         let world = env.world();
         let mut th = env.single_thread();

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rankmpi_check::base_seed;
+use rankmpi_check::{base_seed, BuildChecked};
 use rankmpi_core::{Errhandler, RankMpiError, Universe};
 use rankmpi_fabric::{FaultPlan, ResilConfig};
 use rankmpi_vtime::Nanos;
@@ -27,7 +27,7 @@ fn assert_no_ft_verdicts(plan: FaultPlan, what: &str) {
             max_retries: 64,
             ..ResilConfig::default()
         })
-        .build();
+        .build_checked();
     u.run(|env| {
         let world = env.world();
         world.set_errhandler(Errhandler::ErrorsReturn);

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use rankmpi_check::{base_seed, oracle};
+use rankmpi_check::{base_seed, oracle, BuildChecked};
 use rankmpi_core::{EngineKind, Info, LaunchMode, TaskLaunch, Universe};
 use rankmpi_vtime::{Nanos, VirtualBarrier};
 
@@ -36,7 +36,7 @@ fn both_modes<R: Send + PartialEq + std::fmt::Debug>(
     build: impl Fn() -> rankmpi_core::UniverseBuilder,
     f: impl Fn(rankmpi_core::ProcEnv) -> R + Sync,
 ) -> [Vec<R>; 2] {
-    let run = |mode: LaunchMode| build().launch(mode).build().run(&f);
+    let run = |mode: LaunchMode| build().launch(mode).build_checked().run(&f);
     [run(modes()[0]), run(modes()[1])]
 }
 

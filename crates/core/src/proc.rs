@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use rankmpi_fabric::resil::ResilConfig;
 use rankmpi_fabric::{FaultPlan, Nic, Notify};
-use rankmpi_vtime::{engine, Clock};
+use rankmpi_vtime::gvt::Cover;
+use rankmpi_vtime::{engine, Clock, Gvt, Nanos};
 
 use crate::append::AppendTable;
 use crate::comm::Communicator;
@@ -55,6 +56,8 @@ pub struct ProcShared {
     /// Per-parent-context collective-operation counters (used to key the
     /// universe's deterministic context-id agreement).
     dup_counters: parking_lot::Mutex<std::collections::HashMap<u32, u64>>,
+    /// The universe's GVT, which every VCI's schedules and mailbox answer to.
+    gvt: Arc<Gvt>,
 }
 
 /// The per-process message sequence counter, alone in a 128-byte block
@@ -77,6 +80,7 @@ impl ProcShared {
         matching: EngineKind,
         fault: Option<(FaultPlan, Option<ResilConfig>)>,
         liveness: Arc<Liveness>,
+        gvt: Arc<Gvt>,
     ) -> Arc<Self> {
         let notify = Arc::new(Notify::new());
         let direct = Arc::new(DirectRegistry::default());
@@ -99,6 +103,7 @@ impl ProcShared {
             seq: SeqLine(AtomicU64::new(0)),
             in_mpi: std::sync::atomic::AtomicBool::new(false),
             dup_counters: parking_lot::Mutex::new(std::collections::HashMap::new()),
+            gvt,
         };
         let p = Arc::new(p);
         for _ in 0..num_vcis.max(1) {
@@ -164,6 +169,7 @@ impl ProcShared {
                 Arc::clone(&self.direct),
                 self.matching,
                 Arc::clone(&self.ft),
+                &self.gvt,
             );
             if let Some((plan, resil)) = &self.fault {
                 let mailbox = vci.mailbox();
@@ -280,13 +286,25 @@ impl ThreadCtx {
         }
     }
 
-    /// Build a context for thread `tid` of `proc`.
+    /// Build a context for thread `tid` of `proc`, its clock at 0 holding
+    /// the universe's GVT there until it first publishes.
     pub fn new(tid: usize, proc: Arc<ProcShared>, universe: Arc<UniverseShared>) -> Self {
+        let cover = universe.gvt().clock(Nanos::ZERO);
+        Self::covered(tid, proc, universe, cover)
+    }
+
+    /// [`new`](ThreadCtx::new) with an already registered GVT slot.
+    fn covered(
+        tid: usize,
+        proc: Arc<ProcShared>,
+        universe: Arc<UniverseShared>,
+        cover: Cover,
+    ) -> Self {
         // Stamp the OS thread's trace identity so spans recorded from this
         // context carry the simulated (rank, tid).
         rankmpi_obs::trace::set_actor(proc.rank() as u32, tid as u32);
         ThreadCtx {
-            clock: Clock::new(),
+            clock: Clock::covered(cover),
             tid,
             proc,
             universe,
@@ -344,6 +362,9 @@ pub struct ProcEnv {
     proc: Arc<ProcShared>,
     universe: Arc<UniverseShared>,
     threads_per_proc: usize,
+    /// The rank's GVT slot at 0, registered before the rank starts: it
+    /// holds GVT down until the rank's first thread context takes it over.
+    launch: parking_lot::Mutex<Option<Cover>>,
 }
 
 impl ProcEnv {
@@ -351,12 +372,33 @@ impl ProcEnv {
         proc: Arc<ProcShared>,
         universe: Arc<UniverseShared>,
         threads_per_proc: usize,
+        launch: Cover,
     ) -> Self {
         ProcEnv {
             proc,
             universe,
             threads_per_proc,
+            launch: parking_lot::Mutex::new(Some(launch)),
         }
+    }
+
+    /// A GVT slot at 0 for a new thread context: the launch slot, the first
+    /// time.
+    fn clock_cover(&self) -> Cover {
+        self.launch
+            .lock()
+            .take()
+            .unwrap_or_else(|| self.universe.gvt().clock(Nanos::ZERO))
+    }
+
+    /// A context for thread `tid`.
+    fn thread(&self, tid: usize, cover: Cover) -> ThreadCtx {
+        ThreadCtx::covered(
+            tid,
+            Arc::clone(&self.proc),
+            Arc::clone(&self.universe),
+            cover,
+        )
     }
 
     /// This process's world rank.
@@ -406,9 +448,16 @@ impl ProcEnv {
     /// tasks of the engine ([`engine::fork_join`]), so the virtual-time
     /// dispatcher interleaves *all* simulated threads of *all* ranks, and
     /// the parent parks without a worker slot until they have all finished.
+    ///
+    /// Every simulated thread's GVT slot is registered before any of them
+    /// starts.
     pub fn parallel_n<R: Send>(&self, n: usize, f: impl Fn(&mut ThreadCtx) -> R + Sync) -> Vec<R> {
-        let member = |tid| {
-            let mut th = ThreadCtx::new(tid, Arc::clone(&self.proc), Arc::clone(&self.universe));
+        let covers: Vec<_> = (0..n)
+            .map(|_| parking_lot::Mutex::new(Some(self.clock_cover())))
+            .collect();
+        let member = |tid: usize| {
+            let cover = covers[tid].lock().take().expect("one member per tid");
+            let mut th = self.thread(tid, cover);
             f(&mut th)
         };
         let joined = if engine::in_task() {
@@ -440,7 +489,7 @@ impl ProcEnv {
 
     /// A single-thread context (tid 0) for serial sections.
     pub fn single_thread(&self) -> ThreadCtx {
-        ThreadCtx::new(0, Arc::clone(&self.proc), Arc::clone(&self.universe))
+        self.thread(0, self.clock_cover())
     }
 }
 

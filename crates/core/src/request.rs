@@ -349,6 +349,9 @@ impl Request {
         timeout: Option<Duration>,
     ) -> Result<(Status, Bytes), RankMpiError> {
         let entered_at = clock.now();
+        // A blocking point. The scratch progress below runs at this clock,
+        // so it is what the waiter publishes.
+        clock.publish();
         let mut res = rankmpi_obs::trace::ResId::NONE;
         if let Request::Shared {
             state,

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rankmpi_vtime::{Nanos, Resource};
+use rankmpi_vtime::{Gvt, Nanos, Resource};
 
 use crate::coll::ReduceOp;
 use crate::comm::{Communicator, WINDOW_NS};
@@ -56,13 +56,14 @@ impl WindowTarget {
         })
     }
 
-    /// The per-origin accumulate-ordering resource.
-    fn order_resource(&self, origin: usize) -> Arc<Resource> {
+    /// The per-origin accumulate-ordering resource, its history bounded by
+    /// `gvt`.
+    fn order_resource(&self, origin: usize, gvt: &Arc<Gvt>) -> Arc<Resource> {
         Arc::clone(
             self.acc_order
                 .lock()
                 .entry(origin)
-                .or_insert_with(|| Arc::new(Resource::new())),
+                .or_insert_with(|| Arc::new(Resource::new().pruned_by(gvt))),
         )
     }
 
@@ -372,7 +373,8 @@ impl Window {
         let done = match self.ordering {
             AccumulateOrdering::Ordered => {
                 // Same-origin same-target atomics serialize at the target.
-                let res = self.targets[target].order_resource(th.proc().rank());
+                let res =
+                    self.targets[target].order_resource(th.proc().rank(), th.universe().gvt());
                 res.acquire(apply_at, costs.rma_apply + costs.rma_atomic_extra)
                     .end
             }
@@ -399,7 +401,8 @@ impl Window {
         let costs = th.proc().costs();
         let done = match self.ordering {
             AccumulateOrdering::Ordered => {
-                let res = self.targets[target].order_resource(th.proc().rank());
+                let res =
+                    self.targets[target].order_resource(th.proc().rank(), th.universe().gvt());
                 res.acquire(apply_at, costs.rma_apply + costs.rma_atomic_extra)
                     .end
             }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rankmpi_fabric::{FaultPlan, Liveness, NetworkProfile, Nic, ResilConfig};
-use rankmpi_vtime::{engine, Nanos, Notify};
+use rankmpi_vtime::{engine, Gvt, Nanos, Notify};
 
 use crate::costs::CoreCosts;
 use crate::ft::FtGather;
@@ -125,6 +125,9 @@ pub struct UniverseShared {
     /// `reclaim_rank` is requested by every survivor but performed once.
     reclaimed: Mutex<HashSet<usize>>,
     launch: LaunchMode,
+    /// Global virtual time: bounds the history of every context, engine
+    /// lock and engine schedule of this universe.
+    gvt: Arc<Gvt>,
 }
 
 /// Rendezvous board for one collective `split`: every member contributes its
@@ -300,6 +303,18 @@ impl UniverseShared {
                 .get(&(win, rank))
                 .expect("window target not published (window creation is collective)"),
         )
+    }
+
+    /// The universe's global virtual time (see [`rankmpi_vtime::gvt`]).
+    pub fn gvt(&self) -> &Arc<Gvt> {
+        &self.gvt
+    }
+
+    /// Requests, universe-wide, that arrived below a resource's pruned GVT
+    /// horizon. Each is a bug: while this is 0, every simulated result is
+    /// the one an unbounded history would have given.
+    pub fn below_horizon(&self) -> u64 {
+        self.gvt.below_horizon()
     }
 
     /// The universe-wide failure detector.
@@ -508,8 +523,9 @@ impl UniverseBuilder {
             self.thread_level != ThreadLevel::Single || self.threads_per_proc == 1,
             "MPI_THREAD_SINGLE allows exactly one thread per process"
         );
+        let gvt = Gvt::new();
         let nics: Vec<_> = (0..self.nodes)
-            .map(|n| Arc::new(Nic::new(n, self.profile.clone())))
+            .map(|n| Arc::new(Nic::new(n, self.profile.clone()).pruned_by(&gvt)))
             .collect();
         // The shared-memory "fabric" has no context limit: it models
         // per-channel lock-free queues in memory.
@@ -519,7 +535,7 @@ impl UniverseBuilder {
             ..NetworkProfile::ideal()
         };
         let shm_nics: Vec<_> = (0..self.nodes)
-            .map(|n| Arc::new(Nic::new(n, shm_profile.clone())))
+            .map(|n| Arc::new(Nic::new(n, shm_profile.clone()).pruned_by(&gvt)))
             .collect();
         let n_procs = self.nodes * self.procs_per_node;
         // Fault plans are handed to each process so that VCIs created later
@@ -544,6 +560,7 @@ impl UniverseBuilder {
                     self.matching,
                     fault.clone(),
                     Arc::clone(&liveness),
+                    Arc::clone(&gvt),
                 )
             })
             .collect();
@@ -584,6 +601,7 @@ impl UniverseBuilder {
             rendezvous,
             reclaimed: Mutex::new(HashSet::new()),
             launch: self.launch,
+            gvt,
         };
         Universe {
             shared: Arc::new(shared),
@@ -649,15 +667,23 @@ impl Universe {
     /// mode and collect the results in rank order. A rank's panic reaches the
     /// caller with its original payload in threads mode; the engine re-raises
     /// its message in tasks mode.
+    ///
+    /// Each rank's GVT slot is registered before the run begins and before
+    /// any rank starts, so GVT counts every rank from the first read.
     fn launch_ranks<R: Send>(&self, rank_fn: impl Fn(usize, ProcEnv) -> R + Sync) -> Vec<R> {
         let shared = &self.shared;
         let rank_fn = &rank_fn;
-        let rank_task = |r: usize| {
+        let mut launch: Vec<_> = (0..shared.n_procs())
+            .map(|_| Some(shared.gvt.clock(Nanos::ZERO)))
+            .collect();
+        let _run = shared.gvt.enter_run();
+        let mut rank_task = |r: usize| {
             let proc = Arc::clone(shared.proc(r));
             let universe = Arc::clone(shared);
+            let cover = launch[r].take().expect("one task per rank");
             move || {
                 let tpp = universe.threads_per_proc();
-                rank_fn(r, ProcEnv::new(proc, universe, tpp))
+                rank_fn(r, ProcEnv::new(proc, universe, tpp, cover))
             }
         };
         let cfg = match shared.launch() {

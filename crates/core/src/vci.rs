@@ -19,7 +19,7 @@ use rankmpi_fabric::{
 use rankmpi_obs::trace as obs;
 use rankmpi_vtime::lock::ContentionGuard;
 use rankmpi_vtime::sched::{self, SchedPoint};
-use rankmpi_vtime::{Accumulator, Clock, ContentionLock, Counter, Nanos};
+use rankmpi_vtime::{Accumulator, Clock, ContentionLock, Counter, Gvt, Nanos};
 
 use crate::append::AppendTable;
 use crate::comm::base_context;
@@ -181,7 +181,8 @@ impl Vci {
     /// Create VCI `id` for a process on the node served by `nic`/`shm_nic`,
     /// signaling `notify` on arrivals and dispatching direct packets through
     /// `direct`. `engine_kind` selects the matching structure (see
-    /// [`EngineKind`]) for the VCI's lifetime.
+    /// [`EngineKind`]) for the VCI's lifetime. The engine lock's sections,
+    /// the engine's occupancy and the mailbox's packets are held to `gvt`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: usize,
@@ -193,6 +194,7 @@ impl Vci {
         direct: Arc<DirectRegistry>,
         engine_kind: EngineKind,
         ft: Arc<FtShared>,
+        gvt: &Arc<Gvt>,
     ) -> Arc<Self> {
         let ctxs = AppendTable::new();
         ctxs.push(nic.alloc_context());
@@ -206,13 +208,14 @@ impl Vci {
             failover: parking_lot::Mutex::new(()),
             nic: Arc::clone(nic),
             shm_ctx: shm_nic.alloc_context(),
-            mailbox: Arc::new(Mailbox::new(notify)),
+            mailbox: Mailbox::covered(notify, gvt),
             engine_kind,
             engine: ContentionLock::new(Matching {
                 engine: engine_kind.new_engine(),
                 scratch: Vec::new(),
-            }),
-            engine_time: rankmpi_vtime::Resource::new(),
+            })
+            .pruned_by(gvt),
+            engine_time: rankmpi_vtime::Resource::new().pruned_by(gvt),
             direct,
             polls: Arc::new(Counter::new()),
             matched: Arc::new(Counter::new()),
@@ -626,6 +629,8 @@ impl Vci {
         if stamp != 0 && self.ft_seen.swap(stamp, Ordering::AcqRel) != stamp {
             self.ft_sweep(eng);
         }
+        // Every drained packet is charged: its stamp no longer needs cover.
+        self.mailbox.settle();
         n
     }
 
@@ -1011,6 +1016,7 @@ mod tests {
             Arc::new(DirectRegistry::default()),
             EngineKind::default(),
             FtShared::solo(),
+            &Gvt::new(),
         );
         (v, nic, shm)
     }
@@ -1157,6 +1163,7 @@ mod tests {
                 Arc::new(DirectRegistry::default()),
                 EngineKind::default(),
                 FtShared::solo(),
+                &Gvt::new(),
             )
         };
         let a = mk(0);
@@ -1227,6 +1234,7 @@ mod tests {
                 Arc::new(DirectRegistry::default()),
                 EngineKind::default(),
                 FtShared::solo(),
+                &Gvt::new(),
             )
         };
         let (a, _b) = (mk(0), mk(1));

@@ -1,8 +1,9 @@
 //! One NIC hardware context: a work-queue/doorbell pair.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use rankmpi_vtime::{Clock, ContentionLock, Counter, Nanos, Resource};
+use rankmpi_vtime::{Clock, ContentionLock, Counter, Gvt, Nanos, Resource};
 
 use crate::NetworkProfile;
 
@@ -45,6 +46,16 @@ impl HwContext {
             failed: AtomicBool::new(false),
             msgs_tx: Counter::new(),
             bytes_tx: Counter::new(),
+        }
+    }
+
+    /// This context with its gate's and pipeline's histories bounded by
+    /// `gvt` (see [`Resource::pruned_by`]).
+    pub fn pruned_by(self, gvt: &Arc<Gvt>) -> Self {
+        HwContext {
+            gate: self.gate.pruned_by(gvt),
+            time: self.time.pruned_by(gvt),
+            ..self
         }
     }
 

@@ -14,13 +14,18 @@
 //! two-pass ordering argument). An armed [`FaultPlan`] does not fork that path: packets pass a
 //! `FaultStage` on their way *into* the rings and a `FaultFilter` on
 //! their way *out* of the merge (see [`fault`](crate::fault)).
+//!
+//! A mailbox of a universe that bounds history by GVT
+//! ([`covered`](Mailbox::covered)) holds its packets' stamps down from push
+//! to charge: see [`Mailbox::settle`].
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
+use rankmpi_vtime::gvt::Holder;
 use rankmpi_vtime::sched::{self, SchedPoint};
-use rankmpi_vtime::Notify;
+use rankmpi_vtime::{Gvt, Nanos, Notify};
 
 use crate::fault::{FaultFilter, FaultPlan, FaultReport, FaultStage, Stamp};
 use crate::resil::{Resil, ResilConfig};
@@ -53,10 +58,74 @@ const DIR_MAX_CHANNELS: usize = 96;
 const FULL_RING_SPINS: usize = 64;
 const FULL_RING_YIELDS: usize = 32;
 
+/// A ticket's high bits are the consumer's generation (see
+/// [`Mailbox::settle`]), its low bits the push's index within it.
+const GEN_SHIFT: u32 = 40;
+const INDEX_MASK: u64 = (1 << GEN_SHIFT) - 1;
+
+/// The holder slot a ticket's generation lowers.
+fn parity(ticket: u64) -> usize {
+    (ticket >> GEN_SHIFT) as usize & 1
+}
+
+/// One word alone on its 128-byte block (two lines: adjacent-line prefetch
+/// pairs them).
+#[repr(align(128))]
+#[derive(Debug)]
+struct Line(AtomicU64);
+
+impl Default for Line {
+    fn default() -> Self {
+        Line(AtomicU64::new(u64::MAX))
+    }
+}
+
+/// A covered mailbox's GVT state (see [`Mailbox::settle`]).
+#[derive(Debug)]
+struct Held {
+    /// Per ticket-generation parity: at or below the arrival stamp of every
+    /// uncharged packet of that generation. Pushes lower it.
+    low: [Line; 2],
+    /// A ticket word such that every push below it is charged: while the
+    /// ticket still reads it, the mailbox holds nothing. Written by the
+    /// consumer only.
+    clean: Line,
+    /// Set by a GVT read that found this mailbox holding something: the
+    /// consumer turns the generation at its next settle.
+    asked: AtomicBool,
+}
+
+impl Default for Held {
+    fn default() -> Self {
+        Held {
+            low: Default::default(),
+            clean: Line(AtomicU64::new(0)),
+            asked: AtomicBool::new(false),
+        }
+    }
+}
+
+impl Held {
+    fn lower(&self, ticket: u64, t: Nanos) {
+        let low = &self.low[parity(ticket)].0;
+        if t.as_ns() < low.load(Ordering::Relaxed) {
+            low.fetch_min(t.as_ns(), Ordering::Release);
+        }
+    }
+
+    fn clear(&self, parity: usize) {
+        let low = &self.low[parity].0;
+        if low.load(Ordering::Relaxed) != u64::MAX {
+            low.store(u64::MAX, Ordering::Release);
+        }
+    }
+}
+
 /// One queued packet plus the bookkeeping it was pushed with.
 #[derive(Debug)]
 struct Entry {
-    /// Mailbox-global push ticket: the linearization point of the push. The
+    /// Mailbox-global push ticket (generation, then index): the
+    /// linearization point of the push. The
     /// drain merges ring and fallback entries by ticket, which reconstructs
     /// the order the pushes happened in.
     ticket: u64,
@@ -80,6 +149,21 @@ struct DrainState {
     /// Drain half of the armed fault plan, present exactly while
     /// [`Mailbox::stage`] is.
     filter: Option<FaultFilter>,
+    /// Ticket generations, while the mailbox is covered.
+    gens: Generations,
+}
+
+/// What the consumer knows of the ticket generations: pushes of the
+/// current one lower holder slot `cur & 1`, and the previous one's size is
+/// fixed. A slot is cleared once every entry of its generation has been
+/// popped and charged.
+#[derive(Debug, Default)]
+struct Generations {
+    cur: u64,
+    /// Entries popped, by generation parity.
+    popped: [u64; 2],
+    /// Pushes of generation `cur - 1` (none before the first turn).
+    prev_size: u64,
 }
 
 /// One channel's lock-free lane: the SPSC ring plus its producer claim and
@@ -292,6 +376,8 @@ pub struct Mailbox {
     /// serializing on a mutex.
     resil_armed: AtomicBool,
     resil: RwLock<Option<Arc<Resil>>>,
+    /// The GVT cover of a covered mailbox.
+    held: Option<Held>,
 }
 
 impl Mailbox {
@@ -309,7 +395,21 @@ impl Mailbox {
             notify,
             resil_armed: AtomicBool::new(false),
             resil: RwLock::new(None),
+            held: None,
         }
+    }
+
+    /// A mailbox that holds `gvt` at or below the arrival stamp of every
+    /// packet pushed and not yet charged. Its consumer must call
+    /// [`settle`](Mailbox::settle) once it has charged what a drain returned.
+    pub fn covered(notify: Arc<Notify>, gvt: &Gvt) -> Arc<Self> {
+        Arc::new_cyclic(|me: &Weak<Mailbox>| {
+            gvt.hold(me.clone());
+            Mailbox {
+                held: Some(Held::default()),
+                ..Mailbox::new(notify)
+            }
+        })
     }
 
     /// Arm deterministic fault injection on this mailbox. A plan with no
@@ -456,11 +556,13 @@ impl Mailbox {
     /// The one way in: ticket → channel lane → producer claim → ring, with a
     /// bounded wait on a full ring and the locked fallback behind everything.
     fn enqueue(&self, stamp: Option<Stamp>, p: Packet) {
-        let entry = Entry {
-            ticket: self.ticket.fetch_add(1, Ordering::Relaxed),
-            stamp,
-            p,
-        };
+        // Acquire: a generation's slot is cleared before the turn publishes
+        // it. The pusher lowers the slot before its clock can next publish.
+        let ticket = self.ticket.fetch_add(1, Ordering::AcqRel);
+        if let Some(held) = &self.held {
+            held.lower(ticket, p.arrive_at);
+        }
+        let entry = Entry { ticket, stamp, p };
         let Some(lane) = self.dir.get_or_insert(entry.chan()) else {
             // Directory at capacity: this channel lives on the fallback.
             self.dir_overflow.fetch_add(1, Ordering::Relaxed);
@@ -544,7 +646,11 @@ impl Mailbox {
     pub fn drain_into(&self, out: &mut Vec<Packet>) -> usize {
         sched::yield_point(SchedPoint::MailboxDrain);
         let mut st = self.drain_scratch.lock();
-        let DrainState { batch, filter } = &mut *st;
+        let DrainState {
+            batch,
+            filter,
+            gens,
+        } = &mut *st;
         batch.clear();
         // Pass 1, no locks: pop whatever each ring has published. On the
         // steady-state path (empty fallback) this is the whole drain —
@@ -566,6 +672,11 @@ impl Mailbox {
             self.dir.pop_all(batch);
             self.fallback_pending.fetch_sub(q.len(), Ordering::Release);
             batch.append(&mut q);
+        }
+        if self.held.is_some() {
+            for e in batch.iter() {
+                gens.popped[parity(e.ticket)] += 1;
+            }
         }
         // Tickets are unique, so the unstable sort gives push order without
         // the stable sort's scratch allocation.
@@ -597,6 +708,51 @@ impl Mailbox {
         n
     }
 
+    /// Every packet the drains so far returned has been charged (its
+    /// arrival stamp can no longer become a request): release the GVT cover
+    /// of what they held. A no-op on an uncovered mailbox.
+    ///
+    /// Pushes lower the holder slot of their ticket's generation. With
+    /// every generation before the current one charged, the ticket word that
+    /// all charged pushes lie below is published as `clean`: a mailbox whose
+    /// ticket still reads it holds nothing, whatever its slots say, so an
+    /// idle mailbox never pins GVT.
+    ///
+    /// A busy one is never clean, and its current slot only falls. A GVT
+    /// read that finds it holding asks for a turn: at its next settle with
+    /// something popped, the ticket word turns to the next generation (one
+    /// swap), which returns the finished one's size; once that many are
+    /// popped, the finished generation's slot is cleared. A push whose
+    /// ticket was taken but whose entry was not yet visible keeps its
+    /// generation's slot set until a later drain pops it. Turns follow GVT
+    /// reads (one per 512 intervals a resource records), not messages, so
+    /// no push or drain pays for them in the steady state.
+    pub fn settle(&self) {
+        let Some(held) = &self.held else {
+            return;
+        };
+        let mut st = self.drain_scratch.lock();
+        let g = &mut st.gens;
+        let (cur, prev) = (g.cur as usize & 1, (g.cur as usize + 1) & 1);
+        if g.popped[prev] < g.prev_size {
+            return;
+        }
+        held.clear(prev);
+        if g.popped[cur] > 0 && held.asked.load(Ordering::Relaxed) {
+            held.asked.store(false, Ordering::Relaxed);
+            g.popped[prev] = 0;
+            let size = self.ticket.swap((g.cur + 1) << GEN_SHIFT, Ordering::AcqRel) & INDEX_MASK;
+            g.cur += 1;
+            g.prev_size = size;
+            if g.popped[cur] < size {
+                return;
+            }
+            held.clear(cur);
+        }
+        let clean = (g.cur << GEN_SHIFT) + g.popped[g.cur as usize & 1];
+        held.clean.0.store(clean, Ordering::Release);
+    }
+
     /// Whether the queue is currently empty — the progress engine's fast
     /// path: one load for the fallback plus one ring-index read per
     /// registered channel, no locks, no stores.
@@ -619,6 +775,25 @@ impl Mailbox {
     /// is written.
     pub fn notifier(&self) -> &Arc<Notify> {
         &self.notify
+    }
+}
+
+impl Holder for Mailbox {
+    /// `u64::MAX` while every push is charged (the ticket still reads
+    /// `clean`; read after it), else the lower holder slot, asking the
+    /// consumer to turn (see [`Mailbox::settle`]).
+    fn floor(&self) -> Nanos {
+        let Some(held) = &self.held else {
+            return Nanos(u64::MAX);
+        };
+        if held.clean.0.load(Ordering::Acquire) == self.ticket.load(Ordering::Acquire) {
+            return Nanos(u64::MAX);
+        }
+        if !held.asked.load(Ordering::Relaxed) {
+            held.asked.store(true, Ordering::Relaxed);
+        }
+        let [a, b] = &held.low;
+        Nanos(a.0.load(Ordering::Acquire).min(b.0.load(Ordering::Acquire)))
     }
 }
 

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rankmpi_vtime::Counter;
+use rankmpi_vtime::{Counter, Gvt};
 
 use crate::{HwContext, NetworkProfile};
 
@@ -25,6 +25,8 @@ pub struct Nic {
     /// Channels that fell back to sharing (pool exhausted — the Lesson 3
     /// oversubscription event).
     alloc_shared: Arc<Counter>,
+    /// What bounds its contexts' histories; `None` never prunes.
+    gvt: Option<Arc<Gvt>>,
 }
 
 #[derive(Debug)]
@@ -49,7 +51,24 @@ impl Nic {
             }),
             alloc_dedicated: Arc::new(Counter::new()),
             alloc_shared: Arc::new(Counter::new()),
+            gvt: None,
         }
+    }
+
+    /// This NIC with every context it allocates
+    /// [`pruned_by`](HwContext::pruned_by) `gvt`.
+    pub fn pruned_by(mut self, gvt: &Arc<Gvt>) -> Self {
+        self.gvt = Some(Arc::clone(gvt));
+        self
+    }
+
+    /// A new context at pool position `id`.
+    fn new_context(&self, id: usize) -> Arc<HwContext> {
+        let ctx = HwContext::new(self.node, id, &self.profile);
+        Arc::new(match &self.gvt {
+            Some(gvt) => ctx.pruned_by(gvt),
+            None => ctx,
+        })
     }
 
     /// Node id this NIC belongs to.
@@ -70,7 +89,7 @@ impl Nic {
         let mut st = self.state.lock();
         st.allocations += 1;
         let ctx = if st.contexts.len() < self.profile.max_hw_contexts {
-            let ctx = Arc::new(HwContext::new(self.node, st.contexts.len(), &self.profile));
+            let ctx = self.new_context(st.contexts.len());
             st.contexts.push(Arc::clone(&ctx));
             self.alloc_dedicated.incr();
             ctx
@@ -117,7 +136,7 @@ impl Nic {
         let mut st = self.state.lock();
         st.allocations += 1;
         let ctx = if st.contexts.len() < self.profile.max_hw_contexts {
-            let ctx = Arc::new(HwContext::new(self.node, st.contexts.len(), &self.profile));
+            let ctx = self.new_context(st.contexts.len());
             st.contexts.push(Arc::clone(&ctx));
             self.alloc_dedicated.incr();
             ctx

@@ -77,13 +77,15 @@ impl VirtualBarrier {
     }
 
     /// Arrive at the barrier; blocks (for real) until all `n` arrive, then sets
-    /// the caller's clock to the joined release time.
+    /// the caller's clock to the joined release time. A blocking point: the
+    /// caller's clock [publishes](Clock::publish) its arrival time.
     ///
     /// Waiting is [`Notify::wait_until`] on the generation turning: an engine
     /// task parks (1k waiting tasks cost nothing), a thread under a
     /// [`sched`] hook yields between polls, any other thread
     /// polls briefly, then sleeps.
     pub fn wait(&self, clock: &mut Clock) {
+        clock.publish();
         sched::yield_point(SchedPoint::BarrierArrive);
         let (my_gen, last) = {
             let mut st = self.state.lock();

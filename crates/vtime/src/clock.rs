@@ -1,5 +1,6 @@
 //! Per-thread virtual clocks.
 
+use crate::gvt::Cover;
 use crate::Nanos;
 
 /// The virtual clock of one simulated thread.
@@ -11,21 +12,34 @@ use crate::Nanos;
 /// `Resource`s, [`ContentionLock`](crate::ContentionLock)s and
 /// [`VirtualBarrier`](crate::VirtualBarrier)s, which is what keeps the accounting
 /// race-free.
-#[derive(Debug, Clone)]
+///
+/// A clock of a universe's simulated thread is [`covered`](Clock::covered):
+/// it owns a [`Gvt`](crate::gvt::Gvt) slot and [`publish`](Clock::publish)es
+/// its time there at blocking points. A clone is a scratch copy and owns no
+/// slot.
+#[derive(Debug)]
 pub struct Clock {
     now: Nanos,
     /// Total time this clock spent blocked waiting on others (arrivals, barriers).
     /// Useful for separating "communication time" from "wait time" in reports.
     waited: Nanos,
+    cover: Option<Cover>,
+}
+
+impl Clone for Clock {
+    fn clone(&self) -> Self {
+        Clock {
+            now: self.now,
+            waited: self.waited,
+            cover: None,
+        }
+    }
 }
 
 impl Clock {
     /// A clock starting at the simulation epoch.
     pub fn new() -> Self {
-        Clock {
-            now: Nanos::ZERO,
-            waited: Nanos::ZERO,
-        }
+        Self::starting_at(Nanos::ZERO)
     }
 
     /// A clock starting at a given instant (e.g. a thread spawned mid-run).
@@ -33,6 +47,26 @@ impl Clock {
         Clock {
             now,
             waited: Nanos::ZERO,
+            cover: None,
+        }
+    }
+
+    /// A clock at the time `cover` publishes, owning that GVT slot.
+    pub fn covered(cover: Cover) -> Self {
+        Clock {
+            now: cover.get(),
+            waited: Nanos::ZERO,
+            cover: Some(cover),
+        }
+    }
+
+    /// A blocking point: publish the current time as this clock's GVT
+    /// bound. Every request the clock makes until it publishes again is at
+    /// or after it. A no-op on a clock that owns no slot.
+    #[inline]
+    pub fn publish(&self) {
+        if let Some(c) = &self.cover {
+            c.set(self.now);
         }
     }
 

@@ -25,9 +25,11 @@
 //! sorted array in chunks of 512 intervals, each stored as 32-bit offsets from its
 //! chunk's base (8 bytes): a request from its last interval on — the steady state —
 //! is O(1), an earlier one is a binary search plus a move within one chunk. History
-//! is bounded at 2^20 intervals per resource; the oldest half is
-//! then forgotten, and [`Resource::clamped`] counts the requests that arrived too
-//! late to see it (0 means every result is exact).
+//! is bounded by the universe's global virtual time ([`gvt`]): the least time any
+//! future request can carry, published by every live clock at its blocking points
+//! and by every mailbox for the packets it holds. Chunks that end at or before it
+//! are dropped, so no result changes; [`Resource::below_horizon`] counts requests
+//! that break that contract (0 means every result is exact).
 //!
 //! Costs follow the classic LogGP accounting (overhead `o`, gap `g`, latency `L`,
 //! per-byte time `G`), so the *shape* of every benchmark — who wins, by what
@@ -43,6 +45,8 @@
 //!   [`Notify::wait_until`], the one place the rule for *how* it waits lives
 //!   (an engine task parks, a `sched`-armed thread yields, a plain thread
 //!   polls, then sleeps);
+//! - [`gvt`]: the universe-wide lower bound on future requests that bounds
+//!   every pruned resource's history;
 //! - [`stats`]: lightweight atomic counters/accumulators used for byte and
 //!   collision accounting in the experiments;
 //! - [`sched`]: optional per-thread scheduling hooks that turn every clock
@@ -56,6 +60,7 @@
 pub mod barrier;
 pub mod clock;
 pub mod engine;
+pub mod gvt;
 pub mod lock;
 pub mod nanos;
 pub mod notify;
@@ -65,6 +70,7 @@ pub mod stats;
 
 pub use barrier::VirtualBarrier;
 pub use clock::Clock;
+pub use gvt::Gvt;
 pub use lock::{ContentionLock, LockCosts, UnmodeledGuard};
 pub use nanos::Nanos;
 pub use notify::Notify;

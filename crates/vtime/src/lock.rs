@@ -1,12 +1,13 @@
 //! Contention-aware locks: real mutual exclusion plus virtual-time cost modeling.
 
 use std::mem::ManuallyDrop;
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::engine;
 use crate::sched::{self, SchedPoint};
-use crate::{Clock, Counter, Nanos, Notify, Resource};
+use crate::{Clock, Counter, Gvt, Nanos, Notify, Resource};
 
 /// Cost parameters for a [`ContentionLock`].
 ///
@@ -95,6 +96,14 @@ impl<T> ContentionLock<T> {
             acquisitions: Counter::new(),
             released: Notify::new(),
         }
+    }
+
+    /// This lock with its section schedule's history bounded by `gvt` (see
+    /// [`Resource::pruned_by`]).
+    pub fn pruned_by(mut self, gvt: &Arc<Gvt>) -> Self {
+        let held = self.inner.get_mut();
+        held.sections = std::mem::take(&mut held.sections).pruned_by(gvt);
+        self
     }
 
     /// Acquire the lock, charging the caller's clock `acquire_base`. The

@@ -1,10 +1,21 @@
 //! Serialized shared resources with gap-aware virtual-time scheduling.
+//!
+//! A [`Resource`]'s history is bounded by its universe's
+//! [GVT](crate::gvt): whole chunks of intervals that end at or before it
+//! are dropped when the schedule opens a new chunk. There is no other cap.
+//! The contract that makes this exact is the GVT's: no request may arrive
+//! below the *pruned horizon* (the end of the last interval dropped). One
+//! that does is a bug, which fails a `debug_assert!` and is counted
+//! ([`Resource::below_horizon`], [`Gvt::below_horizon`]). A resource built
+//! without [`pruned_by`](Resource::pruned_by) keeps its horizon at 0 and
+//! never forgets.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::Nanos;
+use crate::{Gvt, Nanos};
 
 /// The outcome of queueing on a [`Resource`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,10 +41,6 @@ const CHUNK: usize = 512;
 
 /// The widest range one [`Chunk`] covers: its offsets are `u32`.
 const SPAN: u64 = u32::MAX as u64;
-
-/// History bound (8 MiB of intervals). A resource that reaches it forgets
-/// its oldest half; see [`Resource::clamped`].
-const MAX_INTERVALS: usize = 1 << 20;
 
 /// Up to [`CHUNK`] sorted intervals `(base + start, base + end)`, 8 bytes
 /// each. `base` lies at or below the first start, and every end lies within
@@ -125,6 +132,9 @@ struct Schedule {
     chunks: Vec<Chunk>,
     /// Entries, each piece counted.
     len: usize,
+    /// The pruned horizon: the end of the last interval dropped. Every
+    /// interval that ends after it is still here.
+    horizon: u64,
 }
 
 impl Schedule {
@@ -256,18 +266,18 @@ impl Schedule {
         self.chunks.splice(c..=c, rebuilt);
     }
 
-    /// Drop the oldest half of the history as whole chunks; returns the end
-    /// of the last interval dropped.
-    fn forget_oldest_half(&mut self) -> u64 {
-        let (mut dropped, mut k) = (0, 0);
-        while dropped < self.len / 2 {
-            dropped += self.chunks[k].iv.len();
-            k += 1;
+    /// Drop every chunk but the last whose intervals all end at or before
+    /// `gvt`, with one drain, raising the horizon to where they ended.
+    fn prune(&mut self, gvt: u64) {
+        let Some((_, older)) = self.chunks.split_last() else {
+            return;
+        };
+        let k = older.partition_point(|c| c.last().1 <= gvt);
+        if k == 0 {
+            return;
         }
-        let end = self.chunks[k - 1].last().1;
-        self.chunks.drain(..k);
-        self.len -= dropped;
-        end
+        self.horizon = self.chunks[k - 1].last().1;
+        self.len -= self.chunks.drain(..k).map(|c| c.iv.len()).sum::<usize>();
     }
 }
 
@@ -293,11 +303,14 @@ impl Schedule {
 /// and up to 512 intervals as 32-bit offsets from it: 8 bytes per
 /// remembered interval. A request from the last interval's start on is
 /// served at or past the frontier (that interval's end) in O(1); an earlier
-/// one binary-searches the chunk heads, then one chunk. A resource that has
-/// accumulated 2^20 intervals forgets the oldest half and raises its floor
-/// to where they ended, so memory is bounded;
-/// [`clamped`](Resource::clamped) counts the requests this could have
-/// affected.
+/// one binary-searches the chunk heads, then one chunk.
+///
+/// History is bounded by the GVT of the universe the resource was
+/// [`pruned_by`](Resource::pruned_by): when the schedule opens a chunk, it
+/// reads the GVT and drops, with one drain, every older chunk whose
+/// intervals all end at or before it. A request below the pruned horizon
+/// breaks the GVT's contract; it is served from the horizon, counted in
+/// [`below_horizon`](Resource::below_horizon), and fails a `debug_assert!`.
 #[derive(Debug)]
 pub struct Resource {
     schedule: Mutex<Schedule>,
@@ -311,10 +324,13 @@ pub struct Resource {
 struct Bounds {
     /// No request may be scheduled before this floor.
     floor: AtomicU64,
-    clamped: AtomicU64,
     /// The frontier, mirrored for lock-free `next_free` reads. Written
     /// while the schedule is held.
     max_end: AtomicU64,
+    /// Requests that arrived below the pruned horizon.
+    below: AtomicU64,
+    /// What bounds the history; `None` never prunes.
+    gvt: Option<Arc<Gvt>>,
 }
 
 impl Bounds {
@@ -322,16 +338,18 @@ impl Bounds {
     /// holds `schedule` and has counted the request.
     fn reserve(&self, schedule: &mut Schedule, now: Nanos, busy: Nanos) -> Acquisition {
         let busy = busy.as_ns();
-        // Clamp while holding the schedule: the history cap below raises the
-        // floor while holding it, and nothing may be scheduled into
-        // forgotten time.
-        let start = schedule.reserve(self.clamp(now.as_ns()), busy);
+        let chunks = schedule.chunks.len();
+        let start = schedule.reserve(self.admit(schedule, now.as_ns()), busy);
         if start + busy > self.max_end.load(Ordering::Relaxed) {
             self.max_end.store(start + busy, Ordering::Release);
         }
-        if schedule.len >= MAX_INTERVALS {
-            let forgotten = schedule.forget_oldest_half();
-            self.floor.fetch_max(forgotten, Ordering::AcqRel);
+        if let Some(gvt) = self
+            .gvt
+            .as_deref()
+            .filter(|_| schedule.chunks.len() > chunks)
+        {
+            gvt.note_history(schedule.len);
+            schedule.prune(gvt.read().as_ns());
         }
         Acquisition {
             start: Nanos(start),
@@ -342,22 +360,35 @@ impl Bounds {
     /// A zero-length request occupies nothing: it is served at `now`,
     /// raised to the floor.
     fn instant(&self, now: Nanos) -> Acquisition {
-        let at = Nanos(self.clamp(now.as_ns()));
+        let at = Nanos(self.floored(now.as_ns()));
         Acquisition { start: at, end: at }
     }
 
-    /// `now` raised to the floor, counting the requests that had to be.
-    fn clamp(&self, now: u64) -> u64 {
-        let floor = self.floor.load(Ordering::Acquire);
-        if now < floor {
-            self.clamped.fetch_add(1, Ordering::Relaxed);
+    fn floored(&self, now: u64) -> u64 {
+        now.max(self.floor.load(Ordering::Acquire))
+    }
+
+    /// `now` raised to the floor, then checked against the pruned horizon.
+    fn admit(&self, schedule: &Schedule, now: u64) -> u64 {
+        let now = self.floored(now);
+        if now >= schedule.horizon {
+            return now;
         }
-        now.max(floor)
+        self.below.fetch_add(1, Ordering::Relaxed);
+        if let Some(gvt) = &self.gvt {
+            gvt.note_below();
+        }
+        debug_assert!(
+            false,
+            "request at {now} ns below the pruned horizon {} ns",
+            schedule.horizon
+        );
+        schedule.horizon
     }
 }
 
 impl Resource {
-    /// A resource that is free from the simulation epoch.
+    /// A resource that is free from the simulation epoch and never forgets.
     pub fn new() -> Self {
         Resource {
             schedule: Mutex::default(),
@@ -365,6 +396,12 @@ impl Resource {
             busy_total: AtomicU64::new(0),
             acquisitions: AtomicU64::new(0),
         }
+    }
+
+    /// This resource with its history bounded by `gvt` (see the type docs).
+    pub fn pruned_by(mut self, gvt: &Arc<Gvt>) -> Self {
+        self.bounds.gvt = Some(Arc::clone(gvt));
+        self
     }
 
     /// Reserve the earliest `busy`-long slot at or after `now`.
@@ -411,12 +448,11 @@ impl Resource {
         self.acquisitions.load(Ordering::Relaxed)
     }
 
-    /// Number of requests that arrived below the floor and were moved up to
-    /// it. The floor rises through [`advance_to`](Resource::advance_to) and
-    /// when the history bound forgets old intervals; while this is 0, every
-    /// result is the one an unbounded history would have given.
-    pub fn clamped(&self) -> u64 {
-        self.bounds.clamped.load(Ordering::Relaxed)
+    /// Number of requests that arrived below the pruned horizon and were
+    /// served from it. While this is 0, every result is the one an unbounded
+    /// history would have given.
+    pub fn below_horizon(&self) -> u64 {
+        self.bounds.below.load(Ordering::Relaxed)
     }
 
     /// Fraction of `[0, horizon]` the resource was busy (clamped to 1.0).
@@ -498,13 +534,29 @@ mod tests {
     }
 
     /// A `Resource` served through the shared path, one served through
-    /// the exclusive path, and the reference, fed the same requests.
+    /// the exclusive path, and the reference, fed the same requests. A
+    /// pruned pair's resources forget what lies behind `h`, a horizon that
+    /// [`play`](Pair::play) moves; the map never forgets.
     #[derive(Default)]
     struct Pair {
         r: Resource,
         x: Resource,
         m: MapResource,
+        h: Option<Horizon>,
     }
+
+    /// A GVT in a run, held down by one clock slot at `at`.
+    struct Horizon {
+        gvt: Arc<Gvt>,
+        cover: crate::gvt::Cover,
+        _run: crate::gvt::RunGuard,
+        at: u64,
+    }
+
+    /// Live intervals a pruned resource may hold while its horizon trails
+    /// the frontier by less than 64 ns: the chunk the horizon falls in,
+    /// the chunk being filled, and the intervals above the horizon.
+    const PRUNED_BOUND: usize = 3 * CHUNK;
 
     impl Pair {
         /// Both sides after `n` in-order requests of `busy`, each `gap`
@@ -526,7 +578,33 @@ mod tests {
                 acquisitions: n as u64,
                 max_end: n as u64 * (gap + busy),
             };
-            Pair { r, x, m }
+            Pair { r, x, m, h: None }
+        }
+
+        /// An empty pair whose resources are pruned by a horizon at 0.
+        fn pruned() -> Pair {
+            let gvt = Gvt::new();
+            let h = Horizon {
+                cover: gvt.clock(Nanos::ZERO),
+                _run: gvt.enter_run(),
+                at: 0,
+                gvt: Arc::clone(&gvt),
+            };
+            Pair {
+                r: Resource::new().pruned_by(&gvt),
+                x: Resource::new().pruned_by(&gvt),
+                h: Some(h),
+                ..Pair::default()
+            }
+        }
+
+        /// Move the horizon (never back) to `lag` behind the frontier.
+        fn trail(&mut self, lag: u64) {
+            let frontier = self.m.max_end;
+            if let Some(h) = &mut self.h {
+                h.at = h.at.max(frontier.saturating_sub(lag));
+                h.cover.set(Nanos(h.at));
+            }
         }
 
         fn acquire(&mut self, now: u64, busy: u64) -> Acquisition {
@@ -546,10 +624,14 @@ mod tests {
 
         /// Requests aimed relative to the frontier, so that they keep
         /// landing on chunk boundaries: gaps below `gap` and slots below
-        /// `busy` (4 × `busy` behind the frontier).
+        /// `busy` (4 × `busy` behind the frontier). A pruned pair first
+        /// moves its horizon to `b % 64` behind the frontier, raises every
+        /// request to it, and checks the live history's bound.
         fn play(&mut self, script: Vec<(u8, u64, u64)>, gap: u64, busy: u64) {
             let mut served = Vec::new();
             for (kind, a, b) in script {
+                self.trail(b % 64);
+                let floor = self.h.as_ref().map_or(0, |h| h.at);
                 let frontier = self.m.max_end;
                 let (now, busy) = match kind {
                     0..=15 => (frontier + 1 + a % gap, 1 + b % busy), // in order, sparse
@@ -569,7 +651,11 @@ mod tests {
                         continue;
                     }
                 };
-                served.push(self.acquire(now, busy));
+                served.push(self.acquire(now.max(floor), busy));
+                if self.h.is_some() {
+                    let live = self.r.schedule.lock().len;
+                    assert!(live <= PRUNED_BOUND, "{live} live intervals");
+                }
             }
         }
 
@@ -581,20 +667,28 @@ mod tests {
         }
 
         /// Same counters, same intervals, and the chunk invariants hold, on
-        /// both paths.
+        /// both paths. A pruned schedule holds the map's intervals that end
+        /// after its horizon.
         fn check(&self) {
-            let want: Vec<(u64, u64)> = self.m.intervals.iter().map(|(&s, &e)| (s, e)).collect();
             for r in [&self.r, &self.x] {
                 assert_eq!(r.next_free(), Nanos(self.m.max_end));
                 assert_eq!(r.busy_total(), Nanos(self.m.busy_total));
                 assert_eq!(r.acquisitions(), self.m.acquisitions);
-                assert_eq!(r.clamped(), self.r.clamped());
+                assert_eq!(r.below_horizon(), 0);
                 let s = r.schedule.lock();
+                let mut want: Vec<(u64, u64)> = self
+                    .m
+                    .intervals
+                    .iter()
+                    .map(|(&s, &e)| (s, e))
+                    .filter(|&(_, e)| e > s.horizon)
+                    .collect();
                 assert!(s.chunks.iter().all(|c| (1..=CHUNK).contains(&c.iv.len())));
                 let pieces: Vec<(u64, u64)> = s.chunks.iter().flat_map(Chunk::intervals).collect();
                 assert_eq!(pieces.len(), s.len);
                 // Touching neighbours are pieces of one interval wider
-                // than a chunk's range; joined, they are the map's.
+                // than a chunk's range; joined, they are the map's. The
+                // first may be the tail of a map interval the horizon cut.
                 let mut flat: Vec<(u64, u64)> = Vec::new();
                 for (start, end) in pieces {
                     match flat.last_mut() {
@@ -603,6 +697,11 @@ mod tests {
                             prev.1 = end;
                         }
                         _ => flat.push((start, end)),
+                    }
+                }
+                if let (Some(f), Some(w)) = (flat.first(), want.first_mut()) {
+                    if f.0 == s.horizon && w.0 < f.0 && w.1 == f.1 {
+                        w.0 = f.0;
                     }
                 }
                 assert_eq!(flat, want);
@@ -754,7 +853,7 @@ mod tests {
         assert_eq!(r.schedule.lock().len, 100);
         assert_eq!(r.busy_total(), Nanos(2400));
         assert_eq!(r.next_free(), Nanos(9924));
-        assert_eq!(r.clamped(), 0);
+        assert_eq!(r.below_horizon(), 0);
     }
 
     #[test]
@@ -923,35 +1022,69 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A pruned resource and the map that never forgets, fed the same
+        /// requests above a horizon that trails the frontier by a random
+        /// lag: every `Acquisition` is the map's, and the live history stays
+        /// within a fixed number of chunks however long the script runs.
+        #[test]
+        fn pruned_history_matches_the_map_and_stays_bounded(
+            preamble in 0usize..3 * CHUNK,
+            script in collection::vec((0u8..64, any::<u64>(), any::<u64>()), 1..2 * CHUNK)
+        ) {
+            // In-order sparse requests with the horizon at the frontier,
+            // then the mixed script.
+            let mut p = Pair::pruned();
+            p.play(vec![(0, 7, 0); preamble], 16, 8);
+            if preamble >= 2 * CHUNK {
+                prop_assert!(p.r.schedule.lock().horizon > 0, "the preamble pruned");
+            }
+            p.play(script, 16, 8);
+            p.check();
+        }
+    }
+
     #[test]
-    fn history_is_bounded_and_late_requests_are_clamped_and_counted() {
-        let mut p = Pair::with_sparse_history(MAX_INTERVALS - 1, 10, 5);
-        let before = (p.r.next_free(), p.r.busy_total());
-        assert_eq!(p.r.schedule.lock().len, MAX_INTERVALS - 1);
-        p.append_sparse(5_001, 10, 5);
-        // The append that reached the bound dropped the oldest half.
-        assert_eq!(p.r.schedule.lock().len, MAX_INTERVALS / 2 + 5_000);
-        assert_eq!(p.r.clamped(), 0);
-        assert_eq!(p.r.next_free(), before.0 + Nanos(5_001 * 15));
-        assert_eq!(p.r.busy_total(), before.1 + Nanos(5_001 * 5));
-
-        // The floor is the end of the last interval dropped; the history
-        // above it still backfills exactly as the unbounded map does.
-        let floor = MAX_INTERVALS as u64 / 2 * 15;
+    fn pruning_drops_whole_chunks_behind_the_horizon() {
+        let mut p = Pair::pruned();
+        p.append_sparse(3 * CHUNK, 10, 5); // [10, 15), [25, 30), ...
         assert_eq!(
-            p.r.schedule.lock().chunks[0].get(0),
-            (floor + 10, floor + 15)
+            p.r.schedule.lock().len,
+            3 * CHUNK,
+            "a horizon at 0 keeps all"
         );
-        p.acquire(floor, 10);
-        p.acquire(floor + 3, 7);
-        assert_eq!(p.r.clamped(), 0);
+        // Opening the next chunk reads the horizon: both chunks that end at
+        // or before it go in one drain, the one it falls inside stays.
+        p.trail(CHUNK as u64 * 15 / 2);
+        p.append_sparse(1, 10, 5);
+        {
+            let s = p.r.schedule.lock();
+            assert_eq!((s.chunks.len(), s.len), (2, CHUNK + 1));
+            assert_eq!(s.horizon, 2 * CHUNK as u64 * 15);
+        }
+        // Requests from the horizon on still backfill exactly.
+        let h = p.h.as_ref().map_or(0, |h| h.at);
+        p.acquire(h, 3);
+        p.acquire(h + 1, 30);
+        p.check();
+    }
 
-        // Below it the map would have found the gap at 0; the bounded
-        // schedule starts searching at the floor, and says so.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "below the pruned horizon"))]
+    fn a_request_below_the_pruned_horizon_is_counted() {
+        let mut p = Pair::pruned();
+        p.append_sparse(CHUNK, 10, 5);
+        p.trail(0);
+        p.append_sparse(1, 10, 5);
+        let gvt = Arc::clone(&p.h.as_ref().unwrap().gvt);
+        // Served from the horizon, where the map would have found the gap
+        // at 0: a result no unbounded history gives, hence the count.
         let late = p.r.acquire(Nanos(0), Nanos(10));
-        assert_eq!(late.start, Nanos(floor + 30));
-        assert_eq!(p.r.clamped(), 1);
+        assert_eq!(late.start, Nanos(CHUNK as u64 * 15));
+        assert_eq!((p.r.below_horizon(), gvt.below_horizon()), (1, 1));
         assert_eq!(p.x.acquire_exclusive(Nanos(0), Nanos(10)), late);
-        assert_eq!(p.x.clamped(), 1);
+        assert_eq!(gvt.below_horizon(), 2);
     }
 }
