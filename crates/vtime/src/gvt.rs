@@ -32,6 +32,12 @@
 //!
 //! Outside [`Gvt::enter_run`] GVT reads 0: a driver outside a run may start
 //! clocks anywhere.
+//!
+//! A read visits every slot and holder, so a pruned resource reads a recent
+//! value instead: the GVT recomputed once the chunks opened since the last
+//! computation reach one per 64 entries a read would visit, and reused in
+//! between. GVT only grows within a run, so an older value is still a lower
+//! bound.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -47,6 +53,11 @@ pub trait Holder: Send + Sync {
     /// nothing is held).
     fn floor(&self) -> Nanos;
 }
+
+/// How many slots and holders one chunk opening may pay to visit, on
+/// average: a universe of a few slots reads GVT at every opening, a 1k-rank
+/// one (≈8k entries) once per 128.
+const ENTRIES_PER_OPEN: usize = 64;
 
 /// One clock's published lower bound, alone on its 128-byte block (two
 /// lines: adjacent-line prefetch pairs them), so its owner's stores bounce
@@ -64,6 +75,12 @@ pub struct Gvt {
     clocks: RwLock<Vec<Arc<Slot>>>,
     free: Mutex<Vec<usize>>,
     holders: RwLock<Vec<Weak<dyn Holder>>>,
+    /// Clock slots and holders registered.
+    entries: AtomicUsize,
+    /// The last value [`recent`](Gvt::recent) computed, and the chunk
+    /// openings since.
+    cached: AtomicU64,
+    opens: AtomicUsize,
     /// Runs in progress ([`enter_run`](Gvt::enter_run)).
     runs: AtomicUsize,
     /// Requests that arrived below a resource's pruned horizon.
@@ -84,6 +101,7 @@ impl Gvt {
         let (index, slot) = match reused {
             Some(i) => (i, Arc::clone(&self.clocks.read()[i])),
             None => {
+                self.entries.fetch_add(1, Ordering::Relaxed);
                 let mut clocks = self.clocks.write();
                 clocks.push(Arc::new(Slot(AtomicU64::new(u64::MAX))));
                 (clocks.len() - 1, Arc::clone(&clocks[clocks.len() - 1]))
@@ -100,16 +118,33 @@ impl Gvt {
     /// Count `holder` in every later read, for as long as it lives. Register
     /// it before it takes over any stamp.
     pub fn hold(&self, holder: Weak<dyn Holder>) {
-        let mut holders = self.holders.write();
-        holders.retain(|h| h.strong_count() > 0);
-        holders.push(holder);
+        self.entries.fetch_add(1, Ordering::Relaxed);
+        self.holders.write().push(holder);
     }
 
     /// Mark a run in progress until the guard drops. Register the clocks that
-    /// start with the run first.
+    /// start with the run first. A run's clocks start at 0, so what an
+    /// earlier run computed no longer bounds anything.
     pub fn enter_run(self: &Arc<Self>) -> RunGuard {
+        self.cached.store(0, Ordering::Release);
         self.runs.fetch_add(1, Ordering::AcqRel);
         RunGuard(Arc::clone(self))
+    }
+
+    /// [`read`](Gvt::read), or the last value this computed while fewer
+    /// than one chunk opening per [`ENTRIES_PER_OPEN`] entries has passed
+    /// since. Called once per chunk a pruned resource opens.
+    pub(crate) fn recent(&self) -> Nanos {
+        if self.runs.load(Ordering::Acquire) == 0 {
+            return Nanos::ZERO;
+        }
+        let opens = self.opens.fetch_add(1, Ordering::Relaxed) + 1;
+        if opens * ENTRIES_PER_OPEN < self.entries.load(Ordering::Relaxed) {
+            return Nanos(self.cached.load(Ordering::Acquire));
+        }
+        self.opens.store(0, Ordering::Relaxed);
+        let now = self.read().as_ns();
+        Nanos(self.cached.fetch_max(now, Ordering::AcqRel).max(now))
     }
 
     /// The least time any request can still carry: the minimum over every
@@ -241,5 +276,24 @@ mod tests {
         drop(run);
         assert_eq!(gvt.read(), Nanos::ZERO);
         drop(b);
+    }
+
+    #[test]
+    fn recent_reuses_its_last_value_until_enough_chunks_opened() {
+        // Two openings per computation at 2 × ENTRIES_PER_OPEN entries.
+        let gvt = Gvt::new();
+        let covers: Vec<_> = (0..2 * ENTRIES_PER_OPEN)
+            .map(|_| gvt.clock(Nanos(10)))
+            .collect();
+        let run = gvt.enter_run();
+        assert_eq!(gvt.recent(), Nanos::ZERO, "nothing computed in this run");
+        assert_eq!(gvt.recent(), Nanos(10));
+        covers.iter().for_each(|c| c.set(Nanos(20)));
+        assert_eq!(gvt.recent(), Nanos(10), "still the last value");
+        assert_eq!(gvt.recent(), Nanos(20));
+        drop(run);
+        assert_eq!(gvt.recent(), Nanos::ZERO, "outside a run");
+        let _run = gvt.enter_run();
+        assert_eq!(gvt.recent(), Nanos::ZERO, "a new run starts over");
     }
 }

@@ -349,7 +349,7 @@ impl Bounds {
             .filter(|_| schedule.chunks.len() > chunks)
         {
             gvt.note_history(schedule.len);
-            schedule.prune(gvt.read().as_ns());
+            schedule.prune(gvt.recent().as_ns());
         }
         Acquisition {
             start: Nanos(start),
