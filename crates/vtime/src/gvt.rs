@@ -30,8 +30,8 @@
 //! of one snapshot, with no acknowledgement and no read-modify-write per
 //! message.
 //!
-//! Outside [`Gvt::enter_run`] GVT reads 0: a driver outside a run may start
-//! clocks anywhere.
+//! Outside [`Gvt::enter_run`] GVT reads 0: code that steps a universe
+//! outside a run may start clocks anywhere.
 //!
 //! A read visits every slot and holder, so a pruned resource reads a recent
 //! value instead: the GVT recomputed once the chunks opened since the last
