@@ -101,4 +101,4 @@ pub use request::Request;
 pub use rma::{AccumulateOrdering, Window};
 pub use tag::{TagHash, TagLayout, TagPlacement, TAG_UB};
 pub use universe::{LaunchMode, TaskLaunch, ThreadLevel, Universe, UniverseBuilder};
-pub use vci::{BatchSend, Vci, VciPolicy};
+pub use vci::{BatchSend, Route, Vci, VciPolicy};

@@ -27,13 +27,14 @@ use crate::matching::{MatchPattern, Status, ANY_SOURCE, ANY_TAG};
 use crate::proc::ThreadCtx;
 use crate::request::{ReqState, Request};
 use crate::tag::TAG_UB;
-use crate::vci::{select_recv_vci, select_vcis, BatchSend, Vci, VciPolicy, KIND_PT2PT};
+use crate::vci::{select_recv_vci, select_vcis, BatchSend, Route, VciPolicy, KIND_PT2PT};
 
 /// One message of an [`isend_multi_on_vcis`] batch: explicit VCI indices and
 /// matching context, as in [`isend_on_vcis`].
 ///
 /// [`isend_multi_on_vcis`]: Communicator::isend_multi_on_vcis
 /// [`isend_on_vcis`]: Communicator::isend_on_vcis
+#[derive(Clone, Copy)]
 pub struct SendSpec<'a> {
     /// Sender-side VCI index.
     pub src_vci: usize,
@@ -47,15 +48,6 @@ pub struct SendSpec<'a> {
     pub tag: i64,
     /// Message payload.
     pub data: &'a [u8],
-}
-
-/// One eager message ready to inject: what [`Communicator::stage_send`]
-/// hands the single and the batched send.
-struct Staged<'a> {
-    dvci: &'a Vci,
-    intra: bool,
-    header: Header,
-    payload: Bytes,
 }
 
 impl Communicator {
@@ -77,9 +69,9 @@ impl Communicator {
     }
 
     /// Sender-side and receiver-side VCI indices for a message to `dst`.
-    fn send_vcis(&self, dst: usize, tag: i64) -> Result<(usize, usize)> {
+    fn send_vcis(&self, dst: usize, tag: i64) -> (usize, usize) {
         match self.policy() {
-            VciPolicy::PerRank(vcis) => Ok((vcis[self.rank()], vcis[dst])),
+            VciPolicy::PerRank(vcis) => (vcis[self.rank()], vcis[dst]),
             by_tag => select_vcis(by_tag, self.vci_block(), self.context_id(), tag),
         }
     }
@@ -114,7 +106,7 @@ impl Communicator {
     pub fn send(&self, th: &mut ThreadCtx, dst: usize, tag: i64, data: &[u8]) -> Result<()> {
         self.check_rank(dst)?;
         self.check_tag(tag)?;
-        let (src_vci, dst_vci) = self.send_vcis(dst, tag)?;
+        let (src_vci, dst_vci) = self.send_vcis(dst, tag);
         self.inject(
             th,
             &SendSpec {
@@ -130,8 +122,8 @@ impl Communicator {
 
     /// The per-message half of every send: refuse what fault tolerance
     /// forbids, charge the eager copy out of the user buffer, stamp the
-    /// header and copy the payload into `svci`'s pool.
-    fn stage_send(&self, th: &mut ThreadCtx, svci: &Vci, s: &SendSpec<'_>) -> Result<Staged<'_>> {
+    /// header and copy the payload into the source VCI's pool.
+    fn stage_send(&self, th: &mut ThreadCtx, s: &SendSpec<'_>) -> Result<BatchSend<'_>> {
         debug_assert!(
             Arc::ptr_eq(self.proc(), th.proc()),
             "a communicator is used by threads of its own process"
@@ -158,9 +150,14 @@ impl Communicator {
         th.clock
             .advance(self.proc().costs().copy_cost(s.data.len()));
         let dst_proc = self.universe().proc(dst_global);
-        Ok(Staged {
-            dvci: dst_proc.vci_ref(s.dst_vci),
-            intra: dst_proc.node() == self.proc().node(),
+        let (svci, dst) = (self.proc().vci_ref(s.src_vci), dst_proc.vci_ref(s.dst_vci));
+        Ok(BatchSend {
+            dst_mail: dst.mailbox(),
+            route: Route {
+                src: svci,
+                dst,
+                intra_node: dst_proc.node() == self.proc().node(),
+            },
             header: Header {
                 kind: KIND_PT2PT,
                 context_id: s.ctx_id,
@@ -180,10 +177,11 @@ impl Communicator {
         let _mpi = th.enter_mpi();
         th.proc().maybe_crash(&th.clock, true);
         let entered_at = th.clock.now();
-        let svci = self.proc().vci_ref(spec.src_vci);
-        let m = self.stage_send(th, svci, spec)?;
-        svci.send_packet(&mut th.clock, m.dvci, m.intra, m.header, m.payload);
-        obs::busy("pt2pt", "send", entered_at, th.clock.now(), svci.res_id());
+        let m = self.stage_send(th, spec)?;
+        let r = m.route;
+        r.src
+            .send_packet(&mut th.clock, r.dst, r.intra_node, m.header, m.payload);
+        obs::busy("pt2pt", "send", entered_at, th.clock.now(), r.src.res_id());
         Ok(())
     }
 
@@ -249,21 +247,20 @@ impl Communicator {
             self.check_rank(dst)?;
             self.check_tag(tag)?;
         }
-        let specs = msgs
-            .iter()
-            .map(|&(dst, tag, data)| {
-                let (src_vci, dst_vci) = self.send_vcis(dst, tag)?;
-                Ok(SendSpec {
+        self.inject_multi(
+            th,
+            msgs.iter().map(|&(dst, tag, data)| {
+                let (src_vci, dst_vci) = self.send_vcis(dst, tag);
+                SendSpec {
                     src_vci,
                     dst_vci,
                     ctx_id: self.context_id(),
                     dst,
                     tag,
                     data,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        self.isend_multi_on_vcis(th, &specs)
+                }
+            }),
+        )
     }
 
     /// [`isend_multi`](Communicator::isend_multi) with explicit per-message
@@ -274,11 +271,21 @@ impl Communicator {
         th: &mut ThreadCtx,
         specs: &[SendSpec<'_>],
     ) -> Result<Vec<Request>> {
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
         for s in specs {
             self.check_rank(s.dst)?;
+        }
+        self.inject_multi(th, specs.iter().copied())
+    }
+
+    /// Stage and inject checked messages as one batch per source VCI; a
+    /// request per message. Allocates the staging buffer and the requests.
+    fn inject_multi<'d>(
+        &self,
+        th: &mut ThreadCtx,
+        specs: impl ExactSizeIterator<Item = SendSpec<'d>> + Clone,
+    ) -> Result<Vec<Request>> {
+        if specs.len() == 0 {
+            return Ok(Vec::new());
         }
         let _mpi = th.enter_mpi();
         th.proc().maybe_crash(&th.clock, true);
@@ -287,39 +294,29 @@ impl Communicator {
         // per-channel push order, and the grouping below never reorders
         // same-channel messages (one channel implies one source VCI).
         let mut staged = Vec::with_capacity(specs.len());
-        for s in specs {
-            staged.push(self.stage_send(th, self.proc().vci_ref(s.src_vci), s)?);
+        for s in specs.clone() {
+            staged.push(self.stage_send(th, &s)?);
         }
         // One injection batch per distinct source VCI, in first-appearance
-        // order; message order within each batch is message order.
-        let mut src_vcis: Vec<usize> = Vec::new();
-        for s in specs {
-            if !src_vcis.contains(&s.src_vci) {
-                src_vcis.push(s.src_vci);
+        // order; message order within each batch is message order. Gathering
+        // a batch rotates each of its messages to the end of the batch so
+        // far, which keeps the unsent rest in message order too.
+        let mut sent = 0;
+        while sent < staged.len() {
+            let svci = staged[sent].route.src;
+            let mut end = sent + 1;
+            for i in sent + 1..staged.len() {
+                if std::ptr::eq(staged[i].route.src, svci) {
+                    staged[end..=i].rotate_right(1);
+                    end += 1;
+                }
             }
+            svci.send_batch(&mut th.clock, &mut staged[sent..end]);
+            sent = end;
         }
-        let mut last_res = obs::ResId::NONE;
-        for v in src_vcis {
-            let batch = specs
-                .iter()
-                .zip(&mut staged)
-                .filter(|(s, _)| s.src_vci == v)
-                .map(|(_, m)| BatchSend {
-                    dst: m.dvci,
-                    intra_node: m.intra,
-                    header: m.header,
-                    payload: std::mem::take(&mut m.payload),
-                })
-                .collect();
-            let svci = self.proc().vci_ref(v);
-            svci.send_batch(&mut th.clock, batch);
-            last_res = svci.res_id();
-        }
+        let last_res = staged[sent - 1].route.src.res_id();
         obs::busy("pt2pt", "send_multi", entered_at, th.clock.now(), last_res);
-        Ok(specs
-            .iter()
-            .map(|s| self.sent(th, s.tag, s.data.len()))
-            .collect())
+        Ok(specs.map(|s| self.sent(th, s.tag, s.data.len())).collect())
     }
 
     /// Nonblocking receive. `src` may be [`ANY_SOURCE`], `tag` may be
@@ -630,7 +627,7 @@ mod tests {
                 Info::new(),
             );
             for dst in 0..4 {
-                assert_eq!(c.send_vcis(dst, 9).unwrap(), (vcis[me], vcis[dst]));
+                assert_eq!(c.send_vcis(dst, 9), (vcis[me], vcis[dst]));
             }
             // A wildcard receive is always locatable: the caller's own VCI.
             let (vci, pattern) = c.recv_vci(ANY_SOURCE, ANY_TAG).unwrap();

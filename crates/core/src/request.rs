@@ -616,9 +616,13 @@ mod tests {
     #[test]
     fn an_untaken_payload_is_dropped_on_recycle() {
         let notify = Arc::new(Notify::new());
-        let owner = Arc::new(vec![7u8; 256]);
+        let owner: Arc<[u8]> = Arc::from([7u8; 256]);
         let state = ReqState::recycled(&notify);
-        state.complete(Nanos(1), status(2), Bytes::from_owner(Arc::clone(&owner)));
+        state.complete(
+            Nanos(1),
+            status(2),
+            Bytes::from_shared(Arc::clone(&owner), 256),
+        );
         assert_eq!(Arc::strong_count(&owner), 2);
         drop(Request::ready(state));
         assert_eq!(Arc::strong_count(&owner), 1, "nobody took it");

@@ -68,16 +68,18 @@ pub enum VciPolicy {
     PerRank(Arc<Vec<usize>>),
 }
 
-/// One message of a [`Vci::send_batch`] injection.
-pub struct BatchSend<'a> {
+/// One staged eager message: what a send hands to [`Vci::send_packet`] or,
+/// with its batch, to [`Vci::send_batch`]. `dst_mail` is `route.dst`'s.
+pub type BatchSend<'a> = SendDesc<'a, Route<'a>>;
+
+/// Where a [`BatchSend`] leaves from and goes to.
+pub struct Route<'a> {
+    /// Source VCI: the one whose context injects the message.
+    pub src: &'a Vci,
     /// Destination VCI.
     pub dst: &'a Vci,
     /// Whether the message takes the intra-node shared-memory path.
     pub intra_node: bool,
-    /// Packet header (channel ids and sequence number already stamped).
-    pub header: Header,
-    /// Payload bytes.
-    pub payload: Bytes,
 }
 
 /// Where one matching operation's work is charged — the two time-accounting
@@ -428,41 +430,35 @@ impl Vci {
     /// and ring one amortized doorbell ([`doorbells`](Vci::doorbells) counts
     /// the ring, [`doorbells_coalesced`](Vci::doorbells_coalesced) the `n-1`
     /// sends that shared it). Intra-node messages take the shared-memory path
-    /// individually — shm has no doorbell to amortize (its per-message
-    /// occupancy is payload-sized), so batching buys nothing there.
-    /// Descriptor order is preserved within each path, which preserves
-    /// per-channel FIFO (a channel's messages never straddle the two paths).
-    /// Returned timings are in descriptor order.
-    pub fn send_batch(&self, clock: &mut Clock, descs: Vec<BatchSend<'_>>) -> Vec<TxInfo> {
-        let mut out: Vec<Option<TxInfo>> = (0..descs.len()).map(|_| None).collect();
-        let mut nic: Vec<(usize, BatchSend<'_>)> = Vec::with_capacity(descs.len());
-        for (i, d) in descs.into_iter().enumerate() {
-            if d.intra_node {
-                out[i] = Some(self.send_packet(clock, d.dst, true, d.header, d.payload));
+    /// individually, first — shm has no doorbell to amortize (its
+    /// per-message occupancy is payload-sized), so batching buys nothing
+    /// there. Descriptor order is preserved within each path, which
+    /// preserves per-channel FIFO (a channel's messages never straddle the
+    /// two paths). Payloads are moved out and no timing is returned: the
+    /// batch is locally complete at `clock` on return.
+    pub fn send_batch(&self, clock: &mut Clock, descs: &mut [BatchSend<'_>]) {
+        let mut nic = 0;
+        for i in 0..descs.len() {
+            let d = &mut descs[i];
+            debug_assert!(std::ptr::eq(d.route.src, self), "a batch leaves one VCI");
+            if d.route.intra_node {
+                let payload = std::mem::take(&mut d.payload);
+                self.send_packet(clock, d.route.dst, true, d.header, payload);
             } else {
-                nic.push((i, d));
+                // Close up the NIC messages behind the ones already kept: the
+                // slots in between hold sent intra-node messages.
+                descs.swap(nic, i);
+                nic += 1;
             }
         }
-        if !nic.is_empty() {
-            self.maybe_failover(clock);
-            self.doorbells.incr();
-            self.doorbells_coalesced.add(nic.len() as u64 - 1);
-            let fab_descs = nic
-                .iter()
-                .map(|(_, d)| SendDesc {
-                    dst_mail: &d.dst.mailbox,
-                    header: d.header,
-                    payload: d.payload.clone(),
-                })
-                .collect();
-            let infos = send_batch(&self.profile, clock, self.current_ctx(), fab_descs);
-            for ((i, _), info) in nic.iter().zip(infos) {
-                out[*i] = Some(info);
-            }
+        if nic == 0 {
+            return;
         }
-        out.into_iter()
-            .map(|o| o.expect("every slot filled"))
-            .collect()
+        self.maybe_failover(clock);
+        self.doorbells.incr();
+        self.doorbells_coalesced.add(nic as u64 - 1);
+        let ctx = self.current_ctx();
+        send_batch(&self.profile, clock, ctx, &mut descs[..nic], None);
     }
 
     /// Post a receive on this VCI's engine.
@@ -953,17 +949,17 @@ pub(crate) fn select_vcis(
     block: &[usize],
     context_id: u32,
     tag: i64,
-) -> crate::error::Result<(usize, usize)> {
+) -> (usize, usize) {
     match policy {
-        VciPolicy::Single => Ok((block[0], block[0])),
+        VciPolicy::Single => (block[0], block[0]),
         VciPolicy::HashedTag => {
             let i = default_tag_hash(context_id, tag, block.len());
-            Ok((block[i], block[i]))
+            (block[i], block[i])
         }
-        VciPolicy::TagBitsOneToOne { layout } => Ok((
+        VciPolicy::TagBitsOneToOne { layout } => (
             block[layout.src_vci(tag, block.len())],
             block[layout.dst_vci(tag, block.len())],
-        )),
+        ),
         VciPolicy::PerRank(_) => unreachable!("resolved by Communicator::send_vcis"),
     }
 }
@@ -1288,7 +1284,7 @@ mod tests {
 
     #[test]
     fn single_policy_pins_to_first_block_entry() {
-        let (s, r) = select_vcis(&VciPolicy::Single, &[7], 1, 42).unwrap();
+        let (s, r) = select_vcis(&VciPolicy::Single, &[7], 1, 42);
         assert_eq!((s, r), (7, 7));
         assert_eq!(
             select_recv_vci(
@@ -1311,7 +1307,7 @@ mod tests {
         let policy = VciPolicy::TagBitsOneToOne { layout };
         let block = [10, 11, 12, 13];
         let tag = layout.encode(2, 3, 0).unwrap();
-        let (s, r) = select_vcis(&policy, &block, 1, tag).unwrap();
+        let (s, r) = select_vcis(&policy, &block, 1, tag);
         assert_eq!(s, 12); // src tid 2
         assert_eq!(r, 13); // dst tid 3
                            // Receiver with the concrete tag finds the same VCI.
@@ -1492,7 +1488,7 @@ mod tests {
         let policy = VciPolicy::HashedTag;
         let block = [0, 1, 2, 3, 4, 5, 6, 7];
         for tag in 0..100 {
-            let (s, r) = select_vcis(&policy, &block, 42, tag).unwrap();
+            let (s, r) = select_vcis(&policy, &block, 42, tag);
             assert_eq!(s, r, "hashed policy maps both sides identically");
             let rv = select_recv_vci(
                 &policy,

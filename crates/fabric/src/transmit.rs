@@ -185,14 +185,16 @@ fn inject(
     }
 }
 
-/// One message of a batched injection (see [`send_batch`]).
-pub struct SendDesc<'a> {
+/// One message of a batched injection (see [`send_batch`]) and its route.
+pub struct SendDesc<'a, R = ()> {
     /// Destination mailbox.
     pub dst_mail: &'a Mailbox,
     /// Packet header (already stamped with channel ids and sequence number).
     pub header: Header,
-    /// Payload bytes.
+    /// Payload bytes; [`send_batch`] moves them out.
     pub payload: Bytes,
+    /// The caller's routing data; never read here.
+    pub route: R,
 }
 
 /// Inject `descs` through `src` as one batch: N descriptors written under a
@@ -210,16 +212,18 @@ pub struct SendDesc<'a> {
 /// packet); a batch of one costs exactly a plain [`transmit`].
 ///
 /// All descriptors share `src`'s channel FIFO guarantee: they are stamped and
-/// pushed in descriptor order while the gate is held.
-pub fn send_batch(
+/// pushed in descriptor order while the gate is held. The batch allocates
+/// nothing: payloads move into packets; timings go to `infos`, if given, empty.
+pub fn send_batch<R>(
     profile: &NetworkProfile,
     clock: &mut Clock,
     src: &HwContext,
-    descs: Vec<SendDesc<'_>>,
-) -> Vec<TxInfo> {
+    descs: &mut [SendDesc<'_, R>],
+    mut infos: Option<&mut Vec<TxInfo>>,
+) {
     let n = descs.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
     let entered_at = clock.now();
     // Descriptor construction is per-message CPU work; batching cannot
@@ -228,23 +232,26 @@ pub fn send_batch(
     let gate = src.lock_gate(clock);
     clock.advance(profile.doorbell_batched(n));
 
-    let mut infos = Vec::with_capacity(n);
-    let mut to_notify: Vec<&Mailbox> = Vec::new();
-    for d in descs {
-        infos.push(inject(profile, clock, src, d.dst_mail, d.header, d.payload));
-        if !to_notify.iter().any(|m| std::ptr::eq(*m, d.dst_mail)) {
-            to_notify.push(d.dst_mail);
-        }
+    for d in descs.iter_mut() {
+        let payload = std::mem::take(&mut d.payload);
+        let info = inject(profile, clock, src, d.dst_mail, d.header, payload);
+        infos.iter_mut().for_each(|v| v.push(info));
     }
-    // One wakeup per destination per batch, not one per packet.
-    for m in to_notify {
-        m.wake();
+    // One wakeup per destination per batch, not one per packet, in the
+    // order destinations first appear.
+    for (i, d) in descs.iter().enumerate() {
+        let seen = descs[..i]
+            .iter()
+            .any(|e| std::ptr::eq(e.dst_mail, d.dst_mail));
+        if !seen {
+            d.dst_mail.wake();
+        }
     }
     release_gate(clock, src, gate);
 
     // The batch completes together.
     let local_complete = clock.now();
-    for info in &mut infos {
+    for info in infos.into_iter().flatten() {
         info.local_complete = local_complete;
     }
     obs::busy(
@@ -254,7 +261,6 @@ pub fn send_batch(
         local_complete,
         src.res_id(),
     );
-    infos
 }
 
 #[cfg(test)]
@@ -513,15 +519,18 @@ mod tests {
         // A fresh identical setup for the batched path.
         let (p2, src2, _dst2, mail2) = setup();
         let mut c2 = Clock::new();
-        let batched = send_batch(
+        let mut batched = Vec::new();
+        send_batch(
             &p2,
             &mut c2,
             &src2,
-            vec![SendDesc {
+            &mut [SendDesc {
                 dst_mail: &mail2,
                 header: Header::zeroed(),
                 payload: Bytes::new(),
+                route: (),
             }],
+            Some(&mut batched),
         );
         assert_eq!(batched.len(), 1);
         assert_eq!(batched[0].local_complete, single.local_complete);
@@ -545,7 +554,7 @@ mod tests {
 
         let (p2, src2, _dst2, mail2) = setup();
         let mut c2 = Clock::new();
-        let descs = (0..n)
+        let mut descs: Vec<_> = (0..n)
             .map(|i| SendDesc {
                 dst_mail: &mail2,
                 header: Header {
@@ -553,9 +562,11 @@ mod tests {
                     ..Header::zeroed()
                 },
                 payload: Bytes::new(),
+                route: (),
             })
             .collect();
-        let infos = send_batch(&p2, &mut c2, &src2, descs);
+        let mut infos = Vec::new();
+        send_batch(&p2, &mut c2, &src2, &mut descs, Some(&mut infos));
         // CPU cost: n sends pay the gate + full doorbell each; the batch pays
         // one gate and one amortized doorbell.
         let saved = (n - 1) * (p.context_lock.acquire_base + p.doorbell).as_ns()
@@ -582,7 +593,7 @@ mod tests {
         let m2 = Mailbox::new(Arc::clone(&n2));
         let mut clock = Clock::new();
         // 8 messages alternating between two destinations.
-        let descs = (0..8u64)
+        let mut descs: Vec<_> = (0..8u64)
             .map(|i| SendDesc {
                 dst_mail: if i % 2 == 0 { &m1 } else { &m2 },
                 header: Header {
@@ -590,9 +601,10 @@ mod tests {
                     ..Header::zeroed()
                 },
                 payload: Bytes::new(),
+                route: (),
             })
             .collect();
-        send_batch(&p, &mut clock, &src, descs);
+        send_batch(&p, &mut clock, &src, &mut descs, None);
         assert_eq!(m1.len(), 4);
         assert_eq!(m2.len(), 4);
         assert_eq!(n1.version(), 1, "one batch, one notification");
@@ -607,7 +619,7 @@ mod tests {
         let r = mail.resil().unwrap();
         let mut clock = Clock::new();
         let n = 40u64;
-        let descs = (0..n)
+        let mut descs: Vec<_> = (0..n)
             .map(|i| SendDesc {
                 dst_mail: &mail,
                 header: Header {
@@ -616,9 +628,10 @@ mod tests {
                     ..Header::zeroed()
                 },
                 payload: Bytes::new(),
+                route: (),
             })
             .collect();
-        send_batch(&p, &mut clock, &src, descs);
+        send_batch(&p, &mut clock, &src, &mut descs, None);
         let mut out = Vec::new();
         let delivered = mail.drain_into(&mut out);
         assert_eq!(delivered as u64, n);

@@ -1109,7 +1109,13 @@ mod tests {
                 panic!("deliberate engine failure")
             }),
         ];
-        let out = run(vt_cfg(2), tasks);
+        // No cap, as above: the spinners count steps at the speed of real
+        // time until the abort lands, and the panicking task's unwind (with
+        // `RUST_BACKTRACE` set, a symbolized backtrace first) can outlast
+        // any count they reach.
+        let mut cfg = vt_cfg(2);
+        cfg.step_cap = u64::MAX;
+        let out = run(cfg, tasks);
         assert_eq!(out.panic.as_deref(), Some("deliberate engine failure"));
         assert_eq!(out.results, vec![Some(2), None]);
     }

@@ -96,33 +96,6 @@ impl Chunk {
     }
 }
 
-/// Append `iv` past every interval of `chunks`, opening a chunk when the
-/// last one is full or cannot take `iv` even rebased. An interval wider than
-/// [`SPAN`] is cut into touching pieces, one per chunk. Returns the number of
-/// entries added.
-fn append(chunks: &mut Vec<Chunk>, (mut start, end): (u64, u64)) -> usize {
-    let mut pieces = 0;
-    loop {
-        pieces += 1;
-        if let Some(c) = chunks.last_mut().filter(|c| c.iv.len() < CHUNK) {
-            if let Some(off) = c.place((start, end)) {
-                c.iv.push(off);
-                return pieces;
-            }
-        }
-        // Most resources hold a handful of intervals, so the first chunk
-        // grows on demand; later ones are allocated whole.
-        let mut iv = Vec::with_capacity(if chunks.is_empty() { 0 } else { CHUNK });
-        let piece = end.min(start.saturating_add(SPAN));
-        iv.push((0, (piece - start) as u32));
-        chunks.push(Chunk { base: start, iv });
-        if piece == end {
-            return pieces;
-        }
-        start = piece;
-    }
-}
-
 /// Busy intervals: sorted, disjoint and never touching (an insert merges
 /// with a touching neighbour), stored as sorted chunks. The one exception to
 /// "never touching" is an interval wider than [`SPAN`], stored as touching
@@ -135,6 +108,9 @@ struct Schedule {
     /// The pruned horizon: the end of the last interval dropped. Every
     /// interval that ends after it is still here.
     horizon: u64,
+    /// A pruned chunk's emptied buffer, for the next chunk
+    /// [`push`](Schedule::push) opens: a pruned history stops allocating.
+    spare: Vec<(u32, u32)>,
 }
 
 impl Schedule {
@@ -208,9 +184,33 @@ impl Schedule {
         cursor
     }
 
-    /// Append past the frontier.
-    fn push(&mut self, iv: (u64, u64)) {
-        self.len += append(&mut self.chunks, iv);
+    /// Append `iv` past every interval, opening a chunk when the last one is
+    /// full or cannot take `iv` even rebased. An interval wider than [`SPAN`]
+    /// is cut into touching pieces, one per chunk.
+    fn push(&mut self, (mut start, end): (u64, u64)) {
+        loop {
+            self.len += 1;
+            if let Some(c) = self.chunks.last_mut().filter(|c| c.iv.len() < CHUNK) {
+                if let Some(off) = c.place((start, end)) {
+                    c.iv.push(off);
+                    return;
+                }
+            }
+            // Most resources hold a handful of intervals, so the first chunk
+            // grows on demand; later ones are whole, in a pruned one's buffer
+            // when there is one.
+            let mut iv = std::mem::take(&mut self.spare);
+            if !self.chunks.is_empty() {
+                iv.reserve_exact(CHUNK);
+            }
+            let piece = end.min(start.saturating_add(SPAN));
+            iv.push((0, (piece - start) as u32));
+            self.chunks.push(Chunk { base: start, iv });
+            if piece == end {
+                return;
+            }
+            start = piece;
+        }
     }
 
     /// Rewrite the interval at `(c, i)` as `iv`, which covers it.
@@ -260,24 +260,27 @@ impl Schedule {
     fn respill(&mut self, c: usize, edit: impl FnOnce(&mut Vec<(u64, u64)>)) {
         let mut ivs: Vec<(u64, u64)> = self.chunks[c].intervals().collect();
         edit(&mut ivs);
-        let mut rebuilt = Vec::new();
-        let added: usize = ivs.into_iter().map(|iv| append(&mut rebuilt, iv)).sum();
-        self.len = self.len + added - self.chunks[c].iv.len();
-        self.chunks.splice(c..=c, rebuilt);
+        let mut rebuilt = Schedule::default();
+        ivs.into_iter().for_each(|iv| rebuilt.push(iv));
+        self.len = self.len + rebuilt.len - self.chunks[c].iv.len();
+        self.chunks.splice(c..=c, rebuilt.chunks);
     }
 
-    /// Drop every chunk but the last whose intervals all end at or before
-    /// `gvt`, with one drain, raising the horizon to where they ended.
-    fn prune(&mut self, gvt: u64) {
-        let Some((_, older)) = self.chunks.split_last() else {
-            return;
-        };
+    /// Drop every chunk but the last `keep` whose intervals all end at or
+    /// before `gvt`, with one drain, raising the horizon to where they
+    /// ended. The last one's buffer becomes the spare.
+    fn prune(&mut self, gvt: u64, keep: usize) {
+        let older = &self.chunks[..self.chunks.len().saturating_sub(keep)];
         let k = older.partition_point(|c| c.last().1 <= gvt);
         if k == 0 {
             return;
         }
         self.horizon = self.chunks[k - 1].last().1;
-        self.len -= self.chunks.drain(..k).map(|c| c.iv.len()).sum::<usize>();
+        for c in self.chunks.drain(..k) {
+            self.len -= c.iv.len();
+            self.spare = c.iv;
+        }
+        self.spare.clear();
     }
 }
 
@@ -306,9 +309,9 @@ impl Schedule {
 /// one binary-searches the chunk heads, then one chunk.
 ///
 /// History is bounded by the GVT of the universe the resource was
-/// [`pruned_by`](Resource::pruned_by): when the schedule opens a chunk, it
-/// reads the GVT and drops, with one drain, every older chunk whose
-/// intervals all end at or before it. A request below the pruned horizon
+/// [`pruned_by`](Resource::pruned_by): as a push opens a chunk, it reads the
+/// GVT and drops, with one drain, every chunk whose intervals all end at or
+/// before it; the new chunk reuses one's buffer. A request below the horizon
 /// breaks the GVT's contract; it is served from the horizon, counted in
 /// [`below_horizon`](Resource::below_horizon), and fails a `debug_assert!`.
 #[derive(Debug)]
@@ -338,22 +341,35 @@ impl Bounds {
     /// holds `schedule` and has counted the request.
     fn reserve(&self, schedule: &mut Schedule, now: Nanos, busy: Nanos) -> Acquisition {
         let busy = busy.as_ns();
+        let cursor = self.admit(schedule, now.as_ns());
+        // A push past a full last chunk opens a chunk: prune first, the full
+        // one included, so that the opening takes a dropped chunk's buffer.
+        // Other growth (a split, a rebuilt chunk) prunes after it.
+        let opens =
+            (schedule.chunks.last()).is_some_and(|c| c.iv.len() == CHUNK && cursor > c.last().1);
+        if opens {
+            self.prune(schedule, 0);
+        }
         let chunks = schedule.chunks.len();
-        let start = schedule.reserve(self.admit(schedule, now.as_ns()), busy);
+        let start = schedule.reserve(cursor, busy);
         if start + busy > self.max_end.load(Ordering::Relaxed) {
             self.max_end.store(start + busy, Ordering::Release);
         }
-        if let Some(gvt) = self
-            .gvt
-            .as_deref()
-            .filter(|_| schedule.chunks.len() > chunks)
-        {
-            gvt.note_history(schedule.len);
-            schedule.prune(gvt.recent().as_ns());
+        if !opens && schedule.chunks.len() > chunks {
+            self.prune(schedule, 1);
         }
         Acquisition {
             start: Nanos(start),
             end: Nanos(start + busy),
+        }
+    }
+
+    /// Drop the chunks behind the GVT but the last `keep`, if a GVT bounds
+    /// this resource.
+    fn prune(&self, schedule: &mut Schedule, keep: usize) {
+        if let Some(gvt) = &self.gvt {
+            gvt.note_history(schedule.len);
+            schedule.prune(gvt.recent().as_ns(), keep);
         }
     }
 
@@ -1069,6 +1085,21 @@ mod tests {
         p.acquire(h, 3);
         p.acquire(h + 1, 30);
         p.check();
+    }
+
+    #[test]
+    fn an_opening_takes_the_buffer_of_a_chunk_it_prunes() {
+        let mut p = Pair::pruned();
+        p.append_sparse(3 * CHUNK, 10, 5);
+        let second = p.r.schedule.lock().chunks[1].iv.as_ptr();
+        // As above: the opening drops the first two chunks, and the chunk it
+        // opens is the second one's buffer, so no buffer waits idle.
+        p.trail(CHUNK as u64 * 15 / 2);
+        p.append_sparse(1, 10, 5);
+        let s = p.r.schedule.lock();
+        assert_eq!(s.chunks.len(), 2);
+        assert_eq!(s.chunks[1].iv.as_ptr(), second);
+        assert_eq!(s.spare.capacity(), 0);
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! Unlike the original, a short buffer is stored *inline*: up to
 //! [`INLINE_CAP`] bytes live in the `Bytes` value itself, so building,
 //! cloning and dropping one touches no heap and no shared reference count.
+//! A longer one is a view of an `Arc<[u8]>`, whose count shares the bytes'
+//! allocation; [`Bytes::from_shared`] lends a prefix of a buffer its caller
+//! keeps, which is how an allocation pool recycles payload slabs.
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
@@ -26,18 +29,11 @@ enum Repr {
     Inline { len: u8, buf: [u8; INLINE_CAP] },
     /// A static slice; sub-views are sub-slices.
     Static(&'static [u8]),
-    /// The view `[start, end)` of a copied buffer.
+    /// The view `[start, end)` of a shared buffer: a copy, or a pooled slab
+    /// (see [`Bytes::from_shared`]). The reference count is in the same
+    /// allocation, 16 bytes in front of the bytes.
     Shared {
         data: Arc<[u8]>,
-        start: u32,
-        end: u32,
-    },
-    /// The view `[start, end)` of a pooled buffer: the `Arc<Vec<u8>>` is
-    /// shared with an allocation pool that reclaims it once the last `Bytes`
-    /// view drops (see `Bytes::from_owner`). Unlike `Shared`, constructing
-    /// this from an existing `Arc` performs no copy and no allocation.
-    Owned {
-        data: Arc<Vec<u8>>,
         start: u32,
         end: u32,
     },
@@ -73,24 +69,24 @@ impl Bytes {
         })
     }
 
-    /// Wrap an existing shared buffer without copying: the full `Vec` is the
-    /// view. The caller may retain its own clone of the `Arc` (an allocation
-    /// pool does) and reclaim the buffer once `owner_count` drops back to its
-    /// own references.
-    pub fn from_owner(v: Arc<Vec<u8>>) -> Self {
-        let end = offset(v.len());
-        Bytes(Repr::Owned {
-            data: v,
+    /// The first `len` bytes of a shared buffer, without copying. The caller
+    /// may keep its own clone of the `Arc` (an allocation pool does) and
+    /// reuse the buffer once [`owner_count`](Bytes::owner_count) drops back
+    /// to its own references.
+    pub fn from_shared(data: Arc<[u8]>, len: usize) -> Self {
+        assert!(len <= data.len(), "slice out of range");
+        Bytes(Repr::Shared {
+            data,
             start: 0,
-            end,
+            end: offset(len),
         })
     }
 
-    /// For pool-owned buffers (`from_owner`): the current strong count of the
-    /// backing `Arc`. Returns `None` for inline, static or copied buffers.
+    /// For a shared buffer: the current strong count of its `Arc`. `None`
+    /// for inline or static buffers.
     pub fn owner_count(&self) -> Option<usize> {
         match &self.0 {
-            Repr::Owned { data, .. } => Some(Arc::strong_count(data)),
+            Repr::Shared { data, .. } => Some(Arc::strong_count(data)),
             _ => None,
         }
     }
@@ -100,9 +96,7 @@ impl Bytes {
         match &self.0 {
             Repr::Inline { len, .. } => *len as usize,
             Repr::Static(s) => s.len(),
-            Repr::Shared { start, end, .. } | Repr::Owned { start, end, .. } => {
-                (end - start) as usize
-            }
+            Repr::Shared { start, end, .. } => (end - start) as usize,
         }
     }
 
@@ -133,11 +127,6 @@ impl Bytes {
                 start: start + offset(lo),
                 end: start + offset(hi),
             },
-            Repr::Owned { data, start, .. } => Repr::Owned {
-                data: Arc::clone(data),
-                start: start + offset(lo),
-                end: start + offset(hi),
-            },
         })
     }
 }
@@ -155,7 +144,6 @@ impl Deref for Bytes {
             Repr::Inline { len, buf } => &buf[..*len as usize],
             Repr::Static(s) => s,
             Repr::Shared { data, start, end } => &data[*start as usize..*end as usize],
-            Repr::Owned { data, start, end } => &data[*start as usize..*end as usize],
         }
     }
 }
@@ -247,9 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn from_owner_shares_without_copy() {
-        let a = Arc::new(vec![9u8, 8, 7]);
-        let b = Bytes::from_owner(Arc::clone(&a));
+    fn from_shared_shares_without_copy() {
+        let a: Arc<[u8]> = Arc::from([9u8, 8, 7, 6]);
+        let b = Bytes::from_shared(Arc::clone(&a), 3);
         assert_eq!(&b[..], &[9, 8, 7]);
         assert_eq!(b.owner_count(), Some(2));
         assert_eq!(b.slice(1..).owner_count(), Some(3));
@@ -269,9 +257,11 @@ mod tests {
             cut in (any::<usize>(), any::<usize>())
         ) {
             let copy = Bytes::copy_from_slice(&data);
-            let view = Bytes::from_owner(Arc::new(data.clone()));
+            // A slab longer than its payload, as a pool hands out.
+            let slab: Arc<[u8]> = data.iter().copied().chain([0xEE; 3]).collect();
+            let view = Bytes::from_shared(slab, data.len());
             prop_assert_eq!(matches!(copy.0, Repr::Inline { .. }), data.len() <= INLINE_CAP);
-            prop_assert!(matches!(view.0, Repr::Owned { .. }));
+            prop_assert!(matches!(view.0, Repr::Shared { .. }));
             let (a, b) = (cut.0 % (data.len() + 1), cut.1 % (data.len() + 1));
             let (lo, hi) = (a.min(b), a.max(b));
             for (x, y) in [
